@@ -11,7 +11,7 @@ Run:  python examples/splash2_characterization.py
 """
 
 from repro.harness import ExperimentContext, render_table
-from repro.harness.profiling import profile_application
+from repro.harness.profiling import profile_rows
 from repro.workloads import SPLASH2
 
 
@@ -23,19 +23,23 @@ def main() -> None:
 
     rows = []
     for model in SPLASH2:
-        profile = profile_application(context, model, (1, 16))
-        one = profile.entries[1]
-        sixteen = profile.entries.get(16)
+        profile = profile_rows(context, model, (1, 16))
+        one = profile[1]
+        sixteen = profile.get(16)
         rows.append(
             [
                 model.name,
                 model.spec.problem_size,
-                one.result.average_cpi,
-                one.result.l1_miss_rate(),
-                one.result.memory_stall_fraction(),
-                profile.nominal_efficiency(16) if sixteen else float("nan"),
-                one.power.total_w,
-                f"{one.power.total_w / budget:.0%}",
+                one.average_cpi,
+                one.l1_miss_rate,
+                one.memory_stall_fraction,
+                (
+                    one.execution_time_ps / (16 * sixteen.execution_time_ps)
+                    if sixteen
+                    else float("nan")
+                ),
+                one.total_power_w,
+                f"{one.total_power_w / budget:.0%}",
             ]
         )
 

@@ -7,8 +7,8 @@ Installed behaviours (also reachable via ``python -m repro``):
 * ``repro fig3 [--apps ...] [--scale X]`` — experimental Scenario I,
 * ``repro fig4 [--apps ...] [--scale X]`` — experimental Scenario II,
 * ``repro optimize [--objective ...]`` — adaptive coarse-to-fine search
-  over the (N, frequency) design space (see docs/MODEL.md); ``fig3``
-  and ``fig4`` accept ``--adaptive`` to route through the same engine,
+  over the (N, frequency) design space (see docs/MODEL.md); ``fig4``
+  is its ``speedup-budget`` search rendered as Figure 4,
 * ``repro characterize [--scale X]`` — workload-model signatures,
 * ``repro info`` — machine configuration (Table 1) and suite (Table 2).
 
@@ -383,30 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig3 = commands.add_parser("fig3", help="experimental Figure 3")
     _add_apps_argument(fig3, ("FMM", "LU", "Ocean", "Cholesky", "Radix"))
     _add_scale_argument(fig3)
-    fig3.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "search each (app, N) operating point with the coarse-to-fine "
-            "optimizer (measured min-power at iso-performance) instead of "
-            "the Eq. 7 formula"
-        ),
-    )
     _add_executor_arguments(fig3)
     _add_profile_argument(fig3)
 
     fig4 = commands.add_parser("fig4", help="experimental Figure 4")
     _add_apps_argument(fig4, ("FMM", "Cholesky", "Radix"))
     _add_scale_argument(fig4)
-    fig4.add_argument(
-        "--adaptive",
-        action="store_true",
-        help=(
-            "locate each (app, N) budget point with the coarse-to-fine "
-            "optimizer (same grid optimum, fewer simulations, plus the "
-            "interpolated budget boundary)"
-        ),
-    )
     _add_executor_arguments(fig4)
     _add_profile_argument(fig4)
 
@@ -679,16 +661,6 @@ def _cmd_fig3(args) -> int:
     executor = _executor_from_args(args, telemetry_run, "fig3")
     try:
         models = [workload_by_name(app) for app in args.apps]
-        if args.adaptive:
-            return _adaptive_figure(
-                args,
-                context,
-                executor,
-                models,
-                objective="power-iso",
-                core_counts=(1, 2, 4, 8, 16),
-                title="Figure 3 (adaptive): min power at iso-performance",
-            )
         results = run_scenario1(context, models, executor=executor)
         rows = [
             [
@@ -728,16 +700,6 @@ def _cmd_fig4(args) -> int:
     executor = _executor_from_args(args, telemetry_run, "fig4")
     try:
         models = [workload_by_name(app) for app in args.apps]
-        if args.adaptive:
-            return _adaptive_figure(
-                args,
-                context,
-                executor,
-                models,
-                objective="speedup-budget",
-                core_counts=(1, 2, 4, 8, 12, 16),
-                title="Figure 4 (adaptive): speedup under the 1-core power budget",
-            )
         results = run_scenario2(
             context, models, core_counts=(1, 2, 4, 8, 12, 16), executor=executor
         )
@@ -759,57 +721,6 @@ def _cmd_fig4(args) -> int:
     finally:
         _close_journal(executor)
         _finalize_telemetry(telemetry_run, executor)
-
-
-def _adaptive_figure(
-    args, context, executor, models, objective, core_counts, title
-) -> int:
-    """Shared ``--adaptive`` path of fig3/fig4: optimize, then render.
-
-    The chosen (N, frequency) points match the default pipelines'
-    bitwise; the table adds the interpolated constraint boundary and
-    the search prints its simulation accounting.
-    """
-    from repro.harness import run_optimizer
-
-    campaign = run_optimizer(
-        context,
-        models,
-        objective,
-        core_counts=core_counts,
-        executor=executor,
-    )
-    rows = [
-        [
-            r.app,
-            r.n,
-            r.frequency_hz / GIGA,
-            r.f_interpolated_hz / GIGA,
-            r.voltage,
-            r.total_power_w,
-            r.speedup,
-            "yes" if r.feasible else "no",
-        ]
-        for r in campaign.rows
-    ]
-    print(
-        render_table(
-            ["app", "N", "f (GHz)", "f~ (GHz)", "V", "P (W)", "speedup", "feasible"],
-            rows,
-            title=title,
-        )
-    )
-    print(campaign.summary())
-    _print_skipped_searches(campaign)
-    _print_executor_summary(executor, args)
-    _print_kernel_summary(context, args, executor)
-    return 0
-
-
-def _print_skipped_searches(campaign) -> None:
-    if campaign.skipped:
-        skipped = ", ".join(f"{app}@N={n}" for app, n in campaign.skipped)
-        print(f"[quarantine] skipped searches: {skipped}", file=sys.stderr)
 
 
 def _cmd_optimize(args) -> int:
@@ -863,7 +774,9 @@ def _cmd_optimize(args) -> int:
             )
         )
         print(campaign.summary())
-        _print_skipped_searches(campaign)
+        if campaign.skipped:
+            skipped = ", ".join(f"{app}@N={n}" for app, n in campaign.skipped)
+            print(f"[quarantine] skipped searches: {skipped}", file=sys.stderr)
         if args.store:
             save_results({"optimizer": campaign.rows}, args.store)
             print(f"wrote {args.store} ({len(campaign.rows)} rows)")

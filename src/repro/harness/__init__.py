@@ -3,13 +3,15 @@
 * :mod:`~repro.harness.context` — shared infrastructure: the Table 1
   machine, thermal model, Wattch energies, the Section 3.3 calibration,
   and the Pentium-M-style V/f table.
-* :mod:`~repro.harness.profiling` — nominal-V/f profiling runs that
-  produce each application's nominal-efficiency curve (Section 4.1's
-  first step).
+* :mod:`~repro.harness.profiling` — :func:`simulate_point`, the one
+  way the pipelines simulate an (N, f) point, and the nominal-V/f
+  profiles behind each application's nominal-efficiency curve
+  (Section 4.1's first step).
 * :mod:`~repro.harness.scenario1` — the experimental power-optimization
   pipeline behind Figure 3's five panels.
 * :mod:`~repro.harness.scenario2` — the experimental
-  performance-under-budget pipeline behind Figure 4.
+  performance-under-budget pipeline behind Figure 4, a view of the
+  :mod:`~repro.harness.optimizer` budget search.
 * :mod:`~repro.harness.tables` — plain-text rendering of the
   paper-style tables and series.
 * :mod:`~repro.harness.executor` — the parallel sweep executor and its
@@ -26,9 +28,7 @@ from repro.harness.executor import (
     config_key,
 )
 from repro.harness.profiling import (
-    ApplicationProfile,
     KernelAggregate,
-    ProfileEntry,
     SimPointRow,
     SimPointTask,
     profile_rows,
@@ -50,8 +50,6 @@ from repro.harness.optimizer import (
     OptimizerRow,
     objective_by_name,
     run_optimizer,
-    run_scenario1_adaptive,
-    run_scenario2_adaptive,
 )
 from repro.harness.percore import (
     PerCoreDVFSResult,
@@ -98,9 +96,7 @@ __all__ = [
     "PointOutcome",
     "SweepFailure",
     "config_key",
-    "ApplicationProfile",
     "KernelAggregate",
-    "ProfileEntry",
     "SimPointRow",
     "SimPointTask",
     "profile_rows",
@@ -119,8 +115,6 @@ __all__ = [
     "OptimizerRow",
     "objective_by_name",
     "run_optimizer",
-    "run_scenario1_adaptive",
-    "run_scenario2_adaptive",
     "PerCoreDVFSResult",
     "plan_core_frequencies",
     "run_percore_dvfs",

@@ -147,12 +147,17 @@ class ExperimentContext:
     ) -> Tuple[SimulationResult, ChipPowerResult]:
         """Simulate one configuration and evaluate its power/thermal state.
 
-        Frequency defaults to nominal; voltage defaults to the V/f table's
-        entry for the chosen frequency.
+        Frequency defaults to nominal.  Without a voltage, the frequency
+        is clamped into the legal scaling range and the voltage is the
+        V/f table's entry for it.  An explicit (frequency, voltage) pair
+        is simulated as given, which is how the overclocking study runs
+        above the table's top bin.
         """
-        f_hz = self.clamp_frequency(frequency_hz or self.f_nominal)
-        v = voltage if voltage is not None else self.vf_table.voltage_for_frequency(f_hz)
-        config = self.cmp_config.with_operating_point(f_hz, v)
+        f_hz = frequency_hz or self.f_nominal
+        if voltage is None:
+            f_hz = self.clamp_frequency(f_hz)
+            voltage = self.vf_table.voltage_for_frequency(f_hz)
+        config = self.cmp_config.with_operating_point(f_hz, voltage)
         scaled = self.scaled_model(model)
         compiled = compile_workload(scaled, n_threads)
         chip = ChipMultiprocessor(

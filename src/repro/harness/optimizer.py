@@ -2,12 +2,13 @@
 
 The paper's deliverable is an *optimization* — pick the (N, V/f)
 configuration that minimizes power at iso-performance (Scenario I) or
-maximizes speedup under a power budget (Scenario II) — yet the
-experimental pipelines answer it by exhaustively simulating the full
-200 MHz profiling ladder.  The power/performance surfaces those sweeps
-trace are smooth and monotone (power rises with frequency, time falls),
-so a successive-refinement search finds the same optimum with a
-fraction of the simulations.
+maximizes speedup under a power budget (Scenario II) — yet the paper
+answers it by profiling the full 200 MHz ladder.  The
+power/performance surfaces such sweeps trace are smooth and monotone
+(power rises with frequency, time falls), so a successive-refinement
+search finds the same optimum with a fraction of the simulations.
+Figure 4 (:func:`~repro.harness.scenario2.run_scenario2`) is the
+``speedup-budget`` search of this module.
 
 The engine in this module searches each (application, N) pair's
 frequency ladder coarse-to-fine:
@@ -18,24 +19,24 @@ frequency ladder coarse-to-fine:
 2. each later round evaluates the *frontier* — the midpoints every
    active search needs next — as one flat fan-out through the
    :class:`~repro.harness.executor.SweepExecutor`, so refinement rounds
-   parallelize across workers and across searches;
+   parallelize across workers and across searches (in groups that fit
+   the compile cache, so no program recompiles round after round);
 3. brackets halve until they reach single-step resolution, at which
    point the chosen grid frequency is exact — the same point an
    exhaustive sweep of the ladder would pick.
 
 Evaluations go through :func:`~repro.harness.profiling.simulate_point`
 under the standard ``simpoint`` cache key, so optimizer probes share
-the result cache with the scenario sweeps: a warm cache makes
-refinement incremental across campaigns and ``--resume`` runs, and the
-chosen row is bitwise-identical to the corresponding exhaustive or
-scenario-pipeline measurement.
+the result cache with the other sweeps: a warm cache makes refinement
+incremental across campaigns and ``--resume`` runs, and the chosen row
+is bitwise-identical to the corresponding exhaustive measurement.
 
 For budget-style objectives the final bracket also yields the paper's
 "linearly scaling between the two" profiled points: the budget boundary
 is located by linear interpolation between the bracketing measurements
 and reported as :attr:`OptimizerRow.f_interpolated_hz`.  The
 interpolated frequency is metadata — the chosen operating point stays
-on the grid so adaptive results match the default pipelines exactly.
+on the grid so adaptive results match the exhaustive sweep exactly.
 
 Objectives are pluggable (:data:`OBJECTIVES`): ``power-iso`` (Scenario
 I as a measured search), ``speedup-budget`` (Scenario II), and the
@@ -61,6 +62,7 @@ from repro.harness.profiling import (
     sim_point_key,
     simulate_point,
 )
+from repro.sim.ops import stream_cache
 from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
@@ -73,10 +75,10 @@ DEFAULT_STEP_HZ = 200e6
 def frequency_ladder(
     context: ExperimentContext, step_hz: float = DEFAULT_STEP_HZ
 ) -> List[float]:
-    """The profiling ladder: ``step_hz`` steps from the floor to nominal.
+    """The paper's profiling ladder: ``step_hz`` steps from the floor to nominal.
 
-    Identical to the Scenario II grid, so optimizer probes land on the
-    exact frequencies the exhaustive pipelines simulate.
+    Scenario II (:func:`~repro.harness.scenario2.run_scenario2`) and
+    every optimizer search pick their operating points on this ladder.
     """
     points: List[float] = []
     f = context.f_min
@@ -372,6 +374,9 @@ class OptimizerRow:
     budget_w: float
     evaluations: int
     grid_points: int
+    #: ``T1 / TN`` at nominal frequency, from the search's top-of-ladder
+    #: probe.  0.0 marks rows stored before the field existed.
+    nominal_speedup: float = 0.0
 
     @property
     def energy_j(self) -> float:
@@ -399,8 +404,12 @@ class OptimizerCampaign:
     baseline_evaluations: int = 0
     exhaustive_evaluations: int = 0
     rounds: int = 0
-    #: (app, n) searches abandoned because a probe failed/quarantined.
+    #: (app, n) searches abandoned because a probe failed/quarantined;
+    #: a failed 1-core baseline skips its application as (app, 1).
     skipped: List[Tuple[str, int]] = field(default_factory=list)
+    #: Applications whose 1-core baseline failed (none of their
+    #: searches ran).
+    failed_baselines: List[str] = field(default_factory=list)
 
     @property
     def simulations_saved(self) -> int:
@@ -469,6 +478,31 @@ def _interpolated_frequency(
     return min(max(crossing, f_lo), f_hi)
 
 
+def _program_groups(
+    models: Sequence[WorkloadModel], core_counts: Sequence[int], capacity: int
+) -> List[List[Tuple[WorkloadModel, int]]]:
+    """Split the (application, N) searches into compile-cache-sized groups.
+
+    The search is round-major: every round touches every program in
+    play, so once a campaign has more (application, N) programs than
+    the bounded stream cache holds, LRU eviction recompiles each of
+    them every round.  Groups of at most ``capacity`` programs
+    (counting each application's 1-core baseline) compile every program
+    once.
+    """
+    groups: List[List[Tuple[WorkloadModel, int]]] = []
+    programs: set = set()
+    for model in models:
+        for n in model.supported_thread_counts(core_counts):
+            pair = {(model.name, 1), (model.name, n)}
+            if not groups or len(programs | pair) > capacity:
+                groups.append([])
+                programs = set()
+            groups[-1].append((model, n))
+            programs |= pair
+    return groups
+
+
 def run_optimizer(
     context: ExperimentContext,
     models: Sequence[WorkloadModel],
@@ -486,6 +520,10 @@ def run_optimizer(
     and the same pick rule applied — the reference the differential
     tests and ``bench_optimizer.py`` hold the adaptive search to.
 
+    Searches run in groups that fit the process-wide compile cache
+    (:data:`repro.sim.ops.stream_cache`), so every (application, N)
+    program compiles once however large the campaign.
+
     A probe that fails (or quarantines, under a retrying executor)
     abandons that (application, N) search — recorded in
     :attr:`OptimizerCampaign.skipped` and in the executor's ``failed``
@@ -502,140 +540,163 @@ def run_optimizer(
     stride = coarse_stride if coarse_stride is not None else _default_stride(
         len(ladder)
     )
-    tracer = get_tracer()
-    sampler = get_sampler()
 
     campaign = OptimizerCampaign(objective=objective.name)
-    with tracer.span(
+    t1_by_app: Dict[str, int] = {}
+    with get_tracer().span(
         "optimizer.campaign",
         objective=objective.name,
         apps=len(models),
         exhaustive=exhaustive,
     ):
-        # Baselines: every application's 1-core nominal time (T1), the
-        # reference both feasibility and the speedup column are built
-        # on.  Shared with the scenario pipelines through the cache.
-        baseline_tasks = [SimPointTask(spec=m.spec, n=1) for m in models]
-        baseline_outcomes = executor.map(
-            partial(simulate_point, context),
-            baseline_tasks,
-            key_configs=[sim_point_key(context, t) for t in baseline_tasks],
-            precompile=precompile_hook(context),
-        )
-        campaign.baseline_evaluations = len(baseline_tasks)
-        t1_by_app: Dict[str, int] = {}
-        for task, outcome in zip(baseline_tasks, baseline_outcomes):
-            if outcome.ok:
-                t1_by_app[task.spec.name] = outcome.value.execution_time_ps
+        for group in _program_groups(models, core_counts, stream_cache.maxsize):
+            # Baselines: each application's 1-core nominal time (T1),
+            # the reference both feasibility and the speedup column are
+            # built on.  Shared with the scenario pipelines through the
+            # cache.
+            fresh = {
+                model.name: model
+                for model, _ in group
+                if model.name not in t1_by_app
+                and model.name not in campaign.failed_baselines
+            }
+            baseline_tasks = [SimPointTask(spec=m.spec, n=1) for m in fresh.values()]
+            baseline_outcomes = executor.map(
+                partial(simulate_point, context),
+                baseline_tasks,
+                key_configs=[sim_point_key(context, t) for t in baseline_tasks],
+                precompile=precompile_hook(context),
+            )
+            campaign.baseline_evaluations += len(baseline_tasks)
+            for task, outcome in zip(baseline_tasks, baseline_outcomes):
+                if outcome.ok:
+                    t1_by_app[task.spec.name] = outcome.value.execution_time_ps
+                else:
+                    campaign.failed_baselines.append(task.spec.name)
+                    campaign.skipped.append((task.spec.name, 1))
 
-        states: List[_SearchState] = []
-        for model in models:
-            if model.name not in t1_by_app:
-                campaign.skipped.append((model.name, 1))
-                continue
-            for n in model.supported_thread_counts(core_counts):
+            states: List[_SearchState] = []
+            for model, n in group:
+                if model.name not in t1_by_app:
+                    continue
                 if objective.kind == "boundary":
                     search = _BoundarySearch(
                         len(ladder), objective.feasible_low, stride
                     )
                 else:
                     search = _UnimodalSearch(len(ladder), stride)
+                if exhaustive:
+                    search.stride = 1
                 states.append(_SearchState(model, n, search))
-        campaign.exhaustive_evaluations = len(ladder) * len(states)
-
-        if exhaustive:
-            for state in states:
-                state.search.stride = 1
-
-        while True:
-            frontier: List[Tuple[_SearchState, int]] = []
+            campaign.exhaustive_evaluations += len(ladder) * len(states)
+            _search(
+                context, executor, objective, ladder, states, t1_by_app,
+                budget, exhaustive, campaign,
+            )
             for state in states:
                 if state.failed:
                     continue
-                if exhaustive:
-                    wanted = (
-                        []
-                        if state.search.done or state.search.known
-                        else list(range(len(ladder)))
-                    )
-                else:
-                    wanted = state.search.frontier()
-                frontier.extend((state, index) for index in wanted)
-            if not frontier:
-                break
-            campaign.rounds += 1
-            tasks = [
-                SimPointTask(
-                    spec=state.model.spec, n=state.n, frequency_hz=ladder[index]
+                row = _row_from_state(
+                    state, objective, ladder, context, t1_by_app, budget
                 )
-                for state, index in frontier
-            ]
-            if sampler.enabled:
-                sampler.sample("optimizer.frontier_points", float(len(tasks)))
-                widths = [
-                    state.search.bracket[1] - state.search.bracket[0]
-                    for state, _ in frontier
-                    if getattr(state.search, "bracket", None) is not None
-                ]
-                if widths:
-                    sampler.sample("optimizer.bracket_steps", float(max(widths)))
-            with tracer.span(
-                "optimizer.round",
-                index=campaign.rounds,
-                points=len(tasks),
-            ):
-                outcomes = executor.map(
-                    partial(simulate_point, context),
-                    tasks,
-                    key_configs=[
-                        sim_point_key(context, task) for task in tasks
-                    ],
-                    precompile=precompile_hook(context),
-                )
-            advanced = set()
-            for (state, index), outcome in zip(frontier, outcomes):
-                state.evaluations += 1
-                campaign.evaluations += 1
-                if not outcome.ok:
-                    state.failed = True
-                    campaign.skipped.append((state.model.name, state.n))
-                    continue
-                if outcome.cached:
-                    campaign.cache_hits += 1
-                else:
-                    campaign.cold_evaluations += 1
-                row = outcome.value
-                state.rows[index] = row
-                t1_ps = t1_by_app[state.model.name]
-                if objective.kind == "boundary":
-                    state.search.known[index] = objective.feasible(
-                        row, t1_ps, budget
-                    )
-                else:
-                    state.search.known[index] = objective.metric(row, t1_ps)
-                advanced.add(id(state))
-            for state in states:
-                if id(state) in advanced and not state.failed:
-                    if exhaustive:
-                        _resolve_exhaustive(state, objective)
-                    else:
-                        state.search.advance()
-
-        for state in states:
-            if state.failed:
-                continue
-            row = _row_from_state(
-                state, objective, ladder, context, t1_by_app, budget
-            )
-            if row is not None:
-                campaign.rows.append(row)
+                if row is not None:
+                    campaign.rows.append(row)
         campaign.rows.sort(key=lambda r: (r.app, r.n))
+        sampler = get_sampler()
         if sampler.enabled:
             sampler.sample("optimizer.evaluations", float(campaign.evaluations))
             sampler.sample(
                 "optimizer.simulations_saved", float(campaign.simulations_saved)
             )
     return campaign
+
+
+def _search(
+    context: ExperimentContext,
+    executor: SweepExecutor,
+    objective,
+    ladder: Sequence[float],
+    states: List[_SearchState],
+    t1_by_app: Dict[str, int],
+    budget: float,
+    exhaustive: bool,
+    campaign: OptimizerCampaign,
+) -> None:
+    """Refine ``states`` round by round until every search resolves.
+
+    Each round evaluates the union of the searches' frontiers as one
+    flat fan-out through the executor.
+    """
+    sampler = get_sampler()
+    while True:
+        frontier: List[Tuple[_SearchState, int]] = []
+        for state in states:
+            if state.failed:
+                continue
+            if exhaustive:
+                wanted = (
+                    []
+                    if state.search.done or state.search.known
+                    else list(range(len(ladder)))
+                )
+            else:
+                wanted = state.search.frontier()
+            frontier.extend((state, index) for index in wanted)
+        if not frontier:
+            return
+        campaign.rounds += 1
+        tasks = [
+            SimPointTask(
+                spec=state.model.spec, n=state.n, frequency_hz=ladder[index]
+            )
+            for state, index in frontier
+        ]
+        if sampler.enabled:
+            sampler.sample("optimizer.frontier_points", float(len(tasks)))
+            widths = [
+                state.search.bracket[1] - state.search.bracket[0]
+                for state, _ in frontier
+                if getattr(state.search, "bracket", None) is not None
+            ]
+            if widths:
+                sampler.sample("optimizer.bracket_steps", float(max(widths)))
+        with get_tracer().span(
+            "optimizer.round",
+            index=campaign.rounds,
+            points=len(tasks),
+        ):
+            outcomes = executor.map(
+                partial(simulate_point, context),
+                tasks,
+                key_configs=[sim_point_key(context, task) for task in tasks],
+                precompile=precompile_hook(context),
+            )
+        advanced = set()
+        for (state, index), outcome in zip(frontier, outcomes):
+            state.evaluations += 1
+            campaign.evaluations += 1
+            if not outcome.ok:
+                state.failed = True
+                campaign.skipped.append((state.model.name, state.n))
+                continue
+            if outcome.cached:
+                campaign.cache_hits += 1
+            else:
+                campaign.cold_evaluations += 1
+            row = outcome.value
+            state.rows[index] = row
+            t1_ps = t1_by_app[state.model.name]
+            if objective.kind == "boundary":
+                state.search.known[index] = objective.feasible(row, t1_ps, budget)
+            else:
+                state.search.known[index] = objective.metric(row, t1_ps)
+            advanced.add(id(state))
+        for state in states:
+            if id(state) in advanced and not state.failed:
+                if exhaustive:
+                    _resolve_exhaustive(state, objective)
+                else:
+                    state.search.advance()
 
 
 def _resolve_exhaustive(state: _SearchState, objective) -> None:
@@ -675,6 +736,8 @@ def _row_from_state(
     t1_ps = t1_by_app[state.model.name]
     chosen_hz = ladder[index]
     boundary = getattr(search, "boundary", None)
+    # Round 0 always probes the top of the ladder (nominal frequency).
+    nominal = state.rows[search.num_points - 1]
     return OptimizerRow(
         objective=objective.name,
         app=state.model.name,
@@ -693,43 +756,6 @@ def _row_from_state(
         budget_w=budget,
         evaluations=state.evaluations,
         grid_points=search.num_points,
+        nominal_speedup=t1_ps / nominal.execution_time_ps,
     )
 
-
-def run_scenario1_adaptive(
-    context: ExperimentContext,
-    models: Sequence[WorkloadModel],
-    core_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    executor: Optional[SweepExecutor] = None,
-) -> OptimizerCampaign:
-    """Scenario I through the optimizer: min power at iso-performance."""
-    return run_optimizer(
-        context,
-        models,
-        MinPowerAtIsoPerformance(),
-        core_counts=core_counts,
-        executor=executor,
-    )
-
-
-def run_scenario2_adaptive(
-    context: ExperimentContext,
-    models: Sequence[WorkloadModel],
-    core_counts: Sequence[int] = tuple(range(1, 17)),
-    budget_w: Optional[float] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> OptimizerCampaign:
-    """Scenario II through the optimizer: max speedup under the budget.
-
-    The chosen (N, frequency) points match :func:`run_scenario2`'s grid
-    picks bitwise — the search changes how many points are simulated,
-    never which point wins.
-    """
-    return run_optimizer(
-        context,
-        models,
-        MaxSpeedupUnderBudget(),
-        core_counts=core_counts,
-        budget_w=budget_w,
-        executor=executor,
-    )

@@ -1,4 +1,8 @@
-"""Nominal-V/f profiling (the first step of Sections 4.1 and 4.2).
+"""Point simulation and nominal-V/f profiling (Sections 4.1 and 4.2).
+
+:func:`simulate_point` is the one way the experimental pipelines
+simulate an (N, f) operating point: a :class:`SimPointTask` in, a flat,
+cacheable :class:`SimPointRow` out, memoized under :func:`sim_point_key`.
 
 A profile runs an application at nominal voltage and frequency on every
 supported core count, recording execution time and power.  From it come
@@ -11,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
-from repro.power.chippower import ChipPowerResult
-from repro.sim.cmp import KernelStats, SimulationResult
+from repro.sim.cmp import KernelStats
 from repro.workloads.base import WorkloadModel, WorkloadSpec
 
 
@@ -128,50 +131,6 @@ class KernelAggregate:
 
 
 @dataclass(frozen=True)
-class ProfileEntry:
-    """One (application, N) point at nominal V/f."""
-
-    n: int
-    result: SimulationResult
-    power: ChipPowerResult
-
-    @property
-    def execution_time_ps(self) -> int:
-        """Measured execution time (picoseconds)."""
-        return self.result.execution_time_ps
-
-
-@dataclass
-class ApplicationProfile:
-    """An application's nominal-V/f characterisation."""
-
-    app: str
-    entries: Dict[int, ProfileEntry]
-
-    def core_counts(self) -> List[int]:
-        """Profiled core counts, ascending."""
-        return sorted(self.entries)
-
-    def nominal_efficiency(self, n: int) -> float:
-        """Eq. 6 from measured times: ``T1 / (N * TN)``."""
-        self._require(1)
-        self._require(n)
-        t1 = self.entries[1].execution_time_ps
-        tn = self.entries[n].execution_time_ps
-        return t1 / (n * tn)
-
-    def nominal_speedup(self, n: int) -> float:
-        """``T1 / TN`` at nominal V/f."""
-        self._require(1)
-        self._require(n)
-        return self.entries[1].execution_time_ps / self.entries[n].execution_time_ps
-
-    def _require(self, n: int) -> None:
-        if n not in self.entries:
-            raise ConfigurationError(f"{self.app}: no profile entry for N={n}")
-
-
-@dataclass(frozen=True)
 class SimPointRow:
     """The flat, cacheable summary of one simulated operating point.
 
@@ -202,7 +161,9 @@ class SimPointTask:
 
     ``frequency_hz``/``voltage`` of ``None`` mean "nominal" and "look
     the V/f table up", exactly like
-    :meth:`~repro.harness.context.ExperimentContext.run`.
+    :meth:`~repro.harness.context.ExperimentContext.run`; an explicit
+    pair is simulated as given.  Every experimental pipeline simulates
+    its (N, f) points through this task and :func:`simulate_point`.
     """
 
     spec: WorkloadSpec
@@ -266,9 +227,8 @@ def profile_rows(
 ) -> Dict[int, SimPointRow]:
     """Nominal-V/f profile of one application as flat, cacheable rows.
 
-    The parallel-and-memoizing counterpart of
-    :func:`profile_application`: points fan out across the executor's
-    workers, and on a warm cache no simulation runs at all.
+    Points fan out across the executor's workers, and on a warm cache
+    no simulation runs at all.
     """
     executor = executor if executor is not None else SweepExecutor()
     supported = model.supported_thread_counts(core_counts)
@@ -283,17 +243,3 @@ def profile_rows(
     )
     return {row.n: row for row in rows}
 
-
-def profile_application(
-    context: ExperimentContext,
-    model: WorkloadModel,
-    core_counts: Sequence[int] = (1, 2, 4, 8, 16),
-) -> ApplicationProfile:
-    """Profile one application at nominal V/f over its supported counts."""
-    entries: Dict[int, ProfileEntry] = {}
-    for n in model.supported_thread_counts(core_counts):
-        result, power = context.run(model, n)
-        entries[n] = ProfileEntry(n=n, result=result, power=power)
-    if 1 not in entries:
-        raise ConfigurationError(f"{model.name}: the 1-core baseline is required")
-    return ApplicationProfile(app=model.name, entries=entries)

@@ -8,8 +8,8 @@ The paper's pipeline, reproduced step by step:
 2. compute each configuration's target frequency from Eq. 7
    (``f_N = f_1 / (N * eps_n)``), clamped into the chip's scaling range,
    and look the supply voltage up in the V/f table;
-3. re-simulate at the scaled operating point and collect the five
-   Figure 3 panels: nominal parallel efficiency, actual speedup,
+3. re-simulate at the scaled (frequency, voltage) point and collect
+   the five Figure 3 panels: nominal parallel efficiency, actual speedup,
    normalized power, normalized power density, and average temperature.
 
 Actual speedups can exceed 1 (most visibly for memory-bound codes):
@@ -17,10 +17,12 @@ chip DVFS does not slow the 75 ns memory, so the processor-memory gap
 narrows — the effect the analytical model cannot capture.
 
 Both stages run through a
-:class:`~repro.harness.executor.SweepExecutor`: the nominal profiling
-points of *all* applications fan out together, then all the scaled
-re-simulations do.  Every point is memoized, so re-running a campaign
-whose configurations have not changed simulates nothing.
+:class:`~repro.harness.executor.SweepExecutor` as
+:func:`~repro.harness.profiling.simulate_point` evaluations: the nominal
+profiling points of *all* applications fan out together, then all the
+scaled re-simulations do, and the coordinator assembles the rows.  Every
+point is memoized under the shared ``simpoint`` cache key, so re-running
+a campaign whose configurations have not changed simulates nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.harness.profiling import (
     sim_point_key,
     simulate_point,
 )
-from repro.workloads.base import WorkloadModel, WorkloadSpec
+from repro.workloads.base import WorkloadModel
 
 
 @dataclass(frozen=True)
@@ -58,45 +60,6 @@ class Scenario1Row:
     total_power_w: float
 
 
-@dataclass(frozen=True)
-class Scenario1Task:
-    """One scaled re-simulation with its profile-derived inputs.
-
-    The baseline numbers ride along so the worker can normalise without
-    a second look at the profile — and so the cache key covers every
-    input the row depends on.
-    """
-
-    spec: WorkloadSpec
-    n: int
-    nominal_efficiency: float
-    frequency_hz: float
-    voltage: float
-    t1_ps: int
-    base_power_w: float
-    base_density_w_m2: float
-
-
-def _scenario1_point(context: ExperimentContext, task: Scenario1Task) -> Scenario1Row:
-    """Worker: re-simulate one configuration at its Eq. 7 operating point."""
-    model = WorkloadModel(task.spec)
-    result, power = context.run(model, task.n, task.frequency_hz, task.voltage)
-    return Scenario1Row(
-        app=task.spec.name,
-        n=task.n,
-        nominal_efficiency=task.nominal_efficiency,
-        actual_speedup=task.t1_ps / result.execution_time_ps,
-        normalized_power=power.total_w / task.base_power_w,
-        normalized_power_density=(
-            power.core_power_density_w_m2 / task.base_density_w_m2
-        ),
-        average_temperature_c=power.average_temperature_c,
-        frequency_hz=task.frequency_hz,
-        voltage=task.voltage,
-        total_power_w=power.total_w,
-    )
-
-
 def run_scenario1(
     context: ExperimentContext,
     models: Sequence[WorkloadModel],
@@ -112,12 +75,11 @@ def run_scenario1(
     executor = executor if executor is not None else SweepExecutor()
 
     # Stage 1: one flat fan-out over every application's nominal profile.
-    profile_tasks: List[SimPointTask] = []
-    supported: Dict[str, List[int]] = {}
-    for model in models:
-        counts = model.supported_thread_counts(core_counts)
-        supported[model.name] = counts
-        profile_tasks.extend(SimPointTask(spec=model.spec, n=n) for n in counts)
+    profile_tasks = [
+        SimPointTask(spec=model.spec, n=n)
+        for model in models
+        for n in model.supported_thread_counts(core_counts)
+    ]
     profile_rows_list = executor.map_values(
         partial(simulate_point, context),
         profile_tasks,
@@ -129,7 +91,9 @@ def run_scenario1(
         profiles[task.spec.name][task.n] = row
 
     # Stage 2: every scaled re-simulation, across all applications.
-    scaled_tasks: List[Scenario1Task] = []
+    results: Dict[str, List[Scenario1Row]] = {}
+    scaled_tasks: List[SimPointTask] = []
+    efficiencies: List[float] = []
     for model in models:
         entries = profiles[model.name]
         if 1 not in entries:
@@ -137,45 +101,7 @@ def run_scenario1(
                 f"{model.name}: the 1-core baseline is required"
             )
         baseline = entries[1]
-        for n in sorted(entries):
-            if n == 1:
-                continue
-            tn = entries[n].execution_time_ps
-            eps_n = baseline.execution_time_ps / (n * tn)
-            # Eq. 7, clamped to the chip's legal frequency range (no
-            # overclocking even when N * eps < 1; no scaling below
-            # 200 MHz).
-            f_target = context.clamp_frequency(context.f_nominal / (n * eps_n))
-            scaled_tasks.append(
-                Scenario1Task(
-                    spec=model.spec,
-                    n=n,
-                    nominal_efficiency=eps_n,
-                    frequency_hz=f_target,
-                    voltage=context.vf_table.voltage_for_frequency(f_target),
-                    t1_ps=baseline.execution_time_ps,
-                    base_power_w=baseline.total_power_w,
-                    base_density_w_m2=baseline.core_power_density_w_m2,
-                )
-            )
-    outcomes = executor.map(
-        partial(_scenario1_point, context),
-        scaled_tasks,
-        key_configs=[
-            {"kind": "scenario1", "context": context.fingerprint(), "task": task}
-            for task in scaled_tasks
-        ],
-        precompile=precompile_hook(context),
-    )
-    scaled: Dict[str, Dict[int, Scenario1Row]] = {m.name: {} for m in models}
-    for task, outcome in zip(scaled_tasks, outcomes):
-        if outcome.ok:
-            scaled[task.spec.name][task.n] = outcome.value
-
-    results: Dict[str, List[Scenario1Row]] = {}
-    for model in models:
-        baseline = profiles[model.name][1]
-        rows = [
+        results[model.name] = [
             Scenario1Row(
                 app=model.name,
                 n=1,
@@ -189,9 +115,45 @@ def run_scenario1(
                 total_power_w=baseline.total_power_w,
             )
         ]
-        rows.extend(
-            scaled[model.name][n]
-            for n in sorted(scaled[model.name])
+        for n in sorted(entries)[1:]:
+            eps_n = baseline.execution_time_ps / (n * entries[n].execution_time_ps)
+            # Eq. 7, clamped to the chip's legal frequency range (no
+            # overclocking even when N * eps < 1; no scaling below
+            # 200 MHz).
+            f_target = context.clamp_frequency(context.f_nominal / (n * eps_n))
+            scaled_tasks.append(
+                SimPointTask(
+                    spec=model.spec,
+                    n=n,
+                    frequency_hz=f_target,
+                    voltage=context.vf_table.voltage_for_frequency(f_target),
+                )
+            )
+            efficiencies.append(eps_n)
+    outcomes = executor.map(
+        partial(simulate_point, context),
+        scaled_tasks,
+        key_configs=[sim_point_key(context, task) for task in scaled_tasks],
+        precompile=precompile_hook(context),
+    )
+    for task, eps_n, outcome in zip(scaled_tasks, efficiencies, outcomes):
+        if not outcome.ok:
+            continue
+        row, baseline = outcome.value, profiles[task.spec.name][1]
+        results[task.spec.name].append(
+            Scenario1Row(
+                app=task.spec.name,
+                n=task.n,
+                nominal_efficiency=eps_n,
+                actual_speedup=baseline.execution_time_ps / row.execution_time_ps,
+                normalized_power=row.total_power_w / baseline.total_power_w,
+                normalized_power_density=(
+                    row.core_power_density_w_m2 / baseline.core_power_density_w_m2
+                ),
+                average_temperature_c=row.average_temperature_c,
+                frequency_hz=task.frequency_hz,
+                voltage=task.voltage,
+                total_power_w=row.total_power_w,
+            )
         )
-        results[model.name] = rows
     return results

@@ -2,51 +2,38 @@
 
 The budget is the maximum nominal power of a single core, derived by
 microbenchmarking (Section 3.3's calibration).  For each (application, N)
-the pipeline:
+the pipeline picks the highest frequency on the paper's profiling ladder
+(200 MHz .. 3.0 GHz in 200 MHz steps plus nominal) whose measured power
+fits the budget, with the voltage from the V/f table, and reports the
+actual speedup there next to the nominal one (Figure 4).
 
-1. profiles power on the paper's frequency ladder (200 MHz .. 3.0 GHz
-   in 200 MHz steps plus nominal), probing the grid with a binary
-   search so only O(log) points simulate;
-2. picks the highest grid frequency whose measured power fits the
-   budget, with the voltage from the V/f table — the chosen point is
-   always *on* the grid here; the paper's "linearly scaling between the
-   two" bracketing profiled points is implemented by the adaptive
-   optimizer (:mod:`repro.harness.optimizer`), which reports the
-   interpolated budget boundary as ``f_interpolated_hz`` metadata
-   alongside the same grid pick;
-3. re-simulates at the chosen point — the "real speedup" run — and
-   reports actual versus nominal speedup (Figure 4).
+That pick is exactly the optimizer's ``speedup-budget`` boundary search
+(:mod:`repro.harness.optimizer`): power rises monotonically with
+frequency, so a coarse-to-fine bisection of the ladder finds the grid
+optimum an exhaustive sweep would, from a few measured points.  Every
+probe is a :func:`~repro.harness.profiling.simulate_point` evaluation
+under the shared ``simpoint`` cache key, the chosen probe *is* the
+"real speedup" measurement, and the nominal speedup comes from the
+top-of-ladder probe every search makes in its first round.  A warm
+cache therefore re-runs the figure without simulating.
 
 Memory-bound applications benefit twice, as the paper observes: their
 nominal power is far below the budget (no throttling needed until high
 N), and when throttling does kick in, the fixed-latency memory narrows
 the processor-memory gap.
-
-The campaign runs through a
-:class:`~repro.harness.executor.SweepExecutor` in two fan-outs: the
-nominal profiles of all applications, then one chunky task per
-(application, N) that performs the whole budget search plus the final
-re-simulation inside the worker.  Each task's outcome is memoized, so a
-warm re-run simulates nothing.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
-from repro.harness.profiling import (
-    SimPointTask,
-    precompile_hook,
-    profile_application,
-    sim_point_key,
-    simulate_point,
-)
-from repro.workloads.base import WorkloadModel, WorkloadSpec
+from repro.harness.optimizer import MaxSpeedupUnderBudget, run_optimizer
+from repro.harness.profiling import SimPointTask, profile_rows, simulate_point
+from repro.workloads.base import WorkloadModel
 
 
 @dataclass(frozen=True)
@@ -72,35 +59,6 @@ class Scenario2Row:
         return self.frequency_hz >= self.f_nominal_hz - 1e6
 
 
-@dataclass(frozen=True)
-class Scenario2Task:
-    """One (application, N) budget search plus its final re-simulation."""
-
-    spec: WorkloadSpec
-    n: int
-    budget_w: float
-    t1_ps: int
-    nominal_speedup: float
-
-
-def _scenario2_point(context: ExperimentContext, task: Scenario2Task) -> Scenario2Row:
-    """Worker: find the best budget-legal frequency, then measure there."""
-    model = WorkloadModel(task.spec)
-    frequency = _best_frequency_under_budget(context, model, task.n, task.budget_w)
-    result, power = context.run(model, task.n, frequency)
-    return Scenario2Row(
-        app=task.spec.name,
-        n=task.n,
-        nominal_speedup=task.nominal_speedup,
-        actual_speedup=task.t1_ps / result.execution_time_ps,
-        frequency_hz=frequency,
-        voltage=context.vf_table.voltage_for_frequency(frequency),
-        power_w=power.total_w,
-        budget_w=task.budget_w,
-        f_nominal_hz=context.f_nominal,
-    )
-
-
 def run_scenario2(
     context: ExperimentContext,
     models: Sequence[WorkloadModel],
@@ -111,74 +69,42 @@ def run_scenario2(
     """The Figure 4 experiment for a set of applications.
 
     Points that fail with a library error are recorded by the executor
-    as typed failures and omitted from the rows; the campaign carries
-    on.  Under a retrying executor the same applies to quarantined
-    profile points: an application whose 1-core nominal baseline is
-    missing cannot be normalised, so it is skipped with a
-    ``[quarantine]`` notice (its failure stays in ``executor.failed``
-    for ``failedpoint`` persistence) instead of crashing the campaign.
+    as typed failures and their (application, N) rows are omitted; the
+    campaign carries on.  An application whose 1-core nominal baseline
+    fails (or quarantines, under a retrying executor) cannot be
+    normalised, so it is skipped with a ``[quarantine]`` notice (its
+    failure stays in ``executor.failed`` for ``failedpoint``
+    persistence) instead of crashing the campaign.
     """
-    budget = budget_w if budget_w is not None else (
-        context.calibration.max_operational_power_w
+    campaign = run_optimizer(
+        context,
+        models,
+        MaxSpeedupUnderBudget(),
+        core_counts=core_counts,
+        budget_w=budget_w,
+        executor=executor,
     )
-    executor = executor if executor is not None else SweepExecutor()
-
-    # Stage 1: nominal profiles for every application, one flat fan-out.
-    profile_tasks: List[SimPointTask] = []
-    supported: Dict[str, List[int]] = {}
-    for model in models:
-        counts = model.supported_thread_counts(core_counts)
-        supported[model.name] = counts
-        profile_tasks.extend(
-            SimPointTask(spec=model.spec, n=n) for n in sorted({1, *counts})
+    for app in campaign.failed_baselines:
+        print(
+            f"[quarantine] {app}: the 1-core nominal profile failed; "
+            "skipping the application",
+            file=sys.stderr,
         )
-    profile_outcomes = executor.map(
-        partial(simulate_point, context),
-        profile_tasks,
-        key_configs=[sim_point_key(context, task) for task in profile_tasks],
-        precompile=precompile_hook(context),
-    )
-    times: Dict[str, Dict[int, int]] = {m.name: {} for m in models}
-    for task, outcome in zip(profile_tasks, profile_outcomes):
-        if outcome.ok:
-            times[task.spec.name][task.n] = outcome.value.execution_time_ps
-
-    # Stage 2: one chunky budget-search task per (application, N).
-    tasks: List[Scenario2Task] = []
-    for model in models:
-        app_times = times[model.name]
-        if 1 not in app_times:
-            print(
-                f"[quarantine] {model.name}: the 1-core nominal profile "
-                "failed; skipping the application",
-                file=sys.stderr,
-            )
-            continue
-        t1 = app_times[1]
-        tasks.extend(
-            Scenario2Task(
-                spec=model.spec,
-                n=n,
-                budget_w=budget,
-                t1_ps=t1,
-                nominal_speedup=t1 / app_times[n],
-            )
-            for n in supported[model.name]
-            if n in app_times
-        )
-    outcomes = executor.map(
-        partial(_scenario2_point, context),
-        tasks,
-        key_configs=[
-            {"kind": "scenario2", "context": context.fingerprint(), "task": task}
-            for task in tasks
-        ],
-        precompile=precompile_hook(context),
-    )
     results: Dict[str, List[Scenario2Row]] = {m.name: [] for m in models}
-    for task, outcome in zip(tasks, outcomes):
-        if outcome.ok:
-            results[task.spec.name].append(outcome.value)
+    for row in campaign.rows:
+        results[row.app].append(
+            Scenario2Row(
+                app=row.app,
+                n=row.n,
+                nominal_speedup=row.nominal_speedup,
+                actual_speedup=row.speedup,
+                frequency_hz=row.frequency_hz,
+                voltage=row.voltage,
+                power_w=row.total_power_w,
+                budget_w=row.budget_w,
+                f_nominal_hz=row.f_nominal_hz,
+            )
+        )
     return results
 
 
@@ -241,14 +167,17 @@ def run_overclocking_study(
     top slope, as an enthusiast datasheet would.  The chip (not the
     memory) is overclocked, so memory stalls grow in relative terms —
     the offset the paper predicts.
+
+    The baseline is the N-core row of the nominal profile; each boosted
+    step is one :func:`~repro.harness.profiling.simulate_point` at an
+    explicit (frequency, voltage) pair, so no point simulates twice.
     """
     budget = budget_w if budget_w is not None else (
         context.calibration.max_operational_power_w
     )
-    profile = profile_application(context, model, sorted({1, n_threads}))
-    t1 = profile.entries[1].execution_time_ps
-    baseline, baseline_power = context.run(model, n_threads, context.f_nominal)
-    baseline_speedup = t1 / baseline.execution_time_ps
+    profile = profile_rows(context, model, sorted({1, n_threads}))
+    t1 = profile[1].execution_time_ps
+    baseline = profile[n_threads]
 
     # Extrapolate voltage linearly beyond the table's top bin.
     table = context.vf_table
@@ -258,106 +187,30 @@ def run_overclocking_study(
         table.voltage_for_frequency(f_hi) - table.voltage_for_frequency(f_lo)
     ) / step_hz
 
-    def boosted_voltage(f_hz: float) -> float:
-        return table.voltage_for_frequency(f_hi) + slope * (f_hz - f_hi)
-
-    def run_at(f_hz: float):
-        return _run_boosted(context, model, n_threads, f_hz, boosted_voltage(f_hz))
-
-    best_f = context.f_nominal
-    best_result, best_power = baseline, baseline_power
+    best = baseline
     f = context.f_nominal + step_hz
     while f <= f_boost_max_hz + 1e6:
-        result, power = run_at(f)
-        if power.total_w > budget:
+        boosted = simulate_point(
+            context,
+            SimPointTask(
+                spec=model.spec,
+                n=n_threads,
+                frequency_hz=f,
+                voltage=table.voltage_for_frequency(f_hi) + slope * (f - f_hi),
+            ),
+        )
+        if boosted.total_power_w > budget:
             break
-        best_f, best_result, best_power = f, result, power
+        best = boosted
         f += step_hz
 
     return OverclockRow(
         app=model.name,
         n=n_threads,
-        baseline_speedup=baseline_speedup,
-        overclocked_speedup=t1 / best_result.execution_time_ps,
-        overclock_frequency_hz=best_f,
-        power_w=best_power.total_w,
+        baseline_speedup=t1 / baseline.execution_time_ps,
+        overclocked_speedup=t1 / best.execution_time_ps,
+        overclock_frequency_hz=best.frequency_hz,
+        power_w=best.total_power_w,
         budget_w=budget,
         f_nominal_hz=context.f_nominal,
     )
-
-
-def _run_boosted(
-    context: ExperimentContext,
-    model: WorkloadModel,
-    n_threads: int,
-    f_hz: float,
-    voltage: float,
-):
-    """Run above the nominal bin (bypasses the context's clamp)."""
-    config = context.cmp_config.with_operating_point(f_hz, voltage)
-    scaled = model
-    if context.workload_scale != 1.0:
-        scaled = WorkloadModel(model.spec.scaled(context.workload_scale))
-    from repro.sim.cmp import ChipMultiprocessor
-    from repro.sim.ops import compile_workload
-
-    compiled = compile_workload(scaled, n_threads)
-    chip = ChipMultiprocessor(
-        config, fast_path=context.fast_path, profile=context.profile
-    )
-    result = chip.run(
-        compiled.program,
-        scaled.core_timing(),
-        warmup_barriers=scaled.warmup_barriers,
-    )
-    if result.kernel is not None:
-        result.kernel.compile_s = compiled.seconds
-        result.kernel.compile_cache_hit = compiled.from_cache
-        context.kernel_log.add(result.kernel)
-    return result, context.chip_power.evaluate(result)
-
-
-def _grid(context: ExperimentContext) -> List[float]:
-    """The paper's profiling ladder: 200 MHz steps up to nominal."""
-    step = 200e6
-    points = []
-    f = context.f_min
-    while f < context.f_nominal - 1e6:
-        points.append(f)
-        f += step
-    points.append(context.f_nominal)
-    return points
-
-
-def _best_frequency_under_budget(
-    context: ExperimentContext,
-    model: WorkloadModel,
-    n: int,
-    budget_w: float,
-) -> float:
-    """Highest ladder frequency whose measured power fits the budget.
-
-    Power is monotone in frequency for a fixed workload, so a binary
-    search over the ladder needs only O(log) profiling simulations
-    instead of the paper's full sweep.
-    """
-    grid = _grid(context)
-
-    def power_at(f_hz: float) -> float:
-        _result, power = context.run(model, n, f_hz)
-        return power.total_w
-
-    if power_at(grid[-1]) <= budget_w:
-        return grid[-1]
-    if power_at(grid[0]) > budget_w:
-        # Even the floor frequency exceeds the budget; the floor is the
-        # best the chip can do (the paper's range stops at 200 MHz).
-        return grid[0]
-    lo, hi = 0, len(grid) - 1  # power_at(lo) <= budget < power_at(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power_at(grid[mid]) <= budget_w:
-            lo = mid
-        else:
-            hi = mid
-    return grid[lo]

@@ -13,7 +13,7 @@ from repro.harness import (
     run_scenario1,
     run_scenario2,
 )
-from repro.harness.profiling import profile_application
+from repro.harness.profiling import profile_rows
 from repro.workloads import workload_by_name
 
 
@@ -24,7 +24,11 @@ def context():
 
 @pytest.fixture(scope="module")
 def fmm_profile(context):
-    return profile_application(context, workload_by_name("FMM"), (1, 2, 4))
+    return profile_rows(context, workload_by_name("FMM"), (1, 2, 4))
+
+
+def nominal_speedup(profile, n):
+    return profile[1].execution_time_ps / profile[n].execution_time_ps
 
 
 class TestContext:
@@ -49,24 +53,25 @@ class TestContext:
 
 class TestProfiling:
     def test_entries_for_requested_counts(self, fmm_profile):
-        assert fmm_profile.core_counts() == [1, 2, 4]
+        assert sorted(fmm_profile) == [1, 2, 4]
 
     def test_efficiency_reasonable(self, fmm_profile):
-        eps2 = fmm_profile.nominal_efficiency(2)
-        eps4 = fmm_profile.nominal_efficiency(4)
+        eps2 = nominal_speedup(fmm_profile, 2) / 2
+        eps4 = nominal_speedup(fmm_profile, 4) / 4
         assert 0.3 < eps4 <= eps2 <= 1.2
 
     def test_nominal_speedup_monotone(self, fmm_profile):
-        assert fmm_profile.nominal_speedup(2) > 1.0
-        assert fmm_profile.nominal_speedup(4) > fmm_profile.nominal_speedup(2)
+        assert nominal_speedup(fmm_profile, 2) > 1.0
+        assert nominal_speedup(fmm_profile, 4) > nominal_speedup(fmm_profile, 2)
 
-    def test_missing_entry_raises(self, fmm_profile):
-        with pytest.raises(ConfigurationError):
-            fmm_profile.nominal_efficiency(8)
+    def test_missing_entry_raises(self, context):
+        # Without the 1-core entry nothing can be normalised.
+        with pytest.raises(ConfigurationError, match="1-core baseline"):
+            profile_rows(context, workload_by_name("FMM"), (2, 4))
 
     def test_power_of_two_filtering(self, context):
-        profile = profile_application(context, workload_by_name("FFT"), (1, 2, 3, 4))
-        assert profile.core_counts() == [1, 2, 4]
+        profile = profile_rows(context, workload_by_name("FFT"), (1, 2, 3, 4))
+        assert sorted(profile) == [1, 2, 4]
 
 
 class TestScenario1:

@@ -11,8 +11,8 @@ Three layers:
   every SPLASH-2 application under both boundary objectives, with
   materially fewer grid evaluations;
 * **bugfix regressions** — the nominal-frequency field migration, the
-  duplicated overclocking baseline run, and the quarantined scenario-2
-  profile point.
+  duplicated overclocking baseline run, the quarantined scenario-2
+  baseline, and compile-cache thrash on large campaigns.
 """
 
 import json
@@ -47,6 +47,7 @@ from repro.harness.optimizer import (
 )
 from repro.harness.scenario2 import run_overclocking_study
 from repro.harness.schema import SCHEMA_VERSION
+from repro.sim.ops import stream_cache
 from repro.workloads import SPLASH2, workload_by_name
 
 # ---------------------------------------------------------------------------
@@ -265,26 +266,6 @@ def test_warm_cache_repeats_without_simulating(context, shared_executor):
     assert second.cache_hits == second.evaluations
 
 
-def test_adaptive_agrees_with_the_scenario2_pipeline(context, shared_executor):
-    models = [workload_by_name("FMM")]
-    fig4 = run_scenario2(
-        context, models, core_counts=CORE_COUNTS, executor=shared_executor
-    )["FMM"]
-    campaign = run_optimizer(
-        context,
-        models,
-        "speedup-budget",
-        core_counts=CORE_COUNTS,
-        executor=shared_executor,
-    )
-    assert len(campaign.rows) == len(fig4)
-    for opt, row in zip(campaign.rows, sorted(fig4, key=lambda r: r.n)):
-        assert opt.n == row.n
-        assert opt.frequency_hz == row.frequency_hz
-        assert opt.voltage == row.voltage
-        assert opt.speedup == row.actual_speedup
-
-
 def test_campaign_accounting_is_consistent(context, shared_executor):
     campaign = run_optimizer(
         context,
@@ -371,40 +352,65 @@ def test_old_store_rows_migrate_the_nominal_frequency(tmp_path):
     assert oc.clock_gain == pytest.approx(3.6e9 / 3.2e9)
 
 
-def test_overclocking_study_does_not_rerun_the_baseline(context):
-    """The nominal-frequency baseline simulates exactly once.
+@pytest.mark.parametrize(
+    "n_threads, runs",
+    [(2, [(1, 0.0), (2, 0.0), (2, 200e6)]), (1, [(1, 0.0), (1, 200e6)])],
+    ids=["n2", "n1"],
+)
+def test_overclocking_study_does_not_rerun_the_baseline(context, n_threads, runs):
+    """Every point of the study simulates exactly once.
 
-    The study needs the 1-core and N-core nominal profiles plus one
-    baseline measurement; with a budget so tight no boost fits, nothing
-    else goes through ``context.run``.  The historical bug re-simulated
-    the baseline a second time when every boosted step busted the
-    budget.
+    The baseline is the N-core row of the nominal profile; with a
+    budget so tight no boost fits, the only other run is the first
+    boosted probe.  The historical bug re-simulated the nominal N-core
+    baseline right after profiling it.  ``runs`` lists the expected
+    ``context.run`` calls as (n, frequency above nominal).
     """
-    model = workload_by_name("Radix")
     calls = []
     original = context.run
 
-    def counting_run(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
+    def recording_run(*args, **kwargs):
+        result, power = original(*args, **kwargs)
+        calls.append((args[1], result.config.frequency_hz - context.f_nominal))
+        return result, power
 
-    context.run = counting_run
+    context.run = recording_run
     try:
-        row = run_overclocking_study(context, model, 2, budget_w=0.001)
+        row = run_overclocking_study(
+            context, workload_by_name("Radix"), n_threads, budget_w=0.001
+        )
     finally:
         del context.run
     assert row.overclock_frequency_hz == context.f_nominal
     assert row.clock_gain == 1.0
-    assert len(calls) == 3  # profile n=1, profile n=2, baseline — no rerun
+    assert calls == runs
+
+
+def test_searches_fit_the_compile_cache(context, monkeypatch):
+    """More programs than the stream cache holds compile once each.
+
+    The search is round-major, so without grouping every round would
+    evict and recompile the programs of the previous one.
+    """
+    models = [workload_by_name(app) for app in ("FMM", "Radix")]
+    counts = (1, 2, 4)
+    reference = run_optimizer(context, models, "speedup-budget", core_counts=counts)
+    monkeypatch.setattr(stream_cache, "maxsize", 4)
+    stream_cache.clear()
+    misses = stream_cache.misses
+    campaign = run_optimizer(context, models, "speedup-budget", core_counts=counts)
+    assert stream_cache.misses - misses == len(models) * len(counts)
+    assert campaign.rows == reference.rows
+    assert campaign.evaluations == reference.evaluations
 
 
 def test_scenario2_skips_an_app_whose_baseline_is_quarantined(capsys):
-    """A permanently failing 1-core profile degrades, not crashes.
+    """A permanently failing 1-core baseline degrades, not crashes.
 
-    Stage 1 of ``run_scenario2`` profiles ``sorted({1, *counts})`` per
-    application, so index 0 is the first model's 1-core point; a
-    permanent fault there must skip that application with a
-    ``[quarantine]`` notice while the campaign completes.
+    The budget search first measures every application's 1-core
+    baseline, so index 0 is the first model's 1-core point; a permanent
+    fault there must skip that application with a ``[quarantine]``
+    notice while the campaign completes.
     """
     context = ExperimentContext(workload_scale=0.03)
     plan = FaultPlan(
