@@ -111,6 +111,31 @@ class TestPolicy:
         with pytest.raises(ConfigurationError):
             run_percore_dvfs(context, workload_by_name("Cholesky"), 1)
 
+    def test_cholesky_result_is_pinned_bitwise(self):
+        # Captured before the per-core run was routed through
+        # ``ExperimentContext.run``; floats compare by ``repr``.
+        result = run_percore_dvfs(
+            ExperimentContext(workload_scale=0.05), workload_by_name("Cholesky"), 4
+        )
+        pinned = {
+            "app": "Cholesky",
+            "n": 4,
+            "uniform_time_s": 6.7047989999999995e-06,
+            "uniform_energy_j": 9.888987265206539e-05,
+            "percore_time_s": 6.878602e-06,
+            "percore_energy_j": 9.056073804776986e-05,
+            "core_frequencies_hz": (3.2e9, 2.8e9, 2.8e9, 3.0e9),
+            "core_voltages": (
+                1.1,
+                1.0349333333333335,
+                1.0349333333333335,
+                1.0674666666666668,
+            ),
+        }
+        for name, want in pinned.items():
+            got = getattr(result, name)
+            assert repr(got) == repr(want), f"{name}: {got!r} != pinned {want!r}"
+
     def test_result_metrics(self, context):
         result = run_percore_dvfs(context, workload_by_name("Volrend"), 4)
         assert result.app == "Volrend"
