@@ -341,14 +341,9 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _print_kernel_summary(context, args, executor=None) -> None:
+def _print_kernel_summary(executor, args) -> None:
     if getattr(args, "profile", False):
-        if executor is not None:
-            # Pull worker-process and cache-replay kernel records into
-            # the context's aggregate so the summary covers parallel and
-            # warm-cache sweeps, not just in-process simulations.
-            executor.fold_telemetry_into(context.kernel_log)
-        print(context.kernel_log.summary())
+        print(executor.kernels.summary())
 
 
 def _add_apps_argument(parser: argparse.ArgumentParser, default: Sequence[str]) -> None:
@@ -683,7 +678,7 @@ def _cmd_fig3(args) -> int:
             )
         )
         _print_executor_summary(executor, args)
-        _print_kernel_summary(context, args, executor)
+        _print_kernel_summary(executor, args)
         return 0
     finally:
         _close_journal(executor)
@@ -716,7 +711,7 @@ def _cmd_fig4(args) -> int:
             )
         )
         _print_executor_summary(executor, args)
-        _print_kernel_summary(context, args, executor)
+        _print_kernel_summary(executor, args)
         return 0
     finally:
         _close_journal(executor)
@@ -781,7 +776,7 @@ def _cmd_optimize(args) -> int:
             save_results({"optimizer": campaign.rows}, args.store)
             print(f"wrote {args.store} ({len(campaign.rows)} rows)")
         _print_executor_summary(executor, args)
-        _print_kernel_summary(context, args, executor)
+        _print_kernel_summary(executor, args)
         return 0
     finally:
         _close_journal(executor)
@@ -831,7 +826,7 @@ def _cmd_characterize(args) -> int:
             )
         )
         _print_executor_summary(executor, args)
-        _print_kernel_summary(context, args, executor)
+        _print_kernel_summary(executor, args)
         return 0
     finally:
         _close_journal(executor)

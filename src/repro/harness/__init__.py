@@ -28,7 +28,6 @@ from repro.harness.executor import (
     config_key,
 )
 from repro.harness.profiling import (
-    KernelAggregate,
     SimPointRow,
     SimPointTask,
     profile_rows,
@@ -88,6 +87,7 @@ from repro.harness.compare import (
 from repro.harness.store import load_results, save_results
 from repro.harness.asciichart import bar_chart, xy_chart
 from repro.harness.tables import render_table
+from repro.telemetry.record import KernelAggregate
 
 __all__ = [
     "ExperimentContext",

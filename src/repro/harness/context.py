@@ -11,7 +11,7 @@ intended to be built once and shared across experiments.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.power.calibration import PowerCalibration, calibrate_power_model
@@ -79,11 +79,6 @@ class ExperimentContext:
         self.chip_power = ChipPowerModel(
             self.thermal, self.wattch, self.static_model, self.calibration
         )
-        # Local import: profiling imports this module at top level.
-        from repro.harness.profiling import KernelAggregate
-
-        #: Kernel profiling accumulated over every in-process run.
-        self.kernel_log = KernelAggregate()
         #: Everything that determines a simulation's outcome, recorded at
         #: construction time for content-addressed result caching.
         self._fingerprint = {
@@ -144,6 +139,7 @@ class ExperimentContext:
         n_threads: int,
         frequency_hz: Optional[float] = None,
         voltage: Optional[float] = None,
+        core_operating_points: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> Tuple[SimulationResult, ChipPowerResult]:
         """Simulate one configuration and evaluate its power/thermal state.
 
@@ -151,7 +147,10 @@ class ExperimentContext:
         is clamped into the legal scaling range and the voltage is the
         V/f table's entry for it.  An explicit (frequency, voltage) pair
         is simulated as given, which is how the overclocking study runs
-        above the table's top bin.
+        above the table's top bin.  ``core_operating_points`` — one
+        ``(frequency, voltage)`` per thread — gives each core its own
+        clock domain (the per-core DVFS study); the chip-wide pair then
+        only names the configuration.
         """
         f_hz = frequency_hz or self.f_nominal
         if voltage is None:
@@ -169,15 +168,15 @@ class ExperimentContext:
             compiled.program,
             scaled.core_timing(),
             warmup_barriers=scaled.warmup_barriers,
+            core_operating_points=core_operating_points,
         )
         if result.kernel is not None:
             result.kernel.compile_s = compiled.seconds
             result.kernel.compile_cache_hit = compiled.from_cache
             result.kernel.compile_cache_evicted = compiled.evicted
-            self.kernel_log.add(result.kernel)
-            # Worker processes aggregate into a pickled *copy* of this
-            # context; the capture buffer is how their stats reach the
-            # coordinator (no-op outside an executor point evaluation).
+            # The capture buffer carries the stats to the executor's
+            # kernel ledger from any process (no-op outside an executor
+            # point evaluation).
             record_kernel(result.kernel)
         power = self.chip_power.evaluate(result)
         return result, power

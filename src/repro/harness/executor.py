@@ -68,6 +68,7 @@ from repro.harness.journal import JournalEntry, SweepJournal
 from repro.harness.schema import SCHEMA_VERSION
 from repro.sim.ops import stream_cache
 from repro.telemetry.record import (
+    KernelAggregate,
     PointTelemetry,
     begin_point_capture,
     end_point_capture,
@@ -511,8 +512,8 @@ class _PointCall:
     stats of every simulation the point runs, plus any span trees the
     evaluating process completed, come back with the status tuple as a
     :class:`~repro.telemetry.record.PointTelemetry` — the outcome
-    channel that makes worker- and cache-side profiling visible to the
-    coordinator.
+    channel that carries every lane's kernel stats to the coordinator's
+    ledger (:attr:`SweepExecutor.kernels`).
 
     The resilient lanes construct it with a fault plan (injected at the
     top of every attempt, inside the capture window) and with
@@ -660,9 +661,11 @@ class SweepExecutor:
         #: Optional :class:`~repro.telemetry.manifest.TelemetryRun`; when
         #: set, every outcome is logged to its events/spans JSONL files.
         self.telemetry_run = None
-        #: Per-point telemetry awaiting :meth:`fold_telemetry_into`
-        #: (``(telemetry, cached)`` pairs, accumulated across ``map`` calls).
-        self._telemetry_log: List[Tuple[PointTelemetry, bool]] = []
+        #: The kernel ledger: every outcome's kernel records (evaluated
+        #: in any lane, or replayed from the cache) plus the coordinator's
+        #: precompile time, accumulated across ``map`` calls.  ``--profile``
+        #: and the telemetry manifest both report it.
+        self.kernels = KernelAggregate()
         #: Which lane the most recent evaluation batch ran in; stamped
         #: onto the batch's outcomes for trace attribution.
         self._last_lane = "inline"
@@ -700,7 +703,11 @@ class SweepExecutor:
         once into the process-wide :data:`repro.sim.ops.stream_cache`
         so forked workers inherit them warm (spawn-platform pools are
         seeded through an initializer instead); a fully warm-cache
-        rerun pays zero compiles.
+        rerun pays zero compiles.  Its wall time goes into
+        :attr:`kernels`' ``compile_s``.
+
+        Every outcome's kernel records are folded into :attr:`kernels`:
+        evaluated points as runs, cache replays as cached runs.
         """
         point_list = list(points)
         keys: List[Optional[str]] = [None] * len(point_list)
@@ -736,14 +743,14 @@ class SweepExecutor:
                     self.stats.cache_hits += 1
                     if entry.failure is not None:
                         self.stats.failures += 1
-                    if entry.telemetry is not None:
-                        self._telemetry_log.append((entry.telemetry, True))
                     continue
             pending.append(index)
 
         if pending:
             if precompile is not None:
+                start = time.perf_counter()
                 precompile([point_list[i] for i in pending])
+                self.kernels.compile_s += time.perf_counter() - start
             if self.resilient:
                 raw = self._run_resilient(fn, pending, point_list)
             else:
@@ -784,8 +791,6 @@ class SweepExecutor:
                         self.stats.quarantined += 1
                 if outcome.failure is not None:
                     self.failed.append(outcome)
-                if telemetry is not None:
-                    self._telemetry_log.append((telemetry, False))
                 if use_cache and (
                     outcome.failure is None or not outcome.failure.retryable
                 ):
@@ -797,9 +802,14 @@ class SweepExecutor:
                     except ConfigurationError:
                         self.stats.uncacheable += 1
                 outcomes[index] = outcome
+        # Folded in point-index order, so the ledger's float totals never
+        # depend on which worker finished first.
         for outcome in outcomes:
             if outcome is None:
                 continue
+            if outcome.telemetry is not None:
+                for kernel in outcome.telemetry.kernels:
+                    self.kernels.add_record(kernel, cached=outcome.cached)
             if self.journal is not None and outcome.key is not None:
                 self.journal.record(
                     JournalEntry(
@@ -1049,25 +1059,6 @@ class SweepExecutor:
                     pass
             raise
         return [results[index] for index in pending]
-
-    def fold_telemetry_into(self, aggregate) -> None:
-        """Fold collected kernel records into a ``KernelAggregate``.
-
-        The coordinator's :class:`~repro.harness.context.ExperimentContext`
-        already logs simulations it ran in-process, so this folds only
-        the two sources it cannot see — worker-process evaluations and
-        cache replays (added as *cached runs*) — and drains the log so
-        repeated calls never double-count.
-        """
-        own_pid = os.getpid()
-        drained, self._telemetry_log = self._telemetry_log, []
-        for telemetry, cached in drained:
-            if cached:
-                for kernel in telemetry.kernels:
-                    aggregate.add_record(kernel, cached=True)
-            elif telemetry.pid != own_pid:
-                for kernel in telemetry.kernels:
-                    aggregate.add_record(kernel)
 
     def map_values(
         self,

@@ -99,27 +99,11 @@ def run_percore_dvfs(
     frequencies = plan_core_frequencies(context, uniform_result, guard)
     voltages = [context.vf_table.voltage_for_frequency(f) for f in frequencies]
 
-    scaled = model
-    if context.workload_scale != 1.0:
-        scaled = WorkloadModel(model.spec.scaled(context.workload_scale))
-    from repro.sim.cmp import ChipMultiprocessor  # local import: avoids cycle
-    from repro.sim.ops import compile_workload
-
-    compiled = compile_workload(scaled, n_threads)
-    chip = ChipMultiprocessor(
-        context.cmp_config, fast_path=context.fast_path, profile=context.profile
-    )
-    percore_result = chip.run(
-        compiled.program,
-        scaled.core_timing(),
-        warmup_barriers=scaled.warmup_barriers,
+    percore_result, percore_power = context.run(
+        model,
+        n_threads,
         core_operating_points=list(zip(frequencies, voltages)),
     )
-    if percore_result.kernel is not None:
-        percore_result.kernel.compile_s = compiled.seconds
-        percore_result.kernel.compile_cache_hit = compiled.from_cache
-        context.kernel_log.add(percore_result.kernel)
-    percore_power = context.chip_power.evaluate(percore_result)
 
     return PerCoreDVFSResult(
         app=model.name,

@@ -13,121 +13,14 @@ use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
-from repro.sim.cmp import KernelStats
 from repro.workloads.base import WorkloadModel, WorkloadSpec
-
-
-@dataclass
-class KernelAggregate:
-    """Kernel profiling accumulated across many simulation runs.
-
-    :meth:`ExperimentContext.run <repro.harness.context.ExperimentContext.run>`
-    feeds every run's :class:`~repro.sim.cmp.KernelStats` into the
-    context's aggregate, so a whole figure pipeline can report one
-    ops/sec + fast-path summary (the ``--profile`` CLI flag).  Runs are
-    counted wherever they happened: simulations fanned out to worker
-    processes come back as
-    :class:`~repro.telemetry.record.KernelRecord` telemetry through the
-    executor's outcome channel
-    (:meth:`~repro.harness.executor.SweepExecutor.fold_telemetry_into`),
-    and points served from the result cache replay the original
-    evaluation's records, counted separately as :attr:`cached_runs`.
-    """
-
-    #: Simulations executed for this aggregate (any process).
-    runs: int = 0
-    #: Simulations replayed from the result cache; their op counters are
-    #: included in the totals below, but their wall time reflects the
-    #: *original* evaluation, not this invocation.
-    cached_runs: int = 0
-    total_ops: int = 0
-    fast_path_ops: int = 0
-    slow_path_ops: int = 0
-    barrier_ops: int = 0
-    sim_wall_s: float = 0.0
-    compile_s: float = 0.0
-    compile_cache_hits: int = 0
-    #: Runs whose compile bumped an older program out of the bounded
-    #: stream cache; a nonzero count on a repetitive campaign means the
-    #: cache is too small for its working set.
-    compile_cache_evictions: int = 0
-    subsystem_s: Dict[str, float] = field(default_factory=dict)
-
-    def add(self, kernel: KernelStats) -> None:
-        """Fold one in-process run's kernel stats into the aggregate."""
-        self.add_record(kernel)
-
-    def add_record(self, kernel, cached: bool = False) -> None:
-        """Fold one run into the aggregate.
-
-        ``kernel`` is any :class:`~repro.sim.cmp.KernelStats`-shaped
-        object, including the flattened
-        :class:`~repro.telemetry.record.KernelRecord` that crosses
-        process boundaries (its ``subsystem_s`` is a tuple of pairs
-        rather than a dict).  ``cached`` marks a cache replay.
-        """
-        if cached:
-            self.cached_runs += 1
-        else:
-            self.runs += 1
-        self.total_ops += kernel.total_ops
-        self.fast_path_ops += kernel.fast_path_ops
-        self.slow_path_ops += kernel.slow_path_ops
-        self.barrier_ops += kernel.barrier_ops
-        self.sim_wall_s += kernel.sim_wall_s
-        self.compile_s += kernel.compile_s
-        self.compile_cache_hits += 1 if kernel.compile_cache_hit else 0
-        self.compile_cache_evictions += 1 if kernel.compile_cache_evicted else 0
-        subsystems = kernel.subsystem_s
-        if isinstance(subsystems, dict):
-            subsystems = subsystems.items()
-        # Sorted fold: parallel workers hand records back in completion
-        # order, so accumulate alphabetically to keep the float totals
-        # (and the dict's insertion order) independent of scheduling.
-        for name, seconds in sorted(subsystems):
-            self.subsystem_s[name] = self.subsystem_s.get(name, 0.0) + seconds
-
-    @property
-    def ops_per_sec(self) -> float:
-        """Aggregate simulated ops per host second in the kernel loop."""
-        return self.total_ops / self.sim_wall_s if self.sim_wall_s > 0 else 0.0
-
-    @property
-    def fast_path_ratio(self) -> float:
-        """Fraction of all ops the fast path resolved."""
-        return self.fast_path_ops / self.total_ops if self.total_ops else 0.0
-
-    def summary(self) -> str:
-        """One human-readable line for the CLI's ``--profile`` output."""
-        counted = self.runs + self.cached_runs
-        if not counted:
-            return "[kernel] no simulations ran"
-        cached = f" (+{self.cached_runs} cached)" if self.cached_runs else ""
-        line = (
-            f"[kernel] {self.runs} runs{cached}, {self.total_ops:,} ops at "
-            f"{self.ops_per_sec:,.0f} ops/s, "
-            f"fast-path {100.0 * self.fast_path_ratio:.1f}%, "
-            f"compile {self.compile_s:.2f}s "
-            f"({self.compile_cache_hits}/{counted} stream-cache hits)"
-        )
-        if self.compile_cache_evictions:
-            line += (
-                f", {self.compile_cache_evictions} stream-cache evictions"
-            )
-        if self.subsystem_s:
-            parts = ", ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in sorted(self.subsystem_s.items())
-            )
-            line += f"\n[kernel] slow-path time: {parts}"
-        return line
 
 
 @dataclass(frozen=True)

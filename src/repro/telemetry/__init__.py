@@ -17,8 +17,9 @@ power/thermal models, the sweep executor, and the CLI:
 * :mod:`repro.telemetry.record` — picklable ``KernelRecord`` /
   ``PointTelemetry`` records that carry worker-side kernel stats, span
   trees, and counter samples back through the executor's outcome
-  channel (and into the result cache), so ``--profile`` and timelines
-  account for parallel and warm-cache sweeps;
+  channel (and into the result cache), and ``KernelAggregate``, the
+  executor's one fold over them that ``--profile`` and the manifest
+  both read;
 * :mod:`repro.telemetry.manifest` — per-sweep run manifests plus JSONL
   event/span/timeline logs under ``--telemetry-dir``, with schema
   validation;
@@ -58,6 +59,7 @@ from repro.telemetry.manifest import (
     validate_run_dir,
 )
 from repro.telemetry.record import (
+    KernelAggregate,
     KernelRecord,
     PointTelemetry,
     begin_point_capture,
@@ -97,6 +99,7 @@ __all__ = [
     "AlertRule",
     "ChannelStats",
     "CounterSampler",
+    "KernelAggregate",
     "KernelRecord",
     "PointTelemetry",
     "SampleRecord",

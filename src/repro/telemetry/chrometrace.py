@@ -279,6 +279,7 @@ def metrics_table(run_dir: PathLike) -> str:
         f"{points.get('total', 0)} points "
         f"({points.get('evaluated', 0)} evaluated, "
         f"{points.get('cached', 0)} cached, {points.get('failed', 0)} failed), "
+        f"{kernel.get('runs', 0)} runs (+{kernel.get('cached_runs', 0)} cached), "
         f"{kernel.get('total_ops', 0):,} simulated ops"
     )
     rows = _collect_phase_rows(run_dir)

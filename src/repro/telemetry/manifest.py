@@ -4,7 +4,8 @@ Every sweep invoked with ``--telemetry-dir DIR`` produces one run
 directory ``DIR/<run_id>/`` containing
 
 * ``manifest.json`` — the :data:`MANIFEST_SCHEMA` document: run id,
-  command, git SHA, context fingerprint, point/kernel totals, status;
+  command, git SHA, context fingerprint, point totals, the executor's
+  kernel ledger, status;
 * ``events.jsonl`` — one JSON object per line, currently ``point``
   events (index, cache key, status, cached flag, worker pid, wall time,
   op counts, start timestamp);
@@ -29,6 +30,7 @@ the CI telemetry job and the test suite both use it — and
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -38,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.telemetry.alerts import AlertRule, ChannelStats, evaluate_rules
-from repro.telemetry.record import PointTelemetry
+from repro.telemetry.record import KernelAggregate, PointTelemetry
 from repro.telemetry.timeseries import SampleRecord, get_sampler
 from repro.telemetry.trace import SpanRecord, get_tracer
 
@@ -148,11 +150,6 @@ class TelemetryRun:
         self.finalized = False
         self._started = time.perf_counter()
         self.points = {name: 0 for name in _POINT_COUNTERS}
-        self.kernel = {
-            name: (0.0 if name == "sim_wall_s" else 0)
-            for name in _KERNEL_COUNTERS
-        }
-        self.kernel["cached_runs"] = 0
         self.spans_written = 0
         self.samples_written = 0
         #: Per-channel running statistics over every recorded sample;
@@ -230,13 +227,6 @@ class TelemetryRun:
         if quarantined:
             self.points["quarantined"] += 1
         if telemetry is not None:
-            for kernel in telemetry.kernels:
-                self.kernel["cached_runs" if outcome.cached else "runs"] += 1
-                self.kernel["total_ops"] += kernel.total_ops
-                self.kernel["fast_path_ops"] += kernel.fast_path_ops
-                self.kernel["slow_path_ops"] += kernel.slow_path_ops
-                self.kernel["barrier_ops"] += kernel.barrier_ops
-                self.kernel["sim_wall_s"] += kernel.sim_wall_s
             self.record_spans(telemetry.spans, pid=telemetry.pid)
             self.record_samples(
                 telemetry.samples,
@@ -310,8 +300,9 @@ class TelemetryRun:
         outside any point-capture window, e.g. during context
         calibration) and evaluates the alert rules over the whole run's
         channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
-        object) contributes its executor/cache counters to the manifest
-        when given.  Idempotent.
+        object) contributes its executor/cache counters and its kernel
+        ledger (the manifest's ``kernel`` block, the same object
+        ``--profile`` prints) when given.  Idempotent.
         """
         if self.finalized:
             return self.directory / "manifest.json"
@@ -328,6 +319,7 @@ class TelemetryRun:
         ]
         extra: Dict[str, Any] = {}
         if executor is not None:
+            extra["kernel"] = dataclasses.asdict(executor.kernels)
             stats = executor.stats
             extra["executor"] = {
                 "evaluated": stats.evaluated,
@@ -372,7 +364,7 @@ class TelemetryRun:
             "wall_s": round(time.perf_counter() - self._started, 6),
             "coordinator_pid": os.getpid(),
             "points": dict(self.points),
-            "kernel": dict(self.kernel),
+            "kernel": dataclasses.asdict(KernelAggregate()),
             "spans": {
                 "written": self.spans_written,
                 "dropped": tracer.dropped,

@@ -1,12 +1,17 @@
-"""Cross-process telemetry records and the per-point capture buffer.
+"""Cross-process telemetry records, the kernel ledger, and the capture buffer.
 
 The sweep executor fans points out to worker processes; each worker's
 :class:`~repro.sim.cmp.KernelStats` and span trees would otherwise die
 with the task.  These records are the picklable, cache-encodable form in
 which that telemetry travels back through the executor's outcome channel
 and is persisted by the :class:`~repro.harness.executor.ResultCache`
-alongside the point's value — which is what lets ``--profile`` account
-for parallel *and* warm-cache sweeps.
+alongside the point's value.
+
+:class:`KernelAggregate` is the one fold over those records: the
+executor keeps one (``SweepExecutor.kernels``) and folds every outcome's
+records into it, whatever process or cache produced them.  ``--profile``,
+the run manifest's ``kernel`` block and the ``repro trace metrics``
+header all read that single object.
 
 The capture buffer is per-process module state: the executor's point
 wrapper brackets each evaluation with :func:`begin_point_capture` /
@@ -20,8 +25,8 @@ do not accumulate records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Tuple
 
 from repro.telemetry.timeseries import SampleRecord
 from repro.telemetry.trace import SpanRecord
@@ -62,6 +67,91 @@ class KernelRecord:
             compile_cache_evicted=getattr(stats, "compile_cache_evicted", False),
             subsystem_s=tuple(sorted(stats.subsystem_s.items())),
         )
+
+
+@dataclass
+class KernelAggregate:
+    """Kernel profiling folded over many simulation runs.
+
+    The sweep executor owns one and folds every point outcome's kernel
+    records into it: evaluated points count as :attr:`runs`, result-cache
+    replays as :attr:`cached_runs`.  The executor also adds its
+    coordinator-side precompile time to :attr:`compile_s`.
+    """
+
+    #: Simulations executed for this aggregate (any process).
+    runs: int = 0
+    #: Simulations replayed from the result cache; their op counters are
+    #: included in the totals below, but their wall time reflects the
+    #: *original* evaluation, not this invocation.
+    cached_runs: int = 0
+    total_ops: int = 0
+    fast_path_ops: int = 0
+    slow_path_ops: int = 0
+    barrier_ops: int = 0
+    sim_wall_s: float = 0.0
+    compile_s: float = 0.0
+    compile_cache_hits: int = 0
+    #: Runs whose compile bumped an older program out of the bounded
+    #: stream cache; a nonzero count on a repetitive campaign means the
+    #: cache is too small for its working set.
+    compile_cache_evictions: int = 0
+    subsystem_s: Dict[str, float] = field(default_factory=dict)
+
+    def add_record(self, kernel: KernelRecord, cached: bool = False) -> None:
+        """Fold one run's record; ``cached`` marks a cache replay."""
+        if cached:
+            self.cached_runs += 1
+        else:
+            self.runs += 1
+        self.total_ops += kernel.total_ops
+        self.fast_path_ops += kernel.fast_path_ops
+        self.slow_path_ops += kernel.slow_path_ops
+        self.barrier_ops += kernel.barrier_ops
+        self.sim_wall_s += kernel.sim_wall_s
+        self.compile_s += kernel.compile_s
+        self.compile_cache_hits += 1 if kernel.compile_cache_hit else 0
+        self.compile_cache_evictions += 1 if kernel.compile_cache_evicted else 0
+        # Sorted fold: accumulate alphabetically so the float totals (and
+        # the dict's insertion order) never depend on the order a record
+        # carried its pairs in.
+        for name, seconds in sorted(kernel.subsystem_s):
+            self.subsystem_s[name] = self.subsystem_s.get(name, 0.0) + seconds
+
+    @property
+    def ops_per_sec(self) -> float:
+        """Aggregate simulated ops per host second in the kernel loop."""
+        return self.total_ops / self.sim_wall_s if self.sim_wall_s > 0 else 0.0
+
+    @property
+    def fast_path_ratio(self) -> float:
+        """Fraction of all ops the fast path resolved."""
+        return self.fast_path_ops / self.total_ops if self.total_ops else 0.0
+
+    def summary(self) -> str:
+        """One human-readable line for the CLI's ``--profile`` output."""
+        counted = self.runs + self.cached_runs
+        if not counted:
+            return "[kernel] no simulations ran"
+        cached = f" (+{self.cached_runs} cached)" if self.cached_runs else ""
+        line = (
+            f"[kernel] {self.runs} runs{cached}, {self.total_ops:,} ops at "
+            f"{self.ops_per_sec:,.0f} ops/s, "
+            f"fast-path {100.0 * self.fast_path_ratio:.1f}%, "
+            f"compile {self.compile_s:.2f}s "
+            f"({self.compile_cache_hits}/{counted} stream-cache hits)"
+        )
+        if self.compile_cache_evictions:
+            line += (
+                f", {self.compile_cache_evictions} stream-cache evictions"
+            )
+        if self.subsystem_s:
+            parts = ", ".join(
+                f"{name} {seconds:.2f}s"
+                for name, seconds in sorted(self.subsystem_s.items())
+            )
+            line += f"\n[kernel] slow-path time: {parts}"
+        return line
 
 
 @dataclass(frozen=True)

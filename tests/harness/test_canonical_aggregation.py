@@ -11,16 +11,23 @@ permuted.  These tests pin that.
 
 import itertools
 
-from repro.harness.profiling import KernelAggregate
-from repro.sim.cmp import KernelStats
-from repro.telemetry.record import KernelRecord
+from repro.telemetry.record import KernelAggregate, KernelRecord
 from repro.units import GIGA, KILO, MEGA, MICRO, MILLI, NANO, PICO
 
 
-def _stats(pairs) -> KernelStats:
-    stats = KernelStats(mode="fast", total_ops=10, sim_wall_s=0.1)
-    stats.subsystem_s = dict(pairs)
-    return stats
+def _stats(pairs) -> KernelRecord:
+    """A run record carrying its subsystem pairs in the given order."""
+    return KernelRecord(
+        mode="fast",
+        total_ops=10,
+        fast_path_ops=0,
+        slow_path_ops=0,
+        barrier_ops=0,
+        sim_wall_s=0.1,
+        compile_s=0.0,
+        compile_cache_hit=False,
+        subsystem_s=tuple(pairs),
+    )
 
 
 class TestKernelAggregateFoldOrder:
@@ -44,25 +51,6 @@ class TestKernelAggregateFoldOrder:
                 assert aggregate.subsystem_s == reference
                 # Same keys in the same (sorted) insertion order too.
                 assert list(aggregate.subsystem_s) == list(reference)
-
-    def test_dict_and_tuple_records_fold_identically(self):
-        from_dict = KernelAggregate()
-        from_dict.add_record(_stats(self.PAIRS))
-        from_tuple = KernelAggregate()
-        from_tuple.add_record(
-            KernelRecord(
-                mode="fast",
-                total_ops=10,
-                fast_path_ops=0,
-                slow_path_ops=0,
-                barrier_ops=0,
-                sim_wall_s=0.1,
-                compile_s=0.0,
-                compile_cache_hit=False,
-                subsystem_s=tuple(reversed(self.PAIRS)),
-            )
-        )
-        assert from_dict.subsystem_s == from_tuple.subsystem_s
 
     def test_multi_run_fold_ignores_each_records_key_order(self):
         # The run *sequence* is the executor's to canonicalise (it folds

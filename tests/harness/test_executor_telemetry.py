@@ -1,13 +1,14 @@
 """Cross-process telemetry through the executor's outcome channel."""
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict
 
 import pytest
 
 from repro.harness.executor import ResultCache, SweepExecutor
-from repro.harness.profiling import KernelAggregate, SimPointRow
+from repro.harness.profiling import SimPointRow
 from repro.telemetry.record import (
     KernelRecord,
     PointTelemetry,
@@ -77,14 +78,24 @@ class TestInlineTelemetry:
         outcomes = executor.map(recording_row_point, [1])
         assert len(outcomes[0].telemetry.kernels) == 1
 
-    def test_inline_records_do_not_double_count_in_fold(self):
+    def test_inline_records_fold_into_the_ledger(self):
         executor = SweepExecutor(jobs=1)
         executor.map(recording_row_point, [0, 1])
-        aggregate = KernelAggregate()
-        executor.fold_telemetry_into(aggregate)
-        # Inline evaluations already reached the context's own log; the
-        # fold must skip them (same pid, not cached).
-        assert aggregate.runs == 0 and aggregate.cached_runs == 0
+        assert (executor.kernels.runs, executor.kernels.cached_runs) == (2, 0)
+        assert executor.kernels.total_ops == 300
+        # The ledger accumulates across map calls.
+        executor.map(recording_row_point, [2])
+        assert executor.kernels.runs == 3
+        assert executor.kernels.total_ops == 600
+
+    def test_precompile_time_counts_as_compile(self):
+        def precompile(points):
+            time.sleep(0.02)
+
+        executor = SweepExecutor(jobs=1)
+        executor.map(recording_row_point, [0, 1], precompile=precompile)
+        # Two in-point records of 2 ms each, plus the precompile wall time.
+        assert executor.kernels.compile_s >= 0.004 + 0.02
 
 
 class TestWorkerTelemetry:
@@ -94,15 +105,11 @@ class TestWorkerTelemetry:
         pids = {o.telemetry.pid for o in outcomes}
         assert os.getpid() not in pids
         assert sum(o.telemetry.total_ops for o in outcomes) == 1000
-        aggregate = KernelAggregate()
-        executor.fold_telemetry_into(aggregate)
-        assert aggregate.runs == 4
-        assert aggregate.cached_runs == 0
-        assert aggregate.total_ops == 1000
-        assert aggregate.subsystem_s == pytest.approx({"memory": 0.016})
-        # Drained: a second fold adds nothing.
-        executor.fold_telemetry_into(aggregate)
-        assert aggregate.runs == 4
+        ledger = executor.kernels
+        assert ledger.runs == 4
+        assert ledger.cached_runs == 0
+        assert ledger.total_ops == 1000
+        assert ledger.subsystem_s == pytest.approx({"memory": 0.016})
 
 
 class TestCachedTelemetry:
@@ -133,28 +140,22 @@ class TestCachedTelemetry:
 
         warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         warm.map(recording_row_point, points, key_configs=key_configs(points))
-        aggregate = KernelAggregate()
-        warm.fold_telemetry_into(aggregate)
-        assert aggregate.runs == 0
-        assert aggregate.cached_runs == 2
-        assert aggregate.total_ops == 300
-        assert "(+2 cached)" in aggregate.summary()
+        assert warm.kernels.runs == 0
+        assert warm.kernels.cached_runs == 2
+        assert warm.kernels.total_ops == 300
+        assert "(+2 cached)" in warm.kernels.summary()
 
     def test_warm_cache_op_totals_match_the_cold_run(self, tmp_path):
         points = [0, 1, 2]
         cold = SweepExecutor(jobs=2, chunksize=1, cache=ResultCache(tmp_path))
         cold.map(recording_row_point, points, key_configs=key_configs(points))
-        cold_aggregate = KernelAggregate()
-        cold.fold_telemetry_into(cold_aggregate)
 
         warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         warm.map(recording_row_point, points, key_configs=key_configs(points))
-        warm_aggregate = KernelAggregate()
-        warm.fold_telemetry_into(warm_aggregate)
 
-        assert warm_aggregate.total_ops == cold_aggregate.total_ops == 600
-        assert (cold_aggregate.runs, cold_aggregate.cached_runs) == (3, 0)
-        assert (warm_aggregate.runs, warm_aggregate.cached_runs) == (0, 3)
+        assert warm.kernels.total_ops == cold.kernels.total_ops == 600
+        assert (cold.kernels.runs, cold.kernels.cached_runs) == (3, 0)
+        assert (warm.kernels.runs, warm.kernels.cached_runs) == (0, 3)
 
 
 class TestStatsSummaries:

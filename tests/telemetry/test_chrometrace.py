@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.harness.executor import PointOutcome
+from repro.harness.executor import PointOutcome, SweepExecutor
 from repro.telemetry.chrometrace import (
     _format_indices,
     _process_names,
@@ -63,7 +63,11 @@ def traced_run(tmp_path):
     run.record_point(
         PointOutcome(index=0, key="k0", value=1, telemetry=telemetry)
     )
-    run.finalize()
+    # The manifest's kernel block is the executor's ledger.
+    executor = SweepExecutor()
+    for kernel in telemetry.kernels:
+        executor.kernels.add_record(kernel)
+    run.finalize(executor=executor)
     return run
 
 
@@ -128,6 +132,7 @@ class TestMetricsTable:
         run = traced_run(tmp_path)
         text = metrics_table(run.directory)
         assert "1 points" in text and "120 simulated ops" in text
+        assert "1 runs (+0 cached)" in text
         lines = {
             line.split()[0]: line.split()
             for line in text.splitlines()

@@ -1,12 +1,18 @@
 """Tests for run manifests, JSONL logs, and their validation."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness.executor import PointOutcome, SweepFailure
+from repro.harness.executor import (
+    PointOutcome,
+    ResultCache,
+    SweepExecutor,
+    SweepFailure,
+)
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
     TIMELINE_SCHEMA,
@@ -21,7 +27,7 @@ from repro.telemetry.manifest import (
     resolve_run_dir,
     validate_run_dir,
 )
-from repro.telemetry.record import KernelRecord, PointTelemetry
+from repro.telemetry.record import KernelAggregate, KernelRecord, PointTelemetry
 from repro.telemetry.timeseries import (
     CounterSampler,
     SampleRecord,
@@ -29,6 +35,7 @@ from repro.telemetry.timeseries import (
     set_sampler,
 )
 from repro.telemetry.trace import SpanRecord
+from tests.harness.test_executor_telemetry import key_configs, recording_row_point
 
 
 def kernel_record(total_ops=100):
@@ -99,9 +106,6 @@ class TestTelemetryRun:
             "retried": 0,
             "quarantined": 0,
         }
-        assert manifest["kernel"]["runs"] == 2
-        assert manifest["kernel"]["cached_runs"] == 1
-        assert manifest["kernel"]["total_ops"] == 300
 
         events = load_events(run.directory)
         assert [e["index"] for e in events] == [0, 1, 2]
@@ -123,6 +127,7 @@ class TestTelemetryRun:
         class FakeExecutor:
             stats = FakeStats()
             cache = FakeCache()
+            kernels = KernelAggregate()
 
         run = TelemetryRun(tmp_path)
         run.finalize(executor=FakeExecutor())
@@ -140,6 +145,37 @@ class TestTelemetryRun:
             "misses": 2,
             "stores": 2,
             "quarantined": 0,
+        }
+
+    def test_kernel_block_is_the_executors_ledger(self, tmp_path):
+        points = [0, 1]
+        keys = key_configs(points)
+        cache = ResultCache(tmp_path / "cache")
+        SweepExecutor(jobs=1, cache=cache).map(
+            recording_row_point, points[:1], key_configs=keys[:1]
+        )
+        run = TelemetryRun(tmp_path / "telemetry", command="fig3")
+        executor = SweepExecutor(jobs=1, cache=cache)
+        executor.telemetry_run = run
+        executor.map(recording_row_point, points, key_configs=keys)
+        run.finalize(executor=executor)
+
+        kernel = load_manifest(run.directory)["kernel"]
+        assert kernel["runs"] == 1
+        assert kernel["cached_runs"] == 1
+        assert kernel["total_ops"] == 300
+        assert kernel == json.loads(
+            json.dumps(dataclasses.asdict(executor.kernels))
+        )
+        assert set(kernel) >= {
+            "fast_path_ops",
+            "slow_path_ops",
+            "barrier_ops",
+            "sim_wall_s",
+            "compile_s",
+            "compile_cache_hits",
+            "compile_cache_evictions",
+            "subsystem_s",
         }
 
     def test_finalize_is_idempotent(self, tmp_path):

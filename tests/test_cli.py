@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -164,18 +166,20 @@ class TestCommands:
         assert args.scale == 0.3
 
 
+@pytest.fixture
+def restore_telemetry_state():
+    """--telemetry-dir enables tracing/sampling; undo it afterwards."""
+    from repro.telemetry.timeseries import get_sampler, set_sampler
+    from repro.telemetry.trace import get_tracer, set_tracer
+
+    sampler, tracer = get_sampler(), get_tracer()
+    yield
+    set_sampler(sampler)
+    set_tracer(tracer)
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
 class TestTraceTimelineCommand:
-    @pytest.fixture(autouse=True)
-    def restore_telemetry_state(self):
-        """--telemetry-dir enables tracing/sampling; undo it afterwards."""
-        from repro.telemetry.timeseries import get_sampler, set_sampler
-        from repro.telemetry.trace import get_tracer, set_tracer
-
-        sampler, tracer = get_sampler(), get_tracer()
-        yield
-        set_sampler(sampler)
-        set_tracer(tracer)
-
     def test_timeline_renders_sparklines_and_alerts(self, capsys, tmp_path):
         assert (
             main(
@@ -244,3 +248,81 @@ class TestTraceTimelineCommand:
         TelemetryRun(tmp_path, command="fig3").finalize()
         assert main(["trace", "timeline", "--telemetry-dir", str(tmp_path)]) == 0
         assert "no timeline samples" in capsys.readouterr().out
+
+
+KERNEL_LINE = re.compile(
+    r"\[kernel\] (\d+) runs(?: \(\+(\d+) cached\))?, ([\d,]+) ops at .*"
+    r"compile (\d+\.\d+)s"
+)
+LEDGER_COUNTERS = (
+    "runs",
+    "cached_runs",
+    "total_ops",
+    "fast_path_ops",
+    "slow_path_ops",
+    "barrier_ops",
+)
+
+
+def _barnes_fig3(telemetry_dir, *extra):
+    """Run ``fig3`` on Barnes under --profile; returns the run's manifest."""
+    from repro.telemetry.manifest import latest_run_dir, load_manifest
+
+    argv = ["fig3", "--apps", "Barnes", "--scale", "0.05", "--profile"]
+    assert main([*argv, "--telemetry-dir", str(telemetry_dir), *extra]) == 0
+    return load_manifest(latest_run_dir(telemetry_dir))
+
+
+def _span_seconds(run_dir, name):
+    from repro.telemetry.manifest import load_spans
+
+    def walk(node):
+        own = node["duration_us"] if node["name"] == name else 0.0
+        return own + sum(walk(child) for child in node.get("children", ()))
+
+    return sum(walk(entry["span"]) for entry in load_spans(run_dir)) * 1e-6
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
+class TestKernelLedger:
+    """``--profile``, the manifest and ``trace metrics`` read one ledger."""
+
+    def test_profile_manifest_and_trace_metrics_agree(self, capsys, tmp_path):
+        from repro.sim.ops import stream_cache
+        from repro.telemetry.manifest import latest_run_dir
+
+        # A cold compile cache, so the coordinator's precompile has work.
+        stream_cache.clear()
+        kernel = _barnes_fig3(tmp_path)["kernel"]
+        out = capsys.readouterr().out
+        runs, cached, ops, compile_s = KERNEL_LINE.search(out).groups()
+        assert int(runs) == kernel["runs"] > 0
+        assert int(cached or 0) == kernel["cached_runs"] == 0
+        assert int(ops.replace(",", "")) == kernel["total_ops"] > 0
+        assert compile_s == f"{kernel['compile_s']:.2f}"
+        assert kernel["compile_s"] > 0
+
+        # The ledger's compile time is the compile spans' time.
+        spans_s = _span_seconds(latest_run_dir(tmp_path), "workload.compile")
+        assert abs(kernel["compile_s"] - spans_s) <= max(0.1 * spans_s, 0.010)
+
+        assert main(["trace", "metrics", "--telemetry-dir", str(tmp_path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert (
+            f"{kernel['runs']} runs (+0 cached), "
+            f"{kernel['total_ops']:,} simulated ops"
+        ) in header
+        assert main(["trace", "validate", "--telemetry-dir", str(tmp_path)]) == 0
+
+    def test_serial_and_pool_fold_the_same_ops(self, tmp_path):
+        serial = _barnes_fig3(tmp_path / "jobs1", "--jobs", "1")["kernel"]
+        pool = _barnes_fig3(tmp_path / "jobs2", "--jobs", "2")["kernel"]
+        for name in LEDGER_COUNTERS:
+            assert pool[name] == serial[name], name
+
+    def test_warm_cache_replays_the_cold_ledger(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        cold = _barnes_fig3(tmp_path / "cold", "--cache", cache)["kernel"]
+        warm = _barnes_fig3(tmp_path / "warm", "--cache", cache)["kernel"]
+        assert (warm["runs"], warm["cached_runs"]) == (0, cold["runs"])
+        assert warm["total_ops"] == cold["total_ops"]
