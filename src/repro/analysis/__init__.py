@@ -19,7 +19,7 @@ assume but cannot economically re-verify on every run:
   or the result cache stays pickle-stable;
 * **forksafety** — functions reachable from executor worker entry
   points must not touch module-level mutable state that diverges
-  between the inline/pool/farm lanes;
+  between the inline and farm lanes;
 * **suppressions** — inline ``# repro: allow[...]`` comments that no
   longer match a finding are themselves flagged (ALLOW-UNUSED).
 

@@ -1,7 +1,7 @@
 """Fork-safety checker: module-level mutable state vs executor workers.
 
-The sweep harness runs every point three ways — inline, pool, farm —
-and the bitwise-equivalence guarantee across lanes assumes worker
+The sweep harness runs every point one of two ways — inline or in the
+farm — and the bitwise-equivalence guarantee across lanes assumes worker
 processes compute from their *arguments*, not from module-level state
 that happens to differ between the coordinator and a fork/spawn child.
 This pass makes that assumption checkable:
@@ -53,7 +53,7 @@ from repro.analysis.flow.callgraph import (
 from repro.analysis.index import FunctionInfo, TreeIndex
 
 #: Lane worker entries that are invoked through objects the call graph
-#: cannot resolve (a ``_PointCall`` instance passed to ``pool.map``).
+#: cannot resolve (a ``_PointCall`` instance a farm child calls).
 DEFAULT_WORKER_ENTRIES: Tuple[str, ...] = (
     "_PointCall.__call__",
     "_farm_worker",
@@ -379,7 +379,7 @@ def check(index: TreeIndex, graph: CallGraph) -> List[Finding]:
                     line,
                     f"`{info.qualname}` rebinds module global `{name}`"
                     f"{origin} while worker-reachable; the write diverges "
-                    "between inline, pool, and farm lanes",
+                    "between the inline and farm lanes",
                 )
         for name, line in sorted(access.mutations.items()):
             which = mutables[name]
@@ -390,8 +390,8 @@ def check(index: TreeIndex, graph: CallGraph) -> List[Finding]:
                 line,
                 f"`{info.qualname}` mutates module global `{name}` "
                 f"(defined at {which.file}:{which.line}) while "
-                "worker-reachable; the write diverges between inline, "
-                "pool, and farm lanes",
+                "worker-reachable; the write diverges between the inline "
+                "and farm lanes",
             )
         for name, line in sorted(access.reads.items()):
             if name in access.rebinds or name in access.mutations:

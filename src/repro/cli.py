@@ -271,7 +271,7 @@ def _executor_from_args(args, telemetry_run=None, command: str = "sweep"):
 def _telemetry_run_from_args(args, command: str):
     """Enable tracing and open a run directory when ``--telemetry-dir`` is set.
 
-    Tracing and counter sampling must be on before the worker pool forks
+    Tracing and counter sampling must be on before any farm child forks
     so the children inherit the enabled tracer and sampler (and with
     them the shared wall-clock anchor).
     """

@@ -127,7 +127,7 @@ class ExperimentContext:
         """Warm the process-wide compile cache for one (model, N) pair.
 
         The executor calls this in the coordinator before dispatching a
-        sweep, so forked workers inherit (and pool initializers receive)
+        sweep, so forked farm children inherit (and spawned ones receive)
         already-compiled streams instead of recompiling per process.
         Returns the :class:`repro.sim.ops.CompileOutcome`.
         """

@@ -3,11 +3,13 @@
 Every figure in the paper is a sweep — over core count, nominal
 efficiency, technology node, or workload — and every point in such a
 sweep is independent of the others.  :class:`SweepExecutor` exploits
-that: it fans point evaluations out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (the simulator is pure
-Python, so processes, not threads, are what buys wall-clock time) and
-memoizes completed points in a content-addressed on-disk cache so that
-re-running a campaign only evaluates points whose configuration changed.
+that: it evaluates points through one attempt loop with two lanes —
+*inline* in the calling process, or the *farm* of at most ``jobs``
+long-lived worker children (the simulator is pure Python, so
+processes, not threads, are what buys wall-clock time) — and memoizes
+completed points in a content-addressed on-disk cache so that
+re-running a campaign only evaluates points whose configuration
+changed; cache replays are the third source of outcomes.
 
 Three guarantees the experiment pipelines rely on:
 
@@ -20,7 +22,8 @@ Three guarantees the experiment pipelines rely on:
   :class:`~repro.errors.InfeasibleOperatingPoint`) does not kill the
   campaign; it is recorded as a typed :class:`SweepFailure` row in that
   point's :class:`PointOutcome`.  Non-library exceptions still
-  propagate — they indicate bugs, not infeasible physics.
+  propagate, with their original type, from either lane — they
+  indicate bugs, not infeasible physics.
 * **Cache safety** — cache keys are SHA-256 digests of the point's
   canonicalised configuration plus the store's
   :data:`~repro.harness.schema.SCHEMA_VERSION`, so mutating a point's
@@ -33,14 +36,15 @@ schema-tagged layout as :mod:`repro.harness.store` uses for whole
 campaigns; values must be flat (possibly nested) dataclasses of
 JSON-representable leaves, which all the harness row types are.
 
-On top of that sits the **fault-tolerance layer** (engaged only when a
-:class:`RetryPolicy` with retries/deadline or a
-:class:`~repro.harness.faults.FaultPlan` is configured): transient
+The same attempt loop is the **fault-tolerance layer**: transient
 failures — worker crashes, per-point deadline kills, injected faults,
-exceptions escaping the library — are retried with deterministic
-exponential backoff and finally *quarantined* as typed ``retryable``
-failures, so a sweep completes with partial results instead of
-aborting.  Retryable failures are never memoized; paired with the
+and (when a :class:`RetryPolicy` with retries/deadline or a
+:class:`~repro.harness.faults.FaultPlan` is configured) exceptions
+escaping the library — are retried with deterministic exponential
+backoff and finally *quarantined* as typed ``retryable`` failures, so a
+sweep completes with partial results instead of aborting.  The default
+policy makes exactly one attempt.  Retryable failures are never
+memoized; paired with the
 :class:`~repro.harness.journal.SweepJournal` write-ahead log this gives
 ``--resume``: a re-run replays finished points from the cache bitwise
 and re-attempts only the unfinished or crashed ones.
@@ -54,9 +58,10 @@ import importlib
 import json
 import multiprocessing
 import os
+import pickle
 import time
+import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
@@ -251,8 +256,8 @@ class RetryPolicy:
     operating point) are never retried — the physics will not change.
 
     ``point_timeout_s`` puts a wall-clock deadline on every attempt;
-    enforcing it requires worker processes, so the executor runs its
-    process lane (even at ``jobs=1``) whenever a deadline is set.
+    enforcing it requires worker processes, so the executor runs the
+    farm (even at ``jobs=1``) whenever a deadline is set.
     """
 
     max_retries: int = 0
@@ -298,8 +303,8 @@ class PointOutcome:
     #: is the *original* evaluation's telemetry, replayed from the cache.
     telemetry: Optional[PointTelemetry] = None
     #: Which executor lane produced this outcome: ``inline`` (evaluated
-    #: in the coordinator), ``pool`` (long-lived worker pool), ``farm``
-    #: (fault-tolerant process-per-attempt), or ``cache`` (replayed).
+    #: in the coordinator), ``farm`` (in a farm worker child), or
+    #: ``cache`` (replayed).
     lane: str = "inline"
 
     @property
@@ -515,12 +520,13 @@ class _PointCall:
     channel that carries every lane's kernel stats to the coordinator's
     ledger (:attr:`SweepExecutor.kernels`).
 
-    The resilient lanes construct it with a fault plan (injected at the
-    top of every attempt, inside the capture window) and with
-    ``capture_bugs=True`` so escaped non-library exceptions come back
-    as retryable ``("raised", ...)`` statuses instead of killing the
-    campaign; the default lanes keep the historical propagate-on-bug
-    semantics.
+    Both lanes run the same call.  A fault plan is injected at the top
+    of every attempt, inside the capture window.  A resilient executor
+    sets ``capture_bugs=True`` so escaped non-library exceptions come
+    back as retryable ``("raised", ...)`` statuses instead of killing
+    the campaign; otherwise they propagate (from a farm child, the
+    pickled exception and its traceback text are shipped back and
+    re-raised).
     """
 
     fn: Callable[[Any], Any]
@@ -564,40 +570,83 @@ class _PointCall:
 
 
 def _seed_stream_cache(entries: List[tuple]) -> None:
-    """Worker initializer: seed the process-wide compile cache.
+    """Seed a spawned farm child's process-wide compile cache.
 
-    On fork platforms workers inherit the coordinator's warm
+    On fork platforms farm children inherit the coordinator's warm
     :data:`repro.sim.ops.stream_cache` for free; on spawn platforms the
     coordinator ships its ``(key, program)`` entries here instead, so
     parallel sweeps never recompile per worker either way.
     """
     for key, program in entries:
-        # repro: allow[FORK-GLOBAL-WRITE] initializer seeds this worker's own cache
+        # repro: allow[FORK-GLOBAL-WRITE] a spawned child seeds its own cache
         stream_cache.seed(key, program)
+
+
+class WorkerBug(Exception):
+    """A farm worker's bug whose exception cannot make the pickle round
+    trip; the message names the original type."""
+
+
+class _RemoteTraceback(Exception):
+    """A farm worker's traceback text, chained as its bug's cause."""
+
+
+def _bug_status(exc: BaseException) -> Tuple[Any, ...]:
+    """What a farm worker ships for an escaped exception: the pickled
+    exception (``None`` if it will not pickle), a description and the
+    traceback text."""
+    try:
+        blob: Optional[bytes] = pickle.dumps(exc)
+    except Exception:
+        blob = None
+    return ("bug", blob, f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
+def _raise_bug(status: Tuple[Any, ...]) -> None:
+    """Re-raise a shipped bug with its own type (else as
+    :class:`WorkerBug`), the worker's traceback chained as the cause."""
+    _, blob, description, text = status
+    try:
+        exc = pickle.loads(blob)
+    except Exception:  # no blob, or one that does not unpickle
+        exc = WorkerBug(description)
+    raise exc from _RemoteTraceback(text)
 
 
 def _farm_worker(
     conn,
     call: _PointCall,
-    point: Any,
-    index: int,
-    attempt: int,
+    point_list: List[Any],
     seeds: Optional[List[tuple]] = None,
 ) -> None:
-    """Child-process entry of the fault-tolerant farm: one attempt.
+    """Child-process entry of the farm: serve attempts until told to stop.
 
-    Sends the :class:`_PointCall` status tuple back over the pipe; a
-    worker that dies before sending (a ``kill`` fault, the OOM killer)
-    is detected by the coordinator as an EOF plus a nonzero exit code.
+    Receives ``(index, attempt)`` tasks — the points themselves were
+    inherited at fork (or shipped once, on spawn platforms) — and sends
+    each pickled :class:`_PointCall` status tuple back over the duplex
+    pipe.  An exception escaping the call (or the pickling of its
+    result) is shipped as a ``("bug", ...)`` status, which the
+    coordinator re-raises, and ends the worker.  A worker that dies
+    mid-attempt (a ``kill`` fault, the OOM killer) is detected by the
+    coordinator as an EOF.  A ``None`` task ends the loop.
     """
     try:
         if seeds:
             _seed_stream_cache(seeds)
-        payload = call(point, index, attempt)
-    except BaseException as exc:  # pragma: no cover - _PointCall captures
-        payload = ("raised", type(exc).__name__, str(exc), None)
-    try:
-        conn.send(payload)
+        while True:
+            task = conn.recv()
+            if task is None:
+                return
+            index, attempt = task
+            try:
+                blob = pickle.dumps(call(point_list[index], index, attempt))
+            except BaseException as exc:
+                conn.send_bytes(pickle.dumps(_bug_status(exc)))
+                return
+            conn.send_bytes(blob)
+    except (EOFError, OSError, KeyboardInterrupt):
+        # The coordinator went away or is tearing the farm down.
+        return
     finally:
         conn.close()
 
@@ -617,43 +666,48 @@ def _kill_process(process) -> None:
 class SweepExecutor:
     """Evaluate independent sweep points, in parallel, through a cache.
 
+    Points the cache cannot satisfy go through one attempt loop in one
+    of two lanes: *inline* in the calling process, or the *farm* of at
+    most ``jobs`` worker children, each serving one attempt at a time.
+    The farm runs when ``jobs > 1`` and more than one point is pending
+    (or any point, for a :attr:`resilient` executor), or whenever an
+    attempt needs a process (a per-point deadline, a fault plan with
+    ``hang``/``kill`` faults).
+
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) evaluates inline in the
-        calling process — no pool, no pickling — which is also the
-        reference semantics the parallel path must match bitwise.
+        Concurrent farm children.  ``1`` (the default) evaluates inline
+        in the calling process — no fork, no pickling — which is also the
+        reference semantics the farm must match bitwise.
     cache:
         Optional :class:`ResultCache`.  Points are only memoized when the
         caller also supplies ``key_configs`` (it alone knows which inputs
         determine a point's value).
-    chunksize:
-        Points per pickled work batch; defaults to roughly four batches
-        per worker.
+    retry:
+        Optional :class:`RetryPolicy`; the default makes exactly one
+        attempt per point.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        chunksize: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         journal: Optional[SweepJournal] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.chunksize = chunksize
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
         #: Optional :class:`~repro.harness.journal.SweepJournal`; when
         #: set, every completed point (cached or evaluated) is appended
         #: to it — the write-ahead log behind ``--resume``.
         self.journal = journal
+        #: Written only by :meth:`map`'s per-outcome fold.
         self.stats = ExecutorStats()
         #: Failed points accumulated across ``map`` calls, for degraded-
         #: mode reporting (the CLI quarantine summary, ``repro report``).
@@ -666,17 +720,15 @@ class SweepExecutor:
         #: precompile time, accumulated across ``map`` calls.  ``--profile``
         #: and the telemetry manifest both report it.
         self.kernels = KernelAggregate()
-        #: Which lane the most recent evaluation batch ran in; stamped
-        #: onto the batch's outcomes for trace attribution.
-        self._last_lane = "inline"
 
     @property
     def resilient(self) -> bool:
-        """Whether the fault-tolerant machinery is engaged.
+        """Whether an escaped non-library exception is captured.
 
-        True when any of a retry budget, a per-point deadline, or a
-        fault plan is configured; the default executor keeps the
-        historical lanes (and semantics) exactly.
+        A captured bug is retried and finally quarantined like any
+        transient failure; otherwise it propagates with its original
+        type.  True when any of a retry budget, a per-point deadline,
+        or a fault plan is configured.
         """
         return (
             self.fault_plan is not None
@@ -693,21 +745,23 @@ class SweepExecutor:
     ) -> List[PointOutcome]:
         """Evaluate ``fn`` over ``points``; outcomes in input order.
 
-        ``fn`` must be picklable for ``jobs > 1`` (a module-level
-        function or a :func:`functools.partial` of one).  ``key_configs``
-        — one hashable config per point — opts the call into the cache.
+        ``fn`` must be picklable for the farm (a module-level function
+        or a :func:`functools.partial` of one).  ``key_configs`` — one
+        hashable config per point — opts the call into the cache.
 
         ``precompile``, when given, is called in the coordinator with
         exactly the points the cache could not satisfy, *before* any
         worker dispatch.  Sweep pipelines use it to compile op streams
         once into the process-wide :data:`repro.sim.ops.stream_cache`
-        so forked workers inherit them warm (spawn-platform pools are
-        seeded through an initializer instead); a fully warm-cache
+        so forked farm children inherit them warm (on spawn platforms
+        the entries ship with each child instead); a fully warm-cache
         rerun pays zero compiles.  Its wall time goes into
         :attr:`kernels`' ``compile_s``.
 
-        Every outcome's kernel records are folded into :attr:`kernels`:
-        evaluated points as runs, cache replays as cached runs.
+        Every outcome is then folded once, in point-index order: into
+        :attr:`stats`, the cache, :attr:`kernels` (evaluated points as
+        runs, cache replays as cached runs), the journal and the
+        telemetry run.
         """
         point_list = list(points)
         keys: List[Optional[str]] = [None] * len(point_list)
@@ -740,9 +794,6 @@ class SweepExecutor:
                         telemetry=entry.telemetry,
                         lane="cache",
                     )
-                    self.stats.cache_hits += 1
-                    if entry.failure is not None:
-                        self.stats.failures += 1
                     continue
             pending.append(index)
 
@@ -751,62 +802,54 @@ class SweepExecutor:
                 start = time.perf_counter()
                 precompile([point_list[i] for i in pending])
                 self.kernels.compile_s += time.perf_counter() - start
-            if self.resilient:
-                raw = self._run_resilient(fn, pending, point_list)
+            call = _PointCall(
+                fn, fault_plan=self.fault_plan, capture_bugs=self.resilient
+            )
+            lane = self._lane(len(pending), len(point_list))
+            run = self._run_farm if lane == "farm" else self._run_inline
+            for index, (result, attempts) in zip(
+                pending, run(call, pending, point_list)
+            ):
+                failure = None
+                if result[0] != "ok":
+                    failure = SweepFailure(
+                        error_type=result[1],
+                        message=result[2],
+                        retryable=result[0] in ("transient", "raised"),
+                    )
+                outcomes[index] = PointOutcome(
+                    index=index,
+                    key=keys[index],
+                    value=result[1] if failure is None else None,
+                    failure=failure,
+                    telemetry=result[-1],
+                    attempts=attempts,
+                    lane=lane,
+                )
+        # Folded in point-index order, so the ledger's float totals never
+        # depend on which worker finished first.
+        stats = self.stats
+        for outcome in outcomes:
+            failure = outcome.failure
+            if failure is not None:
+                stats.failures += 1
+            if outcome.cached:
+                stats.cache_hits += 1
             else:
-                raw = [
-                    (result, 1)
-                    for result in self._run_default(fn, pending, point_list)
-                ]
-            lane = self._last_lane
-            for index, (result, attempts) in zip(pending, raw):
-                self.stats.evaluated += 1
-                telemetry = result[-1]
-                if result[0] == "ok":
-                    outcome = PointOutcome(
-                        index=index,
-                        key=keys[index],
-                        value=result[1],
-                        telemetry=telemetry,
-                        attempts=attempts,
-                        lane=lane,
-                    )
-                else:
-                    retryable = result[0] in ("transient", "raised")
-                    outcome = PointOutcome(
-                        index=index,
-                        key=keys[index],
-                        value=None,
-                        failure=SweepFailure(
-                            error_type=result[1],
-                            message=result[2],
-                            retryable=retryable,
-                        ),
-                        telemetry=telemetry,
-                        attempts=attempts,
-                        lane=lane,
-                    )
-                    self.stats.failures += 1
-                    if retryable:
-                        self.stats.quarantined += 1
-                if outcome.failure is not None:
+                stats.evaluated += 1
+                stats.retries += outcome.attempts - 1
+                if failure is not None:
                     self.failed.append(outcome)
-                if use_cache and (
-                    outcome.failure is None or not outcome.failure.retryable
-                ):
+                    if failure.retryable:
+                        stats.quarantined += 1
+                if use_cache and (failure is None or not failure.retryable):
                     # Retryable failures are deliberately not memoized:
                     # a resumed run should re-attempt them, not replay
                     # the crash.
                     try:
-                        self.cache.put(keys[index], outcome)
+                        self.cache.put(outcome.key, outcome)
                     except ConfigurationError:
-                        self.stats.uncacheable += 1
-                outcomes[index] = outcome
-        # Folded in point-index order, so the ledger's float totals never
-        # depend on which worker finished first.
-        for outcome in outcomes:
-            if outcome is None:
-                continue
+                        stats.uncacheable += 1
             if outcome.telemetry is not None:
                 for kernel in outcome.telemetry.kernels:
                     self.kernels.add_record(kernel, cached=outcome.cached)
@@ -814,18 +857,11 @@ class SweepExecutor:
                 self.journal.record(
                     JournalEntry(
                         key=outcome.key,
-                        status="ok" if outcome.failure is None else "failed",
+                        status="ok" if failure is None else "failed",
                         attempts=outcome.attempts,
                         cached=outcome.cached,
-                        error_type=(
-                            None
-                            if outcome.failure is None
-                            else outcome.failure.error_type
-                        ),
-                        retryable=(
-                            outcome.failure is not None
-                            and outcome.failure.retryable
-                        ),
+                        error_type=None if failure is None else failure.error_type,
+                        retryable=failure is not None and failure.retryable,
                         wall_s=(
                             outcome.telemetry.wall_s
                             if outcome.telemetry is not None
@@ -837,171 +873,149 @@ class SweepExecutor:
                 self.telemetry_run.record_point(outcome)
         return outcomes  # type: ignore[return-value]
 
-    # -- default lanes (historical semantics, bitwise-pinned) ---------------
+    # -- the attempt loop ---------------------------------------------------
 
-    def _run_default(
-        self, fn: Callable[[Any], Any], pending: List[int], point_list: List[Any]
-    ) -> List[Tuple[Any, ...]]:
-        """Inline or ``pool.map`` evaluation: no retries, no deadlines.
+    def _lane(self, pending: int, points: int) -> str:
+        """``"farm"`` when the pending attempts need processes, else
+        ``"inline"``.
 
-        On any interrupt or error escaping the pool (most importantly
-        ``KeyboardInterrupt``), worker processes are terminated before
-        the exception propagates — a Ctrl-C must never leak children
-        still burning CPU on a sweep the user just abandoned.
+        A resilient executor with ``jobs > 1`` keeps even a single
+        pending point in the farm: that point is often the one whose
+        worker crashed last run, and only a child can contain a crash.
         """
-        call = _PointCall(fn)
-        todo = [point_list[i] for i in pending]
-        if self.jobs == 1 or len(pending) == 1:
-            self._last_lane = "inline"
-            return [call(point) for point in todo]
-        self._last_lane = "pool"
-        workers = min(self.jobs, len(pending))
-        chunk = self.chunksize or max(1, len(pending) // (workers * 4))
-        # Fork workers inherit the coordinator's warm stream cache; on
-        # spawn platforms the cache entries ship through the initializer.
-        if multiprocessing.get_start_method() != "fork" and len(stream_cache):
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_seed_stream_cache,
-                initargs=(stream_cache.export_entries(),),
-            )
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            raw = list(pool.map(call, todo, chunksize=chunk))
-        except BaseException:
-            for process in list(getattr(pool, "_processes", {}).values()):
-                _kill_process(process)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return raw
-
-    # -- resilient lanes (retry / backoff / deadline / fault plan) ----------
-
-    def _run_resilient(
-        self, fn: Callable[[Any], Any], pending: List[int], point_list: List[Any]
-    ) -> List[Tuple[Tuple[Any, ...], int]]:
-        """Evaluate with retries; returns ``(status, attempts)`` per point.
-
-        Chooses between two lanes: an inline attempt loop (cheap, used
-        when nothing needs process isolation) and the process farm
-        (required for ``jobs > 1``, per-point deadlines, and fault
-        plans containing ``hang``/``kill`` faults).
-        """
-        call = _PointCall(fn, fault_plan=self.fault_plan, capture_bugs=True)
-        needs_processes = (
-            self.jobs > 1
+        if (
+            (self.jobs > 1 and (pending > 1 or self.resilient))
             or self.retry.point_timeout_s is not None
             or (
                 self.fault_plan is not None
-                and self.fault_plan.needs_processes(len(point_list))
+                and self.fault_plan.needs_processes(points)
             )
-        )
-        if needs_processes:
-            self._last_lane = "farm"
-            return self._run_farm(call, pending, point_list)
-        self._last_lane = "inline"
-        return self._run_inline_retries(call, pending, point_list)
+        ):
+            return "farm"
+        return "inline"
 
-    def _run_inline_retries(
+    def _final(self, result: Tuple[Any, ...], attempt: int) -> bool:
+        """The retry rule both lanes share: an attempt's status stands
+        when it is ``ok``/``error`` or the attempt budget is spent."""
+        return result[0] in ("ok", "error") or attempt >= self.retry.max_retries
+
+    def _run_inline(
         self, call: _PointCall, pending: List[int], point_list: List[Any]
     ) -> List[Tuple[Tuple[Any, ...], int]]:
-        """Serial in-process attempts with deterministic backoff."""
+        """Serial in-process attempts with deterministic backoff; returns
+        ``(status, attempts)`` per point."""
         results: List[Tuple[Tuple[Any, ...], int]] = []
         for index in pending:
             attempt = 0
-            while True:
-                result = call(point_list[index], index, attempt)
-                if result[0] in ("ok", "error") or attempt >= self.retry.max_retries:
-                    break
-                self.stats.retries += 1
-                delay = self.retry.backoff_s(attempt)
-                if delay > 0:
-                    time.sleep(delay)
+            result = call(point_list[index], index, attempt)
+            while not self._final(result, attempt):
+                time.sleep(self.retry.backoff_s(attempt))
                 attempt += 1
+                result = call(point_list[index], index, attempt)
             results.append((result, attempt + 1))
         return results
 
     def _run_farm(
         self, call: _PointCall, pending: List[int], point_list: List[Any]
     ) -> List[Tuple[Tuple[Any, ...], int]]:
-        """The fault-tolerant process farm: one child per attempt.
+        """The process farm: at most ``jobs`` long-lived worker children.
 
-        Unlike the pool lane (which shares long-lived workers and
-        therefore cannot survive one of them dying), the farm runs each
-        attempt in its own child process connected by a pipe.  That
-        buys three properties the pool cannot offer: a worker killed
+        Each worker serves one attempt at a time over a duplex pipe and
+        keeps the per-program memos it builds.  A worker killed
         mid-point (OOM, segfault, ``kill`` fault) is detected as an EOF
-        and retried; a point exceeding ``point_timeout_s`` is
-        terminated without poisoning anyone else; and a
-        ``KeyboardInterrupt`` tears every child down before
-        propagating.  Results are deterministic regardless of
-        completion order — they are slotted by point index.
+        and replaced, and the attempt retried; a point exceeding
+        ``point_timeout_s`` has its worker terminated (and replaced)
+        without poisoning anyone else; and a ``KeyboardInterrupt`` — or
+        a bug a worker shipped back, re-raised here — tears every child
+        down before propagating.  Results are deterministic regardless
+        of completion order — they are slotted by point index.
         """
         policy = self.retry
-        workers = min(self.jobs, len(pending))
+        slots = min(self.jobs, len(pending))
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
-            seeds = None  # forked attempts inherit the warm stream cache
+            seeds = None  # forked workers inherit the warm stream cache
         else:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context()
             seeds = stream_cache.export_entries() or None
         results: Dict[int, Tuple[Tuple[Any, ...], int]] = {}
-        ready = deque((index, 0) for index in pending)
+        # Work goes out in runs of consecutive points, about four per
+        # worker: neighbouring points usually share a compiled program,
+        # so a worker that keeps a run reuses that program's memos.  Each
+        # attempt is still its own message with its own deadline.
+        size = max(1, len(pending) // (slots * 4))
+        ready = deque(
+            [(index, 0) for index in pending[start : start + size]]
+            for start in range(0, len(pending), size)
+        )
         delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
-        live: Dict[Any, Tuple[Any, int, int, Optional[float]]] = {}
+        idle: List[Tuple[Any, Any]] = []  # (process, conn)
+        # conn -> (process, index, attempt, deadline, rest of its run)
+        busy: Dict[Any, Tuple[Any, int, int, Optional[float], list]] = {}
 
         def settle(result: Tuple[Any, ...], index: int, attempt: int) -> None:
-            if result[0] in ("ok", "error") or attempt >= policy.max_retries:
+            if self._final(result, attempt):
                 results[index] = (result, attempt + 1)
                 return
-            self.stats.retries += 1
             delayed.append(
                 (time.monotonic() + policy.backoff_s(attempt), index, attempt + 1)
             )
 
+        def retire(process, conn, rest: list) -> None:
+            """Stop a worker for good and hand its unstarted run back."""
+            _kill_process(process)
+            conn.close()
+            if rest:
+                ready.appendleft(rest)
+
+        def crashed(process, index: int, attempt: int) -> None:
+            message = (
+                f"worker pid {process.pid} died with exit code "
+                f"{process.exitcode} (point {index}, attempt {attempt})"
+            )
+            settle(("transient", "WorkerCrash", message, None), index, attempt)
+
+        def assign(process, conn, work: list) -> None:
+            (index, attempt), rest = work[0], work[1:]
+            try:
+                conn.send((index, attempt))
+            except OSError:
+                retire(process, conn, rest)
+                crashed(process, index, attempt)
+                return
+            deadline = None
+            if policy.point_timeout_s is not None:
+                deadline = time.monotonic() + policy.point_timeout_s
+            busy[conn] = (process, index, attempt, deadline, rest)
+
         try:
             while len(results) < len(pending):
                 now = time.monotonic()
-                if delayed:
-                    due = [entry for entry in delayed if entry[0] <= now]
-                    delayed[:] = [entry for entry in delayed if entry[0] > now]
-                    for _, index, attempt in sorted(due):
-                        ready.append((index, attempt))
-                while ready and len(live) < workers:
-                    index, attempt = ready.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_farm_worker,
-                        args=(
-                            child_conn,
-                            call,
-                            point_list[index],
-                            index,
-                            attempt,
-                            seeds,
-                        ),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    deadline = (
-                        None
-                        if policy.point_timeout_s is None
-                        else time.monotonic() + policy.point_timeout_s
-                    )
-                    live[parent_conn] = (process, index, attempt, deadline)
-                if not live:
-                    # Everything outstanding is backing off; sleep to the
-                    # earliest retry and loop.
-                    pause = min(entry[0] for entry in delayed) - time.monotonic()
-                    if pause > 0:
-                        time.sleep(pause)
+                for entry in sorted(e for e in delayed if e[0] <= now):
+                    delayed.remove(entry)
+                    ready.append([entry[1:]])
+                while ready and (idle or len(busy) < slots):
+                    if idle:
+                        process, conn = idle.pop()
+                    else:
+                        conn, child_conn = ctx.Pipe()
+                        process = ctx.Process(
+                            target=_farm_worker,
+                            args=(child_conn, call, point_list, seeds),
+                            daemon=True,
+                        )
+                        process.start()
+                        child_conn.close()
+                    assign(process, conn, ready.popleft())
+                if not busy:
+                    # Everything outstanding is backing off (or has just
+                    # settled); sleep to the earliest retry and loop.
+                    if delayed:
+                        time.sleep(max(0.0, min(delayed)[0] - time.monotonic()))
                     continue
                 wake_times = [
                     deadline
-                    for (_, _, _, deadline) in live.values()
+                    for (_, _, _, deadline, _) in busy.values()
                     if deadline is not None
                 ] + [entry[0] for entry in delayed]
                 wait_s = (
@@ -1009,55 +1023,51 @@ class SweepExecutor:
                     if not wake_times
                     else max(0.0, min(wake_times) - time.monotonic())
                 )
-                done = _connection_wait(list(live), timeout=wait_s)
-                for conn in done:
-                    process, index, attempt, _ = live.pop(conn)
+                for conn in _connection_wait(list(busy), timeout=wait_s):
+                    process, index, attempt, _, rest = busy.pop(conn)
                     try:
-                        payload = conn.recv()
+                        status = pickle.loads(conn.recv_bytes())
                     except (EOFError, OSError):
-                        payload = None
-                    conn.close()
-                    process.join()
-                    if payload is None:
-                        payload = (
-                            "transient",
-                            "WorkerCrash",
-                            f"worker pid {process.pid} died with exit code "
-                            f"{process.exitcode} (point {index}, "
-                            f"attempt {attempt})",
-                            None,
-                        )
-                    settle(payload, index, attempt)
+                        retire(process, conn, rest)
+                        crashed(process, index, attempt)
+                        continue
+                    idle.append((process, conn))
+                    if status[0] == "bug":
+                        _raise_bug(status)
+                    settle(status, index, attempt)
+                    if rest:
+                        assign(*idle.pop(), rest)
                 now = time.monotonic()
                 for conn in [
                     conn
-                    for conn, (_, _, _, deadline) in live.items()
+                    for conn, (_, _, _, deadline, _) in busy.items()
                     if deadline is not None and now >= deadline
                 ]:
-                    process, index, attempt, _ = live.pop(conn)
-                    _kill_process(process)
-                    conn.close()
-                    settle(
-                        (
-                            "transient",
-                            "PointTimeout",
-                            f"point {index} exceeded its "
-                            f"{policy.point_timeout_s}s deadline on attempt "
-                            f"{attempt}",
-                            None,
-                        ),
-                        index,
-                        attempt,
+                    process, index, attempt, _, rest = busy.pop(conn)
+                    retire(process, conn, rest)
+                    message = (
+                        f"point {index} exceeded its {policy.point_timeout_s}s "
+                        f"deadline on attempt {attempt}"
                     )
+                    settle(("transient", "PointTimeout", message, None), index, attempt)
         except BaseException:
-            # Ctrl-C or a coordinator bug: no orphaned children, ever.
-            for conn, (process, _, _, _) in live.items():
+            # Ctrl-C, a shipped-back bug or a coordinator bug: no
+            # orphaned children, ever.
+            for process, conn in [
+                (process, conn) for conn, (process, *_) in busy.items()
+            ] + idle:
                 _kill_process(process)
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                conn.close()
             raise
+        # ``None`` tells a worker to exit (a closed pipe is no signal: a
+        # forked worker holds a copy of the coordinator's end).
+        for process, conn in idle:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+            conn.close()
+            process.join()
         return [results[index] for index in pending]
 
     def map_values(

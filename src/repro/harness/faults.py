@@ -19,12 +19,12 @@ converges to exactly the fault-free serial result.
 Fault kinds:
 
 * ``raise`` — the point raises :class:`~repro.errors.InjectedFault`
-  before evaluating (works in every execution lane);
+  before evaluating (works in both execution lanes);
 * ``hang`` — the point sleeps ``hang_s`` seconds before evaluating,
-  long enough to trip a per-point deadline (requires the process lane);
+  long enough to trip a per-point deadline (requires the farm);
 * ``kill`` — the worker process exits immediately with
   :data:`KILL_EXIT_CODE`, simulating an OOM kill or segfault (requires
-  the process lane).
+  the farm).
 
 The CLI exposes plans through the hidden ``--inject-faults`` flag; see
 :func:`parse_fault_plan` for the spec grammar.
@@ -152,7 +152,7 @@ class FaultPlan:
 
         ``hang`` and ``kill`` faults only make sense when the
         coordinator can deadline or lose a child process; the executor
-        uses this to force its process lane for such plans.
+        uses this to force the farm for such plans.
         """
         return any(
             spec is not None and spec.kind in ("hang", "kill")

@@ -67,8 +67,8 @@ def _span_events(
 def _format_indices(indices: List[int], limit: int = 6) -> str:
     """Compact a sorted index list into ranges: ``0-2,5,7-9``.
 
-    At most ``limit`` ranges are spelled out (a pool worker in a big
-    sweep may evaluate hundreds of points); the rest collapse to an
+    At most ``limit`` ranges are spelled out (the coordinator's inline
+    lane may evaluate hundreds of points); the rest collapse to an
     ellipsis so the Perfetto row label stays readable.
     """
     ranges: List[str] = []

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep executor and its memoizing cache."""
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,8 +10,10 @@ import pytest
 from repro.errors import ConfigurationError, InfeasibleOperatingPoint, ReproError
 from repro.harness.executor import (
     ResultCache,
+    RetryPolicy,
     SweepExecutor,
     SweepFailure,
+    WorkerBug,
     config_key,
     decode_value,
     encode_value,
@@ -71,6 +74,21 @@ def buggy_point(point):
 
 def unencodable_point(point):
     return object()
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot unpickle: ``__init__`` needs two arguments."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def unpicklable_bug_point(point):
+    raise TwoArgError("point", point)
+
+
+def pid_point(point):
+    return os.getpid()
 
 
 def marking_row_point(args):
@@ -172,8 +190,6 @@ class TestExecutor:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             SweepExecutor(jobs=0)
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(chunksize=0)
 
     def test_serial_results_in_input_order(self):
         outcomes = SweepExecutor().map(square_point, [5, 1, 3])
@@ -208,9 +224,44 @@ class TestExecutor:
         assert executor.stats.evaluated == 6
         assert executor.stats.failures == 3
 
-    def test_non_library_errors_propagate(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_library_errors_propagate(self, jobs):
+        # Two points, so jobs=2 really runs the farm: the child ships the
+        # bug back and the coordinator re-raises it with its own type.
         with pytest.raises(ValueError):
-            SweepExecutor().map(buggy_point, [1])
+            SweepExecutor(jobs=jobs).map(buggy_point, [1, 2])
+
+    def test_farm_bug_carries_the_childs_traceback(self):
+        with pytest.raises(ValueError) as caught:
+            SweepExecutor(jobs=2).map(buggy_point, [1, 2])
+        cause = caught.value.__cause__
+        assert cause is not None
+        assert "in buggy_point" in str(cause)
+        assert "a genuine bug" in str(cause)
+
+    def test_farm_bug_that_cannot_unpickle_still_propagates(self):
+        with pytest.raises(WorkerBug, match="TwoArgError: point: [12]") as caught:
+            SweepExecutor(jobs=2).map(unpicklable_bug_point, [1, 2])
+        assert "in unpicklable_bug_point" in str(caught.value.__cause__)
+
+    def test_resilient_single_pending_point_runs_in_the_farm(self):
+        # A lone pending point is often the one whose worker crashed
+        # last time: only a child process can contain a second crash.
+        executor = SweepExecutor(jobs=2, retry=RetryPolicy(max_retries=1))
+        (outcome,) = executor.map(pid_point, [0])
+        assert outcome.lane == "farm"
+        assert outcome.value != os.getpid()
+
+    def test_plain_single_pending_point_runs_inline(self):
+        (outcome,) = SweepExecutor(jobs=2).map(pid_point, [0])
+        assert outcome.lane == "inline"
+        assert outcome.value == os.getpid()
+
+    def test_farm_forks_at_most_jobs_workers(self):
+        outcomes = SweepExecutor(jobs=2).map(pid_point, list(range(12)))
+        pids = {o.value for o in outcomes}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
 
     def test_map_values_raises_on_failure(self):
         with pytest.raises(InfeasibleOperatingPoint):

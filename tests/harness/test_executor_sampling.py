@@ -1,9 +1,9 @@
 """Counter samples through the executor's outcome channel, per lane.
 
 The sweep executor must ship each point's sampled readings back to the
-coordinator no matter which lane evaluated it — inline, process pool,
-or the resilient farm — and a warm-cache rerun must replay the original
-timeline.  Per-channel value totals are therefore identical across all
+coordinator no matter which lane evaluated it — inline or the farm,
+with or without a retry policy — and a warm-cache rerun must replay the
+original timeline.  Per-channel value totals are therefore identical across all
 lanes (timestamps differ; values are deterministic).
 """
 
@@ -56,7 +56,7 @@ EXPECTED = {
 
 @pytest.fixture(autouse=True)
 def enabled_sampler():
-    """An enabled sampler installed before any pool/farm fork."""
+    """An enabled sampler installed before any farm fork."""
     previous = set_sampler(CounterSampler(enabled=True, max_samples=1024))
     yield
     set_sampler(previous)
@@ -68,11 +68,9 @@ class TestLaneSampleTotals:
         assert [o.lane for o in outcomes] == ["inline"] * 4
         assert outcome_channels(outcomes) == EXPECTED
 
-    def test_pool_lane_matches_serial_totals(self):
-        outcomes = SweepExecutor(jobs=4, chunksize=1).map(
-            sampling_row_point, POINTS
-        )
-        assert [o.lane for o in outcomes] == ["pool"] * 4
+    def test_plain_farm_matches_serial_totals(self):
+        outcomes = SweepExecutor(jobs=4).map(sampling_row_point, POINTS)
+        assert [o.lane for o in outcomes] == ["farm"] * 4
         assert os.getpid() not in {o.telemetry.pid for o in outcomes}
         assert outcome_channels(outcomes) == EXPECTED
 

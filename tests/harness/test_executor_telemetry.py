@@ -100,7 +100,7 @@ class TestInlineTelemetry:
 
 class TestWorkerTelemetry:
     def test_worker_records_travel_back_and_fold_as_runs(self):
-        executor = SweepExecutor(jobs=2, chunksize=1)
+        executor = SweepExecutor(jobs=2)
         outcomes = executor.map(recording_row_point, [0, 1, 2, 3])
         pids = {o.telemetry.pid for o in outcomes}
         assert os.getpid() not in pids
@@ -147,7 +147,7 @@ class TestCachedTelemetry:
 
     def test_warm_cache_op_totals_match_the_cold_run(self, tmp_path):
         points = [0, 1, 2]
-        cold = SweepExecutor(jobs=2, chunksize=1, cache=ResultCache(tmp_path))
+        cold = SweepExecutor(jobs=2, cache=ResultCache(tmp_path))
         cold.map(recording_row_point, points, key_configs=key_configs(points))
 
         warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))

@@ -4,9 +4,9 @@ Each test launches a real coordinator process that starts a sweep whose
 points block for a minute, waits until worker processes have announced
 themselves, sends the coordinator a ``SIGINT``, and then asserts that
 every worker pid is gone — i.e. the executor tore its children down
-before letting ``KeyboardInterrupt`` propagate.  Both process lanes are
-covered: the historical ``ProcessPoolExecutor`` lane and the
-fault-tolerant farm.
+before letting ``KeyboardInterrupt`` propagate.  Both farm flavours are
+covered: the plain one, where bugs propagate, and the resilient one,
+where bugs are captured and retried.
 """
 
 import os
@@ -20,13 +20,13 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-# The coordinator script: argv = [mark_dir, lane].  Workers drop a
+# The coordinator script: argv = [mark_dir, mode].  Workers drop a
 # pid-named marker file before blocking, so the test knows both that the
 # sweep is underway and which pids must die with it.
 COORDINATOR = """
 import os, sys, time
 
-mark_dir, lane = sys.argv[1], sys.argv[2]
+mark_dir, mode = sys.argv[1], sys.argv[2]
 
 def slow(point):
     with open(os.path.join(mark_dir, str(os.getpid())), "w") as handle:
@@ -36,7 +36,7 @@ def slow(point):
 
 from repro.harness.executor import RetryPolicy, SweepExecutor
 
-if lane == "pool":
+if mode == "plain":
     executor = SweepExecutor(jobs=2)
 else:
     executor = SweepExecutor(
@@ -69,11 +69,11 @@ def _alive(pid):
     return True
 
 
-@pytest.mark.parametrize("lane", ["pool", "farm"])
-def test_sigint_kills_all_workers(tmp_path, lane):
+@pytest.mark.parametrize("mode", ["plain", "farm"])
+def test_sigint_kills_all_workers(tmp_path, mode):
     env = dict(os.environ, PYTHONPATH=SRC)
     process = subprocess.Popen(
-        [sys.executable, "-c", COORDINATOR, str(tmp_path), lane],
+        [sys.executable, "-c", COORDINATOR, str(tmp_path), mode],
         env=env,
     )
     try:

@@ -17,7 +17,7 @@ from repro.harness.journal import SweepJournal, load_journal
 
 
 # ---------------------------------------------------------------------------
-# Module-level evaluators (picklable for the process lanes).
+# Module-level evaluators (picklable for the farm).
 # ---------------------------------------------------------------------------
 
 
@@ -217,6 +217,17 @@ class TestProcessFarm:
         assert outcomes[1].attempts == 2
         assert executor.stats.retries == 1
 
+    def test_killed_worker_hands_on_the_rest_of_its_run(self):
+        # 16 points on 2 workers go out in runs of two; point 0's worker
+        # dies, so point 1 (its run-mate) must reach another worker.
+        plan = plan_with((0, FaultSpec(kind="kill", failing_attempts=1)))
+        executor = SweepExecutor(
+            jobs=2, retry=fast_policy(max_retries=1), fault_plan=plan
+        )
+        outcomes = executor.map(double_point, list(range(16)))
+        assert [o.value for o in outcomes] == [2 * p for p in range(16)]
+        assert [o.attempts for o in outcomes] == [2] + [1] * 15
+
     def test_permanent_kill_is_quarantined_with_crash_failure(self):
         plan = plan_with((0, FaultSpec(kind="kill", failing_attempts=ALWAYS)))
         executor = SweepExecutor(
@@ -267,8 +278,15 @@ class TestProcessFarm:
         # the fault-free serial sweep's values exactly.
         clean = SweepExecutor().map(infeasible_odd_point, list(range(12)))
         plan = FaultPlan(seed=5, rate=0.4, kinds=("raise", "kill"))
-        chaotic = SweepExecutor(
+        executor = SweepExecutor(
             jobs=4, retry=fast_policy(max_retries=3), fault_plan=plan
-        ).map(infeasible_odd_point, list(range(12)))
+        )
+        chaotic = executor.map(infeasible_odd_point, list(range(12)))
         assert [o.value for o in chaotic] == [o.value for o in clean]
         assert [o.ok for o in chaotic] == [o.ok for o in clean]
+        # The stats are one fold over the outcomes.
+        assert executor.stats.retries == sum(o.attempts - 1 for o in chaotic)
+        assert executor.stats.retries > 0
+        assert executor.stats.quarantined == sum(
+            1 for o in chaotic if not o.ok and o.failure.retryable
+        )

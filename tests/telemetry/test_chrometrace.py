@@ -150,7 +150,7 @@ class TestMetricsTable:
 
 
 def sampled_run(tmp_path):
-    """A finalized run with one pool-lane point carrying counter samples."""
+    """A finalized run with one farm-lane point carrying counter samples."""
     run = TelemetryRun(tmp_path, command="fig3")
     telemetry = PointTelemetry(
         pid=111,
@@ -163,7 +163,7 @@ def sampled_run(tmp_path):
         ),
     )
     run.record_point(
-        PointOutcome(index=0, key="k0", value=1, telemetry=telemetry, lane="pool")
+        PointOutcome(index=0, key="k0", value=1, telemetry=telemetry, lane="farm")
     )
     run.record_samples(
         [SampleRecord(channel="thermal.peak_c", t_us=1_400.0, value=55.0)],
@@ -231,13 +231,13 @@ class TestProcessNames:
 
     def test_workers_show_lane_and_point_ranges(self):
         events = [
-            self.point_event(111, 0, "pool"),
-            self.point_event(111, 1, "pool"),
-            self.point_event(222, 2, "pool"),
+            self.point_event(111, 0, "farm"),
+            self.point_event(111, 1, "farm"),
+            self.point_event(222, 2, "farm"),
         ]
         names = _process_names(events, coordinator_pid=999)
-        assert names[111] == "repro pool worker 111 · points 0-1"
-        assert names[222] == "repro pool worker 222 · points 2"
+        assert names[111] == "repro farm worker 111 · points 0-1"
+        assert names[222] == "repro farm worker 222 · points 2"
         assert names[999] == "repro coordinator 999"
 
     def test_cache_lane_defers_to_the_working_lane(self):
@@ -261,5 +261,5 @@ class TestProcessNames:
             for e in events
             if e["ph"] == "M" and e["name"] == "process_name"
         }
-        assert names[111] == "repro pool worker 111 · points 0"
+        assert names[111] == "repro farm worker 111 · points 0"
         assert names[os.getpid()] == f"repro coordinator {os.getpid()}"

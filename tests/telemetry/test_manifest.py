@@ -397,7 +397,7 @@ class TestTimeline:
     def test_point_samples_round_trip_with_attribution(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
         run.record_point(
-            outcome(0, samples=samples_for(0, values=(40.0, 41.0)), lane="pool")
+            outcome(0, samples=samples_for(0, values=(40.0, 41.0)), lane="farm")
         )
         run.record_point(
             outcome(1, cached=True, samples=samples_for(1, values=(39.0,)))

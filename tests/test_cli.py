@@ -316,9 +316,9 @@ class TestKernelLedger:
 
     def test_serial_and_pool_fold_the_same_ops(self, tmp_path):
         serial = _barnes_fig3(tmp_path / "jobs1", "--jobs", "1")["kernel"]
-        pool = _barnes_fig3(tmp_path / "jobs2", "--jobs", "2")["kernel"]
+        farm = _barnes_fig3(tmp_path / "jobs2", "--jobs", "2")["kernel"]
         for name in LEDGER_COUNTERS:
-            assert pool[name] == serial[name], name
+            assert farm[name] == serial[name], name
 
     def test_warm_cache_replays_the_cold_ledger(self, tmp_path):
         cache = str(tmp_path / "cache")
