@@ -6,8 +6,7 @@ it must stay interactive-fast.  Two budgets are enforced:
 * the full lexical tree analysis (index + per-statement rules) under
   ``--budget-s`` (default 10 s);
 * the interprocedural flow passes (call graph, dimensional fixpoint,
-  determinism taint, fork-safety closure) under ``--flow-budget-s``
-  (default 20 s).
+  determinism taint) under ``--flow-budget-s`` (default 20 s).
 
 Run directly::
 
@@ -33,7 +32,6 @@ from repro.analysis import (  # noqa: E402
     analyze_tree,
     build_index,
     dimensions,
-    forksafety,
     taint,
 )
 from repro.analysis.flow import build_call_graph  # noqa: E402
@@ -53,12 +51,11 @@ def _time_runs(runs: int, work: Callable[[], object]) -> Tuple[List[float], obje
 
 def _flow_passes() -> int:
     """One full interprocedural cycle; returns the node count."""
-    index = build_index(LIVE_ROOT, None)
+    index = build_index(LIVE_ROOT)
     graph = build_call_graph(index)
     summaries = dimensions.solve_return_summaries(index, graph)
     dimensions.check(index, graph, summaries=summaries)
     taint.check(index, graph)
-    forksafety.check(index, graph)
     return len(graph.nodes)
 
 

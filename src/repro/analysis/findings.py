@@ -4,12 +4,7 @@ A :class:`Finding` is one structured diagnostic: a rule id, a location
 (path relative to the analyzed root, 1-based line), a severity, a
 human-readable message, and the offending source line.  Findings are
 value objects — hashable, ordered by location — so reports sort
-deterministically and the baseline can count identical findings.
-
-The *baseline identity* of a finding (:attr:`Finding.key`) deliberately
-excludes the line number: unrelated edits that shift code up or down
-must not invalidate a committed baseline (see
-:mod:`repro.analysis.baseline`).
+deterministically.
 """
 
 from __future__ import annotations
@@ -57,11 +52,6 @@ class Finding:
     severity: str
     message: str
     snippet: str = ""
-
-    @property
-    def key(self) -> str:
-        """Line-insensitive baseline identity of this finding."""
-        return f"{self.rule}::{self.path}::{self.message}"
 
     @property
     def location(self) -> str:

@@ -6,11 +6,10 @@ This subpackage gives the checkers whole-program reach:
   the :class:`~repro.analysis.index.TreeIndex`, with a conservative
   fallback for dynamic dispatch (every same-name definition is linked);
 * :mod:`repro.analysis.flow.dataflow` — a generic worklist fixpoint over
-  that graph for per-function summaries (return units, taint sets,
-  reachability facts).
+  that graph for per-function summaries (return units, taint sets).
 
-The dimensional-analysis, transitive-determinism, and fork-safety
-checkers are built on these two passes (see docs/ANALYSIS.md).
+The dimensional-analysis and transitive-determinism checkers are built
+on these two passes (see docs/ANALYSIS.md).
 """
 
 from repro.analysis.flow.callgraph import (

@@ -8,18 +8,18 @@ for one repository, where bare callable names are near-unique).
 Two deliberate conservatisms:
 
 * **Dynamic dispatch fallback** — a name with several definitions links
-  to *all* of them (``ambiguous=True`` on the edge).  Reachability
-  analyses (fork safety) union over candidates, over-approximating what
+  to *all* of them (``ambiguous=True`` on the edge).  Summaries that
+  propagate a hazard union over candidates, over-approximating what
   can run; finding emitters that anchor a diagnostic to one callee
   require agreement across candidates, under-approximating what they
-  claim.  The may/must split keeps the graph sound for reachability
+  claim.  The may/must split keeps the graph sound for propagation
   without turning name collisions into noise.
 * **Reference edges** — a function name passed as a value
   (``Process(target=_farm_worker)``, ``executor.map(point_fn, grid)``)
   produces a ``kind="ref"`` edge: the function is not called *here*,
   but escaping as a value means it may be called by machinery the
-  graph cannot see.  Reachability includes ref edges; call-path
-  reconstruction does not.
+  graph cannot see.  Callers opt into ref edges (``include_refs``);
+  call-path reconstruction leaves them out by default.
 
 Calls that resolve to nothing in the tree (builtins, stdlib, attribute
 chains on unknown objects) are counted per node in
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.index import FunctionInfo, TreeIndex
 from repro.analysis.source import FunctionNode
@@ -101,15 +101,6 @@ class CallGraph:
         info = self.nodes.get(nid)
         return info.qualname if info is not None else nid
 
-    def ids_for_name(self, name: str) -> Tuple[str, ...]:
-        """Node ids whose bare name or qualname equals ``name``, sorted."""
-        matches = [
-            nid
-            for nid, info in self.nodes.items()
-            if info.name == name or info.qualname == name
-        ]
-        return tuple(sorted(matches))
-
     def callees(self, nid: str, include_refs: bool = False) -> Tuple[str, ...]:
         """Deduplicated, sorted callee node ids of ``nid``."""
         out: Set[str] = set()
@@ -117,26 +108,6 @@ class CallGraph:
             if edge.kind == "call" or include_refs:
                 out.add(edge.target)
         return tuple(sorted(out))
-
-    def reachable(
-        self, roots: Iterable[str], include_refs: bool = True
-    ) -> Set[str]:
-        """Every node reachable from ``roots`` (which are included).
-
-        Unions over ambiguous candidates — the conservative
-        over-approximation reachability analyses need.
-        """
-        seen: Set[str] = set()
-        stack: List[str] = sorted(r for r in roots if r in self.nodes)
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            for target in self.callees(nid, include_refs=include_refs):
-                if target not in seen:
-                    stack.append(target)
-        return seen
 
     def shortest_path(
         self,
@@ -147,8 +118,8 @@ class CallGraph:
         """Deterministic BFS path from ``start`` to a target node.
 
         Neighbors expand in sorted order, so equal-length paths resolve
-        the same way on every run — taint-path messages must be stable
-        for the line-insensitive baseline to work.
+        the same way on every run — the taint-path messages in a report
+        are identical from run to run.
         """
         if start not in self.nodes:
             return None

@@ -2,11 +2,11 @@
 
 The checkers need three things beyond raw ASTs:
 
-* every function definition with its qualified name, parameter names,
-  and hot-marker state (:class:`FunctionInfo`);
-* every class definition with enough structure to answer picklability
-  questions — module-level?, dataclass?, ``__slots__``?, annotated
-  fields (:class:`ClassInfo`);
+* every function definition with its qualified name and parameter
+  names (:class:`FunctionInfo`);
+* every class definition, with its dataclass field names when it is a
+  dataclass (:class:`ClassInfo`) — constructor calls resolve through
+  them;
 * name-based call resolution: given a call site ``f(x)`` or ``obj.f(x)``,
   the candidate definitions of ``f`` anywhere in the tree.
 
@@ -42,8 +42,6 @@ class FunctionInfo:
     node: FunctionNode
     #: Positional-parameter names in order, ``self``/``cls`` stripped.
     params: Tuple[str, ...]
-    is_method: bool
-    is_hot: bool
     #: Whether the return annotation is a ``set``/``Set``/``frozenset``.
     returns_set: bool
 
@@ -56,11 +54,8 @@ class ClassInfo:
     qualname: str
     file: SourceFile
     node: ast.ClassDef
-    module_level: bool
-    is_dataclass: bool
-    has_slots: bool
-    #: Class-level ``name: annotation`` pairs (dataclass fields).
-    field_annotations: Tuple[Tuple[str, ast.expr], ...]
+    #: Field names in declaration order; ``None`` unless a dataclass.
+    dataclass_fields: Optional[Tuple[str, ...]]
 
 
 def _annotation_is_set(annotation: Optional[ast.expr]) -> bool:
@@ -108,10 +103,8 @@ class TreeIndex:
         for info in self.functions.get(name, []):
             signatures.append(info.params)
         for cls in self.classes.get(name, []):
-            if cls.is_dataclass:
-                signatures.append(
-                    tuple(field_name for field_name, _ in cls.field_annotations)
-                )
+            if cls.dataclass_fields is not None:
+                signatures.append(cls.dataclass_fields)
         unique = set(signatures)
         if len(unique) != 1:
             return None
@@ -129,9 +122,8 @@ def _index_file(index: TreeIndex, source: SourceFile) -> None:
     def visit(node: ast.AST, scope: Tuple[str, ...], parent: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                is_method = parent == "class"
                 params = tuple(a.arg for a in child.args.args)
-                if is_method and params and params[0] in ("self", "cls"):
+                if parent == "class" and params and params[0] in ("self", "cls"):
                     params = params[1:]
                 index.functions.setdefault(child.name, []).append(
                     FunctionInfo(
@@ -140,38 +132,27 @@ def _index_file(index: TreeIndex, source: SourceFile) -> None:
                         file=source,
                         node=child,
                         params=params,
-                        is_method=is_method,
-                        is_hot=source.is_hot(child),
                         returns_set=_annotation_is_set(child.returns),
                     )
                 )
                 visit(child, scope + (child.name,), "function")
             elif isinstance(child, ast.ClassDef):
                 decorators = {_decorator_name(d) for d in child.decorator_list}
-                has_slots = any(
-                    isinstance(stmt, ast.Assign)
-                    and any(
-                        isinstance(target, ast.Name) and target.id == "__slots__"
-                        for target in stmt.targets
+                fields: Optional[Tuple[str, ...]] = None
+                if "dataclass" in decorators:
+                    fields = tuple(
+                        stmt.target.id
+                        for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
                     )
-                    for stmt in child.body
-                )
-                annotations = tuple(
-                    (stmt.target.id, stmt.annotation)
-                    for stmt in child.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                )
                 index.classes.setdefault(child.name, []).append(
                     ClassInfo(
                         name=child.name,
                         qualname=".".join(scope + (child.name,)),
                         file=source,
                         node=child,
-                        module_level=parent == "module",
-                        is_dataclass="dataclass" in decorators,
-                        has_slots=has_slots,
-                        field_annotations=annotations,
+                        dataclass_fields=fields,
                     )
                 )
                 visit(child, scope + (child.name,), "class")
@@ -183,22 +164,18 @@ def _index_file(index: TreeIndex, source: SourceFile) -> None:
     visit(source.tree, (), "module")
 
 
-def build_index(root: Path, rel_paths: Optional[List[str]] = None) -> TreeIndex:
+def build_index(root: Path) -> TreeIndex:
     """Parse and index every ``*.py`` under ``root``.
 
-    ``rel_paths`` restricts the walk to an explicit list of files
-    (relative to ``root``); the default walks the whole tree in sorted
-    order so analysis output is deterministic.
+    Files are walked in sorted order so analysis output is
+    deterministic.
     """
     index = TreeIndex(root=root)
-    if rel_paths is None:
-        paths = sorted(
-            path.relative_to(root).as_posix()
-            for path in root.rglob("*.py")
-            if "__pycache__" not in path.parts
-        )
-    else:
-        paths = sorted(rel_paths)
+    paths = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if "__pycache__" not in path.parts
+    )
     for rel in paths:
         source, error = load_source_file(root / rel, rel)
         if error is not None:

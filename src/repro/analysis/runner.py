@@ -16,17 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis import (
-    determinism,
-    dimensions,
-    forksafety,
-    hotpath,
-    picklability,
-    taint,
-    unitcheck,
-)
+from repro.analysis import determinism, dimensions, taint, unitcheck
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.flow import build_call_graph
 from repro.analysis.index import TreeIndex, build_index
@@ -80,48 +72,6 @@ RULES: Tuple[Rule, ...] = (
         summary="call-site unit suffix mismatch against parameter name",
     ),
     Rule(
-        id="HOT-ALLOC",
-        family="hotpath",
-        severity="warning",
-        summary="per-iteration allocation in a hot function",
-    ),
-    Rule(
-        id="HOT-GETATTR",
-        family="hotpath",
-        severity="warning",
-        summary="dynamic attribute dispatch in a hot function",
-    ),
-    Rule(
-        id="HOT-TRY",
-        family="hotpath",
-        severity="warning",
-        summary="try/except inside a hot loop",
-    ),
-    Rule(
-        id="HOT-FORMAT",
-        family="hotpath",
-        severity="warning",
-        summary="string formatting or logging in a hot function",
-    ),
-    Rule(
-        id="PICK-NESTED",
-        family="picklability",
-        severity="error",
-        summary="pickled class is not module-level",
-    ),
-    Rule(
-        id="PICK-SLOTS",
-        family="picklability",
-        severity="warning",
-        summary="pickled class has neither __slots__ nor @dataclass",
-    ),
-    Rule(
-        id="PICK-LAMBDA",
-        family="picklability",
-        severity="error",
-        summary="lambda stored on a pickled class",
-    ),
-    Rule(
         id="DIM-MISMATCH",
         family="dimensions",
         severity="error",
@@ -138,24 +88,6 @@ RULES: Tuple[Rule, ...] = (
         family="dimensions",
         severity="warning",
         summary="united quantity raised to a non-integer power",
-    ),
-    Rule(
-        id="FORK-GLOBAL-WRITE",
-        family="forksafety",
-        severity="error",
-        summary="worker-reachable write to module-level mutable state",
-    ),
-    Rule(
-        id="FORK-LAZY-INIT",
-        family="forksafety",
-        severity="warning",
-        summary="lazy global initialization in a worker-reachable path",
-    ),
-    Rule(
-        id="FORK-UNPICKLED-STATE",
-        family="forksafety",
-        severity="warning",
-        summary="worker reads state only the coordinator ever writes",
     ),
     Rule(
         id="ALLOW-UNUSED",
@@ -187,8 +119,6 @@ class AnalysisOptions:
     root: Path
     #: Restrict to these rule ids (empty = all rules).
     rules: Tuple[str, ...] = ()
-    #: Restrict to these files, relative to ``root`` (None = whole tree).
-    rel_paths: Optional[Tuple[str, ...]] = None
 
     def selected(self, rule_id: str) -> bool:
         if not self.rules:
@@ -291,16 +221,13 @@ def validate_report_document(document: Mapping[str, Any]) -> List[str]:
 
 def _run_checkers(index: TreeIndex) -> List[Finding]:
     # The call graph is built once and shared by every interprocedural
-    # checker (dimensions, transitive taint, fork safety).
+    # checker (dimensions, transitive taint).
     graph = build_call_graph(index)
     findings: List[Finding] = []
     findings.extend(determinism.check(index))
     findings.extend(taint.check(index, graph))
     findings.extend(unitcheck.check(index))
     findings.extend(dimensions.check(index, graph))
-    findings.extend(hotpath.check(index))
-    findings.extend(picklability.check(index))
-    findings.extend(forksafety.check(index, graph))
     return findings
 
 
@@ -337,8 +264,7 @@ def analyze_tree(options: AnalysisOptions) -> AnalysisReport:
     """Run the analyzer per ``options`` and return the report."""
     for rule_id in options.rules:
         rule_by_id(rule_id)  # validate early; raises on unknown ids
-    rel_paths = list(options.rel_paths) if options.rel_paths is not None else None
-    index = build_index(options.root, rel_paths)
+    index = build_index(options.root)
     sources = {source.rel: source for source in index.files}
     kept: List[Finding] = []
     suppressed: List[Finding] = []
@@ -370,49 +296,20 @@ def analyze_tree(options: AnalysisOptions) -> AnalysisReport:
     )
 
 
-def format_text(
-    report: AnalysisReport, new_findings: Optional[Sequence[Finding]] = None
-) -> str:
-    """Human-readable report, one finding per block.
-
-    When ``new_findings`` is given (the post-baseline view), findings
-    absorbed by the baseline are tagged so the reader can tell ratchet
-    debt from regressions.
-    """
+def format_text(report: AnalysisReport) -> str:
+    """Human-readable report, one finding per block."""
     lines: List[str] = []
-    new_set = None if new_findings is None else set(new_findings)
     for error in report.errors:
         lines.append(f"{error.rel}: PARSE-ERROR {error.message}")
     for finding in report.findings:
-        tag = ""
-        if new_set is not None:
-            tag = " NEW" if finding in new_set else " (baselined)"
         lines.append(
             f"{finding.location}: {finding.rule} "
-            f"[{finding.severity}]{tag} {finding.message}"
+            f"[{finding.severity}] {finding.message}"
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    shown = len(report.findings)
-    new_count = shown if new_set is None else len(new_set)
     lines.append(
-        f"{report.file_count} files analyzed, {shown} findings "
-        f"({new_count} new, {len(report.suppressed)} suppressed inline)"
+        f"{report.file_count} files analyzed, {len(report.findings)} findings "
+        f"({len(report.suppressed)} suppressed inline)"
     )
     return "\n".join(lines) + "\n"
-
-
-def default_baseline_path(root: Path) -> Path:
-    """Where the committed baseline lives for an analyzed ``root``.
-
-    The analyzed root is ``<repo>/src/repro``; the baseline is
-    committed at ``<repo>/analysis/baseline.json``.  Falls back to
-    ``analysis/baseline.json`` under the current directory when the
-    layout does not match (e.g. analyzing a test fixture tree).
-    """
-    candidate = root.resolve().parent.parent / "analysis" / "baseline.json"
-    if candidate.parent.parent.is_dir() and (
-        candidate.exists() or (root.resolve().parent.name == "src")
-    ):
-        return candidate
-    return Path("analysis") / "baseline.json"

@@ -1,23 +1,18 @@
-"""Parsed source files: AST, inline suppressions, and hot markers.
+"""Parsed source files: AST and inline suppressions.
 
-Two comment conventions drive the analyzer (see docs/ANALYSIS.md):
+One comment convention drives the analyzer (see docs/ANALYSIS.md):
+``# repro: allow[RULE-ID] reason`` suppresses RULE-ID findings on its
+own line or the line directly below (so the comment can sit on its own
+line above a flagged statement).  Several ids may be listed,
+comma-separated.  The reason is free text; write one.
 
-* ``# repro: allow[RULE-ID] reason`` — suppress RULE-ID findings on this
-  line or the line directly below (so the comment can sit on its own
-  line above a flagged statement).  Several ids may be listed,
-  comma-separated.  The reason is free text; write one.
-
-  Two structural extensions keep the comment attachable where findings
-  actually anchor: a comment above (or on) a *decorator* also covers
-  the ``def``/``class`` line the finding points at, and a comment
-  anywhere alongside a *multi-line simple statement* covers every line
-  the statement spans.  Compound statements (``if``/``for``/``def``)
-  deliberately get header-only coverage — an allow above a loop must
-  not blanket its body.
-* ``# repro: hot`` — mark the next ``def`` as a hot-path function,
-  opting it into the HOT-* discipline rules.  The marker goes on the
-  line above the ``def`` (or its first decorator), or at the end of the
-  ``def`` line itself.
+Two structural extensions keep the comment attachable where findings
+actually anchor: a comment above (or on) a *decorator* also covers the
+``def``/``class`` line the finding points at, and a comment anywhere
+alongside a *multi-line simple statement* covers every line the
+statement spans.  Compound statements (``if``/``for``/``def``)
+deliberately get header-only coverage — an allow above a loop must not
+blanket its body.
 
 Comments are read with :mod:`tokenize`, not regexes over raw lines, so
 marker-shaped text inside string literals is never misread as a marker.
@@ -31,12 +26,11 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 
 _ALLOW_RE = re.compile(
     r"#\s*repro:\s*allow\[(?P<rules>[A-Za-z0-9_, \-]+)\]\s*(?P<reason>.*)"
 )
-_HOT_RE = re.compile(r"#\s*repro:\s*hot\b")
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -61,8 +55,6 @@ class SourceFile:
         self.tree: ast.Module = ast.parse(text, filename=str(path))
         #: line -> rule ids allowed on that line (and the next one).
         self.allows: Dict[int, FrozenSet[str]] = {}
-        #: Lines carrying a ``# repro: hot`` marker.
-        self.hot_marks: FrozenSet[int] = frozenset()
         #: anchor line -> rule -> comment lines granting the allowance.
         self._coverage: Dict[int, Dict[str, Set[int]]] = {}
         #: ``(comment line, rule)`` pairs consumed by a finding — the
@@ -73,7 +65,6 @@ class SourceFile:
 
     def _scan_comments(self) -> None:
         allows: Dict[int, FrozenSet[str]] = {}
-        hot: List[int] = []
         try:
             tokens = tokenize.generate_tokens(io.StringIO(self.text).readline)
             for token in tokens:
@@ -88,14 +79,11 @@ class SourceFile:
                         if part.strip()
                     )
                     allows[line] = allows.get(line, frozenset()) | rules
-                if _HOT_RE.search(token.string):
-                    hot.append(line)
         except tokenize.TokenError:
             # The AST parsed, so this is a tokenizer corner case; treat
             # the file as marker-free rather than failing the analysis.
             pass
         self.allows = allows
-        self.hot_marks = frozenset(hot)
 
     def _build_coverage(self) -> None:
         """Map every coverable anchor line to its granting comments.
@@ -182,15 +170,6 @@ class SourceFile:
             (comment_line, rule_id) for comment_line in comment_lines
         )
         return True
-
-    def is_hot(self, node: FunctionNode) -> bool:
-        """Whether ``node`` carries a ``# repro: hot`` marker."""
-        start = node.lineno
-        for decorator in node.decorator_list:
-            start = min(start, decorator.lineno)
-        return bool(
-            self.hot_marks & {start - 1, node.lineno}
-        )
 
 
 def load_source_file(

@@ -42,10 +42,8 @@ chrome://tracing / Perfetto, ``metrics`` prints a per-phase wall-time
 table, ``validate`` checks a run against the manifest schema.
 
 ``repro check`` runs the static invariant analyzer over the source tree
-(determinism, SI units, hot-path discipline, picklability — see
-docs/ANALYSIS.md) and exits non-zero on findings beyond the committed
-baseline; ``--update-baseline`` rewrites ``analysis/baseline.json``
-from the current tree.
+(determinism, SI units, dimensions — see docs/ANALYSIS.md) and exits
+non-zero on any finding or parse error.
 """
 
 from __future__ import annotations
@@ -516,26 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    check.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "gate only findings on lines changed since REF "
-            "(default ref: HEAD); analysis still covers the whole tree"
-        ),
-    )
-    check.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
     )
     check.add_argument(
         "--rule",
@@ -543,22 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="RULE-ID",
         help="run only this rule (repeatable; default: all rules)",
-    )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file (default: analysis/baseline.json next to src/)",
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline: every finding is new",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     check.add_argument(
         "--list-rules",
@@ -1030,83 +995,11 @@ def _cmd_check(args) -> int:
         )
     )
 
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = analysis.default_baseline_path(root)
-
-    if args.update_baseline:
-        previous = analysis.load_baseline(baseline_path)
-        updated = analysis.baseline_from_findings(report.findings, previous)
-        analysis.save_baseline(updated, baseline_path)
-        print(
-            f"wrote {baseline_path} ({len(updated.entries)} entries, "
-            f"{len(report.findings)} findings)"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = analysis.Baseline()
-    else:
-        baseline = analysis.load_baseline(baseline_path)
-    new = baseline.new_findings(report.findings)
-    stale = baseline.stale_keys(report.findings)
-
-    gating_findings = list(new)
-    gating_errors = list(report.errors)
-    if args.changed is not None:
-        try:
-            changed = analysis.changed_lines(root, args.changed)
-        except analysis.ChangedLinesError as exc:
-            print(f"error: --changed: {exc}", file=sys.stderr)
-            return 2
-        gating_findings, gating_errors = analysis.gate_findings(
-            new, report.errors, changed
-        )
-
-    def emit(text: str) -> None:
-        if args.output is not None:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            print(text, end="" if text.endswith("\n") else "\n")
-
     if args.format == "json":
-        document = report.to_document()
-        document["new_count"] = len(new)
-        document["new"] = [finding.to_dict() for finding in new]
-        document["stale_baseline_keys"] = stale
-        if args.changed is not None:
-            document["changed_ref"] = args.changed
-            document["gated_count"] = len(gating_findings)
-            document["gated"] = [f.to_dict() for f in gating_findings]
-        emit(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    elif args.format == "sarif":
-        uri_prefix = ""
-        try:
-            uri_prefix = str(root.resolve().relative_to(Path.cwd().resolve()))
-        except ValueError:
-            pass
-        if uri_prefix == ".":
-            uri_prefix = ""
-        document = analysis.to_sarif(report, new, uri_prefix=uri_prefix)
-        emit(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(json.dumps(report.to_document(), indent=2, sort_keys=True))
     else:
-        lines = analysis.format_text(report, new)
-        extra: List[str] = []
-        for key in stale:
-            extra.append(
-                f"stale baseline entry (debt paid — run --update-baseline): {key}"
-            )
-        if args.changed is not None:
-            extra.append(
-                f"--changed={args.changed}: {len(gating_findings)} gating "
-                f"finding(s), {len(gating_errors)} parse error(s) on "
-                "changed lines"
-            )
-        emit(lines + ("\n".join(extra) + "\n" if extra else ""))
-
-    failed = bool(gating_findings) or bool(gating_errors)
-    return 1 if failed else 0
+        print(analysis.format_text(report), end="")
+    return 0 if report.ok else 1
 
 
 _COMMANDS = {

@@ -578,7 +578,6 @@ def _seed_stream_cache(entries: List[tuple]) -> None:
     parallel sweeps never recompile per worker either way.
     """
     for key, program in entries:
-        # repro: allow[FORK-GLOBAL-WRITE] a spawned child seeds its own cache
         stream_cache.seed(key, program)
 
 

@@ -102,7 +102,6 @@ class Cache:
         """The line address containing ``byte_address``."""
         return byte_address >> self._line_shift
 
-    # repro: hot
     def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[int]:
         """State of the line, or None if absent.  Counts hit/miss."""
         set_index = line_addr % self._n_sets
@@ -127,7 +126,6 @@ class Cache:
         self.misses += 1
         return None
 
-    # repro: hot
     def probe(self, line_addr: int) -> Optional[int]:
         """State of the line without touching LRU or counters (snoops)."""
         set_index = line_addr % self._n_sets
@@ -207,7 +205,6 @@ class Cache:
         self._fill[set_index] = fill - 1
         return state
 
-    # repro: hot
     def insert(self, line_addr: int, state: int) -> Optional[Tuple[int, int]]:
         """Insert a line at the MRU position, evicting LRU if the set is full.
 

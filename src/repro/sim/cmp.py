@@ -410,7 +410,6 @@ class ChipSession:
         self._memory.requests = 0
         self._locks.acquires = self._locks.contended_acquires = 0
 
-    # repro: hot
     def run_window(
         self,
         thread_ops: CompiledProgram | Sequence[Iterable[tuple]],
@@ -530,7 +529,6 @@ class ChipSession:
                     waiters.append(core_id)
                     if len(waiters) == n_threads:
                         barriers_seen += 1
-                        # repro: allow[HOT-ALLOC] runs once per barrier release, not per op
                         release = max(cores[w].time_ps for w in waiters)
                         release += clock.cycles_to_ps(
                             config.barrier_release_cycles
@@ -582,7 +580,6 @@ class ChipSession:
                 # aggregate child span of the window.
                 for name in sorted(subsystem_totals):
                     tracer.aggregate(
-                        # repro: allow[HOT-FORMAT] window epilogue; runs once per subsystem per window
                         f"kernel.slow_path.{name}",
                         subsystem_totals[name],
                         count=subsystem_counts.get(name, 1),

@@ -205,7 +205,6 @@ class MESIController:
 
     # -- public protocol entry points ----------------------------------------
 
-    # repro: hot
     def read(self, core_id: int, byte_address: int, now_ps: int) -> int:
         """A load by ``core_id``; returns its completion time (ps)."""
         stats = self.stats
@@ -259,7 +258,6 @@ class MESIController:
             self._last_miss_line[core_id] = line
         return ready
 
-    # repro: hot
     def write(self, core_id: int, byte_address: int, now_ps: int) -> int:
         """A store by ``core_id``; returns its completion time (ps)."""
         stats = self.stats

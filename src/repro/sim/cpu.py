@@ -352,7 +352,6 @@ class Core:
             duration += cycles_to_ps(cycles)
         return duration, sum(segments), len(segments)
 
-    # repro: hot
     def step_fast(self, next_time, next_id: int) -> int:
         """Execute ops from the compiled stream until a scheduling point.
 

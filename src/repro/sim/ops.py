@@ -55,7 +55,6 @@ OP_BARRIER = 3
 OP_CRITICAL = 4
 
 
-# repro: hot
 def compile_stream(ops: Iterable[tuple]) -> List[tuple]:
     """Materialize one thread's op stream, fusing adjacent compute bursts.
 
@@ -68,7 +67,6 @@ def compile_stream(ops: Iterable[tuple]) -> List[tuple]:
     append = compiled.append
     segments: List[int] = []
 
-    # repro: allow[HOT-ALLOC] one closure per stream compile, not per op
     def flush() -> None:
         if not segments:
             return
@@ -91,7 +89,6 @@ def compile_stream(ops: Iterable[tuple]) -> List[tuple]:
     return compiled
 
 
-# repro: hot
 def classify_private_lines(
     streams: Sequence[List[tuple]], line_shift: int
 ) -> List[FrozenSet[int]]:
@@ -133,7 +130,6 @@ def classify_private_lines(
     return [frozenset(s) for s in private]
 
 
-# repro: hot
 def resolve_address_streams(
     streams: Sequence[List[tuple]],
     line_shift: int,
@@ -164,7 +160,6 @@ def resolve_address_streams(
     return resolved
 
 
-# repro: hot
 def stream_op_count(stream: List[tuple]) -> int:
     """Number of *source* ops a compiled stream represents.
 

@@ -213,25 +213,20 @@ def record_kernel(stats: Any) -> None:
     cost one boolean check and leak nothing.
     """
     if _capturing:
-        # repro: allow[FORK-GLOBAL-WRITE] per-process capture buffer by design
         _kernels.append(KernelRecord.from_stats(stats))
 
 
 def begin_point_capture() -> None:
     """Open a capture window (discarding any stale, undrained one)."""
     global _capturing
-    # repro: allow[FORK-GLOBAL-WRITE] capture window opens in the worker by design
     _capturing = True
-    # repro: allow[FORK-GLOBAL-WRITE] stale records drop before the window opens
     _kernels.clear()
 
 
 def end_point_capture() -> Tuple[KernelRecord, ...]:
     """Close the capture window and return the runs it collected."""
     global _capturing
-    # repro: allow[FORK-GLOBAL-WRITE] capture window closes in the worker by design
     _capturing = False
     records = tuple(_kernels)
-    # repro: allow[FORK-GLOBAL-WRITE] drained records return through the outcome tuple
     _kernels.clear()
     return records

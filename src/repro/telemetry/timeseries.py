@@ -92,7 +92,6 @@ class CounterSampler:
         self._times: List[float] = [0.0] * capacity
         self._values: List[float] = [0.0] * capacity
 
-    # repro: hot
     def sample(self, channel: str, value: float) -> None:
         """Deposit one reading; no-op when disabled, counted when full."""
         if not self.enabled:
@@ -163,7 +162,6 @@ def channel_values(samples: Any) -> Dict[str, List[float]]:
 _SAMPLER = CounterSampler(enabled=False)
 
 
-# repro: hot
 def get_sampler() -> CounterSampler:
     """The process-wide sampler."""
     return _SAMPLER

@@ -171,7 +171,6 @@ class Tracer:
         self.roots: List[Span] = []
         self._stack: List[Span] = []
 
-    # repro: hot
     def span(self, name: str, **args: Any):
         """Open a nested span; returns :data:`NULL_SPAN` when disabled."""
         if not self.enabled:
@@ -234,7 +233,6 @@ class Tracer:
 _TRACER = Tracer(enabled=False)
 
 
-# repro: hot
 def get_tracer() -> Tracer:
     """The process-wide tracer."""
     return _TRACER

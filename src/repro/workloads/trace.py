@@ -163,7 +163,6 @@ class TraceWorkload:
             del _PARSE_CACHE[next(iter(_PARSE_CACHE))]
         # Entries are pure functions of the trace file, so lanes that fill
         # their own per-process copies stay bitwise-equivalent.
-        # repro: allow[FORK-GLOBAL-WRITE] per-process parse cache by design
         _PARSE_CACHE[self._file_signature] = _ParsedTrace(
             threads=self._threads,
             timing=self._timing,

@@ -15,9 +15,6 @@ from repro.analysis.flow import CallGraph, build_call_graph
 
 FIXTURE_ROOT = Path(__file__).parent / "fixtures" / "minirepo"
 LIVE_ROOT = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
-BASELINE_PATH = (
-    Path(__file__).resolve().parent.parent.parent / "analysis" / "baseline.json"
-)
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +32,7 @@ def live_report() -> AnalysisReport:
 @pytest.fixture(scope="session")
 def fixture_index() -> TreeIndex:
     """The parsed fixture tree, shared per session."""
-    return build_index(FIXTURE_ROOT, None)
+    return build_index(FIXTURE_ROOT)
 
 
 @pytest.fixture(scope="session")

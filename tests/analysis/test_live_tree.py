@@ -1,38 +1,42 @@
 """Meta-tests: the shipped tree itself passes its own analyzer."""
 
-from repro.analysis import load_baseline
+import tokenize
 
-from tests.analysis.conftest import BASELINE_PATH
+from repro.analysis.source import _ALLOW_RE
+
+from tests.analysis.conftest import LIVE_ROOT
 
 
 def test_every_source_file_parses(live_report):
     assert live_report.errors == ()
 
 
-def test_live_tree_is_clean_against_committed_baseline(live_report):
-    baseline = load_baseline(BASELINE_PATH)
-    new = baseline.new_findings(live_report.findings)
-    assert not new, "new analyzer findings:\n" + "\n".join(
-        f"  {f.location}: {f.rule} {f.message}" for f in new
-    )
-
-
-def test_committed_baseline_is_not_stale(live_report):
-    baseline = load_baseline(BASELINE_PATH)
-    stale = baseline.stale_keys(live_report.findings)
-    assert not stale, (
-        "baseline entries whose debt was paid (run "
-        "`repro check --update-baseline`): " + ", ".join(stale)
+def test_live_tree_is_clean(live_report):
+    assert live_report.findings == (), "analyzer findings:\n" + "\n".join(
+        f"  {f.location}: {f.rule} {f.message}" for f in live_report.findings
     )
 
 
 def test_live_tree_has_reasoned_suppressions(live_report):
     # Every inline suppression in the shipped tree must carry a reason;
     # a bare allow comment is a smell the fixtures should not normalise.
-    for finding in live_report.suppressed:
-        source_rel = finding.path
-        assert source_rel  # structural sanity
-    assert len(live_report.suppressed) >= 10  # the audited sites
+    allows = []
+    for path in sorted(LIVE_ROOT.rglob("*.py")):
+        with tokenize.open(path) as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                match = _ALLOW_RE.search(token.string)
+                if token.type == tokenize.COMMENT and match is not None:
+                    allows.append((path.relative_to(LIVE_ROOT), token.start[0], match))
+    unreasoned = [
+        f"{rel}:{line}"
+        for rel, line, match in allows
+        if not match.group("reason").strip()
+    ]
+    assert not unreasoned, "allow comments without a reason: " + ", ".join(
+        unreasoned
+    )
+    assert len(allows) >= 10  # the audited sites
+    assert len(live_report.suppressed) >= 10
 
 
 def test_analyzer_sees_the_whole_package(live_report):
