@@ -31,7 +31,7 @@ points from the cache and re-attempting only quarantined or missing
 ones — bitwise identical to an uninterrupted run.  See
 docs/OBSERVABILITY.md for the failure model.
 
-Every sweep accepts ``--profile`` to print executor/cache statistics
+Every sweep accepts ``--profile`` to print executor statistics
 (and, for the experimental sweeps, how the simulation kernel performed:
 ops/sec, fast-path hit ratio, per-subsystem slow-path time) and
 ``--telemetry-dir DIR`` to record a structured run manifest, per-point
@@ -49,6 +49,7 @@ non-zero on any finding or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -175,7 +176,7 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _executor_from_args(args, telemetry_run=None, command: str = "sweep"):
+def _executor_from_args(args, telemetry_run, command: str):
     from repro.errors import ConfigurationError
     from repro.harness.executor import ResultCache, RetryPolicy, SweepExecutor
     from repro.harness.faults import parse_fault_plan
@@ -284,35 +285,28 @@ def _telemetry_run_from_args(args, command: str):
     )
 
 
-def _finalize_telemetry(telemetry_run, executor) -> None:
-    if telemetry_run is None:
-        return
-    telemetry_run.finalize(executor=executor)
-    print(f"[telemetry] run {telemetry_run.run_id}: {telemetry_run.directory}")
-
-
-def _print_executor_summary(executor, args=None) -> None:
+def _print_executor_summary(executor, args) -> None:
     stats = executor.stats
-    if getattr(args, "profile", False):
-        print(stats.summary())
-        if executor.cache is not None:
-            print(executor.cache.stats.summary())
+    if args.profile:
+        line = stats.summary()
+        if executor.cache is not None and executor.cache.quarantined:
+            line += f", {executor.cache.quarantined} corrupt cache files quarantined"
+        print(line)
     elif executor.cache is not None or stats.failures:
         print(
             f"[executor] {stats.evaluated} evaluated, "
             f"{stats.cache_hits} cache hits, {stats.failures} failures"
         )
-    quarantined = getattr(stats, "quarantined", 0)
-    if quarantined:
+    if stats.quarantined:
         # Degraded mode: the sweep completed, but some points exhausted
         # their retry budget.  Say which, and how to pick them back up.
-        journal = getattr(executor, "journal", None)
+        journal = executor.journal
         hint = (
             f"rerun with --resume {journal.run_id} to retry them"
             if journal is not None
             else "rerun with --cache and --resume to retry them"
         )
-        print(f"[quarantine] {quarantined} point(s) failed after retries; {hint}")
+        print(f"[quarantine] {stats.quarantined} point(s) failed after retries; {hint}")
         for outcome in executor.failed:
             failure = outcome.failure
             if failure is not None and failure.retryable:
@@ -322,10 +316,41 @@ def _print_executor_summary(executor, args=None) -> None:
                 )
 
 
-def _close_journal(executor) -> None:
-    journal = getattr(executor, "journal", None)
-    if journal is not None:
-        journal.close()
+@contextlib.contextmanager
+def _sweep_session(args, experimental: bool = False):
+    """One sweep command's plumbing; yields ``(context, executor)``.
+
+    Opens the telemetry run first, so an experimental context's
+    calibration is traced, then builds the context (``None`` for the
+    analytical figures) and the executor with its journal.  After the
+    body prints its table, prints the ``[executor]`` (and, for
+    experimental sweeps, ``[kernel]``) summaries; whatever happens,
+    closes the journal and finalizes the telemetry run.
+    """
+    command = args.command
+    telemetry_run = _telemetry_run_from_args(args, command)
+    context = None
+    if experimental:
+        from repro.harness import ExperimentContext
+
+        print("building experiment context (calibration microbenchmark)...")
+        context = ExperimentContext(workload_scale=args.scale, profile=args.profile)
+        if telemetry_run is not None:
+            from repro.harness.executor import config_key
+
+            telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
+    executor = _executor_from_args(args, telemetry_run, command)
+    try:
+        yield context, executor
+        _print_executor_summary(executor, args)
+        if experimental and args.profile:
+            print(executor.kernels.summary())
+    finally:
+        if executor.journal is not None:
+            executor.journal.close()
+        if telemetry_run is not None:
+            telemetry_run.finalize(executor=executor)
+            print(f"[telemetry] run {telemetry_run.run_id}: {telemetry_run.directory}")
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -337,11 +362,6 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
             "ratio, per-subsystem time) after the sweep"
         ),
     )
-
-
-def _print_kernel_summary(executor, args) -> None:
-    if getattr(args, "profile", False):
-        print(executor.kernels.summary())
 
 
 def _add_apps_argument(parser: argparse.ArgumentParser, default: Sequence[str]) -> None:
@@ -550,9 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fig1(args) -> int:
     chip = AnalyticalChipModel(technology_by_name(args.tech))
-    telemetry_run = _telemetry_run_from_args(args, "fig1")
-    executor = _executor_from_args(args, telemetry_run, "fig1")
-    try:
+    with _sweep_session(args) as (_, executor):
         curves = figure1_sweep(chip, efficiency_points=41, executor=executor)
         rows = []
         for curve in curves:
@@ -567,18 +585,12 @@ def _cmd_fig1(args) -> int:
                 title=f"Figure 1 ({args.tech}): normalized power at iso-performance",
             )
         )
-        _print_executor_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
+    return 0
 
 
 def _cmd_fig2(args) -> int:
     chip = AnalyticalChipModel(technology_by_name(args.tech))
-    telemetry_run = _telemetry_run_from_args(args, "fig2")
-    executor = _executor_from_args(args, telemetry_run, "fig2")
-    try:
+    with _sweep_session(args) as (_, executor):
         curve = figure2_sweep(chip, executor=executor)
         print(
             render_table(
@@ -589,37 +601,14 @@ def _cmd_fig2(args) -> int:
         )
         n_peak, s_peak = curve.peak()
         print(f"peak: {s_peak:.2f}x at N = {n_peak}")
-        _print_executor_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
-
-
-def _experimental_context(scale: float, profile: bool = False):
-    from repro.harness import ExperimentContext
-
-    print("building experiment context (calibration microbenchmark)...")
-    return ExperimentContext(workload_scale=scale, profile=profile)
-
-
-def _set_context_fingerprint(telemetry_run, context) -> None:
-    if telemetry_run is None:
-        return
-    from repro.harness.executor import config_key
-
-    telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
+    return 0
 
 
 def _cmd_fig3(args) -> int:
     from repro.harness import run_scenario1
     from repro.workloads import workload_by_name
 
-    telemetry_run = _telemetry_run_from_args(args, "fig3")
-    context = _experimental_context(args.scale, args.profile)
-    _set_context_fingerprint(telemetry_run, context)
-    executor = _executor_from_args(args, telemetry_run, "fig3")
-    try:
+    with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
         results = run_scenario1(context, models, executor=executor)
         rows = [
@@ -642,23 +631,14 @@ def _cmd_fig3(args) -> int:
                 title="Figure 3: experimental Scenario I",
             )
         )
-        _print_executor_summary(executor, args)
-        _print_kernel_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
+    return 0
 
 
 def _cmd_fig4(args) -> int:
     from repro.harness import run_scenario2
     from repro.workloads import workload_by_name
 
-    telemetry_run = _telemetry_run_from_args(args, "fig4")
-    context = _experimental_context(args.scale, args.profile)
-    _set_context_fingerprint(telemetry_run, context)
-    executor = _executor_from_args(args, telemetry_run, "fig4")
-    try:
+    with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
         results = run_scenario2(
             context, models, core_counts=(1, 2, 4, 8, 12, 16), executor=executor
@@ -675,23 +655,14 @@ def _cmd_fig4(args) -> int:
                 title="Figure 4: speedup under the 1-core power budget",
             )
         )
-        _print_executor_summary(executor, args)
-        _print_kernel_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
+    return 0
 
 
 def _cmd_optimize(args) -> int:
     from repro.harness import run_optimizer, save_results
     from repro.workloads import workload_by_name
 
-    telemetry_run = _telemetry_run_from_args(args, "optimize")
-    context = _experimental_context(args.scale, args.profile)
-    _set_context_fingerprint(telemetry_run, context)
-    executor = _executor_from_args(args, telemetry_run, "optimize")
-    try:
+    with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
         campaign = run_optimizer(
             context,
@@ -740,12 +711,7 @@ def _cmd_optimize(args) -> int:
         if args.store:
             save_results({"optimizer": campaign.rows}, args.store)
             print(f"wrote {args.store} ({len(campaign.rows)} rows)")
-        _print_executor_summary(executor, args)
-        _print_kernel_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
+    return 0
 
 
 def _cmd_characterize(args) -> int:
@@ -754,11 +720,7 @@ def _cmd_characterize(args) -> int:
     from repro.harness.profiling import SimPointTask, sim_point_key, simulate_point
     from repro.workloads import SPLASH2
 
-    telemetry_run = _telemetry_run_from_args(args, "characterize")
-    context = _experimental_context(args.scale, args.profile)
-    _set_context_fingerprint(telemetry_run, context)
-    executor = _executor_from_args(args, telemetry_run, "characterize")
-    try:
+    with _sweep_session(args, experimental=True) as (context, executor):
         # One flat fan-out over every (application, N) profiling point.
         tasks = [
             SimPointTask(spec=model.spec, n=n)
@@ -790,12 +752,7 @@ def _cmd_characterize(args) -> int:
                 title="SPLASH-2 workload models at nominal V/f",
             )
         )
-        _print_executor_summary(executor, args)
-        _print_kernel_summary(executor, args)
-        return 0
-    finally:
-        _close_journal(executor)
-        _finalize_telemetry(telemetry_run, executor)
+    return 0
 
 
 def _cmd_info(_args) -> int:

@@ -69,7 +69,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, ReproError, TransientError
 from repro.harness.faults import FaultPlan, inject_fault
-from repro.harness.journal import JournalEntry, SweepJournal
+from repro.harness.journal import SweepJournal
 from repro.harness.schema import SCHEMA_VERSION
 from repro.sim.ops import stream_cache
 from repro.telemetry.record import (
@@ -318,30 +318,34 @@ class PointOutcome:
             raise self.failure.to_exception()
         return self.value
 
+    def to_event(self) -> Dict[str, Any]:
+        """The point's one record: a line of the telemetry run's
+        ``events.jsonl`` and, for a keyed point, of the sweep journal."""
+        telemetry = self.telemetry
+        event: Dict[str, Any] = {
+            "event": "point",
+            "index": self.index,
+            "key": self.key,
+            "status": "ok" if self.failure is None else "error",
+            "cached": self.cached,
+            "lane": self.lane,
+            "attempts": self.attempts,
+            "pid": telemetry.pid if telemetry else 0,
+            "start_us": telemetry.start_us if telemetry else 0.0,
+            "wall_s": telemetry.wall_s if telemetry else 0.0,
+            "ops": telemetry.total_ops if telemetry else 0,
+            "fast_path_ops": telemetry.fast_path_ops if telemetry else 0,
+            "runs": len(telemetry.kernels) if telemetry else 0,
+        }
+        if self.failure is not None:
+            event["error_type"] = self.failure.error_type
+            event["retryable"] = self.failure.retryable
+        return event
+
 
 # ---------------------------------------------------------------------------
 # The content-addressed cache.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheStats:
-    """Counters one :class:`ResultCache` accumulates over its lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    quarantined: int = 0
-
-    def summary(self) -> str:
-        """One human-readable line (printed under ``--profile``)."""
-        line = (
-            f"[cache] {self.hits} hits, {self.misses} misses, "
-            f"{self.stores} stores"
-        )
-        if self.quarantined:
-            line += f", {self.quarantined} quarantined"
-        return line
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,11 @@ class ResultCache:
         self.schema_version = (
             SCHEMA_VERSION if schema_version is None else schema_version
         )
-        self.stats = CacheStats()
+        #: Corrupt entries renamed aside.  Hits, misses and stores are
+        #: not counted here: they are the executor's ``cache_hits`` and
+        #: ``evaluated`` tallies, but a quarantined file shows in no
+        #: outcome, only as the miss that re-evaluates its point.
+        self.quarantined = 0
 
     def path_for(self, key: str) -> Path:
         """On-disk location of one cache entry."""
@@ -385,7 +393,6 @@ class ResultCache:
         try:
             text = path.read_text(encoding="utf-8")
         except (FileNotFoundError, OSError):
-            self.stats.misses += 1
             return None
         try:
             document = json.loads(text)
@@ -428,9 +435,7 @@ class ResultCache:
         except (ConfigurationError, ValueError, KeyError, TypeError,
                 AttributeError):
             self._quarantine(path)
-            self.stats.misses += 1
             return None
-        self.stats.hits += 1
         return result
 
     def put(self, key: str, outcome: PointOutcome) -> None:
@@ -462,7 +467,6 @@ class ResultCache:
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(document, indent=1), encoding="utf-8")
         os.replace(tmp, path)
-        self.stats.stores += 1
 
     def _quarantine(self, path: Path) -> None:
         try:
@@ -472,7 +476,7 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-        self.stats.quarantined += 1
+        self.quarantined += 1
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -485,7 +489,12 @@ class ResultCache:
 
 @dataclass
 class ExecutorStats:
-    """Counters one :class:`SweepExecutor` accumulates across ``map`` calls."""
+    """Counters one :class:`SweepExecutor` accumulates across ``map`` calls.
+
+    The sweep's only per-point tally: the ``[executor]`` line,
+    ``repro report`` and the telemetry manifest's ``points`` block all
+    read it, and cache hits, misses and stores are reductions of it.
+    """
 
     evaluated: int = 0
     cache_hits: int = 0
@@ -703,8 +712,8 @@ class SweepExecutor:
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
         #: Optional :class:`~repro.harness.journal.SweepJournal`; when
-        #: set, every completed point (cached or evaluated) is appended
-        #: to it — the write-ahead log behind ``--resume``.
+        #: set, every completed keyed point (cached or evaluated) is
+        #: appended to it — the write-ahead log behind ``--resume``.
         self.journal = journal
         #: Written only by :meth:`map`'s per-outcome fold.
         self.stats = ExecutorStats()
@@ -758,9 +767,10 @@ class SweepExecutor:
         :attr:`kernels`' ``compile_s``.
 
         Every outcome is then folded once, in point-index order: into
-        :attr:`stats`, the cache, :attr:`kernels` (evaluated points as
-        runs, cache replays as cached runs), the journal and the
-        telemetry run.
+        :attr:`stats` (the sweep's only tally), the cache, :attr:`kernels`
+        (evaluated points as runs, cache replays as cached runs), and its
+        one point record (:meth:`PointOutcome.to_event`), which the
+        journal and the telemetry run both append.
         """
         point_list = list(points)
         keys: List[Optional[str]] = [None] * len(point_list)
@@ -852,24 +862,13 @@ class SweepExecutor:
             if outcome.telemetry is not None:
                 for kernel in outcome.telemetry.kernels:
                     self.kernels.add_record(kernel, cached=outcome.cached)
-            if self.journal is not None and outcome.key is not None:
-                self.journal.record(
-                    JournalEntry(
-                        key=outcome.key,
-                        status="ok" if failure is None else "failed",
-                        attempts=outcome.attempts,
-                        cached=outcome.cached,
-                        error_type=None if failure is None else failure.error_type,
-                        retryable=failure is not None and failure.retryable,
-                        wall_s=(
-                            outcome.telemetry.wall_s
-                            if outcome.telemetry is not None
-                            else 0.0
-                        ),
-                    )
-                )
-            if self.telemetry_run is not None:
-                self.telemetry_run.record_point(outcome)
+            journal = self.journal if outcome.key is not None else None
+            if journal is not None or self.telemetry_run is not None:
+                event = outcome.to_event()
+                if journal is not None:
+                    journal.record(event)
+                if self.telemetry_run is not None:
+                    self.telemetry_run.record_point(event, outcome.telemetry)
         return outcomes  # type: ignore[return-value]
 
     # -- the attempt loop ---------------------------------------------------

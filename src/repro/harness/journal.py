@@ -5,25 +5,28 @@ completed sweep points; what it cannot tell you is which run computed
 them, which points failed (and how hard), or how far an interrupted
 campaign got.  The journal records exactly that: one JSONL file per run
 id, written alongside the cache under ``<cache>/journal/``, with a
-header line followed by one entry per completed point — appended and
+header line followed by one line per completed point — appended and
 flushed as each point finishes, so a crash or Ctrl-C loses at most the
-point in flight.
+point in flight.  Each line is the point's one record
+(:meth:`~repro.harness.executor.PointOutcome.to_event`), the same
+``point`` event a telemetry run appends to ``events.jsonl``, so on a
+fresh run the two files agree line for line after the header.
 
 Resume semantics (``repro fig1 --cache DIR --resume RUN_ID``):
 
-* points journalled ``ok`` (or failed with a *deterministic* library
+* points journalled ``ok`` (or ``error`` with a *deterministic* library
   error) were persisted to the cache and replay from it — bitwise
   identical to an uninterrupted run;
-* points journalled ``failed`` with a retryable error (a crash, a
+* points journalled ``error`` with a retryable error (a crash, a
   timeout, an injected fault) were *not* cached, so the resumed run
   re-attempts them from scratch;
 * points never journalled are evaluated as usual.
 
-The file format is append-only and torn-tail tolerant: a line truncated
-by a crash mid-write is ignored on load (the cache, not the journal, is
-the source of truth for values).  Entries for the same key supersede
-earlier ones, so a resumed run's journal reads as the final state of
-every point it ever touched.
+The cache alone decides what a resumed run replays; the journal names
+the run and reports its progress.  The file is append-only and
+torn-tail tolerant: a line truncated by a crash mid-write is ignored on
+load.  Lines for the same key supersede earlier ones, so a resumed
+run's journal reads as the final state of every point it ever touched.
 """
 
 from __future__ import annotations
@@ -31,57 +34,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.telemetry.manifest import read_jsonl
 
 PathLike = Union[str, Path]
 
-JOURNAL_SCHEMA = "repro-journal-v1"
+JOURNAL_SCHEMA = "repro-journal-v2"
 
 #: Subdirectory of a cache root that holds the per-run journals.
 JOURNAL_DIRNAME = "journal"
-
-
-@dataclass(frozen=True)
-class FailedPointRow:
-    """A quarantined or failed sweep point, as a storable result row.
-
-    Degraded campaigns persist these next to their ordinary rows so a
-    partial store is explicit about what is missing and why, instead of
-    silently narrower.
-    """
-
-    key: str
-    index: int
-    error_type: str
-    message: str
-    attempts: int
-    #: Whether a retry (e.g. on resume) may succeed — true for crashes,
-    #: timeouts, and injected faults; false for deterministic physics.
-    retryable: bool
-
-
-@dataclass(frozen=True)
-class JournalEntry:
-    """One completed point's journal record."""
-
-    key: str
-    status: str  # "ok" | "failed"
-    attempts: int = 1
-    cached: bool = False
-    error_type: Optional[str] = None
-    retryable: bool = False
-    wall_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.status not in ("ok", "failed"):
-            raise ConfigurationError(
-                f"journal entry status must be 'ok' or 'failed', "
-                f"not {self.status!r}"
-            )
 
 
 def journal_dir(cache_root: PathLike) -> Path:
@@ -114,53 +78,18 @@ def new_run_id() -> str:
     return f"{stamp}-{os.getpid()}"
 
 
-def load_journal(path: PathLike) -> Tuple[Dict[str, Any], Dict[str, JournalEntry]]:
-    """Read a journal back: ``(header, latest entry per key)``.
+def load_journal(
+    path: PathLike,
+) -> Tuple[Dict[str, Any], Dict[str, Dict[str, Any]]]:
+    """Read a journal back: ``(header, latest point event per key)``.
 
-    The header line must parse and carry the supported schema; entry
-    lines that fail to parse (a torn tail from a crash mid-write) are
-    skipped — the cache is the source of truth for values, the journal
-    only for progress.
+    The header line must carry :data:`JOURNAL_SCHEMA`; point lines that
+    fail to parse (a torn tail from a crash mid-write) are skipped — the
+    cache is the source of truth for values, the journal only for
+    progress.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: unreadable journal ({exc})") from exc
-    if not lines:
-        raise ConfigurationError(f"{path}: empty journal (no header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: malformed journal header ({exc})"
-        ) from exc
-    if not isinstance(header, dict) or header.get("schema") != JOURNAL_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: unsupported journal schema "
-            f"{header.get('schema') if isinstance(header, dict) else header!r}"
-        )
-    entries: Dict[str, JournalEntry] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            entry = JournalEntry(
-                key=str(raw["key"]),
-                status=str(raw["status"]),
-                attempts=int(raw.get("attempts", 1)),
-                cached=bool(raw.get("cached", False)),
-                error_type=raw.get("error_type"),
-                retryable=bool(raw.get("retryable", False)),
-                wall_s=float(raw.get("wall_s", 0.0)),
-            )
-        except (json.JSONDecodeError, ConfigurationError, KeyError,
-                TypeError, ValueError):
-            # Torn or foreign line — progress lost, correctness kept.
-            continue
-        entries[entry.key] = entry
-    return header, entries
+    lines, _torn = read_jsonl(path, schema=JOURNAL_SCHEMA)
+    return lines[0], {event.get("key"): event for event in lines[1:]}
 
 
 class SweepJournal:
@@ -182,7 +111,8 @@ class SweepJournal:
         self.run_id = run_id or new_run_id()
         self.command = command
         self.path = journal_path(cache_root, self.run_id)
-        self.completed: Dict[str, JournalEntry] = {}
+        #: Latest point event per key, loaded on resume and kept current.
+        self.completed: Dict[str, Dict[str, Any]] = {}
         exists = self.path.exists()
         if resume:
             if not exists:
@@ -227,40 +157,18 @@ class SweepJournal:
                 }
             )
 
-    def record(self, entry: JournalEntry) -> None:
-        """Append one completed point (write-ahead: flushed before return)."""
-        self.completed[entry.key] = entry
-        document = {"key": entry.key, "status": entry.status}
-        document.update(
-            {
-                name: value
-                for name, value in asdict(entry).items()
-                if name not in ("key", "status")
-            }
-        )
-        self._write_line(document)
+    def record(self, event: Dict[str, Any]) -> None:
+        """Append one completed point's event (write-ahead: flushed
+        before return)."""
+        self.completed[event["key"]] = event
+        self._write_line(event)
 
     def counts(self) -> Dict[str, int]:
-        """``{"ok": ..., "failed": ...}`` over the latest entry per key."""
-        summary = {"ok": 0, "failed": 0}
-        for entry in self.completed.values():
-            summary[entry.status] += 1
-        return summary
-
-    def failed_rows(self) -> List[FailedPointRow]:
-        """The journal's failed points as storable rows, key-sorted."""
-        return [
-            FailedPointRow(
-                key=entry.key,
-                index=-1,
-                error_type=entry.error_type or "unknown",
-                message="",
-                attempts=entry.attempts,
-                retryable=entry.retryable,
-            )
-            for key, entry in sorted(self.completed.items())
-            if entry.status == "failed"
-        ]
+        """``{"ok": ..., "failed": ...}`` over the latest event per key."""
+        failed = sum(
+            1 for event in self.completed.values() if event.get("status") != "ok"
+        )
+        return {"ok": len(self.completed) - failed, "failed": failed}
 
     def _write_line(self, document: Dict[str, Any]) -> None:
         if self._handle is None:

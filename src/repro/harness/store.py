@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Union
 from repro.core.sweeps import Figure1Row, Figure2Row
 from repro.errors import ConfigurationError
 from repro.harness.designspace import DesignPoint, DesignRunRow
-from repro.harness.journal import FailedPointRow
 from repro.harness.optimizer import OptimizerRow
 from repro.harness.percore import PerCoreDVFSResult
 from repro.harness.profiling import SimPointRow
@@ -31,6 +30,26 @@ from repro.harness.scenario2 import OverclockRow, Scenario2Row
 # incompatibly; re-exported here for backward compatibility.
 from repro.harness.schema import SCHEMA_VERSION
 from repro.telemetry.manifest import git_sha
+
+
+@dataclasses.dataclass(frozen=True)
+class FailedPointRow:
+    """A quarantined or failed sweep point, as a storable result row.
+
+    Degraded campaigns persist these next to their ordinary rows so a
+    partial store is explicit about what is missing and why, instead of
+    silently narrower.
+    """
+
+    key: str
+    index: int
+    error_type: str
+    message: str
+    attempts: int
+    #: Whether a retry (e.g. on resume) may succeed — true for crashes,
+    #: timeouts, and injected faults; false for deterministic physics.
+    retryable: bool
+
 
 _ROW_TYPES = {
     "scenario1": Scenario1Row,

@@ -274,11 +274,12 @@ def metrics_table(run_dir: PathLike) -> str:
     manifest = load_manifest(run_dir)
     points = manifest.get("points", {})
     kernel = manifest.get("kernel", {})
+    evaluated, cached = points.get("evaluated", 0), points.get("cache_hits", 0)
     header = (
         f"run {manifest.get('run_id')} ({manifest.get('command')}): "
-        f"{points.get('total', 0)} points "
-        f"({points.get('evaluated', 0)} evaluated, "
-        f"{points.get('cached', 0)} cached, {points.get('failed', 0)} failed), "
+        f"{evaluated + cached} points "
+        f"({evaluated} evaluated, "
+        f"{cached} cached, {points.get('failures', 0)} failed), "
         f"{kernel.get('runs', 0)} runs (+{kernel.get('cached_runs', 0)} cached), "
         f"{kernel.get('total_ops', 0):,} simulated ops"
     )

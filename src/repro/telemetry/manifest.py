@@ -4,11 +4,13 @@ Every sweep invoked with ``--telemetry-dir DIR`` produces one run
 directory ``DIR/<run_id>/`` containing
 
 * ``manifest.json`` — the :data:`MANIFEST_SCHEMA` document: run id,
-  command, git SHA, context fingerprint, point totals, the executor's
+  command, git SHA, context fingerprint, the executor's point tally and
   kernel ledger, status;
 * ``events.jsonl`` — one JSON object per line, currently ``point``
   events (index, cache key, status, cached flag, worker pid, wall time,
-  op counts, start timestamp);
+  op counts, start timestamp): the record
+  :meth:`~repro.harness.executor.PointOutcome.to_event` builds once per
+  point, which a cached sweep's journal appends too;
 * ``spans.jsonl`` — one completed span tree per line (see
   :class:`~repro.telemetry.trace.SpanRecord`);
 * ``timeline.jsonl`` — one sampled counter reading per line (see
@@ -18,10 +20,12 @@ directory ``DIR/<run_id>/`` containing
   with the journal's torn-tail tolerance (a reading lost to a crash
   mid-write costs that line, not the artifact).
 
+All of them, and the sweep journal, are read by :func:`read_jsonl`.
+
 The manifest is written twice: once at creation (``status: "running"``,
 so a crashed sweep leaves evidence) and once by :meth:`TelemetryRun.finalize`
-(``status: "complete"`` plus totals, per-channel statistics, and the
-findings of the :mod:`~repro.telemetry.alerts` rules).
+(``status: "complete"`` plus the executor's tallies, per-channel
+statistics, and the findings of the :mod:`~repro.telemetry.alerts` rules).
 :func:`validate_run_dir` checks a run directory against this schema —
 the CI telemetry job and the test suite both use it — and
 :func:`latest_run_dir` resolves the newest run under a
@@ -46,7 +50,7 @@ from repro.telemetry.trace import SpanRecord, get_tracer
 
 PathLike = Union[str, Path]
 
-MANIFEST_SCHEMA = "repro-telemetry-v1"
+MANIFEST_SCHEMA = "repro-telemetry-v2"
 TIMELINE_SCHEMA = "repro-timeline-v1"
 
 #: Keys every finalized manifest must carry, with their expected types.
@@ -60,15 +64,8 @@ _MANIFEST_REQUIRED = {
     "points": dict,
     "kernel": dict,
 }
-_POINT_COUNTERS = (
-    "total",
-    "ok",
-    "failed",
-    "cached",
-    "evaluated",
-    "retried",
-    "quarantined",
-)
+#: The ``points`` counters that sum to the sweep's point total.
+_POINT_TOTAL = ("evaluated", "cache_hits")
 _KERNEL_COUNTERS = (
     "runs",
     "total_ops",
@@ -149,7 +146,6 @@ class TelemetryRun:
         self.resume: Optional[Dict[str, Any]] = None
         self.finalized = False
         self._started = time.perf_counter()
-        self.points = {name: 0 for name in _POINT_COUNTERS}
         self.spans_written = 0
         self.samples_written = 0
         #: Per-channel running statistics over every recorded sample;
@@ -194,45 +190,20 @@ class TelemetryRun:
             }
         )
 
-    def record_point(self, outcome: Any) -> None:
-        """Log one sweep point's outcome (a ``PointOutcome``-shaped object)."""
-        telemetry: Optional[PointTelemetry] = getattr(outcome, "telemetry", None)
-        attempts = int(getattr(outcome, "attempts", 1))
-        event: Dict[str, Any] = {
-            "event": "point",
-            "index": outcome.index,
-            "key": outcome.key,
-            "status": "ok" if outcome.failure is None else "error",
-            "cached": bool(outcome.cached),
-            "lane": str(getattr(outcome, "lane", "inline")),
-            "attempts": attempts,
-            "pid": telemetry.pid if telemetry else 0,
-            "start_us": telemetry.start_us if telemetry else 0.0,
-            "wall_s": telemetry.wall_s if telemetry else 0.0,
-            "ops": telemetry.total_ops if telemetry else 0,
-            "fast_path_ops": telemetry.fast_path_ops if telemetry else 0,
-            "runs": len(telemetry.kernels) if telemetry else 0,
-        }
-        quarantined = False
-        if outcome.failure is not None:
-            event["error_type"] = outcome.failure.error_type
-            quarantined = bool(getattr(outcome.failure, "retryable", False))
-            event["retryable"] = quarantined
+    def record_point(
+        self, event: Dict[str, Any], telemetry: Optional[PointTelemetry] = None
+    ) -> None:
+        """Log one sweep point: its ``point`` event (built by
+        :meth:`~repro.harness.executor.PointOutcome.to_event`) plus the
+        span trees and counter readings its telemetry carried home."""
         self._event(event)
-        self.points["total"] += 1
-        self.points["ok" if outcome.failure is None else "failed"] += 1
-        self.points["cached" if outcome.cached else "evaluated"] += 1
-        if attempts > 1:
-            self.points["retried"] += 1
-        if quarantined:
-            self.points["quarantined"] += 1
         if telemetry is not None:
             self.record_spans(telemetry.spans, pid=telemetry.pid)
             self.record_samples(
                 telemetry.samples,
-                point=outcome.index,
+                point=event["index"],
                 pid=telemetry.pid,
-                cached=bool(outcome.cached),
+                cached=event["cached"],
             )
 
     def record_spans(
@@ -300,9 +271,10 @@ class TelemetryRun:
         outside any point-capture window, e.g. during context
         calibration) and evaluates the alert rules over the whole run's
         channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
-        object) contributes its executor/cache counters and its kernel
-        ledger (the manifest's ``kernel`` block, the same object
-        ``--profile`` prints) when given.  Idempotent.
+        object) contributes, when given, its point tally (the manifest's
+        ``points`` block: ``executor.stats`` plus the cache's count of
+        quarantined files) and its kernel ledger (the ``kernel`` block,
+        the same object ``--profile`` prints).  Idempotent.
         """
         if self.finalized:
             return self.directory / "manifest.json"
@@ -319,24 +291,12 @@ class TelemetryRun:
         ]
         extra: Dict[str, Any] = {}
         if executor is not None:
+            cache = executor.cache
+            extra["points"] = dict(
+                dataclasses.asdict(executor.stats),
+                cache_quarantined=cache.quarantined if cache is not None else 0,
+            )
             extra["kernel"] = dataclasses.asdict(executor.kernels)
-            stats = executor.stats
-            extra["executor"] = {
-                "evaluated": stats.evaluated,
-                "cache_hits": stats.cache_hits,
-                "failures": stats.failures,
-                "uncacheable": stats.uncacheable,
-                "retries": getattr(stats, "retries", 0),
-                "quarantined": getattr(stats, "quarantined", 0),
-            }
-            cache = getattr(executor, "cache", None)
-            if cache is not None:
-                extra["cache"] = {
-                    "hits": cache.stats.hits,
-                    "misses": cache.stats.misses,
-                    "stores": cache.stats.stores,
-                    "quarantined": cache.stats.quarantined,
-                }
         path = self._write_manifest(status="complete", extra=extra)
         self._events.close()
         self._spans.close()
@@ -363,7 +323,8 @@ class TelemetryRun:
             "status": status,
             "wall_s": round(time.perf_counter() - self._started, 6),
             "coordinator_pid": os.getpid(),
-            "points": dict(self.points),
+            # The executor's tally, written at finalize.
+            "points": {},
             "kernel": dataclasses.asdict(KernelAggregate()),
             "spans": {
                 "written": self.spans_written,
@@ -437,40 +398,68 @@ def load_manifest(run_dir: PathLike) -> Dict[str, Any]:
     return document
 
 
-def _load_jsonl(path: Path) -> List[Dict[str, Any]]:
-    if not path.exists():
-        return []
-    entries = []
-    with path.open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
+def read_jsonl(
+    path: PathLike, schema: Optional[str] = None, strict: bool = False
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Read a JSONL artifact: ``(entries, torn)``.
+
+    A line that is not a JSON object is *torn* (a crash mid-write tears
+    at most the tail line): it is counted and skipped, or raised on when
+    ``strict``.  With a ``schema`` the first entry must be a header
+    carrying it; it stays ``entries[0]``.  A missing file reads as empty.
+    """
+    path = Path(path)
+    entries: List[Dict[str, Any]] = []
+    torn = 0
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        text = ""
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: unreadable ({exc})") from exc
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if strict:
                 raise ConfigurationError(
                     f"{path}:{number}: not valid JSON ({exc})"
                 ) from exc
-            if not isinstance(entry, dict):
+            entry = None
+        if not isinstance(entry, dict):
+            if strict:
                 raise ConfigurationError(f"{path}:{number}: not an object")
-            entries.append(entry)
-    return entries
+            torn += 1
+            continue
+        entries.append(entry)
+    if schema is not None:
+        kind = schema.split("-")[1]  # schemas are named "repro-<kind>-vN"
+        found = entries[0].get("schema") if entries else None
+        if found is None:
+            raise ConfigurationError(f"{path}: missing {kind} header line")
+        if found != schema:
+            raise ConfigurationError(
+                f"{path}: {kind} schema {found!r} != supported {schema!r}"
+            )
+    return entries, torn
 
 
 def load_events(run_dir: PathLike) -> List[Dict[str, Any]]:
     """The run's ``events.jsonl`` entries, in emission order."""
-    return _load_jsonl(Path(run_dir) / "events.jsonl")
+    return read_jsonl(Path(run_dir) / "events.jsonl", strict=True)[0]
 
 
 def load_spans(run_dir: PathLike) -> List[Dict[str, Any]]:
     """The run's ``spans.jsonl`` entries (``{"pid", "span"}`` objects)."""
-    return _load_jsonl(Path(run_dir) / "spans.jsonl")
+    return read_jsonl(Path(run_dir) / "spans.jsonl", strict=True)[0]
 
 
 def load_timeline(run_dir: PathLike) -> Tuple[List[Dict[str, Any]], int]:
     """The run's ``timeline.jsonl`` sample entries, torn-tail tolerant.
 
-    Returns ``(entries, skipped)``: parsed sample lines in emission
+    Returns ``(entries, torn)``: parsed sample lines in emission
     order, and the count of lines that failed to parse (a crash
     mid-write tears at most the tail line — same convention as the
     sweep journal, and unlike :func:`load_events` the timeline loader
@@ -481,33 +470,8 @@ def load_timeline(run_dir: PathLike) -> Tuple[List[Dict[str, Any]], int]:
     path = Path(run_dir) / "timeline.jsonl"
     if not path.exists():
         return [], 0
-    entries: List[Dict[str, Any]] = []
-    skipped = 0
-    header_seen = False
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(entry, dict):
-                skipped += 1
-                continue
-            if not header_seen:
-                header_seen = True
-                if entry.get("schema") != TIMELINE_SCHEMA:
-                    raise ConfigurationError(
-                        f"{path}: timeline schema {entry.get('schema')!r} != "
-                        f"supported {TIMELINE_SCHEMA!r}"
-                    )
-                continue
-            entries.append(entry)
-    if not header_seen:
-        raise ConfigurationError(f"{path}: missing timeline header line")
-    return entries, skipped
+    entries, torn = read_jsonl(path, schema=TIMELINE_SCHEMA)
+    return entries[1:], torn
 
 
 def _check_span_tree(node: Any, where: str) -> int:
@@ -547,8 +511,11 @@ def validate_run_dir(run_dir: PathLike) -> Dict[str, Any]:
             f"{run_dir}/manifest.json: schema {manifest['schema']!r} != "
             f"supported {MANIFEST_SCHEMA!r}"
         )
-    for name in _POINT_COUNTERS:
-        if not isinstance(manifest["points"].get(name), int):
+    points = manifest["points"]
+    # A running manifest has no tally yet; a complete one must total.
+    totalled = _POINT_TOTAL if manifest["status"] == "complete" else ()
+    for name in {*points, *totalled}:
+        if not isinstance(points.get(name), int):
             raise ConfigurationError(
                 f"{run_dir}/manifest.json: points.{name} missing or non-integer"
             )
@@ -573,9 +540,10 @@ def validate_run_dir(run_dir: PathLike) -> Dict[str, Any]:
             raise ConfigurationError(
                 f"{run_dir}/events.jsonl:{number}: bad status {event['status']!r}"
             )
-    if manifest["status"] == "complete" and point_events != manifest["points"]["total"]:
+    total = sum(points[name] for name in totalled)
+    if totalled and point_events != total:
         raise ConfigurationError(
-            f"{run_dir}: manifest counts {manifest['points']['total']} points "
+            f"{run_dir}: manifest counts {total} points "
             f"but events.jsonl logs {point_events}"
         )
 

@@ -313,11 +313,12 @@ class TestCache:
         points = [1, 2]
         run_cached(tmp_path, points)
         cache = ResultCache(tmp_path)
-        outcomes = SweepExecutor(cache=cache).map(
+        executor = SweepExecutor(cache=cache)
+        outcomes = executor.map(
             CountingEvaluator(), points, key_configs=[key_for(p) for p in points]
         )
         assert all(o.cached for o in outcomes)
-        assert cache.stats.hits == 2
+        assert executor.stats.cache_hits == 2
 
     def test_mutating_one_config_invalidates_exactly_that_entry(self, tmp_path):
         points = [1, 2, 3]
@@ -346,7 +347,7 @@ class TestCache:
         warm, spy, executor = run_cached(tmp_path, points)
         assert warm == cold
         assert spy.calls == [2]
-        assert executor.cache.stats.quarantined == 1
+        assert executor.cache.quarantined == 1
         quarantined = list(tmp_path.glob("*.quarantined"))
         assert len(quarantined) == 1
         assert quarantined[0].name.startswith(victim.name)
@@ -360,7 +361,7 @@ class TestCache:
         victim.write_text(json.dumps(document), encoding="utf-8")
         _, spy, executor = run_cached(tmp_path, points)
         assert spy.calls == [1]
-        assert executor.cache.stats.quarantined == 1
+        assert executor.cache.quarantined == 1
 
     def test_typed_failures_are_cached_too(self, tmp_path):
         points = [0, 1, 2, 3]

@@ -166,11 +166,14 @@ class TestStatsSummaries:
             "[executor] 2 evaluated, 0 cache hits, 0 failures"
         )
 
-    def test_cache_summary_line(self, tmp_path):
+    def test_cache_counts_reduce_the_fold(self, tmp_path):
+        # Hits, misses and stores are the executor's tallies: a cold
+        # map misses and stores each point, a warm one hits each.
         points = [0, 1]
         executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
         executor.map(recording_row_point, points, key_configs=key_configs(points))
         executor.map(recording_row_point, points, key_configs=key_configs(points))
-        assert executor.cache.stats.summary() == (
-            "[cache] 2 hits, 2 misses, 2 stores"
-        )
+        stats = executor.stats
+        assert (stats.cache_hits, stats.evaluated) == (2, 2)
+        assert len(executor.cache) == stats.evaluated - stats.quarantined - stats.uncacheable
+        assert executor.cache.quarantined == 0

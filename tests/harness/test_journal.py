@@ -5,10 +5,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.harness.executor import PointOutcome, SweepFailure
 from repro.harness.journal import (
     JOURNAL_SCHEMA,
-    FailedPointRow,
-    JournalEntry,
     SweepJournal,
     journal_path,
     list_run_ids,
@@ -17,14 +16,14 @@ from repro.harness.journal import (
 )
 
 
-def entry(key, status="ok", **kwargs):
-    return JournalEntry(key=key, status=status, **kwargs)
-
-
-class TestJournalEntry:
-    def test_rejects_unknown_status(self):
-        with pytest.raises(ConfigurationError, match="status"):
-            JournalEntry(key="k", status="maybe")
+def entry(key, status="ok", attempts=1, error_type="SimulationError", retryable=False):
+    """A point event, built the way the executor builds it."""
+    failure = None
+    if status != "ok":
+        failure = SweepFailure(error_type=error_type, message="", retryable=retryable)
+    return PointOutcome(
+        index=0, key=key, value=None, failure=failure, attempts=attempts
+    ).to_event()
 
 
 class TestPaths:
@@ -54,11 +53,11 @@ class TestPaths:
 class TestRoundTrip:
     def test_recorded_entries_load_back(self, tmp_path):
         with SweepJournal(tmp_path, "run-a", command="fig1") as journal:
-            journal.record(entry("k1", attempts=2, wall_s=0.5))
+            journal.record(entry("k1", attempts=2))
             journal.record(
                 entry(
                     "k2",
-                    status="failed",
+                    status="error",
                     error_type="WorkerCrash",
                     retryable=True,
                     attempts=3,
@@ -67,16 +66,17 @@ class TestRoundTrip:
         header, entries = load_journal(journal.path)
         assert header["schema"] == JOURNAL_SCHEMA
         assert header["command"] == "fig1"
-        assert entries["k1"].attempts == 2
-        assert entries["k2"].status == "failed"
-        assert entries["k2"].retryable
+        assert entries["k1"] == entry("k1", attempts=2)
+        assert entries["k2"]["status"] == "error"
+        assert entries["k2"]["error_type"] == "WorkerCrash"
+        assert entries["k2"]["retryable"]
 
     def test_later_entries_supersede_earlier_ones(self, tmp_path):
         with SweepJournal(tmp_path, "run-a") as journal:
-            journal.record(entry("k", status="failed", retryable=True))
+            journal.record(entry("k", status="error", retryable=True))
             journal.record(entry("k", status="ok", attempts=2))
         _, entries = load_journal(journal.path)
-        assert entries["k"].status == "ok"
+        assert entries["k"]["status"] == "ok"
 
     def test_torn_tail_is_tolerated(self, tmp_path):
         with SweepJournal(tmp_path, "run-a") as journal:
@@ -90,10 +90,10 @@ class TestRoundTrip:
     def test_rejects_missing_or_foreign_header(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="empty journal"):
+        with pytest.raises(ConfigurationError, match="missing journal header"):
             load_journal(path)
         path.write_text('{"schema": "weird"}\n', encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="unsupported"):
+        with pytest.raises(ConfigurationError, match="journal schema 'weird'"):
             load_journal(path)
 
 
@@ -126,30 +126,12 @@ class TestSweepJournal:
         assert second.run_id == "run-a-2"
         assert second.path != first.path
 
-    def test_counts_and_failed_rows(self, tmp_path):
+    def test_counts_treat_any_non_ok_status_as_failed(self, tmp_path):
         with SweepJournal(tmp_path, "run-a") as journal:
             journal.record(entry("k1"))
-            journal.record(
-                entry(
-                    "k2",
-                    status="failed",
-                    error_type="PointTimeout",
-                    retryable=True,
-                    attempts=4,
-                )
-            )
-            assert journal.counts() == {"ok": 1, "failed": 1}
-            rows = journal.failed_rows()
-        assert rows == [
-            FailedPointRow(
-                key="k2",
-                index=-1,
-                error_type="PointTimeout",
-                message="",
-                attempts=4,
-                retryable=True,
-            )
-        ]
+            journal.record(entry("k2", status="error", retryable=True))
+            journal.record(entry("k3", status="error"))
+            assert journal.counts() == {"ok": 1, "failed": 2}
 
     def test_record_flushes_immediately(self, tmp_path):
         journal = SweepJournal(tmp_path, "run-a")

@@ -25,21 +25,36 @@ from hypothesis import strategies as st
 
 from repro.errors import InfeasibleOperatingPoint
 from repro.harness.executor import (
+    PointOutcome,
     ResultCache,
     RetryPolicy,
     SweepExecutor,
+    SweepFailure,
     config_key,
     decode_value,
     encode_value,
 )
 from repro.harness.faults import FaultPlan
-from repro.harness.journal import JournalEntry, SweepJournal, load_journal
+from repro.harness.journal import SweepJournal, load_journal
 from repro.harness.profiling import SimPointRow
 
 
 # ---------------------------------------------------------------------------
 # Evaluators and strategies.
 # ---------------------------------------------------------------------------
+
+
+def point_event(key, failed, attempts, cached, retryable):
+    """The journal line of one point, as the executor's fold builds it."""
+    failure = (
+        SweepFailure(error_type="WorkerCrash", message="", retryable=retryable)
+        if failed
+        else None
+    )
+    return PointOutcome(
+        index=0, key=key, value=None, failure=failure, cached=cached,
+        attempts=attempts,
+    ).to_event()
 
 
 def evaluate(point):
@@ -243,11 +258,11 @@ class TestRoundTrips:
     @given(
         entries=st.lists(
             st.builds(
-                JournalEntry,
+                point_event,
                 key=st.text(
                     alphabet="abcdef0123456789", min_size=1, max_size=8
                 ),
-                status=st.sampled_from(["ok", "failed"]),
+                failed=st.booleans(),
                 attempts=st.integers(min_value=1, max_value=9),
                 cached=st.booleans(),
                 retryable=st.booleans(),
@@ -258,12 +273,11 @@ class TestRoundTrips:
     def test_journal_round_trips_latest_entry_per_key(self, entries):
         expected = {}
         for entry in entries:
-            expected[entry.key] = entry
+            expected[entry["key"]] = entry
         with tempfile.TemporaryDirectory() as root:
             with SweepJournal(root, "run", command="prop") as journal:
                 for entry in entries:
                     journal.record(entry)
                 path = journal.path
             _, loaded = load_journal(path)
-        # error_type=None and wall_s default both survive the trip.
         assert loaded == expected

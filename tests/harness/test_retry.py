@@ -191,11 +191,11 @@ class TestJournalIntegration:
         assert len(entries) == 3
         by_key = {o.key: o for o in outcomes}
         for key, entry in entries.items():
-            assert entry.status == ("ok" if by_key[key].ok else "failed")
-        failed = [e for e in entries.values() if e.status == "failed"]
+            assert entry == by_key[key].to_event()
+        failed = [e for e in entries.values() if e["status"] == "error"]
         assert len(failed) == 1
-        assert failed[0].retryable
-        assert failed[0].attempts == 2
+        assert failed[0]["retryable"]
+        assert failed[0]["attempts"] == 2
 
     def test_unkeyed_points_are_not_journalled(self, tmp_path):
         journal = SweepJournal(tmp_path, "run-a", command="test")

@@ -247,7 +247,7 @@ class TestValidation:
 
 class TestFailedPointRows:
     def failed_row(self):
-        from repro.harness.journal import FailedPointRow
+        from repro.harness.store import FailedPointRow
 
         return FailedPointRow(
             key="deadbeef",

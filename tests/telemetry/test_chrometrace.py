@@ -61,10 +61,13 @@ def traced_run(tmp_path):
         ),
     )
     run.record_point(
-        PointOutcome(index=0, key="k0", value=1, telemetry=telemetry)
+        PointOutcome(index=0, key="k0", value=1, telemetry=telemetry).to_event(),
+        telemetry,
     )
-    # The manifest's kernel block is the executor's ledger.
+    # The manifest's points and kernel blocks are the executor's tally
+    # and ledger.
     executor = SweepExecutor()
+    executor.stats.evaluated += 1
     for kernel in telemetry.kernels:
         executor.kernels.add_record(kernel)
     run.finalize(executor=executor)
@@ -163,7 +166,10 @@ def sampled_run(tmp_path):
         ),
     )
     run.record_point(
-        PointOutcome(index=0, key="k0", value=1, telemetry=telemetry, lane="farm")
+        PointOutcome(
+            index=0, key="k0", value=1, telemetry=telemetry, lane="farm"
+        ).to_event(),
+        telemetry,
     )
     run.record_samples(
         [SampleRecord(channel="thermal.peak_c", t_us=1_400.0, value=55.0)],

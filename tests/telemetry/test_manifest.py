@@ -6,13 +6,16 @@ import os
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.harness.executor import (
     PointOutcome,
     ResultCache,
+    RetryPolicy,
     SweepExecutor,
     SweepFailure,
+    config_key,
 )
+from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
     TIMELINE_SCHEMA,
@@ -27,11 +30,12 @@ from repro.telemetry.manifest import (
     resolve_run_dir,
     validate_run_dir,
 )
-from repro.telemetry.record import KernelAggregate, KernelRecord, PointTelemetry
+from repro.telemetry.record import KernelRecord, PointTelemetry
 from repro.telemetry.timeseries import (
     CounterSampler,
     SampleRecord,
     get_sampler,
+    sample,
     set_sampler,
 )
 from repro.telemetry.trace import SpanRecord
@@ -76,6 +80,33 @@ def outcome(
     )
 
 
+def record(run, point_outcome):
+    """Log one hand-built outcome the way the executor's fold does."""
+    run.record_point(point_outcome.to_event(), point_outcome.telemetry)
+
+
+def row_or_fail(point):
+    """Picklable evaluator: point 2 is deterministically infeasible."""
+    if point == 2:
+        raise SimulationError("x")
+    return recording_row_point(point)
+
+
+def sweep(tmp_path, points=(0, 1), warm=(1,), fn=recording_row_point, **kwargs):
+    """A telemetry run fed by a real executor (not yet finalized).
+
+    The ``warm`` points are cached first, so the traced map replays
+    them; ``kwargs`` configure the traced executor.
+    """
+    cache = ResultCache(tmp_path / "cache")
+    SweepExecutor(cache=cache).map(fn, list(warm), key_configs=key_configs(warm))
+    run = TelemetryRun(tmp_path / "telemetry", command="fig3")
+    executor = SweepExecutor(cache=cache, **kwargs)
+    executor.telemetry_run = run
+    executor.map(fn, list(points), key_configs=key_configs(points))
+    return run, executor
+
+
 class TestTelemetryRun:
     def test_creation_writes_a_running_manifest(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3", argv=["--scale", "0.1"])
@@ -87,24 +118,21 @@ class TestTelemetryRun:
         run.finalize()
 
     def test_round_trip_points_events_and_counters(self, tmp_path):
-        run = TelemetryRun(tmp_path, command="fig3")
+        run, executor = sweep(tmp_path, points=(0, 1, 2), fn=row_or_fail)
         run.set_context_fingerprint("abc123")
-        run.record_point(outcome(0))
-        run.record_point(outcome(1, cached=True))
-        run.record_point(outcome(2, failed=True))
-        run.finalize()
+        run.finalize(executor=executor)
 
         manifest = load_manifest(run.directory)
         assert manifest["status"] == "complete"
         assert manifest["context_fingerprint"] == "abc123"
         assert manifest["points"] == {
-            "total": 3,
-            "ok": 2,
-            "failed": 1,
-            "cached": 1,
             "evaluated": 2,
-            "retried": 0,
+            "cache_hits": 1,
+            "failures": 1,
+            "uncacheable": 0,
+            "retries": 0,
             "quarantined": 0,
+            "cache_quarantined": 0,
         }
 
         events = load_events(run.directory)
@@ -112,40 +140,26 @@ class TestTelemetryRun:
         assert [e["status"] for e in events] == ["ok", "ok", "error"]
         assert [e["cached"] for e in events] == [False, True, False]
         assert events[2]["error_type"] == "SimulationError"
-        assert all(e["pid"] == 4242 and e["ops"] == 100 for e in events)
+        assert all(e["pid"] == os.getpid() for e in events)
+        assert [e["ops"] for e in events] == [100, 200, 0]
 
     def test_finalize_records_executor_and_cache_stats(self, tmp_path):
-        class FakeCacheStats:
-            hits, misses, stores, quarantined = 3, 2, 2, 0
-
-        class FakeCache:
-            stats = FakeCacheStats()
-
-        class FakeStats:
-            evaluated, cache_hits, failures, uncacheable = 2, 3, 0, 1
-
-        class FakeExecutor:
-            stats = FakeStats()
-            cache = FakeCache()
-            kernels = KernelAggregate()
-
-        run = TelemetryRun(tmp_path)
-        run.finalize(executor=FakeExecutor())
+        # A corrupt cache file shows in no outcome; only the cache can
+        # count it, and the manifest's points block carries that count
+        # next to the executor's tally.
+        cache = ResultCache(tmp_path / "cache")
+        SweepExecutor(cache=cache).map(
+            recording_row_point, [0, 1], key_configs=key_configs([0, 1])
+        )
+        cache.path_for(config_key(key_configs([1])[0])).write_text("{ torn")
+        run, executor = sweep(tmp_path, warm=())
+        run.finalize(executor=executor)
         manifest = load_manifest(run.directory)
-        assert manifest["executor"] == {
-            "evaluated": 2,
-            "cache_hits": 3,
-            "failures": 0,
-            "uncacheable": 1,
-            "retries": 0,
-            "quarantined": 0,
-        }
-        assert manifest["cache"] == {
-            "hits": 3,
-            "misses": 2,
-            "stores": 2,
-            "quarantined": 0,
-        }
+        assert manifest["points"] == dict(
+            dataclasses.asdict(executor.stats), cache_quarantined=1
+        )
+        assert (executor.stats.cache_hits, executor.stats.evaluated) == (1, 1)
+        assert "executor" not in manifest and "cache" not in manifest
 
     def test_kernel_block_is_the_executors_ledger(self, tmp_path):
         points = [0, 1]
@@ -184,9 +198,9 @@ class TestTelemetryRun:
         assert run.finalize() == first
 
     def test_point_spans_land_in_spans_jsonl(self, tmp_path):
-        record = SpanRecord(name="kernel.window", start_us=10.0, duration_us=5.0)
+        record_span = SpanRecord(name="kernel.window", start_us=10.0, duration_us=5.0)
         run = TelemetryRun(tmp_path)
-        run.record_point(outcome(0, spans=(record,)))
+        record(run, outcome(0, spans=(record_span,)))
         run.finalize()
         (entry,) = load_spans(run.directory)
         assert entry["pid"] == 4242
@@ -223,9 +237,7 @@ class TestRunDirectoryLookup:
 
 class TestValidation:
     def make_run(self, tmp_path):
-        run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(outcome(0))
-        run.record_point(outcome(1, cached=True))
+        run, executor = sweep(tmp_path)
         run.record_spans(
             [
                 SpanRecord(
@@ -240,7 +252,7 @@ class TestValidation:
                 )
             ]
         )
-        run.finalize()
+        run.finalize(executor=executor)
         return run
 
     def test_validate_accepts_a_complete_run(self, tmp_path):
@@ -297,37 +309,29 @@ class TestGitSha:
 
 
 class TestFaultToleranceTelemetry:
-    def retried_outcome(self, index=0, quarantined=False):
-        failure = (
-            SweepFailure(
-                error_type="WorkerCrash", message="died", retryable=True
-            )
-            if quarantined
-            else None
-        )
-        return PointOutcome(
-            index=index,
-            key=f"k{index}",
-            value=None if quarantined else index,
-            failure=failure,
-            attempts=3,
-            telemetry=PointTelemetry(
-                pid=4242, start_us=1e12, wall_s=0.5, kernels=(), spans=()
+    def faulty_sweep(self, tmp_path):
+        """Point 0 recovers on its third attempt; point 1 never does."""
+        plan = FaultPlan(
+            seed=0,
+            rate=0.0,
+            faults=(
+                (0, FaultSpec(kind="raise", failing_attempts=2)),
+                (1, FaultSpec(kind="raise", failing_attempts=ALWAYS)),
             ),
         )
+        policy = RetryPolicy(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
+        return sweep(tmp_path, warm=(), retry=policy, fault_plan=plan)
 
     def test_retries_and_quarantine_reach_events_and_counters(self, tmp_path):
-        run = TelemetryRun(tmp_path, command="fig1")
-        run.record_point(self.retried_outcome(0))
-        run.record_point(self.retried_outcome(1, quarantined=True))
-        run.finalize()
+        run, executor = self.faulty_sweep(tmp_path)
+        run.finalize(executor=executor)
 
         manifest = load_manifest(run.directory)
-        assert manifest["points"]["retried"] == 2
+        assert manifest["points"]["retries"] == 4
         assert manifest["points"]["quarantined"] == 1
         events = load_events(run.directory)
         assert [e["attempts"] for e in events] == [3, 3]
-        assert events[1]["error_type"] == "WorkerCrash"
+        assert events[1]["error_type"] == "InjectedFault"
         assert events[1]["retryable"] is True
         assert "retryable" not in events[0]
 
@@ -362,12 +366,11 @@ class TestFaultToleranceTelemetry:
         assert manifest["resume"] is None
 
     def test_validate_accepts_a_fault_tolerant_run(self, tmp_path):
-        run = TelemetryRun(tmp_path, command="fig1")
+        run, executor = self.faulty_sweep(tmp_path)
         run.set_resume("earlier-run", already_complete=1)
-        run.record_point(self.retried_outcome(0, quarantined=True))
-        run.finalize()
+        run.finalize(executor=executor)
         summary = validate_run_dir(run.directory)
-        assert summary["points"] == 1
+        assert summary["points"] == 2
 
 
 def samples_for(point, channel="power.total_w", values=(40.0,)):
@@ -386,7 +389,7 @@ class TestTimeline:
 
     def test_sampling_off_runs_write_no_timeline_file(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(outcome(0))
+        record(run, outcome(0))
         run.finalize()
         assert not (run.directory / "timeline.jsonl").exists()
         assert load_timeline(run.directory) == ([], 0)
@@ -396,12 +399,8 @@ class TestTimeline:
 
     def test_point_samples_round_trip_with_attribution(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(
-            outcome(0, samples=samples_for(0, values=(40.0, 41.0)), lane="farm")
-        )
-        run.record_point(
-            outcome(1, cached=True, samples=samples_for(1, values=(39.0,)))
-        )
+        record(run, outcome(0, samples=samples_for(0, values=(40.0, 41.0)), lane="farm"))
+        record(run, outcome(1, cached=True, samples=samples_for(1, values=(39.0,))))
         run.finalize()
 
         lines = (run.directory / "timeline.jsonl").read_text().splitlines()
@@ -424,8 +423,8 @@ class TestTimeline:
 
     def test_events_carry_the_executor_lane(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(outcome(0, lane="farm"))
-        run.record_point(outcome(1, cached=True, lane="cache"))
+        record(run, outcome(0, lane="farm"))
+        record(run, outcome(1, cached=True, lane="cache"))
         run.finalize()
         events = load_events(run.directory)
         assert [e["lane"] for e in events] == ["farm", "cache"]
@@ -444,18 +443,20 @@ class TestTimeline:
 
     def test_seeded_violations_land_as_manifest_alerts(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(
+        record(
+            run,
             outcome(
                 0,
                 samples=samples_for(
                     0, channel="power.peak_temperature_c", values=(60.0, 97.0)
                 ),
-            )
+            ),
         )
-        run.record_point(
+        record(
+            run,
             outcome(
                 1, samples=samples_for(1, channel="power.total_w", values=(65.0,))
-            )
+            ),
         )
         run.finalize()
         manifest = load_manifest(run.directory)
@@ -479,11 +480,23 @@ class TestTimeline:
         assert "sampler-overflow" in {a["rule"] for a in manifest["alerts"]}
 
 
+def sampled_row_point(point):
+    """Picklable evaluator depositing two power readings per call."""
+    sample("power.total_w", 40.0)
+    sample("power.total_w", 41.0)
+    return recording_row_point(point)
+
+
 class TestTimelineValidation:
     def make_run(self, tmp_path):
-        run = TelemetryRun(tmp_path, command="fig3")
-        run.record_point(outcome(0, samples=samples_for(0, values=(40.0, 41.0))))
-        run.finalize()
+        previous = set_sampler(CounterSampler(enabled=True, max_samples=64))
+        try:
+            run, executor = sweep(
+                tmp_path, points=(0,), warm=(), fn=sampled_row_point
+            )
+        finally:
+            set_sampler(previous)
+        run.finalize(executor=executor)
         return run
 
     def test_validate_counts_samples(self, tmp_path):

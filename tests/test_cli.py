@@ -326,3 +326,85 @@ class TestKernelLedger:
         warm = _barnes_fig3(tmp_path / "warm", "--cache", cache)["kernel"]
         assert (warm["runs"], warm["cached_runs"]) == (0, cold["runs"])
         assert warm["total_ops"] == cold["total_ops"]
+
+
+def _only(directory, pattern):
+    (path,) = sorted(directory.glob(pattern))
+    return path
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
+class TestPointRecord:
+    """One record per point: the journal line is the telemetry event,
+    and the manifest's points block is the executor's tally."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_journal_after_its_header_is_events_jsonl(self, capsys, tmp_path, jobs):
+        cache, telemetry = tmp_path / "cache", tmp_path / "telemetry"
+        argv = ["fig2", "--cache", str(cache), "--telemetry-dir", str(telemetry)]
+        assert main([*argv, "--jobs", jobs]) == 0
+        capsys.readouterr()
+        journal = _only(cache / "journal", "*.jsonl").read_bytes()
+        events = _only(telemetry, "*/events.jsonl").read_bytes()
+        header, _, body = journal.partition(b"\n")
+        assert b'"schema": "repro-journal-v2"' in header
+        assert body == events and events.count(b"\n") == 32
+        lane = b'"lane": "farm"' if jobs == "2" else b'"lane": "inline"'
+        assert events.count(lane) == 32
+
+    def test_points_block_is_the_executor_tally(self, capsys, monkeypatch, tmp_path):
+        import dataclasses
+
+        from repro.telemetry.manifest import TelemetryRun, load_manifest
+
+        executors = []
+        finalize = TelemetryRun.finalize
+
+        def spy(self, executor=None, **kwargs):
+            executors.append(executor)
+            return finalize(self, executor=executor, **kwargs)
+
+        monkeypatch.setattr(TelemetryRun, "finalize", spy)
+        runs = (
+            ("cold", "a", "1", (32, 0)),
+            ("farm", "b", "2", (32, 0)),
+            ("warm", "a", "1", (0, 32)),
+        )
+        for label, cache, jobs, (evaluated, hits) in runs:
+            telemetry = tmp_path / label
+            argv = ["fig2", "--cache", str(tmp_path / cache), "--jobs", jobs]
+            assert main([*argv, "--telemetry-dir", str(telemetry)]) == 0
+            stats = executors[-1].stats
+            points = load_manifest(_only(telemetry, "*"))["points"]
+            assert points == dict(dataclasses.asdict(stats), cache_quarantined=0), label
+            assert (points["evaluated"], points["cache_hits"]) == (evaluated, hits)
+        capsys.readouterr()
+
+    def test_resume_refuses_a_v1_journal_naming_its_schema(self, capsys, tmp_path):
+        journal = tmp_path / "cache" / "journal" / "old-run.jsonl"
+        journal.parent.mkdir(parents=True)
+        journal.write_text(
+            '{"command": "fig2", "run_id": "old-run", "schema": "repro-journal-v1"}\n'
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig2", "--cache", str(tmp_path / "cache"), "--resume", "old-run"])
+        assert exit_info.value.code == 2
+        assert "'repro-journal-v1'" in capsys.readouterr().err
+
+    def test_corrupt_cache_file_is_counted_as_cache_quarantined(self, capsys, tmp_path):
+        from repro.telemetry.manifest import load_manifest
+
+        cache, telemetry = tmp_path / "cache", tmp_path / "telemetry"
+        assert main(["fig2", "--cache", str(cache)]) == 0
+        sorted(cache.glob("*.json"))[0].write_text("{ torn")
+        argv = ["fig2", "--cache", str(cache), "--profile"]
+        assert main([*argv, "--telemetry-dir", str(telemetry)]) == 0
+        out = capsys.readouterr().out
+        points = load_manifest(_only(telemetry, "*"))["points"]
+        assert points["cache_quarantined"] == 1
+        assert (points["evaluated"], points["cache_hits"]) == (1, 31)
+        assert (
+            "[executor] 1 evaluated, 31 cache hits, 0 failures, "
+            "1 corrupt cache files quarantined"
+        ) in out
+        assert "[cache]" not in out
