@@ -5,7 +5,7 @@ edges resolved *by name* against the index, matching the resolution
 contract the rest of the analyzer uses (this is a convention checker
 for one repository, where bare callable names are near-unique).
 
-Two deliberate conservatisms:
+Two deliberate choices:
 
 * **Dynamic dispatch fallback** — a name with several definitions links
   to *all* of them (``ambiguous=True`` on the edge).  Summaries that
@@ -14,12 +14,10 @@ Two deliberate conservatisms:
   require agreement across candidates, under-approximating what they
   claim.  The may/must split keeps the graph sound for propagation
   without turning name collisions into noise.
-* **Reference edges** — a function name passed as a value
+* **Calls only** — a function name passed as a value
   (``Process(target=_farm_worker)``, ``executor.map(point_fn, grid)``)
-  produces a ``kind="ref"`` edge: the function is not called *here*,
-  but escaping as a value means it may be called by machinery the
-  graph cannot see.  Callers opt into ref edges (``include_refs``);
-  call-path reconstruction leaves them out by default.
+  is not called *here*, so it makes no edge; no checker follows a
+  function into the machinery that may call it later.
 
 Calls that resolve to nothing in the tree (builtins, stdlib, attribute
 chains on unknown objects) are counted per node in
@@ -72,16 +70,13 @@ def owned_nodes(root: FunctionNode) -> Iterator[ast.AST]:
 
 @dataclass(frozen=True)
 class CallEdge:
-    """One resolved call or reference site."""
+    """One resolved call site."""
 
     line: int
     #: Bare callee name as written at the site.
     name: str
     #: Target node id.
     target: str
-    #: ``"call"`` (the name is invoked here) or ``"ref"`` (the function
-    #: escapes as a value and may be invoked elsewhere).
-    kind: str
     #: Whether the name resolved to more than one definition.
     ambiguous: bool
 
@@ -101,19 +96,12 @@ class CallGraph:
         info = self.nodes.get(nid)
         return info.qualname if info is not None else nid
 
-    def callees(self, nid: str, include_refs: bool = False) -> Tuple[str, ...]:
+    def callees(self, nid: str) -> Tuple[str, ...]:
         """Deduplicated, sorted callee node ids of ``nid``."""
-        out: Set[str] = set()
-        for edge in self.edges.get(nid, ()):
-            if edge.kind == "call" or include_refs:
-                out.add(edge.target)
-        return tuple(sorted(out))
+        return tuple(sorted({edge.target for edge in self.edges.get(nid, ())}))
 
     def shortest_path(
-        self,
-        start: str,
-        is_target: Callable[[str], bool],
-        include_refs: bool = False,
+        self, start: str, is_target: Callable[[str], bool]
     ) -> Optional[List[str]]:
         """Deterministic BFS path from ``start`` to a target node.
 
@@ -131,7 +119,7 @@ class CallGraph:
         while frontier:
             next_frontier: List[str] = []
             for nid in frontier:
-                for target in self.callees(nid, include_refs=include_refs):
+                for target in self.callees(nid):
                     if target in seen:
                         continue
                     seen.add(target)
@@ -190,16 +178,9 @@ def build_call_graph(index: TreeIndex) -> CallGraph:
         nid = node_id(info)
         edges: List[CallEdge] = []
         unresolved = 0
-        call_func_exprs: Set[int] = set()
-        calls: List[ast.Call] = []
-        names: List[ast.expr] = []
-        for node in owned_nodes(info.node):
-            if isinstance(node, ast.Call):
-                calls.append(node)
-                call_func_exprs.add(id(node.func))
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                names.append(node)
-        for call in calls:
+        for call in owned_nodes(info.node):
+            if not isinstance(call, ast.Call):
+                continue
             name, candidates = call_candidates(index, call.func)
             if not candidates:
                 unresolved += 1
@@ -211,43 +192,10 @@ def build_call_graph(index: TreeIndex) -> CallGraph:
                         line=call.lineno,
                         name=name,
                         target=node_id(candidate),
-                        kind="call",
                         ambiguous=ambiguous,
                     )
                 )
-        for expr in names:
-            if id(expr) in call_func_exprs:
-                continue
-            if isinstance(expr, ast.Name):
-                if not isinstance(expr.ctx, ast.Load):
-                    continue
-                name = expr.id
-            else:
-                if not isinstance(expr.ctx, ast.Load):
-                    continue
-                name = expr.attr
-            candidates = list(index.functions.get(name, []))
-            if not candidates:
-                continue
-            ambiguous = len(candidates) > 1
-            for candidate in candidates:
-                target = node_id(candidate)
-                if target == nid:
-                    # Recursive self-reference by name (decorator idiom,
-                    # functools.wraps): not an escape.
-                    continue
-                edges.append(
-                    CallEdge(
-                        line=expr.lineno,
-                        name=name,
-                        target=target,
-                        kind="ref",
-                        ambiguous=ambiguous,
-                    )
-                )
-        ordered = tuple(
-            sorted(edges, key=lambda e: (e.line, e.name, e.target, e.kind))
-        )
+        ordered = tuple(sorted(edges, key=lambda e: (e.line, e.name, e.target)))
         graph.edges[nid] = ordered
         if unresolved:
             graph.unresolved[nid] = unresolved

@@ -64,7 +64,6 @@ def solve_summaries(
     transfer: Callable[[str, FunctionInfo, Mapping[str, S]], S],
     bottom: S,
     order: Optional[Sequence[str]] = None,
-    include_refs: bool = False,
 ) -> Dict[str, S]:
     """Least fixpoint of ``transfer`` over every node of ``graph``.
 
@@ -74,8 +73,7 @@ def solve_summaries(
     initial worklist — any permutation of the node ids yields the same
     result for a monotone transfer; the parameter exists so the
     order-independence property is *testable*, not so callers can tune
-    it.  ``include_refs`` controls whether a changed summary also
-    requeues ref-edge (function-as-value) callers.
+    it.
     """
     node_ids = sorted(graph.nodes)
     if order is not None:
@@ -106,19 +104,9 @@ def solve_summaries(
         for caller in graph.callers.get(nid, ()):
             if caller in queued:
                 continue
-            if not include_refs and not _has_call_edge(graph, caller, nid):
-                continue
             worklist.append(caller)
             queued.add(caller)
     return summaries
-
-
-def _has_call_edge(graph: CallGraph, caller: str, target: str) -> bool:
-    """Whether ``caller`` reaches ``target`` through a real call edge."""
-    return any(
-        edge.target == target and edge.kind == "call"
-        for edge in graph.edges.get(caller, ())
-    )
 
 
 def join_sets(values: Sequence[FrozenSet[str]]) -> FrozenSet[str]:

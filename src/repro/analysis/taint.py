@@ -179,7 +179,7 @@ def solve_taint(
         nid: str, info: FunctionInfo, summaries: Mapping[str, TaintSet]
     ) -> TaintSet:
         out: Set[TaintSource] = set(own[nid])
-        for callee in graph.callees(nid, include_refs=False):
+        for callee in graph.callees(nid):
             out.update(summaries[callee])
         return frozenset(out)
 
@@ -197,7 +197,6 @@ def _taint_path(
     return graph.shortest_path(
         start,
         is_target=lambda nid: any(s.rule == rule for s in own.get(nid, ())),
-        include_refs=False,
     )
 
 
@@ -218,8 +217,6 @@ def check(
         # Group this function's call edges by site (line + written name).
         sites: Dict[Tuple[int, str], Set[str]] = {}
         for edge in graph.edges.get(nid, ()):
-            if edge.kind != "call":
-                continue
             sites.setdefault((edge.line, edge.name), set()).add(edge.target)
         for (line, name), targets in sorted(sites.items()):
             candidates = [graph.nodes[t] for t in sorted(targets)]

@@ -19,7 +19,9 @@ The sweep-shaped commands (``fig1``–``fig4``, ``characterize``) also
 accept ``--jobs N`` to fan independent sweep points out over N worker
 processes, and ``--cache DIR`` to memoize completed points on disk so a
 re-run only simulates points whose configuration changed
-(``--no-cache`` disables a configured cache for one invocation).
+(``--no-cache`` disables a configured cache for one invocation).  The
+cache also holds the experimental commands' power calibration, so a
+warm re-run simulates nothing.
 
 They are also fault tolerant: ``--max-retries N`` re-attempts points
 whose failure was transient (a crashed worker, a timeout, an escaped
@@ -176,15 +178,11 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _executor_from_args(args, telemetry_run, command: str):
+def _executor_from_args(args, telemetry_run, command: str, cache):
     from repro.errors import ConfigurationError
-    from repro.harness.executor import ResultCache, RetryPolicy, SweepExecutor
+    from repro.harness.executor import RetryPolicy, SweepExecutor
     from repro.harness.faults import parse_fault_plan
     from repro.harness.journal import SweepJournal, list_run_ids
-
-    cache = None
-    if args.cache and not args.no_cache:
-        cache = ResultCache(args.cache)
 
     resume_id = getattr(args, "resume", None)
     if resume_id is not None and cache is None:
@@ -321,25 +319,35 @@ def _sweep_session(args, experimental: bool = False):
     """One sweep command's plumbing; yields ``(context, executor)``.
 
     Opens the telemetry run first, so an experimental context's
-    calibration is traced, then builds the context (``None`` for the
-    analytical figures) and the executor with its journal.  After the
+    calibration is traced, then the command's one result cache (none
+    under ``--no-cache``).  Builds the context (``None`` for the
+    analytical figures), which replays its calibration from that cache,
+    and the executor with its journal, which shares it, so a corrupt
+    calibration entry is counted with the points'.  After the
     body prints its table, prints the ``[executor]`` (and, for
     experimental sweeps, ``[kernel]``) summaries; whatever happens,
     closes the journal and finalizes the telemetry run.
     """
     command = args.command
     telemetry_run = _telemetry_run_from_args(args, command)
+    cache = None
+    if args.cache and not args.no_cache:
+        from repro.harness.executor import ResultCache
+
+        cache = ResultCache(args.cache)
     context = None
     if experimental:
         from repro.harness import ExperimentContext
 
         print("building experiment context (calibration microbenchmark)...")
-        context = ExperimentContext(workload_scale=args.scale, profile=args.profile)
+        context = ExperimentContext(
+            workload_scale=args.scale, profile=args.profile, cache=cache
+        )
         if telemetry_run is not None:
             from repro.harness.executor import config_key
 
             telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
-    executor = _executor_from_args(args, telemetry_run, command)
+    executor = _executor_from_args(args, telemetry_run, command, cache)
     try:
         yield context, executor
         _print_executor_summary(executor, args)

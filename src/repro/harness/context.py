@@ -5,8 +5,11 @@ need: the Table 1 CMP configuration, the HotSpot-style thermal model over
 the 16-core floorplan, the Wattch energy model, the static-power curve,
 the Section 3.3 power calibration, and the V/f operating-point table.
 
-Construction runs the calibration microbenchmark once; contexts are
-intended to be built once and shared across experiments.
+The calibration is a property of the machine, not of an experiment: it
+is computed once per machine configuration and, given a
+:class:`~repro.harness.executor.ResultCache` (``--cache``), replayed from
+it, so a warm sweep runs no simulation at all.  Contexts are intended to
+be built once and shared across experiments.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.harness.executor import PointOutcome, ResultCache, config_key
 from repro.power.calibration import PowerCalibration, calibrate_power_model
 from repro.power.chippower import ChipPowerModel, ChipPowerResult
 from repro.power.static import StaticPowerModel
@@ -28,7 +32,13 @@ from repro.workloads.base import WorkloadModel
 
 
 class ExperimentContext:
-    """The assembled Table 1 machine plus its power/thermal toolchain."""
+    """The assembled Table 1 machine plus its power/thermal toolchain.
+
+    ``cache`` memoizes the Section 3.3 calibration: it is keyed by the
+    machine (CMP config, technology, ambient, Wattch energies, static
+    model) and not by ``workload_scale`` or the V/f ladder, so one entry
+    serves every sweep on the same machine.
+    """
 
     def __init__(
         self,
@@ -42,6 +52,7 @@ class ExperimentContext:
         workload_scale: float = 1.0,
         fast_path: bool = True,
         profile: bool = False,
+        cache: Optional[ResultCache] = None,
     ) -> None:
         if workload_scale <= 0:
             raise ConfigurationError("workload_scale must be positive")
@@ -73,9 +84,7 @@ class ExperimentContext:
         self.vf_table = VFTable.linear(
             tech, f_min=f_min_hz, f_max=tech.f_nominal, step=vf_step_hz
         )
-        self.calibration: PowerCalibration = calibrate_power_model(
-            self.cmp_config, self.thermal, self.wattch, self.static_model
-        )
+        self.calibration = self._calibration(cache, ambient_celsius, energies)
         self.chip_power = ChipPowerModel(
             self.thermal, self.wattch, self.static_model, self.calibration
         )
@@ -92,6 +101,33 @@ class ExperimentContext:
             "f_min_hz": f_min_hz,
             "workload_scale": workload_scale,
         }
+
+    def _calibration(
+        self,
+        cache: Optional[ResultCache],
+        ambient_celsius: float,
+        energies: Optional[UnitEnergies],
+    ) -> PowerCalibration:
+        """The machine's calibration, replayed from ``cache`` when it can be."""
+        key = config_key(
+            {
+                "kind": "power-calibration",
+                "cmp_config": self.cmp_config,
+                "tech": self.tech,
+                "ambient_celsius": ambient_celsius,
+                "energies": energies,
+                "static_model": self.static_model,
+            }
+        )
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None and isinstance(hit.value, PowerCalibration):
+            return hit.value
+        calibration = calibrate_power_model(
+            self.cmp_config, self.thermal, self.wattch, self.static_model
+        )
+        if cache is not None:
+            cache.put(key, PointOutcome(index=0, key=key, value=calibration))
+        return calibration
 
     def fingerprint(self) -> dict:
         """The context's defining parameters, for result-cache keys.

@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import ConfigurationError
 from repro.tech.technology import TechnologyNode
@@ -259,6 +258,11 @@ def fit_leakage_curve(
         ]
     )
     seed, *_ = np.linalg.lstsq(design, log_targets, rcond=None)
+
+    # Imported here, not at module level: scipy.optimize costs most of
+    # ``import repro.cli``, and only this fit (fig1/fig2, ``repro
+    # verify``) uses it.
+    from scipy.optimize import least_squares
 
     def relative_residuals(coeffs: np.ndarray) -> np.ndarray:
         residuals = np.empty(len(points))

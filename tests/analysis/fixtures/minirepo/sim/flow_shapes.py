@@ -61,5 +61,5 @@ def dynamic_dispatch(port, op: int) -> int:
 
 
 def escape_reference() -> object:
-    # `countdown` escapes as a value: a "ref" edge, not a "call" edge.
+    # `countdown` escapes as a value: not a call, so no edge.
     return countdown

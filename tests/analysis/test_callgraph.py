@@ -13,11 +13,8 @@ def _only_id(graph: CallGraph, name: str) -> str:
     return ids[0]
 
 
-def _callee_names(graph, nid, include_refs=False):
-    return {
-        graph.qualname(target)
-        for target in graph.callees(nid, include_refs=include_refs)
-    }
+def _callee_names(graph, nid):
+    return {graph.qualname(target) for target in graph.callees(nid)}
 
 
 def test_direct_recursion_is_a_one_node_cycle(fixture_graph):
@@ -55,18 +52,9 @@ def test_dynamic_dispatch_links_every_same_name_candidate(fixture_graph):
     assert all(e.ambiguous for e in issue_edges)
 
 
-def test_escaping_function_value_is_a_ref_edge_not_a_call(fixture_graph):
+def test_escaping_function_value_makes_no_edge(fixture_graph):
     nid = _only_id(fixture_graph, "escape_reference")
     assert "countdown" not in _callee_names(fixture_graph, nid)
-    assert "countdown" in _callee_names(
-        fixture_graph, nid, include_refs=True
-    )
-    ref_edges = [
-        e for e in fixture_graph.edges[nid] if e.kind == "ref"
-    ]
-    assert {fixture_graph.qualname(e.target) for e in ref_edges} == {
-        "countdown"
-    }
 
 
 def test_shortest_path_is_deterministic_and_minimal(fixture_graph):

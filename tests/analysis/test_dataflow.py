@@ -49,13 +49,6 @@ def test_fixpoint_closes_over_cycles(fixture_graph):
     assert {"ping", "pong", "countdown"} <= named["dispatch_shape"]
 
 
-def test_ref_edges_do_not_propagate_call_summaries(fixture_graph):
-    named = _by_qualname(fixture_graph, _solve_reaches(fixture_graph))
-    # escape_reference only *mentions* countdown; with include_refs left
-    # off the summary must not absorb the callee's facts.
-    assert named["escape_reference"] == {"escape_reference"}
-
-
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_fixpoint_is_worklist_order_independent(fixture_graph, data):

@@ -408,3 +408,104 @@ class TestPointRecord:
             "1 corrupt cache files quarantined"
         ) in out
         assert "[cache]" not in out
+
+
+def _table(out):
+    """A sweep's stdout without the lines a cache hit legitimately changes."""
+    return "".join(
+        line
+        for line in out.splitlines(keepends=True)
+        if not line.startswith(("[executor]", "[telemetry]"))
+    )
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count every ``ChipMultiprocessor.run`` in this process."""
+    from repro.sim.cmp import ChipMultiprocessor
+
+    runs = []
+    run = ChipMultiprocessor.run
+
+    def counting(self, *args, **kwargs):
+        runs.append(self.config)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChipMultiprocessor, "run", counting)
+    return runs
+
+
+SMALL_SWEEPS = {
+    "fig3": ["fig3", "--apps", "Barnes", "--scale", "0.05"],
+    "fig4": ["fig4", "--apps", "Radix", "--scale", "0.05"],
+    "characterize": ["characterize", "--scale", "0.02"],
+}
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
+class TestCalibrationMemo:
+    """A warm ``--cache`` replays the calibration with the points."""
+
+    @pytest.mark.parametrize("command", sorted(SMALL_SWEEPS))
+    def test_warm_cache_runs_no_simulation(self, capsys, kernel_runs, tmp_path, command):
+        argv = [*SMALL_SWEEPS[command], "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert kernel_runs, "the cold run simulates"
+        kernel_runs.clear()
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert kernel_runs == []
+        assert " 0 evaluated" in warm
+        assert _table(warm) == _table(cold)
+
+    def test_warm_farm_prints_the_same_table(self, capsys, kernel_runs, tmp_path):
+        argv = [*SMALL_SWEEPS["fig3"], "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        kernel_runs.clear()
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert _table(capsys.readouterr().out) == _table(cold)
+        assert kernel_runs == []
+
+    def test_no_cache_neither_reads_nor_writes_the_calibration(self, capsys, monkeypatch, tmp_path):
+        import repro.harness.context as context_module
+
+        cache = tmp_path / "cache"
+        assert main([*SMALL_SWEEPS["fig3"], "--cache", str(cache)]) == 0
+        files = {path: path.read_bytes() for path in cache.rglob("*.json*")}
+        calibrations = []
+        calibrate = context_module.calibrate_power_model
+
+        def counting(*args, **kwargs):
+            calibrations.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "calibrate_power_model", counting)
+        assert main([*SMALL_SWEEPS["fig3"], "--cache", str(cache), "--no-cache"]) == 0
+        capsys.readouterr()
+        assert len(calibrations) == 1
+        assert {path: path.read_bytes() for path in cache.rglob("*.json*")} == files
+
+    def test_corrupt_calibration_counts_in_points_cache_quarantined(self, capsys, kernel_runs, tmp_path):
+        from repro.telemetry.manifest import load_manifest
+
+        cache, telemetry = tmp_path / "cache", tmp_path / "telemetry"
+        assert main([*SMALL_SWEEPS["fig3"], "--cache", str(cache)]) == 0
+        cold = capsys.readouterr().out
+        (entry,) = [
+            path
+            for path in cache.glob("*.json")
+            if "PowerCalibration" in path.read_text(encoding="utf-8")
+        ]
+        entry.write_text("{ torn", encoding="utf-8")
+        kernel_runs.clear()
+        argv = [*SMALL_SWEEPS["fig3"], "--cache", str(cache)]
+        assert main([*argv, "--telemetry-dir", str(telemetry)]) == 0
+        warm = capsys.readouterr().out
+        points = load_manifest(_only(telemetry, "*"))["points"]
+        assert points["cache_quarantined"] == 1
+        assert (points["evaluated"], points["cache_hits"]) == (0, 9)
+        assert len(kernel_runs) == 1  # the calibration alone
+        assert entry.exists() and entry.with_name(entry.name + ".quarantined").exists()
+        assert _table(warm) == _table(cold)
