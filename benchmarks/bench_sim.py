@@ -114,7 +114,7 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
         try:
             return fast_run(cache)
         finally:
-            tracer.drain_records()
+            tracer.drain_since(0)
             set_tracer(previous)
 
     def sampled_fast_run(cache):

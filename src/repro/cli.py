@@ -266,18 +266,17 @@ def _executor_from_args(args, telemetry_run, command: str, cache):
 
 
 def _telemetry_run_from_args(args, command: str):
-    """Enable tracing and open a run directory when ``--telemetry-dir`` is set.
+    """Enable telemetry and open a run directory when ``--telemetry-dir`` is set.
 
-    Tracing and counter sampling must be on before any farm child forks
-    so the children inherit the enabled tracer and sampler (and with
-    them the shared wall-clock anchor).
+    Telemetry must be on before any farm child forks so the children
+    inherit the enabled tracer and sampler (and with them the shared
+    wall-clock anchor).
     """
     if not getattr(args, "telemetry_dir", None):
         return None
-    from repro.telemetry import TelemetryRun, enable_sampling, enable_tracing
+    from repro.telemetry import TelemetryRun, enable_telemetry
 
-    enable_tracing()
-    enable_sampling()
+    enable_telemetry()
     return TelemetryRun(
         args.telemetry_dir, command=command, argv=list(sys.argv[1:])
     )

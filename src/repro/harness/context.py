@@ -210,9 +210,8 @@ class ExperimentContext:
             result.kernel.compile_s = compiled.seconds
             result.kernel.compile_cache_hit = compiled.from_cache
             result.kernel.compile_cache_evicted = compiled.evicted
-            # The capture buffer carries the stats to the executor's
-            # kernel ledger from any process (no-op outside an executor
-            # point evaluation).
+            # The point's capture window carries the stats to the
+            # executor's kernel ledger from any process.
             record_kernel(result.kernel)
         power = self.chip_power.evaluate(result)
         return result, power

@@ -72,14 +72,8 @@ from repro.harness.faults import FaultPlan, inject_fault
 from repro.harness.journal import SweepJournal
 from repro.harness.schema import SCHEMA_VERSION
 from repro.sim.ops import stream_cache
-from repro.telemetry.record import (
-    KernelAggregate,
-    PointTelemetry,
-    begin_point_capture,
-    end_point_capture,
-)
-from repro.telemetry.timeseries import get_sampler
-from repro.telemetry.trace import get_tracer, now_us
+from repro.telemetry.record import CaptureWindow, KernelAggregate, PointTelemetry
+from repro.telemetry.trace import now_us
 
 PathLike = Union[str, Path]
 
@@ -522,20 +516,18 @@ class ExecutorStats:
 class _PointCall:
     """Picklable wrapper that turns library errors into typed results.
 
-    Each call is bracketed by a telemetry capture window: the kernel
-    stats of every simulation the point runs, plus any span trees the
-    evaluating process completed, come back with the status tuple as a
+    Each call runs inside a :class:`~repro.telemetry.record.CaptureWindow`:
+    the kernel records, span trees and counter readings the point
+    produced come back with the status tuple as a
     :class:`~repro.telemetry.record.PointTelemetry` — the outcome
-    channel that carries every lane's kernel stats to the coordinator's
-    ledger (:attr:`SweepExecutor.kernels`).
+    channel that carries every lane's telemetry to the coordinator.
 
     Both lanes run the same call.  A fault plan is injected at the top
-    of every attempt, inside the capture window.  A resilient executor
-    sets ``capture_bugs=True`` so escaped non-library exceptions come
-    back as retryable ``("raised", ...)`` statuses instead of killing
-    the campaign; otherwise they propagate (from a farm child, the
-    pickled exception and its traceback text are shipped back and
-    re-raised).
+    of every attempt, inside the window.  A resilient executor sets
+    ``capture_bugs=True`` so escaped non-library exceptions come back as
+    retryable ``("raised", ...)`` statuses instead of killing the
+    campaign; otherwise they propagate (from a farm child, the pickled
+    exception and its traceback text are shipped back and re-raised).
     """
 
     fn: Callable[[Any], Any]
@@ -543,37 +535,27 @@ class _PointCall:
     capture_bugs: bool = False
 
     def __call__(self, point: Any, index: Optional[int] = None, attempt: int = 0):
-        begin_point_capture()
-        # Counter readings are drained from this mark, not from zero: a
-        # forked worker inherits whatever the coordinator had buffered
-        # (context calibration runs, say), and those inherited readings
-        # must not ride home duplicated with every worker's first point.
-        sampler = get_sampler()
-        sample_mark = sampler.mark()
         start_us = now_us()
         start = time.perf_counter()
-        try:
-            if self.fault_plan is not None and index is not None:
-                inject_fault(self.fault_plan, index, attempt)
-            status = ("ok", self.fn(point))
-        except TransientError as exc:
-            status = ("transient", type(exc).__name__, str(exc))
-        except ReproError as exc:
-            status = ("error", type(exc).__name__, str(exc))
-        except Exception as exc:
-            if not self.capture_bugs:
-                end_point_capture()
-                sampler.drain_since(sample_mark)
-                raise
-            status = ("raised", type(exc).__name__, str(exc))
-        wall_s = time.perf_counter() - start
+        with CaptureWindow() as window:
+            try:
+                if self.fault_plan is not None and index is not None:
+                    inject_fault(self.fault_plan, index, attempt)
+                status = ("ok", self.fn(point))
+            except TransientError as exc:
+                status = ("transient", type(exc).__name__, str(exc))
+            except ReproError as exc:
+                status = ("error", type(exc).__name__, str(exc))
+            except Exception as exc:
+                if not self.capture_bugs:
+                    raise
+                status = ("raised", type(exc).__name__, str(exc))
+            wall_s = time.perf_counter() - start
         telemetry = PointTelemetry(
             pid=os.getpid(),
             start_us=start_us,
             wall_s=wall_s,
-            kernels=end_point_capture(),
-            spans=tuple(get_tracer().drain_records()),
-            samples=tuple(sampler.drain_since(sample_mark)),
+            **window.captured._asdict(),
         )
         return status + (telemetry,)
 

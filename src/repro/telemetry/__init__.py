@@ -14,12 +14,13 @@ power/thermal models, the sweep executor, and the CLI:
 * :mod:`repro.telemetry.alerts` — declarative alert rules (thermal
   ceiling, power budget, IPC collapse, sampler overflow) evaluated over
   per-channel statistics at run finalize;
-* :mod:`repro.telemetry.record` — picklable ``KernelRecord`` /
-  ``PointTelemetry`` records that carry worker-side kernel stats, span
-  trees, and counter samples back through the executor's outcome
-  channel (and into the result cache), and ``KernelAggregate``, the
-  executor's one fold over them that ``--profile`` and the manifest
-  both read;
+* :mod:`repro.telemetry.record` — the ``CaptureWindow``, the one rule
+  by which a point's spans, samples and kernel records leave a process
+  (and ``enable_telemetry``/``disable_telemetry``, the one switch);
+  picklable ``KernelRecord`` / ``PointTelemetry`` records that carry
+  them back through the executor's outcome channel (and into the result
+  cache); and ``KernelAggregate``, the executor's one fold over them
+  that ``--profile`` and the manifest both read;
 * :mod:`repro.telemetry.manifest` — per-sweep run manifests plus JSONL
   event/span/timeline logs under ``--telemetry-dir``, with schema
   validation;
@@ -59,20 +60,18 @@ from repro.telemetry.manifest import (
     validate_run_dir,
 )
 from repro.telemetry.record import (
+    CaptureWindow,
     KernelAggregate,
     KernelRecord,
     PointTelemetry,
-    begin_point_capture,
-    capturing,
-    end_point_capture,
+    disable_telemetry,
+    enable_telemetry,
     record_kernel,
 )
 from repro.telemetry.timeseries import (
     CounterSampler,
     SampleRecord,
     channel_values,
-    disable_sampling,
-    enable_sampling,
     get_sampler,
     sample,
     set_sampler,
@@ -82,8 +81,6 @@ from repro.telemetry.trace import (
     Span,
     SpanRecord,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     now_us,
     set_tracer,
@@ -97,6 +94,7 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "AlertFinding",
     "AlertRule",
+    "CaptureWindow",
     "ChannelStats",
     "CounterSampler",
     "KernelAggregate",
@@ -107,15 +105,10 @@ __all__ = [
     "SpanRecord",
     "TelemetryRun",
     "Tracer",
-    "begin_point_capture",
-    "capturing",
     "channel_values",
     "chrome_trace_document",
-    "disable_sampling",
-    "disable_tracing",
-    "enable_sampling",
-    "enable_tracing",
-    "end_point_capture",
+    "disable_telemetry",
+    "enable_telemetry",
     "evaluate_rules",
     "export_chrome_trace",
     "get_sampler",

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.telemetry.alerts import AlertRule, ChannelStats, evaluate_rules
-from repro.telemetry.record import KernelAggregate, PointTelemetry
+from repro.telemetry.record import KernelAggregate, PointTelemetry, drain_since
 from repro.telemetry.timeseries import SampleRecord, get_sampler
 from repro.telemetry.trace import SpanRecord, get_tracer
 
@@ -260,17 +260,14 @@ class TelemetryRun:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def finalize(
-        self,
-        executor: Optional[Any] = None,
-        drain_tracer: bool = True,
-    ) -> Path:
-        """Close the run: drain the process tracer, write final manifest.
+    def finalize(self, executor: Optional[Any] = None) -> Path:
+        """Close the run: drain the coordinator's leftovers, write the manifest.
 
-        Also drains the coordinator's counter sampler (readings taken
-        outside any point-capture window, e.g. during context
-        calibration) and evaluates the alert rules over the whole run's
-        channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
+        The leftovers are what no point's capture window took: the
+        coordinator's calibration, precompile and ``optimizer.*`` spans
+        and its readings outside points (the governor's, say), drained
+        from mark 0.  The alert rules are then evaluated over the whole
+        run's channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
         object) contributes, when given, its point tally (the manifest's
         ``points`` block: ``executor.stats`` plus the cache's count of
         quarantined files) and its kernel ledger (the ``kernel`` block,
@@ -278,15 +275,13 @@ class TelemetryRun:
         """
         if self.finalized:
             return self.directory / "manifest.json"
-        if drain_tracer:
-            tracer = get_tracer()
-            self.record_spans(tracer.drain_records())
-        sampler = get_sampler()
-        self.record_samples(sampler.drain_records())
+        leftovers = drain_since()
+        self.record_spans(leftovers.spans)
+        self.record_samples(leftovers.samples)
         self.alerts = [
             finding.to_dict()
             for finding in evaluate_rules(
-                self.channel_stats, self.alert_rules, dropped=sampler.dropped
+                self.channel_stats, self.alert_rules, dropped=get_sampler().dropped
             )
         ]
         extra: Dict[str, Any] = {}

@@ -1,11 +1,11 @@
-"""Cross-process telemetry records, the kernel ledger, and the capture buffer.
+"""Cross-process telemetry records, the kernel ledger, and the capture window.
 
 The sweep executor fans points out to worker processes; each worker's
-:class:`~repro.sim.cmp.KernelStats` and span trees would otherwise die
-with the task.  These records are the picklable, cache-encodable form in
-which that telemetry travels back through the executor's outcome channel
-and is persisted by the :class:`~repro.harness.executor.ResultCache`
-alongside the point's value.
+:class:`~repro.sim.cmp.KernelStats`, span trees and counter readings
+would otherwise die with the task.  These records are the picklable,
+cache-encodable form in which that telemetry travels back through the
+executor's outcome channel and is persisted by the
+:class:`~repro.harness.executor.ResultCache` alongside the point's value.
 
 :class:`KernelAggregate` is the one fold over those records: the
 executor keeps one (``SweepExecutor.kernels``) and folds every outcome's
@@ -13,23 +13,35 @@ records into it, whatever process or cache produced them.  ``--profile``,
 the run manifest's ``kernel`` block and the ``repro trace metrics``
 header all read that single object.
 
-The capture buffer is per-process module state: the executor's point
-wrapper brackets each evaluation with :func:`begin_point_capture` /
-:func:`end_point_capture`, and
+A process buffers three kinds of telemetry: the tracer's root spans,
+the counter sampler's readings, and the kernel records
 :meth:`ExperimentContext.run <repro.harness.context.ExperimentContext.run>`
-deposits one :class:`KernelRecord` per simulation via
-:func:`record_kernel`.  Outside a capture window ``record_kernel`` is a
-no-op, so long-lived processes that never drain (test suites, notebooks)
-do not accumulate records.
+deposits via :func:`record_kernel`.  One rule takes them out: a
+:class:`CaptureWindow` marks all three buffers when it opens and, when
+it closes, drains exactly what was buffered since (:func:`drain_since`).
+The window also sets the open span stack aside, so the spans a point
+opens are roots of that point, never children of a span the
+coordinator held open around the sweep.  A forked worker inherits the
+coordinator's buffers and open stack, and the marks and the set-aside
+stack keep both out of its points.  The telemetry run's finalize drains
+what is left from mark 0: the coordinator's own calibration,
+precompile and ``optimizer.*`` spans and readings.  Kernel records are
+buffered only while a window is open, so simulations run outside any
+window (library callers, say) buffer nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
-from repro.telemetry.timeseries import SampleRecord
-from repro.telemetry.trace import SpanRecord
+from repro.telemetry.timeseries import (
+    CounterSampler,
+    SampleRecord,
+    get_sampler,
+    set_sampler,
+)
+from repro.telemetry.trace import SpanRecord, Tracer, get_tracer, set_tracer
 
 
 @dataclass(frozen=True)
@@ -194,39 +206,74 @@ class PointTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Per-process capture buffer.
+# Per-process buffers and the capture window.
 # ---------------------------------------------------------------------------
 
-_capturing = False
 _kernels: List[KernelRecord] = []
-
-
-def capturing() -> bool:
-    """Whether a point-capture window is open in this process."""
-    return _capturing
+_open_windows = 0
 
 
 def record_kernel(stats: Any) -> None:
-    """Deposit one run's kernel stats into the open capture window.
+    """Buffer one run's kernel stats for the capture window around it.
 
     No-op when no window is open, so unharnessed ``context.run`` calls
-    cost one boolean check and leak nothing.
+    cost one check and a long-lived process accumulates nothing.
     """
-    if _capturing:
+    if _open_windows:
         _kernels.append(KernelRecord.from_stats(stats))
 
 
-def begin_point_capture() -> None:
-    """Open a capture window (discarding any stale, undrained one)."""
-    global _capturing
-    _capturing = True
-    _kernels.clear()
+class Captured(NamedTuple):
+    """What a drain took: the telemetry parts of a ``PointTelemetry``."""
+
+    kernels: Tuple[KernelRecord, ...]
+    spans: Tuple[SpanRecord, ...]
+    samples: Tuple[SampleRecord, ...]
 
 
-def end_point_capture() -> Tuple[KernelRecord, ...]:
-    """Close the capture window and return the runs it collected."""
-    global _capturing
-    _capturing = False
-    records = tuple(_kernels)
-    _kernels.clear()
-    return records
+def drain_since(kernels: int = 0, spans: int = 0, samples: int = 0) -> Captured:
+    """Everything buffered after the marks (default: mark 0); removes exactly that."""
+    taken = tuple(_kernels[kernels:])
+    del _kernels[kernels:]
+    return Captured(
+        taken,
+        tuple(get_tracer().drain_since(spans)),
+        tuple(get_sampler().drain_since(samples)),
+    )
+
+
+class CaptureWindow:
+    """One point evaluation's window over the process's buffers.
+
+    ``with CaptureWindow() as window:`` marks the buffers and sets the
+    open span stack aside; leaving the block, however it is left,
+    restores the stack and drains the window into :attr:`captured`.
+    """
+
+    captured = Captured((), (), ())
+
+    def __enter__(self) -> "CaptureWindow":
+        global _open_windows
+        tracer = get_tracer()
+        self._marks = (len(_kernels), tracer.mark(), get_sampler().mark())
+        self._stack = tracer.swap_stack([])
+        _open_windows += 1
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        global _open_windows
+        _open_windows -= 1
+        get_tracer().swap_stack(self._stack)
+        self.captured = drain_since(*self._marks)
+
+
+def enable_telemetry() -> None:
+    """Install an enabled process-wide tracer and sampler."""
+    set_tracer(Tracer(enabled=True))
+    set_sampler(CounterSampler(enabled=True))
+
+
+def disable_telemetry() -> None:
+    """Install a disabled process-wide tracer and sampler (the default)."""
+    set_tracer(Tracer(enabled=False))
+    set_sampler(CounterSampler(enabled=False))

@@ -4,12 +4,13 @@ Spans (:mod:`repro.telemetry.trace`) say how long each phase took; the
 :class:`CounterSampler` says what the *modelled chip* was doing while it
 ran.  Instrumented sites deposit one ``(channel, value)`` reading per
 interesting boundary — kernel window epilogues, power fixed-point
-iterations, thermal solver steps, governor decisions — and the sweep
-executor drains those readings into each point's
-:class:`~repro.telemetry.record.PointTelemetry`, from where they reach
-the run's ``timeline.jsonl`` artifact and the Perfetto counter tracks.
+iterations, thermal solver steps, governor decisions — and each sweep
+point's capture window (:mod:`repro.telemetry.record`) drains those
+readings into its :class:`~repro.telemetry.record.PointTelemetry`,
+from where they reach the run's ``timeline.jsonl`` artifact and the
+Perfetto counter tracks.
 
-The sampler mirrors the Tracer's two hot-path properties:
+Two hot-path properties:
 
 * **Zero-allocation no-op when disabled.**  ``sampler.sample(...)`` on
   a disabled sampler is one attribute check — no timestamp read, no
@@ -74,10 +75,7 @@ class CounterSampler:
 
     A disabled sampler allocates no buffers; an enabled one preallocates
     its three columns once and never grows.  ``mark()``/``drain_since``
-    let the executor's point wrapper take exactly the readings deposited
-    during one evaluation window — readings outside any window (context
-    calibration, governor loops run directly) stay on the sampler until
-    the telemetry run's finalize drains them.
+    let a capture window take exactly the readings deposited inside it.
     """
 
     def __init__(self, enabled: bool = True, max_samples: int = 200_000) -> None:
@@ -110,14 +108,7 @@ class CounterSampler:
         return self.count
 
     def drain_since(self, mark: int) -> List[SampleRecord]:
-        """Readings deposited after ``mark``; removes exactly those.
-
-        Readings before ``mark`` (an inherited buffer in a forked
-        worker, calibration readings in the coordinator) are left in
-        place for whoever owns that earlier window to drain — this is
-        what keeps fork-inherited readings from being double-counted
-        by every worker's first point.
-        """
+        """Readings deposited after ``mark``; removes exactly those."""
         mark = max(0, min(mark, self.count))
         records = [
             SampleRecord(self._channels[i], self._times[i], self._values[i])
@@ -125,10 +116,6 @@ class CounterSampler:
         ]
         self.count = mark
         return records
-
-    def drain_records(self) -> List[SampleRecord]:
-        """All buffered readings; clears the buffer."""
-        return self.drain_since(0)
 
     def records(self) -> List[SampleRecord]:
         """A non-destructive snapshot of the buffered readings."""
@@ -172,18 +159,6 @@ def set_sampler(sampler: CounterSampler) -> CounterSampler:
     global _SAMPLER
     previous, _SAMPLER = _SAMPLER, sampler
     return previous
-
-
-def enable_sampling(max_samples: int = 200_000) -> CounterSampler:
-    """Install (and return) an enabled process-wide sampler."""
-    return_value = CounterSampler(enabled=True, max_samples=max_samples)
-    set_sampler(return_value)
-    return return_value
-
-
-def disable_sampling() -> None:
-    """Install a disabled process-wide sampler (the default state)."""
-    set_sampler(CounterSampler(enabled=False))
 
 
 def sample(channel: str, value: float) -> None:

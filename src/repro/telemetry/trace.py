@@ -4,9 +4,9 @@ A :class:`Span` brackets one phase of work (workload compile, kernel
 window, power solve, thermal solve, ...); a :class:`Tracer` maintains the
 current span stack so spans opened inside other spans nest into a tree.
 Completed top-level spans accumulate on the tracer until they are
-*drained* — either into a :class:`SpanRecord` tree that travels across
-process boundaries (worker -> executor outcome channel) or into a
-telemetry run's ``spans.jsonl``.
+*drained* — ``mark()``/``drain_since(mark)``, the shape the counter
+sampler's buffer has too — into :class:`SpanRecord` trees, by the
+capture window of :mod:`repro.telemetry.record`.
 
 Two properties the hot paths rely on:
 
@@ -14,10 +14,11 @@ Two properties the hot paths rely on:
   disabled tracer returns the shared :data:`NULL_SPAN` singleton — no
   object is created, no timestamp read.  The simulator can therefore
   call ``span()`` unconditionally.
-* **Bounded memory when enabled.**  A tracer records at most
-  ``max_spans`` spans; past the cap, ``span()`` degrades to the no-op
-  singleton and counts the drop, so a pathological sweep cannot exhaust
-  memory through its own instrumentation.
+* **Bounded memory when enabled.**  A tracer buffers at most
+  ``max_spans`` spans (open, or closed and not yet drained); past the
+  cap, ``span()`` degrades to the no-op singleton and counts the drop,
+  so a pathological sweep cannot exhaust memory through its own
+  instrumentation.  A drain frees headroom.
 
 Timestamps come from :func:`time.perf_counter_ns` (monotonic, immune to
 clock steps) and are mapped to absolute wall-clock microseconds through
@@ -163,8 +164,9 @@ class Tracer:
     def __init__(self, enabled: bool = True, max_spans: int = 250_000) -> None:
         self.enabled = enabled
         self.max_spans = max_spans
-        #: Spans recorded so far (open + closed); drops start past the cap.
-        self.recorded = 0
+        #: Spans buffered (open, or closed and undrained); drops start
+        #: past the cap, and a drain gives the headroom back.
+        self.count = 0
         #: ``span()`` calls refused because the cap was reached.
         self.dropped = 0
         #: Completed top-level spans awaiting a drain.
@@ -175,10 +177,10 @@ class Tracer:
         """Open a nested span; returns :data:`NULL_SPAN` when disabled."""
         if not self.enabled:
             return NULL_SPAN
-        if self.recorded >= self.max_spans:
+        if self.count >= self.max_spans:
             self.dropped += 1
             return NULL_SPAN
-        self.recorded += 1
+        self.count += 1
         return Span(self, name, args)
 
     def aggregate(self, name: str, seconds: float, count: int = 1, **args: Any) -> None:
@@ -193,10 +195,10 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if self.recorded >= self.max_spans:
+        if self.count >= self.max_spans:
             self.dropped += 1
             return
-        self.recorded += 1
+        self.count += 1
         span = Span(self, name, args)
         span.set(aggregated=True, count=count)
         span.end_ns = time.perf_counter_ns()
@@ -211,21 +213,35 @@ class Tracer:
         else:
             self.roots.append(span)
 
-    def take_roots(self) -> List[Span]:
-        """Completed top-level spans; clears them from the tracer."""
-        roots, self.roots = self.roots, []
-        return roots
+    def mark(self) -> int:
+        """Current root position, for a later :meth:`drain_since`."""
+        return len(self.roots)
 
-    def drain_records(self) -> List[SpanRecord]:
-        """Completed top-level spans as records; clears them."""
-        return [span.record() for span in self.take_roots()]
+    def drain_since(self, mark: int) -> List[SpanRecord]:
+        """Root span trees completed after ``mark``; removes exactly those."""
+        mark = max(0, min(mark, len(self.roots)))
+        taken = self.roots[mark:]
+        del self.roots[mark:]
+        records = [span.record() for span in taken]
+        self.count -= sum(_size(record) for record in records)
+        return records
+
+    def swap_stack(self, stack: List[Span]) -> List[Span]:
+        """Install ``stack`` as the open-span stack; returns the old one."""
+        previous, self._stack = self._stack, stack
+        return previous
 
     def reset(self) -> None:
         """Drop all collected spans and counters (keeps enabled state)."""
         self.roots.clear()
         self._stack.clear()
-        self.recorded = 0
+        self.count = 0
         self.dropped = 0
+
+
+def _size(record: SpanRecord) -> int:
+    """Spans in a record's tree."""
+    return 1 + sum(_size(child) for child in record.children)
 
 
 #: The process-wide tracer every instrumented module consults.  Disabled
@@ -243,18 +259,6 @@ def set_tracer(tracer: Tracer) -> Tracer:
     global _TRACER
     previous, _TRACER = _TRACER, tracer
     return previous
-
-
-def enable_tracing(max_spans: int = 250_000) -> Tracer:
-    """Install (and return) an enabled process-wide tracer."""
-    return_value = Tracer(enabled=True, max_spans=max_spans)
-    set_tracer(return_value)
-    return return_value
-
-
-def disable_tracing() -> None:
-    """Install a disabled process-wide tracer (the default state)."""
-    set_tracer(Tracer(enabled=False))
 
 
 def span(name: str, **args: Any):

@@ -1,10 +1,11 @@
-"""Counter samples through the executor's outcome channel, per lane.
+"""Counter samples and spans through the executor's outcome channel, per lane.
 
 The sweep executor must ship each point's sampled readings back to the
 coordinator no matter which lane evaluated it — inline or the farm,
 with or without a retry policy — and a warm-cache rerun must replay the
 original timeline.  Per-channel value totals are therefore identical across all
-lanes (timestamps differ; values are deterministic).
+lanes (timestamps differ; values are deterministic).  A point's spans
+leave by the same window: only its own, in either lane.
 """
 
 import os
@@ -19,6 +20,7 @@ from repro.telemetry.timeseries import (
     sample,
     set_sampler,
 )
+from repro.telemetry.trace import Tracer, set_tracer, span
 
 
 def sampling_row_point(point):
@@ -26,6 +28,12 @@ def sampling_row_point(point):
     sample("probe.value", float(point))
     sample("probe.squared", float(point * point))
     return point * 2
+
+
+def tracing_row_point(point):
+    """Picklable evaluator opening one span per call."""
+    with span("probe.point", point=point):
+        return point * 2
 
 
 def key_configs(points):
@@ -115,3 +123,37 @@ class TestSampleWindowing:
         set_sampler(CounterSampler(enabled=False))
         outcomes = SweepExecutor(jobs=1).map(sampling_row_point, POINTS)
         assert all(o.telemetry.samples == () for o in outcomes)
+
+
+@pytest.fixture
+def tracer():
+    """An enabled tracer installed before any farm fork."""
+    fresh = Tracer(enabled=True)
+    previous = set_tracer(fresh)
+    yield fresh
+    set_tracer(previous)
+
+
+def outcome_span_names(outcomes):
+    return sorted(record.name for o in outcomes for record in o.telemetry.spans)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestSpanWindowing:
+    def test_a_coordinator_root_span_ships_with_no_point(self, tracer, jobs):
+        with tracer.span("calibration"):
+            pass
+        outcomes = SweepExecutor(jobs=jobs).map(tracing_row_point, POINTS)
+        assert outcome_span_names(outcomes) == ["probe.point"] * 4
+        # The coordinator's span is left for the run's finalize.
+        assert [r.name for r in tracer.drain_since(0)] == ["calibration"]
+
+    def test_a_span_open_around_map_does_not_swallow_point_spans(
+        self, tracer, jobs
+    ):
+        with tracer.span("optimizer.round"):
+            outcomes = SweepExecutor(jobs=jobs).map(tracing_row_point, POINTS)
+        assert outcome_span_names(outcomes) == ["probe.point"] * 4
+        (round_span,) = tracer.drain_since(0)
+        assert round_span.name == "optimizer.round"
+        assert round_span.children == ()

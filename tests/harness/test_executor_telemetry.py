@@ -7,14 +7,16 @@ from typing import Dict
 
 import pytest
 
+from repro.harness.context import ExperimentContext
 from repro.harness.executor import ResultCache, SweepExecutor
 from repro.harness.profiling import SimPointRow
 from repro.telemetry.record import (
     KernelRecord,
     PointTelemetry,
-    capturing,
+    drain_since,
     record_kernel,
 )
+from repro.workloads import workload_by_name
 
 
 @dataclass
@@ -73,10 +75,17 @@ class TestInlineTelemetry:
     def test_capture_window_closes_after_each_point(self):
         executor = SweepExecutor(jobs=1)
         executor.map(recording_row_point, [0])
-        assert not capturing()
-        record_kernel(FakeKernelStats())  # must be a no-op now
+        record_kernel(FakeKernelStats(total_ops=7))  # outside any window
         outcomes = executor.map(recording_row_point, [1])
         assert len(outcomes[0].telemetry.kernels) == 1
+        # Nothing was buffered outside the windows.
+        assert drain_since().kernels == ()
+
+    def test_unharnessed_context_runs_buffer_no_kernel_records(self):
+        context = ExperimentContext(workload_scale=0.05)
+        result, _ = context.run(workload_by_name("Radix"), 2)
+        assert result.kernel is not None  # a record was offered
+        assert drain_since().kernels == ()
 
     def test_inline_records_fold_into_the_ledger(self):
         executor = SweepExecutor(jobs=1)

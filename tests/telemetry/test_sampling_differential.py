@@ -50,7 +50,7 @@ class TestSamplingDifferential:
         sampled = run_with(sampler, threads, config)
         assert counters(baseline) == counters(sampled)
         # The window epilogue deposited the sim.* channels.
-        grouped = channel_values(sampler.drain_records())
+        grouped = channel_values(sampler.drain_since(0))
         assert "sim.ipc" in grouped and "sim.l1_miss_rate" in grouped
 
         tiny = CounterSampler(enabled=True, max_samples=2)
@@ -73,6 +73,6 @@ class TestSamplingDifferential:
         run_with(first, threads, config)
         second = CounterSampler(enabled=True, max_samples=64)
         run_with(second, threads, config)
-        assert channel_values(first.drain_records()) == channel_values(
-            second.drain_records()
+        assert channel_values(first.drain_since(0)) == channel_values(
+            second.drain_since(0)
         )

@@ -2,24 +2,25 @@
 
 import pytest
 
+from repro.telemetry.record import disable_telemetry, enable_telemetry
 from repro.telemetry.timeseries import (
     CounterSampler,
     SampleRecord,
     channel_values,
-    disable_sampling,
-    enable_sampling,
     get_sampler,
     sample,
     set_sampler,
 )
+from repro.telemetry.trace import get_tracer, set_tracer
 
 
 @pytest.fixture(autouse=True)
-def restore_global_sampler():
-    """Every test leaves the process-wide sampler as it found it."""
-    previous = get_sampler()
+def restore_global_telemetry():
+    """Every test leaves the process-wide sampler and tracer as it found them."""
+    sampler, tracer = get_sampler(), get_tracer()
     yield
-    set_sampler(previous)
+    set_sampler(sampler)
+    set_tracer(tracer)
 
 
 class TestCounterSampler:
@@ -31,13 +32,13 @@ class TestCounterSampler:
         sampler.sample("sim.ipc", 1.5)
         assert sampler.count == 0
         assert sampler.dropped == 0
-        assert sampler.drain_records() == []
+        assert sampler.drain_since(0) == []
 
     def test_enabled_sampler_records_channel_value_and_timestamp(self):
         sampler = CounterSampler(enabled=True, max_samples=16)
         sampler.sample("power.total_w", 42.0)
         sampler.sample("sim.ipc", 1.25)
-        records = sampler.drain_records()
+        records = sampler.drain_since(0)
         assert [(r.channel, r.value) for r in records] == [
             ("power.total_w", 42.0),
             ("sim.ipc", 1.25),
@@ -53,7 +54,7 @@ class TestCounterSampler:
             sampler.sample("c", float(i))
         assert sampler.count == 4
         assert sampler.dropped == 2
-        assert [r.value for r in sampler.drain_records()] == [0.0, 1.0, 2.0, 3.0]
+        assert [r.value for r in sampler.drain_since(0)] == [0.0, 1.0, 2.0, 3.0]
 
     def test_mark_and_drain_since_take_only_the_window(self):
         sampler = CounterSampler(enabled=True, max_samples=16)
@@ -65,7 +66,7 @@ class TestCounterSampler:
         assert [r.value for r in window] == [2.0, 3.0]
         # The pre-window reading stays for its owner to drain later.
         assert sampler.count == 1
-        assert [r.channel for r in sampler.drain_records()] == ["calibration"]
+        assert [r.channel for r in sampler.drain_since(0)] == ["calibration"]
 
     def test_drain_since_clamps_out_of_range_marks(self):
         sampler = CounterSampler(enabled=True, max_samples=8)
@@ -93,15 +94,15 @@ class TestCounterSampler:
 
 class TestModuleLevelSampler:
     def test_default_sampler_is_disabled(self):
-        disable_sampling()
+        disable_telemetry()
         assert not get_sampler().enabled
         sample("sim.ipc", 1.0)  # must be a no-op
         assert get_sampler().count == 0
 
-    def test_enable_sampling_installs_and_returns_the_sampler(self):
-        sampler = enable_sampling(max_samples=32)
-        assert sampler is get_sampler()
-        assert sampler.enabled and sampler.max_samples == 32
+    def test_enable_telemetry_enables_the_sampler(self):
+        enable_telemetry()
+        sampler = get_sampler()
+        assert sampler.enabled and sampler.max_samples == 200_000
         sample("sim.ipc", 2.0)
         assert sampler.count == 1
 

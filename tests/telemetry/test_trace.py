@@ -4,12 +4,12 @@ import time
 
 import pytest
 
+from repro.telemetry.record import disable_telemetry, enable_telemetry
+from repro.telemetry.timeseries import get_sampler, set_sampler
 from repro.telemetry.trace import (
     NULL_SPAN,
     SpanRecord,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     now_us,
     set_tracer,
@@ -32,7 +32,7 @@ class TestDisabledTracer:
         first = tracer.span("a", x=1)
         second = tracer.span("b")
         assert first is NULL_SPAN and second is NULL_SPAN
-        assert tracer.recorded == 0
+        assert tracer.count == 0
 
     def test_null_span_is_inert(self):
         with NULL_SPAN as opened:
@@ -45,7 +45,7 @@ class TestDisabledTracer:
     def test_aggregate_on_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
         tracer.aggregate("hot", 0.5, count=100)
-        assert tracer.roots == [] and tracer.recorded == 0
+        assert tracer.roots == [] and tracer.count == 0
 
 
 class TestNesting:
@@ -55,28 +55,29 @@ class TestNesting:
                 pass
             with tracer.span("inner.b"):
                 pass
-        roots = tracer.take_roots()
-        assert [r.name for r in roots] == ["outer"]
-        assert [c.name for c in roots[0].children] == ["inner.a", "inner.b"]
-        assert outer.children == roots[0].children
+        assert tracer.roots == [outer]
+        (root,) = tracer.drain_since(0)
+        assert root.name == "outer"
+        assert [c.name for c in root.children] == ["inner.a", "inner.b"]
 
     def test_sibling_roots_accumulate_in_order(self, tracer):
         with tracer.span("first"):
             pass
         with tracer.span("second"):
             pass
-        assert [r.name for r in tracer.take_roots()] == ["first", "second"]
-        assert tracer.take_roots() == []  # drained
+        assert [r.name for r in tracer.drain_since(0)] == ["first", "second"]
+        assert tracer.drain_since(0) == []  # drained
 
     def test_span_survives_exceptions_and_still_closes(self, tracer):
         with pytest.raises(ValueError):
             with tracer.span("outer"):
                 with tracer.span("inner"):
                     raise ValueError("boom")
-        (root,) = tracer.take_roots()
+        (outer,) = tracer.roots
+        assert outer.end_ns >= outer.start_ns
+        (root,) = tracer.drain_since(0)
         assert root.name == "outer"
         assert [c.name for c in root.children] == ["inner"]
-        assert root.end_ns >= root.start_ns
 
 
 class TestTiming:
@@ -84,12 +85,21 @@ class TestTiming:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 time.sleep(0.002)
-        (outer,) = tracer.take_roots()
+        (outer,) = tracer.roots
         (inner,) = outer.children
         assert inner.duration_s >= 0.002
         assert outer.duration_s >= inner.duration_s
         assert outer.start_ns <= inner.start_ns
         assert inner.end_ns <= outer.end_ns
+        # The drained records keep the containment on the absolute timebase.
+        (outer_record,) = tracer.drain_since(0)
+        (inner_record,) = outer_record.children
+        assert inner_record.duration_us >= 2000
+        assert outer_record.start_us <= inner_record.start_us
+        assert (
+            inner_record.start_us + inner_record.duration_us
+            <= outer_record.start_us + outer_record.duration_us
+        )
 
     def test_now_us_tracks_the_wall_clock(self):
         assert abs(now_us() / 1e6 - time.time()) < 5.0
@@ -99,7 +109,7 @@ class TestTiming:
         with tracer.span("timed"):
             pass
         after = now_us()
-        (record,) = tracer.drain_records()
+        (record,) = tracer.drain_since(0)
         assert before <= record.start_us <= after
 
 
@@ -109,7 +119,7 @@ class TestRecords:
             outer.set(ops=42, obj=[1, 2])
             with tracer.span("inner"):
                 pass
-        (record,) = tracer.drain_records()
+        (record,) = tracer.drain_since(0)
         args = dict(record.args)
         assert args["mode"] == "fast" and args["ops"] == 42
         assert args["obj"] == "[1, 2]"  # non-scalars are stringified
@@ -119,13 +129,13 @@ class TestRecords:
         with tracer.span("outer", mode="fast"):
             with tracer.span("inner", n=3):
                 pass
-        (record,) = tracer.drain_records()
+        (record,) = tracer.drain_since(0)
         assert SpanRecord.from_dict(record.to_dict()) == record
 
     def test_aggregate_spans_close_inside_the_open_parent(self, tracer):
         with tracer.span("window"):
             tracer.aggregate("slow_path.memory", 0.25, count=1000, sub="mem")
-        (root,) = tracer.drain_records()
+        (root,) = tracer.drain_since(0)
         (child,) = root.children
         args = dict(child.args)
         assert child.name == "slow_path.memory"
@@ -144,9 +154,9 @@ class TestBounds:
         third = tracer.span("three")
         assert third is NULL_SPAN
         tracer.aggregate("four", 0.1)
-        assert tracer.recorded == 2
+        assert tracer.count == 2
         assert tracer.dropped == 2
-        assert len(tracer.take_roots()) == 2
+        assert len(tracer.drain_since(0)) == 2
 
     def test_reset_clears_spans_and_counters(self):
         tracer = Tracer(enabled=True, max_spans=1)
@@ -154,20 +164,52 @@ class TestBounds:
             pass
         tracer.span("refused")
         tracer.reset()
-        assert (tracer.recorded, tracer.dropped, tracer.roots) == (0, 0, [])
+        assert (tracer.count, tracer.dropped, tracer.roots) == (0, 0, [])
         with tracer.span("again"):
             pass
-        assert len(tracer.take_roots()) == 1
+        assert len(tracer.drain_since(0)) == 1
+
+
+class TestDrainWindows:
+    def test_mark_and_drain_since_take_only_the_window(self, tracer):
+        with tracer.span("calibration"):
+            pass
+        mark = tracer.mark()
+        with tracer.span("point"):
+            pass
+        assert [r.name for r in tracer.drain_since(mark)] == ["point"]
+        assert [r.name for r in tracer.drain_since(0)] == ["calibration"]
+
+    def test_a_drain_frees_headroom_under_the_cap(self):
+        tracer = Tracer(enabled=True, max_spans=2)
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert tracer.span("refused") is NULL_SPAN
+        tracer.drain_since(0)
+        assert tracer.count == 0
+        with tracer.span("again"):
+            pass
+        assert [r.name for r in tracer.drain_since(0)] == ["again"]
+        assert tracer.dropped == 1
+
+    def test_swap_stack_sets_the_open_spans_aside(self, tracer):
+        with tracer.span("round"):
+            held = tracer.swap_stack([])
+            with tracer.span("point"):
+                pass
+            tracer.swap_stack(held)
+        assert [r.name for r in tracer.drain_since(0)] == ["point", "round"]
 
 
 class TestProcessWideSwitches:
     def test_enable_and_disable_swap_the_module_tracer(self):
-        previous = get_tracer()
+        previous = get_tracer(), get_sampler()
         try:
-            enabled = enable_tracing(max_spans=7)
-            assert get_tracer() is enabled
-            assert enabled.enabled and enabled.max_spans == 7
-            disable_tracing()
-            assert not get_tracer().enabled
+            enable_telemetry()
+            assert get_tracer().enabled and get_sampler().enabled
+            disable_telemetry()
+            assert not get_tracer().enabled and not get_sampler().enabled
         finally:
-            set_tracer(previous)
+            set_tracer(previous[0])
+            set_sampler(previous[1])

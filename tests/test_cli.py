@@ -287,13 +287,14 @@ def _span_seconds(run_dir, name):
 class TestKernelLedger:
     """``--profile``, the manifest and ``trace metrics`` read one ledger."""
 
-    def test_profile_manifest_and_trace_metrics_agree(self, capsys, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_profile_manifest_and_trace_metrics_agree(self, capsys, tmp_path, jobs):
         from repro.sim.ops import stream_cache
         from repro.telemetry.manifest import latest_run_dir
 
         # A cold compile cache, so the coordinator's precompile has work.
         stream_cache.clear()
-        kernel = _barnes_fig3(tmp_path)["kernel"]
+        kernel = _barnes_fig3(tmp_path, "--jobs", jobs)["kernel"]
         out = capsys.readouterr().out
         runs, cached, ops, compile_s = KERNEL_LINE.search(out).groups()
         assert int(runs) == kernel["runs"] > 0
@@ -326,6 +327,38 @@ class TestKernelLedger:
         warm = _barnes_fig3(tmp_path / "warm", "--cache", cache)["kernel"]
         assert (warm["runs"], warm["cached_runs"]) == (0, cold["runs"])
         assert warm["total_ops"] == cold["total_ops"]
+
+
+def _phase_counts(capsys, telemetry_dir):
+    """The (phase, count) columns of ``trace metrics`` for the newest run."""
+    capsys.readouterr()
+    assert main(["trace", "metrics", "--telemetry-dir", str(telemetry_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.lstrip().startswith("-"))
+    return [tuple(line.split()[:2]) for line in lines[rule + 1:] if line.strip()]
+
+
+@pytest.mark.usefixtures("restore_telemetry_state")
+class TestFarmTraces:
+    """A traced sweep writes the same spans at ``--jobs 1`` and ``--jobs 2``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig3", "--apps", "Barnes"], ["fig4", "--apps", "Radix"]],
+        ids=["fig3", "fig4"],
+    )
+    def test_phase_counts_match_across_jobs(self, capsys, tmp_path, argv):
+        from repro.sim.ops import stream_cache
+
+        counts = {}
+        for jobs in ("1", "2"):
+            # Each run compiles cold, as its own CLI invocation would.
+            stream_cache.clear()
+            directory = tmp_path / f"jobs{jobs}"
+            argv_jobs = [*argv, "--scale", "0.05", "--jobs", jobs]
+            assert main([*argv_jobs, "--telemetry-dir", str(directory)]) == 0
+            counts[jobs] = _phase_counts(capsys, directory)
+        assert counts["1"] and counts["2"] == counts["1"]
 
 
 def _only(directory, pattern):
