@@ -138,46 +138,6 @@ def test_ablation_projected_32nm(benchmark):
     assert s_peak < curve65.peak()[1]
 
 
-def test_ablation_interconnect(benchmark, experiment_context):
-    """Bus versus banked crossbar on a bus-saturating workload.
-
-    The paper's 16-way machine uses a single shared bus; this ablation
-    shows how much of the high-N efficiency loss that one choice causes
-    for the traffic-heavy applications.
-    """
-    from repro.harness.designspace import interconnect_variants, sweep_design_parameter
-    from repro.workloads import workload_by_name
-    from repro.workloads.base import WorkloadModel
-
-    model = WorkloadModel(
-        workload_by_name("Radix").spec.scaled(experiment_context.workload_scale)
-    )
-
-    points = benchmark.pedantic(
-        lambda: sweep_design_parameter(
-            model, interconnect_variants((8,)), n_threads=16
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        render_table(
-            ["interconnect", "eps_n(16)", "utilisation", "mem-stall"],
-            [
-                [p.label, p.nominal_efficiency, p.bus_utilisation, p.memory_stall_fraction]
-                for p in points
-            ],
-            title="Radix @ 16 cores: interconnect ablation",
-        )
-    )
-    by_label = {p.label: p for p in points}
-    assert (
-        by_label["xbar-8ch"].nominal_efficiency
-        > by_label["bus"].nominal_efficiency
-    )
-
-
 def test_ablation_prefetcher(benchmark, experiment_context):
     """Stream prefetching (off in the paper's machine) on Ocean.
 

@@ -1,6 +1,6 @@
 """Benchmarks for the library's beyond-the-paper extensions.
 
-Three extensions, each rooted in the paper's own discussion:
+Four extensions, each rooted in the paper's own discussion:
 
 * **Scenario III** (energy / energy-delay optimization) — the metric the
   paper's related work ([21], [26]) optimises, solved on the analytical
@@ -8,7 +8,9 @@ Three extensions, each rooted in the paper's own discussion:
 * **per-core DVFS** — Section 3.1's "beyond the scope" note, implemented
   as the Kadayif-style slow-the-light-threads policy;
 * **thrifty barrier** — the paper's reference [26]: sleep through long
-  barrier waits instead of spinning.
+  barrier waits instead of spinning;
+* **multiprogrammed mix** — the paper's framing of a parallel
+  application against independent programs at equal core count.
 """
 
 
@@ -18,12 +20,7 @@ from repro.core import (
     EnergyOptimizationScenario,
     SAMPLE_APPLICATION,
 )
-from repro.harness import (
-    render_table,
-    run_overclocking_study,
-    run_percore_dvfs_suite,
-    thermal_step_response,
-)
+from repro.harness import render_table, run_percore_dvfs_suite
 from repro.tech import NODE_130NM, NODE_65NM
 from repro.workloads import workload_by_name
 
@@ -156,86 +153,6 @@ def test_thrifty_barrier(benchmark, experiment_context):
     assert slowdown < 1.05
 
 
-def test_overclocking_memory_gap_offset(benchmark, experiment_context):
-    """Section 4.2's closing remark: overclocking a memory-bound code is
-    mostly eaten by the fixed-latency memory; a compute-bound one keeps
-    most of the clock gain."""
-
-    def study():
-        return (
-            run_overclocking_study(
-                experiment_context, workload_by_name("Radix"), 2
-            ),
-            run_overclocking_study(
-                experiment_context, workload_by_name("FMM"), 1
-            ),
-        )
-
-    radix, fmm = benchmark.pedantic(study, rounds=1, iterations=1)
-    print()
-    print(
-        render_table(
-            ["app", "N", "f_oc (GHz)", "clock gain", "speedup gain", "gap offset"],
-            [
-                [
-                    r.app,
-                    r.n,
-                    r.overclock_frequency_hz / 1e9,
-                    r.clock_gain,
-                    r.speedup_gain,
-                    f"{r.gap_offset:.0%}",
-                ]
-                for r in (radix, fmm)
-            ],
-            title="Overclocking under the budget (memory stays at 75 ns)",
-        )
-    )
-    assert radix.clock_gain > 1.1
-    assert radix.gap_offset > 0.5
-    if fmm.clock_gain > 1.0:
-        assert fmm.gap_offset < radix.gap_offset
-
-
-def test_online_governor_vs_offline_oracle(benchmark, experiment_context):
-    """Online control versus the paper's offline profiling.
-
-    The paper's Scenario II picks the budget-legal point from an offline
-    profile (an oracle); a real chip uses an online governor.  Measure
-    how much speedup the online ladder walk gives away while converging.
-    """
-    from repro.harness import PerformanceGovernor, run_governed, run_scenario2
-
-    budget = 0.7 * experiment_context.calibration.max_operational_power_w
-    model = workload_by_name("Cholesky")
-
-    def study():
-        oracle = run_scenario2(
-            experiment_context, [model], core_counts=(8,), budget_w=budget
-        )["Cholesky"][0]
-        governed = run_governed(
-            experiment_context,
-            model,
-            8,
-            PerformanceGovernor.for_context(
-                experiment_context, budget_w=budget, step_hz=600e6
-            ),
-        )
-        return oracle, governed
-
-    oracle, governed = benchmark.pedantic(study, rounds=1, iterations=1)
-    trajectory = " ".join(f"{f / 1e9:.1f}" for f in governed.frequency_trajectory)
-    print(
-        f"\noffline oracle: f={oracle.frequency_hz / 1e9:.1f} GHz, "
-        f"P={oracle.power_w:.1f} W (budget {budget:.1f} W)\n"
-        f"online governor trajectory (GHz): {trajectory}; "
-        f"avg power {governed.average_power_w:.1f} W"
-    )
-    # The governor ends in the oracle's neighbourhood.
-    assert abs(governed.frequency_trajectory[-1] - oracle.frequency_hz) <= 1.3e9
-    # Tail windows respect the budget (allowing controller ripple).
-    assert governed.windows[-1].power_w <= budget * 1.35
-
-
 def test_parallel_vs_multiprogrammed(benchmark, experiment_context):
     """The paper's framing, measured: a parallel application versus a
     multiprogrammed mix of the same program at equal core count.
@@ -285,57 +202,3 @@ def test_parallel_vs_multiprogrammed(benchmark, experiment_context):
     assert m_power.total_w >= p_power.total_w * 0.95
     # And zero coherence interaction between its programs.
     assert mixed.coherence.cache_to_cache == 0
-
-
-def test_thermal_transient_time_constant(benchmark, experiment_context):
-    """The Scenario I down-shift's cool-down time constant."""
-
-    def transient():
-        return thermal_step_response(
-            experiment_context.thermal,
-            power_before={"core0": experiment_context.calibration.max_operational_power_w},
-            power_after={f"core{i}": 1.0 for i in range(16)},
-            duration_s=0.4,
-            n_samples=20,
-            dt_s=1e-3,
-        )
-
-    result = benchmark.pedantic(transient, rounds=1, iterations=1)
-    tau = result.time_constant_s()
-    print(
-        f"\ncool-down from {result.start_c:.1f} C to {result.target_c:.1f} C: "
-        f"time constant {tau * 1e3:.1f} ms, settled "
-        f"{result.settled_fraction():.0%} after 400 ms"
-    )
-    assert result.target_c < result.start_c
-    assert 1e-4 < tau < 0.4
-    assert result.settled_fraction() > 0.8
-
-
-def test_activity_migration(benchmark, experiment_context):
-    """Rotating a hot thread across cores flattens the thermal peak.
-
-    The thermal-management extension: silicon's RC time constant means
-    hopping a single hot thread around idle cores spreads its heat in
-    time, trading L1 warmth for peak temperature — the classic
-    activity-migration result, measured end to end on the warm-session
-    simulator plus the transient RC network.
-    """
-    from repro.harness import compare_migration
-
-    pinned, rotated = benchmark.pedantic(
-        lambda: compare_migration(
-            experiment_context, workload_by_name("FMM"), rotation_set=4
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print(
-        "\nFMM, 1 thread on 4 candidate cores: pinned peak "
-        f"{pinned.peak_temperature_c:.1f} C / {pinned.total_time_s * 1e6:.0f} us; "
-        f"rotated peak {rotated.peak_temperature_c:.1f} C / "
-        f"{rotated.total_time_s * 1e6:.0f} us "
-        f"(miss rate {pinned.l1_miss_rate:.2f} -> {rotated.l1_miss_rate:.2f})"
-    )
-    assert rotated.peak_temperature_c < pinned.peak_temperature_c
-    assert rotated.total_time_s >= pinned.total_time_s

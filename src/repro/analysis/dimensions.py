@@ -62,7 +62,6 @@ DEFAULT_DIM_SCOPE: Tuple[str, ...] = (
     "thermal/",
     "tech/",
     "sim/cmp.py",
-    "harness/governor.py",
 )
 
 #: dimension name (as used by unitcheck) -> exponent vector.

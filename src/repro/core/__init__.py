@@ -39,13 +39,6 @@ from repro.core.powermodel import AnalyticalChipModel, PowerBreakdown, Operating
 from repro.core.scenario1 import PowerOptimizationScenario, Scenario1Point
 from repro.core.scenario2 import PerformanceOptimizationScenario, Scenario2Point
 from repro.core.scenario3 import EnergyOptimizationScenario, Scenario3Point
-from repro.core.asymmetric import AsymmetricCMPModel, AsymmetricPoint
-from repro.core.sensitivity import (
-    SensitivityEntry,
-    iso_performance_power_metric,
-    peak_speedup_metric,
-    sensitivity_analysis,
-)
 from repro.core.sweeps import (
     figure1_rows,
     figure1_sweep,
@@ -77,12 +70,6 @@ __all__ = [
     "Scenario2Point",
     "EnergyOptimizationScenario",
     "Scenario3Point",
-    "AsymmetricCMPModel",
-    "AsymmetricPoint",
-    "SensitivityEntry",
-    "iso_performance_power_metric",
-    "peak_speedup_metric",
-    "sensitivity_analysis",
     "figure1_sweep",
     "figure2_sweep",
     "Figure1Curve",

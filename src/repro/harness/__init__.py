@@ -34,12 +34,7 @@ from repro.harness.profiling import (
     simulate_point,
 )
 from repro.harness.scenario1 import Scenario1Row, run_scenario1
-from repro.harness.scenario2 import (
-    OverclockRow,
-    Scenario2Row,
-    run_overclocking_study,
-    run_scenario2,
-)
+from repro.harness.scenario2 import Scenario2Row, run_scenario2
 from repro.harness.optimizer import (
     MaxSpeedupUnderBudget,
     MinEnergyDelay,
@@ -56,29 +51,6 @@ from repro.harness.percore import (
     run_percore_dvfs,
     run_percore_dvfs_suite,
 )
-from repro.harness.designspace import (
-    DesignPoint,
-    DesignRunRow,
-    bus_width_variants,
-    interconnect_variants,
-    l2_capacity_variants,
-    memory_latency_variants,
-    sweep_design_parameter,
-)
-from repro.harness.thermal_transient import ThermalTransient, thermal_step_response
-from repro.harness.migration import (
-    MigrationResult,
-    compare_migration,
-    run_activity_migration,
-)
-from repro.harness.governor import (
-    GovernedRun,
-    MemorySlackGovernor,
-    PerformanceGovernor,
-    WindowMeasurement,
-    run_governed,
-)
-from repro.harness.replication import ReplicationSummary, replicate, reseeded
 from repro.harness.compare import (
     AgreementPoint,
     AgreementSummary,
@@ -105,8 +77,6 @@ __all__ = [
     "run_scenario1",
     "Scenario2Row",
     "run_scenario2",
-    "OverclockRow",
-    "run_overclocking_study",
     "MaxSpeedupUnderBudget",
     "MinEnergyDelay",
     "MinPowerAtIsoPerformance",
@@ -119,26 +89,6 @@ __all__ = [
     "plan_core_frequencies",
     "run_percore_dvfs",
     "run_percore_dvfs_suite",
-    "DesignPoint",
-    "DesignRunRow",
-    "bus_width_variants",
-    "interconnect_variants",
-    "l2_capacity_variants",
-    "memory_latency_variants",
-    "sweep_design_parameter",
-    "ThermalTransient",
-    "thermal_step_response",
-    "MigrationResult",
-    "compare_migration",
-    "run_activity_migration",
-    "GovernedRun",
-    "MemorySlackGovernor",
-    "PerformanceGovernor",
-    "WindowMeasurement",
-    "run_governed",
-    "ReplicationSummary",
-    "replicate",
-    "reseeded",
     "AgreementPoint",
     "AgreementSummary",
     "compare_scenario1",

@@ -182,8 +182,7 @@ class ExperimentContext:
         Frequency defaults to nominal.  Without a voltage, the frequency
         is clamped into the legal scaling range and the voltage is the
         V/f table's entry for it.  An explicit (frequency, voltage) pair
-        is simulated as given, which is how the overclocking study runs
-        above the table's top bin.  ``core_operating_points`` — one
+        is simulated as given, without clamping.  ``core_operating_points`` — one
         ``(frequency, voltage)`` per thread — gives each core its own
         clock domain (the per-core DVFS study); the chip-wide pair then
         only names the configuration.

@@ -70,7 +70,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.errors import ConfigurationError, ReproError, TransientError
 from repro.harness.faults import FaultPlan, inject_fault
 from repro.harness.journal import SweepJournal
-from repro.harness.schema import SCHEMA_VERSION
+from repro.harness.schema import SCHEMA_VERSION, model_fingerprint
 from repro.sim.ops import stream_cache
 from repro.telemetry.record import CaptureWindow, KernelAggregate, PointTelemetry
 from repro.telemetry.trace import now_us
@@ -196,11 +196,16 @@ def config_key(config: Any, schema_version: Optional[int] = None) -> str:
     """Stable content hash of a point configuration.
 
     The digest covers the canonicalised config (dataclass type names,
-    field names, and values — floats via their shortest ``repr``) plus
-    the schema version, so either kind of change yields a new key.
+    field names, and values — floats via their shortest ``repr``), the
+    schema version and the :func:`~repro.harness.schema.model_fingerprint`,
+    so a change to any of them yields a new key.
     """
     version = SCHEMA_VERSION if schema_version is None else schema_version
-    document = {"schema": version, "config": _canonical(config)}
+    document = {
+        "schema": version,
+        "model": model_fingerprint(),
+        "config": _canonical(config),
+    }
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

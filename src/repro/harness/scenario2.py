@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
 from repro.harness.optimizer import MaxSpeedupUnderBudget, run_optimizer
-from repro.harness.profiling import SimPointTask, profile_rows, simulate_point
 from repro.workloads.base import WorkloadModel
 
 
@@ -107,110 +106,3 @@ def run_scenario2(
         )
     return results
 
-
-@dataclass(frozen=True)
-class OverclockRow:
-    """One overclocked configuration versus its nominal-cap baseline.
-
-    The paper's Section 4.2 closing remark: power-thrifty memory-bound
-    codes at low N leave budget headroom one could spend on
-    *overclocking* — but since the memory subsystem keeps its 75 ns
-    latency, the widening processor-memory gap offsets part of the gain.
-    """
-
-    app: str
-    n: int
-    baseline_speedup: float
-    overclocked_speedup: float
-    overclock_frequency_hz: float
-    power_w: float
-    budget_w: float
-    #: The context's nominal frequency, carried so derived properties
-    #: work on any technology node.  The default is the historical
-    #: 65 nm value, which migrates rows stored before the field existed.
-    f_nominal_hz: float = 3.2e9
-
-    @property
-    def clock_gain(self) -> float:
-        """Overclock frequency relative to nominal (e.g. 1.25 = +25 %)."""
-        return self.overclock_frequency_hz / self.f_nominal_hz
-
-    @property
-    def speedup_gain(self) -> float:
-        """Realised speedup relative to the nominal-frequency baseline."""
-        return self.overclocked_speedup / self.baseline_speedup
-
-    @property
-    def gap_offset(self) -> float:
-        """Fraction of the clock gain eaten by the fixed-latency memory.
-
-        1.0 means overclocking bought nothing; 0.0 means the full clock
-        gain was realised.
-        """
-        clock = self.clock_gain
-        if clock <= 1.0:
-            return 0.0
-        return (clock - self.speedup_gain) / (clock - 1.0)
-
-
-def run_overclocking_study(
-    context: ExperimentContext,
-    model: WorkloadModel,
-    n_threads: int,
-    budget_w: Optional[float] = None,
-    f_boost_max_hz: float = 4.4e9,
-    step_hz: float = 200e6,
-) -> OverclockRow:
-    """Spend leftover budget headroom on overclocking one configuration.
-
-    Voltage above the nominal bin is extrapolated from the V/f table's
-    top slope, as an enthusiast datasheet would.  The chip (not the
-    memory) is overclocked, so memory stalls grow in relative terms —
-    the offset the paper predicts.
-
-    The baseline is the N-core row of the nominal profile; each boosted
-    step is one :func:`~repro.harness.profiling.simulate_point` at an
-    explicit (frequency, voltage) pair, so no point simulates twice.
-    """
-    budget = budget_w if budget_w is not None else (
-        context.calibration.max_operational_power_w
-    )
-    profile = profile_rows(context, model, sorted({1, n_threads}))
-    t1 = profile[1].execution_time_ps
-    baseline = profile[n_threads]
-
-    # Extrapolate voltage linearly beyond the table's top bin.
-    table = context.vf_table
-    f_hi = table.f_max
-    f_lo = f_hi - step_hz
-    slope = (
-        table.voltage_for_frequency(f_hi) - table.voltage_for_frequency(f_lo)
-    ) / step_hz
-
-    best = baseline
-    f = context.f_nominal + step_hz
-    while f <= f_boost_max_hz + 1e6:
-        boosted = simulate_point(
-            context,
-            SimPointTask(
-                spec=model.spec,
-                n=n_threads,
-                frequency_hz=f,
-                voltage=table.voltage_for_frequency(f_hi) + slope * (f - f_hi),
-            ),
-        )
-        if boosted.total_power_w > budget:
-            break
-        best = boosted
-        f += step_hz
-
-    return OverclockRow(
-        app=model.name,
-        n=n_threads,
-        baseline_speedup=t1 / baseline.execution_time_ps,
-        overclocked_speedup=t1 / best.execution_time_ps,
-        overclock_frequency_hz=best.frequency_hz,
-        power_w=best.total_power_w,
-        budget_w=budget,
-        f_nominal_hz=context.f_nominal,
-    )

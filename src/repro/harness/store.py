@@ -4,7 +4,7 @@ Experimental pipelines take minutes at full scale; a release-grade
 harness lets users save a campaign's rows and reload them later for
 reporting or comparison without re-simulating.  The store serialises the
 flat row dataclasses (:class:`Scenario1Row`, :class:`Scenario2Row`,
-:class:`PerCoreDVFSResult`, :class:`DesignPoint`) with a type tag, a
+:class:`PerCoreDVFSResult`, :class:`OptimizerRow`) with a type tag, a
 schema version, and a provenance block (the commit SHA of the producing
 checkout — deterministic, so identical campaigns stay byte-identical),
 and refuses files it does not understand.
@@ -19,12 +19,11 @@ from typing import Dict, List, Sequence, Union
 
 from repro.core.sweeps import Figure1Row, Figure2Row
 from repro.errors import ConfigurationError
-from repro.harness.designspace import DesignPoint, DesignRunRow
 from repro.harness.optimizer import OptimizerRow
 from repro.harness.percore import PerCoreDVFSResult
 from repro.harness.profiling import SimPointRow
 from repro.harness.scenario1 import Scenario1Row
-from repro.harness.scenario2 import OverclockRow, Scenario2Row
+from repro.harness.scenario2 import Scenario2Row
 
 # Bump (in repro.harness.schema) when the row schemas change
 # incompatibly; re-exported here for backward compatibility.
@@ -54,10 +53,7 @@ class FailedPointRow:
 _ROW_TYPES = {
     "scenario1": Scenario1Row,
     "scenario2": Scenario2Row,
-    "overclock": OverclockRow,
     "percore": PerCoreDVFSResult,
-    "designpoint": DesignPoint,
-    "designrun": DesignRunRow,
     "simpoint": SimPointRow,
     "figure1": Figure1Row,
     "figure2": Figure2Row,
@@ -72,10 +68,7 @@ PathLike = Union[str, Path]
 Row = Union[
     Scenario1Row,
     Scenario2Row,
-    OverclockRow,
     PerCoreDVFSResult,
-    DesignPoint,
-    DesignRunRow,
     SimPointRow,
     Figure1Row,
     Figure2Row,

@@ -32,7 +32,6 @@ from repro.sim.ops import (
 )
 from repro.sim.cmp import (
     ChipMultiprocessor,
-    ChipSession,
     CMPConfig,
     KernelStats,
     SimulationResult,
@@ -56,7 +55,6 @@ __all__ = [
     "compile_workload",
     "stream_cache",
     "ChipMultiprocessor",
-    "ChipSession",
     "CMPConfig",
     "KernelStats",
     "SimulationResult",

@@ -49,10 +49,6 @@ class SharedBus:
         self.busy_ps = 0
         self.wait_ps = 0
 
-    def set_clock(self, clock: ClockDomain) -> None:
-        """Switch clock domain (DVFS); occupancy cycles stay the same."""
-        self.clock = clock
-
     def acquire(self, now_ps: int, with_data: bool, route: int = 0) -> tuple:
         """Reserve the bus for one transaction starting at ``now_ps``.
 

@@ -256,7 +256,7 @@ class ChipMultiprocessor:
         warmup_barriers: int = 0,
         core_operating_points: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> SimulationResult:
-        """Simulate the workload's threads to completion.
+        """Simulate the workload's threads to completion on a fresh machine.
 
         ``thread_ops`` supplies one operation stream per thread — or a
         whole :class:`repro.sim.ops.CompiledProgram`, which additionally
@@ -280,44 +280,10 @@ class ChipMultiprocessor:
         reference interpreter routes every op through the controller.
         Both produce bitwise-identical counters.
         """
-        n_threads = (
-            thread_ops.n_threads
-            if isinstance(thread_ops, CompiledProgram)
-            else len(thread_ops)
-        )
-        session = ChipSession(
-            self.config,
-            n_threads=n_threads,
-            timing=timing,
-            core_operating_points=core_operating_points,
-            fast_path=self.fast_path,
-            profile=self.profile,
-        )
-        return session.run_window(thread_ops, warmup_barriers=warmup_barriers)
-
-
-class ChipSession:
-    """Incremental execution: the machine persists across windows.
-
-    Where :meth:`ChipMultiprocessor.run` builds a fresh machine per call,
-    a session keeps caches, coherence state, and local clocks alive so a
-    workload can be fed window by window — the substrate for *online*
-    DVFS governors (:mod:`repro.harness.governor`) that change the
-    operating point between windows with warm caches.
-    """
-
-    #: Safety valve against scheduler bugs (per window).
-    MAX_STEPS = ChipMultiprocessor.MAX_STEPS
-
-    def __init__(
-        self,
-        config: CMPConfig,
-        n_threads: int,
-        timing: CoreTimingConfig | Sequence[CoreTimingConfig] | None = None,
-        core_operating_points: Optional[Sequence[Tuple[float, float]]] = None,
-        fast_path: bool = True,
-        profile: bool = False,
-    ) -> None:
+        config = self.config
+        program = thread_ops if isinstance(thread_ops, CompiledProgram) else None
+        streams = program.streams if program is not None else thread_ops
+        n_threads = len(streams)
         if n_threads < 1:
             raise ConfigurationError("need at least one thread")
         if n_threads > config.n_cores:
@@ -332,10 +298,6 @@ class ChipSession:
             for f_hz, v in core_operating_points:
                 if f_hz <= 0 or v <= 0:
                     raise ConfigurationError("operating points must be positive")
-        self.config = config
-        self.n_threads = n_threads
-        self.fast_path = fast_path
-        self.profile = profile
         if timing is None:
             timings = [CoreTimingConfig()] * n_threads
         elif isinstance(timing, CoreTimingConfig):
@@ -346,103 +308,44 @@ class ChipSession:
                 raise ConfigurationError(
                     "need one CoreTimingConfig per thread"
                 )
-        self._timings = timings
-        self._clock = ClockDomain(config.frequency_hz)
+
+        clock = ClockDomain(config.frequency_hz)
         if core_operating_points is None:
-            self._core_operating_points = None
-            core_clocks = [self._clock] * n_threads
-        else:
-            self._core_operating_points = [tuple(p) for p in core_operating_points]
-            core_clocks = [
-                ClockDomain(f_hz) for f_hz, _v in core_operating_points
+            core_clocks = [clock] * n_threads
+            operating_points = [
+                (config.frequency_hz, config.voltage) for _ in range(n_threads)
             ]
-        self._core_clocks = core_clocks
+        else:
+            core_clocks = [ClockDomain(f_hz) for f_hz, _v in core_operating_points]
+            operating_points = [tuple(p) for p in core_operating_points]
         if config.interconnect == "crossbar":
-            self._bus = BankedCrossbar(
-                config.bus_config, self._clock, n_channels=config.crossbar_channels
+            bus = BankedCrossbar(
+                config.bus_config, clock, n_channels=config.crossbar_channels
             )
         else:
-            self._bus = SharedBus(config.bus_config, self._clock)
-        self._memory = MainMemory(config.memory_config)
-        self._l1s = [Cache(config.l1_config) for _ in range(n_threads)]
-        self._l2 = Cache(config.l2_config)
-        self._controller = MESIController(
-            self._l1s,
-            self._l2,
-            self._bus,
-            self._memory,
-            self._clock,
+            bus = SharedBus(config.bus_config, clock)
+        memory = MainMemory(config.memory_config)
+        l1s = [Cache(config.l1_config) for _ in range(n_threads)]
+        l2 = Cache(config.l2_config)
+        controller = MESIController(
+            l1s,
+            l2,
+            bus,
+            memory,
+            clock,
             l1_hit_cycles=config.l1_hit_cycles,
             l2_hit_cycles=config.l2_hit_cycles,
             cache_to_cache_cycles=config.cache_to_cache_cycles,
             core_clocks=core_clocks,
             prefetch_next_line=config.prefetch_next_line,
         )
-        self._locks = LockTable()
-        self._cores = [
-            Core(i, iter(()), self._controller, core_clocks[i], timings[i], self._locks)
-            for i in range(n_threads)
-        ]
+        locks = LockTable()
 
-    def set_operating_point(self, frequency_hz: float, voltage: float) -> None:
-        """Chip-wide DVFS between windows (per-core points are replaced)."""
-        if frequency_hz <= 0 or voltage <= 0:
-            raise ConfigurationError("operating point must be positive")
-        self.config = self.config.with_operating_point(frequency_hz, voltage)
-        self._clock = ClockDomain(frequency_hz)
-        self._controller.set_clock(self._clock)
-        self._core_clocks = [self._clock] * self.n_threads
-        self._core_operating_points = None
-        for core in self._cores:
-            core.set_clock(self._clock)
-
-    def _reset_counters(self) -> None:
-        for core in self._cores:
-            core.stats = CoreStats()
-        for l1 in self._l1s:
-            l1.hits = l1.misses = 0
-            l1.evictions = l1.writebacks = 0
-        l2 = self._l2
-        l2.hits = l2.misses = l2.evictions = l2.writebacks = 0
-        self._controller.stats = CoherenceStats()
-        self._bus.transactions = self._bus.data_transfers = 0
-        self._bus.busy_ps = self._bus.wait_ps = 0
-        self._memory.requests = 0
-        self._locks.acquires = self._locks.contended_acquires = 0
-
-    def run_window(
-        self,
-        thread_ops: CompiledProgram | Sequence[Iterable[tuple]],
-        warmup_barriers: int = 0,
-    ) -> SimulationResult:
-        """Run one window of operations to completion on the warm machine.
-
-        Cores are aligned to a common start time (as if released from a
-        barrier), counters reset, and the window simulated; caches and
-        reservations persist into the next window.  A
-        :class:`CompiledProgram` window reuses its memoized private-line
-        classification; raw streams are classified per window (a line
-        private within this window is untouchable by peers for exactly
-        this window's duration, which is all the bypass needs).
-        """
-        config = self.config
-        n_threads = self.n_threads
-        program = thread_ops if isinstance(thread_ops, CompiledProgram) else None
-        streams = program.streams if program is not None else thread_ops
-        if len(streams) != n_threads:
-            raise ConfigurationError(
-                f"window has {len(streams)} streams for {n_threads} threads"
-            )
-        clock = self._clock
-        cores = self._cores
-        core_clocks = self._core_clocks
-
-        window_start = max(core.time_ps for core in cores)
         use_fast = self.fast_path
         tracer = get_tracer()
         # An enabled tracer turns the per-subsystem slow-path timers on
         # even without --profile: they are host-side only and feed the
-        # window's aggregate spans, never the simulated counters.
+        # run's aggregate spans, never the simulated counters.
         profile_timers = self.profile or tracer.enabled
         if use_fast:
             l1_config = config.l1_config
@@ -460,17 +363,16 @@ class ChipSession:
                 streams = resolve_address_streams(
                     streams, line_shift, n_sets, way_shift
                 )
+        cores = [
+            Core(i, ops, controller, core_clocks[i], timings[i], locks)
+            for i, ops in enumerate(streams)
+        ]
+        if use_fast:
             for core, ops, private_lines in zip(cores, streams, private):
-                core.time_ps = window_start
                 core.bind_stream(ops)
                 core.prepare_fast_path(
                     profile=profile_timers, private_lines=private_lines
                 )
-        else:
-            for core, ops in zip(cores, streams):
-                core.time_ps = window_start
-                core._ops = iter(ops)
-        self._reset_counters()
         steppers = [
             core.step_fast if use_fast else core.step for core in cores
         ]
@@ -484,8 +386,7 @@ class ChipSession:
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
             wall_start = time.perf_counter()
 
-            heap: List[tuple] = [(window_start, i) for i in range(n_threads)]
-            heapq.heapify(heap)
+            heap: List[tuple] = [(0, i) for i in range(n_threads)]
             heappop = heapq.heappop
             heappush = heapq.heappush
             barrier_waiters: Dict[int, List[int]] = {}
@@ -494,7 +395,7 @@ class ChipSession:
             reference_ops = 0
             finished = 0
             steps = 0
-            measurement_start_ps = window_start
+            measurement_start_ps = 0
             warmup_remaining = warmup_barriers
 
             while heap:
@@ -556,7 +457,9 @@ class ChipSession:
                             measurement_start_ps = release
                             barriers_seen = 0
                             warmup_remaining = 0
-                            self._reset_counters()
+                            _reset_counters(
+                                cores, l1s, l2, controller, bus, memory, locks
+                            )
 
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
             sim_wall_s = time.perf_counter() - wall_start
@@ -577,7 +480,7 @@ class ChipSession:
                         )
                 # The slow path is far too hot for per-op spans; report
                 # each subsystem's accumulated wall time as one
-                # aggregate child span of the window.
+                # aggregate child span of the run.
                 for name in sorted(subsystem_totals):
                     tracer.aggregate(
                         f"kernel.slow_path.{name}",
@@ -625,36 +528,53 @@ class ChipSession:
         execution_time = (
             max(core.stats.end_time_ps for core in cores) - measurement_start_ps
         )
-        if self._core_operating_points is None:
-            operating_points = [
-                (config.frequency_hz, config.voltage) for _ in range(n_threads)
-            ]
-        else:
-            operating_points = list(self._core_operating_points)
         result = SimulationResult(
             config=config,
             n_threads=n_threads,
             execution_time_ps=execution_time,
             core_stats=[core.stats for core in cores],
-            coherence=self._controller.stats,
-            l1_caches=self._l1s,
-            l2=self._l2,
-            bus=self._bus,
-            memory_requests=self._memory.requests,
-            lock_acquires=self._locks.acquires,
-            lock_contended=self._locks.contended_acquires,
+            coherence=controller.stats,
+            l1_caches=l1s,
+            l2=l2,
+            bus=bus,
+            memory_requests=memory.requests,
+            lock_acquires=locks.acquires,
+            lock_contended=locks.contended_acquires,
             barriers=barriers_seen,
             core_operating_points=operating_points,
             kernel=kernel,
         )
-        _sample_window_channels(result)
+        _sample_run_channels(result)
         return result
 
 
-def _sample_window_channels(result: SimulationResult) -> None:
-    """Deposit one reading per ``sim.*`` channel at a window boundary.
+def _reset_counters(
+    cores: List[Core],
+    l1s: List[Cache],
+    l2: Cache,
+    controller: MESIController,
+    bus: SharedBus,
+    memory: MainMemory,
+    locks: LockTable,
+) -> None:
+    """Zero every activity counter at the end of initialization."""
+    for core in cores:
+        core.stats = CoreStats()
+    for l1 in l1s:
+        l1.hits = l1.misses = 0
+        l1.evictions = l1.writebacks = 0
+    l2.hits = l2.misses = l2.evictions = l2.writebacks = 0
+    controller.stats = CoherenceStats()
+    bus.transactions = bus.data_transfers = 0
+    bus.busy_ps = bus.wait_ps = 0
+    memory.requests = 0
+    locks.acquires = locks.contended_acquires = 0
 
-    Kept outside the hot ``run_window`` body: it runs once per window,
+
+def _sample_run_channels(result: SimulationResult) -> None:
+    """Deposit one reading per ``sim.*`` channel at the end of a run.
+
+    Kept outside the hot ``run`` body: it runs once per run,
     reads only *finished* counters, and writes nothing back into the
     simulation — which is the whole bitwise-identical-on/off contract.
     """

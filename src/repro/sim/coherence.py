@@ -133,13 +133,6 @@ class MESIController:
         # on one of these keeps the stream running (chained prefetch).
         self._prefetched: Set[int] = set()
 
-    def set_clock(self, clock: ClockDomain) -> None:
-        """Propagate a chip-wide DVFS change (uncore + every core)."""
-        self.clock = clock
-        self.core_clocks = [clock] * len(self.l1s)
-        self._hit_ps = [clock.cycles_to_ps(self.l1_hit_cycles)] * len(self.l1s)
-        self.bus.set_clock(clock)
-
     def _l1_hit_ps(self, core_id: int) -> int:
         return self._hit_ps[core_id]
 

@@ -151,7 +151,7 @@ class Core:
         self.timing = timing
         self.locks = locks
         self.time_ps = 0
-        #: L1-hit latency in this core's clock (recomputed on DVFS).
+        #: L1-hit latency in this core's clock.
         self._hit_ps = clock.cycles_to_ps(controller.l1_hit_cycles)
         self.stats = CoreStats()
         #: Barrier index the core is waiting at (valid after AT_BARRIER).
@@ -161,7 +161,7 @@ class Core:
         self._ops_list: List[tuple] = []
         self._ops_index = 0
         #: Duration/instruction table per distinct burst key (an int for a
-        #: plain burst, a segment tuple for a fused one); cleared on DVFS.
+        #: plain burst, a segment tuple for a fused one).
         self._burst_ps: Dict = {}
         #: Whether loads/stores hitting the local L1 may bypass the
         #: controller (set by prepare_fast_path).
@@ -175,12 +175,6 @@ class Core:
         self.subsystem_s: Dict[str, float] = {}
         self.subsystem_n: Dict[str, int] = {}
 
-    def set_clock(self, clock: ClockDomain) -> None:
-        """DVFS: subsequent cycle costs use the new period."""
-        self.clock = clock
-        self._hit_ps = clock.cycles_to_ps(self.controller.l1_hit_cycles)
-        self._burst_ps.clear()
-
     def bind_stream(self, ops: List[tuple]) -> None:
         """Attach a compiled stream for fast-path execution."""
         self._ops_list = ops
@@ -192,7 +186,7 @@ class Core:
         profile: bool = False,
         private_lines: FrozenSet[int] = frozenset(),
     ) -> None:
-        """Decide which op classes may bypass the controller this window.
+        """Decide which op classes may bypass the controller this run.
 
         An L1 hit may short-circuit only when the controller would charge
         it zero stall: the hit latency the controller bills (in the

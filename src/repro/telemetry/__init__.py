@@ -8,9 +8,9 @@ power/thermal models, the sweep executor, and the CLI:
   disabled (the default);
 * :mod:`repro.telemetry.timeseries` — ``CounterSampler``: bounded,
   preallocated time-series sampling of named counter channels (power,
-  temperature, IPC, miss rates, bus occupancy, …) at kernel window
-  boundaries, power fixed-point iterations, thermal solver steps, and
-  governor decisions; same zero-alloc no-op discipline as the Tracer;
+  temperature, IPC, miss rates, bus occupancy, …) at the end of each
+  kernel run, power fixed-point iterations and thermal solves; same
+  zero-alloc no-op discipline as the Tracer;
 * :mod:`repro.telemetry.alerts` — declarative alert rules (thermal
   ceiling, power budget, IPC collapse, sampler overflow) evaluated over
   per-channel statistics at run finalize;

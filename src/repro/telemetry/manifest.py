@@ -229,7 +229,7 @@ class TelemetryRun:
 
         ``point`` is the sweep-point index the readings belong to
         (``None`` for readings taken outside any point — context
-        calibration, directly-run governor loops).  Every reading also
+        calibration, say).  Every reading also
         feeds the run's per-channel statistics, which is what the alert
         rules see at finalize.
         """
@@ -265,7 +265,7 @@ class TelemetryRun:
 
         The leftovers are what no point's capture window took: the
         coordinator's calibration, precompile and ``optimizer.*`` spans
-        and its readings outside points (the governor's, say), drained
+        and its readings outside points (the calibration's, say), drained
         from mark 0.  The alert rules are then evaluated over the whole
         run's channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
         object) contributes, when given, its point tally (the manifest's

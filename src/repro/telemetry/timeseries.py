@@ -3,8 +3,8 @@
 Spans (:mod:`repro.telemetry.trace`) say how long each phase took; the
 :class:`CounterSampler` says what the *modelled chip* was doing while it
 ran.  Instrumented sites deposit one ``(channel, value)`` reading per
-interesting boundary — kernel window epilogues, power fixed-point
-iterations, thermal solver steps, governor decisions — and each sweep
+interesting boundary — the end of each kernel run, power fixed-point
+iterations, thermal solves — and each sweep
 point's capture window (:mod:`repro.telemetry.record`) drains those
 readings into its :class:`~repro.telemetry.record.PointTelemetry`,
 from where they reach the run's ``timeline.jsonl`` artifact and the

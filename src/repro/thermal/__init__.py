@@ -13,11 +13,10 @@ subpackage implements the same idea from scratch:
 
 * :mod:`~repro.thermal.floorplan` — rectangular block floorplans, with
   ready-made EV6-like core and CMP die layouts,
-* :mod:`~repro.thermal.rcnetwork` — the RC network builder plus
-  steady-state (linear solve) and transient (implicit Euler) solvers,
+* :mod:`~repro.thermal.rcnetwork` — the thermal network builder and
+  its steady-state (linear solve) solver,
 * :mod:`~repro.thermal.hotspot` — the :class:`HotSpotModel` facade that
-  turns a power map into block temperatures, including the calibration
-  hook that pins the max-power design point at 100 C,
+  turns a power map into block temperatures,
 * :mod:`~repro.thermal.compact` — a two-parameter lumped model used by
   the analytical scenarios, where only the average die temperature matters.
 """

@@ -7,11 +7,6 @@ This is the interface both halves of the reproduction use:
 * the experimental Scenario I reports the average operating temperature
   (Figure 3, bottom panel), computed over the cores only — the shared L2
   is excluded from temperature/density averages per Section 3.3.
-
-Calibration follows the paper's renormalisation procedure (Section 3.3):
-given the maximum operational power map, scale the package's vertical
-thermal resistance so the hottest block sits exactly at the 100 C maximum
-operating temperature.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
 from repro.thermal.floorplan import Floorplan
@@ -113,44 +108,3 @@ class HotSpotModel:
             sampler.sample("thermal.peak_c", result.peak_celsius())
             sampler.sample("thermal.average_c", result.average_celsius())
         return result
-
-    def calibrate(
-        self,
-        max_power_map: Mapping[str, float],
-        peak_celsius: float = 100.0,
-    ) -> None:
-        """Scale the vertical resistance so ``max_power_map`` peaks at ``peak_celsius``.
-
-        This reproduces the design-point renormalisation of Section 3.3:
-        the maximum operational power consumption is defined as the one
-        that yields the 100 C maximum operating temperature.  Uses
-        bisection on the (monotone) vertical-resistance scale.
-        """
-        target_k = celsius_to_kelvin(peak_celsius)
-        if target_k <= self.ambient_k:
-            raise ConfigurationError("calibration target must exceed ambient")
-        if all(watts == 0 for watts in max_power_map.values()):
-            raise ConfigurationError("calibration power map is all zeros")
-
-        def peak_for_scale(scale: float) -> float:
-            network = self.network.with_vertical_scale(scale)
-            temperatures = network.steady_state(max_power_map, self.ambient_k)
-            reported = {
-                name: t
-                for name, t in temperatures.items()
-                if name not in self.exclude_from_average
-            }
-            return max(reported.values())
-
-        lo, hi = 1e-6, 1.0
-        while peak_for_scale(hi) < target_k:
-            hi *= 2.0
-            if hi > 1e9:
-                raise ConvergenceError("thermal calibration did not bracket the target")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if peak_for_scale(mid) < target_k:
-                lo = mid
-            else:
-                hi = mid
-        self.network = self.network.with_vertical_scale(hi)

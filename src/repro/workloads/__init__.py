@@ -23,7 +23,6 @@ operation streams for the simulator.
 from repro.workloads.base import WorkloadModel, WorkloadSpec
 from repro.workloads.splash2 import SPLASH2, workload_by_name
 from repro.workloads.microbench import max_power_microbenchmark
-from repro.workloads.trace import TraceWorkload, record_trace
 from repro.workloads.multiprogram import MultiprogrammedWorkload, homogeneous_mix
 
 __all__ = [
@@ -34,6 +33,4 @@ __all__ = [
     "SPLASH2",
     "workload_by_name",
     "max_power_microbenchmark",
-    "TraceWorkload",
-    "record_trace",
 ]

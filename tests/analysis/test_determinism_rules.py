@@ -49,7 +49,7 @@ def test_scope_predicate():
     assert in_scope("sim/cpu.py")
     assert in_scope("power/wattch.py")
     assert in_scope("thermal/hotspot.py")
-    assert in_scope("workloads/trace.py")
+    assert in_scope("workloads/splash2.py")
     assert not in_scope("harness/executor.py")
     assert not in_scope("telemetry/trace.py")
     assert not in_scope("harness/profiling.py")

@@ -61,7 +61,7 @@ def test_live_tree_has_no_dim_findings(live_report):
 def test_scope_excludes_out_of_scope_dirs():
     assert dimensions.in_dim_scope("power/chippower.py")
     assert dimensions.in_dim_scope("sim/cmp.py")
-    assert dimensions.in_dim_scope("harness/governor.py")
+    assert dimensions.in_dim_scope("tech/leakage.py")
     assert not dimensions.in_dim_scope("harness/executor.py")
     assert not dimensions.in_dim_scope("telemetry/record.py")
 

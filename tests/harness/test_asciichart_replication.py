@@ -1,12 +1,10 @@
-"""Tests for the ASCII chart renderer and the replication utilities."""
+"""Tests for the ASCII chart renderer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.harness.asciichart import SPARK_LEVELS, bar_chart, sparkline, xy_chart
-from repro.harness.replication import ReplicationSummary, replicate, reseeded
-from repro.workloads import workload_by_name
 
 
 class TestXYChart:
@@ -125,63 +123,3 @@ class TestSparkline:
         assert len(text) == min(len(values), width)
         assert set(text) <= set(SPARK_LEVELS)
 
-
-class TestReplication:
-    def test_summary_statistics(self):
-        summary = ReplicationSummary(metric="x", samples=(1.0, 2.0, 3.0))
-        assert summary.mean == 2.0
-        assert summary.std == pytest.approx(1.0)
-        assert summary.min == 1.0
-        assert summary.max == 3.0
-        assert summary.relative_spread() == pytest.approx(1.0)
-
-    def test_single_sample(self):
-        summary = ReplicationSummary(metric="x", samples=(5.0,))
-        assert summary.std == 0.0
-        assert summary.relative_spread() == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReplicationSummary(metric="x", samples=())
-
-    def test_reseeded_changes_seed_only(self):
-        model = workload_by_name("Barnes")
-        replica = reseeded(model, 0)
-        assert replica.spec.seed != model.spec.seed
-        assert replica.spec.total_instructions == model.spec.total_instructions
-        assert reseeded(model, 0).spec.seed == replica.spec.seed  # deterministic
-        assert reseeded(model, 1).spec.seed != replica.spec.seed
-
-    def test_replicate_runs_experiment_per_seed(self):
-        model = workload_by_name("Barnes")
-        seen = []
-
-        def experiment(m):
-            seen.append(m.spec.seed)
-            return float(m.spec.seed % 7)
-
-        summary = replicate(model, experiment, n_replicas=3, metric="demo")
-        assert len(seen) == len(set(seen)) == 3
-        assert len(summary.samples) == 3
-
-    def test_efficiency_stable_across_seeds(self):
-        # The headline eps_n(4) metric should not be a seed artefact.
-        from repro.sim import ChipMultiprocessor, CMPConfig
-        from repro.workloads.base import WorkloadModel
-
-        base = workload_by_name("Water-Sp")
-
-        def eps4(model):
-            short = WorkloadModel(model.spec.scaled(0.08))
-            times = {}
-            for n in (1, 4):
-                result = ChipMultiprocessor(CMPConfig()).run(
-                    [short.thread_ops(t, n) for t in range(n)],
-                    short.core_timing(),
-                    warmup_barriers=short.warmup_barriers,
-                )
-                times[n] = result.execution_time_ps
-            return times[1] / (4 * times[4])
-
-        summary = replicate(base, eps4, n_replicas=3, metric="eps_n(4)")
-        assert summary.relative_spread() < 0.15

@@ -64,6 +64,16 @@ class TestCalibrationMemo:
         assert len(calibrations) == 3
         assert len(_calibration_files(cache)) == 3
 
+    def test_another_model_misses(self, calibrations, monkeypatch, tmp_path):
+        import repro.harness.executor as executor_module
+
+        cache = ResultCache(tmp_path)
+        ExperimentContext(cache=cache)
+        monkeypatch.setattr(executor_module, "model_fingerprint", lambda: "edited")
+        ExperimentContext(cache=cache)
+        assert len(calibrations) == 2
+        assert len(_calibration_files(cache)) == 2
+
     def test_an_entry_of_another_type_counts_as_a_miss(self, calibrations, tmp_path):
         cache = ResultCache(tmp_path)
         ExperimentContext(cache=cache)

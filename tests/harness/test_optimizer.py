@@ -11,8 +11,8 @@ Three layers:
   every SPLASH-2 application under both boundary objectives, with
   materially fewer grid evaluations;
 * **bugfix regressions** — the nominal-frequency field migration, the
-  duplicated overclocking baseline run, the quarantined scenario-2
-  baseline, and compile-cache thrash on large campaigns.
+  quarantined scenario-2 baseline, and compile-cache thrash on large
+  campaigns.
 """
 
 import json
@@ -45,7 +45,6 @@ from repro.harness.optimizer import (
     objective_by_name,
     pick_boundary,
 )
-from repro.harness.scenario2 import run_overclocking_study
 from repro.harness.schema import SCHEMA_VERSION
 from repro.sim.ops import stream_cache
 from repro.workloads import SPLASH2, workload_by_name
@@ -321,15 +320,6 @@ def test_old_store_rows_migrate_the_nominal_frequency(tmp_path):
         "power_w": 15.0,
         "budget_w": 17.0,
     }
-    overclock = {
-        "app": "Radix",
-        "n": 2,
-        "baseline_speedup": 1.9,
-        "overclocked_speedup": 2.0,
-        "overclock_frequency_hz": 3.6e9,
-        "power_w": 14.0,
-        "budget_w": 17.0,
-    }
     path = tmp_path / "old.json"
     path.write_text(
         json.dumps(
@@ -337,7 +327,6 @@ def test_old_store_rows_migrate_the_nominal_frequency(tmp_path):
                 "schema": SCHEMA_VERSION,
                 "groups": {
                     "scenario2": [{"type": "scenario2", "data": scenario2}],
-                    "overclock": [{"type": "overclock", "data": overclock}],
                 },
             }
         ),
@@ -345,45 +334,8 @@ def test_old_store_rows_migrate_the_nominal_frequency(tmp_path):
     )
     loaded = load_results(path)
     s2 = loaded["scenario2"][0]
-    oc = loaded["overclock"][0]
     assert s2.f_nominal_hz == 3.2e9
     assert not s2.runs_at_nominal
-    assert oc.f_nominal_hz == 3.2e9
-    assert oc.clock_gain == pytest.approx(3.6e9 / 3.2e9)
-
-
-@pytest.mark.parametrize(
-    "n_threads, runs",
-    [(2, [(1, 0.0), (2, 0.0), (2, 200e6)]), (1, [(1, 0.0), (1, 200e6)])],
-    ids=["n2", "n1"],
-)
-def test_overclocking_study_does_not_rerun_the_baseline(context, n_threads, runs):
-    """Every point of the study simulates exactly once.
-
-    The baseline is the N-core row of the nominal profile; with a
-    budget so tight no boost fits, the only other run is the first
-    boosted probe.  The historical bug re-simulated the nominal N-core
-    baseline right after profiling it.  ``runs`` lists the expected
-    ``context.run`` calls as (n, frequency above nominal).
-    """
-    calls = []
-    original = context.run
-
-    def recording_run(*args, **kwargs):
-        result, power = original(*args, **kwargs)
-        calls.append((args[1], result.config.frequency_hz - context.f_nominal))
-        return result, power
-
-    context.run = recording_run
-    try:
-        row = run_overclocking_study(
-            context, workload_by_name("Radix"), n_threads, budget_w=0.001
-        )
-    finally:
-        del context.run
-    assert row.overclock_frequency_hz == context.f_nominal
-    assert row.clock_gain == 1.0
-    assert calls == runs
 
 
 def test_searches_fit_the_compile_cache(context, monkeypatch):

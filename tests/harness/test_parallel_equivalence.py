@@ -24,9 +24,7 @@ from repro.harness import (
     SweepExecutor,
     run_scenario1,
     run_scenario2,
-    sweep_design_parameter,
 )
-from repro.harness.designspace import bus_width_variants
 from repro.tech import technology_by_name
 from repro.workloads import workload_by_name
 
@@ -120,14 +118,5 @@ class TestExperimentalEquivalence:
         default = run_scenario2(context, models, counts)
         parallel = run_scenario2(
             context, models, counts, executor=SweepExecutor(jobs=4)
-        )
-        assert parallel == default
-
-    def test_designspace_parallel_equals_serial(self):
-        model = workload_by_name("FMM")
-        variants = bus_width_variants((2, 8))
-        default = sweep_design_parameter(model, variants, n_threads=4)
-        parallel = sweep_design_parameter(
-            model, variants, n_threads=4, executor=SweepExecutor(jobs=4)
         )
         assert parallel == default

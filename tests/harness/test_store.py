@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.sweeps import Figure1Row, Figure2Row
 from repro.errors import ConfigurationError
-from repro.harness.designspace import DesignPoint, DesignRunRow
 from repro.harness.percore import PerCoreDVFSResult
 from repro.harness.profiling import SimPointRow
 from repro.harness.scenario1 import Scenario1Row
@@ -54,17 +53,6 @@ def sample_rows():
                 core_voltages=(1.1, 0.97, 0.97, 1.0),
             )
         ],
-        "design": [
-            DesignPoint(
-                label="L2=4MB",
-                n=8,
-                execution_time_s=1e-5,
-                nominal_efficiency=0.7,
-                l1_miss_rate=0.05,
-                memory_stall_fraction=0.4,
-                bus_utilisation=0.5,
-            )
-        ],
     }
 
 
@@ -89,7 +77,7 @@ class TestRoundTrip:
         save_results(sample_rows(), path)
         document = json.loads(path.read_text())
         assert document["schema"] == SCHEMA_VERSION
-        assert set(document["groups"]) == {"fig3", "fig4", "percore", "design"}
+        assert set(document["groups"]) == {"fig3", "fig4", "percore"}
 
     def test_saved_campaigns_record_their_provenance(self, tmp_path):
         from repro.telemetry.manifest import git_sha
@@ -141,16 +129,6 @@ class TestRoundTrip:
                     bus_utilisation=0.6,
                 )
             ],
-            "designrun": [
-                DesignRunRow(
-                    n=8,
-                    execution_time_ps=98765,
-                    execution_time_s=9.8765e-8,
-                    l1_miss_rate=0.04,
-                    memory_stall_fraction=0.3,
-                    bus_utilisation=0.5,
-                )
-            ],
         }
         path = tmp_path / "sweep.json"
         save_results(campaign, path)
@@ -161,7 +139,7 @@ class TestDeterminism:
     def test_groups_are_saved_and_loaded_sorted(self, tmp_path):
         rows = sample_rows()
         scrambled = {
-            name: rows[name] for name in ("percore", "fig4", "design", "fig3")
+            name: rows[name] for name in ("percore", "fig4", "fig3")
         }
         path = tmp_path / "c.json"
         save_results(scrambled, path)

@@ -8,8 +8,8 @@ from repro.sim.coherence import MESIController
 from repro.sim.memory import MainMemory
 
 
-def make_controller(n_cores=2, l1_kb=4, l2_kb=64):
-    clock = ClockDomain(3.2e9)
+def make_controller(n_cores=2, l1_kb=4, l2_kb=64, frequency_hz=3.2e9):
+    clock = ClockDomain(frequency_hz)
     bus = SharedBus(BusConfig(), clock)
     memory = MainMemory()
     l1s = [
@@ -163,11 +163,9 @@ class TestDVFSInteraction:
         fast = make_controller()
         t_fast = fast.read(0, ADDRESS, 0)
 
-        slow = make_controller()
-        slow_clock = ClockDomain(200e6)
-        slow.set_clock(slow_clock)
+        slow = make_controller(frequency_hz=200e6)
         t_slow = slow.read(0, ADDRESS, 0)
 
-        cycles_fast = ClockDomain(3.2e9).ps_to_cycles(t_fast)
-        cycles_slow = slow_clock.ps_to_cycles(t_slow)
+        cycles_fast = fast.clock.ps_to_cycles(t_fast)
+        cycles_slow = slow.clock.ps_to_cycles(t_slow)
         assert cycles_slow < cycles_fast

@@ -501,6 +501,31 @@ class TestCalibrationMemo:
         assert _table(capsys.readouterr().out) == _table(cold)
         assert kernel_runs == []
 
+    def test_a_changed_model_misses_points_and_calibration(self, capsys, kernel_runs, monkeypatch, tmp_path):
+        import repro.harness.context as context_module
+        import repro.harness.executor as executor_module
+
+        argv = [*SMALL_SWEEPS["fig3"], "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cold_runs = len(kernel_runs)
+        kernel_runs.clear()
+        calibrations = []
+        calibrate = context_module.calibrate_power_model
+
+        def counting(*args, **kwargs):
+            calibrations.append(args)
+            return calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "calibrate_power_model", counting)
+        monkeypatch.setattr(executor_module, "model_fingerprint", lambda: "edited")
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert len(calibrations) == 1
+        assert " 0 cache hits" in warm
+        assert len(kernel_runs) == cold_runs
+        assert _table(warm) == _table(cold)
+
     def test_no_cache_neither_reads_nor_writes_the_calibration(self, capsys, monkeypatch, tmp_path):
         import repro.harness.context as context_module
 

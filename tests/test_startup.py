@@ -1,4 +1,5 @@
-"""Start-up cost guard: scipy is imported only by the leakage fit.
+"""Start-up cost guard: scipy is imported only by the leakage fit, and
+``import repro.cli`` loads a bounded number of ``repro`` modules.
 
 ``scipy.optimize`` is most of ``import repro.cli``; fig1/fig2 and
 ``repro verify`` need it for the Eq. 3 fit, the experimental sweeps do
@@ -41,6 +42,22 @@ def _fresh(code, tmp_path):
 def test_import_cli_loads_no_scipy(tmp_path):
     code = f"import json, sys\nimport repro.cli\nprint(json.dumps({SCIPY_MODULES}))"
     assert _fresh(code, tmp_path) == []
+
+
+#: Upper bound on the ``repro`` modules a fresh ``import repro.cli``
+#: loads; the package façades import eagerly, so every module a façade
+#: re-exports counts.
+MAX_CLI_MODULES = 61
+
+
+def test_import_cli_loads_a_bounded_number_of_modules(tmp_path):
+    code = (
+        "import json, sys\nimport repro.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.'))))"
+    )
+    loaded = _fresh(code, tmp_path)
+    assert len(loaded) <= MAX_CLI_MODULES, loaded
 
 
 def test_experimental_sweeps_load_no_scipy(tmp_path):

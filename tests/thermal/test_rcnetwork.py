@@ -1,4 +1,4 @@
-"""Tests for the RC thermal network solvers."""
+"""Tests for the thermal network's steady-state solver."""
 
 import hashlib
 
@@ -71,7 +71,12 @@ class TestSteadyState:
 
     def test_vertical_scale_raises_temperature(self):
         base = ThermalRCNetwork(two_block_plan())
-        insulated = base.with_vertical_scale(2.0)
+        insulated = ThermalRCNetwork(
+            two_block_plan(),
+            ThermalMaterial(
+                vertical_resistance_area=2.0 * base.material.vertical_resistance_area
+            ),
+        )
         t_base = base.steady_state({"hot": 10.0}, AMBIENT)["hot"]
         t_ins = insulated.steady_state({"hot": 10.0}, AMBIENT)["hot"]
         assert t_ins > t_base
@@ -84,55 +89,10 @@ class TestSteadyState:
         assert all(t >= AMBIENT - 1e-9 for t in temps.values())
 
 
-class TestTransient:
-    def test_converges_to_steady_state(self):
-        network = ThermalRCNetwork(two_block_plan())
-        steady = network.steady_state({"hot": 10.0}, AMBIENT)
-        transient = network.transient(
-            {"hot": 10.0}, AMBIENT, initial_k=AMBIENT, duration_s=50.0, dt_s=0.05
-        )
-        for name in steady:
-            assert transient[name] == pytest.approx(steady[name], rel=1e-3)
-
-    def test_monotone_warmup(self):
-        network = ThermalRCNetwork(two_block_plan())
-        state = AMBIENT
-        snapshots = []
-        for _ in range(5):
-            result = network.transient(
-                {"hot": 10.0},
-                AMBIENT,
-                initial_k=state if isinstance(state, float) else state,
-                duration_s=0.2,
-                dt_s=0.01,
-            )
-            snapshots.append(result["hot"])
-            state = result
-        assert all(b >= a for a, b in zip(snapshots, snapshots[1:]))
-
-    def test_zero_duration_returns_initial(self):
-        network = ThermalRCNetwork(two_block_plan())
-        result = network.transient(
-            {"hot": 10.0}, AMBIENT, initial_k=300.0, duration_s=0.0
-        )
-        assert result["hot"] == pytest.approx(300.0)
-
-    def test_invalid_arguments(self):
-        network = ThermalRCNetwork(two_block_plan())
-        with pytest.raises(ConfigurationError):
-            network.transient({"hot": 1.0}, AMBIENT, AMBIENT, duration_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            network.transient({"hot": 1.0}, AMBIENT, AMBIENT, 1.0, dt_s=0.0)
-
-
 class TestMaterial:
     def test_invalid_material_rejected(self):
         with pytest.raises(ConfigurationError):
             ThermalMaterial(silicon_conductivity=-1.0)
-
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ThermalRCNetwork(two_block_plan(), vertical_scale=0.0)
 
 
 #: sha256 of the conductance matrix's bytes for ``cmp_floorplan(n)``.
