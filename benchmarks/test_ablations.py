@@ -138,56 +138,6 @@ def test_ablation_projected_32nm(benchmark):
     assert s_peak < curve65.peak()[1]
 
 
-def test_ablation_prefetcher(benchmark, experiment_context):
-    """Stream prefetching (off in the paper's machine) on Ocean.
-
-    The instructive negative result: the prefetcher removes a good share
-    of Ocean's L1 misses, but almost all of those misses were hitting
-    the on-chip L2 anyway, so execution time barely moves (and the extra
-    interconnect occupancy can even cost a little at higher core
-    counts).  These codes' memory boundedness is off-chip latency and
-    bus contention, not L1 misses — which is exactly why the paper's
-    DVFS lever (shrinking the off-chip gap in cycles) matters more than
-    a prefetcher would.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.sim.cmp import ChipMultiprocessor
-    from repro.workloads import workload_by_name
-    from repro.workloads.base import WorkloadModel
-
-    model = WorkloadModel(
-        workload_by_name("Ocean").spec.scaled(experiment_context.workload_scale)
-    )
-
-    def run_pair():
-        out = {}
-        for label, prefetch in (("off", False), ("on", True)):
-            config = dc_replace(
-                experiment_context.cmp_config, prefetch_next_line=prefetch
-            )
-            result = ChipMultiprocessor(config).run(
-                [model.thread_ops(t, 4) for t in range(4)],
-                model.core_timing(),
-                warmup_barriers=model.warmup_barriers,
-            )
-            out[label] = result
-        return out
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    off, on = results["off"], results["on"]
-    print(
-        f"\nOcean@4: prefetch off: miss {off.l1_miss_rate():.3f}, "
-        f"{off.execution_time_s * 1e6:.0f} us; on: miss {on.l1_miss_rate():.3f}, "
-        f"{on.execution_time_s * 1e6:.0f} us "
-        f"({on.coherence.prefetches} prefetches)"
-    )
-    assert on.l1_miss_rate() < off.l1_miss_rate()
-    # Time moves little either way: the misses removed were L2 hits.
-    ratio = on.execution_time_ps / off.execution_time_ps
-    assert 0.7 < ratio < 1.35
-
-
 def test_ablation_budget_sensitivity(benchmark):
     """Doubling the power budget pushes the optimum N up."""
     chip = AnalyticalChipModel(NODE_130NM)

@@ -1,14 +1,12 @@
 """Benchmarks for the library's beyond-the-paper extensions.
 
-Four extensions, each rooted in the paper's own discussion:
+Three extensions, each rooted in the paper's own discussion:
 
 * **Scenario III** (energy / energy-delay optimization) — the metric the
   paper's related work ([21], [26]) optimises, solved on the analytical
   model;
 * **per-core DVFS** — Section 3.1's "beyond the scope" note, implemented
   as the Kadayif-style slow-the-light-threads policy;
-* **thrifty barrier** — the paper's reference [26]: sleep through long
-  barrier waits instead of spinning;
 * **multiprogrammed mix** — the paper's framing of a parallel
   application against independent programs at equal core count.
 """
@@ -106,51 +104,6 @@ def test_percore_dvfs_policy(benchmark, experiment_context):
         assert r.energy_saving > 0.0, r.app
         assert r.slowdown < 1.3, r.app
     assert by_app["Cholesky"].energy_saving > by_app["Water-Sp"].energy_saving
-
-
-def test_thrifty_barrier(benchmark, experiment_context):
-    """Sleeping through barrier waits saves energy at tiny slowdown."""
-    from repro.sim.cmp import ChipMultiprocessor
-    from repro.workloads.base import WorkloadModel
-
-    model = WorkloadModel(
-        workload_by_name("Volrend").spec.scaled(experiment_context.workload_scale)
-    )
-
-    def run(sleep: bool):
-        config = experiment_context.cmp_config
-        config = type(config)(
-            n_cores=config.n_cores,
-            frequency_hz=config.frequency_hz,
-            voltage=config.voltage,
-            barrier_sleep=sleep,
-        )
-        result = ChipMultiprocessor(config).run(
-            [model.thread_ops(t, 16) for t in range(16)],
-            model.core_timing(),
-            warmup_barriers=model.warmup_barriers,
-        )
-        power = experiment_context.chip_power.evaluate(result)
-        return result, power
-
-    def both():
-        return run(False), run(True)
-
-    (awake, awake_power), (asleep, asleep_power) = benchmark.pedantic(
-        both, rounds=1, iterations=1
-    )
-    saving = 1.0 - asleep_power.energy_j / awake_power.energy_j
-    slowdown = asleep.execution_time_s / awake.execution_time_s
-    slept = sum(s.sleep_ps for s in asleep.core_stats)
-    waited = sum(s.sync_wait_ps for s in awake.core_stats)
-    print(
-        f"\nthrifty barrier on Volrend@16: energy saving {saving:.1%}, "
-        f"slowdown {slowdown:.3f}, slept {slept / max(1, waited):.0%} of the "
-        "spin time"
-    )
-    assert slept > 0
-    assert saving > 0.0
-    assert slowdown < 1.05
 
 
 def test_parallel_vs_multiprogrammed(benchmark, experiment_context):

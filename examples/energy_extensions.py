@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Beyond the paper: energy optimization, per-core DVFS, thrifty barriers.
+"""Beyond the paper: energy optimization and per-core DVFS.
 
-Three extensions the paper's own discussion points toward:
+Two extensions the paper's own discussion points toward:
 
 1. **Scenario III** — instead of fixing performance (Scenario I) or
    power (Scenario II), minimise *energy* or *energy-delay product* over
    the analytical model;
 2. **per-core DVFS** — Section 3.1 calls it beyond scope: slow down
-   lightly-loaded threads so everyone hits the barrier together;
-3. **thrifty barrier** [26] — sleep through long barrier waits.
+   lightly-loaded threads so everyone hits the barrier together.
 
 Run:  python examples/energy_extensions.py
 """
@@ -23,10 +22,8 @@ from repro.harness import (
     render_table,
     run_percore_dvfs_suite,
 )
-from repro.sim.cmp import ChipMultiprocessor, CMPConfig
 from repro.tech import NODE_65NM
 from repro.workloads import workload_by_name
-from repro.workloads.base import WorkloadModel
 
 
 def scenario3() -> None:
@@ -78,42 +75,11 @@ def percore_dvfs(context: ExperimentContext) -> None:
     print("Imbalanced applications (Cholesky) have the most slack to harvest.\n")
 
 
-def thrifty_barrier(context: ExperimentContext) -> None:
-    model = WorkloadModel(
-        workload_by_name("Volrend").spec.scaled(context.workload_scale)
-    )
-
-    def run(sleep: bool):
-        config = CMPConfig(barrier_sleep=sleep)
-        result = ChipMultiprocessor(config).run(
-            [model.thread_ops(t, 16) for t in range(16)],
-            model.core_timing(),
-            warmup_barriers=model.warmup_barriers,
-        )
-        return result, context.chip_power.evaluate(result)
-
-    awake, awake_power = run(False)
-    asleep, asleep_power = run(True)
-    saving = 1.0 - asleep_power.energy_j / awake_power.energy_j
-    print(
-        render_table(
-            ["barrier mode", "time (us)", "energy (mJ)"],
-            [
-                ["spin", awake.execution_time_s * 1e6, awake_power.energy_j * 1e3],
-                ["thrifty", asleep.execution_time_s * 1e6, asleep_power.energy_j * 1e3],
-            ],
-            title="Thrifty barrier on Volrend @ 16 cores",
-        )
-    )
-    print(f"energy saving: {saving:.1%} at zero slowdown (exact stall predictor)\n")
-
-
 def main() -> None:
     scenario3()
     print("Building the experiment context (calibration microbenchmark)...\n")
     context = ExperimentContext(workload_scale=0.25)
     percore_dvfs(context)
-    thrifty_barrier(context)
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ class SimPointRow:
     This is the unit the :class:`~repro.harness.executor.SweepExecutor`
     memoizes: every field is a JSON-representable scalar derived from
     one ``context.run`` call, and together they cover what the
-    Scenario I/II pipelines, the characterization command, and the
-    design-space sweeps read off a run.
+    Scenario I/II pipelines and the characterization command read off
+    a run.
     """
 
     app: str

@@ -45,9 +45,6 @@ class UnitEnergies:
     #: Fraction of the per-cycle clock/base energy burned while gated
     #: (stalled or parked at a barrier).
     idle_gating: float = 0.25
-    #: Fraction burned in the thrifty-barrier sleep state (clock stopped,
-    #: ACPI-like; only retention circuitry ticks).
-    sleep_gating: float = 0.03
     #: Per-cycle background energy of the (aggressively gated) L2 block.
     l2_idle_cycle_j: float = 0.15 * NJ
 
@@ -56,8 +53,6 @@ class UnitEnergies:
             raise ConfigurationError("v_nominal must be positive")
         if not 0.0 <= self.idle_gating <= 1.0:
             raise ConfigurationError("idle_gating must be in [0, 1]")
-        if not 0.0 <= self.sleep_gating <= 1.0:
-            raise ConfigurationError("sleep_gating must be in [0, 1]")
 
     def voltage_scale(self, v: float) -> float:
         """The (V/Vn)^2 energy scaling of Eq. 2."""
@@ -87,9 +82,8 @@ class WattchModel:
         clock = ClockDomain(result.core_frequency(core_index))
 
         busy_cycles = clock.ps_to_cycles(stats.busy_ps)
-        sleep_cycles = clock.ps_to_cycles(stats.sleep_ps)
         total_cycles = clock.ps_to_cycles(result.execution_time_ps)
-        idle_cycles = max(0.0, total_cycles - busy_cycles - sleep_cycles)
+        idle_cycles = max(0.0, total_cycles - busy_cycles)
 
         energy = (
             stats.instructions * e.instruction_j
@@ -97,7 +91,6 @@ class WattchModel:
             + cache.accesses * e.l1_access_j
             + busy_cycles * e.clock_cycle_j
             + idle_cycles * e.clock_cycle_j * e.idle_gating
-            + sleep_cycles * e.clock_cycle_j * e.sleep_gating
         )
         return energy * scale
 

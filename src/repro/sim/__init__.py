@@ -19,7 +19,7 @@ Entry point: :class:`~repro.sim.cmp.ChipMultiprocessor`.
 
 from repro.sim.clock import ClockDomain
 from repro.sim.cache import Cache, CacheConfig
-from repro.sim.bus import BankedCrossbar, SharedBus, BusConfig
+from repro.sim.bus import SharedBus, BusConfig
 from repro.sim.memory import MainMemory
 from repro.sim.coherence import MESIController, CoherenceStats
 from repro.sim.ops import (
@@ -43,7 +43,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "SharedBus",
-    "BankedCrossbar",
     "BusConfig",
     "MainMemory",
     "MESIController",

@@ -49,15 +49,13 @@ class SharedBus:
         self.busy_ps = 0
         self.wait_ps = 0
 
-    def acquire(self, now_ps: int, with_data: bool, route: int = 0) -> tuple:
+    def acquire(self, now_ps: int, with_data: bool) -> tuple:
         """Reserve the bus for one transaction starting at ``now_ps``.
 
         Returns ``(grant_ps, release_ps)``: the requester owns the bus
         from grant to release.  ``with_data`` adds the data-phase
         occupancy (cache fills, writebacks); address-only transactions
         (upgrades/invalidations) occupy just the address phase.
-        ``route`` is ignored — a bus is one shared medium (the banked
-        crossbar uses it to select a channel).
         """
         cycles = self.config.address_cycles
         if with_data:
@@ -85,65 +83,3 @@ class SharedBus:
         ``sim.bus_wait_fraction`` channel.
         """
         return self.wait_ps / total_ps if total_ps > 0 else 0.0
-
-    def reset_timing(self) -> None:
-        """Clear the reservation state (between simulation runs)."""
-        self._free_at_ps = 0
-
-
-class BankedCrossbar(SharedBus):
-    """A banked point-to-point interconnect (extension).
-
-    The paper's bus is the classic small-CMP choice; larger CMPs moved
-    to crossbars and NoCs precisely because a single medium saturates.
-    This model keeps the bus's address/data occupancy per transaction
-    but provides ``n_channels`` independent channels, selected by the
-    request's route (the L2 line address), so disjoint traffic proceeds
-    in parallel.  Snoop ordering is preserved per line because a line
-    always maps to the same channel.
-
-    A ``port_cycles`` overhead models the crossbar's setup cost relative
-    to the bus (arbitration across the switch).
-    """
-
-    def __init__(
-        self,
-        config: BusConfig,
-        clock: ClockDomain,
-        n_channels: int = 4,
-        port_cycles: int = 1,
-    ) -> None:
-        if n_channels < 1:
-            raise ConfigurationError("need at least one channel")
-        if port_cycles < 0:
-            raise ConfigurationError("port_cycles must be >= 0")
-        super().__init__(config, clock)
-        self.n_channels = n_channels
-        self.port_cycles = port_cycles
-        self._channel_free_ps = [0] * n_channels
-
-    def acquire(self, now_ps: int, with_data: bool, route: int = 0) -> tuple:
-        """Reserve one channel; disjoint routes do not contend."""
-        cycles = self.config.address_cycles + self.port_cycles
-        if with_data:
-            cycles += self.config.data_cycles
-            self.data_transfers += 1
-        duration = self.clock.cycles_to_ps(cycles)
-        channel = route % self.n_channels
-        grant = max(now_ps, self._channel_free_ps[channel])
-        release = grant + duration
-        self._channel_free_ps[channel] = release
-        self.transactions += 1
-        self.busy_ps += duration
-        self.wait_ps += grant - now_ps
-        return grant, release
-
-    def utilisation(self, total_ps: int) -> float:
-        """Average occupancy across channels."""
-        if total_ps <= 0:
-            return 0.0
-        return self.busy_ps / (total_ps * self.n_channels)
-
-    def reset_timing(self) -> None:
-        """Clear all channel reservations."""
-        self._channel_free_ps = [0] * self.n_channels

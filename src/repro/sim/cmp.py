@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.bus import BankedCrossbar, BusConfig, SharedBus
+from repro.sim.bus import BusConfig, SharedBus
 from repro.sim.cache import Cache, CacheConfig
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import CoherenceStats, MESIController
@@ -63,58 +63,16 @@ class CMPConfig:
     l2_hit_cycles: int = 12
     cache_to_cache_cycles: int = 16
     barrier_release_cycles: int = 40
-    #: Thrifty-barrier mode [26]: waiting cores drop into an ACPI-like
-    #: sleep state instead of spinning.  The stall predictor wakes the
-    #: core ``sleep_wakeup_cycles`` before the (predicted) release so the
-    #: wake-up latency is hidden — the core sleeps for
-    #: ``wait - wakeup`` and spins the remainder.  A core only sleeps
-    #: when the wait exceeds twice the wake-up penalty, the break-even
-    #: rule of the paper's prior work; the predictor is idealised as
-    #: exact (no mispredictions).
-    barrier_sleep: bool = False
-    sleep_wakeup_cycles: int = 200
-    #: Interconnect topology (extension): ``"bus"`` is the paper's
-    #: machine; ``"crossbar"`` provides ``crossbar_channels`` independent
-    #: channels selected by line address.
-    interconnect: str = "bus"
-    crossbar_channels: int = 4
-    #: Next-line L1 prefetching (extension; off to match the paper).
-    prefetch_next_line: bool = False
 
     def __post_init__(self) -> None:
         if self.n_cores < 1:
             raise ConfigurationError("n_cores must be >= 1")
         if self.frequency_hz <= 0 or self.voltage <= 0:
             raise ConfigurationError("frequency and voltage must be positive")
-        if self.sleep_wakeup_cycles < 0:
-            raise ConfigurationError("sleep_wakeup_cycles must be >= 0")
-        if self.interconnect not in ("bus", "crossbar"):
-            raise ConfigurationError(
-                f"unknown interconnect {self.interconnect!r}"
-            )
-        if self.crossbar_channels < 1:
-            raise ConfigurationError("crossbar_channels must be >= 1")
 
     def with_operating_point(self, frequency_hz: float, voltage: float) -> "CMPConfig":
         """A copy of this configuration at a different DVFS point."""
-        return CMPConfig(
-            n_cores=self.n_cores,
-            frequency_hz=frequency_hz,
-            voltage=voltage,
-            l1_config=self.l1_config,
-            l2_config=self.l2_config,
-            bus_config=self.bus_config,
-            memory_config=self.memory_config,
-            l1_hit_cycles=self.l1_hit_cycles,
-            l2_hit_cycles=self.l2_hit_cycles,
-            cache_to_cache_cycles=self.cache_to_cache_cycles,
-            barrier_release_cycles=self.barrier_release_cycles,
-            barrier_sleep=self.barrier_sleep,
-            sleep_wakeup_cycles=self.sleep_wakeup_cycles,
-            interconnect=self.interconnect,
-            crossbar_channels=self.crossbar_channels,
-            prefetch_next_line=self.prefetch_next_line,
-        )
+        return replace(self, frequency_hz=frequency_hz, voltage=voltage)
 
 
 @dataclass
@@ -318,12 +276,7 @@ class ChipMultiprocessor:
         else:
             core_clocks = [ClockDomain(f_hz) for f_hz, _v in core_operating_points]
             operating_points = [tuple(p) for p in core_operating_points]
-        if config.interconnect == "crossbar":
-            bus = BankedCrossbar(
-                config.bus_config, clock, n_channels=config.crossbar_channels
-            )
-        else:
-            bus = SharedBus(config.bus_config, clock)
+        bus = SharedBus(config.bus_config, clock)
         memory = MainMemory(config.memory_config)
         l1s = [Cache(config.l1_config) for _ in range(n_threads)]
         l2 = Cache(config.l2_config)
@@ -337,7 +290,6 @@ class ChipMultiprocessor:
             l2_hit_cycles=config.l2_hit_cycles,
             cache_to_cache_cycles=config.cache_to_cache_cycles,
             core_clocks=core_clocks,
-            prefetch_next_line=config.prefetch_next_line,
         )
         locks = LockTable()
 
@@ -436,18 +388,7 @@ class ChipMultiprocessor:
                         )
                         for waiter_id in waiters:
                             waiter = cores[waiter_id]
-                            wait_ps = release - waiter.time_ps
-                            wakeup_ps = core_clocks[waiter_id].cycles_to_ps(
-                                config.sleep_wakeup_cycles
-                            )
-                            if config.barrier_sleep and wait_ps > 2 * wakeup_ps:
-                                # Thrifty barrier: sleep until the predictor
-                                # wakes the core just in time; spin the
-                                # final wake-up window.
-                                waiter.stats.sleep_ps += wait_ps - wakeup_ps
-                                waiter.stats.sync_wait_ps += wakeup_ps
-                            else:
-                                waiter.stats.sync_wait_ps += wait_ps
+                            waiter.stats.sync_wait_ps += release - waiter.time_ps
                             waiter.time_ps = release
                             heappush(heap, (release, waiter_id))
                         del barrier_waiters[barrier_id]

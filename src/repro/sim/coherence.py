@@ -25,7 +25,7 @@ and recorded as a simplification in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.bus import SharedBus
@@ -57,7 +57,6 @@ class CoherenceStats:
     upgrades: int = 0
     writebacks: int = 0
     memory_reads: int = 0
-    prefetches: int = 0
 
     def l1_miss_rate(self) -> float:
         """L1 miss rate over all cores."""
@@ -78,7 +77,6 @@ class CoherenceStats:
             + self.invalidations
             + self.writebacks
             + self.cache_to_cache
-            + self.prefetches
         )
 
 
@@ -96,7 +94,6 @@ class MESIController:
         l2_hit_cycles: int = 12,
         cache_to_cache_cycles: int = 16,
         core_clocks: Optional[List[ClockDomain]] = None,
-        prefetch_next_line: bool = False,
     ) -> None:
         self.l1s = l1_caches
         self.l2 = l2
@@ -114,14 +111,6 @@ class MESIController:
         self._hit_ps = [
             c.cycles_to_ps(l1_hit_cycles) for c in self.core_clocks
         ]
-        #: Stream prefetching (extension): a demand L1 read miss on the
-        #: line sequentially after the core's previous miss is a detected
-        #: stream — the next line is pulled into the L1 off the critical
-        #: path (charged as interconnect/L2 traffic), and hits on
-        #: prefetched lines keep the stream ahead of the consumer.
-        #: Random misses never trigger, so irregular codes pay nothing.
-        self.prefetch_next_line = prefetch_next_line
-        self._last_miss_line: Dict[int, int] = {}
         self.stats = CoherenceStats()
         # Snoop filter: L1 line address -> bitmask of core ids holding
         # it (bit ``i`` set iff core ``i``'s L1 has the line).  Bitmask
@@ -129,9 +118,6 @@ class MESIController:
         # order is deterministic without sorting, and add/drop/probe
         # allocate nothing.
         self._sharers: Dict[int, int] = {}
-        # Lines brought in by the prefetcher and not yet demanded: a hit
-        # on one of these keeps the stream running (chained prefetch).
-        self._prefetched: Set[int] = set()
 
     def _l1_hit_ps(self, core_id: int) -> int:
         return self._hit_ps[core_id]
@@ -166,7 +152,7 @@ class MESIController:
         if victim_state == MODIFIED:
             # Posted writeback: occupies the interconnect from the write
             # buffer, but does not stall the core.
-            self.bus.acquire(now_ps, with_data=True, route=victim_line)
+            self.bus.acquire(now_ps, with_data=True)
             self.stats.writebacks += 1
             self._l2_mark_dirty(victim_line << self.l1s[core_id].config.line_shift)
 
@@ -206,16 +192,10 @@ class MESIController:
         state = l1.lookup(line)
         if state is not None:
             stats.l1_hits += 1
-            done = now_ps + self._l1_hit_ps(core_id)
-            if self.prefetch_next_line and line in self._prefetched:
-                # First demand hit on a prefetched line: keep the
-                # stream ahead of the consumer.
-                self._prefetched.discard(line)
-                self._prefetch(core_id, line + 1, done)
-            return done
+            return now_ps + self._l1_hit_ps(core_id)
 
         stats.l1_misses += 1
-        grant, _release = self.bus.acquire(now_ps, with_data=True, route=line)
+        grant, _release = self.bus.acquire(now_ps, with_data=True)
         others = self._other_sharers(line, core_id)
 
         owner = self._find_modified_owner(line, others)
@@ -243,12 +223,6 @@ class MESIController:
 
         self._handle_l1_victim(core_id, l1.insert(line, fill_state), grant)
         self._add_sharer(line, core_id)
-        if self.prefetch_next_line:
-            # Stream detection: two consecutive-line misses arm the
-            # prefetcher; isolated (random) misses do not.
-            if self._last_miss_line.get(core_id) == line - 1:
-                self._prefetch(core_id, line + 1, ready)
-            self._last_miss_line[core_id] = line
         return ready
 
     def write(self, core_id: int, byte_address: int, now_ps: int) -> int:
@@ -269,7 +243,7 @@ class MESIController:
         if state == SHARED:
             # BusUpgr: address-only transaction invalidating other copies.
             stats.l1_hits += 1
-            grant, release = self.bus.acquire(now_ps, with_data=False, route=line)
+            grant, release = self.bus.acquire(now_ps, with_data=False)
             self._invalidate_others(line, core_id)
             l1.set_state(line, MODIFIED)
             stats.upgrades += 1
@@ -277,7 +251,7 @@ class MESIController:
 
         # Write miss: BusRdX.
         stats.l1_misses += 1
-        grant, _release = self.bus.acquire(now_ps, with_data=True, route=line)
+        grant, _release = self.bus.acquire(now_ps, with_data=True)
         others = self._other_sharers(line, core_id)
         owner = self._find_modified_owner(line, others)
         if owner is not None:
@@ -289,25 +263,6 @@ class MESIController:
         self._handle_l1_victim(core_id, l1.insert(line, MODIFIED), grant)
         self._add_sharer(line, core_id)
         return ready
-
-    def _prefetch(self, core_id: int, line: int, now_ps: int) -> None:
-        """Pull ``line`` into the requester's L1 off the critical path.
-
-        Conservative: only untouched lines (no sharers anywhere) are
-        prefetched, so no coherence state is disturbed; the transfer
-        occupies the interconnect and may read memory, but the demand
-        access has already returned.
-        """
-        l1 = self.l1s[core_id]
-        if l1.probe(line) is not None or line in self._sharers:
-            return
-        grant, _release = self.bus.acquire(now_ps, with_data=True, route=line)
-        byte_address = line << l1.config.line_shift
-        self._fetch_from_l2_or_memory(grant, byte_address)
-        self._handle_l1_victim(core_id, l1.insert(line, EXCLUSIVE), grant)
-        self._add_sharer(line, core_id)
-        self._prefetched.add(line)
-        self.stats.prefetches += 1
 
     # -- snoop actions ---------------------------------------------------------
 

@@ -96,8 +96,6 @@ class CoreStats:
     busy_ps: int = 0
     stall_mem_ps: int = 0
     sync_wait_ps: int = 0
-    #: Time spent in the thrifty-barrier sleep state (near-zero power).
-    sleep_ps: int = 0
     end_time_ps: int = 0
 
     @property
@@ -163,10 +161,6 @@ class Core:
         #: Duration/instruction table per distinct burst key (an int for a
         #: plain burst, a segment tuple for a fused one).
         self._burst_ps: Dict = {}
-        #: Whether loads/stores hitting the local L1 may bypass the
-        #: controller (set by prepare_fast_path).
-        self._fast_loads = False
-        self._fast_stores = False
         #: Fast/slow op tallies and optional per-subsystem wall time and
         #: slow-op counts (populated when profiling or tracing).
         self.fast_ops = 0
@@ -186,28 +180,18 @@ class Core:
         profile: bool = False,
         private_lines: FrozenSet[int] = frozenset(),
     ) -> None:
-        """Decide which op classes may bypass the controller this run.
+        """Reset the fast path's per-run state and pack its frame.
 
-        An L1 hit may short-circuit only when the controller would charge
-        it zero stall: the hit latency the controller bills (in the
-        requester's clock domain) must equal the one the core folds into
-        its base CPI (its own clock).  These are the same domain in every
-        supported configuration, but the check keeps the fast path safe
-        under exotic hand-built machines.  Loads additionally require the
-        prefetcher off — a read hit on a prefetched line triggers stream
-        chasing inside the controller.
+        L1 hits short-circuit the controller because the controller
+        bills a hit in the same clock the core folds into its base CPI:
+        ``ChipMultiprocessor.run`` hands each core and the controller
+        the same ``core_clocks[i]``, so a hit costs zero stall either way.
 
         ``private_lines`` is this thread's provably-private line set
         (:func:`repro.sim.ops.classify_private_lines`): L1 hits on those
         lines resolve inline even past the scheduler horizon, since no
         peer transaction can ever touch them.
         """
-        controller = self.controller
-        same_domain = (
-            controller.core_clocks[self.core_id].period_ps == self.clock.period_ps
-        )
-        self._fast_stores = same_domain
-        self._fast_loads = same_domain and not controller.prefetch_next_line
         self._burst_ps.clear()
         self._profile = profile
         self.fast_ops = 0
@@ -221,7 +205,7 @@ class Core:
         # are mutated in place, never replaced, while counters live on
         # objects that _reset_counters swaps out (so step_fast reads
         # those via self).
-        l1 = controller.l1s[self.core_id]
+        l1 = self.controller.l1s[self.core_id]
         self._fast_frame = (
             self._ops_list,
             len(self._ops_list),
@@ -230,8 +214,6 @@ class Core:
             l1._states,
             l1._assoc,
             private_lines,
-            self._fast_loads,
-            self._fast_stores,
             self._burst_ps,
             profile,
         )
@@ -384,8 +366,6 @@ class Core:
             states,
             assoc,
             private,
-            fast_loads,
-            fast_stores,
             burst_ps,
             profile,
         ) = self._fast_frame
@@ -427,56 +407,54 @@ class Core:
                 lead = t < next_time or (t == next_time and core_id < next_id)
                 continue
             if kind == OP_LOAD:
-                if fast_loads:
-                    # Mutation-free probe first: a broken-out op is later
-                    # replayed through lookup(), which does the LRU move.
-                    # Line and flat set base are geometry-resolved at
-                    # compile time (resolve_address_streams).
-                    line = op[2]
-                    base = op[3]
-                    w = base
-                    end = base + assoc
-                    while w < end and tags[w] != line:
-                        w += 1
-                    if w < end and (lead or line in private):
-                        if w != base:
-                            state = states[w]
-                            while w > base:
-                                tags[w] = tags[w - 1]
-                                states[w] = states[w - 1]
-                                w -= 1
-                            tags[base] = line
-                            states[base] = state
-                        loads_d += 1
-                        i += 1
-                        continue
+                # Mutation-free probe first: a broken-out op is later
+                # replayed through lookup(), which does the LRU move.
+                # Line and flat set base are geometry-resolved at
+                # compile time (resolve_address_streams).
+                line = op[2]
+                base = op[3]
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                if w < end and (lead or line in private):
+                    if w != base:
+                        state = states[w]
+                        while w > base:
+                            tags[w] = tags[w - 1]
+                            states[w] = states[w - 1]
+                            w -= 1
+                        tags[base] = line
+                        states[base] = state
+                    loads_d += 1
+                    i += 1
+                    continue
                 # Shared-visible (or missing) load: only while this core
                 # still leads the reference pop order.
                 if not lead:
                     break
                 is_write = False
             elif kind == OP_STORE:
-                if fast_stores:
-                    line = op[2]
-                    base = op[3]
-                    w = base
-                    end = base + assoc
-                    while w < end and tags[w] != line:
-                        w += 1
-                    if w < end:
-                        state = states[w]
-                        if (state == MODIFIED or state == EXCLUSIVE) and (
-                            lead or line in private
-                        ):
-                            while w > base:
-                                tags[w] = tags[w - 1]
-                                states[w] = states[w - 1]
-                                w -= 1
-                            tags[base] = line
-                            states[base] = MODIFIED
-                            stores_d += 1
-                            i += 1
-                            continue
+                line = op[2]
+                base = op[3]
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                if w < end:
+                    state = states[w]
+                    if (state == MODIFIED or state == EXCLUSIVE) and (
+                        lead or line in private
+                    ):
+                        while w > base:
+                            tags[w] = tags[w - 1]
+                            states[w] = states[w - 1]
+                            w -= 1
+                        tags[base] = line
+                        states[base] = MODIFIED
+                        stores_d += 1
+                        i += 1
+                        continue
                 if not lead:
                     break
                 is_write = True

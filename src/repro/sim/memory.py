@@ -56,7 +56,3 @@ class MainMemory:
         self._bank_free_ps[bank] = start + self._busy_ps
         self.requests += 1
         return start + self._latency_ps
-
-    def reset_timing(self) -> None:
-        """Clear bank reservations (between simulation runs)."""
-        self._bank_free_ps = [0] * self.config.n_banks

@@ -129,10 +129,3 @@ class TestMainMemory:
             MemoryConfig(round_trip_ns=0.0)
         with pytest.raises(ConfigurationError):
             MemoryConfig(n_banks=0)
-
-    def test_reset_timing(self):
-        config = MemoryConfig(n_banks=1)
-        memory = MainMemory(config)
-        memory.access(0, 0)
-        memory.reset_timing()
-        assert memory.access(0, 0) == 75_000

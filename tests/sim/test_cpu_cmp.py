@@ -1,9 +1,11 @@
 """Tests for the core timing model and the top-level CMP scheduler."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import ChipMultiprocessor, CMPConfig
+from repro.sim import BusConfig, CacheConfig, ChipMultiprocessor, CMPConfig
 from repro.sim.clock import ClockDomain
 from repro.sim.cpu import CoreTimingConfig
 from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
@@ -179,12 +181,28 @@ class TestWarmup:
 
 class TestCMPConfig:
     def test_with_operating_point(self):
-        base = CMPConfig()
+        # Non-default fields, so a field the copy drops shows.
+        base = CMPConfig(
+            n_cores=4, l2_hit_cycles=20, bus_config=BusConfig(data_cycles=8)
+        )
         scaled = base.with_operating_point(1.6e9, 0.8)
-        assert scaled.frequency_hz == 1.6e9
-        assert scaled.voltage == 0.8
-        assert scaled.n_cores == base.n_cores
-        assert scaled.l1_config == base.l1_config
+        assert (scaled.frequency_hz, scaled.voltage) == (1.6e9, 0.8)
+        for f in fields(CMPConfig):
+            if f.name not in ("frequency_hz", "voltage"):
+                assert getattr(scaled, f.name) == getattr(base, f.name), f.name
+
+    def test_defaults_are_the_table_1_machine(self):
+        config = CMPConfig()
+        assert (config.n_cores, config.frequency_hz, config.voltage) == (16, 3.2e9, 1.1)
+        assert config.l1_config == CacheConfig(
+            capacity_bytes=64 * 1024, line_bytes=64, associativity=2
+        )
+        assert config.l1_hit_cycles == 2
+        assert config.l2_config == CacheConfig(
+            capacity_bytes=4 * 1024 * 1024, line_bytes=128, associativity=8
+        )
+        assert config.l2_hit_cycles == 12
+        assert config.memory_config.round_trip_ns == 75.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

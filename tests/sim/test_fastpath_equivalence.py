@@ -5,7 +5,7 @@ the reference interpreter (``Core.step`` over raw generator streams) —
 not approximately, *identically*.  These tests run both kernels on the
 same workloads across machine configurations and compare every field of
 ``SimulationResult``, ``CoreStats``, ``CoherenceStats``, the caches, the
-interconnect, memory, locks, and barriers.
+bus, memory, locks, and barriers.
 """
 
 from dataclasses import asdict
@@ -95,7 +95,7 @@ class TestAllBundledWorkloads:
 
 
 class TestConfigurationMatrix:
-    """One miss-heavy and one compute-heavy app across machine knobs."""
+    """One miss-heavy and one compute-heavy app across core counts and V/f."""
 
     APPS = ("Ocean", "FMM")
 
@@ -111,23 +111,6 @@ class TestConfigurationMatrix:
     def test_core_count_and_vf(self, app, n, f_hz, v):
         config = CMPConfig(n_cores=n, frequency_hz=f_hz, voltage=v)
         assert_equivalent(self._model(app), n, config)
-
-    @pytest.mark.parametrize("app", APPS)
-    @pytest.mark.parametrize("interconnect", ("bus", "crossbar"))
-    @pytest.mark.parametrize("barrier_sleep", (False, True))
-    def test_interconnect_and_barrier_sleep(self, app, interconnect, barrier_sleep):
-        config = CMPConfig(
-            n_cores=4,
-            interconnect=interconnect,
-            barrier_sleep=barrier_sleep,
-        )
-        assert_equivalent(self._model(app), 4, config)
-
-    def test_prefetcher_disables_load_short_circuit_not_equivalence(self):
-        config = CMPConfig(n_cores=4, prefetch_next_line=True)
-        _reference, fast = assert_equivalent(self._model("Ocean"), 4, config)
-        # Stores may still short-circuit, so coverage stays non-zero.
-        assert 0.0 < fast.kernel.fast_path_ratio < 1.0
 
     def test_percore_dvfs_points(self):
         config = CMPConfig(n_cores=4)

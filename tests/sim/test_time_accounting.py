@@ -2,7 +2,7 @@
 
 Conservation laws the simulator must obey regardless of workload:
 
-* per core, accounted time (busy + memory stalls + sync waits + sleep)
+* per core, accounted time (busy + memory stalls + sync waits)
   never exceeds its end time, and covers it exactly for runs without
   untracked gaps;
 * total instructions equal what the generator emitted;
@@ -43,10 +43,9 @@ def build_threads(seed: int, n_threads: int, n_phases: int):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n_threads=st.integers(min_value=1, max_value=8),
-    sleep=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_time_accounting_identity(seed, n_threads, sleep):
+def test_time_accounting_identity(seed, n_threads):
     threads = build_threads(seed, n_threads, n_phases=3)
     expected_instructions = sum(
         op[1] if op[0] == OP_COMPUTE else
@@ -55,7 +54,7 @@ def test_time_accounting_identity(seed, n_threads, sleep):
         for ops in threads
         for op in ops
     )
-    chip = ChipMultiprocessor(CMPConfig(barrier_sleep=sleep))
+    chip = ChipMultiprocessor(CMPConfig())
     result = chip.run(threads)
 
     assert result.total_instructions == expected_instructions
@@ -63,9 +62,7 @@ def test_time_accounting_identity(seed, n_threads, sleep):
         s.end_time_ps for s in result.core_stats
     )
     for stats in result.core_stats:
-        accounted = (
-            stats.busy_ps + stats.stall_mem_ps + stats.sync_wait_ps + stats.sleep_ps
-        )
+        accounted = stats.busy_ps + stats.stall_mem_ps + stats.sync_wait_ps
         # Accounted time fully covers the core's lifetime (to rounding).
         assert abs(accounted - stats.end_time_ps) <= 64, (
             accounted,
