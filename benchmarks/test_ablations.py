@@ -22,14 +22,15 @@ import pytest
 
 from repro.core import (
     AnalyticalChipModel,
-    ConstantEfficiency,
     PerformanceOptimizationScenario,
     PowerOptimizationScenario,
     figure2_sweep,
 )
+from repro.core.efficiency import ConstantEfficiency
 from repro.harness import render_table
-from repro.tech import NODE_130NM, NODE_32NM_PROJECTED, NODE_65NM
+from repro.tech import NODE_130NM, NODE_65NM
 from repro.tech.leakage import LeakageFit, default_leakage_multiplier
+from repro.tech.technology import NODE_32NM_PROJECTED
 
 
 class _FrozenTemperatureLeakage:

@@ -12,12 +12,8 @@ Three extensions, each rooted in the paper's own discussion:
 """
 
 
-from repro.core import (
-    AnalyticalChipModel,
-    ConstantEfficiency,
-    EnergyOptimizationScenario,
-    SAMPLE_APPLICATION,
-)
+from repro.core import AnalyticalChipModel, EnergyOptimizationScenario, SAMPLE_APPLICATION
+from repro.core.efficiency import ConstantEfficiency
 from repro.harness import render_table, run_percore_dvfs_suite
 from repro.tech import NODE_130NM, NODE_65NM
 from repro.workloads import workload_by_name

@@ -26,50 +26,45 @@ workload models, driven by the Figure 3 / Figure 4 pipelines.
     >>> rows = run_scenario1(ctx, [workload_by_name("FMM")])  # doctest: +SKIP
 """
 
-from repro.core import (
-    AnalyticalChipModel,
-    AmdahlEfficiency,
-    CommunicationOverheadEfficiency,
-    ConstantEfficiency,
-    MeasuredEfficiency,
-    PerformanceOptimizationScenario,
-    PowerOptimizationScenario,
-    SAMPLE_APPLICATION,
-    figure1_sweep,
-    figure2_sweep,
-)
-from repro.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    InfeasibleOperatingPoint,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.tech import NODE_130NM, NODE_65NM, TechnologyNode, VFTable
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalyticalChipModel",
-    "AmdahlEfficiency",
-    "CommunicationOverheadEfficiency",
-    "ConstantEfficiency",
-    "MeasuredEfficiency",
-    "PerformanceOptimizationScenario",
-    "PowerOptimizationScenario",
-    "SAMPLE_APPLICATION",
-    "figure1_sweep",
-    "figure2_sweep",
-    "ConfigurationError",
-    "ConvergenceError",
-    "InfeasibleOperatingPoint",
-    "ReproError",
-    "SimulationError",
-    "WorkloadError",
-    "NODE_130NM",
-    "NODE_65NM",
-    "TechnologyNode",
-    "VFTable",
-    "__version__",
-]
+#: The names docs/API.md, the README and the examples import from the
+#: top level, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "AnalyticalChipModel": "repro.core.powermodel",
+    "AmdahlEfficiency": "repro.core.efficiency",
+    "CommunicationOverheadEfficiency": "repro.core.efficiency",
+    "ConstantEfficiency": "repro.core.efficiency",
+    "MeasuredEfficiency": "repro.core.efficiency",
+    "SAMPLE_APPLICATION": "repro.core.efficiency",
+    "PowerOptimizationScenario": "repro.core.scenario1",
+    "PerformanceOptimizationScenario": "repro.core.scenario2",
+    "figure1_sweep": "repro.core.sweeps",
+    "figure2_sweep": "repro.core.sweeps",
+    "ConfigurationError": "repro.errors",
+    "ConvergenceError": "repro.errors",
+    "InfeasibleOperatingPoint": "repro.errors",
+    "ReproError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "WorkloadError": "repro.errors",
+    "NODE_130NM": "repro.tech.technology",
+    "NODE_65NM": "repro.tech.technology",
+    "TechnologyNode": "repro.tech.technology",
+    "VFTable": "repro.tech.technology",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

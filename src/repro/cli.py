@@ -55,9 +55,8 @@ import contextlib
 import sys
 from typing import List, Optional, Sequence
 
-from repro.core import AnalyticalChipModel, figure1_sweep, figure2_sweep
-from repro.harness import render_table
-from repro.tech import technology_by_name
+from repro.harness.tables import render_table
+from repro.tech.technology import technology_by_name
 from repro.units import GIGA
 
 
@@ -274,7 +273,8 @@ def _telemetry_run_from_args(args, command: str):
     """
     if not getattr(args, "telemetry_dir", None):
         return None
-    from repro.telemetry import TelemetryRun, enable_telemetry
+    from repro.telemetry.manifest import TelemetryRun
+    from repro.telemetry.record import enable_telemetry
 
     enable_telemetry()
     return TelemetryRun(
@@ -336,7 +336,7 @@ def _sweep_session(args, experimental: bool = False):
         cache = ResultCache(args.cache)
     context = None
     if experimental:
-        from repro.harness import ExperimentContext
+        from repro.harness.context import ExperimentContext
 
         print("building experiment context (calibration microbenchmark)...")
         context = ExperimentContext(
@@ -576,6 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fig1(args) -> int:
+    from repro.core.powermodel import AnalyticalChipModel
+    from repro.core.sweeps import figure1_sweep
+
     chip = AnalyticalChipModel(technology_by_name(args.tech))
     with _sweep_session(args) as (_, executor):
         curves = figure1_sweep(chip, efficiency_points=41, executor=executor)
@@ -596,6 +599,9 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from repro.core.powermodel import AnalyticalChipModel
+    from repro.core.sweeps import figure2_sweep
+
     chip = AnalyticalChipModel(technology_by_name(args.tech))
     with _sweep_session(args) as (_, executor):
         curve = figure2_sweep(chip, executor=executor)
@@ -612,8 +618,8 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    from repro.harness import run_scenario1
-    from repro.workloads import workload_by_name
+    from repro.harness.scenario1 import run_scenario1
+    from repro.workloads.splash2 import workload_by_name
 
     with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
@@ -642,8 +648,8 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
-    from repro.harness import run_scenario2
-    from repro.workloads import workload_by_name
+    from repro.harness.scenario2 import run_scenario2
+    from repro.workloads.splash2 import workload_by_name
 
     with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
@@ -666,8 +672,9 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from repro.harness import run_optimizer, save_results
-    from repro.workloads import workload_by_name
+    from repro.harness.optimizer import run_optimizer
+    from repro.harness.store import save_results
+    from repro.workloads.splash2 import workload_by_name
 
     with _sweep_session(args, experimental=True) as (context, executor):
         models = [workload_by_name(app) for app in args.apps]
@@ -725,7 +732,7 @@ def _cmd_characterize(args) -> int:
     from functools import partial
 
     from repro.harness.profiling import SimPointTask, sim_point_key, simulate_point
-    from repro.workloads import SPLASH2
+    from repro.workloads.splash2 import SPLASH2
 
     with _sweep_session(args, experimental=True) as (context, executor):
         # One flat fan-out over every (application, N) profiling point.
@@ -764,7 +771,7 @@ def _cmd_characterize(args) -> int:
 
 def _cmd_info(_args) -> int:
     from repro.area import CMPAreaModel
-    from repro.workloads import SPLASH2
+    from repro.workloads.splash2 import SPLASH2
 
     area = CMPAreaModel()
     print(
@@ -793,12 +800,8 @@ def _cmd_info(_args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.errors import ConfigurationError
-    from repro.telemetry import (
-        export_chrome_trace,
-        metrics_table,
-        resolve_run_dir,
-        validate_run_dir,
-    )
+    from repro.telemetry.chrometrace import export_chrome_trace, metrics_table
+    from repro.telemetry.manifest import resolve_run_dir, validate_run_dir
 
     try:
         run_dir = resolve_run_dir(args.telemetry_dir, args.run)
@@ -832,12 +835,8 @@ def _render_timeline(run_dir, channels, width: int) -> str:
     """Sparklines plus alert findings for one run's sampled timeline."""
     from repro.errors import ConfigurationError
     from repro.harness.asciichart import sparkline
-    from repro.telemetry import (
-        evaluate_rules,
-        load_manifest,
-        load_timeline,
-        stats_from_samples,
-    )
+    from repro.telemetry.alerts import evaluate_rules, stats_from_samples
+    from repro.telemetry.manifest import load_manifest, load_timeline
     from repro.telemetry.timeseries import SampleRecord
 
     entries, torn = load_timeline(run_dir)

@@ -21,61 +21,39 @@ Figures 1 and 2 so the benchmark harness and the examples can regenerate
 them with one call.
 """
 
-from repro.core.efficiency import (
-    EfficiencyCurve,
-    ConstantEfficiency,
-    AmdahlEfficiency,
-    CommunicationOverheadEfficiency,
-    MeasuredEfficiency,
-    SAMPLE_APPLICATION,
-)
-from repro.core.perfmodel import (
-    ExecutionTimeModel,
-    nominal_parallel_efficiency,
-    iso_performance_frequency,
-    speedup_from_frequency,
-)
-from repro.core.powermodel import AnalyticalChipModel, PowerBreakdown, OperatingPoint
-from repro.core.scenario1 import PowerOptimizationScenario, Scenario1Point
-from repro.core.scenario2 import PerformanceOptimizationScenario, Scenario2Point
-from repro.core.scenario3 import EnergyOptimizationScenario, Scenario3Point
-from repro.core.sweeps import (
-    figure1_rows,
-    figure1_sweep,
-    figure2_rows,
-    figure2_sweep,
-    Figure1Curve,
-    Figure1Row,
-    Figure2Curve,
-    Figure2Row,
-)
+import importlib
 
-__all__ = [
-    "EfficiencyCurve",
-    "ConstantEfficiency",
-    "AmdahlEfficiency",
-    "CommunicationOverheadEfficiency",
-    "MeasuredEfficiency",
-    "SAMPLE_APPLICATION",
-    "ExecutionTimeModel",
-    "nominal_parallel_efficiency",
-    "iso_performance_frequency",
-    "speedup_from_frequency",
-    "AnalyticalChipModel",
-    "PowerBreakdown",
-    "OperatingPoint",
-    "PowerOptimizationScenario",
-    "Scenario1Point",
-    "PerformanceOptimizationScenario",
-    "Scenario2Point",
-    "EnergyOptimizationScenario",
-    "Scenario3Point",
-    "figure1_sweep",
-    "figure2_sweep",
-    "Figure1Curve",
-    "Figure1Row",
-    "Figure2Curve",
-    "Figure2Row",
-    "figure1_rows",
-    "figure2_rows",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "SAMPLE_APPLICATION": "repro.core.efficiency",
+    "ExecutionTimeModel": "repro.core.perfmodel",
+    "nominal_parallel_efficiency": "repro.core.perfmodel",
+    "iso_performance_frequency": "repro.core.perfmodel",
+    "speedup_from_frequency": "repro.core.perfmodel",
+    "AnalyticalChipModel": "repro.core.powermodel",
+    "PowerOptimizationScenario": "repro.core.scenario1",
+    "PerformanceOptimizationScenario": "repro.core.scenario2",
+    "Scenario2Point": "repro.core.scenario2",
+    "EnergyOptimizationScenario": "repro.core.scenario3",
+    "figure1_rows": "repro.core.sweeps",
+    "figure1_sweep": "repro.core.sweeps",
+    "figure2_rows": "repro.core.sweeps",
+    "figure2_sweep": "repro.core.sweeps",
+    "Figure1Row": "repro.core.sweeps",
+    "Figure2Row": "repro.core.sweeps",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

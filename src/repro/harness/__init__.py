@@ -19,82 +19,53 @@
   above fans its independent points out through it.
 """
 
-from repro.harness.context import ExperimentContext
-from repro.harness.executor import (
-    PointOutcome,
-    ResultCache,
-    SweepExecutor,
-    SweepFailure,
-    config_key,
-)
-from repro.harness.profiling import (
-    SimPointRow,
-    SimPointTask,
-    profile_rows,
-    simulate_point,
-)
-from repro.harness.scenario1 import Scenario1Row, run_scenario1
-from repro.harness.scenario2 import Scenario2Row, run_scenario2
-from repro.harness.optimizer import (
-    MaxSpeedupUnderBudget,
-    MinEnergyDelay,
-    MinPowerAtIsoPerformance,
-    OBJECTIVES,
-    OptimizerCampaign,
-    OptimizerRow,
-    objective_by_name,
-    run_optimizer,
-)
-from repro.harness.percore import (
-    PerCoreDVFSResult,
-    plan_core_frequencies,
-    run_percore_dvfs,
-    run_percore_dvfs_suite,
-)
-from repro.harness.compare import (
-    AgreementPoint,
-    AgreementSummary,
-    compare_scenario1,
-)
-from repro.harness.store import load_results, save_results
-from repro.harness.asciichart import bar_chart, xy_chart
-from repro.harness.tables import render_table
-from repro.telemetry.record import KernelAggregate
+import importlib
 
-__all__ = [
-    "ExperimentContext",
-    "SweepExecutor",
-    "ResultCache",
-    "PointOutcome",
-    "SweepFailure",
-    "config_key",
-    "KernelAggregate",
-    "SimPointRow",
-    "SimPointTask",
-    "profile_rows",
-    "simulate_point",
-    "Scenario1Row",
-    "run_scenario1",
-    "Scenario2Row",
-    "run_scenario2",
-    "MaxSpeedupUnderBudget",
-    "MinEnergyDelay",
-    "MinPowerAtIsoPerformance",
-    "OBJECTIVES",
-    "OptimizerCampaign",
-    "OptimizerRow",
-    "objective_by_name",
-    "run_optimizer",
-    "PerCoreDVFSResult",
-    "plan_core_frequencies",
-    "run_percore_dvfs",
-    "run_percore_dvfs_suite",
-    "AgreementPoint",
-    "AgreementSummary",
-    "compare_scenario1",
-    "load_results",
-    "save_results",
-    "bar_chart",
-    "xy_chart",
-    "render_table",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "ExperimentContext": "repro.harness.context",
+    "SweepExecutor": "repro.harness.executor",
+    "ResultCache": "repro.harness.executor",
+    "PointOutcome": "repro.harness.executor",
+    "SweepFailure": "repro.harness.executor",
+    "config_key": "repro.harness.executor",
+    "KernelAggregate": "repro.telemetry.record",
+    "SimPointRow": "repro.harness.profiling",
+    "SimPointTask": "repro.harness.profiling",
+    "profile_rows": "repro.harness.profiling",
+    "simulate_point": "repro.harness.profiling",
+    "Scenario1Row": "repro.harness.scenario1",
+    "run_scenario1": "repro.harness.scenario1",
+    "Scenario2Row": "repro.harness.scenario2",
+    "run_scenario2": "repro.harness.scenario2",
+    "OBJECTIVES": "repro.harness.optimizer",
+    "OptimizerCampaign": "repro.harness.optimizer",
+    "OptimizerRow": "repro.harness.optimizer",
+    "run_optimizer": "repro.harness.optimizer",
+    "PerCoreDVFSResult": "repro.harness.percore",
+    "plan_core_frequencies": "repro.harness.percore",
+    "run_percore_dvfs": "repro.harness.percore",
+    "run_percore_dvfs_suite": "repro.harness.percore",
+    "AgreementSummary": "repro.harness.compare",
+    "compare_scenario1": "repro.harness.compare",
+    "load_results": "repro.harness.store",
+    "save_results": "repro.harness.store",
+    "bar_chart": "repro.harness.asciichart",
+    "xy_chart": "repro.harness.asciichart",
+    "render_table": "repro.harness.tables",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -56,14 +56,12 @@ import dataclasses
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import pickle
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -915,6 +913,11 @@ class SweepExecutor:
         down before propagating.  Results are deterministic regardless
         of completion order — they are slotted by point index.
         """
+        # Imported here: only this lane starts processes, and a serial
+        # or fully cached sweep should not pay for the import.
+        import multiprocessing
+        from multiprocessing.connection import wait
+
         policy = self.retry
         slots = min(self.jobs, len(pending))
         if "fork" in multiprocessing.get_all_start_methods():
@@ -1008,7 +1011,7 @@ class SweepExecutor:
                     if not wake_times
                     else max(0.0, min(wake_times) - time.monotonic())
                 )
-                for conn in _connection_wait(list(busy), timeout=wait_s):
+                for conn in wait(list(busy), timeout=wait_s):
                     process, index, attempt, _, rest = busy.pop(conn)
                     try:
                         status = pickle.loads(conn.recv_bytes())

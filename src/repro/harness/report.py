@@ -12,19 +12,16 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core import (
-    AnalyticalChipModel,
-    EnergyOptimizationScenario,
-    SAMPLE_APPLICATION,
-    figure1_sweep,
-    figure2_sweep,
-)
+from repro.core.efficiency import SAMPLE_APPLICATION
+from repro.core.powermodel import AnalyticalChipModel
+from repro.core.scenario3 import EnergyOptimizationScenario
+from repro.core.sweeps import figure1_sweep, figure2_sweep
 from repro.harness.context import ExperimentContext
 from repro.harness.scenario1 import run_scenario1
 from repro.harness.scenario2 import run_scenario2
-from repro.tech import NODE_130NM, NODE_65NM
+from repro.tech.technology import NODE_130NM, NODE_65NM
 from repro.units import GIGA
-from repro.workloads import workload_by_name
+from repro.workloads.splash2 import workload_by_name
 
 
 @dataclass(frozen=True)

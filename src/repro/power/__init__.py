@@ -16,17 +16,30 @@ Four pieces, mirroring the paper's toolchain:
   density/temperature averages, included in total power).
 """
 
-from repro.power.wattch import UnitEnergies, WattchModel
-from repro.power.static import StaticPowerModel
-from repro.power.calibration import PowerCalibration, calibrate_power_model
-from repro.power.chippower import ChipPowerModel, ChipPowerResult
+import importlib
 
-__all__ = [
-    "UnitEnergies",
-    "WattchModel",
-    "StaticPowerModel",
-    "PowerCalibration",
-    "calibrate_power_model",
-    "ChipPowerModel",
-    "ChipPowerResult",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "UnitEnergies": "repro.power.wattch",
+    "WattchModel": "repro.power.wattch",
+    "StaticPowerModel": "repro.power.static",
+    "PowerCalibration": "repro.power.calibration",
+    "calibrate_power_model": "repro.power.calibration",
+    "ChipPowerModel": "repro.power.chippower",
+    "ChipPowerResult": "repro.power.chippower",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -15,32 +15,31 @@ analytical model (Section 2.1):
   the fitting procedure that stands in for the paper's HSpice validation.
 """
 
-from repro.tech.technology import (
-    TechnologyNode,
-    VFTable,
-    NODE_130NM,
-    NODE_65NM,
-    NODE_32NM_PROJECTED,
-    technology_by_name,
-)
-from repro.tech.leakage import (
-    LeakageParameters,
-    PhysicalLeakageModel,
-    LeakageFit,
-    fit_leakage_curve,
-    default_leakage_multiplier,
-)
+import importlib
 
-__all__ = [
-    "TechnologyNode",
-    "VFTable",
-    "NODE_130NM",
-    "NODE_65NM",
-    "NODE_32NM_PROJECTED",
-    "technology_by_name",
-    "LeakageParameters",
-    "PhysicalLeakageModel",
-    "LeakageFit",
-    "fit_leakage_curve",
-    "default_leakage_multiplier",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "TechnologyNode": "repro.tech.technology",
+    "VFTable": "repro.tech.technology",
+    "NODE_130NM": "repro.tech.technology",
+    "NODE_65NM": "repro.tech.technology",
+    "PhysicalLeakageModel": "repro.tech.leakage",
+    "LeakageFit": "repro.tech.leakage",
+    "fit_leakage_curve": "repro.tech.leakage",
+    "default_leakage_multiplier": "repro.tech.leakage",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -31,103 +31,3 @@ power/thermal models, the sweep executor, and the CLI:
 See docs/OBSERVABILITY.md for the artifact schema, span names, and
 channel names.
 """
-
-from repro.telemetry.alerts import (
-    DEFAULT_RULES,
-    AlertFinding,
-    AlertRule,
-    ChannelStats,
-    evaluate_rules,
-    stats_from_samples,
-)
-from repro.telemetry.chrometrace import (
-    chrome_trace_document,
-    export_chrome_trace,
-    metrics_table,
-)
-from repro.telemetry.manifest import (
-    MANIFEST_SCHEMA,
-    TIMELINE_SCHEMA,
-    TelemetryRun,
-    git_sha,
-    latest_run_dir,
-    list_run_dirs,
-    load_events,
-    load_manifest,
-    load_spans,
-    load_timeline,
-    resolve_run_dir,
-    validate_run_dir,
-)
-from repro.telemetry.record import (
-    CaptureWindow,
-    KernelAggregate,
-    KernelRecord,
-    PointTelemetry,
-    disable_telemetry,
-    enable_telemetry,
-    record_kernel,
-)
-from repro.telemetry.timeseries import (
-    CounterSampler,
-    SampleRecord,
-    channel_values,
-    get_sampler,
-    sample,
-    set_sampler,
-)
-from repro.telemetry.trace import (
-    NULL_SPAN,
-    Span,
-    SpanRecord,
-    Tracer,
-    get_tracer,
-    now_us,
-    set_tracer,
-    span,
-)
-
-__all__ = [
-    "DEFAULT_RULES",
-    "MANIFEST_SCHEMA",
-    "NULL_SPAN",
-    "TIMELINE_SCHEMA",
-    "AlertFinding",
-    "AlertRule",
-    "CaptureWindow",
-    "ChannelStats",
-    "CounterSampler",
-    "KernelAggregate",
-    "KernelRecord",
-    "PointTelemetry",
-    "SampleRecord",
-    "Span",
-    "SpanRecord",
-    "TelemetryRun",
-    "Tracer",
-    "channel_values",
-    "chrome_trace_document",
-    "disable_telemetry",
-    "enable_telemetry",
-    "evaluate_rules",
-    "export_chrome_trace",
-    "get_sampler",
-    "get_tracer",
-    "git_sha",
-    "latest_run_dir",
-    "list_run_dirs",
-    "load_events",
-    "load_manifest",
-    "load_spans",
-    "load_timeline",
-    "metrics_table",
-    "now_us",
-    "record_kernel",
-    "resolve_run_dir",
-    "sample",
-    "set_sampler",
-    "set_tracer",
-    "span",
-    "stats_from_samples",
-    "validate_run_dir",
-]

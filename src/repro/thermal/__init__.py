@@ -21,23 +21,31 @@ subpackage implements the same idea from scratch:
   the analytical scenarios, where only the average die temperature matters.
 """
 
-from repro.thermal.floorplan import (
-    Block,
-    Floorplan,
-    ev6_core_floorplan,
-    cmp_floorplan,
-)
-from repro.thermal.rcnetwork import ThermalRCNetwork
-from repro.thermal.hotspot import HotSpotModel, ThermalResult
-from repro.thermal.compact import CompactThermalModel
+import importlib
 
-__all__ = [
-    "Block",
-    "Floorplan",
-    "ev6_core_floorplan",
-    "cmp_floorplan",
-    "ThermalRCNetwork",
-    "HotSpotModel",
-    "ThermalResult",
-    "CompactThermalModel",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "Block": "repro.thermal.floorplan",
+    "Floorplan": "repro.thermal.floorplan",
+    "ev6_core_floorplan": "repro.thermal.floorplan",
+    "cmp_floorplan": "repro.thermal.floorplan",
+    "ThermalRCNetwork": "repro.thermal.rcnetwork",
+    "HotSpotModel": "repro.thermal.hotspot",
+    "ThermalResult": "repro.thermal.hotspot",
+    "CompactThermalModel": "repro.thermal.compact",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

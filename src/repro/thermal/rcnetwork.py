@@ -8,19 +8,23 @@ Steady state is then a sparse linear system ``G T = P + G_amb T_amb``.
 
 We assemble the conductance matrix straight from the floorplan's
 adjacency and solve it with dense :mod:`numpy` linear algebra
-(floorplans here have at most a few dozen blocks).
+(floorplans here have at most a few dozen blocks).  The matrix is
+assembled on the first solve, so a run that replays its results from
+the cache never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.errors import ConfigurationError
 from repro.thermal.floorplan import Floorplan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,15 +69,18 @@ class ThermalRCNetwork:
         self.material = material or ThermalMaterial()
         self._names = floorplan.names
         self._index = {name: i for i, name in enumerate(self._names)}
-        self._conductance = self._build_conductance_matrix()
 
     def _vertical_conductance(self, name: str) -> float:
         area = self.floorplan.block(name).area
         resistance = self.material.vertical_resistance_area / area
         return 1.0 / resistance
 
-    def _build_conductance_matrix(self) -> np.ndarray:
-        """``G`` of ``G T = P + G_amb T_amb``: lateral plus vertical terms."""
+    @cached_property
+    def _conductance(self) -> np.ndarray:
+        """``G`` of ``G T = P + G_amb T_amb``: lateral plus vertical terms,
+        built on the first solve."""
+        import numpy as np
+
         n = len(self._names)
         g_matrix = np.zeros((n, n))
         mat = self.material
@@ -96,6 +103,8 @@ class ThermalRCNetwork:
         return g_matrix
 
     def _power_vector(self, power_map: Mapping[str, float]) -> np.ndarray:
+        import numpy as np
+
         unknown = set(power_map) - set(self._names)
         if unknown:
             raise ConfigurationError(f"power map names not in floorplan: {sorted(unknown)}")
@@ -114,6 +123,8 @@ class ThermalRCNetwork:
         Solves ``G T = P + G_vert T_amb`` where ``G`` includes lateral and
         vertical conductances.
         """
+        import numpy as np
+
         p = self._power_vector(power_map)
         rhs = p.copy()
         for name in self._names:

@@ -40,7 +40,8 @@ def _check(name: str, fn: Callable[[], str]) -> CheckResult:
 
 
 def _leakage_fit() -> str:
-    from repro.tech import NODE_130NM, NODE_65NM, default_leakage_multiplier
+    from repro.tech.leakage import default_leakage_multiplier
+    from repro.tech.technology import NODE_130NM, NODE_65NM
 
     errors = {}
     for node in (NODE_130NM, NODE_65NM):
@@ -53,8 +54,9 @@ def _leakage_fit() -> str:
 
 
 def _figure1_shape() -> str:
-    from repro.core import AnalyticalChipModel, PowerOptimizationScenario
-    from repro.tech import NODE_130NM, NODE_65NM
+    from repro.core.powermodel import AnalyticalChipModel
+    from repro.core.scenario1 import PowerOptimizationScenario
+    from repro.tech.technology import NODE_130NM, NODE_65NM
 
     for node in (NODE_130NM, NODE_65NM):
         scenario = PowerOptimizationScenario(AnalyticalChipModel(node))
@@ -68,8 +70,9 @@ def _figure1_shape() -> str:
 
 
 def _figure2_shape() -> str:
-    from repro.core import AnalyticalChipModel, figure2_sweep
-    from repro.tech import NODE_130NM, NODE_65NM
+    from repro.core.powermodel import AnalyticalChipModel
+    from repro.core.sweeps import figure2_sweep
+    from repro.tech.technology import NODE_130NM, NODE_65NM
 
     c130 = figure2_sweep(AnalyticalChipModel(NODE_130NM))
     c65 = figure2_sweep(AnalyticalChipModel(NODE_65NM))
@@ -101,8 +104,9 @@ def _table1_machine() -> str:
 
 
 def _scenario3_extension() -> str:
-    from repro.core import AnalyticalChipModel, EnergyOptimizationScenario
-    from repro.tech import NODE_65NM
+    from repro.core.powermodel import AnalyticalChipModel
+    from repro.core.scenario3 import EnergyOptimizationScenario
+    from repro.tech.technology import NODE_65NM
 
     point = EnergyOptimizationScenario(AnalyticalChipModel(NODE_65NM)).solve(1, 1.0)
     assert point.relative_energy < 1.0, "energy optimum must beat nominal"
@@ -113,8 +117,10 @@ def _scenario3_extension() -> str:
 
 
 def _experimental_checks(scale: float) -> List[CheckResult]:
-    from repro.harness import ExperimentContext, run_scenario1, run_scenario2
-    from repro.workloads import workload_by_name
+    from repro.harness.context import ExperimentContext
+    from repro.harness.scenario1 import run_scenario1
+    from repro.harness.scenario2 import run_scenario2
+    from repro.workloads.splash2 import workload_by_name
 
     results: List[CheckResult] = []
     start = time.perf_counter()

@@ -20,17 +20,30 @@ computational intensity, Section 4.2).  The generator in
 operation streams for the simulator.
 """
 
-from repro.workloads.base import WorkloadModel, WorkloadSpec
-from repro.workloads.splash2 import SPLASH2, workload_by_name
-from repro.workloads.microbench import max_power_microbenchmark
-from repro.workloads.multiprogram import MultiprogrammedWorkload, homogeneous_mix
+import importlib
 
-__all__ = [
-    "MultiprogrammedWorkload",
-    "homogeneous_mix",
-    "WorkloadModel",
-    "WorkloadSpec",
-    "SPLASH2",
-    "workload_by_name",
-    "max_power_microbenchmark",
-]
+#: The names docs/API.md, the README and the examples import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "WorkloadModel": "repro.workloads.base",
+    "WorkloadSpec": "repro.workloads.base",
+    "SPLASH2": "repro.workloads.splash2",
+    "workload_by_name": "repro.workloads.splash2",
+    "max_power_microbenchmark": "repro.workloads.microbench",
+    "MultiprogrammedWorkload": "repro.workloads.multiprogram",
+    "homogeneous_mix": "repro.workloads.multiprogram",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

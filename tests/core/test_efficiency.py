@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import (
+from repro.core.efficiency import (
     AmdahlEfficiency,
     CommunicationOverheadEfficiency,
     ConstantEfficiency,

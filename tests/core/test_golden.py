@@ -11,7 +11,7 @@ To regenerate after an *intentional* model change::
     PYTHONPATH=src python -c "
     from repro.core import AnalyticalChipModel, figure1_rows, figure2_rows
     from repro.harness.store import save_results
-    from repro.tech import technology_by_name
+    from repro.tech.technology import technology_by_name
     groups = {}
     for tech in ('130nm', '65nm'):
         chip = AnalyticalChipModel(technology_by_name(tech))
@@ -28,7 +28,7 @@ import pytest
 
 from repro.core import AnalyticalChipModel, figure1_rows, figure2_rows
 from repro.harness.store import load_results
-from repro.tech import technology_by_name
+from repro.tech.technology import technology_by_name
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_figures.json"
 TOLERANCE = 1e-9

@@ -25,7 +25,7 @@ from repro.core.efficiency import AmdahlEfficiency
 from repro.core.scenario1 import PowerOptimizationScenario
 from repro.core.scenario2 import PerformanceOptimizationScenario
 from repro.errors import ReproError
-from repro.tech import technology_by_name
+from repro.tech.technology import technology_by_name
 
 PAPER_NODES = ("130nm", "65nm")
 ALL_NODES = ("130nm", "65nm", "32nm")

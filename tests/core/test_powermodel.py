@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AnalyticalChipModel, PowerBreakdown
+from repro.core import AnalyticalChipModel
+from repro.core.powermodel import PowerBreakdown
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.tech import NODE_130NM, NODE_65NM
 from repro.units import celsius_to_kelvin

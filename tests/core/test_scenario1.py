@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    AnalyticalChipModel,
-    MeasuredEfficiency,
-    PowerOptimizationScenario,
-    SAMPLE_APPLICATION,
-)
+from repro.core import AnalyticalChipModel, PowerOptimizationScenario, SAMPLE_APPLICATION
+from repro.core.efficiency import MeasuredEfficiency
 from repro.errors import InfeasibleOperatingPoint
 from repro.tech import NODE_130NM, NODE_65NM
 

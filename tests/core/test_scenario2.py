@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    AnalyticalChipModel,
-    ConstantEfficiency,
-    PerformanceOptimizationScenario,
-)
+from repro.core import AnalyticalChipModel, PerformanceOptimizationScenario
+from repro.core.efficiency import ConstantEfficiency
 from repro.errors import InfeasibleOperatingPoint
 from repro.tech import NODE_130NM, NODE_65NM
 

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    AnalyticalChipModel,
-    ConstantEfficiency,
-    EnergyOptimizationScenario,
-    SAMPLE_APPLICATION,
-)
+from repro.core import AnalyticalChipModel, EnergyOptimizationScenario, SAMPLE_APPLICATION
+from repro.core.efficiency import ConstantEfficiency
 from repro.errors import ConfigurationError
 from repro.tech import NODE_130NM, NODE_65NM
 

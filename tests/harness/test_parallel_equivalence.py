@@ -25,7 +25,7 @@ from repro.harness import (
     run_scenario1,
     run_scenario2,
 )
-from repro.tech import technology_by_name
+from repro.tech.technology import technology_by_name
 from repro.workloads import workload_by_name
 
 EFFICIENCY_POINTS = 31

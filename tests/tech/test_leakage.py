@@ -8,11 +8,11 @@ from repro.errors import ConfigurationError
 from repro.tech import (
     NODE_130NM,
     NODE_65NM,
-    LeakageParameters,
     PhysicalLeakageModel,
     default_leakage_multiplier,
     fit_leakage_curve,
 )
+from repro.tech.leakage import LeakageParameters
 from repro.units import ROOM_TEMPERATURE_K, celsius_to_kelvin
 
 

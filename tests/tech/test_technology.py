@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError, InfeasibleOperatingPoint
-from repro.tech import (
-    NODE_130NM,
-    NODE_65NM,
-    NODE_32NM_PROJECTED,
-    TechnologyNode,
-    VFTable,
-    technology_by_name,
-)
+from repro.tech import NODE_130NM, NODE_65NM, TechnologyNode, VFTable
+from repro.tech.technology import NODE_32NM_PROJECTED, technology_by_name
 
 ALL_NODES = [NODE_130NM, NODE_65NM, NODE_32NM_PROJECTED]
 

@@ -10,11 +10,8 @@ land in the same region the experimental pipeline measures.
 
 import pytest
 
-from repro.core import (
-    AnalyticalChipModel,
-    MeasuredEfficiency,
-    PowerOptimizationScenario,
-)
+from repro.core import AnalyticalChipModel, PowerOptimizationScenario
+from repro.core.efficiency import MeasuredEfficiency
 from repro.harness import ExperimentContext, run_scenario1
 from repro.tech import NODE_65NM
 from repro.workloads import workload_by_name

@@ -1,10 +1,11 @@
-"""Start-up cost guard: scipy is imported only by the leakage fit, and
-``import repro.cli`` loads a bounded number of ``repro`` modules.
+"""Start-up cost guard: scipy is imported only by the leakage fit,
+``import repro.cli`` loads a bounded number of ``repro`` modules, and a
+warm experimental replay imports neither numpy nor the analytical model.
 
-``scipy.optimize`` is most of ``import repro.cli``; fig1/fig2 and
-``repro verify`` need it for the Eq. 3 fit, the experimental sweeps do
-not.  Each check runs in a fresh interpreter, since this process may
-already have imported scipy.
+fig1/fig2 and ``repro verify`` need scipy for the Eq. 3 fit, the
+experimental sweeps do not; a sweep replayed from the cache solves no
+thermal network, so it needs no numpy either.  Each check runs in a
+fresh interpreter, since this process may already have imported them.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cli import main
 from repro.tech import NODE_65NM, PhysicalLeakageModel, fit_leakage_curve
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -45,9 +47,9 @@ def test_import_cli_loads_no_scipy(tmp_path):
 
 
 #: Upper bound on the ``repro`` modules a fresh ``import repro.cli``
-#: loads; the package façades import eagerly, so every module a façade
-#: re-exports counts.
-MAX_CLI_MODULES = 61
+#: loads; the package façades load a re-exported name's module only when
+#: the name is first used, so each command imports its own pipeline.
+MAX_CLI_MODULES = 10
 
 
 def test_import_cli_loads_a_bounded_number_of_modules(tmp_path):
@@ -72,6 +74,35 @@ for argv in (
 ):
     assert main(argv) == 0
     loaded[argv[0]] = {SCIPY_MODULES}
+print(json.dumps(loaded))
+"""
+    assert _fresh(code, tmp_path) == {"fig3": [], "fig4": [], "characterize": []}
+
+
+#: Modules a warm replay must not load: the numerical libraries (only a
+#: simulation's thermal solve needs numpy), the analytical model and the
+#: analyzer.
+WARM_FORBIDDEN = (
+    "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')"
+    " or m in ('repro.core', 'repro.analysis')"
+    " or m.startswith(('repro.core.', 'repro.analysis.')))"
+)
+
+
+def test_warm_replay_loads_no_numpy_and_no_analytical_model(tmp_path):
+    cache = str(tmp_path / "cache")
+    commands = (["fig3", "--apps", "FMM"], ["fig4", "--apps", "FMM"], ["characterize"])
+    for argv in commands:
+        assert main([*argv, "--scale", "0.01", "--cache", cache]) == 0
+    code = f"""
+import contextlib, io, json, sys
+from repro.cli import main
+loaded = {{}}
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*argv, "--scale", "0.01", "--cache", {cache!r}]) == 0
+    assert "[executor] 0 evaluated" in out.getvalue(), out.getvalue()
+    loaded[argv[0]] = {WARM_FORBIDDEN}
 print(json.dumps(loaded))
 """
     assert _fresh(code, tmp_path) == {"fig3": [], "fig4": [], "characterize": []}
