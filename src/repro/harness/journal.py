@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.telemetry.manifest import read_jsonl
+from repro.telemetry.jsonl import read_jsonl
 
 PathLike = Union[str, Path]
 

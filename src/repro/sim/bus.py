@@ -43,7 +43,15 @@ class SharedBus:
     def __init__(self, config: BusConfig, clock: ClockDomain) -> None:
         self.config = config
         self.clock = clock
-        self._free_at_ps = 0
+        #: Occupancy of an address-only and of a data-carrying
+        #: transaction, in picoseconds.  The clock is fixed for a run,
+        #: so both are computed once, each from its summed cycle count.
+        self.address_ps = clock.cycles_to_ps(config.address_cycles)
+        self.data_ps = clock.cycles_to_ps(config.address_cycles + config.data_cycles)
+        #: Release time of the latest reservation.  The coherence
+        #: controller's miss path inlines :meth:`acquire` over this and
+        #: the counters below.
+        self.free_at_ps = 0
         self.transactions = 0
         self.data_transfers = 0
         self.busy_ps = 0
@@ -57,14 +65,14 @@ class SharedBus:
         occupancy (cache fills, writebacks); address-only transactions
         (upgrades/invalidations) occupy just the address phase.
         """
-        cycles = self.config.address_cycles
         if with_data:
-            cycles += self.config.data_cycles
+            duration = self.data_ps
             self.data_transfers += 1
-        duration = self.clock.cycles_to_ps(cycles)
-        grant = max(now_ps, self._free_at_ps)
+        else:
+            duration = self.address_ps
+        grant = max(now_ps, self.free_at_ps)
         release = grant + duration
-        self._free_at_ps = release
+        self.free_at_ps = release
         self.transactions += 1
         self.busy_ps += duration
         self.wait_ps += grant - now_ps

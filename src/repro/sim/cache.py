@@ -87,7 +87,8 @@ class Cache:
         self._way_shift = config.way_shift
         # Flat tag/state arrays, one power-of-two-strided row per set.
         # Mutated strictly in place: Core.step_fast captures references
-        # to both lists in its window-invariant frame.
+        # to both lists in its window-invariant frame, and the coherence
+        # controller's inline probes and fills hold them too.
         rows = self._n_sets << self._way_shift
         self._tags: List[int] = [INVALID_TAG] * rows
         self._states: List[int] = [0] * rows
@@ -138,35 +139,6 @@ class Cache:
                 return self._states[w]
             w += 1
         return None
-
-    def touch_hit(self, line_addr: int, state: Optional[int] = None) -> None:
-        """Record a hit on a *known-resident* line: LRU move + hit count.
-
-        The fast-path dispatch loop (:meth:`repro.sim.cpu.Core.step_fast`)
-        performs exactly this sequence inline after probing the line;
-        ``state`` optionally rewrites the line's state in the same move
-        (the silent E->M store upgrade).  Equivalent to ``lookup`` (plus
-        ``set_state`` when ``state`` is given) for a resident line.
-        """
-        set_index = line_addr % self._n_sets
-        base = set_index << self._way_shift
-        tags = self._tags
-        states = self._states
-        w = base
-        end = base + self._fill[set_index]
-        while w < end and tags[w] != line_addr:
-            w += 1
-        if w >= end:
-            raise KeyError(line_addr)
-        if state is None:
-            state = states[w]
-        while w > base:
-            tags[w] = tags[w - 1]
-            states[w] = states[w - 1]
-            w -= 1
-        tags[base] = line_addr
-        states[base] = state
-        self.hits += 1
 
     def _find(self, line_addr: int) -> int:
         """Flat index of a resident line, or -1."""

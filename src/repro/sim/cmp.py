@@ -91,8 +91,8 @@ class KernelStats:
     total_ops: int = 0
     #: Ops resolved by the fast path without entering the controller.
     fast_path_ops: int = 0
-    #: Ops routed through the reference machinery (misses, upgrades,
-    #: critical sections).
+    #: Ops that reached the controller or the lock table (misses,
+    #: upgrades, critical sections).
     slow_path_ops: int = 0
     #: Barrier registrations handled by the scheduler.
     barrier_ops: int = 0
@@ -107,8 +107,8 @@ class KernelStats:
     #: the bounded compile cache (a sweep's working set outgrew it).
     compile_cache_evicted: bool = False
     #: Optional per-subsystem wall time (populated when profiling):
-    #: ``memory`` (controller reads/writes), ``critical`` (lock
-    #: sections), ``barrier`` (barrier bookkeeping).
+    #: ``memory`` (misses and upgrades), ``critical`` (lock
+    #: sections).
     subsystem_s: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -346,6 +346,7 @@ class ChipMultiprocessor:
             barrier_ops = 0
             reference_ops = 0
             finished = 0
+            barrier_release_ps = clock.cycles_to_ps(config.barrier_release_cycles)
             steps = 0
             measurement_start_ps = 0
             warmup_remaining = warmup_barriers
@@ -383,9 +384,7 @@ class ChipMultiprocessor:
                     if len(waiters) == n_threads:
                         barriers_seen += 1
                         release = max(cores[w].time_ps for w in waiters)
-                        release += clock.cycles_to_ps(
-                            config.barrier_release_cycles
-                        )
+                        release += barrier_release_ps
                         for waiter_id in waiters:
                             waiter = cores[waiter_id]
                             waiter.stats.sync_wait_ps += release - waiter.time_ps

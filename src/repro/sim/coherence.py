@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.bus import SharedBus
 from repro.sim.cache import Cache, EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.clock import ClockDomain
@@ -81,7 +81,16 @@ class CoherenceStats:
 
 
 class MESIController:
-    """Coherence and memory-hierarchy timing for all cores."""
+    """Coherence and memory-hierarchy timing for all cores.
+
+    A protocol transaction is one call.  :meth:`read` and :meth:`write`
+    look the line up in the requester's L1 and settle hits; a miss goes
+    to :meth:`miss` and a store hit on a SHARED line to :meth:`upgrade`,
+    each taking the already-resolved L1 line.  The reference
+    interpreter reaches them through ``read``/``write``; the fast path
+    (:meth:`repro.sim.cpu.Core.step_fast`) does its own L1 probe and
+    calls them directly, so each transition has one implementation.
+    """
 
     def __init__(
         self,
@@ -95,6 +104,9 @@ class MESIController:
         cache_to_cache_cycles: int = 16,
         core_clocks: Optional[List[ClockDomain]] = None,
     ) -> None:
+        l1_config = l1_caches[0].config
+        if any(l1.config != l1_config for l1 in l1_caches):
+            raise ConfigurationError("every L1 must share one geometry")
         self.l1s = l1_caches
         self.l2 = l2
         self.bus = bus
@@ -108,9 +120,13 @@ class MESIController:
         #: Per-core clocks (L1 hit latency ticks in the requester's
         #: domain); defaults to the uncore clock for global DVFS.
         self.core_clocks = core_clocks or [clock] * len(l1_caches)
+        # The clocks are fixed for a run, so every on-chip latency is a
+        # picosecond constant computed here once.
         self._hit_ps = [
             c.cycles_to_ps(l1_hit_cycles) for c in self.core_clocks
         ]
+        self._l2_ps = clock.cycles_to_ps(l2_hit_cycles)
+        self._c2c_ps = clock.cycles_to_ps(cache_to_cache_cycles)
         self.stats = CoherenceStats()
         # Snoop filter: L1 line address -> bitmask of core ids holding
         # it (bit ``i`` set iff core ``i``'s L1 has the line).  Bitmask
@@ -118,15 +134,20 @@ class MESIController:
         # order is deterministic without sorting, and add/drop/probe
         # allocate nothing.
         self._sharers: Dict[int, int] = {}
-
-    def _l1_hit_ps(self, core_id: int) -> int:
-        return self._hit_ps[core_id]
+        # Geometry and flat arrays for the inline probes.  The caches
+        # mutate their arrays in place, so the references stay valid.
+        self._l1_shift = l1_config.line_shift
+        self._l1_sets = l1_config.n_sets
+        self._l1_way_shift = l1_config.way_shift
+        self._l1_assoc = l1_config.associativity
+        self._l1_tags = [l1._tags for l1 in l1_caches]
+        self._l1_states = [l1._states for l1 in l1_caches]
+        self._l2_shift = l2.config.line_shift
+        self._l2_sets = l2.config.n_sets
+        self._l2_way_shift = l2.config.way_shift
+        self._l2_assoc = l2.config.associativity
 
     # -- sharer-map helpers -------------------------------------------------
-
-    def _add_sharer(self, line: int, core_id: int) -> None:
-        sharers = self._sharers
-        sharers[line] = sharers.get(line, 0) | (1 << core_id)
 
     def _drop_sharer(self, line: int, core_id: int) -> None:
         mask = self._sharers.get(line, 0) & ~(1 << core_id)
@@ -135,151 +156,218 @@ class MESIController:
         else:
             self._sharers.pop(line, None)
 
-    def _other_sharers(self, line: int, core_id: int) -> int:
-        """Bitmask of cores other than ``core_id`` holding ``line``."""
-        return self._sharers.get(line, 0) & ~(1 << core_id)
-
     def sharer_ids(self, line: int) -> List[int]:
         """Core ids currently holding ``line`` (tests/debug)."""
         return mask_to_ids(self._sharers.get(line, 0))
 
-    def _handle_l1_victim(self, core_id: int, victim, now_ps: int) -> None:
-        """Bookkeeping (and bus traffic) for an L1 eviction."""
-        if victim is None:
-            return
-        victim_line, victim_state = victim
-        self._drop_sharer(victim_line, core_id)
-        if victim_state == MODIFIED:
-            # Posted writeback: occupies the interconnect from the write
-            # buffer, but does not stall the core.
-            self.bus.acquire(now_ps, with_data=True)
-            self.stats.writebacks += 1
-            self._l2_mark_dirty(victim_line << self.l1s[core_id].config.line_shift)
-
-    # -- L2 helpers ----------------------------------------------------------
-
     def _l2_mark_dirty(self, byte_address: int) -> None:
-        line = self.l2.line_address(byte_address)
-        if self.l2.probe(line) is not None:
-            self.l2.set_state(line, MODIFIED)
-
-    def _l2_fill(self, byte_address: int) -> None:
-        line = self.l2.line_address(byte_address)
-        victim = self.l2.insert(line, SHARED)
-        if victim is not None and victim[1] == MODIFIED:
-            self.stats.writebacks += 1
-
-    def _fetch_from_l2_or_memory(self, grant_ps: int, byte_address: int) -> int:
-        """Data source below the L1s: returns the data-ready time."""
-        l2_line = self.l2.line_address(byte_address)
-        l2_latency = self.clock.cycles_to_ps(self.l2_hit_cycles)
-        if self.l2.lookup(l2_line) is not None:
-            self.stats.l2_hits += 1
-            return grant_ps + l2_latency
-        self.stats.l2_misses += 1
-        self.stats.memory_reads += 1
-        ready = self.memory.access(grant_ps + l2_latency, l2_line)
-        self._l2_fill(byte_address)
-        return ready
+        l2 = self.l2
+        w = l2._find(byte_address >> self._l2_shift)
+        if w >= 0:
+            l2._states[w] = MODIFIED
 
     # -- public protocol entry points ----------------------------------------
 
     def read(self, core_id: int, byte_address: int, now_ps: int) -> int:
         """A load by ``core_id``; returns its completion time (ps)."""
-        stats = self.stats
-        l1 = self.l1s[core_id]
-        line = l1.line_address(byte_address)
-        state = l1.lookup(line)
-        if state is not None:
-            stats.l1_hits += 1
-            return now_ps + self._l1_hit_ps(core_id)
-
-        stats.l1_misses += 1
-        grant, _release = self.bus.acquire(now_ps, with_data=True)
-        others = self._other_sharers(line, core_id)
-
-        owner = self._find_modified_owner(line, others)
-        if owner is not None:
-            # Cache-to-cache transfer; owner downgrades to SHARED and the
-            # dirty data is written through to the L2 (MOESI-free MESI).
-            self.l1s[owner].set_state(line, SHARED)
-            self._l2_mark_dirty(byte_address)
-            stats.cache_to_cache += 1
-            ready = grant + self.clock.cycles_to_ps(self.cache_to_cache_cycles)
-            fill_state = SHARED
-        else:
-            # The snoop downgrades any EXCLUSIVE peer to SHARED; a stale E
-            # would later upgrade to M silently while we hold a copy.
-            # Bitmask iteration probes ascending core ids by construction.
-            mask = others
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                other = low.bit_length() - 1
-                if self.l1s[other].probe(line) == EXCLUSIVE:
-                    self.l1s[other].set_state(line, SHARED)
-            ready = self._fetch_from_l2_or_memory(grant, byte_address)
-            fill_state = SHARED if others else EXCLUSIVE
-
-        self._handle_l1_victim(core_id, l1.insert(line, fill_state), grant)
-        self._add_sharer(line, core_id)
-        return ready
+        line = byte_address >> self._l1_shift
+        if self.l1s[core_id].lookup(line) is not None:
+            self.stats.l1_hits += 1
+            return now_ps + self._hit_ps[core_id]
+        self.stats.l1_misses += 1
+        base = (line % self._l1_sets) << self._l1_way_shift
+        return self.miss(core_id, line, base, byte_address, now_ps, False)
 
     def write(self, core_id: int, byte_address: int, now_ps: int) -> int:
         """A store by ``core_id``; returns its completion time (ps)."""
         stats = self.stats
         l1 = self.l1s[core_id]
-        line = l1.line_address(byte_address)
+        line = byte_address >> self._l1_shift
         state = l1.lookup(line)
-
-        if state == MODIFIED:
-            stats.l1_hits += 1
-            return now_ps + self._l1_hit_ps(core_id)
+        base = (line % self._l1_sets) << self._l1_way_shift
+        if state is None:
+            stats.l1_misses += 1
+            return self.miss(core_id, line, base, byte_address, now_ps, True)
+        stats.l1_hits += 1
+        if state == SHARED:
+            # lookup() moved the line to its set's MRU way.
+            return self.upgrade(core_id, line, base, now_ps)
         if state == EXCLUSIVE:
             # Silent E -> M upgrade.
-            stats.l1_hits += 1
             l1.set_state(line, MODIFIED)
-            return now_ps + self._l1_hit_ps(core_id)
-        if state == SHARED:
-            # BusUpgr: address-only transaction invalidating other copies.
-            stats.l1_hits += 1
-            grant, release = self.bus.acquire(now_ps, with_data=False)
-            self._invalidate_others(line, core_id)
-            l1.set_state(line, MODIFIED)
-            stats.upgrades += 1
-            return release
+        return now_ps + self._hit_ps[core_id]
 
-        # Write miss: BusRdX.
-        stats.l1_misses += 1
-        grant, _release = self.bus.acquire(now_ps, with_data=True)
-        others = self._other_sharers(line, core_id)
-        owner = self._find_modified_owner(line, others)
-        if owner is not None:
-            self.stats.cache_to_cache += 1
-            ready = grant + self.clock.cycles_to_ps(self.cache_to_cache_cycles)
+    def upgrade(self, core_id: int, line: int, slot: int, now_ps: int) -> int:
+        """BusUpgr: a store hit on a SHARED ``line``; returns the release time.
+
+        ``slot`` is the line's flat index in the requester's L1.  The
+        caller has counted the L1 hit.  The address-only transaction
+        invalidates every other copy.
+        """
+        _grant, release = self.bus.acquire(now_ps, False)
+        bit = 1 << core_id
+        others = self._sharers.get(line, 0) & ~bit
+        if others:
+            self._invalidate(line, others)
+            self._sharers[line] = bit
+        self._l1_states[core_id][slot] = MODIFIED
+        self.stats.upgrades += 1
+        return release
+
+    def miss(
+        self,
+        core_id: int,
+        line: int,
+        base: int,
+        byte_address: int,
+        now_ps: int,
+        is_write: bool,
+    ) -> int:
+        """An L1 miss on ``line``: BusRd for a load, BusRdX for a store.
+
+        ``base`` is the flat index of ``line``'s set in the requester's
+        L1.  The caller has looked ``line`` up there and counted the
+        miss.  Returns the data-ready time (ps).
+        """
+        stats = self.stats
+        # Bus grant for the fill (SharedBus.acquire with data, inlined).
+        bus = self.bus
+        grant = bus.free_at_ps
+        if grant < now_ps:
+            grant = now_ps
+        duration = bus.data_ps
+        bus.free_at_ps = grant + duration
+        bus.transactions += 1
+        bus.data_transfers += 1
+        bus.busy_ps += duration
+        bus.wait_ps += grant - now_ps
+
+        sharers = self._sharers
+        bit = 1 << core_id
+        others = sharers.get(line, 0) & ~bit
+        owner = False
+        if others:
+            if is_write:
+                # BusRdX invalidates every other copy; a MODIFIED one
+                # supplies the data.
+                owner = self._invalidate(line, others)
+            else:
+                # One snoop pass.  MESI lets at most one peer hold the
+                # line MODIFIED or EXCLUSIVE (and then no other peer
+                # holds it), so downgrading whatever exclusive copy the
+                # pass meets is the whole address phase: an M owner
+                # supplies the data, and a stale E would otherwise
+                # upgrade to M silently while we hold a copy.
+                end = base + self._l1_assoc
+                mask = others
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    peer = low.bit_length() - 1
+                    tags = self._l1_tags[peer]
+                    w = base
+                    while w < end and tags[w] != line:
+                        w += 1
+                    if w < end:
+                        states = self._l1_states[peer]
+                        state = states[w]
+                        if state != SHARED:
+                            states[w] = SHARED
+                            if state == MODIFIED:
+                                owner = True
+                if owner:
+                    # MOESI-free MESI: the dirty data is written through
+                    # to the L2 as the owner downgrades.
+                    self._l2_mark_dirty(byte_address)
+
+        if owner:
+            stats.cache_to_cache += 1
+            ready = grant + self._c2c_ps
         else:
-            ready = self._fetch_from_l2_or_memory(grant, byte_address)
-        self._invalidate_others(line, core_id)
-        self._handle_l1_victim(core_id, l1.insert(line, MODIFIED), grant)
-        self._add_sharer(line, core_id)
+            # The L2 (Cache.lookup inlined), then DRAM on a miss.
+            l2 = self.l2
+            l2_line = byte_address >> self._l2_shift
+            set_index = l2_line % self._l2_sets
+            l2_base = set_index << self._l2_way_shift
+            l2_tags = l2._tags
+            w = l2_base
+            end = l2_base + l2._fill[set_index]
+            while w < end and l2_tags[w] != l2_line:
+                w += 1
+            ready = grant + self._l2_ps
+            l2_states = l2._states
+            if w < end:
+                l2.hits += 1
+                stats.l2_hits += 1
+                state = l2_states[w]
+            else:
+                l2.misses += 1
+                stats.l2_misses += 1
+                stats.memory_reads += 1
+                ready = self.memory.access(ready, l2_line)
+                # Fill at the MRU way (Cache.insert for an absent line).
+                state = SHARED
+                if w - l2_base < self._l2_assoc:
+                    l2._fill[set_index] += 1
+                else:
+                    w -= 1
+                    l2.evictions += 1
+                    if l2_states[w] == MODIFIED:
+                        l2.writebacks += 1
+                        stats.writebacks += 1
+            while w > l2_base:
+                l2_tags[w] = l2_tags[w - 1]
+                l2_states[w] = l2_states[w - 1]
+                w -= 1
+            l2_tags[l2_base] = l2_line
+            l2_states[l2_base] = state
+
+        if is_write:
+            fill_state = MODIFIED
+            sharers[line] = bit
+        else:
+            fill_state = SHARED if others else EXCLUSIVE
+            sharers[line] = others | bit
+        # Fill the requester's L1 at the MRU way (Cache.insert for a
+        # line known to be absent), evicting the LRU way of a full set.
+        l1 = self.l1s[core_id]
+        tags = self._l1_tags[core_id]
+        states = self._l1_states[core_id]
+        set_index = base >> self._l1_way_shift
+        fill = l1._fill[set_index]
+        w = base + fill
+        if fill < self._l1_assoc:
+            l1._fill[set_index] = fill + 1
+        else:
+            w -= 1
+            victim_line = tags[w]
+            l1.evictions += 1
+            self._drop_sharer(victim_line, core_id)
+            if states[w] == MODIFIED:
+                l1.writebacks += 1
+                # Posted writeback: occupies the interconnect from the
+                # write buffer, but does not stall the core.
+                bus.acquire(grant, True)
+                stats.writebacks += 1
+                self._l2_mark_dirty(victim_line << self._l1_shift)
+        while w > base:
+            tags[w] = tags[w - 1]
+            states[w] = states[w - 1]
+            w -= 1
+        tags[base] = line
+        states[base] = fill_state
         return ready
 
     # -- snoop actions ---------------------------------------------------------
 
-    def _find_modified_owner(self, line: int, others: int) -> Optional[int]:
-        # MESI allows at most one MODIFIED owner, so any probe order finds
-        # the same core; bitmask iteration walks ascending ids anyway.
-        mask = others
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            other = low.bit_length() - 1
-            if self.l1s[other].probe(line) == MODIFIED:
-                return other
-        return None
+    def _invalidate(self, line: int, others: int) -> bool:
+        """Invalidate ``line`` in each core of ``others``.
 
-    def _invalidate_others(self, line: int, core_id: int) -> None:
-        mask = self._other_sharers(line, core_id)
+        Returns whether one of them held it MODIFIED.  The caller
+        rewrites the line's sharer entry.
+        """
+        dirty = False
+        mask = others
         while mask:
             low = mask & -mask
             mask ^= low
@@ -290,6 +378,7 @@ class MESIController:
                     f"sharer map claims core {other} holds line {line:#x}"
                 )
             if state == MODIFIED:
-                self._l2_mark_dirty(line << self.l1s[other].config.line_shift)
-            self._drop_sharer(line, other)
+                dirty = True
+                self._l2_mark_dirty(line << self._l1_shift)
             self.stats.invalidations += 1
+        return dirty

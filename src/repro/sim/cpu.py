@@ -16,16 +16,20 @@ critical sections serialise through a shared lock table.
 Two execution paths produce bitwise-identical counters:
 
 * :meth:`Core.step` — the reference interpreter: one op per scheduler
-  pop, every memory operation routed through the MESI controller;
+  pop, every memory operation routed through the MESI controller's
+  ``read``/``write``;
 * :meth:`Core.step_fast` — the fast path over a *compiled* (list-backed)
   stream: compute bursts and loads/stores that hit the local L1 in a
   suitable MESI state are resolved inline — hoisted attribute lookups,
   precomputed burst durations, batched stat accumulation — and executed
   in batches between scheduler pops.  Anything touching shared state
-  (bus, locks, misses, upgrades, barriers) falls back to the reference
-  machinery at exactly the scheduler position the reference interpreter
-  would give it, which is what makes the two paths bitwise-identical
-  (the equivalence argument is spelled out in docs/MODEL.md).
+  (bus, locks, misses, upgrades) runs at exactly the scheduler position
+  the reference interpreter would give it: a miss or an upgrade is one
+  call to the controller entry point ``read``/``write`` would reach
+  (:meth:`MESIController.miss`, :meth:`MESIController.upgrade`), and a
+  critical section runs inline around that same store path.  That is
+  what makes the two paths bitwise-identical (the equivalence argument
+  is spelled out in docs/MODEL.md).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.cache import EXCLUSIVE, MODIFIED
+from repro.sim.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import MESIController
 from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
@@ -149,8 +153,10 @@ class Core:
         self.timing = timing
         self.locks = locks
         self.time_ps = 0
-        #: L1-hit latency in this core's clock.
+        #: L1-hit latency and lock overhead in this core's clock, which
+        #: is fixed for the run.
         self._hit_ps = clock.cycles_to_ps(controller.l1_hit_cycles)
+        self._lock_ps = clock.cycles_to_ps(timing.lock_overhead_cycles)
         self.stats = CoreStats()
         #: Barrier index the core is waiting at (valid after AT_BARRIER).
         self.pending_barrier: Optional[int] = None
@@ -162,10 +168,10 @@ class Core:
         #: plain burst, a segment tuple for a fused one).
         self._burst_ps: Dict = {}
         #: Fast/slow op tallies and optional per-subsystem wall time and
-        #: slow-op counts (populated when profiling or tracing).
+        #: slow-op counts (populated when profiling or tracing, written
+        #: back once per ``step_fast`` call).
         self.fast_ops = 0
         self.slow_ops = 0
-        self._profile = False
         self.subsystem_s: Dict[str, float] = {}
         self.subsystem_n: Dict[str, int] = {}
 
@@ -193,7 +199,6 @@ class Core:
         peer transaction can ever touch them.
         """
         self._burst_ps.clear()
-        self._profile = profile
         self.fast_ops = 0
         self.slow_ops = 0
         self.subsystem_s = {}
@@ -201,21 +206,34 @@ class Core:
         # Window-invariant state for step_fast, packed so each scheduler
         # pop pays one attribute access + tuple unpack instead of a
         # dozen chained lookups.  Only identity-stable objects belong
-        # here: the L1's flat tag/state arrays and the burst-cost dict
-        # are mutated in place, never replaced, while counters live on
-        # objects that _reset_counters swaps out (so step_fast reads
-        # those via self).
-        l1 = self.controller.l1s[self.core_id]
+        # here: the L1 (its counters are reset in place), its flat
+        # tag/state arrays, the burst-cost dict, the lock table and the
+        # controller's entry points are never replaced, while the core's
+        # and the controller's stats objects are swapped out by
+        # _reset_counters (so step_fast reads those via self).
+        controller = self.controller
+        l1 = controller.l1s[self.core_id]
+        l1_config = l1.config
         self._fast_frame = (
             self._ops_list,
             len(self._ops_list),
             self.core_id,
+            l1,
             l1._tags,
             l1._states,
             l1._assoc,
+            l1_config.line_shift,
+            l1_config.n_sets,
+            l1_config.way_shift,
             private_lines,
             self._burst_ps,
             profile,
+            controller.miss,
+            controller.upgrade,
+            self.locks,
+            self._hit_ps,
+            self._lock_ps,
+            self.timing.memory_parallelism,
         )
 
     # -- op execution -------------------------------------------------------
@@ -262,7 +280,7 @@ class Core:
         waited = grant - self.time_ps
         self.time_ps = grant
         self.stats.sync_wait_ps += waited
-        overhead = self.clock.cycles_to_ps(self.timing.lock_overhead_cycles)
+        overhead = self._lock_ps
         self.time_ps += overhead
         self.stats.busy_ps += overhead
         if n_instructions:
@@ -348,9 +366,10 @@ class Core:
         heap position and only the remaining shared-visible ops yield
         to the horizon.  Within the horizon, shared-visible L1 hits in
         a suitable MESI state also resolve inline (flat-array probe,
-        move-to-front on commit, batched stat deltas) and anything else
-        runs through the reference machinery; past it, the core
-        re-enters the heap and waits its turn.  Compute bursts touch
+        move-to-front on commit, batched stat deltas); a miss or an
+        upgrade is one controller call on the probed line, and a
+        critical section runs inline around the same store path.  Past
+        the horizon, the core re-enters the heap and waits its turn.  Compute bursts touch
         only private state and run unconditionally; barrier
         registration is order-insensitive (the release is a max over
         frozen arrival times).  This makes the fast path's interleaving
@@ -362,24 +381,44 @@ class Core:
             ops,
             n_ops,
             core_id,
+            l1,
             tags,
             states,
             assoc,
+            line_shift,
+            n_sets,
+            way_shift,
             private,
             burst_ps,
             profile,
+            miss,
+            upgrade,
+            locks,
+            hit_ps,
+            lock_ps,
+            mlp,
         ) = self._fast_frame
         i = self._ops_index
         t = self.time_ps
-        # Batched stat deltas.  Inline-committed loads/stores are each
-        # one instruction, one L1 hit, and one fast op, so only the
-        # load/store tallies are kept per-commit; the rest is derived at
-        # sync points.  Compute bursts accumulate separately.
-        burst_instr_d = 0
-        burst_fast_d = 0
+        # Batched stat deltas, written back once when the call returns.
+        # Each inline-committed load/store is one instruction, one L1
+        # hit and one fast op, and each slow op makes exactly one L1
+        # access (a critical section makes its store), so only these
+        # tallies are kept per op; the rest is derived on write-back.
+        burst_instr_d = 0  # burst instructions, critical sections' too
+        burst_fast_d = 0  # burst segments resolved inline
         busy_d = 0
-        loads_d = 0
-        stores_d = 0
+        loads_d = 0  # inline-committed loads
+        stores_d = 0  # inline-committed stores
+        slow_d = 0
+        slow_loads_d = 0
+        miss_d = 0
+        stall_d = 0
+        sync_d = 0
+        critical_d = 0
+        memory_s = 0.0
+        critical_s = 0.0
+        status = DONE
         # Whether this core still leads the reference pop order.  The
         # heap-key comparison is loop-invariant while t stands still,
         # and inline commits never move t — only compute bursts and
@@ -407,10 +446,9 @@ class Core:
                 lead = t < next_time or (t == next_time and core_id < next_id)
                 continue
             if kind == OP_LOAD:
-                # Mutation-free probe first: a broken-out op is later
-                # replayed through lookup(), which does the LRU move.
-                # Line and flat set base are geometry-resolved at
-                # compile time (resolve_address_streams).
+                # Mutation-free probe first: nothing moves until the op
+                # commits.  Line and flat set base are geometry-resolved
+                # at compile time (resolve_address_streams).
                 line = op[2]
                 base = op[3]
                 w = base
@@ -432,7 +470,9 @@ class Core:
                 # Shared-visible (or missing) load: only while this core
                 # still leads the reference pop order.
                 if not lead:
+                    status = RUNNING
                     break
+                address = op[1]
                 is_write = False
             elif kind == OP_STORE:
                 line = op[2]
@@ -456,104 +496,138 @@ class Core:
                         i += 1
                         continue
                 if not lead:
+                    status = RUNNING
                     break
+                address = op[1]
                 is_write = True
             elif kind == OP_BARRIER:
                 # Order-insensitive registration: may complete the batch.
                 i += 1
-                self._ops_index = i
-                mem_d = loads_d + stores_d
-                if mem_d or burst_fast_d:
-                    self._sync_deltas(
-                        t,
-                        burst_instr_d + mem_d,
-                        busy_d,
-                        loads_d,
-                        stores_d,
-                        mem_d,
-                        burst_fast_d + mem_d,
-                    )
                 self.pending_barrier = op[1]
-                return AT_BARRIER
+                status = AT_BARRIER
+                break
             elif kind == OP_CRITICAL:
                 # Lock-table traffic is always shared-visible.
                 if not lead:
+                    status = RUNNING
                     break
             else:
                 raise ConfigurationError(f"unknown op kind {kind}")
-            # A slow op (miss, upgrade, critical section) inside the
-            # horizon: the reference machinery runs it here, at exactly
-            # the scheduler position the reference interpreter uses.
-            # Zero deltas imply t == self.time_ps (only compute bursts
-            # move t between syncs), so skipping the sync is safe.
-            mem_d = loads_d + stores_d
-            if mem_d or burst_fast_d:
-                self._sync_deltas(
-                    t,
-                    burst_instr_d + mem_d,
-                    busy_d,
-                    loads_d,
-                    stores_d,
-                    mem_d,
-                    burst_fast_d + mem_d,
-                )
-                burst_instr_d = busy_d = loads_d = stores_d = burst_fast_d = 0
+            # A slow op inside the horizon, at exactly the scheduler
+            # position the reference interpreter gives it.
             if profile:
                 # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
                 started = time.perf_counter()
             if kind == OP_CRITICAL:
-                self._run_critical(op[1], op[2], op[3])
-                name = "critical"
+                # _run_critical: the lock, its overhead, the burst from
+                # the memo, then the protected read-modify-write store,
+                # probed here like a compiled store.
+                lock_id = op[1]
+                grant = locks.acquire(lock_id, t)
+                sync_d += grant - t
+                t = grant + lock_ps
+                busy_d += lock_ps
+                n_instructions = op[2]
+                if n_instructions:
+                    cost = burst_ps.get(n_instructions)
+                    if cost is None:
+                        cost = self._burst_cost((OP_COMPUTE, n_instructions))
+                        burst_ps[n_instructions] = cost
+                    t += cost[0]
+                    busy_d += cost[0]
+                    burst_instr_d += n_instructions
+                address = op[3]
+                line = address >> line_shift
+                base = (line % n_sets) << way_shift
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                is_write = True
+            # Inside the horizon a load reaching here missed and a store
+            # missed or hit a SHARED line; a critical section's store
+            # may also hit in E or M.
+            if w < end:
+                state = states[w]
+                while w > base:
+                    tags[w] = tags[w - 1]
+                    states[w] = states[w - 1]
+                    w -= 1
+                tags[base] = line
+                if state == SHARED:
+                    states[base] = SHARED
+                    done = upgrade(core_id, line, base, t)
+                else:
+                    # Silent E -> M (or an M hit): no stall.
+                    states[base] = MODIFIED
+                    done = t
             else:
-                self._run_memory_op(op[1], is_write)
-                name = "memory"
+                done = miss(core_id, line, base, address, t, is_write)
+                miss_d += 1
+            # L1 hits are fully pipelined on the EV6 (their cost is part
+            # of the base CPI); the OoO window overlaps part of a miss.
+            stall = done - t
+            if stall > hit_ps:
+                stall = int((stall - hit_ps) / mlp)
+                t += stall
+                stall_d += stall
+            slow_d += 1
+            if kind == OP_CRITICAL:
+                locks.release(lock_id, t)
+                critical_d += 1
+            elif not is_write:
+                slow_loads_d += 1
             if profile:
                 # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
                 elapsed = time.perf_counter() - started
-                self.subsystem_s[name] = self.subsystem_s.get(name, 0.0) + elapsed
-                self.subsystem_n[name] = self.subsystem_n.get(name, 0) + 1
-            self.slow_ops += 1
+                if kind == OP_CRITICAL:
+                    critical_s += elapsed
+                else:
+                    memory_s += elapsed
             i += 1
-            t = self.time_ps
             lead = t < next_time or (t == next_time and core_id < next_id)
 
         self._ops_index = i
-        mem_d = loads_d + stores_d
-        if mem_d or burst_fast_d:
-            self._sync_deltas(
-                t,
-                burst_instr_d + mem_d,
-                busy_d,
-                loads_d,
-                stores_d,
-                mem_d,
-                burst_fast_d + mem_d,
-            )
-        if i >= n_ops:
-            self.stats.end_time_ps = self.time_ps
-            return DONE
-        return RUNNING
-
-    def _sync_deltas(
-        self,
-        t: int,
-        instr_d: int,
-        busy_d: int,
-        loads_d: int,
-        stores_d: int,
-        hits_d: int,
-        fast_d: int,
-    ) -> None:
-        """Write batched fast-path deltas back to the shared counters."""
         self.time_ps = t
-        if fast_d:
+        mem_d = loads_d + stores_d
+        if mem_d or burst_fast_d or slow_d:
             stats = self.stats
+            instr_d = burst_instr_d + mem_d + slow_d
             stats.instructions += instr_d
             stats.icache_accesses += instr_d
             stats.busy_ps += busy_d
-            stats.loads += loads_d
-            stats.stores += stores_d
+            stats.loads += loads_d + slow_loads_d
+            stats.stores += stores_d + slow_d - slow_loads_d
+            hits_d = mem_d + slow_d - miss_d
             if hits_d:
                 self.controller.stats.l1_hits += hits_d
-                self.controller.l1s[self.core_id].hits += hits_d
-            self.fast_ops += fast_d
+                l1.hits += hits_d
+            self.fast_ops += burst_fast_d + mem_d
+            if slow_d:
+                if miss_d:
+                    self.controller.stats.l1_misses += miss_d
+                    l1.misses += miss_d
+                stats.stall_mem_ps += stall_d
+                stats.sync_wait_ps += sync_d
+                stats.critical_sections += critical_d
+                self.slow_ops += slow_d
+                if profile:
+                    self._tally_subsystems(
+                        memory_s, slow_d - critical_d, critical_s, critical_d
+                    )
+        if status == DONE:
+            self.stats.end_time_ps = t
+        return status
+
+    def _tally_subsystems(
+        self, memory_s: float, memory_n: int, critical_s: float, critical_n: int
+    ) -> None:
+        """Add one call's slow-op wall time and counts to the profile."""
+        seconds = self.subsystem_s
+        counts = self.subsystem_n
+        if memory_n:
+            seconds["memory"] = seconds.get("memory", 0.0) + memory_s
+            counts["memory"] = counts.get("memory", 0) + memory_n
+        if critical_n:
+            seconds["critical"] = seconds.get("critical", 0.0) + critical_s
+            counts["critical"] = counts.get("critical", 0) + critical_n

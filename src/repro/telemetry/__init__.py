@@ -23,7 +23,8 @@ power/thermal models, the sweep executor, and the CLI:
   that ``--profile`` and the manifest both read;
 * :mod:`repro.telemetry.manifest` — per-sweep run manifests plus JSONL
   event/span/timeline logs under ``--telemetry-dir``, with schema
-  validation;
+  validation (:mod:`repro.telemetry.jsonl` reads those logs and the
+  sweep journal back);
 * :mod:`repro.telemetry.chrometrace` — Chrome ``trace_event`` JSON
   export with counter tracks (``repro trace export``) and plain-text
   phase metrics (``repro trace metrics``).

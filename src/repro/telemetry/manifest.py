@@ -20,7 +20,8 @@ directory ``DIR/<run_id>/`` containing
   with the journal's torn-tail tolerance (a reading lost to a crash
   mid-write costs that line, not the artifact).
 
-All of them, and the sweep journal, are read by :func:`read_jsonl`.
+All of them, and the sweep journal, are read by
+:func:`repro.telemetry.jsonl.read_jsonl`.
 
 The manifest is written twice: once at creation (``status: "running"``,
 so a crashed sweep leaves evidence) and once by :meth:`TelemetryRun.finalize`
@@ -44,6 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.telemetry.alerts import AlertRule, ChannelStats, evaluate_rules
+from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.record import KernelAggregate, PointTelemetry, drain_since
 from repro.telemetry.timeseries import SampleRecord, get_sampler
 from repro.telemetry.trace import SpanRecord, get_tracer
@@ -391,54 +393,6 @@ def load_manifest(run_dir: PathLike) -> Dict[str, Any]:
     if not isinstance(document, dict):
         raise ConfigurationError(f"{path}: manifest is not an object")
     return document
-
-
-def read_jsonl(
-    path: PathLike, schema: Optional[str] = None, strict: bool = False
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Read a JSONL artifact: ``(entries, torn)``.
-
-    A line that is not a JSON object is *torn* (a crash mid-write tears
-    at most the tail line): it is counted and skipped, or raised on when
-    ``strict``.  With a ``schema`` the first entry must be a header
-    carrying it; it stays ``entries[0]``.  A missing file reads as empty.
-    """
-    path = Path(path)
-    entries: List[Dict[str, Any]] = []
-    torn = 0
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        text = ""
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: unreadable ({exc})") from exc
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if strict:
-                raise ConfigurationError(
-                    f"{path}:{number}: not valid JSON ({exc})"
-                ) from exc
-            entry = None
-        if not isinstance(entry, dict):
-            if strict:
-                raise ConfigurationError(f"{path}:{number}: not an object")
-            torn += 1
-            continue
-        entries.append(entry)
-    if schema is not None:
-        kind = schema.split("-")[1]  # schemas are named "repro-<kind>-vN"
-        found = entries[0].get("schema") if entries else None
-        if found is None:
-            raise ConfigurationError(f"{path}: missing {kind} header line")
-        if found != schema:
-            raise ConfigurationError(
-                f"{path}: {kind} schema {found!r} != supported {schema!r}"
-            )
-    return entries, torn
 
 
 def load_events(run_dir: PathLike) -> List[Dict[str, Any]]:

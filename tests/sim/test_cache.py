@@ -182,33 +182,3 @@ class TestEvictionEdgeCases:
         cache.insert(0, SHARED)  # set 0
         assert cache.invalidate(1) is None  # set 1: absent
         assert cache.probe(0) == SHARED
-
-
-class TestTouchHit:
-    """touch_hit must equal lookup (+ set_state) on a resident line."""
-
-    def test_counts_hit_and_moves_lru(self):
-        cache = small_cache(assoc=2, sets=1)
-        cache.insert(1, SHARED)
-        cache.insert(2, SHARED)
-        cache.touch_hit(1)
-        assert cache.hits == 1
-        victim = cache.insert(3, SHARED)
-        assert victim == (2, SHARED)  # 1 was refreshed
-
-    def test_state_rewrite_matches_upgrade(self):
-        cache = small_cache()
-        cache.insert(7, EXCLUSIVE)
-        cache.touch_hit(7, MODIFIED)  # the silent E->M store upgrade
-        assert cache.probe(7) == MODIFIED
-        assert cache.hits == 1
-
-    def test_matches_lookup_on_resident_line(self):
-        a, b = small_cache(assoc=2, sets=1), small_cache(assoc=2, sets=1)
-        for cache in (a, b):
-            cache.insert(1, SHARED)
-            cache.insert(2, SHARED)
-        a.lookup(1)
-        b.touch_hit(1)
-        assert a.hits == b.hits
-        assert a.entries() == b.entries()

@@ -1,10 +1,16 @@
 """Tests for the MESI protocol controller."""
 
 
+from types import SimpleNamespace
+
+import pytest
+
+from repro.harness.optimizer import frequency_ladder
 from repro.sim.bus import BusConfig, SharedBus
 from repro.sim.cache import Cache, CacheConfig, EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import MESIController
+from repro.sim.cpu import Core, CoreTimingConfig, LockTable
 from repro.sim.memory import MainMemory
 
 
@@ -169,3 +175,67 @@ class TestDVFSInteraction:
         cycles_fast = fast.clock.ps_to_cycles(t_fast)
         cycles_slow = slow.clock.ps_to_cycles(t_slow)
         assert cycles_slow < cycles_fast
+
+
+#: The paper's 16-point profiling ladder, 200 MHz to 3.2 GHz.
+LADDER = frequency_ladder(SimpleNamespace(f_min=200e6, f_nominal=3.2e9))
+
+
+class TestPrecomputedLatencies:
+    """Every latency fixed when the machine is built equals
+    ``cycles_to_ps`` of its summed cycle count in its own clock."""
+
+    def _machine(self, uncore_hz, core_hz):
+        uncore = ClockDomain(uncore_hz)
+        clocks = [ClockDomain(f) for f in core_hz]
+        l1s = [Cache(CacheConfig(4 * 1024, 64, 2)) for _ in core_hz]
+        ctrl = MESIController(
+            l1s,
+            Cache(CacheConfig(64 * 1024, 128, 8)),
+            SharedBus(BusConfig(), uncore),
+            MainMemory(),
+            uncore,
+            core_clocks=clocks,
+        )
+        timing = CoreTimingConfig(lock_overhead_cycles=37)
+        cores = [
+            Core(i, [], ctrl, clock, timing, LockTable())
+            for i, clock in enumerate(clocks)
+        ]
+        return uncore, ctrl, cores
+
+    def _check(self, uncore, ctrl, cores):
+        bus = ctrl.bus
+        config = bus.config
+        assert bus.address_ps == uncore.cycles_to_ps(config.address_cycles)
+        assert bus.data_ps == uncore.cycles_to_ps(
+            config.address_cycles + config.data_cycles
+        )
+        assert ctrl._l2_ps == uncore.cycles_to_ps(ctrl.l2_hit_cycles)
+        assert ctrl._c2c_ps == uncore.cycles_to_ps(ctrl.cache_to_cache_cycles)
+        for core in cores:
+            clock = core.clock
+            assert core._lock_ps == clock.cycles_to_ps(37)
+            assert core._hit_ps == clock.cycles_to_ps(ctrl.l1_hit_cycles)
+            assert ctrl._hit_ps[core.core_id] == core._hit_ps
+
+    def test_ladder_has_sixteen_points(self):
+        assert len(LADDER) == 16
+        assert LADDER[0] == 200e6 and LADDER[-1] == 3.2e9
+
+    @pytest.mark.parametrize("f_hz", LADDER)
+    def test_global_dvfs(self, f_hz):
+        self._check(*self._machine(f_hz, [f_hz, f_hz]))
+
+    @pytest.mark.parametrize("uncore_hz", LADDER)
+    def test_per_core_dvfs(self, uncore_hz):
+        # One core at every ladder point, the uncore at one of them.
+        self._check(*self._machine(uncore_hz, LADDER))
+
+    def test_bus_transactions_occupy_the_precomputed_time(self):
+        bus = SharedBus(BusConfig(), ClockDomain(1.4e9))
+        grant, release = bus.acquire(0, with_data=True)
+        assert release - grant == bus.data_ps
+        grant, release = bus.acquire(release, with_data=False)
+        assert release - grant == bus.address_ps
+        assert bus.busy_ps == bus.data_ps + bus.address_ps

@@ -117,6 +117,16 @@ class TestConfigurationMatrix:
         points = [(3.2e9, 1.1), (1.6e9, 0.95), (2.4e9, 1.0), (3.2e9, 1.1)]
         assert_equivalent(self._model("FMM"), 4, config, core_points=points)
 
+    @pytest.mark.parametrize("app", ("Cholesky", "Radix"))
+    def test_rounding_ladder_point(self, app):
+        # 1.4 GHz is a ladder point whose clock period rounds (714.29 ps
+        # to 714), so every precomputed latency carries that rounding;
+        # Cholesky runs the critical-section path under it.
+        config = CMPConfig(n_cores=4, frequency_hz=1.4e9, voltage=0.85)
+        _reference, fast = assert_equivalent(self._model(app), 4, config)
+        if app == "Cholesky":
+            assert fast.lock_acquires > 0
+
     def test_contended_sharing_respects_safe_horizon(self):
         # Regression case: Radix at a larger scale produces cross-core
         # invalidation races in which a peer's write miss lands between
@@ -170,6 +180,25 @@ class TestHandAuthoredStreams:
             [compile_stream(t) for t in threads]
         )
         assert counters(reference) == counters(fast)
+
+    def test_critical_store_on_exclusive_line(self):
+        # The load leaves the protected line EXCLUSIVE, so the critical
+        # section's store is a silent E -> M hit; the peer's load after
+        # the barrier must then find it MODIFIED (a cache-to-cache
+        # transfer).
+        threads = [
+            [(OP_LOAD, 0x9000), (OP_CRITICAL, 1, 5, 0x9000), (OP_BARRIER, 0)],
+            [(OP_BARRIER, 0), (OP_LOAD, 0x9000)],
+        ]
+        config = CMPConfig(n_cores=2)
+        reference = ChipMultiprocessor(config, fast_path=False).run(
+            [iter(t) for t in threads]
+        )
+        fast = ChipMultiprocessor(config, fast_path=True).run(
+            [compile_stream(t) for t in threads]
+        )
+        assert counters(reference) == counters(fast)
+        assert fast.coherence.cache_to_cache == 1
 
 
 class TestKernelStats:

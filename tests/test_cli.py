@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 
@@ -567,3 +573,32 @@ class TestCalibrationMemo:
         assert len(kernel_runs) == 1  # the calibration alone
         assert entry.exists() and entry.with_name(entry.name + ".quarantined").exists()
         assert _table(warm) == _table(cold)
+
+
+class TestClosedStdout:
+    """``repro ... | head`` ends quietly when the reader goes away."""
+
+    @pytest.mark.parametrize(
+        "argv", (["check", "--list-rules"], ["info"]), ids=("check", "info")
+    )
+    def test_closed_reader_ends_without_traceback(self, argv, tmp_path):
+        # The read end is closed before the child starts, so its first
+        # write to stdout meets a broken pipe whatever the timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr

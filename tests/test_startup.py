@@ -1,6 +1,7 @@
 """Start-up cost guard: scipy is imported only by the leakage fit,
 ``import repro.cli`` loads a bounded number of ``repro`` modules, and a
-warm experimental replay imports neither numpy nor the analytical model.
+warm experimental replay imports neither numpy nor the analytical model
+(nor, untraced, the telemetry manifest writer).
 
 fig1/fig2 and ``repro verify`` need scipy for the Eq. 3 fit, the
 experimental sweeps do not; a sweep replayed from the cache solves no
@@ -80,11 +81,14 @@ print(json.dumps(loaded))
 
 
 #: Modules a warm replay must not load: the numerical libraries (only a
-#: simulation's thermal solve needs numpy), the analytical model and the
-#: analyzer.
+#: simulation's thermal solve needs numpy), the analytical model, the
+#: analyzer, and, without ``--telemetry-dir``, the run-manifest writer
+#: and its alert rules (the ``--cache`` journal reads its JSONL through
+#: ``repro.telemetry.jsonl``).
 WARM_FORBIDDEN = (
     "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')"
-    " or m in ('repro.core', 'repro.analysis')"
+    " or m in ('repro.core', 'repro.analysis',"
+    " 'repro.telemetry.manifest', 'repro.telemetry.alerts')"
     " or m.startswith(('repro.core.', 'repro.analysis.')))"
 )
 
