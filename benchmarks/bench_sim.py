@@ -33,7 +33,10 @@ ops per host second three ways:
    ``--max-sampling-overhead`` (default 10%) the same way.
 
 Each mode runs ``--repeats`` times and keeps the best (least-noise)
-time.  Counters are asserted identical between reference, fast,
+time for its ops/sec.  The two overheads are instead the median over
+repeats of the paired ratio traced (or sampled) over ``fast_warm``,
+each pair timed back to back, so one noisy 10-25 ms run cannot trip
+the gate.  Counters are asserted identical between reference, fast,
 fast-with-telemetry, and fast-with-sampling on every point, so the
 benchmark doubles as an end-to-end equivalence check.
 
@@ -52,6 +55,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import asdict
@@ -66,6 +70,7 @@ FULL_APPS = ("FMM", "LU", "Ocean", "Radix")
 FULL_CORE_COUNTS = (1, 4, 16)
 QUICK_APPS = ("FMM", "Ocean")
 QUICK_CORE_COUNTS = (4,)
+QUICK_REPEATS = 15
 SCHEMA = "bench-sim-v1"
 
 
@@ -127,6 +132,7 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
             set_sampler(previous)
 
     best = {}
+    traced_ratios, sampled_ratios = [], []
     reference = fast = traced = sampled = None
     for _ in range(repeats):
         reference, t_ref = reference_run()
@@ -143,6 +149,8 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
             ("fast_warm_sampling", t_sampled),
         ):
             best[mode] = min(best.get(mode, math.inf), seconds)
+        traced_ratios.append(t_traced / t_warm)
+        sampled_ratios.append(t_sampled / t_warm)
 
     if counters(reference) != counters(fast):
         raise AssertionError(
@@ -170,12 +178,8 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
         point[f"{mode}_ops_per_sec"] = round(ops / seconds, 1)
     point["speedup_cold"] = round(best["reference"] / best["fast_cold"], 3)
     point["speedup_warm"] = round(best["reference"] / best["fast_warm"], 3)
-    point["telemetry_overhead"] = round(
-        best["fast_warm_telemetry"] / best["fast_warm"] - 1.0, 4
-    )
-    point["sampling_overhead"] = round(
-        best["fast_warm_sampling"] / best["fast_warm"] - 1.0, 4
-    )
+    point["telemetry_overhead"] = round(statistics.median(traced_ratios) - 1.0, 4)
+    point["sampling_overhead"] = round(statistics.median(sampled_ratios) - 1.0, 4)
     return point
 
 
@@ -391,8 +395,12 @@ def main() -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=3,
-        help="timing repeats per mode, best kept (default: 3)",
+        default=None,
+        help=(
+            "timing repeats per mode (default: 3, or "
+            f"{QUICK_REPEATS} with --quick, whose short runs need more "
+            "pairs for a stable median overhead)"
+        ),
     )
     parser.add_argument(
         "--output",
@@ -435,6 +443,8 @@ def main() -> int:
         ),
     )
     args = parser.parse_args()
+    if args.repeats is None:
+        args.repeats = QUICK_REPEATS if args.quick else 3
 
     if args.mode == "layout":
         report = run_layout_benchmark(args)

@@ -6,7 +6,7 @@ Installed behaviours (also reachable via ``python -m repro``):
 * ``repro fig2 [--tech ...]`` — analytical Scenario II speedup curve,
 * ``repro fig3 [--apps ...] [--scale X]`` — experimental Scenario I,
 * ``repro fig4 [--apps ...] [--scale X]`` — experimental Scenario II,
-* ``repro optimize [--objective ...]`` — adaptive coarse-to-fine search
+* ``repro optimize [--objective ...]`` — adaptive model-seeded search
   over the (N, frequency) design space (see docs/MODEL.md); ``fig4``
   is its ``speedup-budget`` search rendered as Figure 4,
 * ``repro characterize [--scale X]`` — workload-model signatures,

@@ -1,35 +1,50 @@
-"""Adaptive design-space optimization: coarse-to-fine search over (N, f).
+"""Adaptive design-space optimization: model-seeded search over (N, f).
 
 The paper's deliverable is an *optimization* — pick the (N, V/f)
 configuration that minimizes power at iso-performance (Scenario I) or
 maximizes speedup under a power budget (Scenario II) — yet the paper
 answers it by profiling the full 200 MHz ladder.  The
 power/performance surfaces such sweeps trace are smooth and monotone
-(power rises with frequency, time falls), so a successive-refinement
-search finds the same optimum with a fraction of the simulations.
+(power rises with frequency, time falls), so a search that measures a
+few points finds the same optimum with a fraction of the simulations.
 Figure 4 (:func:`~repro.harness.scenario2.run_scenario2`) is the
 ``speedup-budget`` search of this module.
 
-The engine in this module searches each (application, N) pair's
-frequency ladder coarse-to-fine:
+Boundary objectives search each (application, N) pair's frequency
+ladder for the flip of a monotone feasibility predicate, seeded by the
+model's own shape for the constraint: execution time is affine in
+``1/f`` (off-chip time does not scale with the clock) and chip power is
+affine in ``f*V(f)^2`` (Eq. 4).  The search
 
-1. **round 0** probes a coarse sub-ladder that always includes both
-   endpoints, so a monotone feasibility predicate is bracketed (or
-   proven uniform) immediately;
-2. each later round evaluates the *frontier* — the midpoints every
-   active search needs next — as one flat fan-out through the
-   :class:`~repro.harness.executor.SweepExecutor`, so refinement rounds
-   parallelize across workers and across searches (in groups that fit
-   the compile cache, so no program recompiles round after round);
-3. brackets halve until they reach single-step resolution, at which
-   point the chosen grid frequency is exact — the same point an
-   exhaustive sweep of the ladder would pick.
+1. probes the top of the ladder, which alone settles a search whose
+   nominal point fits the budget (or misses the iso-performance
+   target);
+2. probes the floor; feasibility equal at both ends is uniform;
+3. fits a line through the constraint values at the ends of the
+   bracket, in the objective's model coordinate, and probes the
+   adjacent pair the line puts the flip in — twice at most, each time
+   on the bracket the last probes left;
+4. bisects whatever bracket remains.
 
-Evaluations go through :func:`~repro.harness.profiling.simulate_point`
-under the standard ``simpoint`` cache key, so optimizer probes share
-the result cache with the other sweeps: a warm cache makes refinement
-incremental across campaigns and ``--resume`` runs, and the chosen row
-is bitwise-identical to the corresponding exhaustive measurement.
+It stops only on an adjacent measured flip pair, so the pick, the
+final bracket and the interpolated boundary are exactly what an
+exhaustive sweep of the ladder gives; the model only decides which
+points to measure.  The energy-delay objectives are unimodal in
+frequency and refine a three-point bracket around the incumbent
+minimum from a coarse sub-ladder.
+
+Every round evaluates the *frontier* — the points every active search
+needs next — as one flat fan-out through the
+:class:`~repro.harness.executor.SweepExecutor`, so rounds parallelize
+across workers and across searches (in groups that fit the compile
+cache, so no program recompiles round after round).  Evaluations go
+through :func:`~repro.harness.profiling.simulate_point` under the
+standard ``simpoint`` cache key, so optimizer probes share the result
+cache with the other sweeps: a warm cache makes refinement incremental
+across campaigns and ``--resume`` runs, and the chosen row is
+bitwise-identical to the corresponding exhaustive measurement.  The
+1-core search's top probe *is* the application's 1-core nominal
+baseline, so it is taken from the baseline instead of measured again.
 
 For budget-style objectives the final bracket also yields the paper's
 "linearly scaling between the two" profiled points: the budget boundary
@@ -41,9 +56,7 @@ on the grid so adaptive results match the exhaustive sweep exactly.
 Objectives are pluggable (:data:`OBJECTIVES`): ``power-iso`` (Scenario
 I as a measured search), ``speedup-budget`` (Scenario II), and the
 ``edp``/``ed2p`` energy-delay products the report's Scenario III
-extension plots.  The monotone objectives refine a boundary bracket by
-bisection; the energy-delay objectives are unimodal in frequency and
-refine a three-point bracket around the incumbent minimum.
+extension plots.
 """
 
 from __future__ import annotations
@@ -108,14 +121,19 @@ class MinPowerAtIsoPerformance:
     #: The low-frequency side of the ladder is the *infeasible* side.
     feasible_low = False
 
-    def feasible(self, row: SimPointRow, t1_ps: int, budget_w: float) -> bool:
-        return row.execution_time_ps <= t1_ps
+    def constraint(self, row: SimPointRow) -> float:
+        """Observed value of the binding constraint (feasible at most
+        :meth:`limit`)."""
+        return float(row.execution_time_ps)
 
-    def constraint(
-        self, row: SimPointRow, t1_ps: int, budget_w: float
-    ) -> Tuple[float, float]:
-        """(observed value, limit) of the binding constraint."""
-        return float(row.execution_time_ps), float(t1_ps)
+    def limit(self, t1_ps: int, budget_w: float) -> float:
+        return float(t1_ps)
+
+    def fit_x(self, context: ExperimentContext, f_hz: float) -> float:
+        """Model coordinate the constraint is affine in: the on-chip
+        part of execution time scales with ``1/f``, the off-chip part
+        not at all."""
+        return 1.0 / f_hz
 
     def metric(self, row: SimPointRow, t1_ps: int) -> float:
         return row.total_power_w
@@ -136,13 +154,17 @@ class MaxSpeedupUnderBudget:
     kind = "boundary"
     feasible_low = True
 
-    def feasible(self, row: SimPointRow, t1_ps: int, budget_w: float) -> bool:
-        return row.total_power_w <= budget_w
+    def constraint(self, row: SimPointRow) -> float:
+        return row.total_power_w
 
-    def constraint(
-        self, row: SimPointRow, t1_ps: int, budget_w: float
-    ) -> Tuple[float, float]:
-        return row.total_power_w, budget_w
+    def limit(self, t1_ps: int, budget_w: float) -> float:
+        return budget_w
+
+    def fit_x(self, context: ExperimentContext, f_hz: float) -> float:
+        """Model coordinate the constraint is affine in: dynamic power
+        is ``a*C*V^2*f`` (Eq. 4), with ``V`` the V/f table's entry."""
+        voltage = context.vf_table.voltage_for_frequency(f_hz)
+        return f_hz * voltage * voltage
 
     def metric(self, row: SimPointRow, t1_ps: int) -> float:
         return t1_ps / row.execution_time_ps
@@ -168,9 +190,6 @@ class MinEnergyDelay:
             raise ConfigurationError("delay_exponent must be >= 1")
         self.delay_exponent = delay_exponent
         self.name = "edp" if delay_exponent == 1 else f"ed{delay_exponent}p"
-
-    def feasible(self, row: SimPointRow, t1_ps: int, budget_w: float) -> bool:
-        return True
 
     def metric(self, row: SimPointRow, t1_ps: int) -> float:
         time_s = row.execution_time_ps * PICO
@@ -236,77 +255,111 @@ def pick_boundary(
 
 
 class _BoundarySearch:
-    """Bisect a monotone feasibility boundary on a ladder of indices."""
+    """Locate a monotone feasibility flip on a ladder, seeded by a model.
 
-    def __init__(self, num_points: int, feasible_low: bool, stride: int):
-        self.num_points = num_points
+    ``xs[i]`` is ladder point ``i``'s model coordinate, in which the
+    constraint is expected to be affine; ``known[i]`` is its measured
+    constraint value, feasible when at most ``limit``.  The model only
+    chooses probes: the search ends on an adjacent measured flip pair
+    (or a uniform ladder), so any monotone values — shaped like the
+    model or not — resolve to :func:`pick_boundary`'s pick.
+    """
+
+    #: Model predictions before the search falls back to bisection.
+    max_predictions = 2
+
+    def __init__(self, xs: Sequence[float], limit: float, feasible_low: bool):
+        self.xs = xs
+        self.num_points = len(xs)
+        self.limit = limit
         self.feasible_low = feasible_low
-        self.stride = max(1, min(stride, num_points - 1)) if num_points > 1 else 1
-        self.known: Dict[int, bool] = {}
+        self.known: Dict[int, float] = {}
+        self.predictions = 0
         self.bracket: Optional[Tuple[int, int]] = None
-        self.done = num_points == 0
+        self.done = self.num_points == 0
         self.result: Optional[int] = None
         self.boundary: Optional[Tuple[int, int]] = None
+        self._wanted: List[int] = []
+        self.advance()
+
+    def feasible(self, index: int) -> bool:
+        return self.known[index] <= self.limit
 
     def frontier(self) -> List[int]:
         """Ladder indices this search needs evaluated next."""
-        if self.done:
-            return []
-        if self.bracket is None:
-            return [
-                i
-                for i in _coarse_indices(self.num_points, self.stride)
-                if i not in self.known
-            ]
-        lo, hi = self.bracket
-        return [(lo + hi) // 2] if hi - lo > 1 else []
+        return list(self._wanted)
 
     def advance(self) -> None:
-        """Fold the frontier's results in and shrink the bracket."""
+        """Fold the frontier's results in and choose the next probes.
+
+        Values may also arrive outside a round (the 1-core search's top
+        probe is the application's baseline); each call plans from
+        everything known so far.
+        """
         if self.done:
             return
-        if self.bracket is None:
-            probes = _coarse_indices(self.num_points, self.stride)
-            flags = [self.known[i] for i in probes]
-            flip = next(
-                (
-                    (probes[k], probes[k + 1])
-                    for k in range(len(probes) - 1)
-                    if flags[k] != flags[k + 1]
-                ),
-                None,
-            )
-            if flip is None:
-                # Feasibility is uniform across the coarse ladder; with
-                # a monotone predicate (endpoints included) that means
-                # uniform across the whole ladder.
-                self.done = True
-                if flags[0]:
-                    self.result = (
-                        self.num_points - 1 if self.feasible_low else 0
-                    )
-                return
-            self.bracket = flip
+        top = self.num_points - 1
+        if top not in self.known:
+            self._wanted = [top]
+            return
+        if self.feasible(top) == self.feasible_low:
+            # A feasible top is the best a feasible-low ladder offers; an
+            # infeasible top leaves a feasible-high ladder nothing.
+            self._finish(top if self.feasible_low else None)
+            return
+        if 0 not in self.known:
+            self._wanted = [0]
+            return
+        probes = sorted(self.known)
+        flip = next(
+            (
+                (lo, hi)
+                for lo, hi in zip(probes, probes[1:])
+                if self.feasible(lo) != self.feasible(hi)
+            ),
+            None,
+        )
+        if flip is None:
+            # Both ends agree, and the predicate is monotone.
+            self._finish(0 if self.feasible(0) else None)
+            return
+        self.bracket = lo, hi = flip
+        if hi - lo == 1:
+            self.boundary = flip
+            self._finish(lo if self.feasible(lo) else hi)
+            return
+        pair = None
+        if self.predictions < self.max_predictions:
+            pair = self._predicted_pair(lo, hi)
+        if pair is None:
+            self._wanted = [(lo + hi) // 2]
         else:
-            lo, hi = self.bracket
-            mid = (lo + hi) // 2
-            if self.known[mid] == self.known[lo]:
-                self.bracket = (mid, hi)
-            else:
-                self.bracket = (lo, mid)
-        lo, hi = self.bracket
-        if hi - lo <= 1:
-            self.done = True
-            self.boundary = (lo, hi)
-            self.result = lo if self.known[lo] else hi
+            self.predictions += 1
+            self._wanted = [i for i in pair if i not in self.known]
+
+    def _predicted_pair(self, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+        """The adjacent pair a line through the bracket ends puts the
+        flip in, or ``None`` when rounding puts it past ``hi``."""
+        x_lo, value_lo = self.xs[lo], self.known[lo]
+        slope = (self.known[hi] - value_lo) / (self.xs[hi] - x_lo)
+        side = self.feasible(lo)
+        for k in range(lo + 1, hi + 1):
+            if (value_lo + slope * (self.xs[k] - x_lo) <= self.limit) != side:
+                return k - 1, k
+        return None
+
+    def _finish(self, result: Optional[int]) -> None:
+        self.done = True
+        self.result = result
+        self._wanted = []
 
 
 class _UnimodalSearch:
     """Refine a three-point bracket around a unimodal metric's minimum."""
 
-    def __init__(self, num_points: int, stride: int):
+    def __init__(self, num_points: int):
         self.num_points = num_points
-        self.stride = max(1, min(stride, num_points - 1)) if num_points > 1 else 1
+        self.stride = _default_stride(num_points)
         self.known: Dict[int, float] = {}
         self.done = num_points == 0
         self.result: Optional[int] = None
@@ -356,7 +409,9 @@ class OptimizerRow:
     ``f_interpolated_hz`` is the linearly interpolated constraint
     boundary between the bracketing profiled points; it equals
     ``frequency_hz`` when the constraint never flips on the ladder (or
-    the objective has no constraint).
+    the objective has no constraint).  ``evaluations`` counts the
+    search's own probes; a 1-core boundary search takes its top probe
+    from the baseline, so one its top probe settles reports 0.
     """
 
     objective: str
@@ -388,8 +443,10 @@ class OptimizerRow:
 class OptimizerCampaign:
     """Everything one :func:`run_optimizer` invocation produced.
 
-    ``evaluations`` counts the distinct grid points the search
-    requested — exactly the simulations a cold cache would run.
+    ``evaluations`` counts the distinct grid points the searches
+    requested — exactly the simulations a cold cache would run on top
+    of the ``baseline_evaluations`` (the 1-core search's top probe is
+    its application's baseline, so it is counted there only).
     ``cold_evaluations`` is how many of them actually simulated in
     *this* invocation (the rest were result-cache hits), so a warm
     re-run reports the same ``evaluations`` with ``cold_evaluations``
@@ -439,9 +496,13 @@ class OptimizerCampaign:
 class _SearchState:
     """One (application, N) search plus everything its rows need."""
 
-    def __init__(self, model: WorkloadModel, n: int, search) -> None:
+    def __init__(
+        self, model: WorkloadModel, n: int, t1_ps: int, search
+    ) -> None:
         self.model = model
         self.n = n
+        #: The application's 1-core nominal execution time (T1).
+        self.t1_ps = t1_ps
         self.search = search
         self.rows: Dict[int, SimPointRow] = {}
         self.evaluations = 0
@@ -449,13 +510,7 @@ class _SearchState:
 
 
 def _interpolated_frequency(
-    objective,
-    ladder: Sequence[float],
-    state: _SearchState,
-    boundary: Optional[Tuple[int, int]],
-    chosen_hz: float,
-    t1_ps: int,
-    budget_w: float,
+    search, ladder: Sequence[float], chosen_hz: float
 ) -> float:
     """Locate the constraint boundary between two profiled points.
 
@@ -463,18 +518,14 @@ def _interpolated_frequency(
     profiled measurements; the crossing is clamped into the bracket so
     measurement noise can never put it outside the profiled pair.
     """
-    if boundary is None or not hasattr(objective, "constraint"):
+    if search.boundary is None:
         return chosen_hz
-    lo, hi = boundary
-    row_lo, row_hi = state.rows.get(lo), state.rows.get(hi)
-    if row_lo is None or row_hi is None:
-        return chosen_hz
-    value_lo, limit = objective.constraint(row_lo, t1_ps, budget_w)
-    value_hi, _ = objective.constraint(row_hi, t1_ps, budget_w)
+    lo, hi = search.boundary
+    value_lo, value_hi = search.known[lo], search.known[hi]
     f_lo, f_hi = ladder[lo], ladder[hi]
-    if value_hi == value_lo:
-        return chosen_hz
-    crossing = f_lo + (limit - value_lo) * (f_hi - f_lo) / (value_hi - value_lo)
+    crossing = f_lo + (search.limit - value_lo) * (f_hi - f_lo) / (
+        value_hi - value_lo
+    )
     return min(max(crossing, f_lo), f_hi)
 
 
@@ -511,7 +562,6 @@ def run_optimizer(
     budget_w: Optional[float] = None,
     executor: Optional[SweepExecutor] = None,
     step_hz: float = DEFAULT_STEP_HZ,
-    coarse_stride: Optional[int] = None,
     exhaustive: bool = False,
 ) -> OptimizerCampaign:
     """Search every (application, N) pair's ladder for the optimum.
@@ -537,12 +587,14 @@ def run_optimizer(
         context.calibration.max_operational_power_w
     )
     ladder = frequency_ladder(context, step_hz)
-    stride = coarse_stride if coarse_stride is not None else _default_stride(
-        len(ladder)
+    xs = (
+        [objective.fit_x(context, f_hz) for f_hz in ladder]
+        if objective.kind == "boundary"
+        else None
     )
 
     campaign = OptimizerCampaign(objective=objective.name)
-    t1_by_app: Dict[str, int] = {}
+    baselines: Dict[str, SimPointRow] = {}
     with get_tracer().span(
         "optimizer.campaign",
         objective=objective.name,
@@ -557,7 +609,7 @@ def run_optimizer(
             fresh = {
                 model.name: model
                 for model, _ in group
-                if model.name not in t1_by_app
+                if model.name not in baselines
                 and model.name not in campaign.failed_baselines
             }
             baseline_tasks = [SimPointTask(spec=m.spec, n=1) for m in fresh.values()]
@@ -570,35 +622,41 @@ def run_optimizer(
             campaign.baseline_evaluations += len(baseline_tasks)
             for task, outcome in zip(baseline_tasks, baseline_outcomes):
                 if outcome.ok:
-                    t1_by_app[task.spec.name] = outcome.value.execution_time_ps
+                    baselines[task.spec.name] = outcome.value
                 else:
                     campaign.failed_baselines.append(task.spec.name)
                     campaign.skipped.append((task.spec.name, 1))
 
             states: List[_SearchState] = []
             for model, n in group:
-                if model.name not in t1_by_app:
+                baseline = baselines.get(model.name)
+                if baseline is None:
                     continue
+                t1_ps = baseline.execution_time_ps
                 if objective.kind == "boundary":
                     search = _BoundarySearch(
-                        len(ladder), objective.feasible_low, stride
+                        xs, objective.limit(t1_ps, budget), objective.feasible_low
                     )
                 else:
-                    search = _UnimodalSearch(len(ladder), stride)
-                if exhaustive:
-                    search.stride = 1
-                states.append(_SearchState(model, n, search))
+                    search = _UnimodalSearch(len(ladder))
+                state = _SearchState(model, n, t1_ps, search)
+                if n == 1 and objective.kind == "boundary" and not exhaustive:
+                    # ``SimPointTask(n=1)`` at nominal is bitwise this
+                    # search's top probe: take it from the baseline.
+                    top = len(ladder) - 1
+                    state.rows[top] = baseline
+                    search.known[top] = objective.constraint(baseline)
+                    search.advance()
+                states.append(state)
             campaign.exhaustive_evaluations += len(ladder) * len(states)
             _search(
-                context, executor, objective, ladder, states, t1_by_app,
-                budget, exhaustive, campaign,
+                context, executor, objective, ladder, states, exhaustive,
+                campaign,
             )
             for state in states:
                 if state.failed:
                     continue
-                row = _row_from_state(
-                    state, objective, ladder, context, t1_by_app, budget
-                )
+                row = _row_from_state(state, objective, ladder, context, budget)
                 if row is not None:
                     campaign.rows.append(row)
         campaign.rows.sort(key=lambda r: (r.app, r.n))
@@ -617,8 +675,6 @@ def _search(
     objective,
     ladder: Sequence[float],
     states: List[_SearchState],
-    t1_by_app: Dict[str, int],
-    budget: float,
     exhaustive: bool,
     campaign: OptimizerCampaign,
 ) -> None:
@@ -634,11 +690,9 @@ def _search(
             if state.failed:
                 continue
             if exhaustive:
-                wanted = (
-                    []
-                    if state.search.done or state.search.known
-                    else list(range(len(ladder)))
-                )
+                wanted = [
+                    i for i in range(len(ladder)) if i not in state.search.known
+                ]
             else:
                 wanted = state.search.frontier()
             frontier.extend((state, index) for index in wanted)
@@ -685,11 +739,10 @@ def _search(
                 campaign.cold_evaluations += 1
             row = outcome.value
             state.rows[index] = row
-            t1_ps = t1_by_app[state.model.name]
             if objective.kind == "boundary":
-                state.search.known[index] = objective.feasible(row, t1_ps, budget)
+                state.search.known[index] = objective.constraint(row)
             else:
-                state.search.known[index] = objective.metric(row, t1_ps)
+                state.search.known[index] = objective.metric(row, state.t1_ps)
             advanced.add(id(state))
         for state in states:
             if id(state) in advanced and not state.failed:
@@ -705,7 +758,7 @@ def _resolve_exhaustive(state: _SearchState, objective) -> None:
     if len(search.known) < search.num_points:
         return
     if objective.kind == "boundary":
-        flags = [search.known[i] for i in range(search.num_points)]
+        flags = [search.feasible(i) for i in range(search.num_points)]
         index, bracket = pick_boundary(flags, objective.feasible_low)
         search.result = index
         search.boundary = bracket
@@ -721,7 +774,6 @@ def _row_from_state(
     objective,
     ladder: Sequence[float],
     context: ExperimentContext,
-    t1_by_app: Dict[str, int],
     budget: float,
 ) -> Optional[OptimizerRow]:
     """Assemble the final row for one resolved (application, N) search."""
@@ -733,10 +785,9 @@ def _row_from_state(
     row = state.rows.get(index)
     if row is None:
         return None
-    t1_ps = t1_by_app[state.model.name]
+    t1_ps = state.t1_ps
     chosen_hz = ladder[index]
-    boundary = getattr(search, "boundary", None)
-    # Round 0 always probes the top of the ladder (nominal frequency).
+    # Every search measures the top of the ladder (nominal frequency).
     nominal = state.rows[search.num_points - 1]
     return OptimizerRow(
         objective=objective.name,
@@ -749,9 +800,7 @@ def _row_from_state(
         speedup=t1_ps / row.execution_time_ps,
         metric=objective.metric(row, t1_ps),
         feasible=feasible,
-        f_interpolated_hz=_interpolated_frequency(
-            objective, ladder, state, boundary, chosen_hz, t1_ps, budget
-        ),
+        f_interpolated_hz=_interpolated_frequency(search, ladder, chosen_hz),
         f_nominal_hz=context.f_nominal,
         budget_w=budget,
         evaluations=state.evaluations,

@@ -9,13 +9,14 @@ actual speedup there next to the nominal one (Figure 4).
 
 That pick is exactly the optimizer's ``speedup-budget`` boundary search
 (:mod:`repro.harness.optimizer`): power rises monotonically with
-frequency, so a coarse-to-fine bisection of the ladder finds the grid
-optimum an exhaustive sweep would, from a few measured points.  Every
-probe is a :func:`~repro.harness.profiling.simulate_point` evaluation
-under the shared ``simpoint`` cache key, the chosen probe *is* the
-"real speedup" measurement, and the nominal speedup comes from the
-top-of-ladder probe every search makes in its first round.  A warm
-cache therefore re-runs the figure without simulating.
+frequency and is close to affine in ``f*V^2``, so a search seeded by
+that model finds the grid optimum an exhaustive sweep would, from a
+few measured points.  Every probe is a
+:func:`~repro.harness.profiling.simulate_point` evaluation under the
+shared ``simpoint`` cache key, the chosen probe *is* the "real
+speedup" measurement, and the nominal speedup comes from the
+top-of-ladder probe every search makes first.  A warm cache therefore
+re-runs the figure without simulating.
 
 Memory-bound applications benefit twice, as the paper observes: their
 nominal power is far below the budget (no throttling needed until high

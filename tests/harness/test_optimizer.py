@@ -17,6 +17,7 @@ Three layers:
 
 import json
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -68,47 +69,131 @@ def drive(search, values):
     return evaluated
 
 
-monotone_cases = st.tuples(
-    st.integers(min_value=1, max_value=48),  # ladder length
-    st.integers(min_value=0, max_value=48),  # boundary position
-    st.booleans(),  # feasible_low
-)
+#: Strictly increasing model coordinates, one per ladder point (the
+#: cases reverse them too, like ``1/f`` for the iso-performance
+#: objective).
+coordinates = st.tuples(
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.lists(st.floats(min_value=0.01, max_value=100.0), max_size=47),
+).map(lambda case: list(accumulate(case[1], initial=case[0])))
 
 
-@given(monotone_cases)
-@settings(max_examples=200, deadline=None)
+def _boundary_bound(n):
+    """Top, floor, two predicted pairs, then bisection."""
+    return 2 + 4 + math.ceil(math.log2(n))
+
+
+@st.composite
+def monotone_cases(draw):
+    """Any monotone constraint values, shaped like the model or not."""
+    xs = draw(coordinates)
+    if draw(st.booleans()):
+        xs = xs[::-1]
+    values = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                min_size=len(xs),
+                max_size=len(xs),
+            )
+        )
+    )
+    feasible_low = draw(st.booleans())
+    if not feasible_low:
+        values = values[::-1]
+    limit = draw(
+        st.sampled_from(values)
+        | st.floats(min_value=-2e6, max_value=2e6, allow_nan=False)
+    )
+    return xs, values, limit, feasible_low
+
+
+@given(monotone_cases())
+@settings(max_examples=300, deadline=None)
 def test_boundary_search_matches_exhaustive_pick(case):
-    n, boundary, feasible_low = case
-    if feasible_low:
-        flags = [i < boundary for i in range(n)]
-    else:
-        flags = [i >= boundary for i in range(n)]
-    search = _BoundarySearch(n, feasible_low, _default_stride(n))
-    evaluated = drive(search, flags)
+    xs, values, limit, feasible_low = case
+    search = _BoundarySearch(xs, limit, feasible_low)
+    evaluated = drive(search, values)
+    flags = [value <= limit for value in values]
     expected, _bracket = pick_boundary(flags, feasible_low)
     assert search.result == expected
-    # Coarse ladder plus one bisection chain: the search never needs
-    # more than the round-0 probes and log2(stride) midpoints.
-    stride = _default_stride(n)
-    bound = len(_coarse_indices(n, stride)) + max(1, stride).bit_length()
-    assert len(evaluated) <= bound
+    assert len(evaluated) <= _boundary_bound(len(xs))
 
 
-@given(monotone_cases)
+@given(monotone_cases())
 @settings(max_examples=100, deadline=None)
 def test_boundary_search_bracket_straddles_the_flip(case):
-    n, boundary, feasible_low = case
-    if feasible_low:
-        flags = [i < boundary for i in range(n)]
-    else:
-        flags = [i >= boundary for i in range(n)]
-    search = _BoundarySearch(n, feasible_low, _default_stride(n))
-    drive(search, flags)
+    xs, values, limit, feasible_low = case
+    search = _BoundarySearch(xs, limit, feasible_low)
+    evaluated = drive(search, values)
+    flags = [value <= limit for value in values]
     _expected, bracket = pick_boundary(flags, feasible_low)
+    assert search.boundary == bracket
     if bracket is not None:
-        assert search.boundary == bracket
-        lo, hi = search.boundary
+        lo, hi = bracket
+        assert lo in evaluated and hi in evaluated
         assert flags[lo] != flags[hi]
+
+
+@st.composite
+def affine_cases(draw):
+    """Values exactly affine in the model coordinate, with the limit
+    halfway between two neighbouring values (or past either end)."""
+    xs = draw(coordinates)
+    if draw(st.booleans()):
+        xs = xs[::-1]
+    feasible_low = draw(st.booleans())
+    slope = draw(st.floats(min_value=0.1, max_value=10.0))
+    # Feasible-low values rise along the ladder, feasible-high ones fall.
+    if (xs[-1] >= xs[0]) != feasible_low:
+        slope = -slope
+    offset = draw(st.floats(min_value=-100.0, max_value=100.0))
+    values = [offset + slope * x for x in xs]
+    ordered = sorted(values)
+    gaps = [-1.0] + [(a + b) / 2 for a, b in zip(ordered, ordered[1:])] + [1.0]
+    gap = draw(st.integers(min_value=0, max_value=len(gaps) - 1))
+    if gap == 0:
+        limit = ordered[0] - 1.0
+    elif gap == len(gaps) - 1:
+        limit = ordered[-1] + 1.0
+    else:
+        limit = gaps[gap]
+    return xs, values, limit, feasible_low
+
+
+@given(affine_cases())
+@settings(max_examples=300, deadline=None)
+def test_affine_values_resolve_in_four_evaluations(case):
+    xs, values, limit, feasible_low = case
+    search = _BoundarySearch(xs, limit, feasible_low)
+    evaluated = drive(search, values)
+    flags = [value <= limit for value in values]
+    assert (search.result, search.boundary) == pick_boundary(flags, feasible_low)
+    assert len(evaluated) <= 4
+
+
+@given(monotone_cases())
+@settings(max_examples=100, deadline=None)
+def test_a_settling_top_probe_is_the_only_evaluation(case):
+    xs, values, limit, feasible_low = case
+    top_feasible = values[-1] <= limit
+    search = _BoundarySearch(xs, limit, feasible_low)
+    evaluated = drive(search, values)
+    if top_feasible == feasible_low:
+        assert evaluated == {len(xs) - 1}
+    else:
+        assert len(evaluated) >= min(2, len(xs))
+
+
+def test_a_seeded_top_probe_is_not_requested_again():
+    xs = [float(i) for i in range(16)]
+    values = [10.0 * i for i in range(16)]
+    search = _BoundarySearch(xs, 75.0, feasible_low=True)
+    search.known[15] = values[15]
+    search.advance()
+    evaluated = drive(search, values)
+    assert 15 not in evaluated
+    assert (search.result, search.boundary) == (7, (7, 8))
 
 
 unimodal_cases = st.tuples(
@@ -128,7 +213,7 @@ def test_unimodal_search_finds_the_strict_minimum(case):
         (minimum - i) * left if i <= minimum else (i - minimum) * right
         for i in range(n)
     ]
-    search = _UnimodalSearch(n, _default_stride(n))
+    search = _UnimodalSearch(n)
     evaluated = drive(search, values)
     expected = min(range(n), key=lambda i: (values[i], i))
     assert search.result == expected
@@ -284,6 +369,32 @@ def test_campaign_accounting_is_consistent(context, shared_executor):
     assert "speedup-budget" in campaign.summary()
     for row in campaign.rows:
         assert row.energy_j > 0.0
+
+
+def test_cold_scenario2_simulates_each_point_once(context, tmp_path, monkeypatch):
+    """The 1-core search's top probe is the baseline, not a second run."""
+    import repro.harness.scenario2 as scenario2
+
+    campaigns = []
+
+    def spy(*args, **kwargs):
+        campaigns.append(run_optimizer(*args, **kwargs))
+        return campaigns[-1]
+
+    monkeypatch.setattr(scenario2, "run_optimizer", spy)
+    executor = SweepExecutor(cache=ResultCache(tmp_path))
+    models = [workload_by_name(app) for app in ("FMM", "Radix")]
+    run_scenario2(context, models, core_counts=(1, 2, 16), executor=executor)
+    (campaign,) = campaigns
+    assert executor.stats.evaluated == (
+        campaign.baseline_evaluations + campaign.cold_evaluations
+    )
+    assert campaign.cache_hits == 0
+    assert campaign.evaluations == campaign.cold_evaluations
+    assert campaign.evaluations == sum(row.evaluations for row in campaign.rows)
+    for row in campaign.rows:
+        if row.n == 1 and row.frequency_hz == context.f_nominal:
+            assert row.evaluations == 0
 
 
 def test_optimizer_rows_round_trip_through_the_store(
