@@ -26,19 +26,15 @@ ops per host second three ways:
    :class:`repro.telemetry.trace.Tracer` installed, measuring what
    ``--telemetry-dir`` costs in the kernel loop.  The run doubles the
    geomean tracing overhead into the summary, and the benchmark exits
-   non-zero when it exceeds ``--max-telemetry-overhead`` (default 15%);
-5. ``fast_warm_sampling`` — same as ``fast_warm`` but with an enabled
-   :class:`repro.telemetry.timeseries.CounterSampler` installed (tracer
-   off), isolating the cost of counter sampling alone.  Gated by
-   ``--max-sampling-overhead`` (default 10%) the same way.
+   non-zero when it exceeds ``--max-telemetry-overhead`` (default 15%).
 
 Each mode runs ``--repeats`` times and keeps the best (least-noise)
-time for its ops/sec.  The two overheads are instead the median over
-repeats of the paired ratio traced (or sampled) over ``fast_warm``,
-each pair timed back to back, so one noisy 10-25 ms run cannot trip
-the gate.  Counters are asserted identical between reference, fast,
-fast-with-telemetry, and fast-with-sampling on every point, so the
-benchmark doubles as an end-to-end equivalence check.
+time for its ops/sec.  The overhead is instead the median over repeats
+of the paired ratio traced over ``fast_warm``, each pair timed back to
+back, so one noisy 10-25 ms run cannot trip the gate.  Counters are
+asserted identical between reference, fast, and fast-with-telemetry on
+every point, so the benchmark doubles as an end-to-end equivalence
+check.
 
 ``--check BASELINE.json`` guards against perf regressions in CI: for
 every point present in both runs it compares ``speedup_warm`` (warm
@@ -62,7 +58,6 @@ from dataclasses import asdict
 
 from repro.sim import ChipMultiprocessor, CMPConfig
 from repro.sim.ops import OpStreamCache, compile_workload
-from repro.telemetry.timeseries import CounterSampler, get_sampler, set_sampler
 from repro.telemetry.trace import Tracer, get_tracer, set_tracer
 from repro.workloads import WorkloadModel, workload_by_name
 
@@ -122,35 +117,23 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
             tracer.drain_since(0)
             set_tracer(previous)
 
-    def sampled_fast_run(cache):
-        sampler = CounterSampler(enabled=True)
-        previous = get_sampler()
-        set_sampler(sampler)
-        try:
-            return fast_run(cache)
-        finally:
-            set_sampler(previous)
-
     best = {}
-    traced_ratios, sampled_ratios = [], []
-    reference = fast = traced = sampled = None
+    traced_ratios = []
+    reference = fast = traced = None
     for _ in range(repeats):
         reference, t_ref = reference_run()
         cold_cache = OpStreamCache()
         fast, t_cold = fast_run(cold_cache)  # compile included
         fast, t_warm = fast_run(cold_cache)  # cache hit
         traced, t_traced = traced_fast_run(cold_cache)  # cache hit + tracer
-        sampled, t_sampled = sampled_fast_run(cold_cache)  # cache hit + sampler
         for mode, seconds in (
             ("reference", t_ref),
             ("fast_cold", t_cold),
             ("fast_warm", t_warm),
             ("fast_warm_telemetry", t_traced),
-            ("fast_warm_sampling", t_sampled),
         ):
             best[mode] = min(best.get(mode, math.inf), seconds)
         traced_ratios.append(t_traced / t_warm)
-        sampled_ratios.append(t_sampled / t_warm)
 
     if counters(reference) != counters(fast):
         raise AssertionError(
@@ -159,11 +142,6 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
     if counters(reference) != counters(traced):
         raise AssertionError(
             f"{app} n={n}: enabling telemetry changed the simulated counters"
-        )
-    if counters(reference) != counters(sampled):
-        raise AssertionError(
-            f"{app} n={n}: enabling counter sampling changed the simulated "
-            "counters"
         )
 
     ops = reference.kernel.total_ops
@@ -179,7 +157,6 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
     point["speedup_cold"] = round(best["reference"] / best["fast_cold"], 3)
     point["speedup_warm"] = round(best["reference"] / best["fast_warm"], 3)
     point["telemetry_overhead"] = round(statistics.median(traced_ratios) - 1.0, 4)
-    point["sampling_overhead"] = round(statistics.median(sampled_ratios) - 1.0, 4)
     return point
 
 
@@ -307,12 +284,10 @@ def run_benchmark(args) -> dict:
                 f"ops/s, warm {point['fast_warm_ops_per_sec']:>11,.0f} ops/s "
                 f"({point['speedup_warm']:.2f}x, "
                 f"fast-path {100 * point['fast_path_ratio']:.1f}%, "
-                f"telemetry {100 * point['telemetry_overhead']:+.1f}%, "
-                f"sampling {100 * point['sampling_overhead']:+.1f}%)"
+                f"telemetry {100 * point['telemetry_overhead']:+.1f}%)"
             )
     warm = [p["speedup_warm"] for p in points]
     overhead_ratios = [1.0 + p["telemetry_overhead"] for p in points]
-    sampling_ratios = [1.0 + p["sampling_overhead"] for p in points]
     return {
         "schema": SCHEMA,
         "host": {
@@ -334,10 +309,6 @@ def run_benchmark(args) -> dict:
                 geomean(overhead_ratios) - 1.0, 4
             ),
             "max_telemetry_overhead": max(p["telemetry_overhead"] for p in points),
-            "geomean_sampling_overhead": round(
-                geomean(sampling_ratios) - 1.0, 4
-            ),
-            "max_sampling_overhead": max(p["sampling_overhead"] for p in points),
         },
     }
 
@@ -431,17 +402,6 @@ def main() -> int:
             "proportionally larger slice; negative disables the gate)"
         ),
     )
-    parser.add_argument(
-        "--max-sampling-overhead",
-        type=float,
-        default=0.10,
-        help=(
-            "fail when the geomean counter-sampling slowdown exceeds this "
-            "fraction (default: 0.10 — the sampler only fires at window "
-            "boundaries, so it should cost far less than the per-slow-op "
-            "tracer; negative disables the gate)"
-        ),
-    )
     args = parser.parse_args()
     if args.repeats is None:
         args.repeats = QUICK_REPEATS if args.quick else 3
@@ -471,15 +431,6 @@ def main() -> int:
         print(
             f"[check] REGRESSION: telemetry overhead {overhead:.1%} exceeds "
             f"the {args.max_telemetry_overhead:.0%} budget",
-            file=sys.stderr,
-        )
-        return 1
-    sampling_overhead = summary["geomean_sampling_overhead"]
-    print(f"sampling overhead: geomean {100 * sampling_overhead:+.1f}%")
-    if 0 <= args.max_sampling_overhead < sampling_overhead:
-        print(
-            f"[check] REGRESSION: sampling overhead {sampling_overhead:.1%} "
-            f"exceeds the {args.max_sampling_overhead:.0%} budget",
             file=sys.stderr,
         )
         return 1

@@ -269,8 +269,8 @@ def _telemetry_run_from_args(args, command: str):
     """Enable telemetry and open a run directory when ``--telemetry-dir`` is set.
 
     Telemetry must be on before any farm child forks so the children
-    inherit the enabled tracer and sampler (and with them the shared
-    wall-clock anchor).
+    inherit the enabled tracer (and with it the shared wall-clock
+    anchor).
     """
     if not getattr(args, "telemetry_dir", None):
         return None
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("export", "write Chrome trace_event JSON for chrome://tracing"),
         ("metrics", "print per-phase span counts and wall time"),
-        ("timeline", "render sampled counter channels as sparklines"),
+        ("timeline", "render the point rows' numeric fields as sparklines"),
         ("validate", "check a run directory against the manifest schema"),
     ):
         sub = trace_commands.add_parser(name, help=help_text)
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="append",
                 default=None,
                 metavar="NAME",
-                help="channel to render (repeatable; default: all sampled)",
+                help="row field to render (repeatable; default: all numeric)",
             )
             sub.add_argument(
                 "--width",
@@ -818,47 +818,41 @@ def _cmd_trace(args) -> int:
             print(_render_timeline(run_dir, args.channel, args.width))
         else:  # validate
             summary = validate_run_dir(run_dir)
-            line = (
+            print(
                 f"{run_dir}: OK — status {summary['manifest']['status']!r}, "
-                f"{summary['points']} point events, {summary['spans']} spans, "
-                f"{summary['samples']} timeline samples"
+                f"{summary['points']} point events, {summary['spans']} spans"
             )
-            if summary["torn_samples"]:
-                line += f" ({summary['torn_samples']} torn lines skipped)"
-            print(line)
     except ConfigurationError as exc:
         print(f"trace {args.trace_command}: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def _render_timeline(run_dir, channels, width: int) -> str:
-    """Sparklines plus alert findings for one run's sampled timeline."""
+def _render_timeline(run_dir, fields, width: int) -> str:
+    """Sparklines of the point rows' numeric fields, plus alert findings."""
     from repro.errors import ConfigurationError
     from repro.harness.asciichart import sparkline
-    from repro.telemetry.alerts import evaluate_rules, stats_from_samples
-    from repro.telemetry.manifest import load_manifest, load_timeline
-    from repro.telemetry.timeseries import SampleRecord
+    from repro.telemetry.alerts import RowStats, evaluate_rules, numeric_fields
+    from repro.telemetry.manifest import load_events
 
-    entries, torn = load_timeline(run_dir)
-    samples = [
-        SampleRecord.from_dict(entry)
-        for entry in entries
-        if isinstance(entry.get("channel"), str)
-    ]
-    if not samples:
-        return f"{run_dir}: no timeline samples (was sampling enabled?)"
+    stats = RowStats()
     grouped: dict = {}
-    for record in samples:
-        grouped.setdefault(record.channel, []).append(record.value)
-    if channels:
-        missing = [name for name in channels if name not in grouped]
+    for event in load_events(run_dir):
+        if event.get("event") == "point":
+            row = event.get("row", {})
+            stats.observe(row)
+            for name, value in numeric_fields(row):
+                grouped.setdefault(name, []).append(value)
+    if not grouped:
+        return f"{run_dir}: no point rows (did any point return a row?)"
+    if fields:
+        missing = [name for name in fields if name not in grouped]
         if missing:
             raise ConfigurationError(
-                f"{run_dir}: no samples for channel(s) {', '.join(missing)}; "
-                f"sampled: {', '.join(sorted(grouped))}"
+                f"{run_dir}: no row field(s) {', '.join(missing)}; "
+                f"recorded: {', '.join(sorted(grouped))}"
             )
-        grouped = {name: grouped[name] for name in channels}
+        grouped = {name: grouped[name] for name in fields}
     label_width = max(len(name) for name in grouped)
     lines = []
     for name in sorted(grouped):
@@ -867,27 +861,17 @@ def _render_timeline(run_dir, channels, width: int) -> str:
             f"{name.ljust(label_width)}  {sparkline(values, width=width)}  "
             f"[{min(values):.4g} .. {max(values):.4g}] n={len(values)}"
         )
-    if torn:
-        lines.append(f"({torn} torn timeline lines skipped)")
-
-    manifest = load_manifest(run_dir)
-    dropped = 0
-    declared = manifest.get("timeline")
-    if isinstance(declared, dict) and isinstance(declared.get("dropped"), int):
-        dropped = declared["dropped"]
-    findings = evaluate_rules(stats_from_samples(samples), dropped=dropped)
-    if findings:
-        lines.append("")
-        lines.append("alerts:")
-        for finding in findings:
-            where = f" on {finding.channel}" if finding.channel else ""
-            lines.append(
-                f"  [{finding.rule}]{where}: {finding.message} "
-                f"(observed {finding.value:.4g}, threshold {finding.threshold:.4g})"
-            )
-    else:
-        lines.append("")
+    lines.append("")
+    findings = evaluate_rules(stats)
+    if not findings:
         lines.append("alerts: none fired")
+        return "\n".join(lines)
+    lines.append("alerts:")
+    for finding in findings:
+        lines.append(
+            f"  [{finding.rule}] on {finding.field}: {finding.message} "
+            f"(observed {finding.value:.4g}, threshold {finding.threshold:.4g})"
+        )
     return "\n".join(lines)
 
 

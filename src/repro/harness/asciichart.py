@@ -7,8 +7,8 @@ render figures as character grids.  Two chart types cover the paper:
   (Figure 1's power-vs-efficiency curves, Figure 2's speedup-vs-N);
 * :func:`bar_chart` — grouped horizontal bars (Figure 3's per-app
   panels);
-* :func:`sparkline` — one-line level strip for sampled counter
-  timelines (``repro trace timeline``).
+* :func:`sparkline` — one-line level strip for the fields of a
+  sweep's point rows (``repro trace timeline``).
 
 All return plain strings; callers print them.
 """

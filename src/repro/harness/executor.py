@@ -317,7 +317,12 @@ class PointOutcome:
 
     def to_event(self) -> Dict[str, Any]:
         """The point's one record: a line of the telemetry run's
-        ``events.jsonl`` and, for a keyed point, of the sweep journal."""
+        ``events.jsonl`` and, for a keyed point, of the sweep journal.
+
+        ``row`` holds the JSON-scalar fields of a dataclass value (a
+        :class:`~repro.harness.profiling.SimPointRow`, say), ``{}``
+        otherwise: what the telemetry run's row statistics, alert rules,
+        counter tracks and ``repro trace timeline`` read."""
         telemetry = self.telemetry
         event: Dict[str, Any] = {
             "event": "point",
@@ -333,11 +338,24 @@ class PointOutcome:
             "ops": telemetry.total_ops if telemetry else 0,
             "fast_path_ops": telemetry.fast_path_ops if telemetry else 0,
             "runs": len(telemetry.kernels) if telemetry else 0,
+            "row": _scalar_fields(self.value),
         }
         if self.failure is not None:
             event["error_type"] = self.failure.error_type
             event["retryable"] = self.failure.retryable
         return event
+
+
+def _scalar_fields(value: Any) -> Dict[str, Any]:
+    """The str, int and float fields of a dataclass instance; ``{}`` else."""
+    if not dataclasses.is_dataclass(value):
+        return {}
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return {
+        name: field
+        for name, field in fields.items()
+        if isinstance(field, (str, int, float))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +538,8 @@ class _PointCall:
     """Picklable wrapper that turns library errors into typed results.
 
     Each call runs inside a :class:`~repro.telemetry.record.CaptureWindow`:
-    the kernel records, span trees and counter readings the point
-    produced come back with the status tuple as a
+    the kernel records and span trees the point produced come back
+    with the status tuple as a
     :class:`~repro.telemetry.record.PointTelemetry` — the outcome
     channel that carries every lane's telemetry to the coordinator.
 

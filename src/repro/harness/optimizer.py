@@ -76,7 +76,6 @@ from repro.harness.profiling import (
     simulate_point,
 )
 from repro.sim.ops import stream_cache
-from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 from repro.workloads.base import WorkloadModel
@@ -600,7 +599,7 @@ def run_optimizer(
         objective=objective.name,
         apps=len(models),
         exhaustive=exhaustive,
-    ):
+    ) as span:
         for group in _program_groups(models, core_counts, stream_cache.maxsize):
             # Baselines: each application's 1-core nominal time (T1),
             # the reference both feasibility and the speedup column are
@@ -660,12 +659,10 @@ def run_optimizer(
                 if row is not None:
                     campaign.rows.append(row)
         campaign.rows.sort(key=lambda r: (r.app, r.n))
-        sampler = get_sampler()
-        if sampler.enabled:
-            sampler.sample("optimizer.evaluations", float(campaign.evaluations))
-            sampler.sample(
-                "optimizer.simulations_saved", float(campaign.simulations_saved)
-            )
+        span.set(
+            evaluations=campaign.evaluations,
+            simulations_saved=campaign.simulations_saved,
+        )
     return campaign
 
 
@@ -683,7 +680,6 @@ def _search(
     Each round evaluates the union of the searches' frontiers as one
     flat fan-out through the executor.
     """
-    sampler = get_sampler()
     while True:
         frontier: List[Tuple[_SearchState, int]] = []
         for state in states:
@@ -705,19 +701,16 @@ def _search(
             )
             for state, index in frontier
         ]
-        if sampler.enabled:
-            sampler.sample("optimizer.frontier_points", float(len(tasks)))
-            widths = [
-                state.search.bracket[1] - state.search.bracket[0]
-                for state, _ in frontier
-                if getattr(state.search, "bracket", None) is not None
-            ]
-            if widths:
-                sampler.sample("optimizer.bracket_steps", float(max(widths)))
+        widths = [
+            state.search.bracket[1] - state.search.bracket[0]
+            for state, _ in frontier
+            if getattr(state.search, "bracket", None) is not None
+        ]
         with get_tracer().span(
             "optimizer.round",
             index=campaign.rounds,
             points=len(tasks),
+            bracket_steps=max(widths, default=0),
         ):
             outcomes = executor.map(
                 partial(simulate_point, context),

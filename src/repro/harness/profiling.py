@@ -42,6 +42,7 @@ class SimPointRow:
     total_power_w: float
     core_power_density_w_m2: float
     average_temperature_c: float
+    peak_temperature_c: float
     average_cpi: float
     l1_miss_rate: float
     memory_stall_fraction: float
@@ -78,6 +79,7 @@ def simulate_point(context: ExperimentContext, task: SimPointTask) -> SimPointRo
         total_power_w=power.total_w,
         core_power_density_w_m2=power.core_power_density_w_m2,
         average_temperature_c=power.average_temperature_c,
+        peak_temperature_c=power.thermal.peak_celsius(),
         average_cpi=result.average_cpi,
         l1_miss_rate=result.l1_miss_rate(),
         memory_stall_fraction=result.memory_stall_fraction(),

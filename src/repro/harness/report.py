@@ -242,43 +242,6 @@ def _robustness_section(out: io.StringIO, executor) -> None:
             )
         )
         out.write("\n")
-    _alerts_subsection(out)
-
-
-def _alerts_subsection(out: io.StringIO) -> None:
-    """Alert-rule findings over the run's sampled counter timeline.
-
-    Only rendered when counter sampling was enabled and produced
-    readings — sampling-off reports keep their historical text exactly.
-    The snapshot is non-destructive: a telemetry run finalizing after
-    report generation still drains the same samples.
-    """
-    from repro.telemetry.alerts import evaluate_rules, stats_from_samples
-    from repro.telemetry.timeseries import get_sampler
-
-    sampler = get_sampler()
-    if not sampler.enabled or not sampler.count:
-        return
-    samples = sampler.records()
-    findings = evaluate_rules(
-        stats_from_samples(samples), dropped=sampler.dropped
-    )
-    out.write("\n### Telemetry alerts\n\n")
-    if not findings:
-        out.write(
-            f"No alert rules fired over {len(samples)} sampled readings.\n"
-        )
-        return
-    out.write(
-        _markdown_table(
-            ["rule", "channel", "observed", "threshold", "detail"],
-            [
-                [f.rule, f.channel or "—", f.value, f.threshold, f.message]
-                for f in findings
-            ],
-        )
-    )
-    out.write("\n")
 
 
 def generate_report(

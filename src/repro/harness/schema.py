@@ -22,7 +22,7 @@ import hashlib
 from pathlib import Path
 
 #: Version of the flat row dataclasses' on-disk encoding.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Subpackages that never change a computed row: the static analyzer
 #: and the observability layer.

@@ -30,6 +30,12 @@ from repro.harness.scenario2 import Scenario2Row
 from repro.harness.schema import SCHEMA_VERSION
 from repro.telemetry.manifest import git_sha
 
+#: The oldest results schema the store still reads.  The encoding (a
+#: type tag and a field dict per row) has not changed since; a row
+#: whose dataclass gained or lost a field is refused entry by entry, so
+#: an older file of rows that did not change (Figure 1/2, say) loads.
+OLDEST_READABLE_SCHEMA = 1
+
 
 @dataclasses.dataclass(frozen=True)
 class FailedPointRow:
@@ -125,6 +131,17 @@ def _decode_row(obj: Dict) -> Row:
         raise ConfigurationError(
             f"{obj['type']} entry has unknown fields {sorted(unknown)}"
         )
+    missing = {
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    }
+    if missing:
+        raise ConfigurationError(
+            f"{obj['type']} entry lacks fields {sorted(missing)}"
+        )
     # Restore tuple-typed fields (JSON round-trips them as lists).
     coerced = {
         key: tuple(value) if isinstance(value, list) else value
@@ -165,11 +182,11 @@ def load_results(path: PathLike) -> Dict[str, List[Row]]:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(document, dict) or "schema" not in document:
         raise ConfigurationError(f"{path}: not a repro results file")
-    if document["schema"] != SCHEMA_VERSION:
+    if document["schema"] not in range(OLDEST_READABLE_SCHEMA, SCHEMA_VERSION + 1):
         raise ConfigurationError(
             f"{path}: unknown results schema {document['schema']!r}; this "
-            f"version of repro supports schema {SCHEMA_VERSION} — regenerate "
-            "the campaign or upgrade the library"
+            f"version of repro supports schemas {OLDEST_READABLE_SCHEMA} to "
+            f"{SCHEMA_VERSION} — regenerate the campaign or upgrade the library"
         )
     groups = document.get("groups", {})
     if not isinstance(groups, dict):

@@ -24,7 +24,6 @@ from repro.power.calibration import PowerCalibration
 from repro.power.static import StaticPowerModel
 from repro.power.wattch import WattchModel
 from repro.sim.cmp import SimulationResult
-from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
 from repro.thermal.hotspot import HotSpotModel, ThermalResult
 from repro.units import kelvin_to_celsius
@@ -101,7 +100,6 @@ class ChipPowerModel:
         temperatures_c: Dict[str, float] = {name: 60.0 for name in dynamic_map}
         thermal_result: Optional[ThermalResult] = None
         static_map: Dict[str, float] = {}
-        sampler = get_sampler()
         with get_tracer().span("power.solve", blocks=len(dynamic_map)) as span:
             iterations = 0
             for _ in range(max_iterations):
@@ -128,7 +126,6 @@ class ChipPowerModel:
                     for name in dynamic_map
                 )
                 temperatures_c = updated
-                sampler.sample("power.solver_shift_c", shift)
                 if shift < tol_c:
                     break
             else:
@@ -147,7 +144,7 @@ class ChipPowerModel:
             for name in active_blocks
         ) / active_area
 
-        outcome = ChipPowerResult(
+        return ChipPowerResult(
             # repro: allow[DET-FLOAT-SUM] maps are built in fixed block order
             dynamic_w=sum(dynamic_map.values()),
             # repro: allow[DET-FLOAT-SUM] maps are built in fixed block order
@@ -158,29 +155,3 @@ class ChipPowerModel:
             core_power_density_w_m2=active_power / active_area,
             execution_time_s=result.execution_time_s,
         )
-        _sample_power_channels(outcome, dynamic_map, static_map)
-        return outcome
-
-
-def _sample_power_channels(
-    outcome: ChipPowerResult,
-    dynamic_map: Dict[str, float],
-    static_map: Dict[str, float],
-) -> None:
-    """Deposit the ``power.*`` channels after one fixed-point solve.
-
-    Read-only over the finished result; per-block channels carry the
-    floorplan block name (``power.core0.dynamic_w``) so Perfetto renders
-    one counter track per block.
-    """
-    sampler = get_sampler()
-    if not sampler.enabled:
-        return
-    sampler.sample("power.dynamic_w", outcome.dynamic_w)
-    sampler.sample("power.static_w", outcome.static_w)
-    sampler.sample("power.total_w", outcome.total_w)
-    sampler.sample("power.temperature_c", outcome.average_temperature_c)
-    sampler.sample("power.peak_temperature_c", outcome.thermal.peak_celsius())
-    for name in dynamic_map:
-        sampler.sample(f"power.{name}.dynamic_w", dynamic_map[name])
-        sampler.sample(f"power.{name}.static_w", static_map[name])

@@ -81,13 +81,3 @@ class SharedBus:
     def utilisation(self, total_ps: int) -> float:
         """Fraction of elapsed time the bus was occupied."""
         return self.busy_ps / total_ps if total_ps > 0 else 0.0
-
-    def wait_fraction(self, total_ps: int) -> float:
-        """Arbitration wait accumulated per unit of elapsed time.
-
-        Unlike :meth:`utilisation` this can exceed 1.0 — several cores
-        can be queued on the same medium simultaneously — which is what
-        makes it the sharper saturation signal for the sampled
-        ``sim.bus_wait_fraction`` channel.
-        """
-        return self.wait_ps / total_ps if total_ps > 0 else 0.0

@@ -30,9 +30,8 @@ from repro.sim.ops import (
     classify_private_lines,
     resolve_address_streams,
 )
-from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
-from repro.units import GIGA, PICO
+from repro.units import PICO
 
 #: Horizon passed to ``step_fast`` when no other core is pending in the
 #: heap: compares greater than every real ``(time_ps, core_id)`` key.
@@ -484,7 +483,6 @@ class ChipMultiprocessor:
             core_operating_points=operating_points,
             kernel=kernel,
         )
-        _sample_run_channels(result)
         return result
 
 
@@ -509,39 +507,3 @@ def _reset_counters(
     bus.busy_ps = bus.wait_ps = 0
     memory.requests = 0
     locks.acquires = locks.contended_acquires = 0
-
-
-def _sample_run_channels(result: SimulationResult) -> None:
-    """Deposit one reading per ``sim.*`` channel at the end of a run.
-
-    Kept outside the hot ``run`` body: it runs once per run,
-    reads only *finished* counters, and writes nothing back into the
-    simulation — which is the whole bitwise-identical-on/off contract.
-    """
-    sampler = get_sampler()
-    if not sampler.enabled:
-        return
-    cpi = result.average_cpi
-    sampler.sample("sim.ipc", 1.0 / cpi if cpi > 0 else 0.0)
-    per_core_ipc = [
-        stats.instructions_per_cycle(result.core_frequency(i))
-        for i, stats in enumerate(result.core_stats)
-    ]
-    if per_core_ipc:
-        sampler.sample("sim.ipc_min", min(per_core_ipc))
-    coherence = result.coherence
-    sampler.sample("sim.l1_miss_rate", coherence.l1_miss_rate())
-    sampler.sample("sim.l2_miss_rate", coherence.l2_miss_rate())
-    sampler.sample(
-        "sim.bus_occupancy", result.bus.utilisation(result.execution_time_ps)
-    )
-    sampler.sample(
-        "sim.bus_wait_fraction",
-        result.bus.wait_fraction(result.execution_time_ps),
-    )
-    sampler.sample("sim.coherence_txns", float(coherence.total_transactions))
-    sampler.sample("sim.memory_stall_fraction", result.memory_stall_fraction())
-    sampler.sample("sim.frequency_ghz", result.core_frequency(0) / GIGA)
-    sampler.sample("sim.voltage_v", result.core_voltage(0))
-    if result.kernel is not None:
-        sampler.sample("sim.fast_path_ratio", result.kernel.fast_path_ratio)

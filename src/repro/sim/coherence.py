@@ -63,22 +63,6 @@ class CoherenceStats:
         total = self.l1_hits + self.l1_misses
         return self.l1_misses / total if total else 0.0
 
-    def l2_miss_rate(self) -> float:
-        """L2 miss rate over the requests that reached it."""
-        total = self.l2_hits + self.l2_misses
-        return self.l2_misses / total if total else 0.0
-
-    @property
-    def total_transactions(self) -> int:
-        """Coherence-fabric transactions (the bus-traffic view of MESI)."""
-        return (
-            self.l1_misses
-            + self.upgrades
-            + self.invalidations
-            + self.writebacks
-            + self.cache_to_cache
-        )
-
 
 class MESIController:
     """Coherence and memory-hierarchy timing for all cores.

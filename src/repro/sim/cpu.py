@@ -43,7 +43,6 @@ from repro.sim.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import MESIController
 from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
-from repro.units import PICO
 
 # Core.step() statuses.
 RUNNING = 0
@@ -106,11 +105,6 @@ class CoreStats:
     def total_active_ps(self) -> int:
         """Time the core was doing or waiting on work (not parked)."""
         return self.busy_ps + self.stall_mem_ps
-
-    def instructions_per_cycle(self, frequency_hz: float) -> float:
-        """IPC over the core's active time at its operating frequency."""
-        cycles = self.total_active_ps * PICO * frequency_hz
-        return self.instructions / cycles if cycles > 0 else 0.0
 
 
 class LockTable:

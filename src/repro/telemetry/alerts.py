@@ -1,44 +1,40 @@
-"""Declarative alert rules over sampled counter timelines.
+"""Declarative alert rules over the sweep's point rows.
 
-A rule names a channel and a condition over that channel's running
-statistics; findings are produced once per rule at evaluation time (end
-of a telemetry run, or on demand from a persisted ``timeline.jsonl``).
-Rules deliberately read *aggregated* channel statistics rather than raw
-samples so the :class:`~repro.telemetry.manifest.TelemetryRun` can fold
-samples into :class:`ChannelStats` incrementally and never hold a whole
-sweep's timeline in memory.
+Every ``point`` event carries its row's scalar fields (``row``; see
+:meth:`~repro.harness.executor.PointOutcome.to_event`).  The
+:class:`~repro.telemetry.manifest.TelemetryRun` folds the numeric ones
+into :class:`RowStats` as it logs each event, and evaluates the rules
+once at finalize; ``repro trace timeline`` folds a persisted
+``events.jsonl`` the same way.  Rules read *aggregated* statistics, so
+a run never holds a whole sweep's rows in memory.
 
-Four rule kinds cover the failure modes the paper's trajectories make
-visible:
+Two rule kinds cover the limits the paper's studies are judged by:
 
 ``above``
-    The channel's maximum reached ``threshold`` — used for the
-    thermal-ceiling proximity and power-budget rules.
-``below``
-    The channel's minimum fell to ``threshold`` or under.
+    The field's maximum over every point reached ``threshold`` — the
+    thermal-ceiling and power-budget rules.
 ``collapse``
-    The channel's minimum fell below ``threshold`` × its maximum — a
-    relative drop, used to catch IPC collapsing past the optimal
-    thread count regardless of the workload's absolute IPC.
-``overflow``
-    The sampler dropped readings (its bounded buffer filled); the
-    timeline is truncated and the other findings may under-report.
+    Within one application, the field's maximum rose above
+    ``threshold`` × its minimum.  On CPI this is throughput collapsing
+    past the optimal thread count, whatever the workload's absolute
+    IPC; grouping by application keeps a slow workload from reading as
+    a collapse of a fast one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One declarative condition over a sampled channel."""
+    """One declarative condition over a row field."""
 
     name: str
-    kind: str  # "above" | "below" | "collapse" | "overflow"
-    channel: str = ""
-    threshold: float = 0.0
+    kind: str  # "above" | "collapse"
+    field: str
+    threshold: float
     message: str = ""
 
     def __post_init__(self) -> None:
@@ -46,8 +42,6 @@ class AlertRule:
             raise ValueError(
                 f"unknown alert rule kind {self.kind!r}; expected one of {sorted(_RULE_KINDS)}"
             )
-        if self.kind != "overflow" and not self.channel:
-            raise ValueError(f"alert rule {self.name!r} ({self.kind}) needs a channel")
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,7 @@ class AlertFinding:
 
     rule: str
     kind: str
-    channel: str
+    field: str
     value: float
     threshold: float
     message: str
@@ -65,7 +59,7 @@ class AlertFinding:
         return {
             "rule": self.rule,
             "kind": self.kind,
-            "channel": self.channel,
+            "field": self.field,
             "value": self.value,
             "threshold": self.threshold,
             "message": self.message,
@@ -74,11 +68,11 @@ class AlertFinding:
 
 @dataclass
 class ChannelStats:
-    """Running statistics for one channel; O(1) per observed sample."""
+    """Running statistics for one channel (a numeric row field); O(1) per value."""
 
     count: int = 0
-    minimum: float = field(default=float("inf"))
-    maximum: float = field(default=float("-inf"))
+    minimum: float = float("inf")
+    maximum: float = float("-inf")
     total: float = 0.0
     last: float = 0.0
 
@@ -104,105 +98,110 @@ class ChannelStats:
         }
 
 
-_RULE_KINDS = frozenset({"above", "below", "collapse", "overflow"})
+def numeric_fields(row: Mapping[str, Any]) -> List[Tuple[str, float]]:
+    """A row's numeric fields as floats, in row order (bools are skipped)."""
+    return [
+        (name, float(value))
+        for name, value in row.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
+
+
+class RowStats:
+    """Per-field statistics over point rows, overall and per application."""
+
+    def __init__(self) -> None:
+        #: Rows folded that had at least one numeric field.
+        self.points = 0
+        self.fields: Dict[str, ChannelStats] = {}
+        #: ``row["app"]`` -> field -> stats (the ``collapse`` kind's groups).
+        self.apps: Dict[str, Dict[str, ChannelStats]] = {}
+
+    def observe(self, row: Mapping[str, Any]) -> None:
+        """Fold one row's :func:`numeric_fields`."""
+        numeric = numeric_fields(row)
+        if not numeric:
+            return
+        self.points += 1
+        app = self.apps.setdefault(str(row.get("app", "")), {})
+        for name, value in numeric:
+            for table in (self.fields, app):
+                entry = table.get(name)
+                if entry is None:
+                    entry = table[name] = ChannelStats()
+                entry.observe(value)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The manifest's ``rows`` block."""
+        return {
+            "points": self.points,
+            "fields": {
+                name: stats.to_dict() for name, stats in sorted(self.fields.items())
+            },
+        }
+
+
+_RULE_KINDS = frozenset({"above", "collapse"})
 
 #: Built-in rules evaluated on every telemetry run.  Thresholds are
 #: indicative defaults for the paper's calibration: the thermal model
 #: is calibrated against a 100 °C junction ceiling, so 95 °C flags
-#: proximity; 60 W is the budget scale of the studied CMP envelope;
-#: IPC dropping under half its own peak marks the post-optimal-N
-#: collapse regardless of absolute throughput.
+#: proximity; 60 W is the budget scale of the studied CMP envelope; a
+#: CPI above twice its own minimum (IPC under half its peak) marks the
+#: post-optimal-N collapse regardless of absolute throughput.
 DEFAULT_RULES: Tuple[AlertRule, ...] = (
     AlertRule(
         name="thermal-ceiling",
         kind="above",
-        # Watches the *converged* fixed-point peak, not the raw
-        # ``thermal.peak_c`` solver channel: calibration probes and
-        # early fixed-point iterations legitimately overshoot before
-        # settling, and an alert that fires on every run says nothing.
-        channel="power.peak_temperature_c",
+        field="peak_temperature_c",
         threshold=95.0,
         message="peak temperature within 5 degC of the 100 degC calibration ceiling",
     ),
     AlertRule(
         name="power-budget",
         kind="above",
-        channel="power.total_w",
+        field="total_power_w",
         threshold=60.0,
         message="chip power exceeded the 60 W sweep budget",
     ),
     AlertRule(
         name="ipc-collapse",
         kind="collapse",
-        channel="sim.ipc",
-        threshold=0.5,
-        message="per-window IPC fell below half its peak (past the optimal thread count)",
-    ),
-    AlertRule(
-        name="sampler-overflow",
-        kind="overflow",
-        message="counter sampler dropped readings; the timeline is truncated",
+        field="average_cpi",
+        threshold=2.0,
+        message="an application's IPC fell below half its peak (past the optimal thread count)",
     ),
 )
 
 
-def stats_from_samples(samples: Iterable[Any]) -> Dict[str, ChannelStats]:
-    """Fold SampleRecord-shaped readings into per-channel statistics."""
-    stats: Dict[str, ChannelStats] = {}
-    for record in samples:
-        entry = stats.get(record.channel)
-        if entry is None:
-            entry = stats[record.channel] = ChannelStats()
-        entry.observe(record.value)
-    return stats
-
-
 def evaluate_rules(
-    stats: Mapping[str, ChannelStats],
-    rules: Optional[Sequence[AlertRule]] = None,
-    dropped: int = 0,
+    stats: RowStats, rules: Sequence[AlertRule] = DEFAULT_RULES
 ) -> List[AlertFinding]:
-    """Evaluate rules against channel statistics; one finding per fired rule.
+    """Evaluate rules against row statistics; one finding per fired rule.
 
-    ``dropped`` is the sampler's drop count (the ``overflow`` kind has
-    no channel to read it from).  Rules whose channel was never sampled
-    simply do not fire.
+    A ``collapse`` finding's value is the largest max/min ratio over the
+    applications.  Rules whose field no row carried do not fire.
     """
     findings: List[AlertFinding] = []
-    for rule in DEFAULT_RULES if rules is None else rules:
-        if rule.kind == "overflow":
-            if dropped > rule.threshold:
-                findings.append(
-                    AlertFinding(
-                        rule=rule.name,
-                        kind=rule.kind,
-                        channel=rule.channel,
-                        value=float(dropped),
-                        threshold=rule.threshold,
-                        message=rule.message,
-                    )
-                )
-            continue
-        entry = stats.get(rule.channel)
-        if entry is None or not entry.count:
-            continue
-        fired = False
-        value = 0.0
+    for rule in rules:
         if rule.kind == "above":
-            fired = entry.maximum >= rule.threshold
-            value = entry.maximum
-        elif rule.kind == "below":
-            fired = entry.minimum <= rule.threshold
-            value = entry.minimum
-        elif rule.kind == "collapse":
-            fired = entry.count >= 2 and entry.minimum < rule.threshold * entry.maximum
-            value = entry.minimum
+            entry = stats.fields.get(rule.field)
+            value = entry.maximum if entry is not None else float("-inf")
+            fired = value >= rule.threshold
+        else:
+            ratios = [
+                entry.maximum / entry.minimum
+                for entry in (app.get(rule.field) for app in stats.apps.values())
+                if entry is not None and entry.count >= 2 and entry.minimum > 0
+            ]
+            value = max(ratios, default=0.0)
+            fired = value > rule.threshold
         if fired:
             findings.append(
                 AlertFinding(
                     rule=rule.name,
                     kind=rule.kind,
-                    channel=rule.channel,
+                    field=rule.field,
                     value=value,
                     threshold=rule.threshold,
                     message=rule.message,

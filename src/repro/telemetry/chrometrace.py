@@ -9,9 +9,10 @@ The Chrome trace format (the JSON Array/Object format consumed by
 * one "X" event per sweep point (from ``events.jsonl``), on a dedicated
   ``points`` track per evaluating process, so the executor's fan-out and
   cache behaviour is visible at a glance,
-* one "C" (counter) event per timeline sample (from ``timeline.jsonl``),
-  which Perfetto renders as per-channel counter tracks — the sampled
-  power/thermal/IPC trajectories — aligned with the span rows,
+* one "C" (counter) event per numeric field of each point's row, at the
+  point's end, which Perfetto renders as one counter track per field —
+  the sweep's power, temperature and CPI trajectories — aligned with the
+  span rows,
 * "M" (metadata) events naming each process row with its executor lane
   and the point indices it evaluated (the coordinator is named as such),
   so a farm worker reads ``repro farm worker 1234 · points 3-5`` instead
@@ -29,12 +30,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.manifest import (
-    load_events,
-    load_manifest,
-    load_spans,
-    load_timeline,
-)
+from repro.telemetry.alerts import numeric_fields
+from repro.telemetry.manifest import load_events, load_manifest, load_spans
 from repro.units import KILO, MEGA
 
 PathLike = Union[str, Path]
@@ -130,16 +127,29 @@ def chrome_trace_document(run_dir: PathLike) -> Dict[str, Any]:
     for event in point_events:
         if event.get("event") != "point" or not event.get("wall_s"):
             continue
-        name = f"point[{event.get('index')}]"
+        pid = int(event.get("pid", 0))
+        start_us = float(event.get("start_us", 0.0))
+        dur_us = float(event["wall_s"]) * MEGA
+        for name, value in numeric_fields(event.get("row", {})):
+            events.append(
+                {
+                    "name": name,
+                    "cat": "counter",
+                    "ph": "C",
+                    "pid": pid,
+                    "ts": start_us + dur_us,
+                    "args": {"value": value},
+                }
+            )
         events.append(
             {
-                "name": name,
+                "name": f"point[{event.get('index')}]",
                 "cat": "point",
                 "ph": "X",
-                "pid": int(event.get("pid", 0)),
+                "pid": pid,
                 "tid": _POINT_TID,
-                "ts": float(event.get("start_us", 0.0)),
-                "dur": float(event["wall_s"]) * MEGA,
+                "ts": start_us,
+                "dur": dur_us,
                 "args": {
                     "status": event.get("status"),
                     "cached": event.get("cached"),
@@ -147,19 +157,6 @@ def chrome_trace_document(run_dir: PathLike) -> Dict[str, Any]:
                     "ops": event.get("ops"),
                     "key": event.get("key"),
                 },
-            }
-        )
-
-    samples, _torn = load_timeline(run_dir)
-    for sample in samples:
-        events.append(
-            {
-                "name": str(sample.get("channel", "")),
-                "cat": "counter",
-                "ph": "C",
-                "pid": int(sample.get("pid", 0)),
-                "ts": float(sample.get("t_us", 0.0)),
-                "args": {"value": sample.get("value", 0.0)},
             }
         )
 

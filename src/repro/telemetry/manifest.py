@@ -8,25 +8,20 @@ directory ``DIR/<run_id>/`` containing
   kernel ledger, status;
 * ``events.jsonl`` — one JSON object per line, currently ``point``
   events (index, cache key, status, cached flag, worker pid, wall time,
-  op counts, start timestamp): the record
+  op counts, start timestamp, and the point's row): the record
   :meth:`~repro.harness.executor.PointOutcome.to_event` builds once per
   point, which a cached sweep's journal appends too;
 * ``spans.jsonl`` — one completed span tree per line (see
-  :class:`~repro.telemetry.trace.SpanRecord`);
-* ``timeline.jsonl`` — one sampled counter reading per line (see
-  :class:`~repro.telemetry.timeseries.SampleRecord`), attributed to the
-  sweep point that deposited it.  Created lazily on the first reading,
-  so sampling-off runs stay two-file; headed by a schema line and read
-  with the journal's torn-tail tolerance (a reading lost to a crash
-  mid-write costs that line, not the artifact).
+  :class:`~repro.telemetry.trace.SpanRecord`).
 
-All of them, and the sweep journal, are read by
+Both, and the sweep journal, are read by
 :func:`repro.telemetry.jsonl.read_jsonl`.
 
 The manifest is written twice: once at creation (``status: "running"``,
 so a crashed sweep leaves evidence) and once by :meth:`TelemetryRun.finalize`
-(``status: "complete"`` plus the executor's tallies, per-channel
-statistics, and the findings of the :mod:`~repro.telemetry.alerts` rules).
+(``status: "complete"`` plus the executor's tallies, per-field
+statistics over the point rows, and the findings of the
+:mod:`~repro.telemetry.alerts` rules).
 :func:`validate_run_dir` checks a run directory against this schema —
 the CI telemetry job and the test suite both use it — and
 :func:`latest_run_dir` resolves the newest run under a
@@ -41,19 +36,17 @@ import os
 import platform
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.errors import ConfigurationError
-from repro.telemetry.alerts import AlertRule, ChannelStats, evaluate_rules
+from repro.telemetry.alerts import RowStats, evaluate_rules
 from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.record import KernelAggregate, PointTelemetry, drain_since
-from repro.telemetry.timeseries import SampleRecord, get_sampler
 from repro.telemetry.trace import SpanRecord, get_tracer
 
 PathLike = Union[str, Path]
 
-MANIFEST_SCHEMA = "repro-telemetry-v2"
-TIMELINE_SCHEMA = "repro-timeline-v1"
+MANIFEST_SCHEMA = "repro-telemetry-v3"
 
 #: Keys every finalized manifest must carry, with their expected types.
 _MANIFEST_REQUIRED = {
@@ -86,6 +79,7 @@ _POINT_EVENT_REQUIRED = {
     "ops": int,
     "runs": int,
     "attempts": int,
+    "row": dict,
 }
 
 
@@ -149,12 +143,9 @@ class TelemetryRun:
         self.finalized = False
         self._started = time.perf_counter()
         self.spans_written = 0
-        self.samples_written = 0
-        #: Per-channel running statistics over every recorded sample;
+        #: Per-field running statistics over every logged point's row;
         #: what the alert rules are evaluated against at finalize.
-        self.channel_stats: Dict[str, ChannelStats] = {}
-        #: ``None`` means the built-in :data:`~repro.telemetry.alerts.DEFAULT_RULES`.
-        self.alert_rules: Optional[Sequence[AlertRule]] = None
+        self.row_stats = RowStats()
         self.alerts: List[Dict[str, Any]] = []
         self._events: TextIO = (self.directory / "events.jsonl").open(
             "a", encoding="utf-8"
@@ -162,9 +153,6 @@ class TelemetryRun:
         self._spans: TextIO = (self.directory / "spans.jsonl").open(
             "a", encoding="utf-8"
         )
-        #: Opened lazily by :meth:`record_samples` so sampling-off runs
-        #: do not grow an empty third artifact.
-        self._timeline: Optional[TextIO] = None
         self._write_manifest(status="running")
 
     # -- recording -----------------------------------------------------------
@@ -196,17 +184,12 @@ class TelemetryRun:
         self, event: Dict[str, Any], telemetry: Optional[PointTelemetry] = None
     ) -> None:
         """Log one sweep point: its ``point`` event (built by
-        :meth:`~repro.harness.executor.PointOutcome.to_event`) plus the
-        span trees and counter readings its telemetry carried home."""
+        :meth:`~repro.harness.executor.PointOutcome.to_event`), its row's
+        statistics, and the span trees its telemetry carried home."""
         self._event(event)
+        self.record_samples(event)
         if telemetry is not None:
             self.record_spans(telemetry.spans, pid=telemetry.pid)
-            self.record_samples(
-                telemetry.samples,
-                point=event["index"],
-                pid=telemetry.pid,
-                cached=event["cached"],
-            )
 
     def record_spans(
         self, spans: Sequence[SpanRecord], pid: Optional[int] = None
@@ -220,41 +203,13 @@ class TelemetryRun:
         if spans:
             self._spans.flush()
 
-    def record_samples(
-        self,
-        samples: Sequence[SampleRecord],
-        point: Optional[int] = None,
-        pid: Optional[int] = None,
-        cached: bool = False,
-    ) -> None:
-        """Append counter readings to ``timeline.jsonl``.
+    def record_samples(self, event: Dict[str, Any]) -> None:
+        """Fold one point event's ``row`` into the per-field statistics.
 
-        ``point`` is the sweep-point index the readings belong to
-        (``None`` for readings taken outside any point — context
-        calibration, say).  Every reading also
-        feeds the run's per-channel statistics, which is what the alert
-        rules see at finalize.
+        These are the manifest's ``rows`` block and what the alert rules
+        read at finalize; a failed point's empty row adds nothing.
         """
-        if not samples:
-            return
-        pid = os.getpid() if pid is None else pid
-        if self._timeline is None:
-            self._timeline = (self.directory / "timeline.jsonl").open(
-                "a", encoding="utf-8"
-            )
-            header = {"schema": TIMELINE_SCHEMA, "run_id": self.run_id}
-            self._timeline.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in samples:
-            line = {"event": "sample", "point": point, "pid": pid,
-                    "cached": cached}
-            line.update(record.to_dict())
-            self._timeline.write(json.dumps(line, sort_keys=True) + "\n")
-            self.samples_written += 1
-            stats = self.channel_stats.get(record.channel)
-            if stats is None:
-                stats = self.channel_stats[record.channel] = ChannelStats()
-            stats.observe(record.value)
-        self._timeline.flush()
+        self.row_stats.observe(event.get("row", {}))
 
     def _event(self, event: Dict[str, Any]) -> None:
         self._events.write(json.dumps(event, sort_keys=True) + "\n")
@@ -266,10 +221,9 @@ class TelemetryRun:
         """Close the run: drain the coordinator's leftovers, write the manifest.
 
         The leftovers are what no point's capture window took: the
-        coordinator's calibration, precompile and ``optimizer.*`` spans
-        and its readings outside points (the calibration's, say), drained
-        from mark 0.  The alert rules are then evaluated over the whole
-        run's channel statistics.  ``executor`` (a ``SweepExecutor``-shaped
+        coordinator's calibration, precompile and ``optimizer.*`` spans,
+        drained from mark 0.  The alert rules are then evaluated over
+        the whole run's row statistics.  ``executor`` (a ``SweepExecutor``-shaped
         object) contributes, when given, its point tally (the manifest's
         ``points`` block: ``executor.stats`` plus the cache's count of
         quarantined files) and its kernel ledger (the ``kernel`` block,
@@ -277,15 +231,8 @@ class TelemetryRun:
         """
         if self.finalized:
             return self.directory / "manifest.json"
-        leftovers = drain_since()
-        self.record_spans(leftovers.spans)
-        self.record_samples(leftovers.samples)
-        self.alerts = [
-            finding.to_dict()
-            for finding in evaluate_rules(
-                self.channel_stats, self.alert_rules, dropped=get_sampler().dropped
-            )
-        ]
+        self.record_spans(drain_since().spans)
+        self.alerts = [finding.to_dict() for finding in evaluate_rules(self.row_stats)]
         extra: Dict[str, Any] = {}
         if executor is not None:
             cache = executor.cache
@@ -297,8 +244,6 @@ class TelemetryRun:
         path = self._write_manifest(status="complete", extra=extra)
         self._events.close()
         self._spans.close()
-        if self._timeline is not None:
-            self._timeline.close()
         self.finalized = True
         return path
 
@@ -327,14 +272,7 @@ class TelemetryRun:
                 "written": self.spans_written,
                 "dropped": tracer.dropped,
             },
-            "timeline": {
-                "written": self.samples_written,
-                "dropped": get_sampler().dropped,
-                "channels": {
-                    name: stats.to_dict()
-                    for name, stats in sorted(self.channel_stats.items())
-                },
-            },
+            "rows": self.row_stats.to_dict(),
             "alerts": list(self.alerts),
         }
         if extra:
@@ -403,24 +341,6 @@ def load_events(run_dir: PathLike) -> List[Dict[str, Any]]:
 def load_spans(run_dir: PathLike) -> List[Dict[str, Any]]:
     """The run's ``spans.jsonl`` entries (``{"pid", "span"}`` objects)."""
     return read_jsonl(Path(run_dir) / "spans.jsonl", strict=True)[0]
-
-
-def load_timeline(run_dir: PathLike) -> Tuple[List[Dict[str, Any]], int]:
-    """The run's ``timeline.jsonl`` sample entries, torn-tail tolerant.
-
-    Returns ``(entries, torn)``: parsed sample lines in emission
-    order, and the count of lines that failed to parse (a crash
-    mid-write tears at most the tail line — same convention as the
-    sweep journal, and unlike :func:`load_events` the timeline loader
-    never refuses the whole artifact over one lost reading).  A missing
-    file is an empty timeline; a present file must lead with the
-    :data:`TIMELINE_SCHEMA` header line.
-    """
-    path = Path(run_dir) / "timeline.jsonl"
-    if not path.exists():
-        return [], 0
-    entries, torn = read_jsonl(path, schema=TIMELINE_SCHEMA)
-    return entries[1:], torn
 
 
 def _check_span_tree(node: Any, where: str) -> int:
@@ -506,74 +426,5 @@ def validate_run_dir(run_dir: PathLike) -> Dict[str, Any]:
             entry.get("span"), f"{run_dir}/spans.jsonl:{number}"
         )
 
-    samples, torn = _validate_timeline(run_dir, manifest)
+    return {"manifest": manifest, "points": point_events, "spans": spans}
 
-    return {
-        "manifest": manifest,
-        "points": point_events,
-        "spans": spans,
-        "samples": samples,
-        "torn_samples": torn,
-    }
-
-
-_SAMPLE_ENTRY_REQUIRED = {
-    "event": str,
-    "channel": str,
-    "t_us": (int, float),
-    "value": (int, float),
-    "pid": int,
-    "cached": bool,
-}
-
-
-def _validate_timeline(run_dir: Path, manifest: Dict[str, Any]) -> Tuple[int, int]:
-    """Check ``timeline.jsonl`` against the manifest's declaration.
-
-    A manifest that counts written samples while the file is missing is
-    an error (the artifact was lost); a file torn mid-line is not — the
-    parseable entries just have to be well-formed samples, mirroring
-    the journal's crash-tolerance convention.
-    """
-    declared = manifest.get("timeline")
-    path = run_dir / "timeline.jsonl"
-    if declared is not None:
-        if not isinstance(declared, dict) or not isinstance(
-            declared.get("written"), int
-        ):
-            raise ConfigurationError(
-                f"{run_dir}/manifest.json: malformed timeline declaration"
-            )
-        if declared["written"] > 0 and not path.exists():
-            raise ConfigurationError(
-                f"{run_dir}: manifest declares {declared['written']} timeline "
-                "samples but timeline.jsonl is missing"
-            )
-    entries, torn = load_timeline(run_dir)
-    for number, entry in enumerate(entries, start=1):
-        for key, kinds in _SAMPLE_ENTRY_REQUIRED.items():
-            if not isinstance(entry.get(key), kinds):
-                raise ConfigurationError(
-                    f"{run_dir}/timeline.jsonl: sample {number}: "
-                    f"missing/invalid {key!r}"
-                )
-        if entry["event"] != "sample":
-            raise ConfigurationError(
-                f"{run_dir}/timeline.jsonl: sample {number}: "
-                f"bad event {entry['event']!r}"
-            )
-        if entry.get("point") is not None and not isinstance(entry["point"], int):
-            raise ConfigurationError(
-                f"{run_dir}/timeline.jsonl: sample {number}: bad point index"
-            )
-    if (
-        declared is not None
-        and manifest.get("status") == "complete"
-        and torn == 0
-        and declared["written"] != len(entries)
-    ):
-        raise ConfigurationError(
-            f"{run_dir}: manifest counts {declared['written']} timeline "
-            f"samples but timeline.jsonl logs {len(entries)}"
-        )
-    return len(entries), torn

@@ -1,11 +1,14 @@
 """Cross-process telemetry records, the kernel ledger, and the capture window.
 
 The sweep executor fans points out to worker processes; each worker's
-:class:`~repro.sim.cmp.KernelStats`, span trees and counter readings
-would otherwise die with the task.  These records are the picklable,
-cache-encodable form in which that telemetry travels back through the
-executor's outcome channel and is persisted by the
+:class:`~repro.sim.cmp.KernelStats` and span trees would otherwise die
+with the task.  These records are the picklable, cache-encodable form in
+which that telemetry travels back through the executor's outcome
+channel and is persisted by the
 :class:`~repro.harness.executor.ResultCache` alongside the point's value.
+(What the modelled chip did at the point is the point's row, which the
+``point`` event carries; see
+:meth:`~repro.harness.executor.PointOutcome.to_event`.)
 
 :class:`KernelAggregate` is the one fold over those records: the
 executor keeps one (``SweepExecutor.kernels``) and folds every outcome's
@@ -13,21 +16,21 @@ records into it, whatever process or cache produced them.  ``--profile``,
 the run manifest's ``kernel`` block and the ``repro trace metrics``
 header all read that single object.
 
-A process buffers three kinds of telemetry: the tracer's root spans,
-the counter sampler's readings, and the kernel records
+A process buffers two kinds of telemetry: the tracer's root spans and
+the kernel records
 :meth:`ExperimentContext.run <repro.harness.context.ExperimentContext.run>`
 deposits via :func:`record_kernel`.  One rule takes them out: a
-:class:`CaptureWindow` marks all three buffers when it opens and, when
-it closes, drains exactly what was buffered since (:func:`drain_since`).
+:class:`CaptureWindow` marks both buffers when it opens and, when it
+closes, drains exactly what was buffered since (:func:`drain_since`).
 The window also sets the open span stack aside, so the spans a point
 opens are roots of that point, never children of a span the
 coordinator held open around the sweep.  A forked worker inherits the
 coordinator's buffers and open stack, and the marks and the set-aside
 stack keep both out of its points.  The telemetry run's finalize drains
 what is left from mark 0: the coordinator's own calibration,
-precompile and ``optimizer.*`` spans and readings.  Kernel records are
-buffered only while a window is open, so simulations run outside any
-window (library callers, say) buffer nothing.
+precompile and ``optimizer.*`` spans.  Kernel records are buffered only
+while a window is open, so simulations run outside any window (library
+callers, say) buffer nothing.
 """
 
 from __future__ import annotations
@@ -35,12 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Tuple
 
-from repro.telemetry.timeseries import (
-    CounterSampler,
-    SampleRecord,
-    get_sampler,
-    set_sampler,
-)
 from repro.telemetry.trace import SpanRecord, Tracer, get_tracer, set_tracer
 
 
@@ -189,10 +186,6 @@ class PointTelemetry:
     #: Span trees completed during the evaluation (empty when tracing
     #: was disabled in the evaluating process).
     spans: Tuple[SpanRecord, ...] = ()
-    #: Counter readings deposited during the evaluation (empty when
-    #: sampling was disabled).  Unlike spans these persist in the result
-    #: cache, so warm-cache reruns replay the original timeline.
-    samples: Tuple[SampleRecord, ...] = ()
 
     @property
     def total_ops(self) -> int:
@@ -228,18 +221,13 @@ class Captured(NamedTuple):
 
     kernels: Tuple[KernelRecord, ...]
     spans: Tuple[SpanRecord, ...]
-    samples: Tuple[SampleRecord, ...]
 
 
-def drain_since(kernels: int = 0, spans: int = 0, samples: int = 0) -> Captured:
+def drain_since(kernels: int = 0, spans: int = 0) -> Captured:
     """Everything buffered after the marks (default: mark 0); removes exactly that."""
     taken = tuple(_kernels[kernels:])
     del _kernels[kernels:]
-    return Captured(
-        taken,
-        tuple(get_tracer().drain_since(spans)),
-        tuple(get_sampler().drain_since(samples)),
-    )
+    return Captured(taken, tuple(get_tracer().drain_since(spans)))
 
 
 class CaptureWindow:
@@ -250,12 +238,12 @@ class CaptureWindow:
     restores the stack and drains the window into :attr:`captured`.
     """
 
-    captured = Captured((), (), ())
+    captured = Captured((), ())
 
     def __enter__(self) -> "CaptureWindow":
         global _open_windows
         tracer = get_tracer()
-        self._marks = (len(_kernels), tracer.mark(), get_sampler().mark())
+        self._marks = (len(_kernels), tracer.mark())
         self._stack = tracer.swap_stack([])
         _open_windows += 1
         return self
@@ -268,12 +256,10 @@ class CaptureWindow:
 
 
 def enable_telemetry() -> None:
-    """Install an enabled process-wide tracer and sampler."""
+    """Install an enabled process-wide tracer."""
     set_tracer(Tracer(enabled=True))
-    set_sampler(CounterSampler(enabled=True))
 
 
 def disable_telemetry() -> None:
-    """Install a disabled process-wide tracer and sampler (the default)."""
+    """Install a disabled process-wide tracer (the default)."""
     set_tracer(Tracer(enabled=False))
-    set_sampler(CounterSampler(enabled=False))

@@ -4,9 +4,8 @@ A :class:`Span` brackets one phase of work (workload compile, kernel
 window, power solve, thermal solve, ...); a :class:`Tracer` maintains the
 current span stack so spans opened inside other spans nest into a tree.
 Completed top-level spans accumulate on the tracer until they are
-*drained* — ``mark()``/``drain_since(mark)``, the shape the counter
-sampler's buffer has too — into :class:`SpanRecord` trees, by the
-capture window of :mod:`repro.telemetry.record`.
+*drained* — ``mark()``/``drain_since(mark)`` — into :class:`SpanRecord`
+trees, by the capture window of :mod:`repro.telemetry.record`.
 
 Two properties the hot paths rely on:
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.telemetry.timeseries import get_sampler
 from repro.telemetry.trace import get_tracer
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.rcnetwork import ThermalMaterial, ThermalRCNetwork
@@ -102,9 +101,4 @@ class HotSpotModel:
         """
         with get_tracer().span("thermal.solve", blocks=len(power_map)):
             temperatures = self.network.steady_state(power_map, self.ambient_k)
-            result = self._aggregate(temperatures)
-        sampler = get_sampler()
-        if sampler.enabled:
-            sampler.sample("thermal.peak_c", result.peak_celsius())
-            sampler.sample("thermal.average_c", result.average_celsius())
-        return result
+            return self._aggregate(temperatures)

@@ -55,6 +55,7 @@ def row_point(point):
         total_power_w=float(point),
         core_power_density_w_m2=1.0,
         average_temperature_c=45.0,
+        peak_temperature_c=46.0,
         average_cpi=1.0,
         l1_miss_rate=0.01,
         memory_stall_fraction=0.1,

@@ -1,5 +1,6 @@
 """Cross-process telemetry through the executor's outcome channel."""
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -8,7 +9,7 @@ from typing import Dict
 import pytest
 
 from repro.harness.context import ExperimentContext
-from repro.harness.executor import ResultCache, SweepExecutor
+from repro.harness.executor import PointOutcome, ResultCache, SweepExecutor
 from repro.harness.profiling import SimPointRow
 from repro.telemetry.record import (
     KernelRecord,
@@ -16,6 +17,7 @@ from repro.telemetry.record import (
     drain_since,
     record_kernel,
 )
+from repro.telemetry.trace import Tracer, set_tracer, span
 from repro.workloads import workload_by_name
 
 
@@ -46,11 +48,18 @@ def recording_row_point(point):
         total_power_w=float(point),
         core_power_density_w_m2=1.0,
         average_temperature_c=45.0,
+        peak_temperature_c=46.0,
         average_cpi=1.0,
         l1_miss_rate=0.01,
         memory_stall_fraction=0.1,
         bus_utilisation=0.2,
     )
+
+
+def tracing_row_point(point):
+    """Picklable evaluator opening one span per call."""
+    with span("probe.point", point=point):
+        return point * 2
 
 
 def key_configs(points):
@@ -186,3 +195,62 @@ class TestStatsSummaries:
         assert (stats.cache_hits, stats.evaluated) == (2, 2)
         assert len(executor.cache) == stats.evaluated - stats.quarantined - stats.uncacheable
         assert executor.cache.quarantined == 0
+
+
+class TestPointRows:
+    def test_event_rows_match_across_inline_farm_and_warm_cache(self, tmp_path):
+        points = [0, 1, 2, 3]
+
+        def lanes_and_rows(executor):
+            outcomes = executor.map(
+                recording_row_point, points, key_configs=key_configs(points)
+            )
+            return (
+                {o.lane for o in outcomes},
+                [o.to_event()["row"] for o in outcomes],
+            )
+
+        inline = lanes_and_rows(SweepExecutor(jobs=1))
+        farm = lanes_and_rows(SweepExecutor(jobs=2, cache=ResultCache(tmp_path)))
+        warm = lanes_and_rows(SweepExecutor(jobs=1, cache=ResultCache(tmp_path)))
+        assert (inline[0], farm[0], warm[0]) == ({"inline"}, {"farm"}, {"cache"})
+        assert inline[1] == farm[1] == warm[1]
+        assert inline[1][1] == dataclasses.asdict(recording_row_point(1))
+
+    def test_non_row_values_and_failures_carry_an_empty_row(self):
+        assert PointOutcome(index=0, key=None, value=3).to_event()["row"] == {}
+        assert PointOutcome(index=0, key=None, value=None).to_event()["row"] == {}
+
+
+@pytest.fixture
+def tracer():
+    """An enabled tracer installed before any farm fork."""
+    fresh = Tracer(enabled=True)
+    previous = set_tracer(fresh)
+    yield fresh
+    set_tracer(previous)
+
+
+def outcome_span_names(outcomes):
+    return sorted(record.name for o in outcomes for record in o.telemetry.spans)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestSpanWindowing:
+    def test_a_coordinator_root_span_ships_with_no_point(self, tracer, jobs):
+        with tracer.span("calibration"):
+            pass
+        outcomes = SweepExecutor(jobs=jobs).map(tracing_row_point, [0, 1, 2, 3])
+        assert outcome_span_names(outcomes) == ["probe.point"] * 4
+        # The coordinator's span is left for the run's finalize.
+        assert [r.name for r in tracer.drain_since(0)] == ["calibration"]
+
+    def test_a_span_open_around_map_does_not_swallow_point_spans(
+        self, tracer, jobs
+    ):
+        with tracer.span("optimizer.round"):
+            outcomes = SweepExecutor(jobs=jobs).map(tracing_row_point, [0, 1, 2, 3])
+        assert outcome_span_names(outcomes) == ["probe.point"] * 4
+        (round_span,) = tracer.drain_since(0)
+        assert round_span.name == "optimizer.round"
+        assert round_span.children == ()

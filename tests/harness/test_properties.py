@@ -70,6 +70,7 @@ def evaluate(point):
         total_power_w=float(point) * 1.5,
         core_power_density_w_m2=1.0,
         average_temperature_c=45.0,
+        peak_temperature_c=46.0,
         average_cpi=1.0,
         l1_miss_rate=0.01,
         memory_stall_fraction=0.1,

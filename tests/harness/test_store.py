@@ -123,6 +123,7 @@ class TestRoundTrip:
                     total_power_w=40.0,
                     core_power_density_w_m2=3.2e5,
                     average_temperature_c=55.0,
+                    peak_temperature_c=56.0,
                     average_cpi=1.4,
                     l1_miss_rate=0.06,
                     memory_stall_fraction=0.45,
@@ -160,6 +161,27 @@ class TestValidation:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         with pytest.raises(ConfigurationError):
+            load_results(path)
+
+    def test_reads_older_schemas_entry_by_entry(self, tmp_path):
+        # Schema 1 predates SimPointRow.peak_temperature_c: its other
+        # rows still load, and a simpoint row without the field is refused.
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"schema": 1, "groups": {}}))
+        assert load_results(path) == {}
+        simpoint = {
+            "app": "Ocean", "n": 16, "frequency_hz": 3.2e9, "voltage": 1.1,
+            "execution_time_ps": 1, "total_power_w": 40.0,
+            "core_power_density_w_m2": 1.0, "average_temperature_c": 55.0,
+            "average_cpi": 1.4, "l1_miss_rate": 0.06,
+            "memory_stall_fraction": 0.45, "bus_utilisation": 0.6,
+        }
+        path.write_text(
+            json.dumps(
+                {"schema": 1, "groups": {"g": [{"type": "simpoint", "data": simpoint}]}}
+            )
+        )
+        with pytest.raises(ConfigurationError, match="peak_temperature_c"):
             load_results(path)
 
     def test_rejects_wrong_schema(self, tmp_path):

@@ -1,6 +1,4 @@
-"""Tests for the alert-rule engine and its report integration."""
-
-import io
+"""Tests for the alert-rule engine over point rows."""
 
 import pytest
 
@@ -8,36 +6,28 @@ from repro.telemetry.alerts import (
     DEFAULT_RULES,
     AlertRule,
     ChannelStats,
+    RowStats,
     evaluate_rules,
-    stats_from_samples,
-)
-from repro.telemetry.timeseries import (
-    CounterSampler,
-    SampleRecord,
-    get_sampler,
-    set_sampler,
 )
 
 
-def seeded_stats(**channels):
-    """Per-channel stats from ``channel=[values]`` keyword arguments."""
-    samples = [
-        SampleRecord(channel.replace("__", "."), float(i), float(value))
-        for channel, values in channels.items()
-        for i, value in enumerate(values)
-    ]
-    return stats_from_samples(samples)
+def seeded_stats(*rows):
+    """Row statistics folded from row dicts."""
+    stats = RowStats()
+    for row in rows:
+        stats.observe(row)
+    return stats
+
+
+def field_rows(field, values, app="FMM"):
+    """One single-field row per value, all of one application."""
+    return [{"app": app, field: value} for value in values]
 
 
 class TestAlertRule:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown alert rule kind"):
-            AlertRule(name="x", kind="banana", channel="c")
-
-    def test_non_overflow_rules_need_a_channel(self):
-        with pytest.raises(ValueError, match="needs a channel"):
-            AlertRule(name="x", kind="above")
-        AlertRule(name="x", kind="overflow")  # channelless is fine
+            AlertRule(name="x", kind="banana", field="c", threshold=1.0)
 
 
 class TestChannelStats:
@@ -56,117 +46,101 @@ class TestChannelStats:
     def test_empty_stats_mean_is_zero(self):
         assert ChannelStats().mean() == 0.0
 
-    def test_stats_from_samples_folds_per_channel(self):
-        stats = seeded_stats(a=[1.0, 5.0], b=[2.0])
-        assert stats["a"].count == 2 and stats["a"].maximum == 5.0
-        assert stats["b"].count == 1
+    def test_row_stats_fold_numeric_fields_overall_and_per_app(self):
+        stats = seeded_stats(
+            {"app": "FMM", "n": 1, "total_power_w": 5.0, "flag": True},
+            {"app": "FMM", "n": 2, "total_power_w": 9.0},
+            {"app": "Radix", "n": 1, "total_power_w": 3.0},
+            {},  # a failed point's row adds nothing
+        )
+        assert stats.points == 3
+        assert sorted(stats.fields) == ["n", "total_power_w"]
+        assert stats.fields["total_power_w"].count == 3
+        assert stats.fields["total_power_w"].maximum == 9.0
+        assert stats.apps["Radix"]["total_power_w"].minimum == 3.0
+        block = stats.to_dict()
+        assert block["points"] == 3
+        assert block["fields"]["n"]["max"] == 2.0
 
 
 class TestRuleKinds:
     def test_above_fires_at_and_over_threshold(self):
-        rule = AlertRule(name="r", kind="above", channel="c", threshold=10.0)
-        assert not evaluate_rules(seeded_stats(c=[9.9]), [rule])
-        (finding,) = evaluate_rules(seeded_stats(c=[4.0, 10.0]), [rule])
+        rule = AlertRule(name="r", kind="above", field="c", threshold=10.0)
+        assert not evaluate_rules(seeded_stats(*field_rows("c", [9.9])), [rule])
+        (finding,) = evaluate_rules(
+            seeded_stats(*field_rows("c", [4.0, 10.0])), [rule]
+        )
         assert finding.rule == "r" and finding.value == 10.0
 
-    def test_below_fires_at_and_under_threshold(self):
-        rule = AlertRule(name="r", kind="below", channel="c", threshold=0.5)
-        assert not evaluate_rules(seeded_stats(c=[0.6]), [rule])
-        (finding,) = evaluate_rules(seeded_stats(c=[0.9, 0.5]), [rule])
-        assert finding.value == 0.5
-
     def test_collapse_is_relative_and_needs_two_samples(self):
-        rule = AlertRule(name="r", kind="collapse", channel="c", threshold=0.5)
-        # One sample can't collapse against itself.
-        assert not evaluate_rules(seeded_stats(c=[0.1]), [rule])
-        assert not evaluate_rules(seeded_stats(c=[2.0, 1.1]), [rule])
-        (finding,) = evaluate_rules(seeded_stats(c=[2.0, 0.9]), [rule])
-        assert finding.value == 0.9
-
-    def test_overflow_reads_the_drop_count(self):
-        rule = AlertRule(name="r", kind="overflow")
-        assert not evaluate_rules({}, [rule], dropped=0)
-        (finding,) = evaluate_rules({}, [rule], dropped=7)
-        assert finding.value == 7.0
+        rule = AlertRule(name="r", kind="collapse", field="c", threshold=2.0)
+        # One row can't collapse against itself.
+        assert not evaluate_rules(seeded_stats(*field_rows("c", [9.0])), [rule])
+        assert not evaluate_rules(
+            seeded_stats(*field_rows("c", [1.0, 2.0])), [rule]
+        )
+        (finding,) = evaluate_rules(
+            seeded_stats(*field_rows("c", [1.0, 2.5])), [rule]
+        )
+        assert finding.value == 2.5
 
     def test_unsampled_channels_are_silently_skipped(self):
-        rule = AlertRule(name="r", kind="above", channel="never", threshold=1.0)
-        assert evaluate_rules(seeded_stats(c=[99.0]), [rule]) == []
+        rules = [
+            AlertRule(name="a", kind="above", field="never", threshold=1.0),
+            AlertRule(name="b", kind="collapse", field="never", threshold=2.0),
+        ]
+        assert evaluate_rules(seeded_stats(*field_rows("c", [99.0, 1.0])), rules) == []
 
 
 class TestDefaultRules:
-    def fired(self, stats, dropped=0):
-        return {f.rule for f in evaluate_rules(stats, DEFAULT_RULES, dropped=dropped)}
+    def fired(self, stats):
+        return {f.rule for f in evaluate_rules(stats, DEFAULT_RULES)}
 
     def test_quiet_run_fires_nothing(self):
         stats = seeded_stats(
-            power__peak_temperature_c=[55.0, 60.0],
-            power__total_w=[30.0, 41.0],
-            sim__ipc=[2.0, 1.8, 1.9],
+            {"app": "FMM", "peak_temperature_c": 55.0, "total_power_w": 30.0,
+             "average_cpi": 0.5},
+            {"app": "FMM", "peak_temperature_c": 60.0, "total_power_w": 41.0,
+             "average_cpi": 0.55},
         )
         assert self.fired(stats) == set()
 
     def test_thermal_ceiling_fires_on_a_seeded_violation(self):
-        stats = seeded_stats(power__peak_temperature_c=[60.0, 97.3])
+        stats = seeded_stats(*field_rows("peak_temperature_c", [60.0, 97.3]))
         assert self.fired(stats) == {"thermal-ceiling"}
 
     def test_power_budget_fires_on_a_seeded_violation(self):
-        stats = seeded_stats(power__total_w=[30.0, 65.0])
+        stats = seeded_stats(*field_rows("total_power_w", [30.0, 65.0]))
         assert self.fired(stats) == {"power-budget"}
 
     def test_ipc_collapse_fires_past_the_optimal_thread_count(self):
-        stats = seeded_stats(sim__ipc=[2.5, 2.0, 0.9])
+        # IPC 2.5, 2.0, 0.9: the last point is under half the peak.
+        stats = seeded_stats(*field_rows("average_cpi", [0.4, 0.5, 1 / 0.9]))
         assert self.fired(stats) == {"ipc-collapse"}
 
-    def test_sampler_overflow_fires_on_dropped_readings(self):
-        assert self.fired({}, dropped=3) == {"sampler-overflow"}
+    def test_a_spread_across_apps_alone_stays_silent(self):
+        # FMM's IPC runs 1.0-1.6 and Radix's 0.15-0.21: Radix sits
+        # under half of FMM's peak, but neither collapses on its own.
+        stats = seeded_stats(
+            *field_rows("average_cpi", [1 / 1.6, 1 / 1.0], app="FMM"),
+            *field_rows("average_cpi", [1 / 0.21, 1 / 0.15], app="Radix"),
+        )
+        assert self.fired(stats) == set()
+
+    def test_a_collapse_within_one_app_fires(self):
+        stats = seeded_stats(
+            *field_rows("average_cpi", [1 / 1.6, 1 / 1.0], app="FMM"),
+            *field_rows("average_cpi", [1 / 0.21, 1 / 0.08], app="Radix"),
+        )
+        (finding,) = evaluate_rules(stats, DEFAULT_RULES)
+        assert finding.rule == "ipc-collapse"
+        assert finding.value == pytest.approx(0.21 / 0.08)
 
     def test_findings_serialize_for_the_manifest(self):
-        stats = seeded_stats(power__total_w=[65.0])
+        stats = seeded_stats(*field_rows("total_power_w", [65.0]))
         (finding,) = evaluate_rules(stats, DEFAULT_RULES)
         document = finding.to_dict()
         assert document["rule"] == "power-budget"
-        assert document["channel"] == "power.total_w"
+        assert document["field"] == "total_power_w"
         assert document["value"] == 65.0
         assert document["threshold"] == 60.0
-
-
-class TestReportAlertsSubsection:
-    @pytest.fixture(autouse=True)
-    def restore_global_sampler(self):
-        previous = get_sampler()
-        yield
-        set_sampler(previous)
-
-    def render(self):
-        from repro.harness.report import _alerts_subsection
-
-        out = io.StringIO()
-        _alerts_subsection(out)
-        return out.getvalue()
-
-    def test_absent_when_sampling_is_disabled(self):
-        set_sampler(CounterSampler(enabled=False))
-        assert self.render() == ""
-
-    def test_absent_when_enabled_but_empty(self):
-        set_sampler(CounterSampler(enabled=True, max_samples=8))
-        assert self.render() == ""
-
-    def test_renders_a_table_for_seeded_violations(self):
-        sampler = CounterSampler(enabled=True, max_samples=8)
-        set_sampler(sampler)
-        sampler.sample("power.peak_temperature_c", 97.0)
-        sampler.sample("power.total_w", 65.0)
-        text = self.render()
-        assert "### Telemetry alerts" in text
-        assert "thermal-ceiling" in text and "power-budget" in text
-        # The snapshot is non-destructive: the samples are still buffered.
-        assert sampler.count == 2
-
-    def test_quiet_run_reports_that_nothing_fired(self):
-        sampler = CounterSampler(enabled=True, max_samples=8)
-        set_sampler(sampler)
-        sampler.sample("power.total_w", 12.0)
-        text = self.render()
-        assert "No alert rules fired over 1 sampled readings." in text

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import dataclass
 
 from repro.harness.executor import PointOutcome, SweepExecutor
 from repro.telemetry.chrometrace import (
@@ -13,7 +14,6 @@ from repro.telemetry.chrometrace import (
 )
 from repro.telemetry.manifest import TelemetryRun
 from repro.telemetry.record import KernelRecord, PointTelemetry
-from repro.telemetry.timeseries import SampleRecord
 from repro.telemetry.trace import SpanRecord
 
 
@@ -152,51 +152,50 @@ class TestMetricsTable:
         assert "no spans recorded" in metrics_table(run.directory)
 
 
+@dataclass(frozen=True)
+class Row:
+    """A point row: its string field becomes no counter."""
+
+    app: str
+    n: int
+    total_power_w: float
+
+
 def sampled_run(tmp_path):
-    """A finalized run with one farm-lane point carrying counter samples."""
+    """A finalized run: two farm-lane points with rows, one coordinator span."""
     run = TelemetryRun(tmp_path, command="fig3")
-    telemetry = PointTelemetry(
-        pid=111,
-        start_us=990.0,
-        wall_s=0.0008,
-        kernels=(),
-        samples=(
-            SampleRecord(channel="sim.ipc", t_us=1_000.0, value=1.5),
-            SampleRecord(channel="power.total_w", t_us=1_200.0, value=41.0),
-        ),
-    )
-    run.record_point(
-        PointOutcome(
-            index=0, key="k0", value=1, telemetry=telemetry, lane="farm"
-        ).to_event(),
-        telemetry,
-    )
-    run.record_samples(
-        [SampleRecord(channel="thermal.peak_c", t_us=1_400.0, value=55.0)],
-        point=None,
+    for index, (start_us, power) in enumerate(((990.0, 41.0), (2_000.0, 45.0))):
+        telemetry = PointTelemetry(pid=111, start_us=start_us, wall_s=0.0008)
+        outcome = PointOutcome(
+            index=index,
+            key=f"k{index}",
+            value=Row("FMM", index + 1, power),
+            telemetry=telemetry,
+            lane="farm",
+        )
+        run.record_point(outcome.to_event(), telemetry)
+    run.record_spans(
+        [SpanRecord(name="context.calibrate", start_us=500.0, duration_us=100.0)]
     )
     run.finalize()
     return run
 
 
 class TestCounterTracks:
-    def test_samples_become_counter_events(self, tmp_path):
+    def test_row_fields_become_counter_events(self, tmp_path):
         run = sampled_run(tmp_path)
         events = chrome_trace_document(run.directory)["traceEvents"]
         counters = [e for e in events if e["ph"] == "C"]
-        assert {e["name"] for e in counters} == {
-            "sim.ipc",
-            "power.total_w",
-            "thermal.peak_c",
-        }
+        assert sorted(e["name"] for e in counters) == [
+            "n", "n", "total_power_w", "total_power_w",
+        ]
         for event in counters:
             assert event["cat"] == "counter"
             assert "dur" not in event
             assert isinstance(event["args"]["value"], float)
-        by_name = {e["name"]: e for e in counters}
-        assert by_name["sim.ipc"]["pid"] == 111
-        assert by_name["sim.ipc"]["args"]["value"] == 1.5
-        assert by_name["thermal.peak_c"]["pid"] == os.getpid()
+            assert event["pid"] == 111
+        power = [e["args"]["value"] for e in counters if e["name"] == "total_power_w"]
+        assert power == [41.0, 45.0]
 
     def test_counter_timestamps_share_the_rebased_timebase(self, tmp_path):
         run = sampled_run(tmp_path)
@@ -204,13 +203,12 @@ class TestCounterTracks:
         timed = [e for e in events if e["ph"] in ("X", "C")]
         assert min(e["ts"] for e in timed) == 0.0
         assert all(e["ts"] >= 0 for e in timed)
-        by_name = {e["name"]: e for e in timed if e["ph"] == "C"}
-        # Emission order survives the rebase.
-        assert (
-            by_name["sim.ipc"]["ts"]
-            < by_name["power.total_w"]["ts"]
-            < by_name["thermal.peak_c"]["ts"]
-        )
+        points = [e for e in timed if e["cat"] == "point"]
+        counters = [e for e in timed if e["name"] == "total_power_w"]
+        # Each point's counters sit at that point's end.
+        for point, counter in zip(points, counters):
+            assert counter["ts"] == round(point["ts"] + point["dur"], 3)
+        assert counters[0]["ts"] < counters[1]["ts"]
 
     def test_export_round_trips_counter_events(self, tmp_path):
         run = sampled_run(tmp_path)
@@ -267,5 +265,5 @@ class TestProcessNames:
             for e in events
             if e["ph"] == "M" and e["name"] == "process_name"
         }
-        assert names[111] == "repro farm worker 111 · points 0"
+        assert names[111] == "repro farm worker 111 · points 0-1"
         assert names[os.getpid()] == f"repro coordinator {os.getpid()}"

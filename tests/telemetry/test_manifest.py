@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from dataclasses import dataclass
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.harness.executor import (
 from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
-    TIMELINE_SCHEMA,
     TelemetryRun,
     git_sha,
     latest_run_dir,
@@ -26,18 +26,10 @@ from repro.telemetry.manifest import (
     load_events,
     load_manifest,
     load_spans,
-    load_timeline,
     resolve_run_dir,
     validate_run_dir,
 )
 from repro.telemetry.record import KernelRecord, PointTelemetry
-from repro.telemetry.timeseries import (
-    CounterSampler,
-    SampleRecord,
-    get_sampler,
-    sample,
-    set_sampler,
-)
 from repro.telemetry.trace import SpanRecord
 from tests.harness.test_executor_telemetry import key_configs, recording_row_point
 
@@ -57,7 +49,7 @@ def kernel_record(total_ops=100):
 
 
 def outcome(
-    index=0, cached=False, failed=False, kernels=1, spans=(), samples=(),
+    index=0, cached=False, failed=False, kernels=1, spans=(), value=None,
     lane="inline",
 ):
     telemetry = PointTelemetry(
@@ -66,13 +58,12 @@ def outcome(
         wall_s=0.5,
         kernels=tuple(kernel_record() for _ in range(kernels)),
         spans=tuple(spans),
-        samples=tuple(samples),
     )
     failure = SweepFailure(error_type="SimulationError", message="x") if failed else None
     return PointOutcome(
         index=index,
         key=f"k{index}",
-        value=None if failed else index,
+        value=None if failed else (index if value is None else value),
         failure=failure,
         cached=cached,
         telemetry=telemetry,
@@ -286,6 +277,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             validate_run_dir(run.directory)
 
+    def test_validate_rejects_a_point_event_without_a_row(self, tmp_path):
+        run = self.make_run(tmp_path)
+        path = run.directory / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        del events[0]["row"]
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        with pytest.raises(ConfigurationError, match="'row'"):
+            validate_run_dir(run.directory)
+
     def test_validate_rejects_bad_span_tree(self, tmp_path):
         run = self.make_run(tmp_path)
         with (run.directory / "spans.jsonl").open("a") as handle:
@@ -373,53 +373,50 @@ class TestFaultToleranceTelemetry:
         assert summary["points"] == 2
 
 
-def samples_for(point, channel="power.total_w", values=(40.0,)):
-    return tuple(
-        SampleRecord(channel=channel, t_us=1e12 + point * 10 + i, value=value)
-        for i, value in enumerate(values)
-    )
+@dataclass(frozen=True)
+class Row:
+    """A point row: what a sweep's evaluator returns."""
+
+    app: str
+    total_power_w: float
+    peak_temperature_c: float = 50.0
 
 
 class TestTimeline:
-    @pytest.fixture(autouse=True)
-    def restore_global_sampler(self):
-        previous = get_sampler()
-        yield
-        set_sampler(previous)
-
-    def test_sampling_off_runs_write_no_timeline_file(self, tmp_path):
+    def test_runs_write_no_timeline_file(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
         record(run, outcome(0))
         run.finalize()
-        assert not (run.directory / "timeline.jsonl").exists()
-        assert load_timeline(run.directory) == ([], 0)
+        assert sorted(p.name for p in run.directory.iterdir()) == [
+            "events.jsonl",
+            "manifest.json",
+            "spans.jsonl",
+        ]
         manifest = load_manifest(run.directory)
-        assert manifest["timeline"]["written"] == 0
+        assert manifest["rows"] == {"points": 0, "fields": {}}
         assert manifest["alerts"] == []
 
-    def test_point_samples_round_trip_with_attribution(self, tmp_path):
+    def test_point_rows_ride_on_events_and_fold_into_the_manifest(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        record(run, outcome(0, samples=samples_for(0, values=(40.0, 41.0)), lane="farm"))
-        record(run, outcome(1, cached=True, samples=samples_for(1, values=(39.0,))))
+        record(run, outcome(0, value=Row("FMM", 40.0), lane="farm"))
+        record(run, outcome(1, cached=True, value=Row("FMM", 41.0)))
+        record(run, outcome(2, value=Row("Radix", 39.0)))
+        record(run, outcome(3, failed=True))
         run.finalize()
 
-        lines = (run.directory / "timeline.jsonl").read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header == {"schema": TIMELINE_SCHEMA, "run_id": run.run_id}
-
-        entries, torn = load_timeline(run.directory)
-        assert torn == 0
-        assert [e["point"] for e in entries] == [0, 0, 1]
-        assert [e["cached"] for e in entries] == [False, False, True]
-        assert all(e["pid"] == 4242 for e in entries)
-        assert [e["value"] for e in entries] == [40.0, 41.0, 39.0]
+        events = load_events(run.directory)
+        assert events[0]["row"] == {
+            "app": "FMM", "total_power_w": 40.0, "peak_temperature_c": 50.0,
+        }
+        assert events[3]["row"] == {}
 
         manifest = load_manifest(run.directory)
         assert manifest["coordinator_pid"] == os.getpid()
-        assert manifest["timeline"]["written"] == 3
-        stats = manifest["timeline"]["channels"]["power.total_w"]
+        assert manifest["rows"]["points"] == 3
+        stats = manifest["rows"]["fields"]["total_power_w"]
         assert stats["count"] == 3
         assert stats["min"] == 39.0 and stats["max"] == 41.0
+        assert "app" not in manifest["rows"]["fields"]
 
     def test_events_carry_the_executor_lane(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
@@ -429,35 +426,10 @@ class TestTimeline:
         events = load_events(run.directory)
         assert [e["lane"] for e in events] == ["farm", "cache"]
 
-    def test_finalize_drains_coordinator_readings_as_pointless(self, tmp_path):
-        sampler = CounterSampler(enabled=True, max_samples=8)
-        set_sampler(sampler)
-        sampler.sample("calibration.probe", 1.5)
-        run = TelemetryRun(tmp_path, command="fig3")
-        run.finalize()
-        (entry,) = load_timeline(run.directory)[0]
-        assert entry["point"] is None
-        assert entry["channel"] == "calibration.probe"
-        assert entry["pid"] == os.getpid()
-        assert sampler.count == 0  # drained
-
     def test_seeded_violations_land_as_manifest_alerts(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig3")
-        record(
-            run,
-            outcome(
-                0,
-                samples=samples_for(
-                    0, channel="power.peak_temperature_c", values=(60.0, 97.0)
-                ),
-            ),
-        )
-        record(
-            run,
-            outcome(
-                1, samples=samples_for(1, channel="power.total_w", values=(65.0,))
-            ),
-        )
+        record(run, outcome(0, value=Row("FMM", 30.0, peak_temperature_c=97.0)))
+        record(run, outcome(1, value=Row("FMM", 65.0)))
         run.finalize()
         manifest = load_manifest(run.directory)
         assert {a["rule"] for a in manifest["alerts"]} == {
@@ -467,85 +439,3 @@ class TestTimeline:
         by_rule = {a["rule"]: a for a in manifest["alerts"]}
         assert by_rule["thermal-ceiling"]["value"] == 97.0
         assert by_rule["power-budget"]["threshold"] == 60.0
-
-    def test_overflow_alert_reads_the_global_samplers_drop_count(self, tmp_path):
-        sampler = CounterSampler(enabled=True, max_samples=1)
-        set_sampler(sampler)
-        sampler.sample("c", 1.0)
-        sampler.sample("c", 2.0)  # dropped
-        run = TelemetryRun(tmp_path, command="fig3")
-        run.finalize()
-        manifest = load_manifest(run.directory)
-        assert manifest["timeline"]["dropped"] == 1
-        assert "sampler-overflow" in {a["rule"] for a in manifest["alerts"]}
-
-
-def sampled_row_point(point):
-    """Picklable evaluator depositing two power readings per call."""
-    sample("power.total_w", 40.0)
-    sample("power.total_w", 41.0)
-    return recording_row_point(point)
-
-
-class TestTimelineValidation:
-    def make_run(self, tmp_path):
-        previous = set_sampler(CounterSampler(enabled=True, max_samples=64))
-        try:
-            run, executor = sweep(
-                tmp_path, points=(0,), warm=(), fn=sampled_row_point
-            )
-        finally:
-            set_sampler(previous)
-        run.finalize(executor=executor)
-        return run
-
-    def test_validate_counts_samples(self, tmp_path):
-        run = self.make_run(tmp_path)
-        summary = validate_run_dir(run.directory)
-        assert summary["samples"] == 2
-        assert summary["torn_samples"] == 0
-
-    def test_torn_tail_is_tolerated_and_counted(self, tmp_path):
-        run = self.make_run(tmp_path)
-        with (run.directory / "timeline.jsonl").open("a") as handle:
-            handle.write('{"event": "sample", "chan')  # crash mid-write
-        summary = validate_run_dir(run.directory)
-        assert summary["samples"] == 2
-        assert summary["torn_samples"] == 1
-
-    def test_declared_timeline_without_file_is_an_error(self, tmp_path):
-        run = self.make_run(tmp_path)
-        (run.directory / "timeline.jsonl").unlink()
-        with pytest.raises(ConfigurationError, match="timeline.jsonl is missing"):
-            validate_run_dir(run.directory)
-
-    def test_complete_run_with_count_mismatch_is_an_error(self, tmp_path):
-        run = self.make_run(tmp_path)
-        path = run.directory / "timeline.jsonl"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop one sample
-        with pytest.raises(ConfigurationError, match="timeline.jsonl logs 1"):
-            validate_run_dir(run.directory)
-
-    def test_malformed_sample_entry_is_an_error(self, tmp_path):
-        run = self.make_run(tmp_path)
-        with (run.directory / "timeline.jsonl").open("a") as handle:
-            handle.write(json.dumps({"event": "sample", "channel": "c"}) + "\n")
-        with pytest.raises(ConfigurationError, match="missing/invalid"):
-            validate_run_dir(run.directory)
-
-    def test_foreign_timeline_schema_is_rejected(self, tmp_path):
-        run = self.make_run(tmp_path)
-        path = run.directory / "timeline.jsonl"
-        lines = path.read_text().splitlines()
-        lines[0] = json.dumps({"schema": "someone-elses-v9"})
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="timeline schema"):
-            load_timeline(run.directory)
-
-    def test_headerless_timeline_is_rejected(self, tmp_path):
-        run = self.make_run(tmp_path)
-        path = run.directory / "timeline.jsonl"
-        path.write_text("{not json\n")
-        with pytest.raises(ConfigurationError, match="missing timeline header"):
-            load_timeline(run.directory)

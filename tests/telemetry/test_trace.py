@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.telemetry.record import disable_telemetry, enable_telemetry
-from repro.telemetry.timeseries import get_sampler, set_sampler
 from repro.telemetry.trace import (
     NULL_SPAN,
     SpanRecord,
@@ -204,12 +203,11 @@ class TestDrainWindows:
 
 class TestProcessWideSwitches:
     def test_enable_and_disable_swap_the_module_tracer(self):
-        previous = get_tracer(), get_sampler()
+        previous = get_tracer()
         try:
             enable_telemetry()
-            assert get_tracer().enabled and get_sampler().enabled
+            assert get_tracer().enabled
             disable_telemetry()
-            assert not get_tracer().enabled and not get_sampler().enabled
+            assert not get_tracer().enabled
         finally:
-            set_tracer(previous[0])
-            set_sampler(previous[1])
+            set_tracer(previous)

@@ -76,12 +76,12 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "trace", "timeline", "--telemetry-dir", "t",
-                "--channel", "sim.ipc", "--channel", "power.total_w",
+                "--channel", "average_cpi", "--channel", "total_power_w",
                 "--width", "20",
             ]
         )
         assert args.trace_command == "timeline"
-        assert args.channel == ["sim.ipc", "power.total_w"]
+        assert args.channel == ["average_cpi", "total_power_w"]
         assert args.width == 20
         defaults = build_parser().parse_args(
             ["trace", "timeline", "--telemetry-dir", "t"]
@@ -174,13 +174,11 @@ class TestCommands:
 
 @pytest.fixture
 def restore_telemetry_state():
-    """--telemetry-dir enables tracing/sampling; undo it afterwards."""
-    from repro.telemetry.timeseries import get_sampler, set_sampler
+    """--telemetry-dir enables tracing; undo it afterwards."""
     from repro.telemetry.trace import get_tracer, set_tracer
 
-    sampler, tracer = get_sampler(), get_tracer()
+    tracer = get_tracer()
     yield
-    set_sampler(sampler)
     set_tracer(tracer)
 
 
@@ -200,24 +198,24 @@ class TestTraceTimelineCommand:
 
         assert main(["trace", "timeline", "--telemetry-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "sim.ipc" in out and "power.total_w" in out
-        assert "n=" in out
-        assert "alerts" in out
+        assert "average_cpi" in out and "total_power_w" in out
+        assert "n=9" in out  # one value per sweep point
+        assert "alerts: none fired" in out
 
-        # --channel filters to the named series.
+        # --channel filters to the named row fields.
         assert (
             main(
                 [
                     "trace", "timeline", "--telemetry-dir", str(tmp_path),
-                    "--channel", "sim.ipc",
+                    "--channel", "average_cpi",
                 ]
             )
             == 0
         )
         filtered = capsys.readouterr().out
-        assert "sim.ipc" in filtered and "power.total_w" not in filtered
+        assert "average_cpi" in filtered and "total_power_w" not in filtered
 
-        # Unknown channels fail with the sampled list in the message.
+        # Unknown fields fail with the recorded list in the message.
         assert (
             main(
                 [
@@ -227,11 +225,12 @@ class TestTraceTimelineCommand:
             )
             == 1
         )
-        assert "no samples for channel(s)" in capsys.readouterr().err
+        assert "no row field(s) no.such.channel" in capsys.readouterr().err
 
-        # validate counts the timeline; export carries counter tracks.
+        # No timeline artifact; export carries the counter tracks.
+        assert not list(tmp_path.glob("*/timeline.jsonl"))
         assert main(["trace", "validate", "--telemetry-dir", str(tmp_path)]) == 0
-        assert "timeline samples" in capsys.readouterr().out
+        assert "9 point events" in capsys.readouterr().out
         output = tmp_path / "trace.json"
         assert (
             main(
@@ -248,12 +247,22 @@ class TestTraceTimelineCommand:
         events = json.loads(output.read_text())["traceEvents"]
         assert any(e["ph"] == "C" for e in events)
 
+    def test_barnes_fig3_records_no_alerts(self, capsys, tmp_path):
+        # Barnes's CPI spans 1.24-2.06 over the sweep: no point is past
+        # half its peak IPC, under the 60 W budget or near the ceiling.
+        from repro.telemetry.manifest import latest_run_dir, load_manifest
+
+        argv = ["fig3", "--apps", "Barnes", "--scale", "0.05"]
+        assert main([*argv, "--telemetry-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert load_manifest(latest_run_dir(tmp_path))["alerts"] == []
+
     def test_timeline_without_sampling_says_so(self, capsys, tmp_path):
         from repro.telemetry.manifest import TelemetryRun
 
         TelemetryRun(tmp_path, command="fig3").finalize()
         assert main(["trace", "timeline", "--telemetry-dir", str(tmp_path)]) == 0
-        assert "no timeline samples" in capsys.readouterr().out
+        assert "no point rows" in capsys.readouterr().out
 
 
 KERNEL_LINE = re.compile(
