@@ -1,12 +1,10 @@
 """Benchmarks for the library's beyond-the-paper extensions.
 
-Three extensions, each rooted in the paper's own discussion:
+Two extensions, each rooted in the paper's own discussion:
 
 * **Scenario III** (energy / energy-delay optimization) — the metric the
   paper's related work ([21], [26]) optimises, solved on the analytical
   model;
-* **per-core DVFS** — Section 3.1's "beyond the scope" note, implemented
-  as the Kadayif-style slow-the-light-threads policy;
 * **multiprogrammed mix** — the paper's framing of a parallel
   application against independent programs at equal core count.
 """
@@ -14,7 +12,7 @@ Three extensions, each rooted in the paper's own discussion:
 
 from repro.core import AnalyticalChipModel, EnergyOptimizationScenario, SAMPLE_APPLICATION
 from repro.core.efficiency import ConstantEfficiency
-from repro.harness import render_table, run_percore_dvfs_suite
+from repro.harness import render_table
 from repro.tech import NODE_130NM, NODE_65NM
 from repro.workloads import workload_by_name
 
@@ -75,31 +73,6 @@ def test_scenario3_edp_prefers_parallelism(benchmark):
         f"T={edp_best.relative_time:.3f})"
     )
     assert edp_best.n > e_best.n
-
-
-def test_percore_dvfs_policy(benchmark, experiment_context):
-    """Per-core DVFS saves energy roughly in proportion to imbalance."""
-    apps = [workload_by_name(a) for a in ("Cholesky", "Volrend", "Water-Sp")]
-
-    results = benchmark.pedantic(
-        lambda: run_percore_dvfs_suite(experiment_context, apps, n_threads=8),
-        rounds=1,
-        iterations=1,
-    )
-    print()
-    print(
-        render_table(
-            ["app", "N", "energy saving", "slowdown"],
-            [[r.app, r.n, f"{r.energy_saving:.1%}", r.slowdown] for r in results],
-            title="Per-core DVFS (slow the lightly-loaded threads)",
-        )
-    )
-    by_app = {r.app: r for r in results}
-    # Everyone saves something; the imbalanced apps save the most.
-    for r in results:
-        assert r.energy_saving > 0.0, r.app
-        assert r.slowdown < 1.3, r.app
-    assert by_app["Cholesky"].energy_saving > by_app["Water-Sp"].energy_saving
 
 
 def test_parallel_vs_multiprogrammed(benchmark, experiment_context):

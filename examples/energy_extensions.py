@@ -1,13 +1,9 @@
 #!/usr/bin/env python
-"""Beyond the paper: energy optimization and per-core DVFS.
+"""Beyond the paper: energy optimization.
 
-Two extensions the paper's own discussion points toward:
-
-1. **Scenario III** — instead of fixing performance (Scenario I) or
-   power (Scenario II), minimise *energy* or *energy-delay product* over
-   the analytical model;
-2. **per-core DVFS** — Section 3.1 calls it beyond scope: slow down
-   lightly-loaded threads so everyone hits the barrier together.
+**Scenario III** — instead of fixing performance (Scenario I) or power
+(Scenario II), minimise *energy* or *energy-delay product* over the
+analytical model, the metric the paper's related work optimises.
 
 Run:  python examples/energy_extensions.py
 """
@@ -17,13 +13,8 @@ from repro.core import (
     EnergyOptimizationScenario,
     SAMPLE_APPLICATION,
 )
-from repro.harness import (
-    ExperimentContext,
-    render_table,
-    run_percore_dvfs_suite,
-)
+from repro.harness import render_table
 from repro.tech import NODE_65NM
-from repro.workloads import workload_by_name
 
 
 def scenario3() -> None:
@@ -54,33 +45,5 @@ def scenario3() -> None:
     )
 
 
-def percore_dvfs(context: ExperimentContext) -> None:
-    apps = [workload_by_name(a) for a in ("Cholesky", "Volrend", "Water-Sp")]
-    results = run_percore_dvfs_suite(context, apps, n_threads=8)
-    print(
-        render_table(
-            ["app", "saving", "slowdown", "core frequencies (GHz)"],
-            [
-                [
-                    r.app,
-                    f"{r.energy_saving:.1%}",
-                    r.slowdown,
-                    " ".join(f"{f / 1e9:.1f}" for f in r.core_frequencies_hz),
-                ]
-                for r in results
-            ],
-            title="Per-core DVFS: slow the lightly-loaded threads",
-        )
-    )
-    print("Imbalanced applications (Cholesky) have the most slack to harvest.\n")
-
-
-def main() -> None:
-    scenario3()
-    print("Building the experiment context (calibration microbenchmark)...\n")
-    context = ExperimentContext(workload_scale=0.25)
-    percore_dvfs(context)
-
-
 if __name__ == "__main__":
-    main()
+    scenario3()

@@ -43,10 +43,6 @@ _EXPORTS = {
     "OptimizerCampaign": "repro.harness.optimizer",
     "OptimizerRow": "repro.harness.optimizer",
     "run_optimizer": "repro.harness.optimizer",
-    "PerCoreDVFSResult": "repro.harness.percore",
-    "plan_core_frequencies": "repro.harness.percore",
-    "run_percore_dvfs": "repro.harness.percore",
-    "run_percore_dvfs_suite": "repro.harness.percore",
     "AgreementSummary": "repro.harness.compare",
     "compare_scenario1": "repro.harness.compare",
     "load_results": "repro.harness.store",

@@ -14,7 +14,7 @@ be built once and shared across experiments.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.harness.executor import PointOutcome, ResultCache, config_key
@@ -175,17 +175,13 @@ class ExperimentContext:
         n_threads: int,
         frequency_hz: Optional[float] = None,
         voltage: Optional[float] = None,
-        core_operating_points: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> Tuple[SimulationResult, ChipPowerResult]:
         """Simulate one configuration and evaluate its power/thermal state.
 
         Frequency defaults to nominal.  Without a voltage, the frequency
         is clamped into the legal scaling range and the voltage is the
         V/f table's entry for it.  An explicit (frequency, voltage) pair
-        is simulated as given, without clamping.  ``core_operating_points`` — one
-        ``(frequency, voltage)`` per thread — gives each core its own
-        clock domain (the per-core DVFS study); the chip-wide pair then
-        only names the configuration.
+        is simulated as given, without clamping.
         """
         f_hz = frequency_hz or self.f_nominal
         if voltage is None:
@@ -198,12 +194,11 @@ class ExperimentContext:
             config, fast_path=self.fast_path, profile=self.profile
         )
         # The whole program (not just its streams): the fast path reuses
-        # the memoized private-line classification across V/f points.
+        # its memoized preparation pass across V/f points.
         result = chip.run(
             compiled.program,
             scaled.core_timing(),
             warmup_barriers=scaled.warmup_barriers,
-            core_operating_points=core_operating_points,
         )
         if result.kernel is not None:
             result.kernel.compile_s = compiled.seconds

@@ -590,7 +590,7 @@ def _seed_stream_cache(entries: List[tuple]) -> None:
     parallel sweeps never recompile per worker either way.
     """
     for key, program in entries:
-        stream_cache.seed(key, program)
+        stream_cache.put(key, program)
 
 
 class WorkerBug(Exception):

@@ -4,7 +4,7 @@ Experimental pipelines take minutes at full scale; a release-grade
 harness lets users save a campaign's rows and reload them later for
 reporting or comparison without re-simulating.  The store serialises the
 flat row dataclasses (:class:`Scenario1Row`, :class:`Scenario2Row`,
-:class:`PerCoreDVFSResult`, :class:`OptimizerRow`) with a type tag, a
+:class:`SimPointRow`, :class:`OptimizerRow`) with a type tag, a
 schema version, and a provenance block (the commit SHA of the producing
 checkout — deterministic, so identical campaigns stay byte-identical),
 and refuses files it does not understand.
@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Union
 from repro.core.sweeps import Figure1Row, Figure2Row
 from repro.errors import ConfigurationError
 from repro.harness.optimizer import OptimizerRow
-from repro.harness.percore import PerCoreDVFSResult
 from repro.harness.profiling import SimPointRow
 from repro.harness.scenario1 import Scenario1Row
 from repro.harness.scenario2 import Scenario2Row
@@ -59,7 +58,6 @@ class FailedPointRow:
 _ROW_TYPES = {
     "scenario1": Scenario1Row,
     "scenario2": Scenario2Row,
-    "percore": PerCoreDVFSResult,
     "simpoint": SimPointRow,
     "figure1": Figure1Row,
     "figure2": Figure2Row,
@@ -74,7 +72,6 @@ PathLike = Union[str, Path]
 Row = Union[
     Scenario1Row,
     Scenario2Row,
-    PerCoreDVFSResult,
     SimPointRow,
     Figure1Row,
     Figure2Row,
@@ -114,9 +111,7 @@ def _encode_row(row: Row) -> Dict:
     name = _TYPE_NAMES.get(cls)
     if name is None:
         raise ConfigurationError(f"cannot store rows of type {cls.__name__}")
-    payload = dataclasses.asdict(row)
-    # Tuples become lists in JSON; decode restores them via the dataclass.
-    return {"type": name, "data": payload}
+    return {"type": name, "data": dataclasses.asdict(row)}
 
 
 def _decode_row(obj: Dict) -> Row:
@@ -142,12 +137,7 @@ def _decode_row(obj: Dict) -> Row:
         raise ConfigurationError(
             f"{obj['type']} entry lacks fields {sorted(missing)}"
         )
-    # Restore tuple-typed fields (JSON round-trips them as lists).
-    coerced = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in data.items()
-    }
-    return cls(**coerced)
+    return cls(**data)
 
 
 def save_results(results: Dict[str, Sequence[Row]], path: PathLike) -> None:

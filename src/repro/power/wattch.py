@@ -70,16 +70,12 @@ class WattchModel:
     def core_dynamic_energy_j(
         self, result: SimulationResult, core_index: int
     ) -> float:
-        """Dynamic energy of one core over the measured run (joules).
-
-        Uses the core's own operating point, so per-core DVFS runs are
-        charged correctly.
-        """
+        """Dynamic energy of one core over the measured run (joules)."""
         e = self.energies
-        scale = e.voltage_scale(result.core_voltage(core_index))
+        scale = e.voltage_scale(result.config.voltage)
         stats = result.core_stats[core_index]
         cache = result.l1_caches[core_index]
-        clock = ClockDomain(result.core_frequency(core_index))
+        clock = ClockDomain(result.config.frequency_hz)
 
         busy_cycles = clock.ps_to_cycles(stats.busy_ps)
         total_cycles = clock.ps_to_cycles(result.execution_time_ps)

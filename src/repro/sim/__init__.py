@@ -26,7 +26,6 @@ from repro.sim.ops import (
     CompiledProgram,
     CompileOutcome,
     OpStreamCache,
-    compile_stream,
     compile_workload,
     stream_cache,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "CompiledProgram",
     "CompileOutcome",
     "OpStreamCache",
-    "compile_stream",
     "compile_workload",
     "stream_cache",
     "ChipMultiprocessor",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.bus import BusConfig, SharedBus
@@ -25,11 +25,7 @@ from repro.sim.clock import ClockDomain
 from repro.sim.coherence import CoherenceStats, MESIController
 from repro.sim.cpu import DONE, RUNNING, Core, CoreStats, CoreTimingConfig, LockTable
 from repro.sim.memory import MainMemory, MemoryConfig
-from repro.sim.ops import (
-    CompiledProgram,
-    classify_private_lines,
-    resolve_address_streams,
-)
+from repro.sim.ops import CompiledProgram, prepare_streams
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 
@@ -86,7 +82,7 @@ class KernelStats:
     #: ``"fast"`` (compiled streams + L1-hit short-circuit) or
     #: ``"reference"`` (one op per scheduler pop through the controller).
     mode: str
-    #: Source ops executed (fused compute segments counted individually).
+    #: Ops executed.
     total_ops: int = 0
     #: Ops resolved by the fast path without entering the controller.
     fast_path_ops: int = 0
@@ -137,23 +133,8 @@ class SimulationResult:
     lock_acquires: int
     lock_contended: int
     barriers: int
-    #: Per-core (frequency, voltage); equals the chip-wide operating
-    #: point unless per-core DVFS was used.
-    core_operating_points: List[Tuple[float, float]] = field(default_factory=list)
     #: Host-side kernel profiling (never affects simulated counters).
     kernel: Optional[KernelStats] = None
-
-    def core_frequency(self, core_index: int) -> float:
-        """Clock frequency of one core (hertz)."""
-        if self.core_operating_points:
-            return self.core_operating_points[core_index][0]
-        return self.config.frequency_hz
-
-    def core_voltage(self, core_index: int) -> float:
-        """Supply voltage of one core (volts)."""
-        if self.core_operating_points:
-            return self.core_operating_points[core_index][1]
-        return self.config.voltage
 
     @property
     def execution_time_s(self) -> float:
@@ -167,14 +148,10 @@ class SimulationResult:
 
     @property
     def average_cpi(self) -> float:
-        """Aggregate CPI: total core-busy cycles per instruction.
-
-        Each core's cycles are counted in its own clock domain, so the
-        metric stays meaningful under per-core DVFS.
-        """
+        """Aggregate CPI: total core-busy cycles per instruction."""
+        clock = ClockDomain(self.config.frequency_hz)
         total_cycles = 0.0
-        for i, s in enumerate(self.core_stats):
-            clock = ClockDomain(self.core_frequency(i))
+        for s in self.core_stats:
             total_cycles += clock.ps_to_cycles(s.total_active_ps)
         instr = self.total_instructions
         return total_cycles / instr if instr else 0.0
@@ -211,29 +188,23 @@ class ChipMultiprocessor:
         thread_ops: CompiledProgram | Sequence[Iterable[tuple]],
         timing: CoreTimingConfig | Sequence[CoreTimingConfig] | None = None,
         warmup_barriers: int = 0,
-        core_operating_points: Optional[Sequence[Tuple[float, float]]] = None,
     ) -> SimulationResult:
         """Simulate the workload's threads to completion on a fresh machine.
 
         ``thread_ops`` supplies one operation stream per thread — or a
         whole :class:`repro.sim.ops.CompiledProgram`, which additionally
-        carries the memoized private-line classification the fast path
-        uses to widen its safe horizon.  The number of threads must not
-        exceed the configured core count (unused cores are shut down,
-        consuming nothing — Section 4.1).
+        memoizes the fast path's preparation pass
+        (:func:`repro.sim.ops.prepare_streams`) across V/f points.  The
+        number of threads must not exceed the configured core count
+        (unused cores are shut down, consuming nothing — Section 4.1).
 
         ``warmup_barriers`` implements the paper's "skip initialization"
         methodology: when that many barriers have completed, all activity
         counters are reset and the measured execution time starts there,
         while cache/coherence state carries over warm.
 
-        ``core_operating_points`` enables **per-core DVFS** (the paper's
-        "beyond the scope" extension): one (frequency, voltage) pair per
-        thread.  The uncore (bus, L2) stays in the chip-wide
-        ``config.frequency_hz`` domain; memory remains wall-clock.
-
         ``fast_path`` (constructor) selects the execution kernel: the
-        fast path compiles streams and short-circuits L1 hits; the
+        fast path prepares streams and short-circuits L1 hits; the
         reference interpreter routes every op through the controller.
         Both produce bitwise-identical counters.
         """
@@ -247,14 +218,6 @@ class ChipMultiprocessor:
             raise ConfigurationError(
                 f"{n_threads} threads exceed the {config.n_cores}-core chip"
             )
-        if core_operating_points is not None:
-            if len(core_operating_points) != n_threads:
-                raise ConfigurationError(
-                    "need one (frequency, voltage) pair per thread"
-                )
-            for f_hz, v in core_operating_points:
-                if f_hz <= 0 or v <= 0:
-                    raise ConfigurationError("operating points must be positive")
         if timing is None:
             timings = [CoreTimingConfig()] * n_threads
         elif isinstance(timing, CoreTimingConfig):
@@ -267,14 +230,6 @@ class ChipMultiprocessor:
                 )
 
         clock = ClockDomain(config.frequency_hz)
-        if core_operating_points is None:
-            core_clocks = [clock] * n_threads
-            operating_points = [
-                (config.frequency_hz, config.voltage) for _ in range(n_threads)
-            ]
-        else:
-            core_clocks = [ClockDomain(f_hz) for f_hz, _v in core_operating_points]
-            operating_points = [tuple(p) for p in core_operating_points]
         bus = SharedBus(config.bus_config, clock)
         memory = MainMemory(config.memory_config)
         l1s = [Cache(config.l1_config) for _ in range(n_threads)]
@@ -288,7 +243,6 @@ class ChipMultiprocessor:
             l1_hit_cycles=config.l1_hit_cycles,
             l2_hit_cycles=config.l2_hit_cycles,
             cache_to_cache_cycles=config.cache_to_cache_cycles,
-            core_clocks=core_clocks,
         )
         locks = LockTable()
 
@@ -300,22 +254,13 @@ class ChipMultiprocessor:
         profile_timers = self.profile or tracer.enabled
         if use_fast:
             l1_config = config.l1_config
-            line_shift = l1_config.line_shift
-            n_sets = l1_config.n_sets
-            way_shift = l1_config.way_shift
+            geometry = (l1_config.line_shift, l1_config.n_sets, l1_config.way_shift)
             if program is not None:
-                private = program.private_lines(line_shift)
-                streams = program.resolved_streams(line_shift, n_sets, way_shift)
+                streams, private = program.prepared(*geometry)
             else:
-                streams = [
-                    ops if type(ops) is list else list(ops) for ops in streams
-                ]
-                private = classify_private_lines(streams, line_shift)
-                streams = resolve_address_streams(
-                    streams, line_shift, n_sets, way_shift
-                )
+                streams, private = prepare_streams(streams, *geometry)
         cores = [
-            Core(i, ops, controller, core_clocks[i], timings[i], locks)
+            Core(i, ops, controller, clock, timings[i], locks)
             for i, ops in enumerate(streams)
         ]
         if use_fast:
@@ -480,7 +425,6 @@ class ChipMultiprocessor:
             lock_acquires=locks.acquires,
             lock_contended=locks.contended_acquires,
             barriers=barriers_seen,
-            core_operating_points=operating_points,
             kernel=kernel,
         )
         return result

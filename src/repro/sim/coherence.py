@@ -25,7 +25,7 @@ and recorded as a simplification in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.bus import SharedBus
@@ -86,7 +86,6 @@ class MESIController:
         l1_hit_cycles: int = 2,
         l2_hit_cycles: int = 12,
         cache_to_cache_cycles: int = 16,
-        core_clocks: Optional[List[ClockDomain]] = None,
     ) -> None:
         l1_config = l1_caches[0].config
         if any(l1.config != l1_config for l1 in l1_caches):
@@ -95,20 +94,14 @@ class MESIController:
         self.l2 = l2
         self.bus = bus
         self.memory = memory
-        #: The uncore clock: bus, L2 and cache-to-cache latencies tick
-        #: here.  With per-core DVFS the cores may run elsewhere.
+        #: The chip clock: every on-chip latency ticks here.
         self.clock = clock
         self.l1_hit_cycles = l1_hit_cycles
         self.l2_hit_cycles = l2_hit_cycles
         self.cache_to_cache_cycles = cache_to_cache_cycles
-        #: Per-core clocks (L1 hit latency ticks in the requester's
-        #: domain); defaults to the uncore clock for global DVFS.
-        self.core_clocks = core_clocks or [clock] * len(l1_caches)
-        # The clocks are fixed for a run, so every on-chip latency is a
+        # The clock is fixed for a run, so every on-chip latency is a
         # picosecond constant computed here once.
-        self._hit_ps = [
-            c.cycles_to_ps(l1_hit_cycles) for c in self.core_clocks
-        ]
+        self._hit_ps = clock.cycles_to_ps(l1_hit_cycles)
         self._l2_ps = clock.cycles_to_ps(l2_hit_cycles)
         self._c2c_ps = clock.cycles_to_ps(cache_to_cache_cycles)
         self.stats = CoherenceStats()
@@ -157,7 +150,7 @@ class MESIController:
         line = byte_address >> self._l1_shift
         if self.l1s[core_id].lookup(line) is not None:
             self.stats.l1_hits += 1
-            return now_ps + self._hit_ps[core_id]
+            return now_ps + self._hit_ps
         self.stats.l1_misses += 1
         base = (line % self._l1_sets) << self._l1_way_shift
         return self.miss(core_id, line, base, byte_address, now_ps, False)
@@ -179,7 +172,7 @@ class MESIController:
         if state == EXCLUSIVE:
             # Silent E -> M upgrade.
             l1.set_state(line, MODIFIED)
-        return now_ps + self._hit_ps[core_id]
+        return now_ps + self._hit_ps
 
     def upgrade(self, core_id: int, line: int, slot: int, now_ps: int) -> int:
         """BusUpgr: a store hit on a SHARED ``line``; returns the release time.

@@ -18,7 +18,7 @@ Two execution paths produce bitwise-identical counters:
 * :meth:`Core.step` — the reference interpreter: one op per scheduler
   pop, every memory operation routed through the MESI controller's
   ``read``/``write``;
-* :meth:`Core.step_fast` — the fast path over a *compiled* (list-backed)
+* :meth:`Core.step_fast` — the fast path over a *prepared* (list-backed)
   stream: compute bursts and loads/stores that hit the local L1 in a
   suitable MESI state are resolved inline — hoisted attribute lookups,
   precomputed burst durations, batched stat accumulation — and executed
@@ -155,12 +155,11 @@ class Core:
         #: Barrier index the core is waiting at (valid after AT_BARRIER).
         self.pending_barrier: Optional[int] = None
         # -- fast-path state (see step_fast) --------------------------------
-        #: Compiled (list-backed) stream and cursor.
+        #: Prepared (list-backed) stream and cursor.
         self._ops_list: List[tuple] = []
         self._ops_index = 0
-        #: Duration/instruction table per distinct burst key (an int for a
-        #: plain burst, a segment tuple for a fused one).
-        self._burst_ps: Dict = {}
+        #: (duration_ps, instructions) per distinct burst length.
+        self._burst_ps: Dict[int, Tuple[int, int]] = {}
         #: Fast/slow op tallies and optional per-subsystem wall time and
         #: slow-op counts (populated when profiling or tracing, written
         #: back once per ``step_fast`` call).
@@ -170,7 +169,7 @@ class Core:
         self.subsystem_n: Dict[str, int] = {}
 
     def bind_stream(self, ops: List[tuple]) -> None:
-        """Attach a compiled stream for fast-path execution."""
+        """Attach a prepared stream for fast-path execution."""
         self._ops_list = ops
         self._ops_index = 0
         self._ops = iter(ops)
@@ -185,10 +184,10 @@ class Core:
         L1 hits short-circuit the controller because the controller
         bills a hit in the same clock the core folds into its base CPI:
         ``ChipMultiprocessor.run`` hands each core and the controller
-        the same ``core_clocks[i]``, so a hit costs zero stall either way.
+        the one chip clock, so a hit costs zero stall either way.
 
         ``private_lines`` is this thread's provably-private line set
-        (:func:`repro.sim.ops.classify_private_lines`): L1 hits on those
+        (:func:`repro.sim.ops.prepare_streams`): L1 hits on those
         lines resolve inline even past the scheduler horizon, since no
         peer transaction can ever touch them.
         """
@@ -289,9 +288,7 @@ class Core:
     def step(self) -> int:
         """Execute one operation; returns RUNNING, AT_BARRIER, or DONE.
 
-        The reference interpreter.  Fused compute bursts (compiled
-        streams) are executed segment by segment, so the reference path
-        stays cycle-exact on compiled input too.
+        The reference interpreter.
         """
         op = next(self._ops, None)
         if op is None:
@@ -299,11 +296,7 @@ class Core:
             return DONE
         kind = op[0]
         if kind == OP_COMPUTE:
-            if len(op) > 2:
-                for segment in op[2]:
-                    self._run_burst(segment)
-            else:
-                self._run_burst(op[1])
+            self._run_burst(op[1])
             return RUNNING
         if kind == OP_LOAD:
             self._run_memory_op(op[1], is_write=False)
@@ -321,27 +314,25 @@ class Core:
 
     # -- fast path -----------------------------------------------------------
 
-    def _burst_cost(self, op: tuple) -> Tuple[int, int, int]:
-        """(duration_ps, instructions, source_ops) of one compute op.
+    def _burst_cost(self, n_instructions: int) -> Tuple[int, int]:
+        """(duration_ps, instructions) of one compute burst.
 
-        Replicates :meth:`_run_burst`'s arithmetic per segment so a fused
-        burst costs exactly the sum of interpreting its segments — for
-        any clock period and core timing; cached per distinct burst
-        shape (the generator reuses a handful).
+        Replicates :meth:`_run_burst`'s arithmetic, so the fast path
+        charges a burst exactly what the reference interpreter does;
+        cached per distinct burst length (the generator reuses a
+        handful).
         """
         timing = self.timing
-        l2_hit_cycles = self.controller.l2_hit_cycles
-        cycles_to_ps = self.clock.cycles_to_ps
-        segments = op[2] if len(op) > 2 else (op[1],)
-        duration = 0
-        for n_instructions in segments:
-            cycles = n_instructions * timing.base_cpi
-            cycles += n_instructions * timing.icache_miss_rate * l2_hit_cycles
-            duration += cycles_to_ps(cycles)
-        return duration, sum(segments), len(segments)
+        cycles = n_instructions * timing.base_cpi
+        cycles += (
+            n_instructions
+            * timing.icache_miss_rate
+            * self.controller.l2_hit_cycles
+        )
+        return self.clock.cycles_to_ps(cycles), n_instructions
 
     def step_fast(self, next_time, next_id: int) -> int:
-        """Execute ops from the compiled stream until a scheduling point.
+        """Execute ops from the prepared stream until a scheduling point.
 
         ``(next_time, next_id)`` is the scheduler heap's top key after
         this core was popped — the virtual time at which another core
@@ -352,7 +343,7 @@ class Core:
         core's ``(time_ps, core_id)`` key is still below that heap key,
         i.e. exactly while the reference scheduler would keep popping
         this core anyway.  L1 hits on *provably private* lines
-        (classified at compile time: touched by exactly one thread
+        (classified before the run: touched by exactly one thread
         across the whole workload) are exempt — no peer transaction can
         ever observe or mutate them, their inline effects (own-set LRU
         reorder, silent E->M, commutative counter increments) commute
@@ -400,7 +391,7 @@ class Core:
         # access (a critical section makes its store), so only these
         # tallies are kept per op; the rest is derived on write-back.
         burst_instr_d = 0  # burst instructions, critical sections' too
-        burst_fast_d = 0  # burst segments resolved inline
+        burst_fast_d = 0  # bursts resolved inline
         busy_d = 0
         loads_d = 0  # inline-committed loads
         stores_d = 0  # inline-committed stores
@@ -425,24 +416,21 @@ class Core:
             op = ops[i]
             kind = op[0]
             if kind == OP_COMPUTE:
-                # op[-1] is the burst key: the instruction count of a
-                # plain 2-tuple, the segment tuple of a fused op (an int
-                # never equals a tuple, so the keyspaces cannot collide).
-                cost = burst_ps.get(op[-1])
+                cost = burst_ps.get(op[1])
                 if cost is None:
-                    cost = self._burst_cost(op)
-                    burst_ps[op[-1]] = cost
+                    cost = self._burst_cost(op[1])
+                    burst_ps[op[1]] = cost
                 t += cost[0]
                 busy_d += cost[0]
                 burst_instr_d += cost[1]
-                burst_fast_d += cost[2]
+                burst_fast_d += 1
                 i += 1
                 lead = t < next_time or (t == next_time and core_id < next_id)
                 continue
             if kind == OP_LOAD:
                 # Mutation-free probe first: nothing moves until the op
                 # commits.  Line and flat set base are geometry-resolved
-                # at compile time (resolve_address_streams).
+                # ahead of the run (prepare_streams).
                 line = op[2]
                 base = op[3]
                 w = base
@@ -515,7 +503,7 @@ class Core:
             if kind == OP_CRITICAL:
                 # _run_critical: the lock, its overhead, the burst from
                 # the memo, then the protected read-modify-write store,
-                # probed here like a compiled store.
+                # probed here like a prepared store.
                 lock_id = op[1]
                 grant = locks.acquire(lock_id, t)
                 sync_d += grant - t
@@ -525,7 +513,7 @@ class Core:
                 if n_instructions:
                     cost = burst_ps.get(n_instructions)
                     if cost is None:
-                        cost = self._burst_cost((OP_COMPUTE, n_instructions))
+                        cost = self._burst_cost(n_instructions)
                         burst_ps[n_instructions] = cost
                     t += cost[0]
                     busy_d += cost[0]

@@ -19,32 +19,25 @@ Compiled op streams
 -------------------
 Generating a stream is itself expensive (the synthetic models draw from
 seeded RNGs per op; traces parse text), and a V/f sweep re-simulates the
-*same* stream at every operating point.  :func:`compile_stream`
-materializes a stream once into a flat list, run-length-merging runs of
-adjacent ``OP_COMPUTE`` bursts into a single *fused* op
-
-    ``(OP_COMPUTE, total_instructions, (n1, n2, ...))``
-
-that the simulator dispatches in one step.  Fusion is bitwise-exact: the
-executor charges a fused burst the *sum of the per-segment rounded
-durations*, which is precisely what interpreting the segments one by one
-would cost, for any clock and core timing (see
-:meth:`repro.sim.cpu.Core` and the fast-path invariant in
-docs/MODEL.md).
-
-:func:`compile_workload` compiles every thread of a workload model and
+*same* stream at every operating point.  :func:`compile_workload`
+materializes every thread of a workload model once into flat lists and
 memoizes the result in a process-wide :class:`OpStreamCache` keyed by
 the model's ``compile_key(n_threads)`` (workload identity x thread
 count), so repeated simulations of one workload at different V/f points
 skip generation and parsing entirely.  Streams are clock-independent,
 which is what makes the cache key V/f-free.
+
+:func:`prepare_streams` is the fast path's one preparation pass over a
+program: it resolves each load/store's L1 line and set and classifies
+the provably-private lines, and :class:`CompiledProgram` memoizes it per
+L1 geometry.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.telemetry.trace import get_tracer
 
@@ -55,124 +48,59 @@ OP_BARRIER = 3
 OP_CRITICAL = 4
 
 
-def compile_stream(ops: Iterable[tuple]) -> List[tuple]:
-    """Materialize one thread's op stream, fusing adjacent compute bursts.
-
-    Runs of consecutive ``OP_COMPUTE`` ops become one fused 3-tuple
-    ``(OP_COMPUTE, total, segments)``; singletons stay plain 2-tuples.
-    Already-fused input ops are re-fused (compilation is idempotent).
-    All other ops pass through unchanged.
-    """
-    compiled: List[tuple] = []
-    append = compiled.append
-    segments: List[int] = []
-
-    def flush() -> None:
-        if not segments:
-            return
-        if len(segments) == 1:
-            append((OP_COMPUTE, segments[0]))
-        else:
-            append((OP_COMPUTE, sum(segments), tuple(segments)))
-        segments.clear()
-
-    for op in ops:
-        if op[0] == OP_COMPUTE:
-            if len(op) >= 3:
-                segments.extend(op[2])
-            else:
-                segments.append(op[1])
-        else:
-            flush()
-            append(op)
-    flush()
-    return compiled
-
-
-def classify_private_lines(
-    streams: Sequence[List[tuple]], line_shift: int
-) -> List[FrozenSet[int]]:
-    """Per-thread sets of *provably private* line addresses.
-
-    A line is private to thread ``t`` iff every data access to it —
-    loads, stores, and critical-section read-modify-writes — across the
-    whole workload comes from ``t``.  The fast path may resolve L1 hits
-    on private lines inline regardless of the scheduler horizon: no
-    other core ever demand-accesses the line, so no peer transaction
-    can invalidate, downgrade, or observe it (the proof obligation is
-    spelled out in docs/MODEL.md §3.2).  Anything double-counted —
-    including false-sharing-style overlap where threads touch different
-    bytes of one line — is shared-visible for every thread.
-
-    Classification is at line granularity, so it depends on the L1's
-    ``line_shift``; :meth:`CompiledProgram.private_lines` memoizes per
-    shift.
-    """
-    owner: Dict[int, int] = {}
-    for tid, stream in enumerate(streams):
-        for op in stream:
-            kind = op[0]
-            if kind == OP_LOAD or kind == OP_STORE:
-                line = op[1] >> line_shift
-            elif kind == OP_CRITICAL:
-                line = op[3] >> line_shift
-            else:
-                continue
-            prev = owner.get(line)
-            if prev is None:
-                owner[line] = tid
-            elif prev != tid:
-                owner[line] = -1
-    private: List[set] = [set() for _ in streams]
-    for line, tid in owner.items():
-        if tid >= 0:
-            private[tid].add(line)
-    return [frozenset(s) for s in private]
-
-
-def resolve_address_streams(
-    streams: Sequence[List[tuple]],
+def prepare_streams(
+    streams: Sequence[Iterable[tuple]],
     line_shift: int,
     n_sets: int,
     way_shift: int,
-) -> List[List[tuple]]:
-    """Geometry-resolved copies of ``streams`` for the fast-path kernel.
+) -> Tuple[List[List[tuple]], List[FrozenSet[int]]]:
+    """The fast-path kernel's view of ``streams`` at one L1 geometry.
 
-    Loads and stores gain their L1 line address and flat set base,
-    precomputed once per cache geometry —
-    ``(kind, byte_address, line, set_base)`` — so the hot loop indexes
-    the flat tag array directly instead of doing shift/mod arithmetic
-    per op.  Every other op kind passes through unchanged, and the byte
-    address stays at index 1, which is all the slow-path replay reads.
+    One walk over every stream returns two things:
+
+    * the *resolved* streams: each load and store gains its L1 line
+      address and flat set base, ``(kind, byte_address, line,
+      set_base)``, so the hot loop indexes the flat tag array directly
+      instead of doing shift/mod arithmetic per op.  Every other op
+      kind passes through unchanged, and the byte address stays at
+      index 1, which is all the slow-path replay reads;
+    * the per-thread sets of *provably private* lines.  A line is
+      private to thread ``t`` iff every data access to it — loads,
+      stores, and critical-section read-modify-writes — across the
+      whole workload comes from ``t``.  The fast path may resolve L1
+      hits on private lines inline regardless of the scheduler horizon:
+      no other core ever demand-accesses the line, so no peer
+      transaction can invalidate, downgrade, or observe it (the proof
+      obligation is spelled out in docs/MODEL.md §3.2).  Anything
+      touched by two threads — including false-sharing-style overlap
+      where threads touch different bytes of one line — is
+      shared-visible for every thread.
     """
-    resolved = []
+    resolved: List[List[tuple]] = []
+    touched: List[Set[int]] = []
     for ops in streams:
-        out = []
+        out: List[tuple] = []
         append = out.append
+        lines: Set[int] = set()
+        touch = lines.add
         for op in ops:
             kind = op[0]
             if kind == OP_LOAD or kind == OP_STORE:
                 line = op[1] >> line_shift
+                touch(line)
                 append((kind, op[1], line, (line % n_sets) << way_shift))
             else:
+                if kind == OP_CRITICAL:
+                    touch(op[3] >> line_shift)
                 append(op)
         resolved.append(out)
-    return resolved
-
-
-def stream_op_count(stream: List[tuple]) -> int:
-    """Number of *source* ops a compiled stream represents.
-
-    Fused compute bursts count one op per original segment, so the count
-    matches what the reference interpreter would execute.
-    """
-    count = 0
-    for op in stream:
-        if op[0] == OP_COMPUTE and len(op) >= 3:
-            count += len(op[2])
-        else:
-            count += 1
-    return count
+        touched.append(lines)
+    seen: Set[int] = set()
+    shared: Set[int] = set()
+    for lines in touched:
+        shared |= seen & lines
+        seen |= lines
+    return resolved, [frozenset(lines - shared) for lines in touched]
 
 
 @dataclass
@@ -180,48 +108,30 @@ class CompiledProgram:
     """Every thread of one workload, compiled to flat op lists."""
 
     streams: List[List[tuple]]
-    #: Source-op count across all threads (fused segments counted
-    #: individually, matching the reference interpreter's op count).
+    #: Op count across all threads.
     total_ops: int
-    #: Compiled (post-fusion) op count across all threads.
-    compiled_ops: int
-    #: Per-``line_shift`` memo of :func:`classify_private_lines` (the
-    #: shift is machine-dependent while compiled streams are not, so the
-    #: memo lives beside the streams rather than in the cache key).
-    _private_lines: Dict[int, List[FrozenSet[int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Per-geometry memo of :func:`resolve_address_streams`.  One entry
-    #: per distinct L1 geometry — DVFS sweeps share it, since operating
-    #: points change clocks, never cache geometry.
-    _resolved: Dict[Tuple[int, int, int], List[List[tuple]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: Per-geometry memo of :func:`prepare_streams`, keyed by
+    #: ``(line_shift, n_sets, way_shift)``.  One entry per distinct L1
+    #: geometry — DVFS sweeps share it, since operating points change
+    #: clocks, never cache geometry.
+    _prepared: Dict[
+        Tuple[int, int, int], Tuple[List[List[tuple]], List[FrozenSet[int]]]
+    ] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_threads(self) -> int:
         """Number of per-thread streams."""
         return len(self.streams)
 
-    def private_lines(self, line_shift: int) -> List[FrozenSet[int]]:
-        """Per-thread provably-private line sets at ``line_shift``."""
-        cached = self._private_lines.get(line_shift)
-        if cached is None:
-            cached = classify_private_lines(self.streams, line_shift)
-            self._private_lines[line_shift] = cached
-        return cached
-
-    def resolved_streams(
+    def prepared(
         self, line_shift: int, n_sets: int, way_shift: int
-    ) -> List[List[tuple]]:
-        """Geometry-resolved streams (memoized per L1 geometry)."""
+    ) -> Tuple[List[List[tuple]], List[FrozenSet[int]]]:
+        """Resolved streams and private-line sets (memoized per geometry)."""
         key = (line_shift, n_sets, way_shift)
-        cached = self._resolved.get(key)
+        cached = self._prepared.get(key)
         if cached is None:
-            cached = resolve_address_streams(
-                self.streams, line_shift, n_sets, way_shift
-            )
-            self._resolved[key] = cached
+            cached = prepare_streams(self.streams, line_shift, n_sets, way_shift)
+            self._prepared[key] = cached
         return cached
 
 
@@ -294,10 +204,6 @@ class OpStreamCache:
         self._programs[key] = program
         return evicted
 
-    def seed(self, key: Hashable, program: CompiledProgram) -> None:
-        """Insert without counting: executor warm-up of worker caches."""
-        self.put(key, program)
-
     def export_entries(self) -> List[tuple]:
         """``(key, program)`` pairs, LRU first (executor warm-up)."""
         return list(self._programs.items())
@@ -349,18 +255,13 @@ def compile_workload(
     ) as span:
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         start = time.perf_counter()
-        streams = [
-            compile_stream(model.thread_ops(t, n_threads))
-            for t in range(n_threads)
-        ]
+        streams = [list(model.thread_ops(t, n_threads)) for t in range(n_threads)]
         program = CompiledProgram(
-            streams=streams,
-            total_ops=sum(stream_op_count(s) for s in streams),
-            compiled_ops=sum(len(s) for s in streams),
+            streams=streams, total_ops=sum(len(s) for s in streams)
         )
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         seconds = time.perf_counter() - start
-        span.set(ops=program.total_ops, compiled_ops=program.compiled_ops)
+        span.set(ops=program.total_ops)
     evicted = False
     if key is not None:
         evicted = cache.put(key, program)

@@ -14,11 +14,13 @@ Two rule kinds cover the limits the paper's studies are judged by:
     The field's maximum over every point reached ``threshold`` — the
     thermal-ceiling and power-budget rules.
 ``collapse``
-    Within one application, the field's maximum rose above
-    ``threshold`` × its minimum.  On CPI this is throughput collapsing
-    past the optimal thread count, whatever the workload's absolute
-    IPC; grouping by application keeps a slow workload from reading as
-    a collapse of a fast one.
+    Within one application at one frequency, the field's maximum rose
+    above ``threshold`` × its minimum.  On CPI this is throughput
+    collapsing past the optimal thread count, whatever the workload's
+    absolute IPC.  Grouping by application keeps a slow workload from
+    reading as a collapse of a fast one, and grouping by frequency keeps
+    a V/f search's probes apart: a memory-bound point's CPI falls with
+    the clock, since DRAM latency is fixed in nanoseconds.
 """
 
 from __future__ import annotations
@@ -108,14 +110,19 @@ def numeric_fields(row: Mapping[str, Any]) -> List[Tuple[str, float]]:
 
 
 class RowStats:
-    """Per-field statistics over point rows, overall and per application."""
+    """Per-field statistics over point rows, overall and per group.
+
+    A group is one application at one frequency: ``(row["app"],
+    row.get("frequency_hz"))``.
+    """
 
     def __init__(self) -> None:
         #: Rows folded that had at least one numeric field.
         self.points = 0
         self.fields: Dict[str, ChannelStats] = {}
-        #: ``row["app"]`` -> field -> stats (the ``collapse`` kind's groups).
-        self.apps: Dict[str, Dict[str, ChannelStats]] = {}
+        #: ``(app, frequency_hz)`` -> field -> stats (the ``collapse``
+        #: kind's groups).
+        self.groups: Dict[Tuple[str, Any], Dict[str, ChannelStats]] = {}
 
     def observe(self, row: Mapping[str, Any]) -> None:
         """Fold one row's :func:`numeric_fields`."""
@@ -123,9 +130,11 @@ class RowStats:
         if not numeric:
             return
         self.points += 1
-        app = self.apps.setdefault(str(row.get("app", "")), {})
+        group = self.groups.setdefault(
+            (str(row.get("app", "")), row.get("frequency_hz")), {}
+        )
         for name, value in numeric:
-            for table in (self.fields, app):
+            for table in (self.fields, group):
                 entry = table.get(name)
                 if entry is None:
                     entry = table[name] = ChannelStats()
@@ -180,7 +189,7 @@ def evaluate_rules(
     """Evaluate rules against row statistics; one finding per fired rule.
 
     A ``collapse`` finding's value is the largest max/min ratio over the
-    applications.  Rules whose field no row carried do not fire.
+    groups.  Rules whose field no row carried do not fire.
     """
     findings: List[AlertFinding] = []
     for rule in rules:
@@ -191,7 +200,9 @@ def evaluate_rules(
         else:
             ratios = [
                 entry.maximum / entry.minimum
-                for entry in (app.get(rule.field) for app in stats.apps.values())
+                for entry in (
+                    group.get(rule.field) for group in stats.groups.values()
+                )
                 if entry is not None and entry.count >= 2 and entry.minimum > 0
             ]
             value = max(ratios, default=0.0)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.sweeps import Figure1Row, Figure2Row
 from repro.errors import ConfigurationError
-from repro.harness.percore import PerCoreDVFSResult
 from repro.harness.profiling import SimPointRow
 from repro.harness.scenario1 import Scenario1Row
 from repro.harness.scenario2 import Scenario2Row
@@ -41,18 +40,6 @@ def sample_rows():
                 budget_w=17.2,
             )
         ],
-        "percore": [
-            PerCoreDVFSResult(
-                app="Cholesky",
-                n=4,
-                uniform_time_s=1e-5,
-                uniform_energy_j=1e-4,
-                percore_time_s=1.1e-5,
-                percore_energy_j=8e-5,
-                core_frequencies_hz=(3.2e9, 2.4e9, 2.4e9, 2.6e9),
-                core_voltages=(1.1, 0.97, 0.97, 1.0),
-            )
-        ],
     }
 
 
@@ -64,20 +51,12 @@ class TestRoundTrip:
         loaded = load_results(path)
         assert loaded == original
 
-    def test_tuples_restored(self, tmp_path):
-        path = tmp_path / "c.json"
-        save_results(sample_rows(), path)
-        loaded = load_results(path)
-        row = loaded["percore"][0]
-        assert isinstance(row.core_frequencies_hz, tuple)
-        assert row.energy_saving == pytest.approx(0.2)
-
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "c.json"
         save_results(sample_rows(), path)
         document = json.loads(path.read_text())
         assert document["schema"] == SCHEMA_VERSION
-        assert set(document["groups"]) == {"fig3", "fig4", "percore"}
+        assert set(document["groups"]) == {"fig3", "fig4"}
 
     def test_saved_campaigns_record_their_provenance(self, tmp_path):
         from repro.telemetry.manifest import git_sha
@@ -140,7 +119,7 @@ class TestDeterminism:
     def test_groups_are_saved_and_loaded_sorted(self, tmp_path):
         rows = sample_rows()
         scrambled = {
-            name: rows[name] for name in ("percore", "fig4", "fig3")
+            name: rows[name] for name in ("fig4", "fig3")
         }
         path = tmp_path / "c.json"
         save_results(scrambled, path)

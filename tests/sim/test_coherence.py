@@ -183,41 +183,37 @@ LADDER = frequency_ladder(SimpleNamespace(f_min=200e6, f_nominal=3.2e9))
 
 class TestPrecomputedLatencies:
     """Every latency fixed when the machine is built equals
-    ``cycles_to_ps`` of its summed cycle count in its own clock."""
+    ``cycles_to_ps`` of its summed cycle count in the chip clock."""
 
-    def _machine(self, uncore_hz, core_hz):
-        uncore = ClockDomain(uncore_hz)
-        clocks = [ClockDomain(f) for f in core_hz]
-        l1s = [Cache(CacheConfig(4 * 1024, 64, 2)) for _ in core_hz]
+    def _machine(self, f_hz, n_cores):
+        clock = ClockDomain(f_hz)
+        l1s = [Cache(CacheConfig(4 * 1024, 64, 2)) for _ in range(n_cores)]
         ctrl = MESIController(
             l1s,
             Cache(CacheConfig(64 * 1024, 128, 8)),
-            SharedBus(BusConfig(), uncore),
+            SharedBus(BusConfig(), clock),
             MainMemory(),
-            uncore,
-            core_clocks=clocks,
+            clock,
         )
         timing = CoreTimingConfig(lock_overhead_cycles=37)
         cores = [
-            Core(i, [], ctrl, clock, timing, LockTable())
-            for i, clock in enumerate(clocks)
+            Core(i, [], ctrl, clock, timing, LockTable()) for i in range(n_cores)
         ]
-        return uncore, ctrl, cores
+        return clock, ctrl, cores
 
-    def _check(self, uncore, ctrl, cores):
+    def _check(self, clock, ctrl, cores):
         bus = ctrl.bus
         config = bus.config
-        assert bus.address_ps == uncore.cycles_to_ps(config.address_cycles)
-        assert bus.data_ps == uncore.cycles_to_ps(
+        assert bus.address_ps == clock.cycles_to_ps(config.address_cycles)
+        assert bus.data_ps == clock.cycles_to_ps(
             config.address_cycles + config.data_cycles
         )
-        assert ctrl._l2_ps == uncore.cycles_to_ps(ctrl.l2_hit_cycles)
-        assert ctrl._c2c_ps == uncore.cycles_to_ps(ctrl.cache_to_cache_cycles)
+        assert ctrl._l2_ps == clock.cycles_to_ps(ctrl.l2_hit_cycles)
+        assert ctrl._c2c_ps == clock.cycles_to_ps(ctrl.cache_to_cache_cycles)
+        assert ctrl._hit_ps == clock.cycles_to_ps(ctrl.l1_hit_cycles)
         for core in cores:
-            clock = core.clock
             assert core._lock_ps == clock.cycles_to_ps(37)
-            assert core._hit_ps == clock.cycles_to_ps(ctrl.l1_hit_cycles)
-            assert ctrl._hit_ps[core.core_id] == core._hit_ps
+            assert core._hit_ps == ctrl._hit_ps
 
     def test_ladder_has_sixteen_points(self):
         assert len(LADDER) == 16
@@ -225,12 +221,7 @@ class TestPrecomputedLatencies:
 
     @pytest.mark.parametrize("f_hz", LADDER)
     def test_global_dvfs(self, f_hz):
-        self._check(*self._machine(f_hz, [f_hz, f_hz]))
-
-    @pytest.mark.parametrize("uncore_hz", LADDER)
-    def test_per_core_dvfs(self, uncore_hz):
-        # One core at every ladder point, the uncore at one of them.
-        self._check(*self._machine(uncore_hz, LADDER))
+        self._check(*self._machine(f_hz, 2))
 
     def test_bus_transactions_occupy_the_precomputed_time(self):
         bus = SharedBus(BusConfig(), ClockDomain(1.4e9))

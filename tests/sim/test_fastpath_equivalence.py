@@ -1,6 +1,6 @@
 """The fast-path kernel's contract: bitwise-identical counters.
 
-``Core.step_fast`` over compiled streams must reproduce every counter of
+``Core.step_fast`` over prepared streams must reproduce every counter of
 the reference interpreter (``Core.step`` over raw generator streams) —
 not approximately, *identically*.  These tests run both kernels on the
 same workloads across machine configurations and compare every field of
@@ -19,7 +19,6 @@ from repro.sim.ops import (
     OP_CRITICAL,
     OP_LOAD,
     OP_STORE,
-    compile_stream,
     compile_workload,
 )
 from repro.workloads import SPLASH2, WorkloadModel
@@ -58,11 +57,10 @@ def counters(result):
         "memory_requests": result.memory_requests,
         "locks": (result.lock_acquires, result.lock_contended),
         "barriers": result.barriers,
-        "operating_points": result.core_operating_points,
     }
 
 
-def assert_equivalent(model, n, config, core_points=None):
+def assert_equivalent(model, n, config):
     """Reference on raw generators vs fast path on compiled streams."""
     timing = model.core_timing()
     warmup = model.warmup_barriers
@@ -70,14 +68,12 @@ def assert_equivalent(model, n, config, core_points=None):
         [model.thread_ops(t, n) for t in range(n)],
         timing,
         warmup_barriers=warmup,
-        core_operating_points=core_points,
     )
     compiled = compile_workload(model, n, cache=None)
     fast = ChipMultiprocessor(config, fast_path=True).run(
         compiled.program.streams,
         timing,
         warmup_barriers=warmup,
-        core_operating_points=core_points,
     )
     assert counters(reference) == counters(fast)
     assert reference.kernel.total_ops == fast.kernel.total_ops
@@ -112,11 +108,6 @@ class TestConfigurationMatrix:
         config = CMPConfig(n_cores=n, frequency_hz=f_hz, voltage=v)
         assert_equivalent(self._model(app), n, config)
 
-    def test_percore_dvfs_points(self):
-        config = CMPConfig(n_cores=4)
-        points = [(3.2e9, 1.1), (1.6e9, 0.95), (2.4e9, 1.0), (3.2e9, 1.1)]
-        assert_equivalent(self._model("FMM"), 4, config, core_points=points)
-
     @pytest.mark.parametrize("app", ("Cholesky", "Radix"))
     def test_rounding_ladder_point(self, app):
         # 1.4 GHz is a ladder point whose clock period rounds (714.29 ps
@@ -139,7 +130,8 @@ class TestConfigurationMatrix:
 
 
 class TestHandAuthoredStreams:
-    """Adjacent compute bursts (never emitted by the generator) fuse."""
+    """Adjacent compute bursts (never emitted by the generator) run as
+    one op each on both kernels."""
 
     def _threads(self):
         shared = 0x1000
@@ -164,21 +156,13 @@ class TestHandAuthoredStreams:
         ]
         return [t0, t1]
 
-    def test_fusion_shrinks_stream(self):
-        threads = self._threads()
-        compiled = compile_stream(threads[0])
-        assert len(compiled) < len(threads[0])
-        assert compiled[0] == (OP_COMPUTE, 42, (10, 25, 7))
-
     def test_identical_counters(self):
         threads = self._threads()
         config = CMPConfig(n_cores=2)
         reference = ChipMultiprocessor(config, fast_path=False).run(
             [iter(t) for t in threads]
         )
-        fast = ChipMultiprocessor(config, fast_path=True).run(
-            [compile_stream(t) for t in threads]
-        )
+        fast = ChipMultiprocessor(config, fast_path=True).run(threads)
         assert counters(reference) == counters(fast)
 
     def test_critical_store_on_exclusive_line(self):
@@ -194,9 +178,7 @@ class TestHandAuthoredStreams:
         reference = ChipMultiprocessor(config, fast_path=False).run(
             [iter(t) for t in threads]
         )
-        fast = ChipMultiprocessor(config, fast_path=True).run(
-            [compile_stream(t) for t in threads]
-        )
+        fast = ChipMultiprocessor(config, fast_path=True).run(threads)
         assert counters(reference) == counters(fast)
         assert fast.coherence.cache_to_cache == 1
 

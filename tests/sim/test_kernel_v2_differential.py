@@ -6,13 +6,13 @@ interpreter and the fast-path kernel, asserting bitwise-identical
 counters (the same contract as tests/sim/test_fastpath_equivalence.py,
 but over adversarial generated inputs instead of the bundled SPLASH-2
 models).  A second fast run on the *same* compiled program re-uses the
-memoized private-line classification and geometry-resolved streams, so
-the warm path is exercised too.
+memoized preparation pass (geometry-resolved streams and private-line
+sets), so the warm path is exercised too.
 
-Also here: the false-sharing regression tests for
-:func:`repro.sim.ops.classify_private_lines` — two threads touching
+Also here, for :func:`repro.sim.ops.prepare_streams`: the false-sharing
+regression tests for its private-line sets — two threads touching
 *different bytes of one line* must never classify it private — and unit
-coverage for the geometry-resolved streams and the bounded compile
+coverage for its geometry-resolved streams; and the bounded compile
 cache's instrumentation.
 """
 
@@ -31,9 +31,7 @@ from repro.sim.ops import (
     OP_STORE,
     CompiledProgram,
     OpStreamCache,
-    classify_private_lines,
-    compile_stream,
-    resolve_address_streams,
+    prepare_streams,
 )
 
 
@@ -137,16 +135,13 @@ class TestRandomWorkloadDifferential:
         reference = ChipMultiprocessor(config, fast_path=False).run(
             [iter(t) for t in threads]
         )
-        streams = [compile_stream(t) for t in threads]
         program = CompiledProgram(
-            streams=streams,
-            total_ops=sum(len(t) for t in threads),
-            compiled_ops=sum(len(s) for s in streams),
+            streams=threads, total_ops=sum(len(t) for t in threads)
         )
         fast = ChipMultiprocessor(config, fast_path=True).run(program)
         assert counters(reference) == counters(fast)
-        # Warm rerun: memoized private classification + resolved streams.
-        assert program._private_lines and program._resolved
+        # Warm rerun: the memoized preparation pass.
+        assert program._prepared
         warm = ChipMultiprocessor(config, fast_path=True).run(program)
         assert counters(reference) == counters(warm)
 
@@ -154,9 +149,9 @@ class TestRandomWorkloadDifferential:
     @given(synthetic_workloads())
     def test_private_lines_disjoint_across_threads(self, case):
         threads, config = case
-        streams = [compile_stream(t) for t in threads]
-        private = classify_private_lines(
-            streams, config.l1_config.line_shift
+        l1 = config.l1_config
+        _resolved, private = prepare_streams(
+            threads, l1.line_shift, l1.n_sets, l1.way_shift
         )
         for i, mine in enumerate(private):
             for j, theirs in enumerate(private):
@@ -171,6 +166,11 @@ class TestRandomWorkloadDifferential:
 LINE_SHIFT = 5  # 32-byte lines
 
 
+def private_lines(streams, line_shift=LINE_SHIFT):
+    """The private-line sets of :func:`prepare_streams` (one-set L1)."""
+    return prepare_streams(streams, line_shift, 1, 0)[1]
+
+
 class TestFalseSharingClassification:
     def test_different_bytes_of_one_line_not_private(self):
         # Thread 0 touches byte 0, thread 1 touches byte 8 of the same
@@ -179,7 +179,7 @@ class TestFalseSharingClassification:
             [(OP_LOAD, 0x2000)],
             [(OP_STORE, 0x2008)],
         ]
-        private = classify_private_lines(streams, LINE_SHIFT)
+        private = private_lines(streams)
         assert private == [frozenset(), frozenset()]
 
     def test_distinct_lines_are_private(self):
@@ -187,7 +187,7 @@ class TestFalseSharingClassification:
             [(OP_LOAD, 0x2000), (OP_STORE, 0x2004)],
             [(OP_STORE, 0x2020)],
         ]
-        private = classify_private_lines(streams, LINE_SHIFT)
+        private = private_lines(streams)
         assert private == [
             frozenset({0x2000 >> LINE_SHIFT}),
             frozenset({0x2020 >> LINE_SHIFT}),
@@ -200,12 +200,12 @@ class TestFalseSharingClassification:
             [(OP_CRITICAL, 0, 5, 0x3000)],
             [(OP_LOAD, 0x3010)],
         ]
-        private = classify_private_lines(streams, LINE_SHIFT)
+        private = private_lines(streams)
         assert private == [frozenset(), frozenset()]
 
     def test_single_thread_owns_everything_it_touches(self):
         streams = [[(OP_LOAD, 0x100), (OP_STORE, 0x200), (OP_CRITICAL, 0, 1, 0x300)]]
-        private = classify_private_lines(streams, LINE_SHIFT)
+        private = private_lines(streams)
         assert private == [
             frozenset({0x100 >> LINE_SHIFT, 0x200 >> LINE_SHIFT, 0x300 >> LINE_SHIFT})
         ]
@@ -213,8 +213,8 @@ class TestFalseSharingClassification:
     def test_line_shift_changes_the_verdict(self):
         # 0x2000 and 0x2008 share a 32-byte line but not an 8-byte one.
         streams = [[(OP_LOAD, 0x2000)], [(OP_STORE, 0x2008)]]
-        assert classify_private_lines(streams, 5) == [frozenset(), frozenset()]
-        assert classify_private_lines(streams, 3) == [
+        assert private_lines(streams, 5) == [frozenset(), frozenset()]
+        assert private_lines(streams, 3) == [
             frozenset({0x2000 >> 3}),
             frozenset({0x2008 >> 3}),
         ]
@@ -229,7 +229,7 @@ class TestResolveAddressStreams:
     def test_loads_and_stores_gain_line_and_base(self):
         streams = [[(OP_LOAD, 0x2004), (OP_STORE, 0x2020), (OP_COMPUTE, 7)]]
         n_sets, way_shift, shift = 8, 2, 5
-        resolved = resolve_address_streams(streams, shift, n_sets, way_shift)
+        resolved = prepare_streams(streams, shift, n_sets, way_shift)[0]
         line = 0x2004 >> shift
         assert resolved[0][0] == (OP_LOAD, 0x2004, line, (line % n_sets) << way_shift)
         line2 = 0x2020 >> shift
@@ -245,19 +245,17 @@ class TestResolveAddressStreams:
     def test_byte_address_stays_at_index_one(self):
         # The slow-path replay reads op[1]; resolution must not move it.
         streams = [[(OP_LOAD, 0xABCD)]]
-        resolved = resolve_address_streams(streams, 5, 8, 2)
+        resolved = prepare_streams(streams, 5, 8, 2)[0]
         assert resolved[0][0][1] == 0xABCD
 
     def test_program_memo_is_per_geometry(self):
-        program = CompiledProgram(
-            streams=[[(OP_LOAD, 0x40)]], total_ops=1, compiled_ops=1
-        )
-        a = program.resolved_streams(5, 8, 2)
-        b = program.resolved_streams(5, 8, 2)
-        c = program.resolved_streams(6, 8, 2)
+        program = CompiledProgram(streams=[[(OP_LOAD, 0x40)]], total_ops=1)
+        a = program.prepared(5, 8, 2)
+        b = program.prepared(5, 8, 2)
+        c = program.prepared(6, 8, 2)
         assert a is b
         assert c is not a
-        assert len(program._resolved) == 2
+        assert len(program._prepared) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +264,7 @@ class TestResolveAddressStreams:
 
 
 def _program(tag):
-    return CompiledProgram(
-        streams=[[(OP_COMPUTE, tag)]], total_ops=1, compiled_ops=1
-    )
+    return CompiledProgram(streams=[[(OP_COMPUTE, tag)]], total_ops=1)
 
 
 class TestOpStreamCacheInstrumentation:
@@ -303,7 +299,7 @@ class TestOpStreamCacheInstrumentation:
         entries = cache.export_entries()
         other = OpStreamCache(maxsize=4)
         for key, value in entries:
-            other.seed(key, value)
+            other.put(key, value)
         assert other.get("a") is not None
         # Seeding neither counts as a hit nor a miss.
         assert other.stats()["misses"] == 0

@@ -3,72 +3,19 @@
 import pytest
 
 from repro.sim.ops import (
-    OP_BARRIER,
     OP_COMPUTE,
-    OP_CRITICAL,
     OP_LOAD,
-    OP_STORE,
     CompiledProgram,
     OpStreamCache,
-    compile_stream,
     compile_workload,
-    stream_op_count,
 )
-
-
-class TestCompileStream:
-    def test_non_compute_ops_pass_through(self):
-        ops = [(OP_LOAD, 0x40), (OP_STORE, 0x80), (OP_BARRIER, 0),
-               (OP_CRITICAL, 1, 5, 0x100)]
-        assert compile_stream(ops) == ops
-
-    def test_adjacent_computes_fuse(self):
-        ops = [(OP_COMPUTE, 5), (OP_COMPUTE, 7), (OP_LOAD, 0x40)]
-        assert compile_stream(ops) == [
-            (OP_COMPUTE, 12, (5, 7)),
-            (OP_LOAD, 0x40),
-        ]
-
-    def test_singleton_compute_stays_plain(self):
-        ops = [(OP_COMPUTE, 5), (OP_LOAD, 0x40), (OP_COMPUTE, 7)]
-        assert compile_stream(ops) == ops
-
-    def test_trailing_run_flushes(self):
-        ops = [(OP_LOAD, 0x40), (OP_COMPUTE, 1), (OP_COMPUTE, 2),
-               (OP_COMPUTE, 3)]
-        assert compile_stream(ops)[-1] == (OP_COMPUTE, 6, (1, 2, 3))
-
-    def test_idempotent_on_compiled_input(self):
-        ops = [(OP_COMPUTE, 5), (OP_COMPUTE, 7), (OP_LOAD, 0x40),
-               (OP_COMPUTE, 3)]
-        once = compile_stream(ops)
-        assert compile_stream(once) == once
-
-    def test_fused_input_merges_with_neighbours(self):
-        ops = [(OP_COMPUTE, 12, (5, 7)), (OP_COMPUTE, 3)]
-        assert compile_stream(ops) == [(OP_COMPUTE, 15, (5, 7, 3))]
-
-    def test_empty_stream(self):
-        assert compile_stream([]) == []
-
-
-class TestStreamOpCount:
-    def test_counts_source_ops(self):
-        compiled = compile_stream(
-            [(OP_COMPUTE, 1), (OP_COMPUTE, 2), (OP_LOAD, 0x40),
-             (OP_BARRIER, 0)]
-        )
-        assert len(compiled) == 3
-        assert stream_op_count(compiled) == 4
-
-    def test_plain_stream_counts_length(self):
-        ops = [(OP_LOAD, 0x40), (OP_STORE, 0x80)]
-        assert stream_op_count(ops) == 2
+from repro.workloads import SPLASH2, WorkloadModel
+from repro.workloads.multiprogram import homogeneous_mix
 
 
 class TestOpStreamCache:
     def _program(self):
-        return CompiledProgram(streams=[[]], total_ops=0, compiled_ops=0)
+        return CompiledProgram(streams=[[]], total_ops=0)
 
     def test_miss_then_hit(self):
         cache = OpStreamCache()
@@ -134,15 +81,19 @@ class KeylessModel:
 
 
 class TestCompileWorkload:
-    def test_cold_compile_generates_and_fuses(self):
+    def test_cold_compile_generates(self):
         model = FakeModel()
         out = compile_workload(model, 2, cache=OpStreamCache())
         assert not out.from_cache
         assert model.generated == 2
         assert out.program.n_threads == 2
         assert out.program.total_ops == 6
-        assert out.program.compiled_ops == 4  # fused pairs
-        assert out.program.streams[0][0] == (OP_COMPUTE, 30, (10, 20))
+        # Adjacent bursts stay as generated: one op each.
+        assert out.program.streams[0] == [
+            (OP_COMPUTE, 10),
+            (OP_COMPUTE, 20),
+            (OP_LOAD, 0x40),
+        ]
 
     def test_warm_compile_skips_generation(self):
         cache = OpStreamCache()
@@ -173,3 +124,20 @@ class TestCompileWorkload:
         out = compile_workload(model, 1, cache=None)
         assert not out.from_cache
         assert model.generated == 2
+
+
+def _bundled_programs():
+    """Every SPLASH-2 model at scale 0.05, plus a four-copy mix."""
+    models = [WorkloadModel(m.spec.scaled(0.05)) for m in SPLASH2]
+    cases = [(m, n) for m in models for n in (1, 2, 4, 8, 16) if m.supports(n)]
+    cases.append((homogeneous_mix(models[0], 4), 4))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "model,n", _bundled_programs(), ids=lambda v: getattr(v, "name", str(v))
+)
+def test_compiled_streams_are_the_generated_streams(model, n):
+    program = compile_workload(model, n, cache=None).program
+    for t in range(n):
+        assert program.streams[t] == list(model.thread_ops(t, n))

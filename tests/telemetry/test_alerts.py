@@ -57,7 +57,7 @@ class TestChannelStats:
         assert sorted(stats.fields) == ["n", "total_power_w"]
         assert stats.fields["total_power_w"].count == 3
         assert stats.fields["total_power_w"].maximum == 9.0
-        assert stats.apps["Radix"]["total_power_w"].minimum == 3.0
+        assert stats.groups[("Radix", None)]["total_power_w"].minimum == 3.0
         block = stats.to_dict()
         assert block["points"] == 3
         assert block["fields"]["n"]["max"] == 2.0
@@ -135,6 +135,27 @@ class TestDefaultRules:
         (finding,) = evaluate_rules(stats, DEFAULT_RULES)
         assert finding.rule == "ipc-collapse"
         assert finding.value == pytest.approx(0.21 / 0.08)
+
+    def test_one_app_probed_at_two_frequencies_stays_silent(self):
+        # A budget search's probes: N=4 at the 0.2 GHz floor, where DRAM
+        # costs few cycles, and N=16 at 3.2 GHz, 2.13x the CPI.  At
+        # 3.2 GHz alone the CPI rises only 1.84x.
+        stats = seeded_stats(
+            {"app": "FMM", "frequency_hz": 0.2e9, "average_cpi": 0.624},
+            {"app": "FMM", "frequency_hz": 3.2e9, "average_cpi": 0.723},
+            {"app": "FMM", "frequency_hz": 3.2e9, "average_cpi": 1.331},
+        )
+        assert self.fired(stats) == set()
+
+    def test_a_collapse_at_one_frequency_fires(self):
+        stats = seeded_stats(
+            {"app": "FMM", "frequency_hz": 0.2e9, "average_cpi": 0.6},
+            {"app": "FMM", "frequency_hz": 3.2e9, "average_cpi": 0.7},
+            {"app": "FMM", "frequency_hz": 3.2e9, "average_cpi": 1.47},
+        )
+        (finding,) = evaluate_rules(stats, DEFAULT_RULES)
+        assert finding.rule == "ipc-collapse"
+        assert finding.value == pytest.approx(2.1)
 
     def test_findings_serialize_for_the_manifest(self):
         stats = seeded_stats(*field_rows("total_power_w", [65.0]))
