@@ -100,8 +100,9 @@ def bench_point(app: str, n: int, scale: float, repeats: int) -> dict:
     def fast_run(cache):
         start = time.perf_counter()
         compiled = compile_workload(model, n, cache=cache)
-        # The whole program, not just its streams: the kernel consumes
-        # the memoized private-line classification for the wide horizon.
+        # The compiled program carries the resolved streams and the
+        # private-line sets the kernel's wide horizon reads, so a cache
+        # hit prepares nothing.
         result = ChipMultiprocessor(config, fast_path=True).run(
             compiled.program, timing, warmup_barriers=warmup
         )

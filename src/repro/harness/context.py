@@ -167,7 +167,9 @@ class ExperimentContext:
         already-compiled streams instead of recompiling per process.
         Returns the :class:`repro.sim.ops.CompileOutcome`.
         """
-        return compile_workload(self.scaled_model(model), n_threads)
+        return compile_workload(
+            self.scaled_model(model), n_threads, self.cmp_config.l1_config
+        )
 
     def run(
         self,
@@ -189,12 +191,10 @@ class ExperimentContext:
             voltage = self.vf_table.voltage_for_frequency(f_hz)
         config = self.cmp_config.with_operating_point(f_hz, voltage)
         scaled = self.scaled_model(model)
-        compiled = compile_workload(scaled, n_threads)
+        compiled = compile_workload(scaled, n_threads, config.l1_config)
         chip = ChipMultiprocessor(
             config, fast_path=self.fast_path, profile=self.profile
         )
-        # The whole program (not just its streams): the fast path reuses
-        # its memoized preparation pass across V/f points.
         result = chip.run(
             compiled.program,
             scaled.core_timing(),

@@ -921,15 +921,15 @@ class SweepExecutor:
     ) -> List[Tuple[Tuple[Any, ...], int]]:
         """The process farm: at most ``jobs`` long-lived worker children.
 
-        Each worker serves one attempt at a time over a duplex pipe and
-        keeps the per-program memos it builds.  A worker killed
-        mid-point (OOM, segfault, ``kill`` fault) is detected as an EOF
-        and replaced, and the attempt retried; a point exceeding
-        ``point_timeout_s`` has its worker terminated (and replaced)
-        without poisoning anyone else; and a ``KeyboardInterrupt`` — or
-        a bug a worker shipped back, re-raised here — tears every child
-        down before propagating.  Results are deterministic regardless
-        of completion order — they are slotted by point index.
+        Each worker serves one attempt at a time over a duplex pipe.  A
+        worker killed mid-point (OOM, segfault, ``kill`` fault) is
+        detected as an EOF and replaced, and the attempt retried; a
+        point exceeding ``point_timeout_s`` has its worker terminated
+        (and replaced) without poisoning anyone else; and a
+        ``KeyboardInterrupt`` — or a bug a worker shipped back,
+        re-raised here — tears every child down before propagating.
+        Results are deterministic regardless of completion order — they
+        are slotted by point index.
         """
         # Imported here: only this lane starts processes, and a serial
         # or fully cached sweep should not pay for the import.
@@ -946,9 +946,10 @@ class SweepExecutor:
             seeds = stream_cache.export_entries() or None
         results: Dict[int, Tuple[Tuple[Any, ...], int]] = {}
         # Work goes out in runs of consecutive points, about four per
-        # worker: neighbouring points usually share a compiled program,
-        # so a worker that keeps a run reuses that program's memos.  Each
-        # attempt is still its own message with its own deadline.
+        # worker, which keeps dispatch to a few messages per worker.
+        # Workers need no warm-up of their own: the compiled programs
+        # they run are already resolved in the coordinator's cache.
+        # Each attempt is still its own message with its own deadline.
         size = max(1, len(pending) // (slots * 4))
         ready = deque(
             [(index, 0) for index in pending[start : start + size]]

@@ -75,6 +75,15 @@ class CacheConfig:
         """Row stride exponent: ways per set rounded up to a power of two."""
         return (self.associativity - 1).bit_length()
 
+    @property
+    def geometry(self) -> Tuple[int, int, int]:
+        """``(line_shift, n_sets, way_shift)``: what a resolved op depends on."""
+        return (self.line_shift, self.n_sets, self.way_shift)
+
+
+#: The private L1 data cache of Table 1: 64 KB, 2-way, 64-byte lines.
+L1_TABLE1 = CacheConfig(capacity_bytes=64 * 1024, line_bytes=64, associativity=2)
+
 
 class Cache:
     """One set-associative cache array tracking MESI line states."""

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.bus import BusConfig, SharedBus
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.cache import L1_TABLE1, Cache, CacheConfig
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import CoherenceStats, MESIController
 from repro.sim.cpu import DONE, RUNNING, Core, CoreStats, CoreTimingConfig, LockTable
@@ -46,9 +46,7 @@ class CMPConfig:
     n_cores: int = 16
     frequency_hz: float = 3.2e9
     voltage: float = 1.1
-    l1_config: CacheConfig = CacheConfig(
-        capacity_bytes=64 * 1024, line_bytes=64, associativity=2
-    )
+    l1_config: CacheConfig = L1_TABLE1
     l2_config: CacheConfig = CacheConfig(
         capacity_bytes=4 * 1024 * 1024, line_bytes=128, associativity=8
     )
@@ -191,12 +189,12 @@ class ChipMultiprocessor:
     ) -> SimulationResult:
         """Simulate the workload's threads to completion on a fresh machine.
 
-        ``thread_ops`` supplies one operation stream per thread — or a
-        whole :class:`repro.sim.ops.CompiledProgram`, which additionally
-        memoizes the fast path's preparation pass
-        (:func:`repro.sim.ops.prepare_streams`) across V/f points.  The
-        number of threads must not exceed the configured core count
-        (unused cores are shut down, consuming nothing — Section 4.1).
+        ``thread_ops`` supplies one operation stream per thread, or a
+        whole :class:`repro.sim.ops.CompiledProgram` (resolved once for
+        this machine's L1 geometry, so every V/f point of a sweep shares
+        it).  The number of threads must not exceed the configured core
+        count (unused cores are shut down, consuming nothing — Section
+        4.1).
 
         ``warmup_barriers`` implements the paper's "skip initialization"
         methodology: when that many barriers have completed, all activity
@@ -204,13 +202,27 @@ class ChipMultiprocessor:
         while cache/coherence state carries over warm.
 
         ``fast_path`` (constructor) selects the execution kernel: the
-        fast path prepares streams and short-circuits L1 hits; the
+        fast path runs resolved streams and short-circuits L1 hits; the
         reference interpreter routes every op through the controller.
-        Both produce bitwise-identical counters.
+        Given raw streams, the reference interpreter consumes them
+        lazily and the fast path resolves them first
+        (:func:`repro.sim.ops.prepare_streams`).  Both produce
+        bitwise-identical counters.
         """
         config = self.config
-        program = thread_ops if isinstance(thread_ops, CompiledProgram) else None
+        use_fast = self.fast_path
+        program: Optional[CompiledProgram] = None
+        if isinstance(thread_ops, CompiledProgram):
+            program = thread_ops
+            if program.geometry != config.l1_config.geometry:
+                raise ConfigurationError(
+                    f"program resolved for L1 geometry {program.geometry}, "
+                    f"machine has {config.l1_config.geometry}"
+                )
+        elif use_fast:
+            program = prepare_streams(thread_ops, config.l1_config)
         streams = program.streams if program is not None else thread_ops
+        private = program.private_lines if program is not None else []
         n_threads = len(streams)
         if n_threads < 1:
             raise ConfigurationError("need at least one thread")
@@ -246,19 +258,11 @@ class ChipMultiprocessor:
         )
         locks = LockTable()
 
-        use_fast = self.fast_path
         tracer = get_tracer()
         # An enabled tracer turns the per-subsystem slow-path timers on
         # even without --profile: they are host-side only and feed the
         # run's aggregate spans, never the simulated counters.
         profile_timers = self.profile or tracer.enabled
-        if use_fast:
-            l1_config = config.l1_config
-            geometry = (l1_config.line_shift, l1_config.n_sets, l1_config.way_shift)
-            if program is not None:
-                streams, private = program.prepared(*geometry)
-            else:
-                streams, private = prepare_streams(streams, *geometry)
         cores = [
             Core(i, ops, controller, clock, timings[i], locks)
             for i, ops in enumerate(streams)

@@ -15,30 +15,28 @@ the kind:
 Plain tuples (rather than dataclasses) keep the per-op cost low — the
 simulator consumes hundreds of thousands of these per run.
 
-Compiled op streams
--------------------
+Compiled programs
+-----------------
 Generating a stream is itself expensive (the synthetic models draw from
 seeded RNGs per op; traces parse text), and a V/f sweep re-simulates the
-*same* stream at every operating point.  :func:`compile_workload`
-materializes every thread of a workload model once into flat lists and
-memoizes the result in a process-wide :class:`OpStreamCache` keyed by
-the model's ``compile_key(n_threads)`` (workload identity x thread
-count), so repeated simulations of one workload at different V/f points
-skip generation and parsing entirely.  Streams are clock-independent,
-which is what makes the cache key V/f-free.
-
-:func:`prepare_streams` is the fast path's one preparation pass over a
-program: it resolves each load/store's L1 line and set and classifies
-the provably-private lines, and :class:`CompiledProgram` memoizes it per
-L1 geometry.
+*same* stream at every operating point.  :func:`compile_workload` walks
+every thread's generator once through :func:`prepare_streams`, which
+resolves each load/store for the L1 geometry as it goes, and memoizes
+the resulting :class:`CompiledProgram` in a process-wide
+:class:`OpStreamCache` keyed by the model's ``compile_key(n_threads)``
+(workload identity x thread count) and the geometry.  Repeated
+simulations of one workload at different V/f points skip generation
+and resolution entirely: streams are clock-independent, which is what
+makes the cache key V/f-free.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
+from repro.sim.cache import L1_TABLE1, CacheConfig
 from repro.telemetry.trace import get_tracer
 
 OP_COMPUTE = 0
@@ -48,22 +46,50 @@ OP_BARRIER = 3
 OP_CRITICAL = 4
 
 
-def prepare_streams(
-    streams: Sequence[Iterable[tuple]],
-    line_shift: int,
-    n_sets: int,
-    way_shift: int,
-) -> Tuple[List[List[tuple]], List[FrozenSet[int]]]:
-    """The fast-path kernel's view of ``streams`` at one L1 geometry.
+@dataclass(frozen=True)
+class CompiledProgram:
+    """Every thread of one workload, resolved for one L1 geometry.
 
-    One walk over every stream returns two things:
+    Built by :func:`prepare_streams`, the one pass over the generated
+    streams; this is the only copy of the program a process keeps.
+    """
+
+    #: The resolved per-thread op lists (see :func:`prepare_streams`).
+    streams: List[List[tuple]]
+    #: Per-thread sets of provably private line addresses.
+    private_lines: List[FrozenSet[int]]
+    #: The ``CacheConfig.geometry`` the streams were resolved for.
+    geometry: Tuple[int, int, int]
+
+    @property
+    def n_threads(self) -> int:
+        """Number of per-thread streams."""
+        return len(self.streams)
+
+    @property
+    def total_ops(self) -> int:
+        """Op count across all threads."""
+        return sum(len(ops) for ops in self.streams)
+
+
+def prepare_streams(
+    streams: Iterable[Iterable[tuple]], l1: CacheConfig
+) -> CompiledProgram:
+    """Walk ``streams`` once and resolve them for the L1 geometry ``l1``.
+
+    ``streams`` may be any iterables, the workload's generators
+    included; each is consumed once.  The program holds:
 
     * the *resolved* streams: each load and store gains its L1 line
       address and flat set base, ``(kind, byte_address, line,
       set_base)``, so the hot loop indexes the flat tag array directly
       instead of doing shift/mod arithmetic per op.  Every other op
-      kind passes through unchanged, and the byte address stays at
-      index 1, which is all the slow-path replay reads;
+      passes through by identity, and the byte address stays at index
+      1, which is all :meth:`repro.sim.cpu.Core.step` and the slow-path
+      replay read.  Immutable parts are shared: set bases come from one
+      table of one int per set, and each distinct line of a thread is
+      one int object (the thread's dict of lines is both the intern
+      table and its touched-lines set);
     * the per-thread sets of *provably private* lines.  A line is
       private to thread ``t`` iff every data access to it — loads,
       stores, and critical-section read-modify-writes — across the
@@ -76,63 +102,38 @@ def prepare_streams(
       where threads touch different bytes of one line — is
       shared-visible for every thread.
     """
+    line_shift, n_sets, way_shift = geometry = l1.geometry
+    set_bases = [index << way_shift for index in range(n_sets)]
     resolved: List[List[tuple]] = []
-    touched: List[Set[int]] = []
+    touched: List[Dict[int, int]] = []
     for ops in streams:
         out: List[tuple] = []
         append = out.append
-        lines: Set[int] = set()
-        touch = lines.add
+        lines: Dict[int, int] = {}
+        intern = lines.setdefault
         for op in ops:
             kind = op[0]
             if kind == OP_LOAD or kind == OP_STORE:
                 line = op[1] >> line_shift
-                touch(line)
-                append((kind, op[1], line, (line % n_sets) << way_shift))
+                line = intern(line, line)
+                append((kind, op[1], line, set_bases[line % n_sets]))
             else:
                 if kind == OP_CRITICAL:
-                    touch(op[3] >> line_shift)
+                    line = op[3] >> line_shift
+                    intern(line, line)
                 append(op)
         resolved.append(out)
         touched.append(lines)
     seen: Set[int] = set()
     shared: Set[int] = set()
     for lines in touched:
-        shared |= seen & lines
-        seen |= lines
-    return resolved, [frozenset(lines - shared) for lines in touched]
-
-
-@dataclass
-class CompiledProgram:
-    """Every thread of one workload, compiled to flat op lists."""
-
-    streams: List[List[tuple]]
-    #: Op count across all threads.
-    total_ops: int
-    #: Per-geometry memo of :func:`prepare_streams`, keyed by
-    #: ``(line_shift, n_sets, way_shift)``.  One entry per distinct L1
-    #: geometry — DVFS sweeps share it, since operating points change
-    #: clocks, never cache geometry.
-    _prepared: Dict[
-        Tuple[int, int, int], Tuple[List[List[tuple]], List[FrozenSet[int]]]
-    ] = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def n_threads(self) -> int:
-        """Number of per-thread streams."""
-        return len(self.streams)
-
-    def prepared(
-        self, line_shift: int, n_sets: int, way_shift: int
-    ) -> Tuple[List[List[tuple]], List[FrozenSet[int]]]:
-        """Resolved streams and private-line sets (memoized per geometry)."""
-        key = (line_shift, n_sets, way_shift)
-        cached = self._prepared.get(key)
-        if cached is None:
-            cached = prepare_streams(self.streams, line_shift, n_sets, way_shift)
-            self._prepared[key] = cached
-        return cached
+        shared |= lines.keys() & seen
+        seen.update(lines)
+    return CompiledProgram(
+        streams=resolved,
+        private_lines=[frozenset(lines.keys() - shared) for lines in touched],
+        geometry=geometry,
+    )
 
 
 @dataclass
@@ -153,8 +154,9 @@ class CompileOutcome:
 class OpStreamCache:
     """Bounded in-memory LRU cache of compiled programs.
 
-    Keys are whatever a workload's ``compile_key(n_threads)`` returns —
-    any hashable value that changes iff the generated streams change.
+    Keys pair whatever a workload's ``compile_key(n_threads)`` returns —
+    any hashable value that changes iff the generated streams change —
+    with the L1 geometry the program was resolved for.
     Compiled programs are immutable by convention (the simulator never
     mutates a stream), so one cached program may back many concurrent
     simulations in a process.
@@ -230,19 +232,20 @@ stream_cache = OpStreamCache()
 def compile_workload(
     model,
     n_threads: int,
+    l1: CacheConfig = L1_TABLE1,
     cache: Optional[OpStreamCache] = stream_cache,
 ) -> CompileOutcome:
-    """Compile (or fetch) every thread stream of ``model`` at ``n_threads``.
+    """Compile (or fetch) every thread of ``model`` at ``n_threads`` for ``l1``.
 
     ``model`` follows the informal workload protocol
     (``thread_ops(tid, n)``); if it also provides ``compile_key(n)``
     returning a hashable key, the compiled program is memoized in
-    ``cache``.  Models without a key (or ``cache=None``) compile fresh
-    on every call.
+    ``cache`` under that key and the L1 geometry.  Models without a key
+    (or ``cache=None``) compile fresh on every call.
     """
     key = None
     if cache is not None and hasattr(model, "compile_key"):
-        key = model.compile_key(n_threads)
+        key = (model.compile_key(n_threads), l1.geometry)
     if key is not None:
         program = cache.get(key)
         if program is not None:
@@ -255,9 +258,8 @@ def compile_workload(
     ) as span:
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         start = time.perf_counter()
-        streams = [list(model.thread_ops(t, n_threads)) for t in range(n_threads)]
-        program = CompiledProgram(
-            streams=streams, total_ops=sum(len(s) for s in streams)
+        program = prepare_streams(
+            (model.thread_ops(t, n_threads) for t in range(n_threads)), l1
         )
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         seconds = time.perf_counter() - start

@@ -236,8 +236,9 @@ class WorkloadModel:
         shared_cursor = _SHARED_BASE + rng.randrange(0, spec.shared_bytes)
         barrier_counter = 0
         phase_instructions = spec.total_instructions / spec.n_phases
-        # Compute-burst length between memory operations.
-        burst = max(1, round((1.0 - spec.mem_ratio) / spec.mem_ratio))
+        # The compute burst between memory operations: one shared tuple
+        # for the whole thread, since ops are immutable.
+        compute = (OP_COMPUTE, max(1, round((1.0 - spec.mem_ratio) / spec.mem_ratio)))
 
         def next_address() -> int:
             nonlocal private_cursor, shared_cursor
@@ -268,7 +269,7 @@ class WorkloadModel:
             if allow_critical and spec.critical_sections_per_phase:
                 critical_every = max(1, n_mem // spec.critical_sections_per_phase)
             for i in range(n_mem):
-                yield (OP_COMPUTE, burst)
+                yield compute
                 if critical_every and (i + 1) % critical_every == 0:
                     lock_id = rng.randrange(spec.n_locks)
                     yield (

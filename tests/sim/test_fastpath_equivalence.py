@@ -1,6 +1,6 @@
 """The fast-path kernel's contract: bitwise-identical counters.
 
-``Core.step_fast`` over prepared streams must reproduce every counter of
+``Core.step_fast`` over resolved streams must reproduce every counter of
 the reference interpreter (``Core.step`` over raw generator streams) —
 not approximately, *identically*.  These tests run both kernels on the
 same workloads across machine configurations and compare every field of
@@ -71,7 +71,7 @@ def assert_equivalent(model, n, config):
     )
     compiled = compile_workload(model, n, cache=None)
     fast = ChipMultiprocessor(config, fast_path=True).run(
-        compiled.program.streams,
+        compiled.program,
         timing,
         warmup_barriers=warmup,
     )
@@ -88,6 +88,19 @@ class TestAllBundledWorkloads:
     def test_multiprogrammed_mix(self):
         mix = homogeneous_mix(scaled(SPLASH2[0]), 4)
         assert_equivalent(mix, 4, CMPConfig(n_cores=4))
+
+    @pytest.mark.parametrize("app", ("Cholesky", "Ocean"))
+    def test_reference_on_compiled_program(self, app):
+        # The reference interpreter reads only op[1] of a resolved op,
+        # so it runs a compiled program exactly as the raw generators.
+        model = scaled({m.name: m for m in SPLASH2}[app])
+        config = CMPConfig(n_cores=4)
+        reference, fast = assert_equivalent(model, 4, config)
+        program = compile_workload(model, 4, cache=None).program
+        resolved = ChipMultiprocessor(config, fast_path=False).run(
+            program, model.core_timing(), warmup_barriers=model.warmup_barriers
+        )
+        assert counters(resolved) == counters(reference) == counters(fast)
 
 
 class TestConfigurationMatrix:
@@ -188,7 +201,7 @@ class TestKernelStats:
         model = scaled(SPLASH2[0])
         compiled = compile_workload(model, 4, cache=None)
         result = ChipMultiprocessor(CMPConfig(n_cores=4)).run(
-            compiled.program.streams,
+            compiled.program,
             model.core_timing(),
             warmup_barriers=model.warmup_barriers,
         )
@@ -224,7 +237,7 @@ class TestKernelStats:
         result = ChipMultiprocessor(
             CMPConfig(n_cores=4), profile=True
         ).run(
-            compiled.program.streams,
+            compiled.program,
             model.core_timing(),
             warmup_barriers=model.warmup_barriers,
         )

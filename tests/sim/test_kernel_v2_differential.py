@@ -5,34 +5,37 @@ random barrier/critical placement — run through the reference
 interpreter and the fast-path kernel, asserting bitwise-identical
 counters (the same contract as tests/sim/test_fastpath_equivalence.py,
 but over adversarial generated inputs instead of the bundled SPLASH-2
-models).  A second fast run on the *same* compiled program re-uses the
-memoized preparation pass (geometry-resolved streams and private-line
-sets), so the warm path is exercised too.
+models).  The reference interpreter also runs the compiled program, and
+a second fast run re-uses it (geometry-resolved streams and private-line
+sets), so every way a program reaches the kernel is exercised.
 
 Also here, for :func:`repro.sim.ops.prepare_streams`: the false-sharing
 regression tests for its private-line sets — two threads touching
 *different bytes of one line* must never classify it private — and unit
-coverage for its geometry-resolved streams; and the bounded compile
-cache's instrumentation.
+coverage for its geometry-resolved streams; the geometry contract of
+compiled programs; and the bounded compile cache's instrumentation.
 """
 
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.cache import CacheConfig
+from repro.sim.cache import L1_TABLE1, CacheConfig
 from repro.sim.ops import (
     OP_BARRIER,
     OP_COMPUTE,
     OP_CRITICAL,
     OP_LOAD,
     OP_STORE,
-    CompiledProgram,
     OpStreamCache,
+    compile_workload,
     prepare_streams,
 )
+from repro.workloads import SPLASH2, WorkloadModel
 
 
 def counters(result):
@@ -135,13 +138,13 @@ class TestRandomWorkloadDifferential:
         reference = ChipMultiprocessor(config, fast_path=False).run(
             [iter(t) for t in threads]
         )
-        program = CompiledProgram(
-            streams=threads, total_ops=sum(len(t) for t in threads)
-        )
+        program = prepare_streams(threads, config.l1_config)
         fast = ChipMultiprocessor(config, fast_path=True).run(program)
         assert counters(reference) == counters(fast)
-        # Warm rerun: the memoized preparation pass.
-        assert program._prepared
+        # The reference interpreter on the resolved program.
+        resolved = ChipMultiprocessor(config, fast_path=False).run(program)
+        assert counters(reference) == counters(resolved)
+        # Warm rerun: the same compiled program again.
         warm = ChipMultiprocessor(config, fast_path=True).run(program)
         assert counters(reference) == counters(warm)
 
@@ -149,10 +152,7 @@ class TestRandomWorkloadDifferential:
     @given(synthetic_workloads())
     def test_private_lines_disjoint_across_threads(self, case):
         threads, config = case
-        l1 = config.l1_config
-        _resolved, private = prepare_streams(
-            threads, l1.line_shift, l1.n_sets, l1.way_shift
-        )
+        private = prepare_streams(threads, config.l1_config).private_lines
         for i, mine in enumerate(private):
             for j, theirs in enumerate(private):
                 if i != j:
@@ -168,7 +168,9 @@ LINE_SHIFT = 5  # 32-byte lines
 
 def private_lines(streams, line_shift=LINE_SHIFT):
     """The private-line sets of :func:`prepare_streams` (one-set L1)."""
-    return prepare_streams(streams, line_shift, 1, 0)[1]
+    line_bytes = 1 << line_shift
+    l1 = CacheConfig(capacity_bytes=line_bytes, line_bytes=line_bytes, associativity=1)
+    return prepare_streams(streams, l1).private_lines
 
 
 class TestFalseSharingClassification:
@@ -225,11 +227,18 @@ class TestFalseSharingClassification:
 # ---------------------------------------------------------------------------
 
 
+#: 32-byte lines, 8 sets, 4 ways: geometry (5, 8, 2).
+SMALL_L1 = CacheConfig(capacity_bytes=1024, line_bytes=32, associativity=4)
+
+
 class TestResolveAddressStreams:
     def test_loads_and_stores_gain_line_and_base(self):
-        streams = [[(OP_LOAD, 0x2004), (OP_STORE, 0x2020), (OP_COMPUTE, 7)]]
-        n_sets, way_shift, shift = 8, 2, 5
-        resolved = prepare_streams(streams, shift, n_sets, way_shift)[0]
+        compute = (OP_COMPUTE, 7)
+        streams = [[(OP_LOAD, 0x2004), (OP_STORE, 0x2020), compute]]
+        shift, n_sets, way_shift = SMALL_L1.geometry
+        program = prepare_streams(streams, SMALL_L1)
+        assert program.geometry == (5, 8, 2)
+        resolved = program.streams
         line = 0x2004 >> shift
         assert resolved[0][0] == (OP_LOAD, 0x2004, line, (line % n_sets) << way_shift)
         line2 = 0x2020 >> shift
@@ -240,22 +249,51 @@ class TestResolveAddressStreams:
             (line2 % n_sets) << way_shift,
         )
         # Non-memory ops pass through by identity.
-        assert resolved[0][2] == (OP_COMPUTE, 7)
+        assert resolved[0][2] is compute
 
     def test_byte_address_stays_at_index_one(self):
         # The slow-path replay reads op[1]; resolution must not move it.
         streams = [[(OP_LOAD, 0xABCD)]]
-        resolved = prepare_streams(streams, 5, 8, 2)[0]
+        resolved = prepare_streams(streams, SMALL_L1).streams
         assert resolved[0][0][1] == 0xABCD
 
-    def test_program_memo_is_per_geometry(self):
-        program = CompiledProgram(streams=[[(OP_LOAD, 0x40)]], total_ops=1)
-        a = program.prepared(5, 8, 2)
-        b = program.prepared(5, 8, 2)
-        c = program.prepared(6, 8, 2)
-        assert a is b
-        assert c is not a
-        assert len(program._prepared) == 2
+    def test_generators_are_consumed_once(self):
+        streams = (iter([(OP_LOAD, 0x40), (OP_COMPUTE, 3)]) for _ in range(2))
+        program = prepare_streams(streams, SMALL_L1)
+        assert program.n_threads == 2
+        assert program.total_ops == 4
+
+
+# ---------------------------------------------------------------------------
+# Geometry contract: a compiled program belongs to one L1 geometry.
+# ---------------------------------------------------------------------------
+
+
+def _radix():
+    by_name = {m.name: m for m in SPLASH2}
+    return WorkloadModel(by_name["Radix"].spec.scaled(0.01))
+
+
+class TestGeometryContract:
+    def test_compile_cache_is_per_geometry(self):
+        cache = OpStreamCache()
+        model = _radix()
+        table1 = compile_workload(model, 2, L1_TABLE1, cache=cache)
+        small = compile_workload(model, 2, SMALL_L1, cache=cache)
+        assert not table1.from_cache and not small.from_cache
+        assert len(cache) == 2
+        assert table1.program.geometry == L1_TABLE1.geometry
+        assert small.program.geometry == SMALL_L1.geometry
+        again = compile_workload(model, 2, SMALL_L1, cache=cache)
+        assert again.from_cache and again.program is small.program
+        assert compile_workload(model, 2, cache=cache).program is table1.program
+
+    @pytest.mark.parametrize("fast_path", (True, False), ids=("fast", "reference"))
+    def test_run_rejects_a_program_for_another_geometry(self, fast_path):
+        program = compile_workload(_radix(), 2, SMALL_L1, cache=None).program
+        chip = ChipMultiprocessor(CMPConfig(n_cores=2), fast_path=fast_path)
+        with pytest.raises(ConfigurationError, match="geometry"):
+            chip.run(program)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +302,7 @@ class TestResolveAddressStreams:
 
 
 def _program(tag):
-    return CompiledProgram(streams=[[(OP_COMPUTE, tag)]], total_ops=1)
+    return prepare_streams([[(OP_COMPUTE, tag)]], L1_TABLE1)
 
 
 class TestOpStreamCacheInstrumentation:

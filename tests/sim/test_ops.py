@@ -1,21 +1,26 @@
 """Tests for op-stream compilation and the compile cache."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.sim.cache import L1_TABLE1
 from repro.sim.ops import (
     OP_COMPUTE,
     OP_LOAD,
-    CompiledProgram,
+    OP_STORE,
     OpStreamCache,
     compile_workload,
+    prepare_streams,
 )
-from repro.workloads import SPLASH2, WorkloadModel
+from repro.workloads import SPLASH2, WorkloadModel, workload_by_name
 from repro.workloads.multiprogram import homogeneous_mix
 
 
 class TestOpStreamCache:
     def _program(self):
-        return CompiledProgram(streams=[[]], total_ops=0)
+        return prepare_streams([[]], L1_TABLE1)
 
     def test_miss_then_hit(self):
         cache = OpStreamCache()
@@ -88,11 +93,12 @@ class TestCompileWorkload:
         assert model.generated == 2
         assert out.program.n_threads == 2
         assert out.program.total_ops == 6
-        # Adjacent bursts stay as generated: one op each.
+        # Adjacent bursts stay as generated: one op each.  The load gains
+        # its Table 1 L1 line (64-byte lines) and flat set base (2 ways).
         assert out.program.streams[0] == [
             (OP_COMPUTE, 10),
             (OP_COMPUTE, 20),
-            (OP_LOAD, 0x40),
+            (OP_LOAD, 0x40, 1, 1 << 1),
         ]
 
     def test_warm_compile_skips_generation(self):
@@ -140,4 +146,59 @@ def _bundled_programs():
 def test_compiled_streams_are_the_generated_streams(model, n):
     program = compile_workload(model, n, cache=None).program
     for t in range(n):
-        assert program.streams[t] == list(model.thread_ops(t, n))
+        generated = list(model.thread_ops(t, n))
+        resolved = program.streams[t]
+        assert len(resolved) == len(generated)
+        for op, gen in zip(resolved, generated):
+            if gen[0] == OP_LOAD or gen[0] == OP_STORE:
+                assert op[:2] == gen
+            else:
+                assert op == gen
+
+
+# ---------------------------------------------------------------------------
+# Compactness: a compiled program holds one copy, and shares what repeats.
+# ---------------------------------------------------------------------------
+
+#: Figure 3's applications (the ``repro fig3`` default ``--apps``).
+FIG3_APPS = ("FMM", "LU", "Ocean", "Cholesky", "Radix")
+
+
+def _fig3_programs():
+    """Figure 3's 25 programs at scale 0.05, compiled with no cache."""
+    models = [WorkloadModel(workload_by_name(a).spec.scaled(0.05)) for a in FIG3_APPS]
+    return [
+        compile_workload(m, n, cache=None).program
+        for m in models
+        for n in (1, 2, 4, 8, 16)
+    ]
+
+
+def test_fig3_programs_hold_at_most_100_bytes_per_op():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        programs = _fig3_programs()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_ops = sum(p.total_ops for p in programs)
+    assert len(programs) == 25
+    assert held / n_ops <= 100, f"{held / n_ops:.0f} B/op"
+
+
+def test_compiled_programs_share_repeated_parts():
+    for program in _fig3_programs():
+        set_bases = {}
+        for ops in program.streams:
+            bursts = {}
+            lines = {}
+            for op in ops:
+                kind = op[0]
+                if kind == OP_COMPUTE:
+                    assert bursts.setdefault(op[1], op) is op
+                elif kind == OP_LOAD or kind == OP_STORE:
+                    assert lines.setdefault(op[2], op[2]) is op[2]
+                    assert set_bases.setdefault(op[3], op[3]) is op[3]
