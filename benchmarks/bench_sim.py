@@ -8,7 +8,8 @@ Run directly (not collected by pytest, which only looks in ``tests/``)::
 
 ``--mode layout`` skips the simulations and instead micro-benchmarks the
 kernel's data structures (flat-array cache lookup/insert/evict and the
-bitmask coherence sharer cycle) in ns/op; see
+bitmask coherence sharer cycle) in ns/op, and records the bytes per op
+that Figure 3's 25 compiled programs hold; see
 :func:`run_layout_benchmark`.  The default ``--mode full`` measures
 whole simulations:
 
@@ -47,6 +48,7 @@ meaningful across machines of different speeds.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -54,6 +56,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 
 from repro.sim import ChipMultiprocessor, CMPConfig
@@ -182,6 +185,43 @@ def _time_loop(fn, iterations: int, repeats: int) -> float:
     return 1e9 * best / iterations
 
 
+#: Figure 3's applications and core counts (``repro fig3``'s defaults).
+FIG3_APPS = ("FMM", "LU", "Ocean", "Cholesky", "Radix")
+FIG3_CORE_COUNTS = (1, 2, 4, 8, 16)
+
+
+def program_memory(scale: float = 0.05) -> dict:
+    """Bytes Figure 3's compiled programs hold, per op (tracemalloc).
+
+    Compiles every (application, core count) of Figure 3 with no cache
+    and measures what the 25 programs keep alive together.
+    """
+    models = [
+        WorkloadModel(workload_by_name(app).spec.scaled(scale)) for app in FIG3_APPS
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        programs = [
+            compile_workload(model, n, cache=None).program
+            for model in models
+            for n in FIG3_CORE_COUNTS
+        ]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_ops = sum(program.total_ops for program in programs)
+    return {
+        "programs": len(programs),
+        "scale": scale,
+        "ops": n_ops,
+        "bytes": held,
+        "bytes_per_op": round(held / n_ops, 1),
+    }
+
+
 def run_layout_benchmark(args) -> dict:
     """Isolate the flat-array cache and bitmask-coherence op costs.
 
@@ -192,6 +232,9 @@ def run_layout_benchmark(args) -> dict:
     - ``insert_evict``   — inserts into full sets (victim + shift-down);
     - ``sharer_cycle``   — coherence reads cycling a line through all
       cores (bitmask add/iterate) then a write (mask invalidation).
+
+    It also records ``program_bytes_per_op`` from :func:`program_memory`
+    (informational: the compiled programs' footprint, not a speed).
     """
     from repro.sim.bus import BusConfig, SharedBus
     from repro.sim.cache import Cache, CacheConfig
@@ -260,6 +303,11 @@ def run_layout_benchmark(args) -> dict:
         ns = _time_loop(fn, iterations, args.repeats)
         results[name] = round(ns, 1)
         print(f"{name:13s}: {ns:8.1f} ns/op  ({iterations:,} iterations)")
+    memory = program_memory()
+    print(
+        f"program bytes: {memory['bytes_per_op']:8.1f} B/op  "
+        f"({memory['programs']} Figure 3 programs, {memory['ops']:,} ops)"
+    )
     return {
         "schema": LAYOUT_SCHEMA,
         "host": {
@@ -269,6 +317,8 @@ def run_layout_benchmark(args) -> dict:
         },
         "config": {"repeats": args.repeats},
         "ns_per_op": results,
+        "program_bytes_per_op": memory["bytes_per_op"],
+        "program_memory": memory,
     }
 
 

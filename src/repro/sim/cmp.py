@@ -62,6 +62,14 @@ class CMPConfig:
             raise ConfigurationError("n_cores must be >= 1")
         if self.frequency_hz <= 0 or self.voltage <= 0:
             raise ConfigurationError("frequency and voltage must be positive")
+        if self.l2_config.line_bytes < self.l1_config.line_bytes:
+            # A compiled load or store carries its L1 line's first byte
+            # (prepare_streams); a miss maps that to the same L2 line as
+            # the original byte only when L2 lines are the longer ones.
+            raise ConfigurationError(
+                f"L2 line ({self.l2_config.line_bytes} B) is shorter than "
+                f"the L1 line ({self.l1_config.line_bytes} B)"
+            )
 
     def with_operating_point(self, frequency_hz: float, voltage: float) -> "CMPConfig":
         """A copy of this configuration at a different DVFS point."""

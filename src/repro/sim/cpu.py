@@ -430,7 +430,8 @@ class Core:
             if kind == OP_LOAD:
                 # Mutation-free probe first: nothing moves until the op
                 # commits.  Line and flat set base are geometry-resolved
-                # ahead of the run (prepare_streams).
+                # ahead of the run (prepare_streams), and index 1 is the
+                # line's first byte: a miss needs nothing finer.
                 line = op[2]
                 base = op[3]
                 w = base

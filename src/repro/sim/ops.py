@@ -21,8 +21,10 @@ Generating a stream is itself expensive (the synthetic models draw from
 seeded RNGs per op; traces parse text), and a V/f sweep re-simulates the
 *same* stream at every operating point.  :func:`compile_workload` walks
 every thread's generator once through :func:`prepare_streams`, which
-resolves each load/store for the L1 geometry as it goes, and memoizes
-the resulting :class:`CompiledProgram` in a process-wide
+resolves each load/store for the L1 geometry as it goes (one shared
+tuple per distinct ``(kind, L1 line)`` of a thread, addressed by the
+line's first byte), and memoizes the resulting
+:class:`CompiledProgram` in a process-wide
 :class:`OpStreamCache` keyed by the model's ``compile_key(n_threads)``
 (workload identity x thread count) and the geometry.  Repeated
 simulations of one workload at different V/f points skip generation
@@ -80,16 +82,23 @@ def prepare_streams(
     ``streams`` may be any iterables, the workload's generators
     included; each is consumed once.  The program holds:
 
-    * the *resolved* streams: each load and store gains its L1 line
-      address and flat set base, ``(kind, byte_address, line,
-      set_base)``, so the hot loop indexes the flat tag array directly
-      instead of doing shift/mod arithmetic per op.  Every other op
-      passes through by identity, and the byte address stays at index
-      1, which is all :meth:`repro.sim.cpu.Core.step` and the slow-path
-      replay read.  Immutable parts are shared: set bases come from one
-      table of one int per set, and each distinct line of a thread is
-      one int object (the thread's dict of lines is both the intern
-      table and its touched-lines set);
+    * the *resolved* streams: each load and store becomes ``(kind,
+      line_address, line, set_base)`` — its L1 line's first byte, the
+      line, and the line's flat set base — so the hot loop indexes the
+      flat tag array directly instead of doing shift/mod arithmetic per
+      op.  Index 1 is what :meth:`repro.sim.cpu.Core.step` and a miss
+      read, and nothing in the simulator works below line granularity:
+      a miss takes its L2 line and DRAM bank as ``address >> l2_shift``,
+      which the aligned address leaves unchanged because
+      :class:`repro.sim.cmp.CMPConfig` requires L2 lines at least as
+      long as L1 lines.  Immutable parts are shared: each distinct
+      ``(kind, line)`` of a thread is one tuple object (per-thread load
+      and store tables, dropped after the walk), equal critical-section
+      ops of a thread are one object, compute and barrier ops pass
+      through by identity, set bases come from one table of one int per
+      set, and each distinct line of a thread is one int object (the
+      thread's dict of lines is both the intern table and its
+      touched-lines set);
     * the per-thread sets of *provably private* lines.  A line is
       private to thread ``t`` iff every data access to it — loads,
       stores, and critical-section read-modify-writes — across the
@@ -111,16 +120,29 @@ def prepare_streams(
         append = out.append
         lines: Dict[int, int] = {}
         intern = lines.setdefault
+        loads: Dict[int, tuple] = {}
+        stores: Dict[int, tuple] = {}
+        criticals: Dict[tuple, tuple] = {}
         for op in ops:
             kind = op[0]
             if kind == OP_LOAD or kind == OP_STORE:
                 line = op[1] >> line_shift
-                line = intern(line, line)
-                append((kind, op[1], line, set_bases[line % n_sets]))
+                table = loads if kind == OP_LOAD else stores
+                resolved_op = table.get(line)
+                if resolved_op is None:
+                    line = intern(line, line)
+                    resolved_op = table[line] = (
+                        kind,
+                        line << line_shift,
+                        line,
+                        set_bases[line % n_sets],
+                    )
+                append(resolved_op)
+            elif kind == OP_CRITICAL:
+                line = op[3] >> line_shift
+                intern(line, line)
+                append(criticals.setdefault(op, op))
             else:
-                if kind == OP_CRITICAL:
-                    line = op[3] >> line_shift
-                    intern(line, line)
                 append(op)
         resolved.append(out)
         touched.append(lines)

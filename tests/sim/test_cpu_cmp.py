@@ -210,6 +210,25 @@ class TestCMPConfig:
         with pytest.raises(ConfigurationError):
             CMPConfig(frequency_hz=-1.0)
 
+    def test_l2_lines_may_not_be_shorter_than_l1_lines(self):
+        # Compiled loads and stores carry their L1 line's first byte, and
+        # a miss maps it to an L2 line: exact only for longer L2 lines.
+        l1 = CacheConfig(capacity_bytes=1024, line_bytes=64, associativity=2)
+        with pytest.raises(ConfigurationError, match="shorter"):
+            CMPConfig(
+                l1_config=l1,
+                l2_config=CacheConfig(
+                    capacity_bytes=4096, line_bytes=32, associativity=4
+                ),
+            )
+        for line_bytes in (64, 128):
+            CMPConfig(
+                l1_config=l1,
+                l2_config=CacheConfig(
+                    capacity_bytes=4096, line_bytes=line_bytes, associativity=4
+                ),
+            )
+
 
 class TestLockTable:
     """Direct contention-accounting coverage for the shared lock table."""

@@ -7,7 +7,10 @@ counters (the same contract as tests/sim/test_fastpath_equivalence.py,
 but over adversarial generated inputs instead of the bundled SPLASH-2
 models).  The reference interpreter also runs the compiled program, and
 a second fast run re-uses it (geometry-resolved streams and private-line
-sets), so every way a program reaches the kernel is exercised.
+sets), so every way a program reaches the kernel is exercised.  A
+second property moves every load/store to another byte of its L1 line
+and expects the same counters: compiled programs keep only line
+addresses.
 
 Also here, for :func:`repro.sim.ops.prepare_streams`: the false-sharing
 regression tests for its private-line sets — two threads touching
@@ -16,7 +19,7 @@ coverage for its geometry-resolved streams; the geometry contract of
 compiled programs; and the bounded compile cache's instrumentation.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +162,42 @@ class TestRandomWorkloadDifferential:
                     assert not (mine & theirs)
 
 
+class TestOffsetInvariance:
+    """Nothing in the simulator reads below L1 line granularity.
+
+    Compiled programs keep only each load/store's line address, so this
+    is what makes them exact: the reference interpreter over the moved
+    raw streams, and the fast path over their compiled program, match
+    the original run counter for counter.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(synthetic_workloads(), st.data())
+    def test_moving_an_address_within_its_line_changes_no_counter(self, case, data):
+        threads, config = case
+        l2_line = data.draw(st.sampled_from((LINE_BYTES, 2 * LINE_BYTES)))
+        config = replace(config, l2_config=replace(config.l2_config, line_bytes=l2_line))
+
+        def moved(op):
+            if op[0] != OP_LOAD and op[0] != OP_STORE:
+                return op
+            offset = data.draw(st.integers(min_value=0, max_value=LINE_BYTES - 1))
+            return (op[0], op[1] - op[1] % LINE_BYTES + offset)
+
+        shifted = [[moved(op) for op in ops] for ops in threads]
+        expected = counters(
+            ChipMultiprocessor(config, fast_path=False).run([iter(t) for t in threads])
+        )
+        reference = ChipMultiprocessor(config, fast_path=False).run(
+            [iter(t) for t in shifted]
+        )
+        assert counters(reference) == expected
+        fast = ChipMultiprocessor(config, fast_path=True).run(
+            prepare_streams(shifted, config.l1_config)
+        )
+        assert counters(fast) == expected
+
+
 # ---------------------------------------------------------------------------
 # False-sharing regression: overlap within a line is never private.
 # ---------------------------------------------------------------------------
@@ -240,22 +279,30 @@ class TestResolveAddressStreams:
         assert program.geometry == (5, 8, 2)
         resolved = program.streams
         line = 0x2004 >> shift
-        assert resolved[0][0] == (OP_LOAD, 0x2004, line, (line % n_sets) << way_shift)
+        assert resolved[0][0] == (
+            OP_LOAD,
+            line << shift,
+            line,
+            (line % n_sets) << way_shift,
+        )
         line2 = 0x2020 >> shift
         assert resolved[0][1] == (
             OP_STORE,
-            0x2020,
+            line2 << shift,
             line2,
             (line2 % n_sets) << way_shift,
         )
         # Non-memory ops pass through by identity.
         assert resolved[0][2] is compute
 
-    def test_byte_address_stays_at_index_one(self):
-        # The slow-path replay reads op[1]; resolution must not move it.
-        streams = [[(OP_LOAD, 0xABCD)]]
-        resolved = prepare_streams(streams, SMALL_L1).streams
-        assert resolved[0][0][1] == 0xABCD
+    def test_index_one_is_the_line_address(self):
+        # The slow path reads op[1]; resolution aligns it to its L1 line,
+        # so every byte of one line resolves to one shared op.
+        streams = [[(OP_LOAD, 0xABCD), (OP_LOAD, 0xABC0), (OP_STORE, 0xABDF)]]
+        load, again, store = prepare_streams(streams, SMALL_L1).streams[0]
+        assert load[1] == store[1] == 0xABC0
+        assert again is load
+        assert store is not load and store[0] == OP_STORE
 
     def test_generators_are_consumed_once(self):
         streams = (iter([(OP_LOAD, 0x40), (OP_COMPUTE, 3)]) for _ in range(2))
