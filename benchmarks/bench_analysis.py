@@ -3,10 +3,12 @@
 ``repro check`` runs as a required CI job and as a pre-commit habit, so
 it must stay interactive-fast.  Two budgets are enforced:
 
-* the full lexical tree analysis (index + per-statement rules) under
+* the whole ``repro check`` run (``analyze_tree``: index, the
+  per-statement DET-* rules, and the flow passes below) under
   ``--budget-s`` (default 10 s);
-* the interprocedural flow passes (call graph, dimensional fixpoint,
-  determinism taint) under ``--flow-budget-s`` (default 20 s).
+* the interprocedural flow passes alone (call graph, the unit and
+  dimension pass with its return-summary fixpoint, determinism taint)
+  under ``--flow-budget-s`` (default 20 s).
 
 Run directly::
 
@@ -85,7 +87,7 @@ def main(argv=None) -> int:
     flow_timings, node_count = _time_runs(args.runs, _flow_passes)
 
     ok = _report(
-        f"analyzed {report.file_count} files", tree_timings, args.budget_s
+        f"repro check over {report.file_count} files", tree_timings, args.budget_s
     )
     ok = (
         _report(

@@ -1,6 +1,6 @@
 """Static invariant analysis for the repro tree (``repro check``).
 
-Four checker families guard the properties the reproduction's tests
+Three checker families guard the properties the reproduction's tests
 assume but cannot economically re-verify on every run:
 
 * **determinism** — simulation/model code must not read wall clocks,
@@ -9,11 +9,11 @@ assume but cannot economically re-verify on every run:
   invariant);
 * **transitive taint** — the DET-* hazards followed through the call
   graph to helpers defined outside the scoped trees;
-* **units** — SI base units internally, with conversions through
-  :mod:`repro.units` named constants only;
-* **dimensions** — interprocedural dimensional analysis: physical
-  units as exponent vectors propagated through arithmetic and return
-  values (``power * time`` unifies with J; GHz + Hz is flagged).
+* **dimensions** — the one unit checker, over the whole tree: SI base
+  units internally, conversions through :mod:`repro.units` named
+  constants, and physical units as exponent vectors propagated through
+  arithmetic, calls and return values (``power * time`` unifies with
+  J; GHz + Hz is flagged).
 
 Inline ``# repro: allow[...]`` comments suppress audited findings, and
 an allow that no longer matches a finding is itself flagged

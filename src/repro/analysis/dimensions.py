@@ -1,14 +1,16 @@
-"""Interprocedural dimensional analysis: units as exponent vectors.
+"""The unit checker: physical units as exponent vectors, whole tree.
 
-The suffix checker (:mod:`repro.analysis.unitcheck`) is lexical — it
-sees ``x_hz + y_s`` but not ``p = total_power_w; e = p * wall_s;
-e + frequency_hz``.  This checker runs a small abstract interpreter
-over every function: physical units are exponent vectors over six base
-axes (``W`` power, ``V`` voltage, ``s`` time, ``K`` kelvin, ``C``
-celsius, ``m`` length) plus a magnitude scale, seeded from name
-suffixes, :mod:`repro.units` constants, and callee return summaries
-computed by a fixpoint over the call graph
-(:mod:`repro.analysis.flow`).  The algebra is the physical one:
+:mod:`repro.units` keeps SI base units internally, with conversions
+only at boundaries through named constants; name suffixes
+(``frequency_hz``, ``wall_s``, ``die_area_m2``) make that checkable.
+A small abstract interpreter runs over every function, class and
+module body: units are exponent vectors over six base axes (``W``,
+``V``, ``s``, ``K``, ``C``, ``m``) plus a magnitude scale, seeded from
+name suffixes, :mod:`repro.units` constants, and callee return
+summaries solved by a fixpoint over the call graph
+(:mod:`repro.analysis.flow`), so ``p = total_power_w; e = p * wall_s;
+e + frequency_hz`` is caught through the unsuffixed locals.  The
+algebra is the physical one:
 
 * ``power * time`` unifies with energy (``J == W·s``), so
   ``ed2p = energy_j * delay_s ** 2`` carries ``W·s³`` and adding it to
@@ -19,8 +21,7 @@ computed by a fixpoint over the call graph
   ``ZERO_CELSIUS_IN_KELVIN`` offset — adding the offset to a Celsius
   value *converts* it, any other K/°C mix is flagged.
 
-Rules (scoped to :data:`DEFAULT_DIM_SCOPE` — the metric pipelines the
-figures are computed from):
+Rules:
 
 * ``DIM-MISMATCH`` (error) — ``+``/``-``/comparison between
   incompatible quantities: different exponent vectors, or the same
@@ -30,6 +31,14 @@ figures are computed from):
   (including a dimensionless ratio: a unit-erasing return).
 * ``DIM-EXP`` (warning) — a united quantity raised to a non-integer
   constant power: the result's exponent vector would be fractional.
+* ``DIM-ARG`` (error) — an argument whose quantity differs from the
+  unit its parameter's name declares (a ``*_mhz`` value passed to a
+  ``*_hz`` parameter).
+* ``DIM-MAGIC`` (warning) — a united quantity multiplied or divided by
+  a bare scale literal (``1e9``, ``1e-3``): conversions go through the
+  named constants (``GIGA``, ``MILLI``), which are float-identical, so
+  a fix never changes results.  ``units.py``, which defines the
+  constants, is exempt.
 
 Inference is conservative: unknown stays unknown, bare numeric
 constants are polymorphic (``power_w * 2`` is still watts), and
@@ -43,7 +52,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import (
@@ -53,38 +62,7 @@ from repro.analysis.flow.callgraph import (
 )
 from repro.analysis.flow.dataflow import solve_summaries
 from repro.analysis.index import FunctionInfo, TreeIndex
-from repro.analysis.unitcheck import SCALE_CONSTANTS, UNIT_SUFFIXES, unit_of_name
-
-#: Subtrees/files (relative to the analyzed root) the DIM rules cover —
-#: the power/energy/thermal metric pipelines every figure flows through.
-DEFAULT_DIM_SCOPE: Tuple[str, ...] = (
-    "power/",
-    "thermal/",
-    "tech/",
-    "sim/cmp.py",
-)
-
-#: dimension name (as used by unitcheck) -> exponent vector.
-_DIMENSION_AXES: Dict[str, Tuple[Tuple[str, int], ...]] = {
-    "frequency": (("s", -1),),
-    "time": (("s", 1),),
-    "power": (("W", 1),),
-    "voltage": (("V", 1),),
-    "energy": (("W", 1), ("s", 1)),
-    "temperature-k": (("K", 1),),
-    "temperature-c": (("C", 1),),
-    "area": (("m", 2),),
-    "length": (("m", 1),),
-}
-
-#: The Celsius→kelvin additive offset (repro.units.ZERO_CELSIUS_IN_KELVIN).
-_OFFSET_NAMES = frozenset({"ZERO_CELSIUS_IN_KELVIN"})
-_OFFSET_VALUE = 273.15
-
-#: Named magnitude constants (repro.units.GIGA, ...): multiplying or
-#: dividing by one converts the scale instead of scaling the quantity.
-_SCALE_NAMES: Dict[str, float] = {name: value for value, name in SCALE_CONSTANTS.items()}
-_SCALE_VALUES = frozenset(SCALE_CONSTANTS)
+from repro.analysis.source import SourceFile
 
 
 def _axes(*pairs: Tuple[str, int]) -> Tuple[Tuple[str, int], ...]:
@@ -115,6 +93,72 @@ class Quantity:
         if math.isclose(self.scale, 1.0, rel_tol=1e-9):
             return body
         return f"{body} (x{self.scale:.0e})"
+
+
+#: Each unit dimension's exponent vector, and its suffixes with their
+#: scale relative to the dimension's SI base unit.
+_UNITS: Tuple[Tuple[Tuple[Tuple[str, int], ...], Dict[str, float]], ...] = (
+    ((("s", -1),), {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}),
+    ((("s", 1),), {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}),
+    ((("W", 1),), {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "kw": 1e3}),
+    ((("V", 1),), {"v": 1.0, "mv": 1e-3}),
+    ((("W", 1), ("s", 1)), {"j": 1.0, "nj": 1e-9, "pj": 1e-12}),
+    # Kelvin and Celsius are distinct axes: they differ by an offset,
+    # so no scale factor relates them.
+    ((("K", 1),), {"k": 1.0}),
+    ((("C", 1),), {"c": 1.0}),
+    ((("m", 2),), {"m2": 1.0, "mm2": 1e-6}),
+    ((("m", 1),), {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}),
+)
+
+#: suffix -> the quantity it declares (``ghz`` -> s^-1 at scale 1e9).
+UNIT_SUFFIXES: Dict[str, Quantity] = {
+    suffix: Quantity(dims=_axes(*axes), scale=scale)
+    for axes, scales in _UNITS
+    for suffix, scale in scales.items()
+}
+
+#: Multi-character suffixes that also count as a whole bare name
+#: (``ns * 1000.0`` in a conversion helper); single letters never do.
+_BARE_TOKENS = frozenset(s for s in UNIT_SUFFIXES if len(s) > 1)
+
+#: Scale factors and the named repro.units constant for each.  Values,
+#: not spellings: a ``1000.0`` literal matches ``KILO`` = 1e3.
+SCALE_CONSTANTS: Dict[float, str] = {
+    1e3: "KILO",
+    1e6: "MEGA",
+    1e9: "GIGA",
+    1e12: "TERA",
+    1e-3: "MILLI",
+    1e-6: "MICRO",
+    1e-9: "NANO",
+    1e-12: "PICO",
+}
+
+#: File names exempt from DIM-MAGIC: the units module itself defines
+#: the constants, so its literals are the single source of truth.
+_MAGIC_EXEMPT = frozenset({"units.py"})
+
+#: The Celsius→kelvin additive offset (repro.units.ZERO_CELSIUS_IN_KELVIN).
+_OFFSET_NAMES = frozenset({"ZERO_CELSIUS_IN_KELVIN"})
+_OFFSET_VALUE = 273.15
+
+#: Named magnitude constants (repro.units.GIGA, ...): multiplying or
+#: dividing by one converts the scale instead of scaling the quantity.
+_SCALE_NAMES: Dict[str, float] = {name: value for value, name in SCALE_CONSTANTS.items()}
+
+
+def unit_of_name(identifier: str) -> Optional[str]:
+    """The unit suffix carried by one identifier, if any."""
+    lowered = identifier.lower()
+    if "_" in lowered:
+        suffix = lowered.rsplit("_", 1)[-1]
+        if suffix in UNIT_SUFFIXES:
+            return suffix
+        return None
+    if lowered in _BARE_TOKENS:
+        return lowered
+    return None
 
 
 class _Bottom:
@@ -151,13 +195,7 @@ Abstract = Union[_Bottom, _Top, _Const, _Offset, Quantity]
 
 def quantity_for_suffix(suffix: Optional[str]) -> Optional[Quantity]:
     """The :class:`Quantity` a unit suffix denotes, if any."""
-    if suffix is None:
-        return None
-    entry = UNIT_SUFFIXES.get(suffix)
-    if entry is None:
-        return None
-    dimension, scale = entry
-    return Quantity(dims=_axes(*_DIMENSION_AXES[dimension]), scale=scale)
+    return UNIT_SUFFIXES.get(suffix) if suffix is not None else None
 
 
 _EXP_TOKEN_RE = re.compile(r"^([a-z]+?)([2-9])$")
@@ -214,6 +252,11 @@ def _same_scale(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9)
 
 
+def _compatible(a: Quantity, b: Quantity) -> bool:
+    """Same exponent vector at the same magnitude."""
+    return a.dims == b.dims and _same_scale(a.scale, b.scale)
+
+
 def join(a: Abstract, b: Abstract) -> Abstract:
     """Least upper bound of two abstract values."""
     if isinstance(a, _Bottom):
@@ -232,17 +275,15 @@ def join(a: Abstract, b: Abstract) -> Abstract:
         return b
     if isinstance(b, _Const) and isinstance(a, (Quantity, _Offset)):
         return a
-    if isinstance(a, Quantity) and isinstance(b, Quantity):
-        if a.dims == b.dims and _same_scale(a.scale, b.scale):
-            return a
-        return TOP
+    if isinstance(a, Quantity) and isinstance(b, Quantity) and _compatible(a, b):
+        return a
     return TOP
 
 
 def _is_scale(value: Abstract) -> Optional[float]:
     """The conversion factor ``value`` denotes, if it is one."""
     if isinstance(value, _Const) and value.value is not None:
-        if value.value in _SCALE_VALUES:
+        if value.value in SCALE_CONSTANTS:
             return value.value
     return None
 
@@ -368,13 +409,14 @@ _WIDEN_AFTER = 8
 
 @dataclass
 class _EvalContext:
-    """Everything one function evaluation needs."""
+    """Everything one function, class or module evaluation needs."""
 
     index: TreeIndex
     summaries: Mapping[str, Abstract]
     mismatches: List[_Mismatch] = field(default_factory=list)
-    exp_lines: List[int] = field(default_factory=list)
     returns: List[Abstract] = field(default_factory=list)
+    #: ``(line, rule, severity, message)`` of the other DIM-* findings.
+    notes: List[Tuple[int, str, str, str]] = field(default_factory=list)
 
 
 def _bind(target: ast.expr, value: Abstract, env: Dict[str, Abstract]) -> None:
@@ -383,14 +425,16 @@ def _bind(target: ast.expr, value: Abstract, env: Dict[str, Abstract]) -> None:
         if (
             isinstance(previous, Quantity)
             and isinstance(value, Quantity)
-            and (previous.dims != value.dims
-                 or not _same_scale(previous.scale, value.scale))
+            and not _compatible(previous, value)
         ):
             # Conflicting rebinds across branches: give up on the name
             # rather than trust whichever branch was walked last.
-            env[target.id] = TOP
-        else:
-            env[target.id] = value
+            value = TOP
+        if not isinstance(value, Quantity):
+            # A suffixed name keeps the unit it declares when the bound
+            # value carries none (``wall_s = 0.0``).
+            value = _suffix_of(target.id) or value
+        env[target.id] = value
     elif isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
             _bind(element, TOP, env)
@@ -411,11 +455,43 @@ def _name_value(name: str, env: Dict[str, Abstract]) -> Abstract:
     return TOP
 
 
+def _check_arguments(
+    node: ast.Call,
+    callee: str,
+    arg_values: Sequence[Abstract],
+    keyword_values: Sequence[Abstract],
+    ctx: _EvalContext,
+) -> None:
+    """Record DIM-ARG: each argument against its parameter's suffix."""
+    signature = ctx.index.callable_signature(callee)
+    if signature is None:
+        return
+    pairs: List[Tuple[str, Abstract]] = []
+    for parameter, argument, value in zip(signature.positional, node.args, arg_values):
+        if isinstance(argument, ast.Starred):
+            break
+        pairs.append((parameter, value))
+    for keyword, value in zip(node.keywords, keyword_values):
+        if keyword.arg is not None and keyword.arg in signature.keyword:
+            pairs.append((keyword.arg, value))
+    for parameter, value in pairs:
+        expected = _suffix_of(parameter)
+        if (
+            expected is not None
+            and isinstance(value, Quantity)
+            and not _compatible(expected, value)
+        ):
+            ctx.notes.append((
+                node.lineno, "DIM-ARG", "error",
+                f"{value.describe()} passed to parameter `{parameter}` of "
+                f"`{callee}` (expects {expected.describe()})",
+            ))
+
+
 def _call_value(node: ast.Call, env: Dict[str, Abstract], ctx: _EvalContext) -> Abstract:
     # Evaluate arguments first: mismatches inside them must be seen.
     arg_values = [_eval(argument, env, ctx) for argument in node.args]
-    for keyword in node.keywords:
-        _eval(keyword.value, env, ctx)
+    keyword_values = [_eval(keyword.value, env, ctx) for keyword in node.keywords]
     func = node.func
     bare = func.id if isinstance(func, ast.Name) else None
     if bare in ("min", "max", "abs", "float", "round", "sorted"):
@@ -426,6 +502,8 @@ def _call_value(node: ast.Call, env: Dict[str, Abstract], ctx: _EvalContext) -> 
             return joined
         return TOP
     name, candidates = call_candidates(ctx.index, func)
+    if name:
+        _check_arguments(node, name, arg_values, keyword_values, ctx)
     if candidates:
         summary: Abstract = BOTTOM
         for candidate in candidates:
@@ -435,6 +513,51 @@ def _call_value(node: ast.Call, env: Dict[str, Abstract], ctx: _EvalContext) -> 
     suffixed = _suffix_of(name) if name else None
     if suffixed is not None:
         return suffixed
+    return TOP
+
+
+def _magic_literal(node: ast.expr) -> Optional[str]:
+    """The repro.units constant a bare numeric literal spells, if any."""
+    value = node.value if isinstance(node, ast.Constant) else None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return SCALE_CONSTANTS.get(float(value))
+    return None
+
+
+def _arithmetic(
+    op: ast.operator,
+    left: Abstract,
+    right: Abstract,
+    operands: Tuple[ast.expr, ast.expr],
+    line: int,
+    ctx: _EvalContext,
+) -> Abstract:
+    """Abstract ``left <op> right`` (a BinOp or an AugAssign), with checks."""
+    if isinstance(op, (ast.Add, ast.Sub)):
+        return add_or_compare(
+            left, right, line, ctx.mismatches, subtract=isinstance(op, ast.Sub)
+        )
+    if isinstance(op, (ast.Mult, ast.Div)):
+        left_node, right_node = operands
+        for literal, operand in ((right_node, left), (left_node, right)):
+            constant = _magic_literal(literal)
+            if constant is not None and isinstance(operand, Quantity) and operand.dims:
+                ctx.notes.append((
+                    line, "DIM-MAGIC", "warning",
+                    f"bare scale literal on a {operand.describe()} value; "
+                    f"use repro.units.{constant} (same float, auditable intent)",
+                ))
+                break
+        return multiply(left, right, divide=isinstance(op, ast.Div))
+    if isinstance(op, ast.Pow):
+        result, fractional = power(left, right)
+        if fractional:
+            ctx.notes.append((
+                line, "DIM-EXP", "warning",
+                "united quantity raised to a non-integer power; "
+                "the exponent vector would be fractional",
+            ))
+        return result
     return TOP
 
 
@@ -448,7 +571,7 @@ def _eval(node: ast.expr, env: Dict[str, Abstract], ctx: _EvalContext) -> Abstra
     if isinstance(node, ast.Name):
         return _name_value(node.id, env)
     if isinstance(node, ast.Attribute):
-        _eval_children(node.value, env, ctx)
+        _eval(node.value, env, ctx)
         if node.attr in _OFFSET_NAMES:
             return _Offset()
         if node.attr in _KNOWN_CONSTANTS:
@@ -458,7 +581,7 @@ def _eval(node: ast.expr, env: Dict[str, Abstract], ctx: _EvalContext) -> Abstra
         suffixed = _suffix_of(node.attr)
         return suffixed if suffixed is not None else TOP
     if isinstance(node, ast.Subscript):
-        _eval_children(node.slice, env, ctx)
+        _eval(node.slice, env, ctx)
         index = node.slice
         if isinstance(index, ast.Constant) and isinstance(index.value, str):
             suffixed = _suffix_of(index.value)
@@ -476,21 +599,9 @@ def _eval(node: ast.expr, env: Dict[str, Abstract], ctx: _EvalContext) -> Abstra
     if isinstance(node, ast.BinOp):
         left = _eval(node.left, env, ctx)
         right = _eval(node.right, env, ctx)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            return add_or_compare(
-                left, right, node.lineno, ctx.mismatches,
-                subtract=isinstance(node.op, ast.Sub),
-            )
-        if isinstance(node.op, ast.Mult):
-            return multiply(left, right)
-        if isinstance(node.op, ast.Div):
-            return multiply(left, right, divide=True)
-        if isinstance(node.op, ast.Pow):
-            result, fractional = power(left, right)
-            if fractional:
-                ctx.exp_lines.append(node.lineno)
-            return result
-        return TOP
+        return _arithmetic(
+            node.op, left, right, (node.left, node.right), node.lineno, ctx
+        )
     if isinstance(node, ast.Compare):
         values = [_eval(node.left, env, ctx)]
         values.extend(_eval(cmp, env, ctx) for cmp in node.comparators)
@@ -548,14 +659,15 @@ def _eval(node: ast.expr, env: Dict[str, Abstract], ctx: _EvalContext) -> Abstra
     if isinstance(node, ast.Starred):
         return _eval(node.value, env, ctx)
     if isinstance(node, ast.Lambda):
+        _eval_defaults(node.args, env, ctx)
+        # The body runs in its own frame, where the parameters shadow
+        # the enclosing names.
+        scratch_env = dict(env)
+        for arg in _parameters(node.args):
+            scratch_env.pop(arg.arg, None)
+        _eval(node.body, scratch_env, ctx)
         return TOP
     return TOP
-
-
-def _eval_children(node: ast.expr, env: Dict[str, Abstract], ctx: _EvalContext) -> None:
-    """Evaluate an expression only for its side effects (checks)."""
-    if isinstance(node, ast.expr):
-        _eval(node, env, ctx)
 
 
 def _exec_block(
@@ -565,9 +677,33 @@ def _exec_block(
         _exec_stmt(statement, env, ctx)
 
 
+def _parameters(args: ast.arguments) -> List[ast.arg]:
+    """Every parameter a function or lambda binds."""
+    every = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+    every.extend(arg for arg in (args.vararg, args.kwarg) if arg is not None)
+    return every
+
+
+def _eval_defaults(args: ast.arguments, env: Dict[str, Abstract], ctx: _EvalContext) -> None:
+    for default in list(args.defaults) + list(args.kw_defaults):
+        if default is not None:
+            _eval(default, env, ctx)
+
+
 def _exec_stmt(stmt: ast.stmt, env: Dict[str, Abstract], ctx: _EvalContext) -> None:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return  # separate scope, separate graph node
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        # The body is its own graph node; decorators and defaults run here.
+        for decorator in stmt.decorator_list:
+            _eval(decorator, env, ctx)
+        _eval_defaults(stmt.args, env, ctx)
+        return
+    if isinstance(stmt, ast.ClassDef):
+        # A class body runs once, where the class is defined, in a
+        # namespace of its own.
+        for expr in stmt.decorator_list + stmt.bases:
+            _eval(expr, env, ctx)
+        _exec_block(stmt.body, dict(env), ctx)
+        return
     if isinstance(stmt, ast.Assign):
         value = _eval(stmt.value, env, ctx)
         for target in stmt.targets:
@@ -578,23 +714,16 @@ def _exec_stmt(stmt: ast.stmt, env: Dict[str, Abstract], ctx: _EvalContext) -> N
             _bind(stmt.target, _eval(stmt.value, env, ctx), env)
         return
     if isinstance(stmt, ast.AugAssign):
-        if not isinstance(stmt.target, ast.Name):
-            _eval(stmt.value, env, ctx)
-            return
-        current = _name_value(stmt.target.id, env)
+        current = _eval(stmt.target, env, ctx)
         operand = _eval(stmt.value, env, ctx)
-        if isinstance(stmt.op, (ast.Add, ast.Sub)):
-            result = add_or_compare(
-                current, operand, stmt.lineno, ctx.mismatches,
-                subtract=isinstance(stmt.op, ast.Sub),
-            )
-        elif isinstance(stmt.op, ast.Mult):
-            result = multiply(current, operand)
-        elif isinstance(stmt.op, ast.Div):
-            result = multiply(current, operand, divide=True)
-        else:
-            result = TOP
-        env[stmt.target.id] = result
+        result = _arithmetic(
+            stmt.op, current, operand, (stmt.target, stmt.value), stmt.lineno, ctx
+        )
+        if isinstance(stmt.target, ast.Name):
+            # ``x *= t_s`` legitimately changes x's unit: rebind, do not
+            # treat the new quantity as a conflicting branch.
+            env.pop(stmt.target.id, None)
+            _bind(stmt.target, result, env)
         return
     if isinstance(stmt, ast.Return):
         if stmt.value is not None:
@@ -652,9 +781,7 @@ def _exec_stmt(stmt: ast.stmt, env: Dict[str, Abstract], ctx: _EvalContext) -> N
 
 def _initial_env(info: FunctionInfo) -> Dict[str, Abstract]:
     env: Dict[str, Abstract] = {}
-    args = info.node.args
-    every = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    for arg in every:
+    for arg in _parameters(info.node.args):
         suffixed = _suffix_of(arg.arg)
         if suffixed is not None:
             env[arg.arg] = suffixed
@@ -709,84 +836,68 @@ def solve_return_summaries(
 # ---------------------------------------------------------------------------
 
 
-def in_dim_scope(rel: str, scope: Tuple[str, ...] = DEFAULT_DIM_SCOPE) -> bool:
-    """Whether the DIM rules apply to this relative path."""
-    return any(rel.startswith(prefix) for prefix in scope)
+def _emit_context(
+    emit: Callable[[SourceFile, int, str, str, str], None],
+    source: SourceFile,
+    where: str,
+    ctx: _EvalContext,
+) -> None:
+    """Findings for what one evaluation recorded; ``where`` names it."""
+    for mismatch in ctx.mismatches:
+        if mismatch.kind == "dims":
+            detail = (
+                f"different dimensions "
+                f"({mismatch.left.describe()} vs {mismatch.right.describe()})"
+            )
+        else:
+            detail = (
+                f"same dimension, mixed magnitudes "
+                f"(x{mismatch.left.scale:.0e} vs x{mismatch.right.scale:.0e})"
+            )
+        emit(
+            source, mismatch.line, "DIM-MISMATCH", "error",
+            f"{where}: arithmetic combines incompatible quantities: {detail}",
+        )
+    magic_exempt = source.rel.rsplit("/", 1)[-1] in _MAGIC_EXEMPT
+    for line, rule, severity, message in ctx.notes:
+        if not (rule == "DIM-MAGIC" and magic_exempt):
+            emit(source, line, rule, severity, f"{where}: {message}")
 
 
 def check(
     index: TreeIndex,
     graph: CallGraph,
     summaries: Optional[Mapping[str, Abstract]] = None,
-    scope: Tuple[str, ...] = DEFAULT_DIM_SCOPE,
 ) -> List[Finding]:
-    """Run DIM-MISMATCH / DIM-RETURN / DIM-EXP over the indexed tree."""
+    """Run every DIM-* rule over every function, class and module body."""
     if summaries is None:
         summaries = solve_return_summaries(index, graph)
-    findings: List[Finding] = []
-    seen: Set[Tuple[str, int, str, str]] = set()
+    # A set: a line that repeats one mismatch reports it once.
+    found: Set[Finding] = set()
 
-    def emit(path: str, line: int, rule: str, severity: str, message: str,
-             snippet: str) -> None:
-        key = (path, line, rule, message)
-        if key in seen:
-            return
-        seen.add(key)
-        findings.append(
+    def emit(source: SourceFile, line: int, rule: str, severity: str,
+             message: str) -> None:
+        found.add(
             Finding(
-                path=path,
+                path=source.rel,
                 line=line,
                 rule=rule,
                 severity=severity,
                 message=message,
-                snippet=snippet,
+                snippet=source.snippet(line),
             )
         )
 
     for nid in sorted(graph.nodes):
         info = graph.nodes[nid]
-        if not in_dim_scope(info.file.rel, scope):
-            continue
         ctx = _evaluate_function(info, index, summaries)
-        for mismatch in ctx.mismatches:
-            if mismatch.kind == "dims":
-                detail = (
-                    f"different dimensions "
-                    f"({mismatch.left.describe()} vs {mismatch.right.describe()})"
-                )
-            else:
-                detail = (
-                    f"same dimension, mixed magnitudes "
-                    f"(x{mismatch.left.scale:.0e} vs x{mismatch.right.scale:.0e})"
-                )
-            emit(
-                info.file.rel,
-                mismatch.line,
-                "DIM-MISMATCH",
-                "error",
-                f"in `{info.qualname}`: arithmetic combines incompatible "
-                f"quantities: {detail}",
-                info.file.snippet(mismatch.line),
-            )
-        for line in ctx.exp_lines:
-            emit(
-                info.file.rel,
-                line,
-                "DIM-EXP",
-                "warning",
-                f"in `{info.qualname}`: united quantity raised to a "
-                "non-integer power; the exponent vector would be fractional",
-                info.file.snippet(line),
-            )
+        _emit_context(emit, info.file, f"in `{info.qualname}`", ctx)
         declared = _suffix_of(info.name)
         if declared is not None:
             inferred = _return_summary(ctx)
-            if isinstance(inferred, Quantity) and (
-                inferred.dims != declared.dims
-                or not _same_scale(inferred.scale, declared.scale)
-            ):
+            if isinstance(inferred, Quantity) and not _compatible(inferred, declared):
                 emit(
-                    info.file.rel,
+                    info.file,
                     info.node.lineno,
                     "DIM-RETURN",
                     "error",
@@ -794,7 +905,11 @@ def check(
                     f"`_{unit_of_name(info.name)}` "
                     f"({declared.describe()}) but returns "
                     f"{inferred.describe()}",
-                    info.file.snippet(info.node.lineno),
                 )
-    findings.sort()
-    return findings
+    for source in index.files:
+        # Module bodies, and the class bodies they define, run once at
+        # import; no call-graph node covers them.
+        ctx = _EvalContext(index=index, summaries=summaries)
+        _exec_block(source.tree.body, {}, ctx)
+        _emit_context(emit, source, "outside any function", ctx)
+    return sorted(found)

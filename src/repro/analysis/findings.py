@@ -10,7 +10,7 @@ deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -68,20 +68,3 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`; rejects malformed documents."""
-        try:
-            return cls(
-                path=str(document["path"]),
-                line=int(document["line"]),
-                rule=str(document["rule"]),
-                severity=str(document["severity"]),
-                message=str(document["message"]),
-                snippet=str(document.get("snippet", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed finding entry: {document!r}"
-            ) from exc

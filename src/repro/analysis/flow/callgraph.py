@@ -20,8 +20,7 @@ Two deliberate choices:
   function into the machinery that may call it later.
 
 Calls that resolve to nothing in the tree (builtins, stdlib, attribute
-chains on unknown objects) are counted per node in
-:attr:`CallGraph.unresolved` rather than guessed at.
+chains on unknown objects) make no edge rather than a guessed one.
 """
 
 from __future__ import annotations
@@ -88,8 +87,6 @@ class CallGraph:
     nodes: Dict[str, FunctionInfo] = field(default_factory=dict)
     edges: Dict[str, Tuple[CallEdge, ...]] = field(default_factory=dict)
     callers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Count of call sites per node whose callee could not be resolved.
-    unresolved: Dict[str, int] = field(default_factory=dict)
 
     def qualname(self, nid: str) -> str:
         """Human-readable qualified name of a node id."""
@@ -177,14 +174,10 @@ def build_call_graph(index: TreeIndex) -> CallGraph:
     for info in infos:
         nid = node_id(info)
         edges: List[CallEdge] = []
-        unresolved = 0
         for call in owned_nodes(info.node):
             if not isinstance(call, ast.Call):
                 continue
             name, candidates = call_candidates(index, call.func)
-            if not candidates:
-                unresolved += 1
-                continue
             ambiguous = len(candidates) > 1
             for candidate in candidates:
                 edges.append(
@@ -197,8 +190,6 @@ def build_call_graph(index: TreeIndex) -> CallGraph:
                 )
         ordered = tuple(sorted(edges, key=lambda e: (e.line, e.name, e.target)))
         graph.edges[nid] = ordered
-        if unresolved:
-            graph.unresolved[nid] = unresolved
         for edge in ordered:
             reverse.setdefault(edge.target, set()).add(nid)
 

@@ -2,8 +2,8 @@
 
 The checkers need three things beyond raw ASTs:
 
-* every function definition with its qualified name and parameter
-  names (:class:`FunctionInfo`);
+* every function definition with its qualified name and the parameter
+  names a call's arguments bind to (:class:`FunctionInfo`);
 * every class definition, with its dataclass field names when it is a
   dataclass (:class:`ClassInfo`) — constructor calls resolve through
   them;
@@ -33,6 +33,16 @@ from repro.analysis.source import (
 
 
 @dataclass(frozen=True)
+class Signature:
+    """The parameter names a call's arguments can bind to."""
+
+    #: Positional-only then regular parameters, in order.
+    positional: Tuple[str, ...]
+    #: Regular then keyword-only parameters.
+    keyword: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class FunctionInfo:
     """One function or method definition."""
 
@@ -40,8 +50,8 @@ class FunctionInfo:
     qualname: str
     file: SourceFile
     node: FunctionNode
-    #: Positional-parameter names in order, ``self``/``cls`` stripped.
-    params: Tuple[str, ...]
+    #: Where a call's arguments bind, ``self``/``cls`` stripped.
+    signature: Signature
     #: Whether the return annotation is a ``set``/``Set``/``frozenset``.
     returns_set: bool
 
@@ -92,21 +102,19 @@ class TreeIndex:
     functions: Dict[str, List[FunctionInfo]] = field(default_factory=dict)
     classes: Dict[str, List[ClassInfo]] = field(default_factory=dict)
 
-    def callable_params(self, name: str) -> Optional[Tuple[str, ...]]:
-        """Unambiguous parameter names of callable ``name``, if known.
+    def callable_signature(self, name: str) -> Optional[Signature]:
+        """Unambiguous signature of callable ``name``, if known.
 
         Resolves plain functions and methods by definition name, and
-        classes through their dataclass fields or ``__init__``.  Returns
-        ``None`` when the name is unknown or its definitions disagree.
+        dataclasses through their fields.  Returns ``None`` when the
+        name is unknown or its definitions disagree.
         """
-        signatures = []
-        for info in self.functions.get(name, []):
-            signatures.append(info.params)
+        signatures = [info.signature for info in self.functions.get(name, [])]
         for cls in self.classes.get(name, []):
             if cls.dataclass_fields is not None:
-                signatures.append(cls.dataclass_fields)
-        unique = set(signatures)
-        if len(unique) != 1:
+                fields = cls.dataclass_fields
+                signatures.append(Signature(positional=fields, keyword=fields))
+        if len(set(signatures)) != 1:
             return None
         return signatures[0]
 
@@ -122,16 +130,19 @@ def _index_file(index: TreeIndex, source: SourceFile) -> None:
     def visit(node: ast.AST, scope: Tuple[str, ...], parent: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                params = tuple(a.arg for a in child.args.args)
-                if parent == "class" and params and params[0] in ("self", "cls"):
-                    params = params[1:]
+                args = child.args
+                positional = tuple(a.arg for a in args.posonlyargs + args.args)
+                keyword = tuple(a.arg for a in args.args + args.kwonlyargs)
+                if parent == "class" and positional[:1] in (("self",), ("cls",)):
+                    keyword = tuple(k for k in keyword if k != positional[0])
+                    positional = positional[1:]
                 index.functions.setdefault(child.name, []).append(
                     FunctionInfo(
                         name=child.name,
                         qualname=".".join(scope + (child.name,)),
                         file=source,
                         node=child,
-                        params=params,
+                        signature=Signature(positional=positional, keyword=keyword),
                         returns_set=_annotation_is_set(child.returns),
                     )
                 )

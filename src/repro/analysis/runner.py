@@ -2,7 +2,7 @@
 
 :func:`analyze_tree` is the single entry point the CLI, tests, and
 benchmarks share.  It parses the tree once
-(:func:`repro.analysis.index.build_index`), runs the four checker
+(:func:`repro.analysis.index.build_index`), runs the three checker
 families, drops findings covered by inline ``# repro: allow[...]``
 suppressions, and returns a sorted :class:`AnalysisReport`.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis import determinism, dimensions, taint, unitcheck
+from repro.analysis import determinism, dimensions, taint
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.flow import build_call_graph
 from repro.analysis.index import TreeIndex, build_index
@@ -54,24 +54,6 @@ RULES: Tuple[Rule, ...] = (
         summary="float sum over an order-unstable iterable",
     ),
     Rule(
-        id="UNIT-MIXED",
-        family="units",
-        severity="error",
-        summary="arithmetic mixes values of different unit suffixes",
-    ),
-    Rule(
-        id="UNIT-MAGIC",
-        family="units",
-        severity="warning",
-        summary="bare scale constant applied to a unit-suffixed value",
-    ),
-    Rule(
-        id="UNIT-ARG",
-        family="units",
-        severity="error",
-        summary="call-site unit suffix mismatch against parameter name",
-    ),
-    Rule(
         id="DIM-MISMATCH",
         family="dimensions",
         severity="error",
@@ -88,6 +70,18 @@ RULES: Tuple[Rule, ...] = (
         family="dimensions",
         severity="warning",
         summary="united quantity raised to a non-integer power",
+    ),
+    Rule(
+        id="DIM-ARG",
+        family="dimensions",
+        severity="error",
+        summary="argument's unit contradicts its parameter's suffix",
+    ),
+    Rule(
+        id="DIM-MAGIC",
+        family="dimensions",
+        severity="warning",
+        summary="bare scale literal applied to a united value",
     ),
     Rule(
         id="ALLOW-UNUSED",
@@ -226,7 +220,6 @@ def _run_checkers(index: TreeIndex) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(determinism.check(index))
     findings.extend(taint.check(index, graph))
-    findings.extend(unitcheck.check(index))
     findings.extend(dimensions.check(index, graph))
     return findings
 

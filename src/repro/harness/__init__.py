@@ -47,8 +47,6 @@ _EXPORTS = {
     "compare_scenario1": "repro.harness.compare",
     "load_results": "repro.harness.store",
     "save_results": "repro.harness.store",
-    "bar_chart": "repro.harness.asciichart",
-    "xy_chart": "repro.harness.asciichart",
     "render_table": "repro.harness.tables",
 }
 

@@ -199,33 +199,6 @@ class VFTable:
         return v_lo + t * (v_hi - v_lo)
 
     @classmethod
-    def from_technology(
-        cls,
-        tech: TechnologyNode,
-        *,
-        f_min: float,
-        f_max: float,
-        step: float,
-    ) -> "VFTable":
-        """Synthesise a datasheet-style table from the alpha-power law.
-
-        Frequencies run from ``f_min`` to ``f_max`` in increments of
-        ``step``; each voltage is the minimum legal supply for that
-        frequency (clamped at the noise-margin floor, like real datasheet
-        tables that bottom out at a minimum VID).
-        """
-        if step <= 0 or f_min <= 0 or f_max < f_min:
-            raise ConfigurationError("need 0 < f_min <= f_max and step > 0")
-        points = []
-        f = f_min
-        while f <= f_max * (1 + 1e-9):
-            points.append((min(f, f_max), tech.voltage_for_frequency(min(f, f_max))))
-            f += step
-        if points[-1][0] < f_max * (1 - 1e-9):
-            points.append((f_max, tech.voltage_for_frequency(f_max)))
-        return cls(points=tuple(points))
-
-    @classmethod
     def linear(
         cls,
         tech: TechnologyNode,

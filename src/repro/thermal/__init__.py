@@ -11,8 +11,8 @@ The paper uses HotSpot twice:
 HotSpot itself is a compact RC thermal network over a floorplan; this
 subpackage implements the same idea from scratch:
 
-* :mod:`~repro.thermal.floorplan` — rectangular block floorplans, with
-  ready-made EV6-like core and CMP die layouts,
+* :mod:`~repro.thermal.floorplan` — rectangular block floorplans and
+  the CMP die layout,
 * :mod:`~repro.thermal.rcnetwork` — the thermal network builder and
   its steady-state (linear solve) solver,
 * :mod:`~repro.thermal.hotspot` — the :class:`HotSpotModel` facade that
@@ -28,7 +28,6 @@ import importlib
 _EXPORTS = {
     "Block": "repro.thermal.floorplan",
     "Floorplan": "repro.thermal.floorplan",
-    "ev6_core_floorplan": "repro.thermal.floorplan",
     "cmp_floorplan": "repro.thermal.floorplan",
     "ThermalRCNetwork": "repro.thermal.rcnetwork",
     "HotSpotModel": "repro.thermal.hotspot",

@@ -1,13 +1,9 @@
 """Rectangular floorplans for thermal modelling.
 
 A floorplan is a set of non-overlapping axis-aligned rectangular blocks
-tiling a die.  Two ready-made layouts are provided:
-
-* :func:`ev6_core_floorplan` — a single Alpha 21264 (EV6)-like core with
-  the usual microarchitectural blocks; this mirrors HotSpot's default EV6
-  floorplan that the paper's analytical study uses (Section 2.2).
-* :func:`cmp_floorplan` — the paper's 16-way CMP die (Table 1):
-  a grid of cores around a large shared L2 block, 15.6 mm x 15.6 mm.
+tiling a die.  :func:`cmp_floorplan` builds the paper's 16-way CMP die
+(Table 1): a grid of cores around a large shared L2 block,
+15.6 mm x 15.6 mm.
 
 All dimensions are in metres; areas in m^2.
 """
@@ -122,59 +118,6 @@ class Floorplan:
                     key = (a.name, b.name) if a.name < b.name else (b.name, a.name)
                     edges[key] = length
         return edges
-
-
-#: Relative areas of EV6-like core blocks (fractions of the core area).
-#: Derived from the published EV6 die photo proportions used by HotSpot.
-_EV6_BLOCK_FRACTIONS: Tuple[Tuple[str, float], ...] = (
-    ("icache", 0.14),
-    ("dcache", 0.14),
-    ("bpred", 0.05),
-    ("dtb", 0.04),
-    ("fpadd", 0.06),
-    ("fpmul", 0.06),
-    ("fpreg", 0.04),
-    ("fpmap", 0.02),
-    ("intmap", 0.03),
-    ("intq", 0.04),
-    ("intreg", 0.05),
-    ("intexec", 0.12),
-    ("fpq", 0.03),
-    ("ldstq", 0.05),
-    ("itb", 0.03),
-    ("lsu", 0.10),
-)
-
-
-def ev6_core_floorplan(core_area: float = 12.0e-6) -> Floorplan:
-    """An EV6-like single-core floorplan.
-
-    Blocks are laid out in a 4x4 grid whose cells are scaled so the
-    fractional areas above are respected along each row.  ``core_area`` is
-    the total core area in m^2 (default 12 mm^2, an EV6 core scaled to
-    65 nm per the paper's CACTI-derived 244.5 mm^2 / 16-core budget).
-    """
-    if core_area <= 0:
-        raise ConfigurationError("core_area must be positive")
-    side = math.sqrt(core_area)
-    rows = [
-        _EV6_BLOCK_FRACTIONS[0:4],
-        _EV6_BLOCK_FRACTIONS[4:8],
-        _EV6_BLOCK_FRACTIONS[8:12],
-        _EV6_BLOCK_FRACTIONS[12:16],
-    ]
-    blocks: List[Block] = []
-    y = 0.0
-    for row in rows:
-        row_fraction = sum(frac for _, frac in row)
-        row_height = side * row_fraction
-        x = 0.0
-        for name, frac in row:
-            width = side * frac / row_fraction
-            blocks.append(Block(name=name, x=x, y=y, width=width, height=row_height))
-            x += width
-        y += row_height
-    return Floorplan(blocks=tuple(blocks))
 
 
 def cmp_floorplan(

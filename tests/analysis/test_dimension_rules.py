@@ -54,16 +54,18 @@ def test_clean_idioms_stay_clean(fixture_report):
 
 
 def test_live_tree_has_no_dim_findings(live_report):
-    for rule in ("DIM-MISMATCH", "DIM-RETURN", "DIM-EXP"):
+    for rule in ("DIM-MISMATCH", "DIM-RETURN", "DIM-EXP", "DIM-ARG", "DIM-MAGIC"):
         assert findings_for(live_report, rule) == []
 
 
-def test_scope_excludes_out_of_scope_dirs():
-    assert dimensions.in_dim_scope("power/chippower.py")
-    assert dimensions.in_dim_scope("sim/cmp.py")
-    assert dimensions.in_dim_scope("tech/leakage.py")
-    assert not dimensions.in_dim_scope("harness/executor.py")
-    assert not dimensions.in_dim_scope("telemetry/record.py")
+def test_units_module_is_exempt_from_magic(tmp_path):
+    from repro.analysis import AnalysisOptions, analyze_tree
+
+    body = "def to_ghz(frequency_hz):\n    return frequency_hz / 1e9\n"
+    (tmp_path / "units.py").write_text(body)
+    (tmp_path / "convert.py").write_text(body)
+    report = analyze_tree(AnalysisOptions(root=tmp_path, rules=("DIM-MAGIC",)))
+    assert [f.path for f in report.findings] == ["convert.py"]
 
 
 # -------------------------------------------------------------- algebra

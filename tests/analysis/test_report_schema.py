@@ -20,7 +20,7 @@ def test_fixture_report_document_is_valid(fixture_report):
 def test_document_round_trips_through_json(fixture_report):
     document = json.loads(json.dumps(fixture_report.to_document()))
     assert validate_report_document(document) == []
-    rebuilt = [Finding.from_dict(raw) for raw in document["findings"]]
+    rebuilt = [Finding(**raw) for raw in document["findings"]]
     assert tuple(rebuilt) == fixture_report.findings
 
 

@@ -4,82 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.harness.asciichart import SPARK_LEVELS, bar_chart, sparkline, xy_chart
-
-
-class TestXYChart:
-    def test_renders_markers_and_legend(self):
-        text = xy_chart({"a": [(0, 0), (1, 1)], "b": [(0.5, 0.5)]})
-        assert "o=a" in text
-        assert "x=b" in text
-        assert "o" in text.splitlines()[-2] or "o" in text
-
-    def test_axis_labels(self):
-        text = xy_chart({"s": [(0, 0), (1, 2)]}, x_label="eps", y_label="power")
-        assert "x: eps" in text
-        assert "y: power" in text
-
-    def test_explicit_ranges_clip(self):
-        text = xy_chart(
-            {"s": [(0.5, 0.5), (10.0, 10.0)]},
-            x_range=(0.0, 1.0),
-            y_range=(0.0, 1.0),
-        )
-        # The out-of-range point is silently dropped; chart still renders
-        # (count markers in the grid, excluding the legend line).
-        grid = "\n".join(text.splitlines()[:-1])
-        assert grid.count("o") == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            xy_chart({})
-        with pytest.raises(ConfigurationError):
-            xy_chart({"a": []})
-
-    def test_tiny_canvas_rejected(self):
-        with pytest.raises(ConfigurationError):
-            xy_chart({"a": [(0, 0)]}, width=4)
-
-    @given(
-        points=st.lists(
-            st.tuples(
-                st.floats(min_value=-100, max_value=100),
-                st.floats(min_value=-100, max_value=100),
-            ),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=30)
-    def test_never_crashes_on_finite_points(self, points):
-        xs = {x for x, _ in points}
-        ys = {y for _, y in points}
-        if len(xs) < 2 or len(ys) < 1:
-            return  # degenerate ranges are rejected; covered elsewhere
-        text = xy_chart({"s": points})
-        assert isinstance(text, str)
-        assert len(text.splitlines()) >= 6
-
-
-class TestBarChart:
-    def test_bars_scale(self):
-        text = bar_chart({"a": 1.0, "b": 2.0}, width=20)
-        line_a, line_b = text.splitlines()
-        assert line_b.count("=") == 2 * line_a.count("=")
-
-    def test_reference_marker(self):
-        text = bar_chart({"a": 0.5}, width=20, reference=1.0)
-        assert "|" in text
-
-    def test_values_printed(self):
-        text = bar_chart({"fmm": 0.41})
-        assert "0.41" in text
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bar_chart({})
-        with pytest.raises(ConfigurationError):
-            bar_chart({"a": -1.0})
+from repro.harness.asciichart import SPARK_LEVELS, sparkline
 
 
 class TestSparkline:

@@ -99,9 +99,7 @@ class TestTechnologyNode:
 class TestVFTable:
     def make_table(self):
         # The experimental study's grid: 200 MHz..3.2 GHz (Section 3.1).
-        return VFTable.from_technology(
-            NODE_65NM, f_min=200e6, f_max=3.2e9, step=200e6
-        )
+        return VFTable.linear(NODE_65NM, f_min=200e6, f_max=3.2e9, step=200e6)
 
     def test_table_spans_requested_range(self):
         table = self.make_table()

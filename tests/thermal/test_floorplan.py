@@ -4,7 +4,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.thermal import Block, Floorplan, cmp_floorplan, ev6_core_floorplan
+from repro.thermal import Block, Floorplan, cmp_floorplan
 
 
 class TestBlock:
@@ -60,38 +60,6 @@ class TestFloorplan:
         fp = Floorplan(blocks=(Block("a", 0, 0, 1, 1), Block("b", 1, 0, 1, 1)))
         adjacency = fp.adjacency()
         assert adjacency == {("a", "b"): pytest.approx(1.0)}
-
-
-class TestEV6Floorplan:
-    def test_total_area_preserved(self):
-        area = 12.0e-6
-        fp = ev6_core_floorplan(area)
-        assert fp.total_area == pytest.approx(area)
-
-    def test_sixteen_blocks(self):
-        fp = ev6_core_floorplan()
-        assert len(fp.blocks) == 16
-        assert "icache" in fp.names
-        assert "intexec" in fp.names
-
-    def test_blocks_tile_without_overlap(self):
-        fp = ev6_core_floorplan()
-        # Pairwise non-overlap: intersection area must be ~0.
-        for i, a in enumerate(fp.blocks):
-            for b in fp.blocks[i + 1 :]:
-                dx = min(a.x2, b.x2) - max(a.x, b.x)
-                dy = min(a.y2, b.y2) - max(a.y, b.y)
-                assert dx <= 1e-9 or dy <= 1e-9
-
-    def test_every_block_has_a_neighbour(self):
-        fp = ev6_core_floorplan()
-        adjacency = fp.adjacency()
-        touched = {name for pair in adjacency for name in pair}
-        assert touched == set(fp.names)
-
-    def test_invalid_area_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ev6_core_floorplan(-1.0)
 
 
 class TestCMPFloorplan:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.thermal import HotSpotModel, cmp_floorplan, ev6_core_floorplan
+from repro.thermal import HotSpotModel, cmp_floorplan
 
 
 @pytest.fixture()
@@ -48,7 +48,7 @@ class TestSolve:
         with pytest.raises(ConfigurationError):
             model.solve({"core0": 1.0})
 
-    def test_ev6_floorplan_works_end_to_end(self):
-        model = HotSpotModel(ev6_core_floorplan(), ambient_celsius=45.0)
-        result = model.solve({"intexec": 10.0, "icache": 5.0})
+    def test_single_core_floorplan_works_end_to_end(self):
+        model = HotSpotModel(cmp_floorplan(1), ambient_celsius=45.0)
+        result = model.solve({"core0": 10.0, "l2": 5.0})
         assert 45.0 < result.average_celsius() < result.peak_celsius()
