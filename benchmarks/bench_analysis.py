@@ -3,16 +3,17 @@
 ``repro check`` runs as a required CI job and as a pre-commit habit, so
 it must stay interactive-fast.  Two budgets are enforced:
 
-* the whole ``repro check`` run (``analyze_tree``: index, the
-  per-statement DET-* rules, and the flow passes below) under
-  ``--budget-s`` (default 10 s);
+* the whole ``repro check`` run (``analyze_tree``: index, the hazard
+  scan that feeds every DET-* rule, and the flow passes below) under
+  ``--budget-s`` (default 6 s);
 * the interprocedural flow passes alone (call graph, the unit and
-  dimension pass with its return-summary fixpoint, determinism taint)
-  under ``--flow-budget-s`` (default 20 s).
+  dimension pass with its return-summary fixpoint, determinism taint
+  over the hazard scan) under ``--flow-budget-s`` (default 5 s).
 
-Run directly::
+Both defaults are about three times the best run measured on a 2-vCPU
+host (1.9 s and 1.6 s).  Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_analysis.py [--budget-s 10]
+    PYTHONPATH=src python benchmarks/bench_analysis.py [--budget-s 6]
 
 Exits non-zero when the best of three runs exceeds either budget.
 Three runs because the first pays filesystem cache warmup; the check
@@ -33,6 +34,7 @@ from repro.analysis import (  # noqa: E402
     AnalysisOptions,
     analyze_tree,
     build_index,
+    determinism,
     dimensions,
     taint,
 )
@@ -57,7 +59,7 @@ def _flow_passes() -> int:
     graph = build_call_graph(index)
     summaries = dimensions.solve_return_summaries(index, graph)
     dimensions.check(index, graph, summaries=summaries)
-    taint.check(index, graph)
+    taint.check(graph, determinism.scan(index))
     return len(graph.nodes)
 
 
@@ -76,8 +78,8 @@ def _report(label: str, timings: List[float], budget: float) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget-s", type=float, default=10.0)
-    parser.add_argument("--flow-budget-s", type=float, default=20.0)
+    parser.add_argument("--budget-s", type=float, default=6.0)
+    parser.add_argument("--flow-budget-s", type=float, default=5.0)
     parser.add_argument("--runs", type=int, default=3)
     args = parser.parse_args(argv)
 

@@ -21,22 +21,37 @@ processes.  This checker walks ``sim/``, ``power/``, ``thermal/``, and
 * ``DET-FLOAT-SUM`` — ``sum()`` over a set or over ``dict`` views:
   float addition does not commute, so the accumulation order must be
   canonical before the result may feed a counter or a cache key.
+
+:func:`scan` classifies every hazard site of the tree once, keyed by
+the frame that runs it.  :func:`check` reports the sites in scope, and
+the transitive pass (:mod:`repro.analysis.taint`) follows the rest
+through the call graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.index import FunctionInfo, TreeIndex, _annotation_is_set
-from repro.analysis.source import SourceFile
+from repro.analysis.flow.callgraph import FRAME_NODES, Frame, owned_nodes
+from repro.analysis.index import TreeIndex, _annotation_is_set
+from repro.analysis.source import FunctionNode, SourceFile
 
 #: Subtrees (relative to the analyzed root) the determinism rules cover.
 DEFAULT_SCOPE: Tuple[str, ...] = ("sim/", "power/", "thermal/", "workloads/")
 
 #: Relative paths containing these fragments are host-side by contract.
 SCOPE_EXEMPT_FRAGMENTS: Tuple[str, ...] = ("telemetry/", "profiling")
+
+#: Severity of each DET-* rule, direct or transitive.
+SEVERITIES: Dict[str, str] = {
+    "DET-WALLCLOCK": "error",
+    "DET-RANDOM": "error",
+    "DET-SET-ORDER": "warning",
+    "DET-FLOAT-SUM": "warning",
+}
 
 _WALLCLOCK_TIME_ATTRS = frozenset(
     {
@@ -74,11 +89,14 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
 )
 
 
-def in_scope(rel: str, scope: Tuple[str, ...] = DEFAULT_SCOPE) -> bool:
+def exempt(rel: str) -> bool:
+    """Host-side-by-contract files: never flagged, never a taint source."""
+    return any(fragment in rel for fragment in SCOPE_EXEMPT_FRAGMENTS)
+
+
+def in_scope(rel: str) -> bool:
     """Whether the determinism rules apply to this relative path."""
-    if any(fragment in rel for fragment in SCOPE_EXEMPT_FRAGMENTS):
-        return False
-    return any(rel.startswith(prefix) for prefix in scope)
+    return not exempt(rel) and rel.startswith(DEFAULT_SCOPE)
 
 
 def _call_target(node: ast.Call) -> Tuple[Optional[str], str]:
@@ -126,7 +144,7 @@ class _ModuleAliases:
                             self.datetime.add(alias.asname or alias.name)
 
 
-def _set_like_names(function: FunctionInfo, index: TreeIndex) -> Set[str]:
+def _set_like_names(function: FunctionNode, index: TreeIndex) -> Set[str]:
     """Names bound to set-typed values inside one function.
 
     Covers parameters annotated as sets, locals assigned from set
@@ -134,11 +152,11 @@ def _set_like_names(function: FunctionInfo, index: TreeIndex) -> Set[str]:
     in the tree whose return annotation is a set.
     """
     names: Set[str] = set()
-    args = function.node.args
+    args = function.args
     for arg in list(args.args) + list(args.kwonlyargs):
         if _annotation_is_set(arg.annotation):
             names.add(arg.arg)
-    for node in ast.walk(function.node):
+    for node in ast.walk(function):
         if not isinstance(node, ast.Assign):
             continue
         if not _is_set_expr(node.value, names, index):
@@ -150,7 +168,7 @@ def _set_like_names(function: FunctionInfo, index: TreeIndex) -> Set[str]:
 
 
 def _is_set_expr(
-    node: ast.expr, set_names: Set[str], index: Optional[TreeIndex]
+    node: ast.expr, set_names: AbstractSet[str], index: TreeIndex
 ) -> bool:
     """Whether an expression is syntactically set-valued."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -168,10 +186,9 @@ def _is_set_expr(
         base, attr = _call_target(node)
         if base is None and attr in ("set", "frozenset"):
             return True
-        if index is not None:
-            candidates = index.functions.get(attr, [])
-            if candidates and all(c.returns_set for c in candidates):
-                return True
+        candidates = index.functions.get(attr, [])
+        if candidates and all(c.returns_set for c in candidates):
+            return True
     return False
 
 
@@ -200,7 +217,7 @@ def _is_dict_view(node: ast.expr) -> bool:
 
 
 def _unordered_iter(
-    node: ast.expr, set_names: Set[str], index: TreeIndex
+    node: ast.expr, set_names: AbstractSet[str], index: TreeIndex
 ) -> Optional[str]:
     """Describe why iterating ``node`` is order-fragile, or ``None``.
 
@@ -220,193 +237,168 @@ def _unordered_iter(
     return None
 
 
-def check(
-    index: TreeIndex, scope: Tuple[str, ...] = DEFAULT_SCOPE
-) -> List[Finding]:
-    """Run every determinism rule over the indexed tree."""
-    findings: List[Finding] = []
+@dataclass(frozen=True)
+class HazardSite:
+    """One direct DET-* hazard, classified once for both DET checkers."""
+
+    file: SourceFile
+    line: int
+    rule: str
+    #: The direct finding's message.
+    message: str
+    #: The shorter wording a transitive finding quotes at the end of
+    #: its taint path.
+    detail: str
+
+
+#: Every direct hazard site in a tree, keyed by the frame that runs it:
+#: a function, a class body, or the module body.
+Hazards = Dict[ast.AST, List[HazardSite]]
+
+
+def scan(index: TreeIndex) -> Hazards:
+    """Classify every hazard site of the tree once.
+
+    The direct rule reports the sites in scope; taint uses every
+    function's sites as sources.  A nested function also sees the
+    set-typed locals of the functions around it (its closure).
+    """
+    hazards: Hazards = {}
     for source in index.files:
-        if not in_scope(source.rel, scope):
-            continue
         aliases = _ModuleAliases(source.tree)
-        _check_calls(source, aliases, findings)
-        _check_iteration(source, index, findings)
-    return findings
+        frames: List[Tuple[Frame, FrozenSet[str]]] = [(source.tree, frozenset())]
+        while frames:
+            frame, set_names = frames.pop()
+            if isinstance(frame, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                set_names = set_names | _set_like_names(frame, index)
+            sites = hazards.setdefault(frame, [])
+            for node in owned_nodes(frame):
+                if isinstance(node, FRAME_NODES):
+                    frames.append((node, set_names))
+                    continue
+                sites.extend(_classify(node, source, aliases, set_names, index))
+    return hazards
 
 
-def _check_calls(
-    source: SourceFile, aliases: _ModuleAliases, findings: List[Finding]
-) -> None:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        base, attr = _call_target(node)
-        line = node.lineno
-        if (
-            (base in aliases.time and attr in _WALLCLOCK_TIME_ATTRS)
-            or (base in aliases.datetime and attr in _WALLCLOCK_DATETIME_ATTRS)
-            or (base is None and attr in aliases.bare_wallclock)
-        ):
-            findings.append(
-                Finding(
-                    path=source.rel,
-                    line=line,
-                    rule="DET-WALLCLOCK",
-                    severity="error",
-                    message=f"wall-clock read `{attr}` in a simulation module",
-                    snippet=source.snippet(line),
-                )
-            )
-        elif base in aliases.random and attr in _GLOBAL_RANDOM_FUNCS:
-            findings.append(
-                Finding(
-                    path=source.rel,
-                    line=line,
-                    rule="DET-RANDOM",
-                    severity="error",
-                    message=(
-                        f"process-global RNG `random.{attr}`; use a seeded "
-                        "random.Random instance"
-                    ),
-                    snippet=source.snippet(line),
-                )
-            )
-        elif (
-            base in aliases.random
-            and attr == "Random"
-            and not node.args
-            and not node.keywords
-        ):
-            findings.append(
-                Finding(
-                    path=source.rel,
-                    line=line,
-                    rule="DET-RANDOM",
-                    severity="error",
-                    message="unseeded random.Random(); pass an explicit seed",
-                    snippet=source.snippet(line),
-                )
-            )
-        elif base == "random" and aliases.numpy:
-            # `np.random.standard_normal(...)`: func is Attribute whose
-            # value is the Attribute `np.random`.
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id in aliases.numpy
-            ):
-                findings.append(
-                    Finding(
-                        path=source.rel,
-                        line=line,
-                        rule="DET-RANDOM",
-                        severity="error",
-                        message=(
-                            f"global numpy RNG `numpy.random.{attr}`; use "
-                            "numpy.random.default_rng(seed)"
-                        ),
-                        snippet=source.snippet(line),
-                    )
-                )
-        elif base is None and attr == "default_rng" and not node.args:
-            findings.append(
-                Finding(
-                    path=source.rel,
-                    line=line,
-                    rule="DET-RANDOM",
-                    severity="error",
-                    message="unseeded default_rng(); pass an explicit seed",
-                    snippet=source.snippet(line),
-                )
-            )
-
-
-def _check_iteration(
-    source: SourceFile, index: TreeIndex, findings: List[Finding]
-) -> None:
-    functions = [
-        info
-        for infos in index.functions.values()
-        for info in infos
-        if info.file is source
+def check(hazards: Hazards) -> List[Finding]:
+    """The direct DET-* findings: every hazard site in scope."""
+    return [
+        Finding(
+            path=site.file.rel,
+            line=site.line,
+            rule=site.rule,
+            severity=SEVERITIES[site.rule],
+            message=site.message,
+            snippet=site.file.snippet(site.line),
+        )
+        for sites in hazards.values()
+        for site in sites
+        if in_scope(site.file.rel)
     ]
-    #: Pre-computed set-like locals per function scope.
-    set_names_by_function: Dict[int, Set[str]] = {
-        id(info.node): _set_like_names(info, index) for info in functions
-    }
 
-    def names_for(node: ast.AST) -> Set[str]:
-        return set_names_by_function.get(id(node), set())
 
-    for info in functions:
-        set_names = names_for(info.node)
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.For):
-                reason = _unordered_iter(node.iter, set_names, index)
-                if reason is not None:
-                    line = node.lineno
-                    findings.append(
-                        Finding(
-                            path=source.rel,
-                            line=line,
-                            rule="DET-SET-ORDER",
-                            severity="warning",
-                            message=(
-                                f"iteration over {reason}: order is an "
-                                "implementation detail; sort or suppress "
-                                "with a why-order-free argument"
-                            ),
-                            snippet=source.snippet(line),
-                        )
-                    )
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for generator in node.generators:
-                    reason = _unordered_iter(generator.iter, set_names, index)
-                    if reason is not None:
-                        line = node.lineno
-                        findings.append(
-                            Finding(
-                                path=source.rel,
-                                line=line,
-                                rule="DET-SET-ORDER",
-                                severity="warning",
-                                message=(
-                                    f"comprehension over {reason}: order is "
-                                    "an implementation detail; sort or "
-                                    "suppress with a why-order-free argument"
-                                ),
-                                snippet=source.snippet(line),
-                            )
-                        )
-            elif isinstance(node, ast.Call):
-                base, attr = _call_target(node)
-                if base is None and attr == "sum" and node.args:
-                    argument = node.args[0]
-                    hazard = _float_sum_hazard(argument, set_names, index)
-                    if hazard is not None:
-                        line = node.lineno
-                        findings.append(
-                            Finding(
-                                path=source.rel,
-                                line=line,
-                                rule="DET-FLOAT-SUM",
-                                severity="warning",
-                                message=(
-                                    f"sum() over {hazard}: float accumulation "
-                                    "order must be canonical; sort first or "
-                                    "suppress with a why-order-free argument"
-                                ),
-                                snippet=source.snippet(line),
-                            )
-                        )
+_ORDER_ADVICE = (
+    "order is an implementation detail; sort or suppress with a "
+    "why-order-free argument"
+)
+
+
+def _classify(
+    node: ast.AST,
+    source: SourceFile,
+    aliases: _ModuleAliases,
+    set_names: AbstractSet[str],
+    index: TreeIndex,
+) -> Iterator[HazardSite]:
+    """The hazard sites one node of ``source`` is (usually none)."""
+    if isinstance(node, ast.Call):
+        hazard = _classify_call(node, aliases, set_names, index)
+        if hazard is not None:
+            yield HazardSite(source, node.lineno, *hazard)
+        return
+    if isinstance(node, ast.For):
+        line, kind, iterables = node.lineno, "iteration", [node.iter]
+    elif isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    ):
+        line, kind = node.lineno, "comprehension"
+        iterables = [generator.iter for generator in node.generators]
+    else:
+        return
+    for iterable in iterables:
+        reason = _unordered_iter(iterable, set_names, index)
+        if reason is not None:
+            yield HazardSite(
+                source,
+                line,
+                "DET-SET-ORDER",
+                f"{kind} over {reason}: {_ORDER_ADVICE}",
+                f"unordered {kind} over {reason}",
+            )
+
+
+def _classify_call(
+    node: ast.Call,
+    aliases: _ModuleAliases,
+    set_names: AbstractSet[str],
+    index: TreeIndex,
+) -> Optional[Tuple[str, str, str]]:
+    """``(rule, message, detail)`` when a call is a hazard."""
+    base, attr = _call_target(node)
+    if (
+        (base in aliases.time and attr in _WALLCLOCK_TIME_ATTRS)
+        or (base in aliases.datetime and attr in _WALLCLOCK_DATETIME_ATTRS)
+        or (base is None and attr in aliases.bare_wallclock)
+    ):
+        detail = f"wall-clock read `{attr}`"
+        return "DET-WALLCLOCK", f"{detail} in a simulation module", detail
+    if base in aliases.random and attr in _GLOBAL_RANDOM_FUNCS:
+        detail = f"process-global RNG `random.{attr}`"
+        return (
+            "DET-RANDOM",
+            f"{detail}; use a seeded random.Random instance",
+            detail,
+        )
+    if base in aliases.random and attr == "Random":
+        if node.args or node.keywords:
+            return None
+        detail = "unseeded random.Random()"
+        return "DET-RANDOM", f"{detail}; pass an explicit seed", detail
+    func = node.func
+    numpy_rng = (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "random"
+        and isinstance(func.value.value, ast.Name)
+        and func.value.value.id in aliases.numpy
+    )
+    if attr == "default_rng" and (base is None or numpy_rng):
+        if node.args or node.keywords:
+            return None
+        detail = "unseeded default_rng()"
+        return "DET-RANDOM", f"{detail}; pass an explicit seed", detail
+    if numpy_rng:
+        detail = f"global numpy RNG `numpy.random.{attr}`"
+        return (
+            "DET-RANDOM",
+            f"{detail}; use numpy.random.default_rng(seed)",
+            detail,
+        )
+    if base is None and attr == "sum" and node.args:
+        hazard = _float_sum_hazard(node.args[0], set_names, index)
+        if hazard is not None:
+            return (
+                "DET-FLOAT-SUM",
+                f"sum() over {hazard}: float accumulation order must be "
+                "canonical; sort first or suppress with a why-order-free "
+                "argument",
+                f"order-fragile sum() over {hazard}",
+            )
+    return None
 
 
 def _float_sum_hazard(
-    argument: ast.expr, set_names: Set[str], index: TreeIndex
+    argument: ast.expr, set_names: AbstractSet[str], index: TreeIndex
 ) -> Optional[str]:
     """Why a ``sum()`` argument has fragile accumulation order."""
     if _is_set_expr(argument, set_names, index):

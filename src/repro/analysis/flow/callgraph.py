@@ -8,12 +8,12 @@ for one repository, where bare callable names are near-unique).
 Two deliberate choices:
 
 * **Dynamic dispatch fallback** — a name with several definitions links
-  to *all* of them (``ambiguous=True`` on the edge).  Summaries that
-  propagate a hazard union over candidates, over-approximating what
-  can run; finding emitters that anchor a diagnostic to one callee
-  require agreement across candidates, under-approximating what they
-  claim.  The may/must split keeps the graph sound for propagation
-  without turning name collisions into noise.
+  to *all* of them, one edge per candidate.  Summaries that propagate a
+  hazard union over candidates, over-approximating what can run;
+  finding emitters that anchor a diagnostic to one callee require
+  agreement across the edges of one call site, under-approximating
+  what they claim.  The may/must split keeps the graph sound for
+  propagation without turning name collisions into noise.
 * **Calls only** — a function name passed as a value
   (``Process(target=_farm_worker)``, ``executor.map(point_fn, grid)``)
   is not called *here*, so it makes no edge; no checker follows a
@@ -27,14 +27,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.index import FunctionInfo, TreeIndex
 from repro.analysis.source import FunctionNode
 
-#: AST nodes that open a new analysis scope: their bodies belong to
-#: their own graph nodes, not to the enclosing function.
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: A body that runs in a frame of its own.
+Frame = Union[ast.Module, ast.ClassDef, FunctionNode]
+
+#: AST nodes that open a new frame: their bodies are not part of the
+#: enclosing one.
+FRAME_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def node_id(info: FunctionInfo) -> str:
@@ -42,27 +45,28 @@ def node_id(info: FunctionInfo) -> str:
     return f"{info.file.rel}::{info.qualname}:{info.node.lineno}"
 
 
-def owned_nodes(root: FunctionNode) -> Iterator[ast.AST]:
+def owned_nodes(root: Frame) -> Iterator[ast.AST]:
     """Every AST node executing *in* ``root``'s own frame.
 
-    Descends into expressions, lambdas, and compound statements, but
-    not into nested ``def``/``class`` bodies (those are separate graph
-    nodes).  Decorators and default-argument expressions of nested
-    definitions *do* evaluate in the enclosing frame, so they are
-    yielded.
+    Walks ``root``'s body, descending into expressions, lambdas, and
+    compound statements, but not into nested ``def``/``class`` bodies
+    (each is a frame of its own).  A nested definition's decorators,
+    argument defaults and class bases evaluate in the enclosing frame,
+    so they are yielded there, not in the nested one: no node belongs
+    to two frames.
     """
-    stack: List[ast.AST] = list(ast.iter_child_nodes(root))
+    stack: List[ast.AST] = list(root.body)
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, _SCOPE_NODES):
-            # The body runs in its own frame; decorators and argument
-            # defaults evaluate here.
-            stack.extend(getattr(node, "decorator_list", []))
-            args = getattr(node, "args", None)
-            if args is not None:
-                stack.extend(args.defaults)
-                stack.extend(d for d in args.kw_defaults if d is not None)
+        if isinstance(node, ast.ClassDef):
+            stack.extend(node.decorator_list)
+            stack.extend(node.bases)
+            stack.extend(node.keywords)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
         else:
             stack.extend(ast.iter_child_nodes(node))
 
@@ -76,8 +80,6 @@ class CallEdge:
     name: str
     #: Target node id.
     target: str
-    #: Whether the name resolved to more than one definition.
-    ambiguous: bool
 
 
 @dataclass
@@ -178,16 +180,10 @@ def build_call_graph(index: TreeIndex) -> CallGraph:
             if not isinstance(call, ast.Call):
                 continue
             name, candidates = call_candidates(index, call.func)
-            ambiguous = len(candidates) > 1
-            for candidate in candidates:
-                edges.append(
-                    CallEdge(
-                        line=call.lineno,
-                        name=name,
-                        target=node_id(candidate),
-                        ambiguous=ambiguous,
-                    )
-                )
+            edges.extend(
+                CallEdge(line=call.lineno, name=name, target=node_id(candidate))
+                for candidate in candidates
+            )
         ordered = tuple(sorted(edges, key=lambda e: (e.line, e.name, e.target)))
         graph.edges[nid] = ordered
         for edge in ordered:

@@ -215,11 +215,13 @@ def validate_report_document(document: Mapping[str, Any]) -> List[str]:
 
 def _run_checkers(index: TreeIndex) -> List[Finding]:
     # The call graph is built once and shared by every interprocedural
-    # checker (dimensions, transitive taint).
+    # checker (dimensions, transitive taint); the hazard scan is shared
+    # by the direct and the transitive DET-* rules.
     graph = build_call_graph(index)
+    hazards = determinism.scan(index)
     findings: List[Finding] = []
-    findings.extend(determinism.check(index))
-    findings.extend(taint.check(index, graph))
+    findings.extend(determinism.check(hazards))
+    findings.extend(taint.check(graph, hazards))
     findings.extend(dimensions.check(index, graph))
     return findings
 

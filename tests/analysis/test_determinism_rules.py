@@ -6,6 +6,7 @@ from tests.analysis.conftest import findings_for
 
 BAD = "sim/bad_determinism.py"
 OK = "sim/ok_determinism.py"
+NESTED = "sim/nested_hazards.py"
 
 
 def test_wallclock_reads_flagged(fixture_report):
@@ -33,6 +34,17 @@ def test_float_sums_flagged(fixture_report):
     assert len(found) == 2
     reasons = " ".join(f.message for f in found)
     assert "a set" in reasons and "dict view" in reasons
+
+
+def test_nested_function_hazards_flagged_once(fixture_report):
+    # The frame that runs a hazard reports it, not every frame around it.
+    # Line 30 iterates a set local of the enclosing function.
+    assert [
+        f.line for f in findings_for(fixture_report, "DET-SET-ORDER", NESTED)
+    ] == [10, 30]
+    assert [
+        f.line for f in findings_for(fixture_report, "DET-FLOAT-SUM", NESTED)
+    ] == [20]
 
 
 def test_clean_idioms_not_flagged(fixture_report):

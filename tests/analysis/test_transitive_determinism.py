@@ -3,6 +3,7 @@
 from tests.analysis.conftest import findings_for
 
 TRANSITIVE = "sim/transitive.py"
+NUMPY = "sim/numpy_transitive.py"
 
 
 def _transitive(report):
@@ -49,6 +50,32 @@ def test_out_of_scope_helpers_are_not_flagged_directly(fixture_report):
     # taint but never produce findings of their own.
     assert not any(
         f.path == "harness/clocky.py" for f in fixture_report.findings
+    )
+
+
+def test_numpy_rng_taints_callers(fixture_report):
+    # The direct rule's numpy classifiers feed taint too: a global numpy
+    # draw and an unseeded default_rng() each flag their one call site;
+    # the seeded generator flags nothing.
+    found = findings_for(fixture_report, "DET-RANDOM", NUMPY)
+    assert [f.line for f in found] == [16, 21]
+    assert "global numpy RNG `numpy.random.standard_normal`" in found[0].message
+    assert "harness/numpy_draws.py:15 via jitter_sample" in found[0].message
+    assert "unseeded default_rng() at harness/numpy_draws.py:20" in (
+        found[1].message
+    )
+    assert {f.severity for f in found} == {"error"}
+    assert [f.line for f in fixture_report.findings if f.path == NUMPY] == [
+        16,
+        21,
+    ]
+
+
+def test_disagreeing_candidates_are_not_flagged(fixture_report):
+    # `sampler.read_sample()` links a tainted and a clean definition;
+    # a flag needs every candidate tainted, whatever order they come in.
+    assert not any(
+        f.path == "sim/sampler_dispatch.py" for f in fixture_report.findings
     )
 
 
