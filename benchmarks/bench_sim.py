@@ -25,7 +25,7 @@ ops per host second three ways:
    V/f point after the first reuses the compiled streams);
 4. ``fast_warm_telemetry`` — same as ``fast_warm`` but with an enabled
    :class:`repro.telemetry.trace.Tracer` installed, measuring what
-   ``--telemetry-dir`` costs in the kernel loop.  The run doubles the
+   ``--telemetry-dir`` or ``--profile`` costs in the kernel loop.  The run doubles the
    geomean tracing overhead into the summary, and the benchmark exits
    non-zero when it exceeds ``--max-telemetry-overhead`` (default 15%).
 

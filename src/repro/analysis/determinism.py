@@ -37,7 +37,7 @@ from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, 
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import FRAME_NODES, Frame, owned_nodes
 from repro.analysis.index import TreeIndex, _annotation_is_set
-from repro.analysis.source import FunctionNode, SourceFile
+from repro.analysis.source import SourceFile
 
 #: Subtrees (relative to the analyzed root) the determinism rules cover.
 DEFAULT_SCOPE: Tuple[str, ...] = ("sim/", "power/", "thermal/", "workloads/")
@@ -144,27 +144,37 @@ class _ModuleAliases:
                             self.datetime.add(alias.asname or alias.name)
 
 
-def _set_like_names(function: FunctionNode, index: TreeIndex) -> Set[str]:
-    """Names bound to set-typed values inside one function.
+def _frame_set_names(
+    frame: Frame, enclosing: FrozenSet[str], index: TreeIndex
+) -> FrozenSet[str]:
+    """The set-typed names visible in one function or module frame.
 
-    Covers parameters annotated as sets, locals assigned from set
-    displays/constructors, and locals assigned from calls to functions
-    in the tree whose return annotation is a set.
+    A frame sees its enclosing frames' set-typed names, less every name
+    it binds itself, plus its own: parameters annotated as sets, and
+    names it assigns from set displays/constructors or from calls to
+    functions in the tree whose return annotation is a set.  Names bound
+    inside a nested definition belong to that definition's frame.
     """
-    names: Set[str] = set()
-    args = function.args
-    for arg in list(args.args) + list(args.kwonlyargs):
-        if _annotation_is_set(arg.annotation):
-            names.add(arg.arg)
-    for node in ast.walk(function):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not _is_set_expr(node.value, names, index):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-    return names
+    own: Set[str] = set()
+    bound: Set[str] = set()
+    if isinstance(frame, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = frame.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            bound.add(arg.arg)
+            if _annotation_is_set(arg.annotation):
+                own.add(arg.arg)
+        bound.update(arg.arg for arg in (args.vararg, args.kwarg) if arg)
+    assigns: List[ast.Assign] = []
+    for node in owned_nodes(frame):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Assign):
+            assigns.append(node)
+    # In source order, so ``b = a`` after ``a = {...}`` sees ``a``.
+    for node in sorted(assigns, key=lambda n: (n.lineno, n.col_offset)):
+        if _is_set_expr(node.value, own, index):
+            own.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return frozenset((enclosing - bound) | own)
 
 
 def _is_set_expr(
@@ -260,8 +270,9 @@ def scan(index: TreeIndex) -> Hazards:
     """Classify every hazard site of the tree once.
 
     The direct rule reports the sites in scope; taint uses every
-    function's sites as sources.  A nested function also sees the
-    set-typed locals of the functions around it (its closure).
+    function's sites as sources.  A function also sees the set-typed
+    names of the module and of the functions around it (its closure)
+    that it does not bind itself.
     """
     hazards: Hazards = {}
     for source in index.files:
@@ -269,8 +280,8 @@ def scan(index: TreeIndex) -> Hazards:
         frames: List[Tuple[Frame, FrozenSet[str]]] = [(source.tree, frozenset())]
         while frames:
             frame, set_names = frames.pop()
-            if isinstance(frame, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                set_names = set_names | _set_like_names(frame, index)
+            if not isinstance(frame, ast.ClassDef):
+                set_names = _frame_set_names(frame, set_names, index)
             sites = hazards.setdefault(frame, [])
             for node in owned_nodes(frame):
                 if isinstance(node, FRAME_NODES):

@@ -35,13 +35,16 @@ docs/OBSERVABILITY.md for the failure model.
 
 Every sweep accepts ``--profile`` to print executor statistics
 (and, for the experimental sweeps, how the simulation kernel performed:
-ops/sec, fast-path hit ratio, per-subsystem slow-path time) and
+ops/sec, fast-path hit ratio, per-subsystem slow-path time, all read
+from the executor's one kernel ledger) and
 ``--telemetry-dir DIR`` to record a structured run manifest, per-point
 JSONL events, and span traces under ``DIR/<run_id>/`` (see
-docs/OBSERVABILITY.md).  ``repro trace export|metrics|validate`` reads
-those artifacts back: ``export`` writes Chrome ``trace_event`` JSON for
-chrome://tracing / Perfetto, ``metrics`` prints a per-phase wall-time
-table, ``validate`` checks a run against the manifest schema.
+docs/OBSERVABILITY.md).  Either flag enables the tracer, which also
+turns on the kernel's slow-path timers.  ``repro trace
+export|metrics|validate`` reads those artifacts back: ``export`` writes
+Chrome ``trace_event`` JSON for chrome://tracing / Perfetto, ``metrics``
+prints the kernel ledger's summary and a per-phase wall-time table,
+``validate`` checks a run against the manifest schema.
 
 ``repro check`` runs the static invariant analyzer over the source tree
 (determinism, SI units, dimensions — see docs/ANALYSIS.md) and exits
@@ -266,18 +269,23 @@ def _executor_from_args(args, telemetry_run, command: str, cache):
 
 
 def _telemetry_run_from_args(args, command: str):
-    """Enable telemetry and open a run directory when ``--telemetry-dir`` is set.
+    """Enable telemetry, and open a run directory when ``--telemetry-dir`` is set.
 
-    Telemetry must be on before any farm child forks so the children
-    inherit the enabled tracer (and with it the shared wall-clock
-    anchor).
+    ``--profile`` and ``--telemetry-dir`` both enable the tracer, which
+    also times the kernel's slow path per subsystem.  It must be on
+    before any farm child forks so the children inherit the enabled
+    tracer (and with it the shared wall-clock anchor).
     """
-    if not getattr(args, "telemetry_dir", None):
+    telemetry_dir = getattr(args, "telemetry_dir", None)
+    if not (telemetry_dir or args.profile):
         return None
-    from repro.telemetry.manifest import TelemetryRun
     from repro.telemetry.record import enable_telemetry
 
     enable_telemetry()
+    if not telemetry_dir:
+        return None
+    from repro.telemetry.manifest import TelemetryRun
+
     return TelemetryRun(
         args.telemetry_dir, command=command, argv=list(sys.argv[1:])
     )
@@ -340,9 +348,7 @@ def _sweep_session(args, experimental: bool = False):
         from repro.harness.context import ExperimentContext
 
         print("building experiment context (calibration microbenchmark)...")
-        context = ExperimentContext(
-            workload_scale=args.scale, profile=args.profile, cache=cache
-        )
+        context = ExperimentContext(workload_scale=args.scale, cache=cache)
         if telemetry_run is not None:
             from repro.harness.executor import config_key
 

@@ -50,19 +50,10 @@ class ExperimentContext:
         vf_step_hz: float = 200e6,
         f_min_hz: float = 200e6,
         workload_scale: float = 1.0,
-        fast_path: bool = True,
-        profile: bool = False,
         cache: Optional[ResultCache] = None,
     ) -> None:
         if workload_scale <= 0:
             raise ConfigurationError("workload_scale must be positive")
-        #: Which simulation kernel :meth:`run` uses.  The fast path and
-        #: the reference interpreter are bitwise-identical in every
-        #: counter (tests/sim/test_fastpath_equivalence.py), so neither
-        #: flag enters the fingerprint: cached rows are valid across
-        #: kernel modes.
-        self.fast_path = fast_path
-        self.profile = profile
         self.cmp_config = cmp_config or CMPConfig(
             frequency_hz=tech.f_nominal, voltage=tech.vdd_nominal
         )
@@ -192,10 +183,7 @@ class ExperimentContext:
         config = self.cmp_config.with_operating_point(f_hz, voltage)
         scaled = self.scaled_model(model)
         compiled = compile_workload(scaled, n_threads, config.l1_config)
-        chip = ChipMultiprocessor(
-            config, fast_path=self.fast_path, profile=self.profile
-        )
-        result = chip.run(
+        result = ChipMultiprocessor(config).run(
             compiled.program,
             scaled.core_timing(),
             warmup_barriers=scaled.warmup_barriers,

@@ -473,7 +473,7 @@ class ResultCache:
             }
         if outcome.telemetry is not None:
             # Spans are stripped: replaying stale span timestamps into a
-            # later run's trace would be misleading; kernel records are
+            # later run's trace would be misleading; the KernelStats are
             # what warm-cache profile accounting needs.
             document["telemetry"] = encode_value(
                 dataclasses.replace(outcome.telemetry, spans=())
@@ -538,7 +538,7 @@ class _PointCall:
     """Picklable wrapper that turns library errors into typed results.
 
     Each call runs inside a :class:`~repro.telemetry.record.CaptureWindow`:
-    the kernel records and span trees the point produced come back
+    the ``KernelStats`` and span trees the point produced come back
     with the status tuple as a
     :class:`~repro.telemetry.record.PointTelemetry` — the outcome
     channel that carries every lane's telemetry to the coordinator.
@@ -726,10 +726,10 @@ class SweepExecutor:
         #: Optional :class:`~repro.telemetry.manifest.TelemetryRun`; when
         #: set, every outcome is logged to its events/spans JSONL files.
         self.telemetry_run = None
-        #: The kernel ledger: every outcome's kernel records (evaluated
+        #: The kernel ledger: every outcome's ``KernelStats`` (evaluated
         #: in any lane, or replayed from the cache) plus the coordinator's
-        #: precompile time, accumulated across ``map`` calls.  ``--profile``
-        #: and the telemetry manifest both report it.
+        #: precompile time, accumulated across ``map`` calls.  ``--profile``,
+        #: the telemetry manifest and ``trace metrics`` all report it.
         self.kernels = KernelAggregate()
 
     @property

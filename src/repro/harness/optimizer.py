@@ -80,25 +80,13 @@ from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 from repro.workloads.base import WorkloadModel
 
-#: Default refinement ladder step (the paper's profiling grid).
-DEFAULT_STEP_HZ = 200e6
-
-
-def frequency_ladder(
-    context: ExperimentContext, step_hz: float = DEFAULT_STEP_HZ
-) -> List[float]:
-    """The paper's profiling ladder: ``step_hz`` steps from the floor to nominal.
+def frequency_ladder(context: ExperimentContext) -> List[float]:
+    """The paper's profiling ladder: the frequencies of the context's V/f table.
 
     Scenario II (:func:`~repro.harness.scenario2.run_scenario2`) and
     every optimizer search pick their operating points on this ladder.
     """
-    points: List[float] = []
-    f = context.f_min
-    while f < context.f_nominal - 1e6:
-        points.append(f)
-        f += step_hz
-    points.append(context.f_nominal)
-    return points
+    return [f for f, _ in context.vf_table.points]
 
 
 def _energy_j(row: SimPointRow) -> float:
@@ -560,7 +548,6 @@ def run_optimizer(
     core_counts: Sequence[int] = (1, 2, 4, 8, 16),
     budget_w: Optional[float] = None,
     executor: Optional[SweepExecutor] = None,
-    step_hz: float = DEFAULT_STEP_HZ,
     exhaustive: bool = False,
 ) -> OptimizerCampaign:
     """Search every (application, N) pair's ladder for the optimum.
@@ -585,7 +572,7 @@ def run_optimizer(
     budget = budget_w if budget_w is not None else (
         context.calibration.max_operational_power_w
     )
-    ladder = frequency_ladder(context, step_hz)
+    ladder = frequency_ladder(context)
     xs = (
         [objective.fit_x(context, f_hz) for f_hz in ladder]
         if objective.kind == "boundary"

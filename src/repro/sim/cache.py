@@ -112,8 +112,8 @@ class Cache:
         """The line address containing ``byte_address``."""
         return byte_address >> self._line_shift
 
-    def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[int]:
-        """State of the line, or None if absent.  Counts hit/miss."""
+    def lookup(self, line_addr: int) -> Optional[int]:
+        """State of the line (made MRU), or None if absent.  Counts hit/miss."""
         set_index = line_addr % self._n_sets
         base = set_index << self._way_shift
         tags = self._tags
@@ -124,7 +124,7 @@ class Cache:
                 states = self._states
                 state = states[w]
                 self.hits += 1
-                if update_lru and w != base:
+                if w != base:
                     while w > base:
                         tags[w] = tags[w - 1]
                         states[w] = states[w - 1]

@@ -83,6 +83,10 @@ class KernelStats:
     Everything here describes the *simulator's* behaviour on the host —
     wall-clock time, fast-path coverage — and never feeds back into the
     simulated counters, which are bitwise-identical across kernel modes.
+    It is also the one per-run kernel record: the point's capture window
+    carries it to the executor's ledger
+    (:class:`~repro.telemetry.record.KernelAggregate`), and the result
+    cache stores it with the point.
     """
 
     #: ``"fast"`` (compiled streams + L1-hit short-circuit) or
@@ -107,9 +111,9 @@ class KernelStats:
     #: Whether compiling this run's streams evicted another entry from
     #: the bounded compile cache (a sweep's working set outgrew it).
     compile_cache_evicted: bool = False
-    #: Optional per-subsystem wall time (populated when profiling):
-    #: ``memory`` (misses and upgrades), ``critical`` (lock
-    #: sections).
+    #: Per-subsystem slow-path wall time, timed only while the
+    #: process-wide tracer is enabled: ``memory`` (misses and
+    #: upgrades), ``critical`` (lock sections).
     subsystem_s: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -180,14 +184,10 @@ class ChipMultiprocessor:
     MAX_STEPS = 500_000_000
 
     def __init__(
-        self,
-        config: CMPConfig | None = None,
-        fast_path: bool = True,
-        profile: bool = False,
+        self, config: CMPConfig | None = None, fast_path: bool = True
     ) -> None:
         self.config = config or CMPConfig()
         self.fast_path = fast_path
-        self.profile = profile
 
     def run(
         self,
@@ -267,10 +267,10 @@ class ChipMultiprocessor:
         locks = LockTable()
 
         tracer = get_tracer()
-        # An enabled tracer turns the per-subsystem slow-path timers on
-        # even without --profile: they are host-side only and feed the
-        # run's aggregate spans, never the simulated counters.
-        profile_timers = self.profile or tracer.enabled
+        # An enabled tracer (--telemetry-dir or --profile) turns the
+        # per-subsystem slow-path timers on: they are host-side only and
+        # feed KernelStats.subsystem_s, never the simulated counters.
+        timed = tracer.enabled
         cores = [
             Core(i, ops, controller, clock, timings[i], locks)
             for i, ops in enumerate(streams)
@@ -278,19 +278,16 @@ class ChipMultiprocessor:
         if use_fast:
             for core, ops, private_lines in zip(cores, streams, private):
                 core.bind_stream(ops)
-                core.prepare_fast_path(
-                    profile=profile_timers, private_lines=private_lines
-                )
+                core.prepare_fast_path(timed=timed, private_lines=private_lines)
         steppers = [
             core.step_fast if use_fast else core.step for core in cores
         ]
-        subsystem_totals: Dict[str, float] = {}
 
         with tracer.span(
             "kernel.window",
             mode="fast" if use_fast else "reference",
             threads=n_threads,
-        ) as kernel_span:
+        ):
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
             wall_start = time.perf_counter()
 
@@ -360,30 +357,6 @@ class ChipMultiprocessor:
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
             sim_wall_s = time.perf_counter() - wall_start
 
-            if profile_timers and use_fast:
-                subsystem_counts: Dict[str, int] = {}
-                for core in cores:
-                    # Sorted so the totals' accumulation and insertion
-                    # order never depend on which op kind a core hit
-                    # first.
-                    for name, seconds in sorted(core.subsystem_s.items()):
-                        subsystem_totals[name] = (
-                            subsystem_totals.get(name, 0.0) + seconds
-                        )
-                    for name, count in sorted(core.subsystem_n.items()):
-                        subsystem_counts[name] = (
-                            subsystem_counts.get(name, 0) + count
-                        )
-                # The slow path is far too hot for per-op spans; report
-                # each subsystem's accumulated wall time as one
-                # aggregate child span of the run.
-                for name in sorted(subsystem_totals):
-                    tracer.aggregate(
-                        f"kernel.slow_path.{name}",
-                        subsystem_totals[name],
-                        count=subsystem_counts.get(name, 1),
-                    )
-
         if finished != n_threads:
             stuck = sorted(
                 core_id for waiters in barrier_waiters.values() for core_id in waiters
@@ -404,6 +377,14 @@ class ChipMultiprocessor:
                 barrier_ops=barrier_ops,
                 sim_wall_s=sim_wall_s,
             )
+            subsystem_totals: Dict[str, float] = {}
+            for core in cores:
+                # Sorted so the totals' accumulation and insertion order
+                # never depend on which op kind a core hit first.
+                for name, seconds in sorted(core.subsystem_s.items()):
+                    subsystem_totals[name] = (
+                        subsystem_totals.get(name, 0.0) + seconds
+                    )
             kernel.subsystem_s.update(sorted(subsystem_totals.items()))
         else:
             kernel = KernelStats(
@@ -414,12 +395,6 @@ class ChipMultiprocessor:
                 barrier_ops=barrier_ops,
                 sim_wall_s=sim_wall_s,
             )
-        kernel_span.set(
-            total_ops=kernel.total_ops,
-            fast_path_ops=kernel.fast_path_ops,
-            slow_path_ops=kernel.slow_path_ops,
-            barrier_ops=kernel.barrier_ops,
-        )
 
         execution_time = (
             max(core.stats.end_time_ps for core in cores) - measurement_start_ps

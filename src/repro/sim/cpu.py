@@ -160,13 +160,12 @@ class Core:
         self._ops_index = 0
         #: (duration_ps, instructions) per distinct burst length.
         self._burst_ps: Dict[int, Tuple[int, int]] = {}
-        #: Fast/slow op tallies and optional per-subsystem wall time and
-        #: slow-op counts (populated when profiling or tracing, written
+        #: Fast/slow op tallies and the per-subsystem slow-path wall time
+        #: (timed only when ``prepare_fast_path(timed=True)``; written
         #: back once per ``step_fast`` call).
         self.fast_ops = 0
         self.slow_ops = 0
         self.subsystem_s: Dict[str, float] = {}
-        self.subsystem_n: Dict[str, int] = {}
 
     def bind_stream(self, ops: List[tuple]) -> None:
         """Attach a prepared stream for fast-path execution."""
@@ -176,7 +175,7 @@ class Core:
 
     def prepare_fast_path(
         self,
-        profile: bool = False,
+        timed: bool = False,
         private_lines: FrozenSet[int] = frozenset(),
     ) -> None:
         """Reset the fast path's per-run state and pack its frame.
@@ -195,7 +194,6 @@ class Core:
         self.fast_ops = 0
         self.slow_ops = 0
         self.subsystem_s = {}
-        self.subsystem_n = {}
         # Window-invariant state for step_fast, packed so each scheduler
         # pop pays one attribute access + tuple unpack instead of a
         # dozen chained lookups.  Only identity-stable objects belong
@@ -220,7 +218,7 @@ class Core:
             l1_config.way_shift,
             private_lines,
             self._burst_ps,
-            profile,
+            timed,
             controller.miss,
             controller.upgrade,
             self.locks,
@@ -375,7 +373,7 @@ class Core:
             way_shift,
             private,
             burst_ps,
-            profile,
+            timed,
             miss,
             upgrade,
             locks,
@@ -498,7 +496,7 @@ class Core:
                 raise ConfigurationError(f"unknown op kind {kind}")
             # A slow op inside the horizon, at exactly the scheduler
             # position the reference interpreter gives it.
-            if profile:
+            if timed:
                 # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
                 started = time.perf_counter()
             if kind == OP_CRITICAL:
@@ -560,7 +558,7 @@ class Core:
                 critical_d += 1
             elif not is_write:
                 slow_loads_d += 1
-            if profile:
+            if timed:
                 # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
                 elapsed = time.perf_counter() - started
                 if kind == OP_CRITICAL:
@@ -594,23 +592,14 @@ class Core:
                 stats.sync_wait_ps += sync_d
                 stats.critical_sections += critical_d
                 self.slow_ops += slow_d
-                if profile:
-                    self._tally_subsystems(
-                        memory_s, slow_d - critical_d, critical_s, critical_d
-                    )
+                if timed:
+                    seconds = self.subsystem_s
+                    if critical_d < slow_d:
+                        seconds["memory"] = seconds.get("memory", 0.0) + memory_s
+                    if critical_d:
+                        seconds["critical"] = (
+                            seconds.get("critical", 0.0) + critical_s
+                        )
         if status == DONE:
             self.stats.end_time_ps = t
         return status
-
-    def _tally_subsystems(
-        self, memory_s: float, memory_n: int, critical_s: float, critical_n: int
-    ) -> None:
-        """Add one call's slow-op wall time and counts to the profile."""
-        seconds = self.subsystem_s
-        counts = self.subsystem_n
-        if memory_n:
-            seconds["memory"] = seconds.get("memory", 0.0) + memory_s
-            counts["memory"] = counts.get("memory", 0) + memory_n
-        if critical_n:
-            seconds["critical"] = seconds.get("critical", 0.0) + critical_s
-            counts["critical"] = counts.get("critical", 0) + critical_n

@@ -10,12 +10,13 @@ power/thermal models, the sweep executor, and the CLI:
   ceiling, power budget, IPC collapse) evaluated over per-field
   statistics of the sweep points' rows at run finalize;
 * :mod:`repro.telemetry.record` — the ``CaptureWindow``, the one rule
-  by which a point's spans and kernel records leave a process (and
-  ``enable_telemetry``/``disable_telemetry``, the one switch);
-  picklable ``KernelRecord`` / ``PointTelemetry`` records that carry
-  them back through the executor's outcome channel (and into the result
-  cache); and ``KernelAggregate``, the executor's one fold over them
-  that ``--profile`` and the manifest both read;
+  by which a point's spans and ``KernelStats`` leave a process (and
+  ``enable_telemetry``/``disable_telemetry``, the one switch, which
+  also times the kernel's slow path); the picklable ``PointTelemetry``
+  that carries them back through the executor's outcome channel (and
+  into the result cache); and ``KernelAggregate``, the executor's one
+  fold over the stats that ``--profile``, the manifest and ``trace
+  metrics`` all read (spans carry only time);
 * :mod:`repro.telemetry.manifest` — per-sweep run manifests plus JSONL
   event/span logs under ``--telemetry-dir``, with schema validation
   (:mod:`repro.telemetry.jsonl` reads those logs and the sweep journal

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.telemetry.alerts import numeric_fields
 from repro.telemetry.manifest import load_events, load_manifest, load_spans
+from repro.telemetry.record import slow_path_line
 from repro.units import KILO, MEGA
 
 PathLike = Union[str, Path]
@@ -234,10 +235,9 @@ def _collect_phase_rows(run_dir: PathLike) -> List[List[Any]]:
     totals: Dict[str, Tuple[int, float]] = defaultdict(lambda: (0, 0.0))
 
     def walk(node: Dict[str, Any]) -> None:
-        count = int(node.get("args", {}).get("count", 1))
         count_so_far, us_so_far = totals[node["name"]]
         totals[node["name"]] = (
-            count_so_far + count,
+            count_so_far + 1,
             us_so_far + float(node["duration_us"]),
         )
         for child in node.get("children", ()):
@@ -262,8 +262,9 @@ def _collect_phase_rows(run_dir: PathLike) -> List[List[Any]]:
 def metrics_table(run_dir: PathLike) -> str:
     """One plain-text table per phase: span counts and wall time.
 
-    Aggregates every recorded span by name (aggregated spans contribute
-    their event counts), plus a summary header from the manifest.
+    Aggregates every recorded span by name, under a summary header from
+    the manifest's kernel ledger (with its per-subsystem slow-path
+    seconds, which no span carries).
     """
     from repro.harness.tables import render_table
 
@@ -280,6 +281,8 @@ def metrics_table(run_dir: PathLike) -> str:
         f"{kernel.get('runs', 0)} runs (+{kernel.get('cached_runs', 0)} cached), "
         f"{kernel.get('total_ops', 0):,} simulated ops"
     )
+    if kernel.get("subsystem_s"):
+        header += "\n" + slow_path_line(kernel["subsystem_s"])
     rows = _collect_phase_rows(run_dir)
     if not rows:
         return header + "\n(no spans recorded — was tracing enabled?)"

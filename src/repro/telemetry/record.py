@@ -2,22 +2,22 @@
 
 The sweep executor fans points out to worker processes; each worker's
 :class:`~repro.sim.cmp.KernelStats` and span trees would otherwise die
-with the task.  These records are the picklable, cache-encodable form in
-which that telemetry travels back through the executor's outcome
-channel and is persisted by the
+with the task.  :class:`PointTelemetry` is the picklable,
+cache-encodable record in which they travel back through the executor's
+outcome channel and are persisted by the
 :class:`~repro.harness.executor.ResultCache` alongside the point's value.
 (What the modelled chip did at the point is the point's row, which the
 ``point`` event carries; see
 :meth:`~repro.harness.executor.PointOutcome.to_event`.)
 
-:class:`KernelAggregate` is the one fold over those records: the
+:class:`KernelAggregate` is the one fold over the runs' stats: the
 executor keeps one (``SweepExecutor.kernels``) and folds every outcome's
-records into it, whatever process or cache produced them.  ``--profile``,
-the run manifest's ``kernel`` block and the ``repro trace metrics``
-header all read that single object.
+``KernelStats`` into it, whatever process or cache produced them.
+``--profile``, the run manifest's ``kernel`` block and ``repro trace
+metrics`` all read that single object; spans carry only time.
 
 A process buffers two kinds of telemetry: the tracer's root spans and
-the kernel records
+the ``KernelStats``
 :meth:`ExperimentContext.run <repro.harness.context.ExperimentContext.run>`
 deposits via :func:`record_kernel`.  One rule takes them out: a
 :class:`CaptureWindow` marks both buffers when it opens and, when it
@@ -28,64 +28,35 @@ coordinator held open around the sweep.  A forked worker inherits the
 coordinator's buffers and open stack, and the marks and the set-aside
 stack keep both out of its points.  The telemetry run's finalize drains
 what is left from mark 0: the coordinator's own calibration,
-precompile and ``optimizer.*`` spans.  Kernel records are buffered only
+precompile and ``optimizer.*`` spans.  Kernel stats are buffered only
 while a window is open, so simulations run outside any window (library
 callers, say) buffer nothing.
+
+:func:`enable_telemetry` is the one switch: it installs an enabled
+tracer, which also turns on the kernel's per-subsystem slow-path
+timers.  ``--telemetry-dir`` and ``--profile`` both throw it before
+any farm child forks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from repro.telemetry.trace import SpanRecord, Tracer, get_tracer, set_tracer
 
-
-@dataclass(frozen=True)
-class KernelRecord:
-    """One simulation run's kernel profile, flattened for transport.
-
-    A picklable mirror of :class:`~repro.sim.cmp.KernelStats` (the
-    ``subsystem_s`` dict becomes a sorted tuple of pairs so the record
-    is hashable and cache-encodable).
-    """
-
-    mode: str
-    total_ops: int
-    fast_path_ops: int
-    slow_path_ops: int
-    barrier_ops: int
-    sim_wall_s: float
-    compile_s: float
-    compile_cache_hit: bool
-    compile_cache_evicted: bool = False
-    subsystem_s: Tuple[Tuple[str, float], ...] = ()
-
-    @classmethod
-    def from_stats(cls, stats: Any) -> "KernelRecord":
-        """Build a record from any ``KernelStats``-shaped object."""
-        return cls(
-            mode=stats.mode,
-            total_ops=stats.total_ops,
-            fast_path_ops=stats.fast_path_ops,
-            slow_path_ops=stats.slow_path_ops,
-            barrier_ops=stats.barrier_ops,
-            sim_wall_s=stats.sim_wall_s,
-            compile_s=stats.compile_s,
-            compile_cache_hit=stats.compile_cache_hit,
-            compile_cache_evicted=getattr(stats, "compile_cache_evicted", False),
-            subsystem_s=tuple(sorted(stats.subsystem_s.items())),
-        )
+if TYPE_CHECKING:
+    from repro.sim.cmp import KernelStats
 
 
 @dataclass
 class KernelAggregate:
     """Kernel profiling folded over many simulation runs.
 
-    The sweep executor owns one and folds every point outcome's kernel
-    records into it: evaluated points count as :attr:`runs`, result-cache
-    replays as :attr:`cached_runs`.  The executor also adds its
-    coordinator-side precompile time to :attr:`compile_s`.
+    The sweep executor owns one and folds every point outcome's
+    ``KernelStats`` into it: evaluated points count as :attr:`runs`,
+    result-cache replays as :attr:`cached_runs`.  The executor also adds
+    its coordinator-side precompile time to :attr:`compile_s`.
     """
 
     #: Simulations executed for this aggregate (any process).
@@ -107,8 +78,8 @@ class KernelAggregate:
     compile_cache_evictions: int = 0
     subsystem_s: Dict[str, float] = field(default_factory=dict)
 
-    def add_record(self, kernel: KernelRecord, cached: bool = False) -> None:
-        """Fold one run's record; ``cached`` marks a cache replay."""
+    def add_record(self, kernel: KernelStats, cached: bool = False) -> None:
+        """Fold one run's stats; ``cached`` marks a cache replay."""
         if cached:
             self.cached_runs += 1
         else:
@@ -122,9 +93,9 @@ class KernelAggregate:
         self.compile_cache_hits += 1 if kernel.compile_cache_hit else 0
         self.compile_cache_evictions += 1 if kernel.compile_cache_evicted else 0
         # Sorted fold: accumulate alphabetically so the float totals (and
-        # the dict's insertion order) never depend on the order a record
-        # carried its pairs in.
-        for name, seconds in sorted(kernel.subsystem_s):
+        # the dict's insertion order) never depend on the order a run's
+        # dict carried its entries in.
+        for name, seconds in sorted(kernel.subsystem_s.items()):
             self.subsystem_s[name] = self.subsystem_s.get(name, 0.0) + seconds
 
     @property
@@ -155,12 +126,16 @@ class KernelAggregate:
                 f", {self.compile_cache_evictions} stream-cache evictions"
             )
         if self.subsystem_s:
-            parts = ", ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in sorted(self.subsystem_s.items())
-            )
-            line += f"\n[kernel] slow-path time: {parts}"
+            line += "\n" + slow_path_line(self.subsystem_s)
         return line
+
+
+def slow_path_line(subsystem_s: Dict[str, float]) -> str:
+    """The ledger's per-subsystem slow-path seconds as one line."""
+    parts = ", ".join(
+        f"{name} {seconds:.2f}s" for name, seconds in sorted(subsystem_s.items())
+    )
+    return f"[kernel] slow-path time: {parts}"
 
 
 @dataclass(frozen=True)
@@ -180,9 +155,9 @@ class PointTelemetry:
     start_us: float
     #: Wall-clock seconds the evaluation took end to end.
     wall_s: float
-    #: One record per simulation the point ran (profiling points run
-    #: one; analytical points run none).
-    kernels: Tuple[KernelRecord, ...] = ()
+    #: One ``KernelStats`` per simulation the point ran (profiling
+    #: points run one; analytical points run none).
+    kernels: Tuple[KernelStats, ...] = ()
     #: Span trees completed during the evaluation (empty when tracing
     #: was disabled in the evaluating process).
     spans: Tuple[SpanRecord, ...] = ()
@@ -202,24 +177,24 @@ class PointTelemetry:
 # Per-process buffers and the capture window.
 # ---------------------------------------------------------------------------
 
-_kernels: List[KernelRecord] = []
+_kernels: List[KernelStats] = []
 _open_windows = 0
 
 
-def record_kernel(stats: Any) -> None:
+def record_kernel(stats: KernelStats) -> None:
     """Buffer one run's kernel stats for the capture window around it.
 
     No-op when no window is open, so unharnessed ``context.run`` calls
     cost one check and a long-lived process accumulates nothing.
     """
     if _open_windows:
-        _kernels.append(KernelRecord.from_stats(stats))
+        _kernels.append(stats)
 
 
 class Captured(NamedTuple):
     """What a drain took: the telemetry parts of a ``PointTelemetry``."""
 
-    kernels: Tuple[KernelRecord, ...]
+    kernels: Tuple[KernelStats, ...]
     spans: Tuple[SpanRecord, ...]
 
 

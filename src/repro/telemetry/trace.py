@@ -182,28 +182,6 @@ class Tracer:
         self.count += 1
         return Span(self, name, args)
 
-    def aggregate(self, name: str, seconds: float, count: int = 1, **args: Any) -> None:
-        """Record pre-accumulated work as one closed span.
-
-        For phases too hot to bracket individually (the coherence slow
-        path times thousands of ops per window), callers accumulate wall
-        time with raw counters and report the total once.  The span is
-        placed so it *ends now* — the work happened somewhere inside the
-        currently open span — and flagged ``aggregated`` with its event
-        count so consumers do not mistake it for one contiguous interval.
-        """
-        if not self.enabled:
-            return
-        if self.count >= self.max_spans:
-            self.dropped += 1
-            return
-        self.count += 1
-        span = Span(self, name, args)
-        span.set(aggregated=True, count=count)
-        span.end_ns = time.perf_counter_ns()
-        span.start_ns = span.end_ns - max(0, int(seconds * GIGA))
-        self._close(span)
-
     def _close(self, span: Span) -> None:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()

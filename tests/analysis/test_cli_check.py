@@ -56,6 +56,7 @@ PINNED_FIXTURE_LINES = (
     ("sim/bad_determinism.py", 26, "DET-SET-ORDER"),
     ("sim/bad_determinism.py", 32, "DET-FLOAT-SUM"),
     ("sim/bad_determinism.py", 33, "DET-FLOAT-SUM"),
+    ("sim/module_sets.py", 13, "DET-SET-ORDER"),
     ("sim/nested_hazards.py", 10, "DET-SET-ORDER"),
     ("sim/nested_hazards.py", 20, "DET-FLOAT-SUM"),
     ("sim/nested_hazards.py", 30, "DET-SET-ORDER"),

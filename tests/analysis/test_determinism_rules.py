@@ -7,6 +7,7 @@ from tests.analysis.conftest import findings_for
 BAD = "sim/bad_determinism.py"
 OK = "sim/ok_determinism.py"
 NESTED = "sim/nested_hazards.py"
+MODULE_SETS = "sim/module_sets.py"
 
 
 def test_wallclock_reads_flagged(fixture_report):
@@ -45,6 +46,14 @@ def test_nested_function_hazards_flagged_once(fixture_report):
     assert [
         f.line for f in findings_for(fixture_report, "DET-FLOAT-SUM", NESTED)
     ] == [20]
+
+
+def test_module_level_set_seen_unless_shadowed(fixture_report):
+    # Line 13 iterates a module-level set; a function that binds the
+    # name itself (line 21) or a module-level list (line 28) is clean.
+    assert [
+        f.line for f in fixture_report.findings if f.path == MODULE_SETS
+    ] == [13]
 
 
 def test_clean_idioms_not_flagged(fixture_report):

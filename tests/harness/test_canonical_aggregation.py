@@ -2,7 +2,7 @@
 
 The static analyzer's DET-FLOAT-SUM / DET-SET-ORDER audit surfaced two
 latent fragilities: :meth:`KernelAggregate.add_record` folded per-run
-subsystem timings in whatever order each record carried them (parallel
+subsystem timings in whatever order each run carried them (parallel
 workers return in completion order), and the coherence controller
 probed sharer sets in hash order.  Both now fold/probe in sorted order,
 so the accumulated floats are identical no matter how the inputs were
@@ -11,22 +11,15 @@ permuted.  These tests pin that.
 
 import itertools
 
-from repro.telemetry.record import KernelAggregate, KernelRecord
+from repro.sim.cmp import KernelStats
+from repro.telemetry.record import KernelAggregate
 from repro.units import GIGA, KILO, MEGA, MICRO, MILLI, NANO, PICO
 
 
-def _stats(pairs) -> KernelRecord:
-    """A run record carrying its subsystem pairs in the given order."""
-    return KernelRecord(
-        mode="fast",
-        total_ops=10,
-        fast_path_ops=0,
-        slow_path_ops=0,
-        barrier_ops=0,
-        sim_wall_s=0.1,
-        compile_s=0.0,
-        compile_cache_hit=False,
-        subsystem_s=tuple(pairs),
+def _stats(pairs) -> KernelStats:
+    """One run's stats, its subsystem dict built in the given order."""
+    return KernelStats(
+        mode="fast", total_ops=10, sim_wall_s=0.1, subsystem_s=dict(pairs)
     )
 
 
@@ -55,7 +48,7 @@ class TestKernelAggregateFoldOrder:
     def test_multi_run_fold_ignores_each_records_key_order(self):
         # The run *sequence* is the executor's to canonicalise (it folds
         # outcomes in point-index order); add_record's contract is that
-        # the key order carried by each individual record is irrelevant.
+        # the key order carried by each individual run is irrelevant.
         runs = [
             self.PAIRS,
             (("memory", 0.07), ("barrier", 1e-9)),

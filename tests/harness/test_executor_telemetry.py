@@ -3,42 +3,36 @@
 import dataclasses
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict
 
 import pytest
 
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import PointOutcome, ResultCache, SweepExecutor
 from repro.harness.profiling import SimPointRow
-from repro.telemetry.record import (
-    KernelRecord,
-    PointTelemetry,
-    drain_since,
-    record_kernel,
-)
+from repro.sim.cmp import KernelStats
+from repro.telemetry.record import PointTelemetry, drain_since, record_kernel
 from repro.telemetry.trace import Tracer, set_tracer, span
 from repro.workloads import workload_by_name
 
 
-@dataclass
-class FakeKernelStats:
-    """KernelStats-shaped object for feeding the capture buffer."""
-
-    mode: str = "fast"
-    total_ops: int = 100
-    fast_path_ops: int = 80
-    slow_path_ops: int = 15
-    barrier_ops: int = 5
-    sim_wall_s: float = 0.01
-    compile_s: float = 0.002
-    compile_cache_hit: bool = True
-    subsystem_s: Dict[str, float] = field(default_factory=lambda: {"memory": 0.004})
+def kernel_stats(total_ops):
+    """One run's stats, as ``ExperimentContext.run`` would record them."""
+    return KernelStats(
+        mode="fast",
+        total_ops=total_ops,
+        fast_path_ops=80,
+        slow_path_ops=15,
+        barrier_ops=5,
+        sim_wall_s=0.01,
+        compile_s=0.002,
+        compile_cache_hit=True,
+        subsystem_s={"memory": 0.004},
+    )
 
 
 def recording_row_point(point):
-    """Picklable evaluator that deposits one kernel record per call."""
-    record_kernel(FakeKernelStats(total_ops=100 * (point + 1)))
+    """Picklable evaluator that records one run's kernel stats per call."""
+    record_kernel(kernel_stats(100 * (point + 1)))
     return SimPointRow(
         app=f"app-{point}",
         n=point,
@@ -77,14 +71,14 @@ class TestInlineTelemetry:
             assert telemetry.wall_s >= 0
             assert telemetry.start_us > 0
             assert len(telemetry.kernels) == 1
-            assert isinstance(telemetry.kernels[0], KernelRecord)
+            assert isinstance(telemetry.kernels[0], KernelStats)
         assert outcomes[0].telemetry.total_ops == 100
         assert outcomes[1].telemetry.total_ops == 200
 
     def test_capture_window_closes_after_each_point(self):
         executor = SweepExecutor(jobs=1)
         executor.map(recording_row_point, [0])
-        record_kernel(FakeKernelStats(total_ops=7))  # outside any window
+        record_kernel(kernel_stats(7))  # outside any window
         outcomes = executor.map(recording_row_point, [1])
         assert len(outcomes[0].telemetry.kernels) == 1
         # Nothing was buffered outside the windows.

@@ -36,7 +36,6 @@ from repro.harness import (
 from repro.harness.executor import RetryPolicy
 from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
 from repro.harness.optimizer import (
-    DEFAULT_STEP_HZ,
     OptimizerRow,
     _BoundarySearch,
     _UnimodalSearch,
@@ -323,8 +322,9 @@ def test_interpolated_boundary_within_one_grid_step(context, shared_executor):
         executor=shared_executor,
     )
     ladder = frequency_ladder(context)
+    step_hz = max(hi - lo for lo, hi in zip(ladder, ladder[1:]))
     for row in campaign.rows:
-        assert abs(row.f_interpolated_hz - row.frequency_hz) <= DEFAULT_STEP_HZ
+        assert abs(row.f_interpolated_hz - row.frequency_hz) <= step_hz
         assert ladder[0] <= row.f_interpolated_hz <= ladder[-1]
         assert not math.isnan(row.f_interpolated_hz)
 

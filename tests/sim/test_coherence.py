@@ -12,6 +12,7 @@ from repro.sim.clock import ClockDomain
 from repro.sim.coherence import MESIController
 from repro.sim.cpu import Core, CoreTimingConfig, LockTable
 from repro.sim.memory import MainMemory
+from repro.tech.technology import NODE_65NM, VFTable
 
 
 def make_controller(n_cores=2, l1_kb=4, l2_kb=64, frequency_hz=3.2e9):
@@ -178,7 +179,11 @@ class TestDVFSInteraction:
 
 
 #: The paper's 16-point profiling ladder, 200 MHz to 3.2 GHz.
-LADDER = frequency_ladder(SimpleNamespace(f_min=200e6, f_nominal=3.2e9))
+LADDER = frequency_ladder(
+    SimpleNamespace(
+        vf_table=VFTable.linear(NODE_65NM, f_min=200e6, f_max=3.2e9, step=200e6)
+    )
+)
 
 
 class TestPrecomputedLatencies:

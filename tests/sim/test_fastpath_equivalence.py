@@ -21,6 +21,7 @@ from repro.sim.ops import (
     OP_STORE,
     compile_workload,
 )
+from repro.telemetry.trace import Tracer, set_tracer
 from repro.workloads import SPLASH2, WorkloadModel
 from repro.workloads.multiprogram import homogeneous_mix
 
@@ -234,11 +235,14 @@ class TestKernelStats:
     def test_profile_collects_subsystem_time(self):
         model = scaled(SPLASH2[0])
         compiled = compile_workload(model, 4, cache=None)
-        result = ChipMultiprocessor(
-            CMPConfig(n_cores=4), profile=True
-        ).run(
-            compiled.program,
-            model.core_timing(),
-            warmup_barriers=model.warmup_barriers,
-        )
+        # The slow-path timers run while the process tracer is enabled.
+        previous = set_tracer(Tracer(enabled=True))
+        try:
+            result = ChipMultiprocessor(CMPConfig(n_cores=4)).run(
+                compiled.program,
+                model.core_timing(),
+                warmup_barriers=model.warmup_barriers,
+            )
+        finally:
+            set_tracer(previous)
         assert "memory" in result.kernel.subsystem_s

@@ -13,7 +13,8 @@ from repro.telemetry.chrometrace import (
     metrics_table,
 )
 from repro.telemetry.manifest import TelemetryRun
-from repro.telemetry.record import KernelRecord, PointTelemetry
+from repro.sim.cmp import KernelStats
+from repro.telemetry.record import PointTelemetry
 from repro.telemetry.trace import SpanRecord
 
 
@@ -25,22 +26,31 @@ def traced_run(tmp_path):
             SpanRecord(
                 name="kernel.window",
                 start_us=1_000.0,
-                duration_us=500.0,
+                duration_us=200.0,
                 args=(("mode", "fast"),),
-                children=(
-                    SpanRecord(
-                        name="kernel.slow_path.memory",
-                        start_us=1_100.0,
-                        duration_us=200.0,
-                        args=(("aggregated", True), ("count", 40)),
-                    ),
-                ),
-            )
+            ),
+            SpanRecord(
+                name="kernel.window",
+                start_us=1_250.0,
+                duration_us=300.0,
+                args=(("mode", "fast"),),
+            ),
         ],
         pid=111,
     )
     run.record_spans(
-        [SpanRecord(name="power.solve", start_us=1_600.0, duration_us=100.0)],
+        [
+            SpanRecord(
+                name="power.solve",
+                start_us=1_600.0,
+                duration_us=100.0,
+                children=(
+                    SpanRecord(
+                        name="thermal.solve", start_us=1_620.0, duration_us=40.0
+                    ),
+                ),
+            )
+        ],
         pid=222,
     )
     telemetry = PointTelemetry(
@@ -48,15 +58,14 @@ def traced_run(tmp_path):
         start_us=990.0,
         wall_s=0.0008,
         kernels=(
-            KernelRecord(
+            KernelStats(
                 mode="fast",
                 total_ops=120,
                 fast_path_ops=100,
                 slow_path_ops=15,
                 barrier_ops=5,
                 sim_wall_s=0.0005,
-                compile_s=0.0,
-                compile_cache_hit=False,
+                subsystem_s={"memory": 0.25},
             ),
         ),
     )
@@ -97,11 +106,7 @@ class TestChromeTraceDocument:
         spans = [e for e in events if e["ph"] == "X" and e["cat"] == "span"]
         points = [e for e in events if e["ph"] == "X" and e["cat"] == "point"]
         names = {e["name"] for e in spans}
-        assert names == {
-            "kernel.window",
-            "kernel.slow_path.memory",
-            "power.solve",
-        }
+        assert names == {"kernel.window", "power.solve", "thermal.solve"}
         assert {e["pid"] for e in spans} == {111, 222}
         (point,) = points
         assert point["name"] == "point[0]"
@@ -116,10 +121,10 @@ class TestChromeTraceDocument:
         events = chrome_trace_document(run.directory)["traceEvents"]
         xs = [e for e in events if e["ph"] == "X"]
         assert min(e["ts"] for e in xs) == 0.0
-        nested = next(e for e in xs if e["name"] == "kernel.slow_path.memory")
-        window = next(e for e in xs if e["name"] == "kernel.window")
-        assert window["ts"] <= nested["ts"]
-        assert nested["ts"] + nested["dur"] <= window["ts"] + window["dur"]
+        nested = next(e for e in xs if e["name"] == "thermal.solve")
+        parent = next(e for e in xs if e["name"] == "power.solve")
+        assert parent["ts"] <= nested["ts"]
+        assert nested["ts"] + nested["dur"] <= parent["ts"] + parent["dur"]
 
     def test_export_writes_parseable_json(self, tmp_path):
         run = traced_run(tmp_path)
@@ -136,15 +141,16 @@ class TestMetricsTable:
         text = metrics_table(run.directory)
         assert "1 points" in text and "120 simulated ops" in text
         assert "1 runs (+0 cached)" in text
+        # Slow-path seconds come from the ledger; no span carries them.
+        assert "[kernel] slow-path time: memory 0.25s" in text
         lines = {
             line.split()[0]: line.split()
             for line in text.splitlines()
-            if line.strip().startswith(("kernel.", "power."))
+            if line.strip().startswith(("kernel.", "power.", "thermal."))
         }
-        # Aggregated spans contribute their event count, not 1.
-        assert lines["kernel.slow_path.memory"][1] == "40"
-        assert lines["kernel.window"][1] == "1"
+        assert lines["kernel.window"][1] == "2"
         assert lines["power.solve"][1] == "1"
+        assert lines["thermal.solve"][1] == "1"
 
     def test_table_mentions_missing_spans(self, tmp_path):
         run = TelemetryRun(tmp_path)

@@ -29,13 +29,14 @@ from repro.telemetry.manifest import (
     resolve_run_dir,
     validate_run_dir,
 )
-from repro.telemetry.record import KernelRecord, PointTelemetry
+from repro.sim.cmp import KernelStats
+from repro.telemetry.record import PointTelemetry
 from repro.telemetry.trace import SpanRecord
 from tests.harness.test_executor_telemetry import key_configs, recording_row_point
 
 
-def kernel_record(total_ops=100):
-    return KernelRecord(
+def kernel_stats(total_ops=100):
+    return KernelStats(
         mode="fast",
         total_ops=total_ops,
         fast_path_ops=80,
@@ -44,7 +45,7 @@ def kernel_record(total_ops=100):
         sim_wall_s=0.25,
         compile_s=0.01,
         compile_cache_hit=True,
-        subsystem_s=(("memory", 0.1),),
+        subsystem_s={"memory": 0.1},
     )
 
 
@@ -56,7 +57,7 @@ def outcome(
         pid=4242,
         start_us=1e12,
         wall_s=0.5,
-        kernels=tuple(kernel_record() for _ in range(kernels)),
+        kernels=tuple(kernel_stats() for _ in range(kernels)),
         spans=tuple(spans),
     )
     failure = SweepFailure(error_type="SimulationError", message="x") if failed else None

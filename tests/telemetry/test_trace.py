@@ -41,11 +41,6 @@ class TestDisabledTracer:
     def test_module_tracer_is_disabled_by_default(self):
         assert span("anything") is NULL_SPAN
 
-    def test_aggregate_on_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.aggregate("hot", 0.5, count=100)
-        assert tracer.roots == [] and tracer.count == 0
-
 
 class TestNesting:
     def test_spans_nest_into_a_tree(self, tracer):
@@ -131,17 +126,6 @@ class TestRecords:
         (record,) = tracer.drain_since(0)
         assert SpanRecord.from_dict(record.to_dict()) == record
 
-    def test_aggregate_spans_close_inside_the_open_parent(self, tracer):
-        with tracer.span("window"):
-            tracer.aggregate("slow_path.memory", 0.25, count=1000, sub="mem")
-        (root,) = tracer.drain_since(0)
-        (child,) = root.children
-        args = dict(child.args)
-        assert child.name == "slow_path.memory"
-        assert args["aggregated"] is True
-        assert args["count"] == 1000 and args["sub"] == "mem"
-        assert child.duration_us == pytest.approx(0.25e6, rel=0.01)
-
 
 class TestBounds:
     def test_max_spans_caps_recording_and_counts_drops(self):
@@ -152,7 +136,7 @@ class TestBounds:
             pass
         third = tracer.span("three")
         assert third is NULL_SPAN
-        tracer.aggregate("four", 0.1)
+        assert tracer.span("four") is NULL_SPAN
         assert tracer.count == 2
         assert tracer.dropped == 2
         assert len(tracer.drain_since(0)) == 2

@@ -115,6 +115,7 @@ class TestCommands:
         assert "norm-P" in out
         assert "[kernel]" not in out  # only printed under --profile
 
+    @pytest.mark.usefixtures("restore_telemetry_state")
     def test_fig3_profile_prints_kernel_summary(self, capsys):
         assert main(
             ["fig3", "--apps", "Barnes", "--scale", "0.05", "--profile"]
@@ -123,6 +124,8 @@ class TestCommands:
         assert "[kernel]" in out
         assert "ops/s" in out
         assert "fast-path" in out
+        # --profile alone enables the tracer, which times the slow path.
+        assert "[kernel] slow-path time: " in out
 
     def test_fig4_tiny(self, capsys):
         assert main(["fig4", "--apps", "Radix", "--scale", "0.05"]) == 0
@@ -174,7 +177,7 @@ class TestCommands:
 
 @pytest.fixture
 def restore_telemetry_state():
-    """--telemetry-dir enables tracing; undo it afterwards."""
+    """--telemetry-dir and --profile enable tracing; undo it afterwards."""
     from repro.telemetry.trace import get_tracer, set_tracer
 
     tracer = get_tracer()
@@ -306,6 +309,7 @@ class TestKernelLedger:
     def test_profile_manifest_and_trace_metrics_agree(self, capsys, tmp_path, jobs):
         from repro.sim.ops import stream_cache
         from repro.telemetry.manifest import latest_run_dir
+        from repro.telemetry.record import slow_path_line
 
         # A cold compile cache, so the coordinator's precompile has work.
         stream_cache.clear()
@@ -322,12 +326,18 @@ class TestKernelLedger:
         spans_s = _span_seconds(latest_run_dir(tmp_path), "workload.compile")
         assert abs(kernel["compile_s"] - spans_s) <= max(0.1 * spans_s, 0.010)
 
+        # Slow-path seconds live only in the ledger, and trace metrics
+        # prints them from there.
+        assert kernel["subsystem_s"]
+        slow_path = slow_path_line(kernel["subsystem_s"])
+        assert slow_path in out
         assert main(["trace", "metrics", "--telemetry-dir", str(tmp_path)]) == 0
-        header = capsys.readouterr().out.splitlines()[0]
+        header, second = capsys.readouterr().out.splitlines()[:2]
         assert (
             f"{kernel['runs']} runs (+0 cached), "
             f"{kernel['total_ops']:,} simulated ops"
         ) in header
+        assert second == slow_path
         assert main(["trace", "validate", "--telemetry-dir", str(tmp_path)]) == 0
 
     def test_serial_and_pool_fold_the_same_ops(self, tmp_path):
