@@ -11,7 +11,12 @@ Shape assertions (the paper's Section 4.2 observations):
 * the nominal/actual gap is largest for FMM and smallest for Radix;
 * Radix runs at nominal V/f — actual == nominal — up to eight cores,
   because its stalls keep it far under the budget.
+
+The numbers EXPERIMENTS.md's Figure 4 table quotes are checked against
+the same rows, at the table's printed precision.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from repro.workloads import workload_by_name
 
 FIG4_APPS = ("FMM", "Cholesky", "Radix")
 FIG4_CORE_COUNTS = (1, 2, 4, 6, 8, 10, 12, 14, 16)
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +103,33 @@ def test_figure4_fmm_throttles_early(benchmark, scenario2_results):
     benchmark.pedantic(lambda: scenario2_results, rounds=1, iterations=1)
     throttled = [r.n for r in scenario2_results["FMM"] if not r.runs_at_nominal]
     assert throttled and min(throttled) <= 4
+
+
+def _experiments_section(heading):
+    """The text of one ``## `` section of EXPERIMENTS.md."""
+    text = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    start = text.index(heading)
+    end = text.find("\n## ", start + len(heading))
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_figure4_experiments_md_quotes_these_rows(benchmark, scenario2_results):
+    """Every Figure 4 number EXPERIMENTS.md quotes is what these rows give."""
+    benchmark.pedantic(lambda: scenario2_results, rounds=1, iterations=1)
+    section = _experiments_section("## Figure 4")
+    at16 = {app: [r for r in scenario2_results[app] if r.n == 16][0] for app in FIG4_APPS}
+    quoted = [
+        "at N = 16: "
+        + ", ".join(
+            f"{app} {100 * (r.nominal_speedup - r.actual_speedup) / r.nominal_speedup:.1f} %"
+            for app, r in at16.items()
+        ),
+        f"Radix(16) keeps speedup {at16['Radix'].actual_speedup:.2f} of nominal "
+        f"{at16['Radix'].nominal_speedup:.2f} at {at16['Radix'].frequency_hz / 1e9:.1f} GHz",
+        f"{at16['FMM'].budget_w:.1f} W",
+    ]
+    print()
+    for text in quoted:
+        print(text)
+    for text in quoted:
+        assert text in section, text

@@ -334,8 +334,22 @@ def _sweep_session(args, experimental: bool = False):
     calibration entry is counted with the points'.  After the
     body prints its table, prints the ``[executor]`` (and, for
     experimental sweeps, ``[kernel]``) summaries; whatever happens,
-    closes the journal and finalizes the telemetry run.
+    closes the journal, finalizes the telemetry run and reinstalls the
+    process tracer the command found, so no span outlives it.
     """
+    from repro.telemetry.trace import get_tracer, set_tracer
+
+    tracer = get_tracer()
+    try:
+        with _sweep_body(args, experimental) as session:
+            yield session
+    finally:
+        set_tracer(tracer)
+
+
+@contextlib.contextmanager
+def _sweep_body(args, experimental: bool):
+    """:func:`_sweep_session` under whatever tracer the flags install."""
     command = args.command
     telemetry_run = _telemetry_run_from_args(args, command)
     cache = None

@@ -10,25 +10,36 @@ is computed once per machine configuration and, given a
 :class:`~repro.harness.executor.ResultCache` (``--cache``), replayed from
 it, so a warm sweep runs no simulation at all.  Contexts are intended to
 be built once and shared across experiments.
+
+A warm sweep loads no engine either.  At module level this imports only
+descriptions (:mod:`repro.sim.config`, the technology node, the static
+power curve, :class:`~repro.power.calibration.PowerCalibration`): the
+thermal model, the Wattch energies and the chip-power model are built on
+first use, and :meth:`ExperimentContext.run` and
+:meth:`~ExperimentContext.precompile` import the simulator and the
+compiler when first called.  On a cold path the calibration uses all of
+them inside ``__init__``, so cold set-up is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.harness.executor import PointOutcome, ResultCache, config_key
 from repro.power.calibration import PowerCalibration, calibrate_power_model
-from repro.power.chippower import ChipPowerModel, ChipPowerResult
 from repro.power.static import StaticPowerModel
-from repro.power.wattch import UnitEnergies, WattchModel
-from repro.sim.cmp import ChipMultiprocessor, CMPConfig, SimulationResult
-from repro.sim.ops import compile_workload
+from repro.sim.config import CMPConfig
 from repro.tech.technology import NODE_65NM, TechnologyNode, VFTable
 from repro.telemetry.record import record_kernel
-from repro.thermal.floorplan import cmp_floorplan
-from repro.thermal.hotspot import HotSpotModel
 from repro.workloads.base import WorkloadModel
+
+if TYPE_CHECKING:
+    from repro.power.chippower import ChipPowerModel, ChipPowerResult
+    from repro.power.wattch import UnitEnergies, WattchModel
+    from repro.sim.cmp import SimulationResult
+    from repro.thermal.hotspot import HotSpotModel
 
 
 class ExperimentContext:
@@ -59,12 +70,8 @@ class ExperimentContext:
         )
         self.tech = tech
         self.workload_scale = workload_scale
-        self.thermal = HotSpotModel(
-            cmp_floorplan(self.cmp_config.n_cores),
-            ambient_celsius=ambient_celsius,
-            exclude_from_average=("l2",),
-        )
-        self.wattch = WattchModel(energies)
+        self._ambient_celsius = ambient_celsius
+        self._energies = energies
         self.static_model = static_model or StaticPowerModel(
             design_ratio=tech.static_fraction_nominal
             / (1.0 - tech.static_fraction_nominal)
@@ -75,10 +82,7 @@ class ExperimentContext:
         self.vf_table = VFTable.linear(
             tech, f_min=f_min_hz, f_max=tech.f_nominal, step=vf_step_hz
         )
-        self.calibration = self._calibration(cache, ambient_celsius, energies)
-        self.chip_power = ChipPowerModel(
-            self.thermal, self.wattch, self.static_model, self.calibration
-        )
+        self.calibration = self._calibration(cache)
         #: Everything that determines a simulation's outcome, recorded at
         #: construction time for content-addressed result caching.
         self._fingerprint = {
@@ -93,20 +97,43 @@ class ExperimentContext:
             "workload_scale": workload_scale,
         }
 
-    def _calibration(
-        self,
-        cache: Optional[ResultCache],
-        ambient_celsius: float,
-        energies: Optional[UnitEnergies],
-    ) -> PowerCalibration:
+    @cached_property
+    def thermal(self) -> HotSpotModel:
+        """The HotSpot-style model over the CMP floorplan."""
+        from repro.thermal.floorplan import cmp_floorplan
+        from repro.thermal.hotspot import HotSpotModel
+
+        return HotSpotModel(
+            cmp_floorplan(self.cmp_config.n_cores),
+            ambient_celsius=self._ambient_celsius,
+            exclude_from_average=("l2",),
+        )
+
+    @cached_property
+    def wattch(self) -> WattchModel:
+        """The Wattch per-event energy model."""
+        from repro.power.wattch import WattchModel
+
+        return WattchModel(self._energies)
+
+    @cached_property
+    def chip_power(self) -> ChipPowerModel:
+        """The full-chip power/thermal evaluation under the calibration."""
+        from repro.power.chippower import ChipPowerModel
+
+        return ChipPowerModel(
+            self.thermal, self.wattch, self.static_model, self.calibration
+        )
+
+    def _calibration(self, cache: Optional[ResultCache]) -> PowerCalibration:
         """The machine's calibration, replayed from ``cache`` when it can be."""
         key = config_key(
             {
                 "kind": "power-calibration",
                 "cmp_config": self.cmp_config,
                 "tech": self.tech,
-                "ambient_celsius": ambient_celsius,
-                "energies": energies,
+                "ambient_celsius": self._ambient_celsius,
+                "energies": self._energies,
                 "static_model": self.static_model,
             }
         )
@@ -158,7 +185,9 @@ class ExperimentContext:
         already-compiled streams instead of recompiling per process.
         Returns the :class:`repro.sim.ops.CompileOutcome`.
         """
-        return compile_workload(
+        from repro.sim import ops
+
+        return ops.compile_workload(
             self.scaled_model(model), n_threads, self.cmp_config.l1_config
         )
 
@@ -176,13 +205,16 @@ class ExperimentContext:
         V/f table's entry for it.  An explicit (frequency, voltage) pair
         is simulated as given, without clamping.
         """
+        from repro.sim import ops
+        from repro.sim.cmp import ChipMultiprocessor
+
         f_hz = frequency_hz or self.f_nominal
         if voltage is None:
             f_hz = self.clamp_frequency(f_hz)
             voltage = self.vf_table.voltage_for_frequency(f_hz)
         config = self.cmp_config.with_operating_point(f_hz, voltage)
         scaled = self.scaled_model(model)
-        compiled = compile_workload(scaled, n_threads, config.l1_config)
+        compiled = ops.compile_workload(scaled, n_threads, config.l1_config)
         result = ChipMultiprocessor(config).run(
             compiled.program,
             scaled.core_timing(),

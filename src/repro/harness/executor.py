@@ -69,7 +69,6 @@ from repro.errors import ConfigurationError, ReproError, TransientError
 from repro.harness.faults import FaultPlan, inject_fault
 from repro.harness.journal import SweepJournal
 from repro.harness.schema import SCHEMA_VERSION, model_fingerprint
-from repro.sim.ops import stream_cache
 from repro.telemetry.record import CaptureWindow, KernelAggregate, PointTelemetry
 from repro.telemetry.trace import now_us
 
@@ -589,6 +588,8 @@ def _seed_stream_cache(entries: List[tuple]) -> None:
     coordinator ships its ``(key, program)`` entries here instead, so
     parallel sweeps never recompile per worker either way.
     """
+    from repro.sim.ops import stream_cache
+
     for key, program in entries:
         stream_cache.put(key, program)
 
@@ -942,6 +943,8 @@ class SweepExecutor:
             ctx = multiprocessing.get_context("fork")
             seeds = None  # forked workers inherit the warm stream cache
         else:  # pragma: no cover - non-POSIX fallback
+            from repro.sim.ops import stream_cache
+
             ctx = multiprocessing.get_context()
             seeds = stream_cache.export_entries() or None
         results: Dict[int, Tuple[Tuple[Any, ...], int]] = {}

@@ -61,6 +61,7 @@ extension plots.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -75,7 +76,7 @@ from repro.harness.profiling import (
     sim_point_key,
     simulate_point,
 )
-from repro.sim.ops import stream_cache
+from repro.sim.config import STREAM_CACHE_SIZE
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 from repro.workloads.base import WorkloadModel
@@ -541,6 +542,17 @@ def _program_groups(
     return groups
 
 
+def _compile_cache_capacity() -> int:
+    """The capacity of the process-wide compile cache.
+
+    Read without importing the compiler: a campaign replayed from the
+    result cache compiles nothing, and until :mod:`repro.sim.ops` is
+    loaded its cache has the default capacity.
+    """
+    ops = sys.modules.get("repro.sim.ops")
+    return ops.stream_cache.maxsize if ops is not None else STREAM_CACHE_SIZE
+
+
 def run_optimizer(
     context: ExperimentContext,
     models: Sequence[WorkloadModel],
@@ -587,7 +599,7 @@ def run_optimizer(
         apps=len(models),
         exhaustive=exhaustive,
     ) as span:
-        for group in _program_groups(models, core_counts, stream_cache.maxsize):
+        for group in _program_groups(models, core_counts, _compile_cache_capacity()):
             # Baselines: each application's 1-core nominal time (T1),
             # the reference both feasibility and the speedup column are
             # built on.  Shared with the scenario pipelines through the

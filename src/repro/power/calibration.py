@@ -12,19 +12,26 @@ The paper's procedure, reproduced step by step:
 4. The ratio between Wattch's number and HotSpot's dynamic component
    renormalises every subsequent Wattch wattage, making the two tools
    speak the same (relative) language.
+
+:class:`PowerCalibration` is what the result cache stores, so this
+module imports no engine at module level: a calibration replayed from
+the cache loads neither the simulator nor the thermal model.
+:func:`calibrate_power_model` imports them when it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.power.static import StaticPowerModel
-from repro.power.wattch import WattchModel
-from repro.sim.cmp import ChipMultiprocessor, CMPConfig
-from repro.thermal.hotspot import HotSpotModel
 from repro.units import celsius_to_kelvin
-from repro.workloads.microbench import max_power_microbenchmark
+
+if TYPE_CHECKING:
+    from repro.power.static import StaticPowerModel
+    from repro.power.wattch import WattchModel
+    from repro.sim.config import CMPConfig
+    from repro.thermal.hotspot import HotSpotModel
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,9 @@ def calibrate_power_model(
     hot_block: str = "core0",
 ) -> PowerCalibration:
     """Run the Section 3.3 renormalisation and return its constants."""
+    from repro.sim.cmp import ChipMultiprocessor
+    from repro.workloads.microbench import max_power_microbenchmark
+
     if cmp_config.n_cores < 1:
         raise ConfigurationError("need at least one core")
 

@@ -14,46 +14,52 @@ consumes an *operation stream* produced lazily by a workload model
 (:mod:`repro.workloads`): compute bursts, loads/stores, barriers, and
 lock/unlock pairs.
 
+The machine's description — :class:`~repro.sim.config.CMPConfig` and
+its cache, bus, memory and core-timing parts, the op codes, and the
+per-run :class:`~repro.sim.config.KernelStats` — lives in
+:mod:`repro.sim.config`, which imports no engine.  This package is a
+façade: ``import repro.sim`` loads no submodule, and each name below is
+imported from the module that defines it on first use, so a sweep
+replayed from the result cache never loads the simulator.
+
 Entry point: :class:`~repro.sim.cmp.ChipMultiprocessor`.
 """
 
-from repro.sim.clock import ClockDomain
-from repro.sim.cache import Cache, CacheConfig
-from repro.sim.bus import SharedBus, BusConfig
-from repro.sim.memory import MainMemory
-from repro.sim.coherence import MESIController, CoherenceStats
-from repro.sim.ops import (
-    CompiledProgram,
-    CompileOutcome,
-    OpStreamCache,
-    compile_workload,
-    stream_cache,
-)
-from repro.sim.cmp import (
-    ChipMultiprocessor,
-    CMPConfig,
-    KernelStats,
-    SimulationResult,
-    CoreStats,
-)
+import importlib
 
-__all__ = [
-    "ClockDomain",
-    "Cache",
-    "CacheConfig",
-    "SharedBus",
-    "BusConfig",
-    "MainMemory",
-    "MESIController",
-    "CoherenceStats",
-    "CompiledProgram",
-    "CompileOutcome",
-    "OpStreamCache",
-    "compile_workload",
-    "stream_cache",
-    "ChipMultiprocessor",
-    "CMPConfig",
-    "KernelStats",
-    "SimulationResult",
-    "CoreStats",
-]
+#: The names docs/API.md, the tests and the benchmarks import from this
+#: package, each loaded from the submodule that defines it on first use.
+_EXPORTS = {
+    "CacheConfig": "repro.sim.config",
+    "BusConfig": "repro.sim.config",
+    "CMPConfig": "repro.sim.config",
+    "KernelStats": "repro.sim.config",
+    "ClockDomain": "repro.sim.clock",
+    "Cache": "repro.sim.cache",
+    "SharedBus": "repro.sim.bus",
+    "MainMemory": "repro.sim.memory",
+    "MESIController": "repro.sim.coherence",
+    "CoherenceStats": "repro.sim.coherence",
+    "CompiledProgram": "repro.sim.ops",
+    "CompileOutcome": "repro.sim.ops",
+    "OpStreamCache": "repro.sim.ops",
+    "compile_workload": "repro.sim.ops",
+    "stream_cache": "repro.sim.ops",
+    "ChipMultiprocessor": "repro.sim.cmp",
+    "SimulationResult": "repro.sim.cmp",
+    "CoreStats": "repro.sim.cpu",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -14,27 +14,8 @@ terms as the chip slows down, exactly like the real system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
 from repro.sim.clock import ClockDomain
-
-
-@dataclass(frozen=True)
-class BusConfig:
-    """Bus occupancy parameters, in chip cycles.
-
-    ``address_cycles`` covers arbitration plus the address/snoop phase
-    that every transaction performs; ``data_cycles`` is the transfer time
-    of one L2 line (128 B over a 32 B-wide data path = 4 cycles).
-    """
-
-    address_cycles: int = 2
-    data_cycles: int = 4
-
-    def __post_init__(self) -> None:
-        if self.address_cycles < 1 or self.data_cycles < 0:
-            raise ConfigurationError("bus cycle counts must be positive")
+from repro.sim.config import BusConfig
 
 
 class SharedBus:

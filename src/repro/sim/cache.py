@@ -26,10 +26,10 @@ always hold the sentinel tag ``-1``, so full-width scans are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.config import CacheConfig
 
 # MESI states (invalid = not present).
 SHARED = 1
@@ -40,49 +40,6 @@ STATE_NAMES = {SHARED: "S", EXCLUSIVE: "E", MODIFIED: "M"}
 
 #: Tag value marking an invalid way (line addresses are non-negative).
 INVALID_TAG = -1
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry of one cache (Table 1 values as defaults elsewhere)."""
-
-    capacity_bytes: int
-    line_bytes: int
-    associativity: int
-
-    def __post_init__(self) -> None:
-        if min(self.capacity_bytes, self.line_bytes, self.associativity) <= 0:
-            raise ConfigurationError("cache parameters must be positive")
-        if self.line_bytes & (self.line_bytes - 1):
-            raise ConfigurationError("line size must be a power of two")
-        if self.capacity_bytes % (self.line_bytes * self.associativity):
-            raise ConfigurationError(
-                "capacity must divide into line_bytes * associativity"
-            )
-
-    @property
-    def n_sets(self) -> int:
-        """Number of sets."""
-        return self.capacity_bytes // (self.line_bytes * self.associativity)
-
-    @property
-    def line_shift(self) -> int:
-        """log2 of the line size."""
-        return self.line_bytes.bit_length() - 1
-
-    @property
-    def way_shift(self) -> int:
-        """Row stride exponent: ways per set rounded up to a power of two."""
-        return (self.associativity - 1).bit_length()
-
-    @property
-    def geometry(self) -> Tuple[int, int, int]:
-        """``(line_shift, n_sets, way_shift)``: what a resolved op depends on."""
-        return (self.line_shift, self.n_sets, self.way_shift)
-
-
-#: The private L1 data cache of Table 1: 64 KB, 2-way, 64-byte lines.
-L1_TABLE1 = CacheConfig(capacity_bytes=64 * 1024, line_bytes=64, associativity=2)
 
 
 class Cache:

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.bus import BusConfig, SharedBus
-from repro.sim.cache import L1_TABLE1, Cache, CacheConfig
+from repro.sim.bus import SharedBus
+from repro.sim.cache import Cache
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import CoherenceStats, MESIController
-from repro.sim.cpu import DONE, RUNNING, Core, CoreStats, CoreTimingConfig, LockTable
-from repro.sim.memory import MainMemory, MemoryConfig
+from repro.sim.config import CMPConfig, CoreTimingConfig, KernelStats
+from repro.sim.cpu import DONE, RUNNING, Core, CoreStats, LockTable
+from repro.sim.memory import MainMemory
 from repro.sim.ops import CompiledProgram, prepare_streams
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
@@ -32,99 +33,6 @@ from repro.units import PICO
 #: Horizon passed to ``step_fast`` when no other core is pending in the
 #: heap: compares greater than every real ``(time_ps, core_id)`` key.
 _NO_HORIZON = (float("inf"), -1)
-
-
-@dataclass(frozen=True)
-class CMPConfig:
-    """The machine of Table 1 (defaults) with DVFS knobs.
-
-    ``frequency_hz``/``voltage`` are the chip-wide operating point (the
-    paper applies global V/f scaling).  On-chip latencies are expressed in
-    cycles and therefore track the clock; the memory config is wall-clock.
-    """
-
-    n_cores: int = 16
-    frequency_hz: float = 3.2e9
-    voltage: float = 1.1
-    l1_config: CacheConfig = L1_TABLE1
-    l2_config: CacheConfig = CacheConfig(
-        capacity_bytes=4 * 1024 * 1024, line_bytes=128, associativity=8
-    )
-    bus_config: BusConfig = BusConfig()
-    memory_config: MemoryConfig = MemoryConfig()
-    l1_hit_cycles: int = 2
-    l2_hit_cycles: int = 12
-    cache_to_cache_cycles: int = 16
-    barrier_release_cycles: int = 40
-
-    def __post_init__(self) -> None:
-        if self.n_cores < 1:
-            raise ConfigurationError("n_cores must be >= 1")
-        if self.frequency_hz <= 0 or self.voltage <= 0:
-            raise ConfigurationError("frequency and voltage must be positive")
-        if self.l2_config.line_bytes < self.l1_config.line_bytes:
-            # A compiled load or store carries its L1 line's first byte
-            # (prepare_streams); a miss maps that to the same L2 line as
-            # the original byte only when L2 lines are the longer ones.
-            raise ConfigurationError(
-                f"L2 line ({self.l2_config.line_bytes} B) is shorter than "
-                f"the L1 line ({self.l1_config.line_bytes} B)"
-            )
-
-    def with_operating_point(self, frequency_hz: float, voltage: float) -> "CMPConfig":
-        """A copy of this configuration at a different DVFS point."""
-        return replace(self, frequency_hz=frequency_hz, voltage=voltage)
-
-
-@dataclass
-class KernelStats:
-    """How the simulation kernel executed one run (host-side profiling).
-
-    Everything here describes the *simulator's* behaviour on the host —
-    wall-clock time, fast-path coverage — and never feeds back into the
-    simulated counters, which are bitwise-identical across kernel modes.
-    It is also the one per-run kernel record: the point's capture window
-    carries it to the executor's ledger
-    (:class:`~repro.telemetry.record.KernelAggregate`), and the result
-    cache stores it with the point.
-    """
-
-    #: ``"fast"`` (compiled streams + L1-hit short-circuit) or
-    #: ``"reference"`` (one op per scheduler pop through the controller).
-    mode: str
-    #: Ops executed.
-    total_ops: int = 0
-    #: Ops resolved by the fast path without entering the controller.
-    fast_path_ops: int = 0
-    #: Ops that reached the controller or the lock table (misses,
-    #: upgrades, critical sections).
-    slow_path_ops: int = 0
-    #: Barrier registrations handled by the scheduler.
-    barrier_ops: int = 0
-    #: Wall-clock seconds the scheduler loop ran.
-    sim_wall_s: float = 0.0
-    #: Wall-clock seconds spent compiling the op streams (0 when the
-    #: compile cache was warm); filled by the caller that compiled.
-    compile_s: float = 0.0
-    #: Whether the op streams came from a warm compile cache.
-    compile_cache_hit: bool = False
-    #: Whether compiling this run's streams evicted another entry from
-    #: the bounded compile cache (a sweep's working set outgrew it).
-    compile_cache_evicted: bool = False
-    #: Per-subsystem slow-path wall time, timed only while the
-    #: process-wide tracer is enabled: ``memory`` (misses and
-    #: upgrades), ``critical`` (lock sections).
-    subsystem_s: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ops_per_sec(self) -> float:
-        """Simulated ops per host second (0 when the run took no time)."""
-        return self.total_ops / self.sim_wall_s if self.sim_wall_s > 0 else 0.0
-
-    @property
-    def fast_path_ratio(self) -> float:
-        """Fraction of ops the fast path resolved."""
-        return self.fast_path_ops / self.total_ops if self.total_ops else 0.0
 
 
 @dataclass

@@ -42,49 +42,19 @@ from repro.errors import ConfigurationError
 from repro.sim.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import MESIController
-from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.config import (
+    OP_BARRIER,
+    OP_COMPUTE,
+    OP_CRITICAL,
+    OP_LOAD,
+    OP_STORE,
+    CoreTimingConfig,
+)
 
 # Core.step() statuses.
 RUNNING = 0
 AT_BARRIER = 1
 DONE = 2
-
-
-@dataclass(frozen=True)
-class CoreTimingConfig:
-    """Per-application core-timing knobs.
-
-    Parameters
-    ----------
-    base_cpi:
-        Cycles per instruction for cache-resident work on the 4-wide
-        EV6-like core; compute-intensive codes with ILP sit near 0.6,
-        branchy pointer-chasing codes near 1.2.
-    icache_miss_rate:
-        Statistical instruction-fetch miss rate; each miss stalls for an
-        L2 hit.  SPLASH-2 codes have tiny instruction footprints.
-    memory_parallelism:
-        How much data-miss latency the core overlaps (outstanding-miss
-        MLP).  1.0 = fully blocking; the EV6's non-blocking loads justify
-        values up to ~2.
-    lock_overhead_cycles:
-        Pipeline cost of an acquire/release pair (LL/SC sequences).
-    """
-
-    base_cpi: float = 0.8
-    icache_miss_rate: float = 0.001
-    memory_parallelism: float = 1.5
-    lock_overhead_cycles: int = 20
-
-    def __post_init__(self) -> None:
-        if self.base_cpi <= 0:
-            raise ConfigurationError("base_cpi must be positive")
-        if not 0.0 <= self.icache_miss_rate < 1.0:
-            raise ConfigurationError("icache_miss_rate must be in [0, 1)")
-        if self.memory_parallelism < 1.0:
-            raise ConfigurationError("memory_parallelism must be >= 1")
-        if self.lock_overhead_cycles < 0:
-            raise ConfigurationError("lock_overhead_cycles must be >= 0")
 
 
 @dataclass

@@ -13,26 +13,8 @@ once, which contributes to parallel-efficiency loss at high N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
 from repro.sim.clock import ns_to_ps
-
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    """DRAM parameters."""
-
-    #: Round-trip latency in nanoseconds (Table 1: 75 ns).
-    round_trip_ns: float = 75.0
-    #: Number of independent banks servicing requests concurrently.
-    n_banks: int = 8
-    #: Per-bank occupancy per request, nanoseconds.
-    bank_busy_ns: float = 12.0
-
-    def __post_init__(self) -> None:
-        if self.round_trip_ns <= 0 or self.bank_busy_ns < 0 or self.n_banks < 1:
-            raise ConfigurationError("memory parameters must be positive")
+from repro.sim.config import MemoryConfig
 
 
 class MainMemory:

@@ -38,14 +38,15 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.cache import L1_TABLE1, CacheConfig
+from repro.sim.config import (
+    L1_TABLE1,
+    OP_CRITICAL,
+    OP_LOAD,
+    OP_STORE,
+    STREAM_CACHE_SIZE,
+    CacheConfig,
+)
 from repro.telemetry.trace import get_tracer
-
-OP_COMPUTE = 0
-OP_LOAD = 1
-OP_STORE = 2
-OP_BARRIER = 3
-OP_CRITICAL = 4
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def prepare_streams(
       read, and nothing in the simulator works below line granularity:
       a miss takes its L2 line and DRAM bank as ``address >> l2_shift``,
       which the aligned address leaves unchanged because
-      :class:`repro.sim.cmp.CMPConfig` requires L2 lines at least as
+      :class:`repro.sim.config.CMPConfig` requires L2 lines at least as
       long as L1 lines.  Immutable parts are shared: each distinct
       ``(kind, line)`` of a thread is one tuple object (per-thread load
       and store tables, dropped after the walk), equal critical-section
@@ -187,10 +188,10 @@ class OpStreamCache:
     ``characterize`` campaigns cannot grow the process-wide cache
     without limit, and instrumented: ``hits``/``misses``/``evictions``
     count over the cache's lifetime and are surfaced per run through
-    :class:`repro.sim.cmp.KernelStats`.
+    :class:`repro.sim.config.KernelStats`.
     """
 
-    def __init__(self, maxsize: int = 32) -> None:
+    def __init__(self, maxsize: int = STREAM_CACHE_SIZE) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize

@@ -285,6 +285,8 @@ def metrics_table(run_dir: PathLike) -> str:
         header += "\n" + slow_path_line(kernel["subsystem_s"])
     rows = _collect_phase_rows(run_dir)
     if not rows:
+        if evaluated == 0 and cached > 0:
+            return header + "\n(no spans recorded — every point was replayed from the cache)"
         return header + "\n(no spans recorded — was tracing enabled?)"
     table = render_table(
         ["phase", "count", "total (s)", "mean (ms)"],

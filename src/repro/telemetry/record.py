@@ -1,7 +1,7 @@
 """Cross-process telemetry records, the kernel ledger, and the capture window.
 
 The sweep executor fans points out to worker processes; each worker's
-:class:`~repro.sim.cmp.KernelStats` and span trees would otherwise die
+:class:`~repro.sim.config.KernelStats` and span trees would otherwise die
 with the task.  :class:`PointTelemetry` is the picklable,
 cache-encodable record in which they travel back through the executor's
 outcome channel and are persisted by the
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 from repro.telemetry.trace import SpanRecord, Tracer, get_tracer, set_tracer
 
 if TYPE_CHECKING:
-    from repro.sim.cmp import KernelStats
+    from repro.sim.config import KernelStats
 
 
 @dataclass

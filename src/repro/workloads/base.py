@@ -42,8 +42,14 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.sim.cpu import CoreTimingConfig
-from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.config import (
+    OP_BARRIER,
+    OP_COMPUTE,
+    OP_CRITICAL,
+    OP_LOAD,
+    OP_STORE,
+    CoreTimingConfig,
+)
 
 #: Address-space layout (byte offsets).  Regions are disjoint by
 #: construction; threads carve the private region into equal slices.
@@ -100,7 +106,7 @@ class WorkloadSpec:
     critical_instructions:
         Compute burst inside each critical section.
     base_cpi, icache_miss_rate, memory_parallelism:
-        Core-timing knobs (see :class:`repro.sim.cpu.CoreTimingConfig`).
+        Core-timing knobs (see :class:`repro.sim.config.CoreTimingConfig`).
     power_of_two_only:
         Whether the application only runs on power-of-two thread counts
         (Section 4.1 notes several SPLASH-2 codes do).

@@ -12,7 +12,7 @@ can be compared on identical infrastructure:
 * the only synchronisation is one common barrier at the end of each
   instance's initialization, so the simulator's warmup reset
   (``warmup_barriers=1``) still applies;
-* per-core :class:`~repro.sim.cpu.CoreTimingConfig` preserves each
+* per-core :class:`~repro.sim.config.CoreTimingConfig` preserves each
   application's own CPI/MLP character.
 
 The headline contrast with a parallel application at equal core count:
@@ -28,8 +28,7 @@ from dataclasses import replace
 from typing import Iterator, List, Sequence
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.sim.cpu import CoreTimingConfig
-from repro.sim.ops import OP_BARRIER
+from repro.sim.config import OP_BARRIER, CoreTimingConfig
 from repro.workloads.base import WorkloadModel
 
 #: Address offset between program instances.  Must clear the workload

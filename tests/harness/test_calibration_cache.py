@@ -9,7 +9,7 @@ import pytest
 import repro.harness.context as context_module
 from repro.harness import ExperimentContext
 from repro.harness.executor import PointOutcome, ResultCache
-from repro.sim.cmp import CMPConfig
+from repro.sim.config import CMPConfig
 
 
 @pytest.fixture

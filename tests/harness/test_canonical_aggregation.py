@@ -11,7 +11,7 @@ permuted.  These tests pin that.
 
 import itertools
 
-from repro.sim.cmp import KernelStats
+from repro.sim.config import KernelStats
 from repro.telemetry.record import KernelAggregate
 from repro.units import GIGA, KILO, MEGA, MICRO, MILLI, NANO, PICO
 

@@ -9,7 +9,7 @@ import pytest
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import PointOutcome, ResultCache, SweepExecutor
 from repro.harness.profiling import SimPointRow
-from repro.sim.cmp import KernelStats
+from repro.sim.config import KernelStats
 from repro.telemetry.record import PointTelemetry, drain_since, record_kernel
 from repro.telemetry.trace import Tracer, set_tracer, span
 from repro.workloads import workload_by_name

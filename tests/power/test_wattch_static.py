@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.power import StaticPowerModel, UnitEnergies, WattchModel
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.ops import OP_COMPUTE, OP_LOAD
+from repro.sim.config import OP_COMPUTE, OP_LOAD
 
 
 def run_simple(config=None, n_instructions=5000):

@@ -7,8 +7,8 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import BusConfig, CacheConfig, ChipMultiprocessor, CMPConfig
 from repro.sim.clock import ClockDomain
+from repro.sim.config import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
 from repro.sim.cpu import CoreTimingConfig
-from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
 
 
 def run(threads, config=None, timing=None, warmup=0):

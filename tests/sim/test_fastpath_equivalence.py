@@ -13,14 +13,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.ops import (
-    OP_BARRIER,
-    OP_COMPUTE,
-    OP_CRITICAL,
-    OP_LOAD,
-    OP_STORE,
-    compile_workload,
-)
+from repro.sim.config import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.ops import compile_workload
 from repro.telemetry.trace import Tracer, set_tracer
 from repro.workloads import SPLASH2, WorkloadModel
 from repro.workloads.multiprogram import homogeneous_mix

@@ -27,17 +27,16 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.cache import L1_TABLE1, CacheConfig
-from repro.sim.ops import (
+from repro.sim.config import (
+    L1_TABLE1,
     OP_BARRIER,
     OP_COMPUTE,
     OP_CRITICAL,
     OP_LOAD,
     OP_STORE,
-    OpStreamCache,
-    compile_workload,
-    prepare_streams,
+    CacheConfig,
 )
+from repro.sim.ops import OpStreamCache, compile_workload, prepare_streams
 from repro.workloads import SPLASH2, WorkloadModel
 
 

@@ -5,16 +5,8 @@ import tracemalloc
 
 import pytest
 
-from repro.sim.cache import L1_TABLE1
-from repro.sim.ops import (
-    OP_COMPUTE,
-    OP_CRITICAL,
-    OP_LOAD,
-    OP_STORE,
-    OpStreamCache,
-    compile_workload,
-    prepare_streams,
-)
+from repro.sim.config import L1_TABLE1, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.ops import OpStreamCache, compile_workload, prepare_streams
 from repro.workloads import SPLASH2, WorkloadModel, workload_by_name
 from repro.workloads.multiprogram import homogeneous_mix
 

@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.ops import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.config import OP_BARRIER, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
 
 
 def build_threads(seed: int, n_threads: int, n_phases: int):

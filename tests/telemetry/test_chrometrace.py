@@ -4,7 +4,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from repro.harness.executor import PointOutcome, SweepExecutor
+from repro.harness.executor import PointOutcome, ResultCache, SweepExecutor
+from repro.sim.config import KernelStats
 from repro.telemetry.chrometrace import (
     _format_indices,
     _process_names,
@@ -13,7 +14,6 @@ from repro.telemetry.chrometrace import (
     metrics_table,
 )
 from repro.telemetry.manifest import TelemetryRun
-from repro.sim.cmp import KernelStats
 from repro.telemetry.record import PointTelemetry
 from repro.telemetry.trace import SpanRecord
 
@@ -155,7 +155,25 @@ class TestMetricsTable:
     def test_table_mentions_missing_spans(self, tmp_path):
         run = TelemetryRun(tmp_path)
         run.finalize()
-        assert "no spans recorded" in metrics_table(run.directory)
+        assert "no spans recorded — was tracing enabled?" in metrics_table(run.directory)
+
+    def test_table_says_a_fully_cached_run_replayed_every_point(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        points, keys = [1, 2, 3], [{"x": x} for x in (1, 2, 3)]
+        SweepExecutor(cache=cache).map(square, points, key_configs=keys)
+        executor = SweepExecutor(cache=cache)
+        assert [o.value for o in executor.map(square, points, key_configs=keys)] == [1, 4, 9]
+        run = TelemetryRun(tmp_path / "telemetry")
+        run.finalize(executor=executor)
+        text = metrics_table(run.directory)
+        assert "(0 evaluated, 3 cached, 0 failed)" in text
+        assert "every point was replayed from the cache" in text
+        assert "was tracing enabled?" not in text
+
+
+def square(x):
+    """A picklable point function."""
+    return x * x
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from repro.harness.executor import (
     config_key,
 )
 from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
+from repro.sim.config import KernelStats
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
     TelemetryRun,
@@ -29,7 +30,6 @@ from repro.telemetry.manifest import (
     resolve_run_dir,
     validate_run_dir,
 )
-from repro.sim.cmp import KernelStats
 from repro.telemetry.record import PointTelemetry
 from repro.telemetry.trace import SpanRecord
 from tests.harness.test_executor_telemetry import key_configs, recording_row_point

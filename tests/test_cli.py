@@ -115,7 +115,6 @@ class TestCommands:
         assert "norm-P" in out
         assert "[kernel]" not in out  # only printed under --profile
 
-    @pytest.mark.usefixtures("restore_telemetry_state")
     def test_fig3_profile_prints_kernel_summary(self, capsys):
         assert main(
             ["fig3", "--apps", "Barnes", "--scale", "0.05", "--profile"]
@@ -126,6 +125,21 @@ class TestCommands:
         assert "fast-path" in out
         # --profile alone enables the tracer, which times the slow path.
         assert "[kernel] slow-path time: " in out
+
+    def test_profile_restores_the_tracer_it_replaced(self, capsys):
+        from repro.telemetry.trace import get_tracer
+
+        before = get_tracer()
+        enabled = before.enabled
+        assert main(
+            ["fig3", "--apps", "Barnes", "--scale", "0.05", "--profile"]
+        ) == 0
+        capsys.readouterr()
+        # The command's spans end with it: none is left undrained on a
+        # tracer that stays enabled after the command.
+        assert get_tracer() is before
+        assert get_tracer().roots == []
+        assert get_tracer().enabled == enabled
 
     def test_fig4_tiny(self, capsys):
         assert main(["fig4", "--apps", "Radix", "--scale", "0.05"]) == 0
@@ -175,17 +189,6 @@ class TestCommands:
         assert args.scale == 0.3
 
 
-@pytest.fixture
-def restore_telemetry_state():
-    """--telemetry-dir and --profile enable tracing; undo it afterwards."""
-    from repro.telemetry.trace import get_tracer, set_tracer
-
-    tracer = get_tracer()
-    yield
-    set_tracer(tracer)
-
-
-@pytest.mark.usefixtures("restore_telemetry_state")
 class TestTraceTimelineCommand:
     def test_timeline_renders_sparklines_and_alerts(self, capsys, tmp_path):
         assert (
@@ -301,7 +304,6 @@ def _span_seconds(run_dir, name):
     return sum(walk(entry["span"]) for entry in load_spans(run_dir)) * 1e-6
 
 
-@pytest.mark.usefixtures("restore_telemetry_state")
 class TestKernelLedger:
     """``--profile``, the manifest and ``trace metrics`` read one ledger."""
 
@@ -363,7 +365,6 @@ def _phase_counts(capsys, telemetry_dir):
     return [tuple(line.split()[:2]) for line in lines[rule + 1:] if line.strip()]
 
 
-@pytest.mark.usefixtures("restore_telemetry_state")
 class TestFarmTraces:
     """A traced sweep writes the same spans at ``--jobs 1`` and ``--jobs 2``."""
 
@@ -391,7 +392,6 @@ def _only(directory, pattern):
     return path
 
 
-@pytest.mark.usefixtures("restore_telemetry_state")
 class TestPointRecord:
     """One record per point: the journal line is the telemetry event,
     and the manifest's points block is the executor's tally."""
@@ -500,7 +500,6 @@ SMALL_SWEEPS = {
 }
 
 
-@pytest.mark.usefixtures("restore_telemetry_state")
 class TestCalibrationMemo:
     """A warm ``--cache`` replays the calibration with the points."""
 

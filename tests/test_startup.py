@@ -1,12 +1,17 @@
 """Start-up cost guard: scipy is imported only by the leakage fit,
-``import repro.cli`` loads a bounded number of ``repro`` modules, and a
-warm experimental replay imports neither numpy nor the analytical model
-(nor, untraced, the telemetry manifest writer).
+``import repro.cli`` loads a bounded number of ``repro`` modules,
+``import repro.sim`` loads none of the simulator's submodules, and a
+warm experimental replay imports no engine: neither numpy, the
+analytical model, the simulator, the thermal model, the Wattch and
+chip-power models nor the calibration microbenchmark (nor, untraced,
+the telemetry manifest writer).
 
 fig1/fig2 and ``repro verify`` need scipy for the Eq. 3 fit, the
-experimental sweeps do not; a sweep replayed from the cache solves no
-thermal network, so it needs no numpy either.  Each check runs in a
-fresh interpreter, since this process may already have imported them.
+experimental sweeps do not; a sweep replayed from the cache simulates
+nothing and solves no thermal network, so it needs only the machine's
+description (:mod:`repro.sim.config`), its keys, records and rows.
+Each check runs in a fresh interpreter, since this process may already
+have imported them.
 """
 
 import dataclasses
@@ -82,14 +87,29 @@ print(json.dumps(loaded))
 
 #: Modules a warm replay must not load: the numerical libraries (only a
 #: simulation's thermal solve needs numpy), the analytical model, the
-#: analyzer, and, without ``--telemetry-dir``, the run-manifest writer
-#: and its alert rules (the ``--cache`` journal reads its JSONL through
-#: ``repro.telemetry.jsonl``).
+#: analyzer, every engine — the simulator and its compiler, the thermal
+#: model, the Wattch and chip-power models and the calibration
+#: microbenchmark — and, without ``--telemetry-dir``, the run-manifest
+#: writer and its alert rules (the ``--cache`` journal reads its JSONL
+#: through ``repro.telemetry.jsonl``).
+WARM_FORBIDDEN_MODULES = (
+    "repro.core",
+    "repro.analysis",
+    "repro.thermal",
+    "repro.telemetry.manifest",
+    "repro.telemetry.alerts",
+    "repro.power.wattch",
+    "repro.power.chippower",
+    "repro.workloads.microbench",
+    *(
+        f"repro.sim.{engine}"
+        for engine in ("cmp", "cpu", "cache", "coherence", "bus", "memory", "clock", "ops")
+    ),
+)
 WARM_FORBIDDEN = (
     "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')"
-    " or m in ('repro.core', 'repro.analysis',"
-    " 'repro.telemetry.manifest', 'repro.telemetry.alerts')"
-    " or m.startswith(('repro.core.', 'repro.analysis.')))"
+    f" or m in {WARM_FORBIDDEN_MODULES!r}"
+    " or m.startswith(('repro.core.', 'repro.analysis.', 'repro.thermal.')))"
 )
 
 
@@ -110,6 +130,24 @@ for argv in {commands!r}:
 print(json.dumps(loaded))
 """
     assert _fresh(code, tmp_path) == {"fig3": [], "fig4": [], "characterize": []}
+
+
+def test_import_sim_loads_no_submodule_and_keeps_its_names(tmp_path):
+    code = """
+import json, sys
+import repro.sim
+loaded = sorted(m for m in sys.modules if m.startswith('repro.sim.'))
+from repro.sim import ChipMultiprocessor, CMPConfig
+from repro.sim import ops
+print(json.dumps([loaded, ChipMultiprocessor.__module__, CMPConfig.__module__,
+                  ops.compile_workload.__module__]))
+"""
+    assert _fresh(code, tmp_path) == [
+        [],
+        "repro.sim.cmp",
+        "repro.sim.config",
+        "repro.sim.ops",
+    ]
 
 
 def test_leakage_fit_still_imports_scipy_and_fits_the_same(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.sim import ChipMultiprocessor, CMPConfig
-from repro.sim.ops import OP_BARRIER, OP_CRITICAL, OP_LOAD, OP_STORE
+from repro.sim.config import OP_BARRIER, OP_CRITICAL, OP_LOAD, OP_STORE
 from repro.workloads import workload_by_name
 from repro.workloads.base import WorkloadModel
 from repro.workloads.multiprogram import MultiprogrammedWorkload, homogeneous_mix
