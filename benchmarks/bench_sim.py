@@ -40,9 +40,10 @@ check.
 ``--check BASELINE.json`` guards against perf regressions in CI: for
 every point present in both runs it compares ``speedup_warm`` (warm
 fast-path ops/sec over reference ops/sec *from the same run on the same
-machine*) and fails if it dropped by more than ``--tolerance`` (default
-30%).  Comparing the ratio rather than raw ops/sec keeps the check
-meaningful across machines of different speeds.
+machine*) and ``speedup_cold`` (the same with the compile included, so
+it gates the program writer too), and fails if either dropped by more
+than ``--tolerance`` (default 30%).  Comparing ratios rather than raw
+ops/sec keeps the check meaningful across machines of different speeds.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ QUICK_APPS = ("FMM", "Ocean")
 QUICK_CORE_COUNTS = (4,)
 QUICK_REPEATS = 15
 SCHEMA = "bench-sim-v1"
+#: The per-point ratios ``--check`` gates.
+GATED = ("speedup_warm", "speedup_cold")
 
 
 def counters(result):
@@ -379,13 +382,14 @@ def check_regression(report: dict, baseline_path: str, tolerance: float) -> int:
         if old is None:
             continue
         compared += 1
-        floor = (1.0 - tolerance) * old["speedup_warm"]
-        if point["speedup_warm"] < floor:
-            failures.append(
-                f"{point['app']} n={point['n']}: speedup_warm "
-                f"{point['speedup_warm']:.2f}x < {floor:.2f}x "
-                f"(baseline {old['speedup_warm']:.2f}x - {tolerance:.0%})"
-            )
+        for name in GATED:
+            floor = (1.0 - tolerance) * old[name]
+            if point[name] < floor:
+                failures.append(
+                    f"{point['app']} n={point['n']}: {name} "
+                    f"{point[name]:.2f}x < {floor:.2f}x "
+                    f"(baseline {old[name]:.2f}x - {tolerance:.0%})"
+                )
     if not compared:
         print(f"[check] no comparable points in {baseline_path}", file=sys.stderr)
         return 1
@@ -434,7 +438,7 @@ def main() -> int:
         "--check",
         default=None,
         metavar="BASELINE",
-        help="fail if speedup_warm regressed vs a previous report",
+        help="fail if speedup_warm or speedup_cold regressed vs a previous report",
     )
     parser.add_argument(
         "--tolerance",

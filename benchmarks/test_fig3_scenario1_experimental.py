@@ -15,6 +15,9 @@ Shape assertions (the paper's observations in Section 4.1):
 * power density collapses by roughly an order of magnitude at N = 16;
 * average temperature decreases monotonically toward ambient, with the
   power-hungry applications (FMM, LU) seeing the largest drops.
+
+The numbers EXPERIMENTS.md's Figure 3 table quotes are checked against
+the same rows, at the table's printed precision.
 """
 
 import pytest
@@ -137,3 +140,29 @@ def test_figure3_hot_apps_cool_most(benchmark, scenario1_results):
     hottest = sorted(drops, key=drops.get, reverse=True)[:4]
     assert "FMM" in hottest
     assert "LU" in hottest
+
+
+def test_figure3_experiments_md_quotes_these_rows(
+    benchmark, scenario1_results, experiments_section
+):
+    """Every Figure 3 number EXPERIMENTS.md quotes is what these rows give."""
+    benchmark.pedantic(lambda: scenario1_results, rounds=1, iterations=1)
+    section = experiments_section("## Figure 3")
+    cholesky = [r.normalized_power for r in scenario1_results["Cholesky"] if r.n > 1]
+    density16 = [
+        r.normalized_power_density
+        for rows in scenario1_results.values()
+        for r in rows
+        if r.n == 16
+    ]
+    lo, hi = min(density16), max(density16)
+    quoted = [
+        "Cholesky " + " -> ".join(f"{p:.2f}" for p in cholesky),
+        f"{lo:.3f}-{hi:.3f} normalized "
+        f"({100 * (1 - hi):.0f}-{100 * (1 - lo):.0f} % reduction)",
+    ]
+    print()
+    for text in quoted:
+        print(text)
+    for text in quoted:
+        assert text in section, text

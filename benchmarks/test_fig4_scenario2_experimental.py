@@ -16,8 +16,6 @@ The numbers EXPERIMENTS.md's Figure 4 table quotes are checked against
 the same rows, at the table's printed precision.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.harness import render_table, run_scenario2
@@ -25,7 +23,6 @@ from repro.workloads import workload_by_name
 
 FIG4_APPS = ("FMM", "Cholesky", "Radix")
 FIG4_CORE_COUNTS = (1, 2, 4, 6, 8, 10, 12, 14, 16)
-EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -105,18 +102,12 @@ def test_figure4_fmm_throttles_early(benchmark, scenario2_results):
     assert throttled and min(throttled) <= 4
 
 
-def _experiments_section(heading):
-    """The text of one ``## `` section of EXPERIMENTS.md."""
-    text = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    start = text.index(heading)
-    end = text.find("\n## ", start + len(heading))
-    return text[start:] if end < 0 else text[start:end]
-
-
-def test_figure4_experiments_md_quotes_these_rows(benchmark, scenario2_results):
+def test_figure4_experiments_md_quotes_these_rows(
+    benchmark, scenario2_results, experiments_section
+):
     """Every Figure 4 number EXPERIMENTS.md quotes is what these rows give."""
     benchmark.pedantic(lambda: scenario2_results, rounds=1, iterations=1)
-    section = _experiments_section("## Figure 4")
+    section = experiments_section("## Figure 4")
     at16 = {app: [r for r in scenario2_results[app] if r.n == 16][0] for app in FIG4_APPS}
     quoted = [
         "at N = 16: "

@@ -84,6 +84,7 @@ def calibrate_power_model(
     hot_block: str = "core0",
 ) -> PowerCalibration:
     """Run the Section 3.3 renormalisation and return its constants."""
+    from repro.sim import ops
     from repro.sim.cmp import ChipMultiprocessor
     from repro.workloads.microbench import max_power_microbenchmark
 
@@ -96,9 +97,11 @@ def calibrate_power_model(
     )
 
     ubench = max_power_microbenchmark()
+    # Uncached: the program is run once, and freed with the result.
+    compiled = ops.compile_workload(ubench, 1, cmp_config.l1_config, cache=None)
     chip = ChipMultiprocessor(cmp_config)
     result = chip.run(
-        [ubench.thread_ops(0, 1)],
+        compiled.program,
         ubench.core_timing(),
         warmup_barriers=ubench.warmup_barriers,
     )

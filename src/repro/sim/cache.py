@@ -52,9 +52,9 @@ class Cache:
         self._assoc = config.associativity
         self._way_shift = config.way_shift
         # Flat tag/state arrays, one power-of-two-strided row per set.
-        # Mutated strictly in place: Core.step_fast captures references
-        # to both lists in its window-invariant frame, and the coherence
-        # controller's inline probes and fills hold them too.
+        # Mutated strictly in place: the fast kernel loop captures
+        # references to both lists in each core's frame, and the
+        # coherence controller's inline probes and fills hold them too.
         rows = self._n_sets << self._way_shift
         self._tags: List[int] = [INVALID_TAG] * rows
         self._states: List[int] = [0] * rows

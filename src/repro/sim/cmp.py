@@ -9,6 +9,11 @@ clock always advances the furthest-behind core, so shared-resource
 reservations (bus, locks, memory banks) are handed out in consistent
 global-time order.  Barriers park arriving cores until the last thread
 arrives; the release pays a fixed synchronisation cost.
+
+Two kernels drive that scheduler: the reference interpreter
+(:func:`_reference_loop`, one :meth:`Core.step` per heap pop) and the
+default fast path (:func:`_fast_loop`), one loop that runs every core
+over a compiled program with bitwise-identical counters.
 """
 
 from __future__ import annotations
@@ -16,22 +21,31 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.bus import SharedBus
-from repro.sim.cache import Cache
+from repro.sim.cache import EXCLUSIVE, MODIFIED, SHARED, Cache
 from repro.sim.clock import ClockDomain
 from repro.sim.coherence import CoherenceStats, MESIController
-from repro.sim.config import CMPConfig, CoreTimingConfig, KernelStats
-from repro.sim.cpu import DONE, RUNNING, Core, CoreStats, LockTable
+from repro.sim.config import (
+    OP_BARRIER,
+    OP_COMPUTE,
+    OP_CRITICAL,
+    OP_LOAD,
+    OP_STORE,
+    CMPConfig,
+    CoreTimingConfig,
+    KernelStats,
+)
+from repro.sim.cpu import AT_BARRIER, DONE, RUNNING, Core, CoreStats, LockTable
 from repro.sim.memory import MainMemory
 from repro.sim.ops import CompiledProgram, prepare_streams
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 
-#: Horizon passed to ``step_fast`` when no other core is pending in the
-#: heap: compares greater than every real ``(time_ps, core_id)`` key.
+#: The fast loop's horizon when no other core is pending in the heap:
+#: compares greater than every real ``(time_ps, core_id)`` key.
 _NO_HORIZON = (float("inf"), -1)
 
 
@@ -118,10 +132,11 @@ class ChipMultiprocessor:
         while cache/coherence state carries over warm.
 
         ``fast_path`` (constructor) selects the execution kernel: the
-        fast path runs resolved streams and short-circuits L1 hits; the
-        reference interpreter routes every op through the controller.
-        Given raw streams, the reference interpreter consumes them
-        lazily and the fast path resolves them first
+        fast path (:func:`_fast_loop`) runs resolved streams and
+        short-circuits L1 hits; the reference interpreter
+        (:func:`_reference_loop`) routes every op through the
+        controller.  Given raw streams, the reference interpreter
+        consumes them lazily and the fast path resolves them first
         (:func:`repro.sim.ops.prepare_streams`).  Both produce
         bitwise-identical counters.
         """
@@ -138,7 +153,6 @@ class ChipMultiprocessor:
         elif use_fast:
             program = prepare_streams(thread_ops, config.l1_config)
         streams = program.streams if program is not None else thread_ops
-        private = program.private_lines if program is not None else []
         n_threads = len(streams)
         if n_threads < 1:
             raise ConfigurationError("need at least one thread")
@@ -173,24 +187,20 @@ class ChipMultiprocessor:
             cache_to_cache_cycles=config.cache_to_cache_cycles,
         )
         locks = LockTable()
-
-        tracer = get_tracer()
-        # An enabled tracer (--telemetry-dir or --profile) turns the
-        # per-subsystem slow-path timers on: they are host-side only and
-        # feed KernelStats.subsystem_s, never the simulated counters.
-        timed = tracer.enabled
         cores = [
             Core(i, ops, controller, clock, timings[i], locks)
             for i, ops in enumerate(streams)
         ]
-        if use_fast:
-            for core, ops, private_lines in zip(cores, streams, private):
-                core.bind_stream(ops)
-                core.prepare_fast_path(timed=timed, private_lines=private_lines)
-        steppers = [
-            core.step_fast if use_fast else core.step for core in cores
-        ]
+        barriers = _Barriers(
+            n_threads,
+            clock.cycles_to_ps(config.barrier_release_cycles),
+            warmup_barriers,
+            # End of initialization: reset every activity counter;
+            # caches stay warm.
+            lambda: _reset_counters(cores, l1s, l2, controller, bus, memory, locks),
+        )
 
+        tracer = get_tracer()
         with tracer.span(
             "kernel.window",
             mode="fast" if use_fast else "reference",
@@ -198,116 +208,33 @@ class ChipMultiprocessor:
         ):
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
             wall_start = time.perf_counter()
-
-            heap: List[tuple] = [(0, i) for i in range(n_threads)]
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            barrier_waiters: Dict[int, List[int]] = {}
-            barriers_seen = 0
-            barrier_ops = 0
-            reference_ops = 0
-            finished = 0
-            barrier_release_ps = clock.cycles_to_ps(config.barrier_release_cycles)
-            steps = 0
-            measurement_start_ps = 0
-            warmup_remaining = warmup_barriers
-
-            while heap:
-                steps += 1
-                if steps > self.MAX_STEPS:
-                    raise SimulationError(
-                        "scheduler exceeded MAX_STEPS (deadlock?)"
-                    )
-                _, core_id = heappop(heap)
-                core = cores[core_id]
-                if use_fast:
-                    # Safe horizon for the batch: the next core's heap key.
-                    # Parked (barrier) and finished cores cannot act before
-                    # this core, so an empty heap means no horizon at all.
-                    if heap:
-                        next_time, next_id = heap[0]
-                    else:
-                        next_time, next_id = _NO_HORIZON
-                    status = steppers[core_id](next_time, next_id)
-                else:
-                    status = steppers[core_id]()
-                if status != DONE:
-                    reference_ops += 1
-                if status == RUNNING:
-                    heappush(heap, (core.time_ps, core_id))
-                elif status == DONE:
-                    finished += 1
-                else:  # AT_BARRIER
-                    barrier_ops += 1
-                    barrier_id = core.pending_barrier
-                    waiters = barrier_waiters.setdefault(barrier_id, [])
-                    waiters.append(core_id)
-                    if len(waiters) == n_threads:
-                        barriers_seen += 1
-                        release = max(cores[w].time_ps for w in waiters)
-                        release += barrier_release_ps
-                        for waiter_id in waiters:
-                            waiter = cores[waiter_id]
-                            waiter.stats.sync_wait_ps += release - waiter.time_ps
-                            waiter.time_ps = release
-                            heappush(heap, (release, waiter_id))
-                        del barrier_waiters[barrier_id]
-                        if warmup_remaining and barriers_seen == warmup_remaining:
-                            # End of initialization: reset every activity
-                            # counter; caches stay warm.
-                            measurement_start_ps = release
-                            barriers_seen = 0
-                            warmup_remaining = 0
-                            _reset_counters(
-                                cores, l1s, l2, controller, bus, memory, locks
-                            )
-
+            if use_fast:
+                # An enabled tracer (--telemetry-dir or --profile) turns
+                # the per-subsystem slow-path timers on: they are
+                # host-side only and feed KernelStats.subsystem_s, never
+                # the simulated counters.
+                kernel = _fast_loop(
+                    cores, program, barriers, tracer.enabled, self.MAX_STEPS
+                )
+            else:
+                kernel = _reference_loop(cores, barriers, self.MAX_STEPS)
             # repro: allow[DET-WALLCLOCK] host-side kernel timing; never feeds simulated state
-            sim_wall_s = time.perf_counter() - wall_start
+            kernel.sim_wall_s = time.perf_counter() - wall_start
 
-        if finished != n_threads:
+        if barriers.waiting:
             stuck = sorted(
-                core_id for waiters in barrier_waiters.values() for core_id in waiters
+                core_id for waiters in barriers.waiting.values() for core_id in waiters
             )
             raise SimulationError(
                 f"deadlock: threads {stuck} never released from a barrier "
                 "(threads must all reach every barrier)"
             )
 
-        if use_fast:
-            fast_ops = sum(core.fast_ops for core in cores)
-            slow_ops = sum(core.slow_ops for core in cores)
-            kernel = KernelStats(
-                mode="fast",
-                total_ops=fast_ops + slow_ops + barrier_ops,
-                fast_path_ops=fast_ops,
-                slow_path_ops=slow_ops,
-                barrier_ops=barrier_ops,
-                sim_wall_s=sim_wall_s,
-            )
-            subsystem_totals: Dict[str, float] = {}
-            for core in cores:
-                # Sorted so the totals' accumulation and insertion order
-                # never depend on which op kind a core hit first.
-                for name, seconds in sorted(core.subsystem_s.items()):
-                    subsystem_totals[name] = (
-                        subsystem_totals.get(name, 0.0) + seconds
-                    )
-            kernel.subsystem_s.update(sorted(subsystem_totals.items()))
-        else:
-            kernel = KernelStats(
-                mode="reference",
-                total_ops=reference_ops,
-                fast_path_ops=0,
-                slow_path_ops=reference_ops - barrier_ops,
-                barrier_ops=barrier_ops,
-                sim_wall_s=sim_wall_s,
-            )
-
         execution_time = (
-            max(core.stats.end_time_ps for core in cores) - measurement_start_ps
+            max(core.stats.end_time_ps for core in cores)
+            - barriers.measurement_start_ps
         )
-        result = SimulationResult(
+        return SimulationResult(
             config=config,
             n_threads=n_threads,
             execution_time_ps=execution_time,
@@ -319,10 +246,442 @@ class ChipMultiprocessor:
             memory_requests=memory.requests,
             lock_acquires=locks.acquires,
             lock_contended=locks.contended_acquires,
-            barriers=barriers_seen,
+            barriers=barriers.completed,
             kernel=kernel,
         )
-        return result
+
+
+class _Barriers:
+    """Barrier arrivals and the warm-up countdown of one run."""
+
+    def __init__(
+        self,
+        n_threads: int,
+        release_ps: int,
+        warmup_barriers: int,
+        reset: Callable[[], None],
+    ) -> None:
+        self.n_threads = n_threads
+        self.release_ps = release_ps
+        self.warmup_remaining = warmup_barriers
+        self.reset = reset
+        #: Barrier id -> ids of the cores parked there, in arrival order.
+        self.waiting: Dict[int, List[int]] = {}
+        #: Barriers completed since the warm-up reset.
+        self.completed = 0
+        self.measurement_start_ps = 0
+
+    def arrive(
+        self, barrier_id: int, core_id: int, arrival_ps: List[int]
+    ) -> Tuple[List[int], int]:
+        """Park ``core_id`` at ``barrier_id``.
+
+        ``arrival_ps`` holds each parked core's arrival time.  Returns
+        the released cores and the release time once the last thread
+        arrives (the release pays the fixed synchronisation cost), else
+        no cores.  The caller charges each released core's wait and
+        then calls :meth:`after_release`.
+        """
+        waiters = self.waiting.setdefault(barrier_id, [])
+        waiters.append(core_id)
+        if len(waiters) < self.n_threads:
+            return [], 0
+        del self.waiting[barrier_id]
+        self.completed += 1
+        release = max(arrival_ps[w] for w in waiters) + self.release_ps
+        return waiters, release
+
+    def after_release(self, release: int) -> bool:
+        """Count a release against the warm-up; True when it just reset.
+
+        The reset discards the waits the release just charged.
+        """
+        if self.warmup_remaining and self.completed == self.warmup_remaining:
+            self.measurement_start_ps = release
+            self.completed = 0
+            self.warmup_remaining = 0
+            self.reset()
+            return True
+        return False
+
+
+def _reference_loop(
+    cores: List[Core], barriers: _Barriers, max_steps: int
+) -> KernelStats:
+    """The reference interpreter: one ``Core.step`` per heap pop."""
+    heap: List[tuple] = [(0, i) for i in range(len(cores))]
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    arrival_ps = [0] * len(cores)
+    steps = 0
+    ops = 0
+    barrier_ops = 0
+    while heap:
+        steps += 1
+        if steps > max_steps:
+            raise SimulationError("scheduler exceeded MAX_STEPS (deadlock?)")
+        _, core_id = heappop(heap)
+        core = cores[core_id]
+        status = core.step()
+        if status == RUNNING:
+            ops += 1
+            heappush(heap, (core.time_ps, core_id))
+        elif status == AT_BARRIER:
+            ops += 1
+            barrier_ops += 1
+            arrival_ps[core_id] = core.time_ps
+            waiters, release = barriers.arrive(
+                core.pending_barrier, core_id, arrival_ps
+            )
+            for waiter_id in waiters:
+                waiter = cores[waiter_id]
+                waiter.stats.sync_wait_ps += release - waiter.time_ps
+                waiter.time_ps = release
+                heappush(heap, (release, waiter_id))
+            if waiters:
+                barriers.after_release(release)
+    return KernelStats(
+        mode="reference",
+        total_ops=ops,
+        fast_path_ops=0,
+        slow_path_ops=ops - barrier_ops,
+        barrier_ops=barrier_ops,
+    )
+
+
+def _fast_loop(
+    cores: List[Core],
+    program: CompiledProgram,
+    barriers: _Barriers,
+    timed: bool,
+    max_steps: int,
+) -> KernelStats:
+    """The fast path: one loop that runs every core over ``program``.
+
+    The loop owns the scheduler heap and keeps each core's frame in
+    lists indexed by core id, so a core switch rebinds a few locals.  It
+    runs the current core's ops until a *scheduling point*: the
+    *safe-horizon* rule.  ``(next_time, next_id)`` is the heap's top key
+    — the virtual time at which another core acts next.  Any op
+    touching state another core can observe or mutate (shared-visible
+    loads/stores — even L1 hits, since a peer's miss can invalidate or
+    downgrade our lines — and critical sections) executes only while
+    this core's ``(t, core_id)`` key is still below that heap key, i.e.
+    exactly while the reference scheduler would keep popping this core
+    anyway.  L1 hits on *provably private* lines (classified before the
+    run: touched by exactly one thread across the whole workload) are
+    exempt — no peer transaction can ever observe or mutate them, their
+    inline effects (own-set LRU reorder, silent E->M, commutative
+    counter increments) commute with every peer action, so they resolve
+    inline regardless of heap position and only the remaining
+    shared-visible ops yield to the horizon.  Within the horizon,
+    shared-visible L1 hits in a suitable MESI state also resolve inline
+    (flat-array probe, move-to-front on commit, batched counters); a
+    miss or an upgrade is one controller call on the probed line
+    (:meth:`MESIController.miss`, :meth:`MESIController.upgrade`), and a
+    critical section runs inline around the same store path.  Past the
+    horizon, the core re-enters the heap and waits its turn.  Compute
+    bursts touch only private state and run unconditionally; barrier
+    registration is order-insensitive (the release is a max over frozen
+    arrival times).  This makes the fast path's interleaving of *shared*
+    state mutations identical to the reference interpreter's, hence
+    bitwise-identical counters (docs/MODEL.md §3.2).
+
+    L1 hits short-circuit the controller because the controller bills a
+    hit in the same clock the core folds into its base CPI: every core
+    and the controller share the one chip clock, so a hit costs zero
+    stall either way.
+
+    Counters are batched per core in flat lists and written to
+    :class:`CoreStats`, the L1s and the controller once, at the end of
+    the run; the warm-up reset zeroes them with the machine's own.
+    """
+    n_threads = len(cores)
+    controller = cores[0].controller
+    l1s = controller.l1s
+    l1_config = l1s[0].config
+    assoc = l1_config.associativity
+    line_shift = l1_config.line_shift
+    n_sets = l1_config.n_sets
+    way_shift = l1_config.way_shift
+    miss = controller.miss
+    upgrade = controller.upgrade
+    locks = cores[0].locks
+    hit_ps = cores[0]._hit_ps
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    heappush = heapq.heappush
+    # Each core's frame: (ops, op count, L1 tags, L1 states, private
+    # lines, burst-cost memo of (duration_ps, instructions) per burst
+    # length).  The caches mutate their arrays in place.
+    frames = [
+        (ops, len(ops), l1._tags, l1._states, private, {})
+        for ops, l1, private in zip(program.streams, l1s, program.private_lines)
+    ]
+    lock_ps = [core._lock_ps for core in cores]
+    mlp = [core.timing.memory_parallelism for core in cores]
+    cursor = [0] * n_threads
+    # The time each core parked at a barrier or finished.
+    parked_ps = [0] * n_threads
+    # Counters since the warm-up reset.  Every load/store is one
+    # instruction and one L1 access, so instructions and hits derive
+    # from these at the end.
+    busy = [0] * n_threads
+    burst_instr = [0] * n_threads  # burst instructions, critical sections' too
+    loads = [0] * n_threads
+    stores = [0] * n_threads
+    misses = [0] * n_threads
+    stall = [0] * n_threads
+    sync = [0] * n_threads
+    criticals = [0] * n_threads
+    counters = (busy, burst_instr, loads, stores, misses, stall, sync, criticals)
+    # Whole-run tallies (the warm-up reset leaves KernelStats alone).
+    slow_ops = 0
+    critical_ops = 0
+    barrier_ops = 0
+    memory_s = 0.0
+    critical_s = 0.0
+
+    heap: List[tuple] = [(0, i) for i in range(1, n_threads)]
+    t, c = 0, 0
+    ops, n_ops, tags, states, private, burst_ps = frames[0]
+    i = 0
+    steps = 1
+    while True:
+        if heap:
+            next_time, next_id = heap[0]
+        else:
+            next_time, next_id = _NO_HORIZON
+        # Whether this core still leads the reference pop order.  The
+        # heap-key comparison is loop-invariant while t stands still,
+        # and inline commits never move t — only compute bursts and
+        # slow ops do — so one boolean carries the horizon state
+        # between them.  (t == next_time with c == next_id is
+        # impossible: each core has at most one heap entry, and this
+        # one was just popped.)
+        lead = t < next_time or (t == next_time and c < next_id)
+        busy_d = 0
+        burst_instr_d = 0
+        loads_d = 0
+        stores_d = 0
+        status = DONE
+        while i < n_ops:
+            op = ops[i]
+            kind = op[0]
+            if kind == OP_COMPUTE:
+                cost = burst_ps.get(op[1])
+                if cost is None:
+                    cost = burst_ps[op[1]] = cores[c]._burst_cost(op[1])
+                t += cost[0]
+                busy_d += cost[0]
+                burst_instr_d += cost[1]
+                i += 1
+                lead = t < next_time or (t == next_time and c < next_id)
+                continue
+            if kind == OP_LOAD:
+                # Mutation-free probe first: nothing moves until the op
+                # commits.  Line and flat set base are geometry-resolved
+                # ahead of the run (prepare_streams), and index 1 is the
+                # line's first byte: a miss needs nothing finer.
+                line = op[2]
+                base = op[3]
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                if w < end and (lead or line in private):
+                    if w != base:
+                        state = states[w]
+                        while w > base:
+                            tags[w] = tags[w - 1]
+                            states[w] = states[w - 1]
+                            w -= 1
+                        tags[base] = line
+                        states[base] = state
+                    loads_d += 1
+                    i += 1
+                    continue
+                # Shared-visible (or missing) load: only while this core
+                # still leads the reference pop order.
+                if not lead:
+                    status = RUNNING
+                    break
+                address = op[1]
+                is_write = False
+                loads_d += 1
+            elif kind == OP_STORE:
+                line = op[2]
+                base = op[3]
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                if w < end:
+                    state = states[w]
+                    if (state == MODIFIED or state == EXCLUSIVE) and (
+                        lead or line in private
+                    ):
+                        while w > base:
+                            tags[w] = tags[w - 1]
+                            states[w] = states[w - 1]
+                            w -= 1
+                        tags[base] = line
+                        states[base] = MODIFIED
+                        stores_d += 1
+                        i += 1
+                        continue
+                if not lead:
+                    status = RUNNING
+                    break
+                address = op[1]
+                is_write = True
+                stores_d += 1
+            elif kind == OP_BARRIER:
+                # Order-insensitive registration: ends the batch.
+                i += 1
+                status = AT_BARRIER
+                break
+            elif kind == OP_CRITICAL:
+                # Lock-table traffic is always shared-visible.
+                if not lead:
+                    status = RUNNING
+                    break
+            else:
+                raise ConfigurationError(f"unknown op kind {kind}")
+            # A slow op inside the horizon, at exactly the scheduler
+            # position the reference interpreter gives it.
+            if timed:
+                # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
+                started = time.perf_counter()
+            if kind == OP_CRITICAL:
+                # Core._run_critical: the lock, its overhead, the burst
+                # from the memo, then the protected read-modify-write
+                # store, probed here like a prepared store.
+                lock_id = op[1]
+                grant = locks.acquire(lock_id, t)
+                sync[c] += grant - t
+                t = grant + lock_ps[c]
+                busy_d += lock_ps[c]
+                n_instructions = op[2]
+                if n_instructions:
+                    cost = burst_ps.get(n_instructions)
+                    if cost is None:
+                        cost = burst_ps[n_instructions] = cores[c]._burst_cost(
+                            n_instructions
+                        )
+                    t += cost[0]
+                    busy_d += cost[0]
+                    burst_instr_d += n_instructions
+                address = op[3]
+                line = address >> line_shift
+                base = (line % n_sets) << way_shift
+                w = base
+                end = base + assoc
+                while w < end and tags[w] != line:
+                    w += 1
+                is_write = True
+                stores_d += 1
+            # Inside the horizon a load reaching here missed and a store
+            # missed or hit a SHARED line; a critical section's store
+            # may also hit in E or M.
+            if w < end:
+                state = states[w]
+                while w > base:
+                    tags[w] = tags[w - 1]
+                    states[w] = states[w - 1]
+                    w -= 1
+                tags[base] = line
+                if state == SHARED:
+                    states[base] = SHARED
+                    done = upgrade(c, line, base, t)
+                else:
+                    # Silent E -> M (or an M hit): no stall.
+                    states[base] = MODIFIED
+                    done = t
+            else:
+                done = miss(c, line, base, address, t, is_write)
+                misses[c] += 1
+            # L1 hits are fully pipelined on the EV6 (their cost is part
+            # of the base CPI); the OoO window overlaps part of a miss.
+            delay = done - t
+            if delay > hit_ps:
+                delay = int((delay - hit_ps) / mlp[c])
+                t += delay
+                stall[c] += delay
+            slow_ops += 1
+            if kind == OP_CRITICAL:
+                locks.release(lock_id, t)
+                criticals[c] += 1
+                critical_ops += 1
+            if timed:
+                # repro: allow[DET-WALLCLOCK] host-side profiling timer; never feeds simulated state
+                elapsed = time.perf_counter() - started
+                if kind == OP_CRITICAL:
+                    critical_s += elapsed
+                else:
+                    memory_s += elapsed
+            i += 1
+            lead = t < next_time or (t == next_time and c < next_id)
+
+        busy[c] += busy_d
+        burst_instr[c] += burst_instr_d
+        loads[c] += loads_d
+        stores[c] += stores_d
+        cursor[c] = i
+        if status == RUNNING:
+            # This core no longer leads, so the heap is not empty.
+            t, c = heapreplace(heap, (t, c))
+        else:
+            parked_ps[c] = t
+            if status == AT_BARRIER:
+                barrier_ops += 1
+                waiters, release = barriers.arrive(op[1], c, parked_ps)
+                for waiter_id in waiters:
+                    sync[waiter_id] += release - parked_ps[waiter_id]
+                    heappush(heap, (release, waiter_id))
+                if waiters and barriers.after_release(release):
+                    for counter in counters:
+                        counter[:] = [0] * n_threads
+            if not heap:
+                break
+            t, c = heappop(heap)
+        steps += 1
+        if steps > max_steps:
+            raise SimulationError("scheduler exceeded MAX_STEPS (deadlock?)")
+        ops, n_ops, tags, states, private, burst_ps = frames[c]
+        i = cursor[c]
+
+    coherence = controller.stats
+    for c, core in enumerate(cores):
+        stats = core.stats
+        memory_ops = loads[c] + stores[c]
+        stats.instructions += burst_instr[c] + memory_ops
+        stats.icache_accesses += burst_instr[c] + memory_ops
+        stats.loads += loads[c]
+        stats.stores += stores[c]
+        stats.critical_sections += criticals[c]
+        stats.busy_ps += busy[c]
+        stats.stall_mem_ps += stall[c]
+        stats.sync_wait_ps += sync[c]
+        stats.end_time_ps = parked_ps[c]
+        l1 = l1s[c]
+        l1.hits += memory_ops - misses[c]
+        l1.misses += misses[c]
+        coherence.l1_hits += memory_ops - misses[c]
+        coherence.l1_misses += misses[c]
+    kernel = KernelStats(
+        mode="fast",
+        total_ops=program.total_ops,
+        fast_path_ops=program.total_ops - slow_ops - barrier_ops,
+        slow_path_ops=slow_ops,
+        barrier_ops=barrier_ops,
+    )
+    if timed:
+        if critical_ops:
+            kernel.subsystem_s["critical"] = critical_s
+        if critical_ops < slow_ops:
+            kernel.subsystem_s["memory"] = memory_s
+    return kernel
 
 
 def _reset_counters(

@@ -72,7 +72,7 @@ class MESIController:
     to :meth:`miss` and a store hit on a SHARED line to :meth:`upgrade`,
     each taking the already-resolved L1 line.  The reference
     interpreter reaches them through ``read``/``write``; the fast path
-    (:meth:`repro.sim.cpu.Core.step_fast`) does its own L1 probe and
+    (:func:`repro.sim.cmp._fast_loop`) does its own L1 probe and
     calls them directly, so each transition has one implementation.
     """
 

@@ -47,6 +47,7 @@ from repro.sim.config import (
     CacheConfig,
 )
 from repro.telemetry.trace import get_tracer
+from repro.workloads import writer
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ def prepare_streams(
     """
     line_shift, n_sets, way_shift = geometry = l1.geometry
     set_bases = [index << way_shift for index in range(n_sets)]
-    resolved: List[List[tuple]] = []
-    touched: List[Dict[int, int]] = []
+    threads: List[Tuple[List[tuple], Dict[int, int]]] = []
     for ops in streams:
         out: List[tuple] = []
         append = out.append
@@ -145,17 +145,39 @@ def prepare_streams(
                 append(criticals.setdefault(op, op))
             else:
                 append(op)
-        resolved.append(out)
-        touched.append(lines)
+        threads.append((out, lines))
+    return _program(threads, geometry)
+
+
+def _program(
+    threads: List[Tuple[List[tuple], Dict[int, int]]],
+    geometry: Tuple[int, int, int],
+) -> CompiledProgram:
+    """The program of per-thread (resolved ops, touched lines) pairs."""
     seen: Set[int] = set()
     shared: Set[int] = set()
-    for lines in touched:
+    for _, lines in threads:
         shared |= lines.keys() & seen
         seen.update(lines)
     return CompiledProgram(
-        streams=resolved,
-        private_lines=[frozenset(lines.keys() - shared) for lines in touched],
+        streams=[ops for ops, _ in threads],
+        private_lines=[frozenset(lines.keys() - shared) for _, lines in threads],
         geometry=geometry,
+    )
+
+
+def _compile(model, n_threads: int, l1: CacheConfig) -> CompiledProgram:
+    """Every thread of ``model`` resolved for ``l1``.
+
+    A plain :class:`repro.workloads.base.WorkloadModel` is written in one
+    flat loop per thread (:mod:`repro.workloads.writer`); any other
+    model goes through :func:`prepare_streams` over its ``thread_ops``,
+    the reference both are pinned equal to.
+    """
+    if writer.writes(model):
+        return _program(writer.write_threads(model, n_threads, l1.geometry), l1.geometry)
+    return prepare_streams(
+        (model.thread_ops(t, n_threads) for t in range(n_threads)), l1
     )
 
 
@@ -281,9 +303,7 @@ def compile_workload(
     ) as span:
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         start = time.perf_counter()
-        program = prepare_streams(
-            (model.thread_ops(t, n_threads) for t in range(n_threads)), l1
-        )
+        program = _compile(model, n_threads, l1)
         # repro: allow[DET-WALLCLOCK] compile-time span timing; never feeds simulated state
         seconds = time.perf_counter() - start
         span.set(ops=program.total_ops)

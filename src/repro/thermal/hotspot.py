@@ -65,6 +65,7 @@ class HotSpotModel:
         self.floorplan = floorplan
         self.ambient_k = celsius_to_kelvin(ambient_celsius)
         self.network = ThermalRCNetwork(floorplan, material)
+        self._areas = {block.name: block.area for block in floorplan.blocks}
         missing = set(exclude_from_average) - set(floorplan.names)
         if missing:
             raise ConfigurationError(
@@ -81,10 +82,11 @@ class HotSpotModel:
         if not averaged:
             raise ConfigurationError("all blocks excluded from the average")
         # Area-weighted average over the reported blocks.
-        total_area = sum(self.floorplan.block(n).area for n in averaged)
+        areas = self._areas
+        total_area = sum(areas[n] for n in averaged)
         average = (
             # repro: allow[DET-FLOAT-SUM] dict preserves the fixed floorplan block order
-            sum(t * self.floorplan.block(n).area for n, t in averaged.items())
+            sum(t * areas[n] for n, t in averaged.items())
             / total_area
         )
         return ThermalResult(

@@ -68,12 +68,16 @@ class ThermalRCNetwork:
         self.floorplan = floorplan
         self.material = material or ThermalMaterial()
         self._names = floorplan.names
+        self._name_set = frozenset(self._names)
         self._index = {name: i for i, name in enumerate(self._names)}
+        #: Each block's vertical conductance, in floorplan order.
+        self._vertical = [
+            1.0 / (self.material.vertical_resistance_area / block.area)
+            for block in floorplan.blocks
+        ]
 
     def _vertical_conductance(self, name: str) -> float:
-        area = self.floorplan.block(name).area
-        resistance = self.material.vertical_resistance_area / area
-        return 1.0 / resistance
+        return self._vertical[self._index[name]]
 
     @cached_property
     def _conductance(self) -> np.ndarray:
@@ -98,14 +102,21 @@ class ThermalRCNetwork:
             g_matrix[j, j] += g
             g_matrix[i, j] -= g
             g_matrix[j, i] -= g
-        for i, name in enumerate(self._names):
-            g_matrix[i, i] += self._vertical_conductance(name)
+        for i, g in enumerate(self._vertical):
+            g_matrix[i, i] += g
         return g_matrix
+
+    @cached_property
+    def _vertical_vector(self) -> np.ndarray:
+        """The vertical conductances as a vector, built on the first solve."""
+        import numpy as np
+
+        return np.array(self._vertical)
 
     def _power_vector(self, power_map: Mapping[str, float]) -> np.ndarray:
         import numpy as np
 
-        unknown = set(power_map) - set(self._names)
+        unknown = power_map.keys() - self._name_set
         if unknown:
             raise ConfigurationError(f"power map names not in floorplan: {sorted(unknown)}")
         vec = np.zeros(len(self._names))
@@ -125,9 +136,8 @@ class ThermalRCNetwork:
         """
         import numpy as np
 
-        p = self._power_vector(power_map)
-        rhs = p.copy()
-        for name in self._names:
-            rhs[self._index[name]] += self._vertical_conductance(name) * ambient_k
+        rhs = self._power_vector(power_map)
+        # Element by element the same ``p + g * T_amb`` as a scalar loop.
+        rhs += self._vertical_vector * ambient_k
         temperatures = np.linalg.solve(self._conductance, rhs)
         return dict(zip(self._names, temperatures.tolist()))

@@ -220,20 +220,23 @@ class WorkloadModel:
         """Filter a candidate list down to supported thread counts."""
         return [n for n in candidates if self.supports(n)]
 
+    def check_thread(self, thread_id: int, n_threads: int) -> None:
+        """Raise :class:`WorkloadError` unless the thread can run."""
+        if not self.supports(n_threads):
+            raise WorkloadError(
+                f"{self.spec.name} does not run on {n_threads} threads"
+            )
+        if not 0 <= thread_id < n_threads:
+            raise WorkloadError(f"thread id {thread_id} out of range")
+
     def thread_ops(self, thread_id: int, n_threads: int) -> Iterator[tuple]:
         """The operation stream of one thread in an ``n_threads`` run.
 
         Deterministic in (spec.seed, thread_id, n_threads); every thread
         issues the same barrier sequence, as the simulator requires.
         """
+        self.check_thread(thread_id, n_threads)
         spec = self.spec
-        if not self.supports(n_threads):
-            raise WorkloadError(
-                f"{spec.name} does not run on {n_threads} threads"
-            )
-        if not 0 <= thread_id < n_threads:
-            raise WorkloadError(f"thread id {thread_id} out of range")
-
         rng = random.Random(f"{spec.seed}/{thread_id}/{n_threads}")
         private_slice = max(_STRIDE * 64, spec.total_private_bytes // n_threads)
         private_base = _PRIVATE_BASE + thread_id * (private_slice + (1 << 30))

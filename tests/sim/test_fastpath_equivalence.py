@@ -1,6 +1,6 @@
 """The fast-path kernel's contract: bitwise-identical counters.
 
-``Core.step_fast`` over resolved streams must reproduce every counter of
+The fast kernel loop over resolved streams must reproduce every counter of
 the reference interpreter (``Core.step`` over raw generator streams) —
 not approximately, *identically*.  These tests run both kernels on the
 same workloads across machine configurations and compare every field of
@@ -131,7 +131,7 @@ class TestConfigurationMatrix:
         # invalidation races in which a peer's write miss lands between
         # a core's batched L1 hits in virtual time.  An unbounded batch
         # executes those hits too early and diverges; the safe-horizon
-        # rule in ``step_fast`` must keep the interleaving exact.
+        # rule in the fast loop must keep the interleaving exact.
         by_name = {m.name: m for m in SPLASH2}
         model = scaled(by_name["Radix"], 0.25)
         assert_equivalent(model, 4, CMPConfig(n_cores=4))

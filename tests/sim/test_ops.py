@@ -1,13 +1,19 @@
 """Tests for op-stream compilation and the compile cache."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
 
 from repro.sim.config import L1_TABLE1, OP_COMPUTE, OP_CRITICAL, OP_LOAD, OP_STORE
 from repro.sim.ops import OpStreamCache, compile_workload, prepare_streams
-from repro.workloads import SPLASH2, WorkloadModel, workload_by_name
+from repro.workloads import (
+    SPLASH2,
+    WorkloadModel,
+    max_power_microbenchmark,
+    workload_by_name,
+)
 from repro.workloads.multiprogram import homogeneous_mix
 
 
@@ -126,10 +132,12 @@ class TestCompileWorkload:
 
 
 def _bundled_programs():
-    """Every SPLASH-2 model at scale 0.05, plus a four-copy mix."""
+    """Every SPLASH-2 model at scale 0.05 on each thread count Figures 3
+    and 4 run, a four-copy mix and the calibration microbenchmark."""
     models = [WorkloadModel(m.spec.scaled(0.05)) for m in SPLASH2]
-    cases = [(m, n) for m in models for n in (1, 2, 4, 8, 16) if m.supports(n)]
+    cases = [(m, n) for m in models for n in (1, 2, 4, 8, 12, 16) if m.supports(n)]
     cases.append((homogeneous_mix(models[0], 4), 4))
+    cases.append((max_power_microbenchmark(), 1))
     return cases
 
 
@@ -138,6 +146,10 @@ def _bundled_programs():
 )
 def test_compiled_streams_are_the_generated_streams(model, n):
     program = compile_workload(model, n, cache=None).program
+    # The reference compile: prepare_streams over the raw generators.
+    assert program == prepare_streams(
+        (model.thread_ops(t, n) for t in range(n)), L1_TABLE1
+    )
     shift = L1_TABLE1.line_shift
     for t in range(n):
         generated = list(model.thread_ops(t, n))
@@ -150,6 +162,26 @@ def test_compiled_streams_are_the_generated_streams(model, n):
                 assert op[1] == gen[1] >> shift << shift
             else:
                 assert op == gen
+
+
+#: sha256 over every bundled program's streams and sorted private-line
+#: sets, as :func:`_program_digest` computes it.
+PROGRAMS_SHA256 = "65e24835da7d522f0de9577ae3ee865ead33628dc7ab1c13d6ca6ed99f634991"
+
+
+def _program_digest(cases):
+    digest = hashlib.sha256()
+    for model, n in cases:
+        program = compile_workload(model, n, cache=None).program
+        digest.update(repr(program.streams).encode())
+        digest.update(
+            repr([sorted(lines) for lines in program.private_lines]).encode()
+        )
+    return digest.hexdigest()
+
+
+def test_bundled_programs_are_pinned_bitwise():
+    assert _program_digest(_bundled_programs()) == PROGRAMS_SHA256
 
 
 # ---------------------------------------------------------------------------

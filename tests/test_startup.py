@@ -87,8 +87,8 @@ print(json.dumps(loaded))
 
 #: Modules a warm replay must not load: the numerical libraries (only a
 #: simulation's thermal solve needs numpy), the analytical model, the
-#: analyzer, every engine — the simulator and its compiler, the thermal
-#: model, the Wattch and chip-power models and the calibration
+#: analyzer, every engine — the simulator, its compiler and the flat
+#: program writer, the thermal model, the Wattch and chip-power models and the calibration
 #: microbenchmark — and, without ``--telemetry-dir``, the run-manifest
 #: writer and its alert rules (the ``--cache`` journal reads its JSONL
 #: through ``repro.telemetry.jsonl``).
@@ -101,6 +101,7 @@ WARM_FORBIDDEN_MODULES = (
     "repro.power.wattch",
     "repro.power.chippower",
     "repro.workloads.microbench",
+    "repro.workloads.writer",
     *(
         f"repro.sim.{engine}"
         for engine in ("cmp", "cpu", "cache", "coherence", "bus", "memory", "clock", "ops")
