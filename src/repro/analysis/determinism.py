@@ -99,9 +99,8 @@ def in_scope(rel: str) -> bool:
     return not exempt(rel) and rel.startswith(DEFAULT_SCOPE)
 
 
-def _call_target(node: ast.Call) -> Tuple[Optional[str], str]:
-    """``(base, attr)`` of a call: ``time.time()`` -> ("time", "time")."""
-    func = node.func
+def _call_target(func: ast.expr) -> Tuple[Optional[str], str]:
+    """``(base, attr)`` of a callee: ``time.time`` -> ("time", "time")."""
     if isinstance(func, ast.Attribute):
         base: Optional[str] = None
         if isinstance(func.value, ast.Name):
@@ -142,6 +141,29 @@ class _ModuleAliases:
                     for alias in node.names:
                         if alias.name == "datetime":
                             self.datetime.add(alias.asname or alias.name)
+
+    def is_wallclock(self, base: Optional[str], attr: str) -> bool:
+        """Whether ``base.attr`` (bare ``attr`` when ``base`` is ``None``)
+        names a wall-clock function."""
+        return (
+            (base in self.time and attr in _WALLCLOCK_TIME_ATTRS)
+            or (base in self.datetime and attr in _WALLCLOCK_DATETIME_ATTRS)
+            or (base is None and attr in self.bare_wallclock)
+        )
+
+
+def _frame_clock_aliases(frame: Frame, aliases: _ModuleAliases) -> FrozenSet[str]:
+    """Names a frame assigns a wall-clock function to, such as
+    ``perf_counter = time.perf_counter``: calling one reads the clock."""
+    return frozenset(
+        target.id
+        for node in owned_nodes(frame)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, (ast.Attribute, ast.Name))
+        and aliases.is_wallclock(*_call_target(node.value))
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    )
 
 
 def _frame_set_names(
@@ -193,7 +215,7 @@ def _is_set_expr(
             node.right, set_names, index
         )
     if isinstance(node, ast.Call):
-        base, attr = _call_target(node)
+        base, attr = _call_target(node.func)
         if base is None and attr in ("set", "frozenset"):
             return True
         candidates = index.functions.get(attr, [])
@@ -235,7 +257,7 @@ def _unordered_iter(
     ``tuple`` wrappers are looked through (they preserve it).
     """
     if isinstance(node, ast.Call):
-        base, attr = _call_target(node)
+        base, attr = _call_target(node.func)
         if base is None and attr == "sorted":
             return None
         if base is None and attr in ("list", "tuple") and node.args:
@@ -282,12 +304,15 @@ def scan(index: TreeIndex) -> Hazards:
             frame, set_names = frames.pop()
             if not isinstance(frame, ast.ClassDef):
                 set_names = _frame_set_names(frame, set_names, index)
+            clocks = _frame_clock_aliases(frame, aliases)
             sites = hazards.setdefault(frame, [])
             for node in owned_nodes(frame):
                 if isinstance(node, FRAME_NODES):
                     frames.append((node, set_names))
                     continue
-                sites.extend(_classify(node, source, aliases, set_names, index))
+                sites.extend(
+                    _classify(node, source, aliases, clocks, set_names, index)
+                )
     return hazards
 
 
@@ -318,12 +343,14 @@ def _classify(
     node: ast.AST,
     source: SourceFile,
     aliases: _ModuleAliases,
+    clocks: AbstractSet[str],
     set_names: AbstractSet[str],
     index: TreeIndex,
 ) -> Iterator[HazardSite]:
-    """The hazard sites one node of ``source`` is (usually none)."""
+    """The hazard sites one node of ``source`` is (usually none);
+    ``clocks`` are its frame's wall-clock aliases."""
     if isinstance(node, ast.Call):
-        hazard = _classify_call(node, aliases, set_names, index)
+        hazard = _classify_call(node, aliases, clocks, set_names, index)
         if hazard is not None:
             yield HazardSite(source, node.lineno, *hazard)
         return
@@ -351,16 +378,13 @@ def _classify(
 def _classify_call(
     node: ast.Call,
     aliases: _ModuleAliases,
+    clocks: AbstractSet[str],
     set_names: AbstractSet[str],
     index: TreeIndex,
 ) -> Optional[Tuple[str, str, str]]:
     """``(rule, message, detail)`` when a call is a hazard."""
-    base, attr = _call_target(node)
-    if (
-        (base in aliases.time and attr in _WALLCLOCK_TIME_ATTRS)
-        or (base in aliases.datetime and attr in _WALLCLOCK_DATETIME_ATTRS)
-        or (base is None and attr in aliases.bare_wallclock)
-    ):
+    base, attr = _call_target(node.func)
+    if aliases.is_wallclock(base, attr) or (base is None and attr in clocks):
         detail = f"wall-clock read `{attr}`"
         return "DET-WALLCLOCK", f"{detail} in a simulation module", detail
     if base in aliases.random and attr in _GLOBAL_RANDOM_FUNCS:

@@ -18,10 +18,10 @@ fidelity (1.0 = the calibrated default run length).
 The sweep-shaped commands (``fig1``–``fig4``, ``characterize``) also
 accept ``--jobs N`` to fan independent sweep points out over N worker
 processes, and ``--cache DIR`` to memoize completed points on disk so a
-re-run only simulates points whose configuration changed
-(``--no-cache`` disables a configured cache for one invocation).  The
-cache also holds the experimental commands' power calibration, so a
-warm re-run simulates nothing.
+re-run only simulates points whose configuration changed; without
+``--cache`` every point is computed afresh.  The cache also holds the
+experimental commands' power calibration, so a warm re-run simulates
+nothing.
 
 They are also fault tolerant: ``--max-retries N`` re-attempts points
 whose failure was transient (a crashed worker, a timeout, an escaped
@@ -125,11 +125,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="memoize completed sweep points in DIR (default: no cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache for this invocation (recompute everything)",
     )
     parser.add_argument(
         "--resume",
@@ -328,7 +323,7 @@ def _sweep_session(args, experimental: bool = False):
 
     Opens the telemetry run first, so an experimental context's
     calibration is traced, then the command's one result cache (none
-    under ``--no-cache``).  Builds the context (``None`` for the
+    without ``--cache``).  Builds the context (``None`` for the
     analytical figures), which replays its calibration from that cache,
     and the executor with its journal, which shares it, so a corrupt
     calibration entry is counted with the points'.  After the
@@ -353,7 +348,7 @@ def _sweep_body(args, experimental: bool):
     command = args.command
     telemetry_run = _telemetry_run_from_args(args, command)
     cache = None
-    if args.cache and not args.no_cache:
+    if args.cache:
         from repro.harness.executor import ResultCache
 
         cache = ResultCache(args.cache)
@@ -368,6 +363,15 @@ def _sweep_body(args, experimental: bool):
 
             telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
     executor = _executor_from_args(args, telemetry_run, command, cache)
+    if context is not None:
+        # The calibration's microbenchmark opens the kernel ledger: as a
+        # run when it ran here, as a cached run when it was replayed.
+        calibrated = context.calibration_outcome
+        if calibrated.telemetry is not None:
+            for kernel in calibrated.telemetry.kernels:
+                executor.kernels.add_record(kernel, cached=calibrated.cached)
+            if telemetry_run is not None:
+                telemetry_run.record_spans(calibrated.telemetry.spans)
     try:
         yield context, executor
         _print_executor_summary(executor, args)
@@ -750,9 +754,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    from functools import partial
-
-    from repro.harness.profiling import SimPointTask, sim_point_key, simulate_point
+    from repro.harness.profiling import SimPointTask, simulate_points
     from repro.workloads.splash2 import SPLASH2
 
     with _sweep_session(args, experimental=True) as (context, executor):
@@ -762,11 +764,10 @@ def _cmd_characterize(args) -> int:
             for model in SPLASH2
             for n in (1, 16)
         ]
-        points = executor.map_values(
-            partial(simulate_point, context),
-            tasks,
-            key_configs=[sim_point_key(context, task) for task in tasks],
-        )
+        points = [
+            outcome.unwrap()
+            for outcome in simulate_points(context, executor, tasks)
+        ]
         rows = []
         for index, model in enumerate(SPLASH2):
             one, sixteen = points[2 * index], points[2 * index + 1]

@@ -1,12 +1,14 @@
 """Shared experimental infrastructure (Sections 3.1-3.3 assembled).
 
-One :class:`ExperimentContext` owns everything the evaluation pipelines
-need: the Table 1 CMP configuration, the HotSpot-style thermal model over
-the 16-core floorplan, the Wattch energy model, the static-power curve,
-the Section 3.3 power calibration, and the V/f operating-point table.
+The paper runs every experiment on one machine, so the machine is
+fixed here: the Table 1 16-way CMP at 65 nm, its V/f ladder and the
+static-power curve are module constants.  One :class:`ExperimentContext`
+owns everything the evaluation pipelines need: that machine, the
+HotSpot-style thermal model over the 16-core floorplan, the Wattch
+energy model and the Section 3.3 power calibration.
 
 The calibration is a property of the machine, not of an experiment: it
-is computed once per machine configuration and, given a
+is computed once per model source and, given a
 :class:`~repro.harness.executor.ResultCache` (``--cache``), replayed from
 it, so a warm sweep runs no simulation at all.  Contexts are intended to
 be built once and shared across experiments.
@@ -23,6 +25,8 @@ them inside ``__init__``, so cold set-up is unchanged.
 
 from __future__ import annotations
 
+import os
+import time
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -31,71 +35,56 @@ from repro.harness.executor import PointOutcome, ResultCache, config_key
 from repro.power.calibration import PowerCalibration, calibrate_power_model
 from repro.power.static import StaticPowerModel
 from repro.sim.config import CMPConfig
-from repro.tech.technology import NODE_65NM, TechnologyNode, VFTable
-from repro.telemetry.record import record_kernel
+from repro.tech.technology import NODE_65NM, VFTable
+from repro.telemetry.record import CaptureWindow, PointTelemetry, record_kernel
+from repro.telemetry.trace import now_us
 from repro.workloads.base import WorkloadModel
 
 if TYPE_CHECKING:
     from repro.power.chippower import ChipPowerModel, ChipPowerResult
-    from repro.power.wattch import UnitEnergies, WattchModel
+    from repro.power.wattch import WattchModel
     from repro.sim.cmp import SimulationResult
     from repro.thermal.hotspot import HotSpotModel
+
+
+#: Table 1's technology node.
+TECH = NODE_65NM
+#: The Table 1 16-way CMP at the node's nominal V/f.
+CMP_CONFIG = CMPConfig(frequency_hz=TECH.f_nominal, voltage=TECH.vdd_nominal)
+#: Ambient temperature of the HotSpot-style thermal model.
+AMBIENT_CELSIUS = 45.0
+#: The static-power curve anchored at the node's nominal static fraction.
+STATIC_MODEL = StaticPowerModel(
+    design_ratio=TECH.static_fraction_nominal / (1.0 - TECH.static_fraction_nominal)
+)
+#: The Pentium-M-style operating-point table of Section 3.1: 200 MHz ..
+#: f_nominal in 200 MHz steps, VID linear in frequency like the
+#: datasheet the paper extrapolates from [18].
+VF_TABLE = VFTable.linear(TECH, f_min=200e6, f_max=TECH.f_nominal, step=200e6)
 
 
 class ExperimentContext:
     """The assembled Table 1 machine plus its power/thermal toolchain.
 
-    ``cache`` memoizes the Section 3.3 calibration: it is keyed by the
-    machine (CMP config, technology, ambient, Wattch energies, static
-    model) and not by ``workload_scale`` or the V/f ladder, so one entry
-    serves every sweep on the same machine.
+    The machine is fixed (the module constants above): only the
+    workloads' run length varies between contexts.  ``cache`` memoizes
+    the Section 3.3 calibration under one key, which
+    :func:`~repro.harness.executor.config_key` ties to the model source,
+    so one entry serves every sweep until the model changes.
     """
 
+    cmp_config = CMP_CONFIG
+    tech = TECH
+    static_model = STATIC_MODEL
+    vf_table = VF_TABLE
+
     def __init__(
-        self,
-        cmp_config: Optional[CMPConfig] = None,
-        tech: TechnologyNode = NODE_65NM,
-        ambient_celsius: float = 45.0,
-        energies: Optional[UnitEnergies] = None,
-        static_model: Optional[StaticPowerModel] = None,
-        vf_step_hz: float = 200e6,
-        f_min_hz: float = 200e6,
-        workload_scale: float = 1.0,
-        cache: Optional[ResultCache] = None,
+        self, workload_scale: float = 1.0, cache: Optional[ResultCache] = None
     ) -> None:
         if workload_scale <= 0:
             raise ConfigurationError("workload_scale must be positive")
-        self.cmp_config = cmp_config or CMPConfig(
-            frequency_hz=tech.f_nominal, voltage=tech.vdd_nominal
-        )
-        self.tech = tech
         self.workload_scale = workload_scale
-        self._ambient_celsius = ambient_celsius
-        self._energies = energies
-        self.static_model = static_model or StaticPowerModel(
-            design_ratio=tech.static_fraction_nominal
-            / (1.0 - tech.static_fraction_nominal)
-        )
-        #: The Pentium-M-style operating-point table of Section 3.1:
-        #: 200 MHz .. f_nominal in 200 MHz steps, VID linear in frequency
-        #: like the datasheet the paper extrapolates from [18].
-        self.vf_table = VFTable.linear(
-            tech, f_min=f_min_hz, f_max=tech.f_nominal, step=vf_step_hz
-        )
         self.calibration = self._calibration(cache)
-        #: Everything that determines a simulation's outcome, recorded at
-        #: construction time for content-addressed result caching.
-        self._fingerprint = {
-            "kind": "experiment-context",
-            "cmp_config": self.cmp_config,
-            "tech": tech,
-            "ambient_celsius": ambient_celsius,
-            "energies": energies,
-            "static_model": self.static_model,
-            "vf_step_hz": vf_step_hz,
-            "f_min_hz": f_min_hz,
-            "workload_scale": workload_scale,
-        }
 
     @cached_property
     def thermal(self) -> HotSpotModel:
@@ -105,7 +94,7 @@ class ExperimentContext:
 
         return HotSpotModel(
             cmp_floorplan(self.cmp_config.n_cores),
-            ambient_celsius=self._ambient_celsius,
+            ambient_celsius=AMBIENT_CELSIUS,
             exclude_from_average=("l2",),
         )
 
@@ -114,7 +103,7 @@ class ExperimentContext:
         """The Wattch per-event energy model."""
         from repro.power.wattch import WattchModel
 
-        return WattchModel(self._energies)
+        return WattchModel()
 
     @cached_property
     def chip_power(self) -> ChipPowerModel:
@@ -126,36 +115,44 @@ class ExperimentContext:
         )
 
     def _calibration(self, cache: Optional[ResultCache]) -> PowerCalibration:
-        """The machine's calibration, replayed from ``cache`` when it can be."""
-        key = config_key(
-            {
-                "kind": "power-calibration",
-                "cmp_config": self.cmp_config,
-                "tech": self.tech,
-                "ambient_celsius": self._ambient_celsius,
-                "energies": self._energies,
-                "static_model": self.static_model,
-            }
-        )
+        """The machine's calibration, replayed from ``cache`` when it can be.
+
+        Also sets :attr:`calibration_outcome`, the calibration as the
+        cache holds it: its telemetry carries the microbenchmark run's
+        ``KernelStats`` (the original run's on a replay) and, when it
+        ran here, its spans, for the sweep's kernel ledger and trace.
+        """
+        key = config_key({"kind": "power-calibration"})
         hit = cache.get(key) if cache is not None else None
         if hit is not None and isinstance(hit.value, PowerCalibration):
+            self.calibration_outcome = PointOutcome(
+                0, key, hit.value, cached=True, telemetry=hit.telemetry
+            )
             return hit.value
-        calibration = calibrate_power_model(
-            self.cmp_config, self.thermal, self.wattch, self.static_model
+        start_us, start = now_us(), time.perf_counter()
+        with CaptureWindow() as window:
+            calibration = calibrate_power_model(
+                self.cmp_config, self.thermal, self.wattch, self.static_model
+            )
+        telemetry = PointTelemetry(
+            pid=os.getpid(),
+            start_us=start_us,
+            wall_s=time.perf_counter() - start,
+            **window.captured._asdict(),
         )
+        self.calibration_outcome = PointOutcome(0, key, calibration, telemetry=telemetry)
         if cache is not None:
-            cache.put(key, PointOutcome(index=0, key=key, value=calibration))
+            cache.put(key, self.calibration_outcome)
         return calibration
 
     def fingerprint(self) -> dict:
         """The context's defining parameters, for result-cache keys.
 
-        Two contexts with equal fingerprints produce identical
-        simulation results, so the
-        :class:`~repro.harness.executor.ResultCache` may reuse rows
-        across them.
+        The machine is fixed and :func:`~repro.harness.executor.config_key`
+        already hashes the model source, so the workload scale is all
+        that tells two contexts' simulation results apart.
         """
-        return dict(self._fingerprint)
+        return {"kind": "experiment-context", "workload_scale": self.workload_scale}
 
     @property
     def f_nominal(self) -> float:

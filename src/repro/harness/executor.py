@@ -189,7 +189,7 @@ def _canonical(value: Any) -> Any:
     return normalise(encoded)
 
 
-def config_key(config: Any, schema_version: Optional[int] = None) -> str:
+def config_key(config: Any) -> str:
     """Stable content hash of a point configuration.
 
     The digest covers the canonicalised config (dataclass type names,
@@ -197,9 +197,8 @@ def config_key(config: Any, schema_version: Optional[int] = None) -> str:
     schema version and the :func:`~repro.harness.schema.model_fingerprint`,
     so a change to any of them yields a new key.
     """
-    version = SCHEMA_VERSION if schema_version is None else schema_version
     document = {
-        "schema": version,
+        "schema": SCHEMA_VERSION,
         "model": model_fingerprint(),
         "config": _canonical(config),
     }
@@ -378,9 +377,7 @@ class ResultCache:
     ``*.quarantined`` so the evidence survives — and treated as misses.
     """
 
-    def __init__(
-        self, root: PathLike, schema_version: Optional[int] = None
-    ) -> None:
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -388,9 +385,6 @@ class ResultCache:
             raise ConfigurationError(
                 f"cannot use {self.root} as a cache directory: {exc}"
             ) from exc
-        self.schema_version = (
-            SCHEMA_VERSION if schema_version is None else schema_version
-        )
         #: Corrupt entries renamed aside.  Hits, misses and stores are
         #: not counted here: they are the executor's ``cache_hits`` and
         #: ``evaluated`` tallies, but a quarantined file shows in no
@@ -412,10 +406,10 @@ class ResultCache:
             document = json.loads(text)
             if not isinstance(document, dict):
                 raise ConfigurationError(f"{path}: not a cache document")
-            if document.get("schema") != self.schema_version:
+            if document.get("schema") != SCHEMA_VERSION:
                 raise ConfigurationError(
                     f"{path}: schema {document.get('schema')!r} != "
-                    f"supported {self.schema_version}"
+                    f"supported {SCHEMA_VERSION}"
                 )
             if document.get("key") != key:
                 raise ConfigurationError(f"{path}: key mismatch")
@@ -459,7 +453,7 @@ class ResultCache:
         rides along, so a warm-cache rerun can still account for the
         original evaluation's kernel stats.
         """
-        document = {"schema": self.schema_version, "key": key}
+        document = {"schema": SCHEMA_VERSION, "key": key}
         if outcome.failure is None:
             document["status"] = "ok"
             document["value"] = encode_value(outcome.value)
@@ -787,10 +781,7 @@ class SweepExecutor:
                     f"{len(point_list)} points"
                 )
             if use_cache:
-                keys = [
-                    config_key(config, self.cache.schema_version)
-                    for config in config_list
-                ]
+                keys = [config_key(config) for config in config_list]
 
         outcomes: List[Optional[PointOutcome]] = [None] * len(point_list)
         pending: List[int] = []

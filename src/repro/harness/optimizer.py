@@ -38,7 +38,7 @@ needs next — as one flat fan-out through the
 :class:`~repro.harness.executor.SweepExecutor`, so rounds parallelize
 across workers and across searches (in groups that fit the compile
 cache, so no program recompiles round after round).  Evaluations go
-through :func:`~repro.harness.profiling.simulate_point` under the
+through :func:`~repro.harness.profiling.simulate_points` under the
 standard ``simpoint`` cache key, so optimizer probes share the result
 cache with the other sweeps: a warm cache makes refinement incremental
 across campaigns and ``--resume`` runs, and the chosen row is
@@ -69,13 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
-from repro.harness.profiling import (
-    SimPointRow,
-    SimPointTask,
-    precompile_hook,
-    sim_point_key,
-    simulate_point,
-)
+from repro.harness.profiling import SimPointRow, SimPointTask, simulate_points
 from repro.sim.config import STREAM_CACHE_SIZE
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
@@ -611,12 +605,7 @@ def run_optimizer(
                 and model.name not in campaign.failed_baselines
             }
             baseline_tasks = [SimPointTask(spec=m.spec, n=1) for m in fresh.values()]
-            baseline_outcomes = executor.map(
-                partial(simulate_point, context),
-                baseline_tasks,
-                key_configs=[sim_point_key(context, t) for t in baseline_tasks],
-                precompile=precompile_hook(context),
-            )
+            baseline_outcomes = simulate_points(context, executor, baseline_tasks)
             campaign.baseline_evaluations += len(baseline_tasks)
             for task, outcome in zip(baseline_tasks, baseline_outcomes):
                 if outcome.ok:
@@ -711,12 +700,7 @@ def _search(
             points=len(tasks),
             bracket_steps=max(widths, default=0),
         ):
-            outcomes = executor.map(
-                partial(simulate_point, context),
-                tasks,
-                key_configs=[sim_point_key(context, task) for task in tasks],
-                precompile=precompile_hook(context),
-            )
+            outcomes = simulate_points(context, executor, tasks)
         advanced = set()
         for (state, index), outcome in zip(frontier, outcomes):
             state.evaluations += 1

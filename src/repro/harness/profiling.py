@@ -2,7 +2,8 @@
 
 :func:`simulate_point` is the one way the experimental pipelines
 simulate an (N, f) operating point: a :class:`SimPointTask` in, a flat,
-cacheable :class:`SimPointRow` out, memoized under :func:`sim_point_key`.
+cacheable :class:`SimPointRow` out.  :func:`simulate_points` is the one
+way they fan a list of such tasks out through a sweep executor.
 
 A profile runs an application at nominal voltage and frequency on every
 supported core count, recording execution time and power.  From it come
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.context import ExperimentContext
-from repro.harness.executor import SweepExecutor
+from repro.harness.executor import PointOutcome, SweepExecutor
 from repro.workloads.base import WorkloadModel, WorkloadSpec
 
 
@@ -87,31 +88,34 @@ def simulate_point(context: ExperimentContext, task: SimPointTask) -> SimPointRo
     )
 
 
-def sim_point_key(context: ExperimentContext, task: SimPointTask) -> dict:
-    """The cache-key config of one :func:`simulate_point` evaluation."""
-    return {"kind": "simpoint", "context": context.fingerprint(), "task": task}
+def simulate_points(
+    context: ExperimentContext, executor: SweepExecutor, tasks: Sequence[SimPointTask]
+) -> List[PointOutcome]:
+    """Fan ``tasks`` out through ``executor``; outcomes in task order.
 
-
-def precompile_hook(context: ExperimentContext):
-    """A :meth:`SweepExecutor.map` ``precompile`` hook for (spec, N) tasks.
-
-    Returns a callable the executor invokes in the coordinator with the
-    points its result cache could not satisfy; each distinct
-    ``(task.spec, task.n)`` pair is compiled once into the process-wide
+    Each point is memoized under its ``simpoint`` key (the context's
+    fingerprint plus the task).  Before any dispatch the coordinator
+    compiles each distinct ``(task.spec, task.n)`` pair the cache could
+    not satisfy once into the process-wide
     :data:`repro.sim.ops.stream_cache` (at the context's workload
     scale), so forked workers inherit warm streams and a fully cached
     sweep compiles nothing.
     """
 
-    def warm(points) -> None:
-        seen = set()
-        for task in points:
-            pair = (task.spec, task.n)
-            if pair not in seen:
-                seen.add(pair)
-                context.precompile(WorkloadModel(task.spec), task.n)
+    def precompile(points: List[SimPointTask]) -> None:
+        for spec, n in dict.fromkeys((task.spec, task.n) for task in points):
+            context.precompile(WorkloadModel(spec), n)
 
-    return warm
+    fingerprint = context.fingerprint()
+    return executor.map(
+        partial(simulate_point, context),
+        tasks,
+        key_configs=[
+            {"kind": "simpoint", "context": fingerprint, "task": task}
+            for task in tasks
+        ],
+        precompile=precompile,
+    )
 
 
 def profile_rows(
@@ -130,11 +134,6 @@ def profile_rows(
     if 1 not in supported:
         raise ConfigurationError(f"{model.name}: the 1-core baseline is required")
     tasks = [SimPointTask(spec=model.spec, n=n) for n in supported]
-    rows = executor.map_values(
-        partial(simulate_point, context),
-        tasks,
-        key_configs=[sim_point_key(context, task) for task in tasks],
-        precompile=precompile_hook(context),
-    )
-    return {row.n: row for row in rows}
+    outcomes = simulate_points(context, executor, tasks)
+    return {task.n: outcome.unwrap() for task, outcome in zip(tasks, outcomes)}
 

@@ -17,8 +17,8 @@ chip DVFS does not slow the 75 ns memory, so the processor-memory gap
 narrows — the effect the analytical model cannot capture.
 
 Both stages run through a
-:class:`~repro.harness.executor.SweepExecutor` as
-:func:`~repro.harness.profiling.simulate_point` evaluations: the nominal
+:class:`~repro.harness.executor.SweepExecutor` by
+:func:`~repro.harness.profiling.simulate_points`: the nominal
 profiling points of *all* applications fan out together, then all the
 scaled re-simulations do, and the coordinator assembles the rows.  Every
 point is memoized under the shared ``simpoint`` cache key, so re-running
@@ -28,19 +28,12 @@ a campaign whose configurations have not changed simulates nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.harness.context import ExperimentContext
 from repro.harness.executor import SweepExecutor
-from repro.harness.profiling import (
-    SimPointRow,
-    SimPointTask,
-    precompile_hook,
-    sim_point_key,
-    simulate_point,
-)
+from repro.harness.profiling import SimPointRow, SimPointTask, simulate_points
 from repro.workloads.base import WorkloadModel
 
 
@@ -80,15 +73,10 @@ def run_scenario1(
         for model in models
         for n in model.supported_thread_counts(core_counts)
     ]
-    profile_rows_list = executor.map_values(
-        partial(simulate_point, context),
-        profile_tasks,
-        key_configs=[sim_point_key(context, task) for task in profile_tasks],
-        precompile=precompile_hook(context),
-    )
+    profile_outcomes = simulate_points(context, executor, profile_tasks)
     profiles: Dict[str, Dict[int, SimPointRow]] = {m.name: {} for m in models}
-    for task, row in zip(profile_tasks, profile_rows_list):
-        profiles[task.spec.name][task.n] = row
+    for task, outcome in zip(profile_tasks, profile_outcomes):
+        profiles[task.spec.name][task.n] = outcome.unwrap()
 
     # Stage 2: every scaled re-simulation, across all applications.
     results: Dict[str, List[Scenario1Row]] = {}
@@ -130,12 +118,7 @@ def run_scenario1(
                 )
             )
             efficiencies.append(eps_n)
-    outcomes = executor.map(
-        partial(simulate_point, context),
-        scaled_tasks,
-        key_configs=[sim_point_key(context, task) for task in scaled_tasks],
-        precompile=precompile_hook(context),
-    )
+    outcomes = simulate_points(context, executor, scaled_tasks)
     for task, eps_n, outcome in zip(scaled_tasks, efficiencies, outcomes):
         if not outcome.ok:
             continue

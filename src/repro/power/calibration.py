@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.telemetry.record import record_kernel
 from repro.units import celsius_to_kelvin
 
 if TYPE_CHECKING:
@@ -105,6 +106,11 @@ def calibrate_power_model(
         ubench.core_timing(),
         warmup_barriers=ubench.warmup_barriers,
     )
+    if result.kernel is not None:
+        result.kernel.compile_s = compiled.seconds
+        # A capture window around the calibration takes the run to the
+        # sweep's kernel ledger.
+        record_kernel(result.kernel)
     raw_dynamic = wattch.total_dynamic_power_w(result)
 
     return PowerCalibration(

@@ -56,6 +56,7 @@ PINNED_FIXTURE_LINES = (
     ("sim/bad_determinism.py", 26, "DET-SET-ORDER"),
     ("sim/bad_determinism.py", 32, "DET-FLOAT-SUM"),
     ("sim/bad_determinism.py", 33, "DET-FLOAT-SUM"),
+    ("sim/clock_alias.py", 8, "DET-WALLCLOCK"),
     ("sim/module_sets.py", 13, "DET-SET-ORDER"),
     ("sim/nested_hazards.py", 10, "DET-SET-ORDER"),
     ("sim/nested_hazards.py", 20, "DET-FLOAT-SUM"),

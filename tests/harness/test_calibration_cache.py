@@ -1,6 +1,6 @@
-"""The Section 3.3 calibration is a property of the machine: one cache
-entry per machine configuration, replayed bitwise by every context
-that shares the machine."""
+"""The Section 3.3 calibration is a property of the fixed Table 1
+machine: one cache entry per model source, replayed bitwise by every
+context."""
 
 import dataclasses
 
@@ -8,8 +8,9 @@ import pytest
 
 import repro.harness.context as context_module
 from repro.harness import ExperimentContext
-from repro.harness.executor import PointOutcome, ResultCache
-from repro.sim.config import CMPConfig
+from repro.harness.executor import PointOutcome, ResultCache, config_key
+from repro.harness.profiling import SimPointTask, simulate_points
+from repro.workloads.splash2 import SPLASH2
 
 
 @pytest.fixture
@@ -56,13 +57,34 @@ class TestCalibrationMemo:
         assert len(calibrations) == 1
         assert len(cache) == 1
 
-    def test_another_machine_misses(self, calibrations, tmp_path):
+    def test_the_model_source_keys_every_entry(self, monkeypatch, tmp_path):
+        import repro.harness.executor as executor_module
+
+        class KeyRecorder:
+            """An executor that only records the keys it is asked for."""
+
+            def map(self, fn, points, key_configs, precompile):
+                self.keys = [config_key(config) for config in key_configs]
+                return []
+
         cache = ResultCache(tmp_path)
-        ExperimentContext(cache=cache)
-        ExperimentContext(ambient_celsius=40.0, cache=cache)
-        ExperimentContext(cmp_config=CMPConfig(n_cores=4), cache=cache)
-        assert len(calibrations) == 3
-        assert len(_calibration_files(cache)) == 3
+        task = SimPointTask(spec=SPLASH2[0].spec, n=1)
+
+        def keys():
+            context = ExperimentContext(workload_scale=0.05, cache=cache)
+            recorder = KeyRecorder()
+            simulate_points(context, recorder, [task])
+            return context, context.calibration_outcome.key, recorder.keys[0]
+
+        _, calibration, point = keys()
+        monkeypatch.setattr(executor_module, "model_fingerprint", lambda: "edited")
+        context, edited_calibration, edited_point = keys()
+        assert edited_calibration != calibration
+        assert edited_point != point
+        assert context.fingerprint() == {
+            "kind": "experiment-context",
+            "workload_scale": 0.05,
+        }
 
     def test_another_model_misses(self, calibrations, monkeypatch, tmp_path):
         import repro.harness.executor as executor_module

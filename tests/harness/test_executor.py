@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.harness.executor as executor_module
 from repro.errors import ConfigurationError, InfeasibleOperatingPoint, ReproError
 from repro.harness.executor import (
     ResultCache,
@@ -173,10 +174,10 @@ class TestConfigKey:
         assert config_key(key_for(3)) != config_key(key_for(4))
         assert config_key(key_for(3)) != config_key(key_for(3, salt=1))
 
-    def test_changes_with_schema_version(self):
-        assert config_key(key_for(3)) != config_key(
-            key_for(3), schema_version=SCHEMA_VERSION + 1
-        )
+    def test_changes_with_schema_version(self, monkeypatch):
+        before = config_key(key_for(3))
+        monkeypatch.setattr(executor_module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        assert config_key(key_for(3)) != before
 
     def test_distinguishes_dataclass_types(self):
         assert config_key(Probe(1, 1)) != config_key({"point": 1, "square": 1})
@@ -284,10 +285,10 @@ class TestExecutor:
 # ---------------------------------------------------------------------------
 
 
-def run_cached(root, points, salts=None, schema_version=None):
+def run_cached(root, points, salts=None):
     """One executor invocation with a fresh spy; returns (rows, spy, executor)."""
     salts = salts if salts is not None else [0] * len(points)
-    cache = ResultCache(root, schema_version=schema_version)
+    cache = ResultCache(root)
     executor = SweepExecutor(cache=cache)
     spy = CountingEvaluator()
     rows = executor.map_values(
@@ -330,12 +331,11 @@ class TestCache:
         assert spy.calls == [2]
         assert executor.stats.evaluated == 1 and executor.stats.cache_hits == 2
 
-    def test_schema_bump_invalidates_everything(self, tmp_path):
+    def test_schema_bump_invalidates_everything(self, monkeypatch, tmp_path):
         points = [1, 2, 3]
         run_cached(tmp_path, points)
-        _, spy, executor = run_cached(
-            tmp_path, points, schema_version=SCHEMA_VERSION + 1
-        )
+        monkeypatch.setattr(executor_module, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
+        _, spy, executor = run_cached(tmp_path, points)
         assert spy.calls == points
         assert executor.stats.cache_hits == 0
 

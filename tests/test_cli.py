@@ -34,11 +34,10 @@ class TestParser:
     def test_executor_flags_on_sweep_commands(self):
         for command in ("fig1", "fig2", "fig3", "fig4", "characterize"):
             args = build_parser().parse_args(
-                [command, "--jobs", "4", "--cache", "/tmp/c", "--no-cache"]
+                [command, "--jobs", "4", "--cache", "/tmp/c"]
             )
             assert args.jobs == 4
             assert args.cache == "/tmp/c"
-            assert args.no_cache is True
 
     def test_rejects_non_positive_or_non_integer_jobs(self):
         for bad in ("0", "-2", "xyz"):
@@ -170,12 +169,6 @@ class TestCommands:
             "[executor] 0 evaluated, 32 cache hits",
         )
 
-    def test_no_cache_disables_a_configured_cache(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert main(["fig2", "--cache", str(cache), "--no-cache"]) == 0
-        capsys.readouterr()
-        assert not cache.exists()
-
     def test_characterize_structure(self):
         # Only parse-check: the full characterisation is exercised by
         # the example; here just confirm the argument wiring.
@@ -294,13 +287,11 @@ def _barnes_fig3(telemetry_dir, *extra):
     return load_manifest(latest_run_dir(telemetry_dir))
 
 
-def _span_seconds(run_dir, name, skip_workload=None):
+def _span_seconds(run_dir, name):
     from repro.telemetry.manifest import load_spans
 
     def walk(node):
-        own = 0.0
-        if node["name"] == name and node.get("args", {}).get("workload") != skip_workload:
-            own = node["duration_us"]
+        own = node["duration_us"] if node["name"] == name else 0.0
         return own + sum(walk(child) for child in node.get("children", ()))
 
     return sum(walk(entry["span"]) for entry in load_spans(run_dir)) * 1e-6
@@ -314,7 +305,6 @@ class TestKernelLedger:
         from repro.sim.ops import stream_cache
         from repro.telemetry.manifest import latest_run_dir
         from repro.telemetry.record import slow_path_line
-        from repro.workloads import max_power_microbenchmark
 
         # A cold compile cache, so the coordinator's precompile has work.
         stream_cache.clear()
@@ -327,14 +317,9 @@ class TestKernelLedger:
         assert compile_s == f"{kernel['compile_s']:.2f}"
         assert kernel["compile_s"] > 0
 
-        # The ledger's compile time is the sweep's compile spans' time.
-        # The calibration compiles its microbenchmark before the sweep,
-        # outside the ledger, as it runs it.
-        spans_s = _span_seconds(
-            latest_run_dir(tmp_path),
-            "workload.compile",
-            skip_workload=max_power_microbenchmark().name,
-        )
+        # The ledger's compile time is the run's compile spans' time,
+        # the calibration microbenchmark's included.
+        spans_s = _span_seconds(latest_run_dir(tmp_path), "workload.compile")
         assert abs(kernel["compile_s"] - spans_s) <= max(0.1 * spans_s, 0.010)
 
         # Slow-path seconds live only in the ledger, and trace metrics
@@ -558,25 +543,6 @@ class TestCalibrationMemo:
         assert " 0 cache hits" in warm
         assert len(kernel_runs) == cold_runs
         assert _table(warm) == _table(cold)
-
-    def test_no_cache_neither_reads_nor_writes_the_calibration(self, capsys, monkeypatch, tmp_path):
-        import repro.harness.context as context_module
-
-        cache = tmp_path / "cache"
-        assert main([*SMALL_SWEEPS["fig3"], "--cache", str(cache)]) == 0
-        files = {path: path.read_bytes() for path in cache.rglob("*.json*")}
-        calibrations = []
-        calibrate = context_module.calibrate_power_model
-
-        def counting(*args, **kwargs):
-            calibrations.append(args)
-            return calibrate(*args, **kwargs)
-
-        monkeypatch.setattr(context_module, "calibrate_power_model", counting)
-        assert main([*SMALL_SWEEPS["fig3"], "--cache", str(cache), "--no-cache"]) == 0
-        capsys.readouterr()
-        assert len(calibrations) == 1
-        assert {path: path.read_bytes() for path in cache.rglob("*.json*")} == files
 
     def test_corrupt_calibration_counts_in_points_cache_quarantined(self, capsys, kernel_runs, tmp_path):
         from repro.telemetry.manifest import load_manifest
