@@ -27,11 +27,11 @@ They are also fault tolerant: ``--max-retries N`` re-attempts points
 whose failure was transient (a crashed worker, a timeout, an escaped
 exception) with exponential backoff before quarantining them,
 ``--point-timeout S`` bounds each attempt's wall clock, and a cached
-sweep journals its progress so ``--resume RUN_ID`` (or ``--resume
-latest``) picks an interrupted campaign back up, replaying finished
-points from the cache and re-attempting only quarantined or missing
-ones — bitwise identical to an uninterrupted run.  See
-docs/OBSERVABILITY.md for the failure model.
+sweep journals its progress under ``DIR/journal/``.  Rerunning an
+interrupted or degraded campaign with the same ``--cache`` picks it
+back up: the cache replays finished points and only quarantined or
+missing ones are evaluated — bitwise identical to an uninterrupted
+run.  See docs/OBSERVABILITY.md for the failure model.
 
 Every sweep accepts ``--profile`` to print executor statistics
 (and, for the experimental sweeps, how the simulation kernel performed:
@@ -127,16 +127,6 @@ def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
         help="memoize completed sweep points in DIR (default: no cache)",
     )
     parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="RUN_ID",
-        help=(
-            "resume an interrupted sweep: replay the journalled points "
-            "of RUN_ID from the cache and evaluate only the rest "
-            "(requires --cache; 'latest' picks the newest journal)"
-        ),
-    )
-    parser.add_argument(
         "--max-retries",
         type=_nonnegative_int,
         default=0,
@@ -180,16 +170,7 @@ def _executor_from_args(args, telemetry_run, command: str, cache):
     from repro.errors import ConfigurationError
     from repro.harness.executor import RetryPolicy, SweepExecutor
     from repro.harness.faults import parse_fault_plan
-    from repro.harness.journal import SweepJournal, list_run_ids
-
-    resume_id = getattr(args, "resume", None)
-    if resume_id is not None and cache is None:
-        print(
-            f"{command}: --resume requires --cache (the cache holds the "
-            "completed points a resumed run replays)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    from repro.harness.journal import SweepJournal
 
     retry = None
     if args.max_retries or args.point_timeout is not None:
@@ -211,43 +192,17 @@ def _executor_from_args(args, telemetry_run, command: str, cache):
 
     journal = None
     if cache is not None:
+        run_id = telemetry_run.run_id if telemetry_run else None
         try:
-            if resume_id is not None:
-                if resume_id == "latest":
-                    known = list_run_ids(cache.root)
-                    if not known:
-                        print(
-                            f"{command}: --resume latest: no journalled "
-                            f"runs under {cache.root}",
-                            file=sys.stderr,
-                        )
-                        raise SystemExit(2)
-                    resume_id = known[-1]
-                journal = SweepJournal(
-                    cache.root, resume_id, command=command, resume=True
-                )
-                done = journal.counts()
-                print(
-                    f"[journal] resuming run {journal.run_id}: "
-                    f"{done['ok']} ok, {done['failed']} failed points "
-                    "journalled",
-                    file=sys.stderr,
-                )
-                if telemetry_run is not None:
-                    telemetry_run.set_resume(
-                        journal.run_id, len(journal.completed)
-                    )
-            else:
-                run_id = telemetry_run.run_id if telemetry_run else None
-                journal = SweepJournal(cache.root, run_id, command=command)
-                print(
-                    f"[journal] run {journal.run_id} "
-                    f"(resume with --resume {journal.run_id})",
-                    file=sys.stderr,
-                )
+            journal = SweepJournal(cache.root, run_id, command=command)
         except ConfigurationError as exc:
             print(f"{command}: {exc}", file=sys.stderr)
             raise SystemExit(2)
+        print(
+            f"[journal] run {journal.run_id} "
+            "(rerun with the same --cache to pick it back up)",
+            file=sys.stderr,
+        )
 
     if telemetry_run is not None and fault_plan is not None:
         telemetry_run.set_fault_plan(fault_plan.describe())
@@ -301,11 +256,10 @@ def _print_executor_summary(executor, args) -> None:
     if stats.quarantined:
         # Degraded mode: the sweep completed, but some points exhausted
         # their retry budget.  Say which, and how to pick them back up.
-        journal = executor.journal
         hint = (
-            f"rerun with --resume {journal.run_id} to retry them"
-            if journal is not None
-            else "rerun with --cache and --resume to retry them"
+            "rerun with the same --cache to retry only them"
+            if executor.cache is not None
+            else "rerun to retry them"
         )
         print(f"[quarantine] {stats.quarantined} point(s) failed after retries; {hint}")
         for outcome in executor.failed:

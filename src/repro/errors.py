@@ -55,7 +55,7 @@ class InjectedFault(TransientError):
 
     Raised by :mod:`repro.harness.faults` when a seeded fault plan
     sabotages a sweep point, so fault-tolerance tests exercise the real
-    retry/quarantine/resume paths with reproducible failures.
+    retry/quarantine/rerun paths with reproducible failures.
     """
 
 

@@ -44,10 +44,10 @@ escaping the library — are retried with deterministic exponential
 backoff and finally *quarantined* as typed ``retryable`` failures, so a
 sweep completes with partial results instead of aborting.  The default
 policy makes exactly one attempt.  Retryable failures are never
-memoized; paired with the
-:class:`~repro.harness.journal.SweepJournal` write-ahead log this gives
-``--resume``: a re-run replays finished points from the cache bitwise
-and re-attempts only the unfinished or crashed ones.
+memoized, so a rerun over the same cache replays finished points
+bitwise and re-attempts only the unfinished or crashed ones; the
+:class:`~repro.harness.journal.SweepJournal` write-ahead log records
+each run's progress.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ class SweepFailure:
     ``retryable`` marks failures a re-attempt may resolve — worker
     crashes, deadline kills, injected faults, and (under a retry
     policy) escaped non-library exceptions.  Retryable failures are
-    never persisted to the result cache, so a resumed run re-attempts
-    them instead of replaying the failure.
+    never persisted to the result cache, so a rerun re-attempts them
+    instead of replaying the failure.
     """
 
     error_type: str
@@ -711,7 +711,7 @@ class SweepExecutor:
         self.fault_plan = fault_plan
         #: Optional :class:`~repro.harness.journal.SweepJournal`; when
         #: set, every completed keyed point (cached or evaluated) is
-        #: appended to it — the write-ahead log behind ``--resume``.
+        #: appended to it — the run's write-ahead progress log.
         self.journal = journal
         #: Written only by :meth:`map`'s per-outcome fold.
         self.stats = ExecutorStats()
@@ -848,8 +848,8 @@ class SweepExecutor:
                         stats.quarantined += 1
                 if use_cache and (failure is None or not failure.retryable):
                     # Retryable failures are deliberately not memoized:
-                    # a resumed run should re-attempt them, not replay
-                    # the crash.
+                    # a rerun should re-attempt them, not replay the
+                    # crash.
                     try:
                         self.cache.put(outcome.key, outcome)
                     except ConfigurationError:
@@ -939,20 +939,15 @@ class SweepExecutor:
             ctx = multiprocessing.get_context()
             seeds = stream_cache.export_entries() or None
         results: Dict[int, Tuple[Tuple[Any, ...], int]] = {}
-        # Work goes out in runs of consecutive points, about four per
-        # worker, which keeps dispatch to a few messages per worker.
-        # Workers need no warm-up of their own: the compiled programs
-        # they run are already resolved in the coordinator's cache.
-        # Each attempt is still its own message with its own deadline.
-        size = max(1, len(pending) // (slots * 4))
-        ready = deque(
-            [(index, 0) for index in pending[start : start + size]]
-            for start in range(0, len(pending), size)
-        )
+        # Attempts go out one at a time, in point order, each with its
+        # own deadline.  Workers need no warm-up of their own: the
+        # compiled programs they run are already resolved in the
+        # coordinator's cache.
+        ready = deque((index, 0) for index in pending)  # (index, attempt)
         delayed: List[Tuple[float, int, int]] = []  # (ready_at, index, attempt)
         idle: List[Tuple[Any, Any]] = []  # (process, conn)
-        # conn -> (process, index, attempt, deadline, rest of its run)
-        busy: Dict[Any, Tuple[Any, int, int, Optional[float], list]] = {}
+        # conn -> (process, index, attempt, deadline)
+        busy: Dict[Any, Tuple[Any, int, int, Optional[float]]] = {}
 
         def settle(result: Tuple[Any, ...], index: int, attempt: int) -> None:
             if self._final(result, attempt):
@@ -962,12 +957,10 @@ class SweepExecutor:
                 (time.monotonic() + policy.backoff_s(attempt), index, attempt + 1)
             )
 
-        def retire(process, conn, rest: list) -> None:
-            """Stop a worker for good and hand its unstarted run back."""
+        def retire(process, conn) -> None:
+            """Stop a worker for good."""
             _kill_process(process)
             conn.close()
-            if rest:
-                ready.appendleft(rest)
 
         def crashed(process, index: int, attempt: int) -> None:
             message = (
@@ -976,25 +969,24 @@ class SweepExecutor:
             )
             settle(("transient", "WorkerCrash", message, None), index, attempt)
 
-        def assign(process, conn, work: list) -> None:
-            (index, attempt), rest = work[0], work[1:]
+        def assign(process, conn, index: int, attempt: int) -> None:
             try:
                 conn.send((index, attempt))
             except OSError:
-                retire(process, conn, rest)
+                retire(process, conn)
                 crashed(process, index, attempt)
                 return
             deadline = None
             if policy.point_timeout_s is not None:
                 deadline = time.monotonic() + policy.point_timeout_s
-            busy[conn] = (process, index, attempt, deadline, rest)
+            busy[conn] = (process, index, attempt, deadline)
 
         try:
             while len(results) < len(pending):
                 now = time.monotonic()
                 for entry in sorted(e for e in delayed if e[0] <= now):
                     delayed.remove(entry)
-                    ready.append([entry[1:]])
+                    ready.append(entry[1:])
                 while ready and (idle or len(busy) < slots):
                     if idle:
                         process, conn = idle.pop()
@@ -1007,7 +999,7 @@ class SweepExecutor:
                         )
                         process.start()
                         child_conn.close()
-                    assign(process, conn, ready.popleft())
+                    assign(process, conn, *ready.popleft())
                 if not busy:
                     # Everything outstanding is backing off (or has just
                     # settled); sleep to the earliest retry and loop.
@@ -1016,7 +1008,7 @@ class SweepExecutor:
                     continue
                 wake_times = [
                     deadline
-                    for (_, _, _, deadline, _) in busy.values()
+                    for (_, _, _, deadline) in busy.values()
                     if deadline is not None
                 ] + [entry[0] for entry in delayed]
                 wait_s = (
@@ -1025,27 +1017,25 @@ class SweepExecutor:
                     else max(0.0, min(wake_times) - time.monotonic())
                 )
                 for conn in wait(list(busy), timeout=wait_s):
-                    process, index, attempt, _, rest = busy.pop(conn)
+                    process, index, attempt, _ = busy.pop(conn)
                     try:
                         status = pickle.loads(conn.recv_bytes())
                     except (EOFError, OSError):
-                        retire(process, conn, rest)
+                        retire(process, conn)
                         crashed(process, index, attempt)
                         continue
                     idle.append((process, conn))
                     if status[0] == "bug":
                         _raise_bug(status)
                     settle(status, index, attempt)
-                    if rest:
-                        assign(*idle.pop(), rest)
                 now = time.monotonic()
                 for conn in [
                     conn
-                    for conn, (_, _, _, deadline, _) in busy.items()
+                    for conn, (_, _, _, deadline) in busy.items()
                     if deadline is not None and now >= deadline
                 ]:
-                    process, index, attempt, _, rest = busy.pop(conn)
-                    retire(process, conn, rest)
+                    process, index, attempt, _ = busy.pop(conn)
+                    retire(process, conn)
                     message = (
                         f"point {index} exceeded its {policy.point_timeout_s}s "
                         f"deadline on attempt {attempt}"
@@ -1070,15 +1060,3 @@ class SweepExecutor:
             conn.close()
             process.join()
         return [results[index] for index in pending]
-
-    def map_values(
-        self,
-        fn: Callable[[Any], Any],
-        points: Iterable[Any],
-        key_configs: Optional[Iterable[Any]] = None,
-        precompile: Optional[Callable[[List[Any]], None]] = None,
-    ) -> List[Any]:
-        """Like :meth:`map` but unwraps values, re-raising any failure."""
-        return [
-            o.unwrap() for o in self.map(fn, points, key_configs, precompile)
-        ]

@@ -4,7 +4,7 @@ A production sweep fleet sees three families of failure: a point
 *raises* (a bug or a transient resource error), a point *hangs* (a lost
 lock, a stuck IO), or its worker *dies* outright (the OOM killer, a
 segfault).  This module makes all three reproducible on demand so the
-executor's retry, quarantine, and resume machinery can be tested — and
+executor's retry, quarantine, and rerun machinery can be tested — and
 rehearsed in CI — against the real code paths rather than mocks.
 
 A :class:`FaultPlan` is a pure value: given a seed (plus optional

@@ -41,7 +41,7 @@ cache, so no program recompiles round after round).  Evaluations go
 through :func:`~repro.harness.profiling.simulate_points` under the
 standard ``simpoint`` cache key, so optimizer probes share the result
 cache with the other sweeps: a warm cache makes refinement incremental
-across campaigns and ``--resume`` runs, and the chosen row is
+across campaigns and reruns, and the chosen row is
 bitwise-identical to the corresponding exhaustive measurement.  The
 1-core search's top probe *is* the application's 1-core nominal
 baseline, so it is taken from the baseline instead of measured again.
@@ -569,8 +569,8 @@ def run_optimizer(
     A probe that fails (or quarantines, under a retrying executor)
     abandons that (application, N) search — recorded in
     :attr:`OptimizerCampaign.skipped` and in the executor's ``failed``
-    accumulator for ``failedpoint`` persistence — without aborting the
-    campaign.
+    accumulator, which the CLI's ``[quarantine]`` summary and the
+    report's Robustness section read — without aborting the campaign.
     """
     if isinstance(objective, str):
         objective = objective_by_name(objective)

@@ -206,25 +206,23 @@ def _robustness_section(out: io.StringIO, executor) -> None:
     itself — a reader comparing tables against the paper cannot be left
     to guess that a row is absent because its point was quarantined.
     """
-    from repro.harness.store import failed_point_rows
-
     out.write("## Robustness\n\n")
     stats = executor.stats
-    rows = failed_point_rows(executor.failed)
+    failed = executor.failed
     # Deterministic library failures (e.g. infeasible operating points
     # outside the sweep's valid region) are expected physics, not
     # degradation; only retryable failures mean the run lost data.
-    quarantined = [r for r in rows if r.retryable]
-    infeasible = [r for r in rows if not r.retryable]
+    quarantined = [o for o in failed if o.failure.retryable]
+    infeasible = len(failed) - len(quarantined)
     total = stats.evaluated + stats.cache_hits
     if infeasible:
         out.write(
-            f"{len(infeasible)} point(s) were deterministically "
+            f"{infeasible} point(s) were deterministically "
             "infeasible (expected outside the valid operating region).\n\n"
         )
     if not quarantined:
         out.write(
-            f"All {total - len(rows)} feasible sweep points completed; "
+            f"All {total - len(failed)} feasible sweep points completed; "
             "no transient failures.\n"
         )
     else:
@@ -236,8 +234,8 @@ def _robustness_section(out: io.StringIO, executor) -> None:
             _markdown_table(
                 ["point", "error", "attempts", "message"],
                 [
-                    [r.index, r.error_type, r.attempts, r.message]
-                    for r in quarantined
+                    [o.index, o.failure.error_type, o.attempts, o.failure.message]
+                    for o in quarantined
                 ],
             )
         )

@@ -73,8 +73,8 @@ def run_scenario2(
     campaign carries on.  An application whose 1-core nominal baseline
     fails (or quarantines, under a retrying executor) cannot be
     normalised, so it is skipped with a ``[quarantine]`` notice (its
-    failure stays in ``executor.failed`` for ``failedpoint``
-    persistence) instead of crashing the campaign.
+    failure stays in ``executor.failed``, which the report's Robustness
+    section reads) instead of crashing the campaign.
     """
     campaign = run_optimizer(
         context,

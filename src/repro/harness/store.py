@@ -36,25 +36,6 @@ from repro.telemetry.manifest import git_sha
 OLDEST_READABLE_SCHEMA = 1
 
 
-@dataclasses.dataclass(frozen=True)
-class FailedPointRow:
-    """A quarantined or failed sweep point, as a storable result row.
-
-    Degraded campaigns persist these next to their ordinary rows so a
-    partial store is explicit about what is missing and why, instead of
-    silently narrower.
-    """
-
-    key: str
-    index: int
-    error_type: str
-    message: str
-    attempts: int
-    #: Whether a retry (e.g. on resume) may succeed — true for crashes,
-    #: timeouts, and injected faults; false for deterministic physics.
-    retryable: bool
-
-
 _ROW_TYPES = {
     "scenario1": Scenario1Row,
     "scenario2": Scenario2Row,
@@ -62,9 +43,6 @@ _ROW_TYPES = {
     "figure1": Figure1Row,
     "figure2": Figure2Row,
     "optimizer": OptimizerRow,
-    # Degraded campaigns persist their quarantined/failed points so a
-    # partial store is explicit about what is missing and why.
-    "failedpoint": FailedPointRow,
 }
 _TYPE_NAMES = {cls: name for name, cls in _ROW_TYPES.items()}
 
@@ -76,34 +54,7 @@ Row = Union[
     Figure1Row,
     Figure2Row,
     OptimizerRow,
-    FailedPointRow,
 ]
-
-
-def failed_point_rows(outcomes) -> List[FailedPointRow]:
-    """Convert failed ``PointOutcome``s into storable rows.
-
-    Accepts any iterable of outcome-shaped objects (the executor's
-    ``failed`` accumulator, or a full ``map`` result — successes are
-    skipped), so degraded campaigns can persist exactly which points
-    are missing and why, next to their ordinary rows.
-    """
-    rows = []
-    for outcome in outcomes:
-        failure = getattr(outcome, "failure", None)
-        if failure is None:
-            continue
-        rows.append(
-            FailedPointRow(
-                key=outcome.key or "",
-                index=outcome.index,
-                error_type=failure.error_type,
-                message=failure.message,
-                attempts=getattr(outcome, "attempts", 1),
-                retryable=getattr(failure, "retryable", False),
-            )
-        )
-    return rows
 
 
 def _encode_row(row: Row) -> Dict:

@@ -1,6 +1,6 @@
 """Unified telemetry: structured tracing, point rows, exports.
 
-The subsystem has six pieces, threaded through the simulator, the
+The subsystem has five pieces, threaded through the simulator, the
 power/thermal models, the sweep executor, and the CLI:
 
 * :mod:`repro.telemetry.trace` — ``Span``/``Tracer`` with monotonic
@@ -18,10 +18,10 @@ power/thermal models, the sweep executor, and the CLI:
   fold over the stats that ``--profile``, the manifest and ``trace
   metrics`` all read (spans carry only time);
 * :mod:`repro.telemetry.manifest` — per-sweep run manifests plus JSONL
-  event/span logs under ``--telemetry-dir``, with schema validation
-  (:mod:`repro.telemetry.jsonl` reads those logs and the sweep journal
-  back).  Each ``point`` event carries its row, the one record of what
-  the modelled chip did at that point;
+  event/span logs under ``--telemetry-dir``, with schema validation and
+  ``read_jsonl``, which reads those logs back.  Each ``point`` event
+  carries its row, the one record of what the modelled chip did at that
+  point;
 * :mod:`repro.telemetry.chrometrace` — Chrome ``trace_event`` JSON
   export with one counter track per row field (``repro trace export``)
   and plain-text phase metrics (``repro trace metrics``).

@@ -14,8 +14,7 @@ directory ``DIR/<run_id>/`` containing
 * ``spans.jsonl`` — one completed span tree per line (see
   :class:`~repro.telemetry.trace.SpanRecord`).
 
-Both, and the sweep journal, are read by
-:func:`repro.telemetry.jsonl.read_jsonl`.
+Both are read back by :func:`read_jsonl`.
 
 The manifest is written twice: once at creation (``status: "running"``,
 so a crashed sweep leaves evidence) and once by :meth:`TelemetryRun.finalize`
@@ -40,13 +39,12 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
 
 from repro.errors import ConfigurationError
 from repro.telemetry.alerts import RowStats, evaluate_rules
-from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.record import KernelAggregate, PointTelemetry, drain_since
 from repro.telemetry.trace import SpanRecord, get_tracer
 
 PathLike = Union[str, Path]
 
-MANIFEST_SCHEMA = "repro-telemetry-v3"
+MANIFEST_SCHEMA = "repro-telemetry-v4"
 
 #: Keys every finalized manifest must carry, with their expected types.
 _MANIFEST_REQUIRED = {
@@ -139,7 +137,6 @@ class TelemetryRun:
         self.argv = list(argv) if argv is not None else None
         self.context_fingerprint = context_fingerprint
         self.fault_plan: Optional[str] = None
-        self.resume: Optional[Dict[str, Any]] = None
         self.finalized = False
         self._started = time.perf_counter()
         self.spans_written = 0
@@ -164,21 +161,6 @@ class TelemetryRun:
     def set_fault_plan(self, description: Optional[str]) -> None:
         """Record that this run injected faults (and which plan)."""
         self.fault_plan = description
-
-    def set_resume(self, run_id: str, already_complete: int) -> None:
-        """Record that this run resumed an earlier journal.
-
-        Emits a ``resume`` event line as well, so the JSONL log shows
-        *when* the resume happened relative to the point events.
-        """
-        self.resume = {"run_id": run_id, "already_complete": already_complete}
-        self._event(
-            {
-                "event": "resume",
-                "run_id": run_id,
-                "already_complete": already_complete,
-            }
-        )
 
     def record_point(
         self, event: Dict[str, Any], telemetry: Optional[PointTelemetry] = None
@@ -261,7 +243,6 @@ class TelemetryRun:
             "python": platform.python_version(),
             "context_fingerprint": self.context_fingerprint,
             "fault_injection": self.fault_plan,
-            "resume": self.resume,
             "status": status,
             "wall_s": round(time.perf_counter() - self._started, 6),
             "coordinator_pid": os.getpid(),
@@ -333,14 +314,43 @@ def load_manifest(run_dir: PathLike) -> Dict[str, Any]:
     return document
 
 
+def read_jsonl(path: PathLike) -> List[Dict[str, Any]]:
+    """A JSONL artifact's objects, one per non-blank line.
+
+    A line that is not a JSON object is an error naming the file and
+    line.  A missing file reads as empty.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return []
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: unreadable ({exc})") from exc
+    entries: List[Dict[str, Any]] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"{path}:{number}: not valid JSON ({exc})"
+            ) from exc
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"{path}:{number}: not an object")
+        entries.append(entry)
+    return entries
+
+
 def load_events(run_dir: PathLike) -> List[Dict[str, Any]]:
     """The run's ``events.jsonl`` entries, in emission order."""
-    return read_jsonl(Path(run_dir) / "events.jsonl", strict=True)[0]
+    return read_jsonl(Path(run_dir) / "events.jsonl")
 
 
 def load_spans(run_dir: PathLike) -> List[Dict[str, Any]]:
     """The run's ``spans.jsonl`` entries (``{"pid", "span"}`` objects)."""
-    return read_jsonl(Path(run_dir) / "spans.jsonl", strict=True)[0]
+    return read_jsonl(Path(run_dir) / "spans.jsonl")
 
 
 def _check_span_tree(node: Any, where: str) -> int:

@@ -1,12 +1,14 @@
 """Chaos meta-tests: the real ``fig1`` pipeline under seeded sabotage.
 
-The unit layer proves the executor's retry/resume mechanics in
+The unit layer proves the executor's retry/rerun mechanics in
 isolation; these tests prove the property users actually rely on — the
 published figure survives chaos.  Each test runs the genuine CLI
 (``repro fig1``) under a deterministic fault plan injecting crashes,
 hangs, and kills, and asserts the rendered table is *identical* to the
 fault-free run's: same rows, same digits, nothing silently missing.
 """
+
+import re
 
 import pytest
 
@@ -20,6 +22,12 @@ def run_cli(capsys, *argv):
     # are compared byte-for-byte), so assert the split holds everywhere.
     assert "[journal]" not in captured.out
     return code, captured.out
+
+
+def tally(summary):
+    """``(evaluated, cache hits, failures)`` of an ``[executor]`` line."""
+    match = re.match(r" (\d+) evaluated, (\d+) cache hits, (\d+) failures", summary)
+    return tuple(int(group) for group in match.groups())
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,7 @@ class TestQuarantineAndResume:
     def test_permanent_faults_quarantine_then_resume_completes(
         self, capsys, tmp_path, clean_fig1
     ):
+        # Resuming is rerunning the same command over the same cache.
         cache = str(tmp_path / "cache")
         code, degraded = run_cli(
             capsys,
@@ -104,44 +113,25 @@ class TestQuarantineAndResume:
             "1",
         )
         assert code == 0
-        assert "[quarantine]" in degraded
-        assert "--resume" in degraded
+        quarantined = int(degraded.split("[quarantine] ")[1].split()[0])
+        assert quarantined > 0
+        assert "rerun with the same --cache" in degraded
         assert degraded != clean_fig1
 
-        # The resumed run re-attempts exactly the quarantined points and
-        # converges to the clean table (cache replays the rest bitwise).
-        code, resumed = run_cli(
-            capsys, "fig1", "--cache", cache, "--resume", "latest"
-        )
+        # The rerun re-attempts exactly the quarantined points and
+        # converges to the clean table (cache replays the rest bitwise,
+        # the deterministic infeasible points included).
+        code, rerun = run_cli(capsys, "fig1", "--cache", cache)
         assert code == 0
-        table, _, summary = resumed.rpartition("[executor]")
-        assert "[quarantine]" not in resumed
-        assert table == clean_fig1.rpartition("[executor]")[0]
-        assert "cache hits" in summary
-
-    def test_resume_without_cache_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig1", "--resume", "somerun"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "--resume requires --cache" in captured.err
-
-    def test_resume_latest_without_journals_is_rejected(
-        self, capsys, tmp_path
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "fig1",
-                    "--cache",
-                    str(tmp_path / "cache"),
-                    "--resume",
-                    "latest",
-                ]
-            )
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert "no journalled runs" in captured.err
+        table, _, summary = rerun.rpartition("[executor]")
+        clean_table, _, clean_summary = clean_fig1.rpartition("[executor]")
+        assert "[quarantine]" not in rerun
+        assert table == clean_table
+        evaluated, hits, failures = tally(summary)
+        assert evaluated == quarantined
+        assert evaluated + hits == tally(clean_summary)[0]
+        # The only failures left are the clean run's infeasible points.
+        assert failures == tally(clean_summary)[2]
 
     def test_journal_notices_go_to_stderr_not_stdout(self, capsys, tmp_path):
         code = main(["fig2", "--cache", str(tmp_path / "cache")])

@@ -265,9 +265,11 @@ class TestExecutor:
         assert len(pids) <= 2
         assert os.getpid() not in pids
 
-    def test_map_values_raises_on_failure(self):
+    def test_unwrap_raises_on_failure(self):
+        outcomes = SweepExecutor().map(flaky_point, [0, 1])
+        assert outcomes[0].unwrap() == 0
         with pytest.raises(InfeasibleOperatingPoint):
-            SweepExecutor().map_values(flaky_point, [0, 1])
+            outcomes[1].unwrap()
 
     def test_key_config_length_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -291,11 +293,12 @@ def run_cached(root, points, salts=None):
     cache = ResultCache(root)
     executor = SweepExecutor(cache=cache)
     spy = CountingEvaluator()
-    rows = executor.map_values(
+    outcomes = executor.map(
         spy,
         points,
         key_configs=[key_for(p, salt) for p, salt in zip(points, salts)],
     )
+    rows = [outcome.unwrap() for outcome in outcomes]
     return rows, spy, executor
 
 
@@ -415,13 +418,19 @@ class TestCache:
         keys = [key_for(p) for p in range(8)]
 
         cold_ex = SweepExecutor(jobs=4, cache=ResultCache(cache_dir))
-        cold = cold_ex.map_values(marking_row_point, points, key_configs=keys)
+        cold = [
+            o.unwrap()
+            for o in cold_ex.map(marking_row_point, points, key_configs=keys)
+        ]
         assert len(list(marks.iterdir())) == 8
 
         for mark in marks.iterdir():
             mark.unlink()
         warm_ex = SweepExecutor(jobs=4, cache=ResultCache(cache_dir))
-        warm = warm_ex.map_values(marking_row_point, points, key_configs=keys)
+        warm = [
+            o.unwrap()
+            for o in warm_ex.map(marking_row_point, points, key_configs=keys)
+        ]
         assert list(marks.iterdir()) == []
         assert warm_ex.stats.evaluated == 0
         assert warm == cold

@@ -493,8 +493,4 @@ def test_scenario2_skips_an_app_whose_baseline_is_quarantined(capsys):
     )
     assert results == {"FMM": []}
     assert "[quarantine] FMM" in capsys.readouterr().err
-    assert executor.failed
-    from repro.harness.store import failed_point_rows
-
-    rows = failed_point_rows(executor.failed)
-    assert rows and rows[0].retryable
+    assert executor.failed and executor.failed[0].failure.retryable

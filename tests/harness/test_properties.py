@@ -6,18 +6,19 @@ generated inputs:
 * **chaos equivalence** — a sweep sabotaged by any recoverable fault
   plan converges to exactly the fault-free serial result;
 * **resume equivalence** — a sweep interrupted by quarantine and then
-  resumed (cache replay plus re-attempts) is indistinguishable from an
-  uninterrupted run;
+  rerun over the same cache (replay plus re-attempts) is
+  indistinguishable from an uninterrupted run;
 * **codec/journal idempotence** — cache round-trips and journal
   round-trips are lossless for every representable value.
 
 Together the suites here generate well over 200 distinct fault plans
 per run.  Plans are restricted to ``raise`` faults: they exercise the
-full retry/quarantine/resume logic in-process, which keeps hundreds of
+full retry/quarantine/rerun logic in-process, which keeps hundreds of
 examples affordable (the process-farm kinds are covered deterministically
 in ``test_retry.py`` and ``test_chaos.py``).
 """
 
+import json
 import tempfile
 
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from repro.harness.executor import (
     encode_value,
 )
 from repro.harness.faults import FaultPlan
-from repro.harness.journal import SweepJournal, load_journal
+from repro.harness.journal import SweepJournal
 from repro.harness.profiling import SimPointRow
 
 
@@ -196,14 +197,13 @@ class TestResumeEquivalence:
                     journal=journal,
                 )
                 interrupted = first.map(evaluate, points, key_configs=keys)
-            with SweepJournal(
-                cache.root, "run", command="prop", resume=True
-            ) as journal:
+            # The rerun: a fresh executor (and journal) over the same
+            # cache, without the fault plan.
+            with SweepJournal(cache.root, command="prop") as journal:
                 second = SweepExecutor(
                     cache=ResultCache(root), journal=journal
                 )
                 resumed = second.map(evaluate, points, key_configs=keys)
-                counts = journal.counts()
 
         assert [outcome_signature(o) for o in resumed] == [
             outcome_signature(o) for o in clean
@@ -216,8 +216,6 @@ class TestResumeEquivalence:
                 before.failure is None or not before.failure.retryable
             )
             assert after.cached == survived
-        # And the journal's final state agrees with the clean run.
-        assert counts["failed"] == sum(1 for o in clean if not o.ok)
 
     @settings(max_examples=25, deadline=None)
     @given(points=points_lists)
@@ -280,5 +278,7 @@ class TestRoundTrips:
                 for entry in entries:
                     journal.record(entry)
                 path = journal.path
-            _, loaded = load_journal(path)
-        assert loaded == expected
+            lines = path.read_text(encoding="utf-8").splitlines()
+        recorded = [json.loads(line) for line in lines[1:]]
+        assert recorded == entries
+        assert {entry["key"]: entry for entry in recorded} == expected

@@ -1,5 +1,7 @@
 """Tests for the executor's retry / backoff / quarantine machinery."""
 
+import json
+
 import pytest
 
 from repro.errors import (
@@ -13,7 +15,7 @@ from repro.harness.executor import (
     SweepExecutor,
 )
 from repro.harness.faults import ALWAYS, FaultPlan, FaultSpec
-from repro.harness.journal import SweepJournal, load_journal
+from repro.harness.journal import SweepJournal
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +35,12 @@ def infeasible_odd_point(point):
 
 def buggy_point(point):
     raise ValueError("a genuine bug")
+
+
+def journalled_points(journal):
+    """The point lines of a closed journal, parsed (header dropped)."""
+    lines = journal.path.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines[1:]]
 
 
 def key_for(point, salt=0):
@@ -129,13 +137,14 @@ class TestInlineRetries:
         with pytest.raises(ValueError):
             SweepExecutor().map(buggy_point, [0])
 
-    def test_map_values_reraises_quarantined_failures(self):
+    def test_unwrap_reraises_quarantined_failures(self):
         plan = plan_with((0, FaultSpec(kind="raise", failing_attempts=ALWAYS)))
         executor = SweepExecutor(
             retry=fast_policy(max_retries=1), fault_plan=plan
         )
+        (outcome,) = executor.map(double_point, [0])
         with pytest.raises(ReproError):
-            executor.map_values(double_point, [0])
+            outcome.unwrap()
 
 
 class TestCacheInteraction:
@@ -187,12 +196,9 @@ class TestJournalIntegration:
         outcomes = executor.map(double_point, points, key_configs=keys)
         journal.close()
 
-        _, entries = load_journal(journal.path)
-        assert len(entries) == 3
-        by_key = {o.key: o for o in outcomes}
-        for key, entry in entries.items():
-            assert entry == by_key[key].to_event()
-        failed = [e for e in entries.values() if e["status"] == "error"]
+        entries = journalled_points(journal)
+        assert entries == [o.to_event() for o in outcomes]
+        failed = [e for e in entries if e["status"] == "error"]
         assert len(failed) == 1
         assert failed[0]["retryable"]
         assert failed[0]["attempts"] == 2
@@ -202,8 +208,7 @@ class TestJournalIntegration:
         executor = SweepExecutor(journal=journal)
         executor.map(double_point, [0, 1])
         journal.close()
-        _, entries = load_journal(journal.path)
-        assert entries == {}
+        assert journalled_points(journal) == []
 
 
 class TestProcessFarm:
@@ -217,9 +222,10 @@ class TestProcessFarm:
         assert outcomes[1].attempts == 2
         assert executor.stats.retries == 1
 
-    def test_killed_worker_hands_on_the_rest_of_its_run(self):
-        # 16 points on 2 workers go out in runs of two; point 0's worker
-        # dies, so point 1 (its run-mate) must reach another worker.
+    def test_killed_worker_leaves_the_rest_to_its_siblings(self):
+        # 16 points on 2 workers go out one attempt at a time; point 0's
+        # worker dies, so its retry and every point still queued must
+        # reach the surviving worker or the replacement.
         plan = plan_with((0, FaultSpec(kind="kill", failing_attempts=1)))
         executor = SweepExecutor(
             jobs=2, retry=fast_policy(max_retries=1), fault_plan=plan

@@ -222,48 +222,3 @@ class TestValidation:
     def test_rejects_unsupported_row_objects(self, tmp_path):
         with pytest.raises(ConfigurationError):
             save_results({"g": [object()]}, tmp_path / "x.json")
-
-
-class TestFailedPointRows:
-    def failed_row(self):
-        from repro.harness.store import FailedPointRow
-
-        return FailedPointRow(
-            key="deadbeef",
-            index=7,
-            error_type="WorkerCrash",
-            message="worker pid 123 died with exit code 77",
-            attempts=3,
-            retryable=True,
-        )
-
-    def test_failed_points_round_trip(self, tmp_path):
-        path = tmp_path / "degraded.json"
-        campaign = {"failures": [self.failed_row()]}
-        save_results(campaign, path)
-        assert load_results(path) == campaign
-
-    def test_failed_point_rows_built_from_outcomes(self):
-        from repro.harness.executor import PointOutcome, SweepFailure
-        from repro.harness.store import failed_point_rows
-
-        outcomes = [
-            PointOutcome(index=0, key="k0", value=1.0),
-            PointOutcome(
-                index=1,
-                key="k1",
-                value=None,
-                failure=SweepFailure(
-                    error_type="PointTimeout",
-                    message="too slow",
-                    retryable=True,
-                ),
-                attempts=4,
-            ),
-        ]
-        rows = failed_point_rows(outcomes)
-        assert len(rows) == 1
-        assert rows[0].index == 1
-        assert rows[0].error_type == "PointTimeout"
-        assert rows[0].attempts == 4
-        assert rows[0].retryable

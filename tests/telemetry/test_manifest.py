@@ -336,39 +336,23 @@ class TestFaultToleranceTelemetry:
         assert events[1]["retryable"] is True
         assert "retryable" not in events[0]
 
-    def test_fault_plan_and_resume_land_in_manifest(self, tmp_path):
+    def test_fault_plan_lands_in_manifest(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig1")
         run.set_fault_plan("seed=7,rate=0.5,kinds=raise")
-        run.set_resume("20260101T000000Z-1", already_complete=41)
         run.finalize()
 
         manifest = load_manifest(run.directory)
         assert manifest["fault_injection"] == "seed=7,rate=0.5,kinds=raise"
-        assert manifest["resume"] == {
-            "run_id": "20260101T000000Z-1",
-            "already_complete": 41,
-        }
-        resume_events = [
-            e for e in load_events(run.directory) if e["event"] == "resume"
-        ]
-        assert resume_events == [
-            {
-                "event": "resume",
-                "run_id": "20260101T000000Z-1",
-                "already_complete": 41,
-            }
-        ]
+        assert "resume" not in manifest
 
     def test_clean_manifests_mark_no_fault_injection(self, tmp_path):
         run = TelemetryRun(tmp_path, command="fig1")
         run.finalize()
         manifest = load_manifest(run.directory)
         assert manifest["fault_injection"] is None
-        assert manifest["resume"] is None
 
     def test_validate_accepts_a_fault_tolerant_run(self, tmp_path):
         run, executor = self.faulty_sweep(tmp_path)
-        run.set_resume("earlier-run", already_complete=1)
         run.finalize(executor=executor)
         summary = validate_run_dir(run.directory)
         assert summary["points"] == 2

@@ -432,17 +432,6 @@ class TestPointRecord:
             assert (points["evaluated"], points["cache_hits"]) == (evaluated, hits)
         capsys.readouterr()
 
-    def test_resume_refuses_a_v1_journal_naming_its_schema(self, capsys, tmp_path):
-        journal = tmp_path / "cache" / "journal" / "old-run.jsonl"
-        journal.parent.mkdir(parents=True)
-        journal.write_text(
-            '{"command": "fig2", "run_id": "old-run", "schema": "repro-journal-v1"}\n'
-        )
-        with pytest.raises(SystemExit) as exit_info:
-            main(["fig2", "--cache", str(tmp_path / "cache"), "--resume", "old-run"])
-        assert exit_info.value.code == 2
-        assert "'repro-journal-v1'" in capsys.readouterr().err
-
     def test_corrupt_cache_file_is_counted_as_cache_quarantined(self, capsys, tmp_path):
         from repro.telemetry.manifest import load_manifest
 

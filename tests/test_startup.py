@@ -90,8 +90,8 @@ print(json.dumps(loaded))
 #: analyzer, every engine — the simulator, its compiler and the flat
 #: program writer, the thermal model, the Wattch and chip-power models and the calibration
 #: microbenchmark — and, without ``--telemetry-dir``, the run-manifest
-#: writer and its alert rules (the ``--cache`` journal reads its JSONL
-#: through ``repro.telemetry.jsonl``).
+#: writer and its alert rules (the ``--cache`` journal only writes, so
+#: it needs neither).
 WARM_FORBIDDEN_MODULES = (
     "repro.core",
     "repro.analysis",
