@@ -19,9 +19,9 @@ The sweep-shaped commands (``fig1``–``fig4``, ``characterize``) also
 accept ``--jobs N`` to fan independent sweep points out over N worker
 processes, and ``--cache DIR`` to memoize completed points on disk so a
 re-run only simulates points whose configuration changed; without
-``--cache`` every point is computed afresh.  The cache also holds the
-experimental commands' power calibration, so a warm re-run simulates
-nothing.
+``--cache`` every point is computed afresh.  The experimental
+commands' power calibration is one more point of the same executor, so
+a warm re-run simulates nothing.
 
 They are also fault tolerant: ``--max-retries N`` re-attempts points
 whose failure was transient (a crashed worker, a timeout, an escaped
@@ -277,14 +277,14 @@ def _sweep_session(args, experimental: bool = False):
 
     Opens the telemetry run first, so an experimental context's
     calibration is traced, then the command's one result cache (none
-    without ``--cache``).  Builds the context (``None`` for the
-    analytical figures), which replays its calibration from that cache,
-    and the executor with its journal, which shares it, so a corrupt
-    calibration entry is counted with the points'.  After the
-    body prints its table, prints the ``[executor]`` (and, for
-    experimental sweeps, ``[kernel]``) summaries; whatever happens,
-    closes the journal, finalizes the telemetry run and reinstalls the
-    process tracer the command found, so no span outlives it.
+    without ``--cache``) and the executor with its journal, which
+    shares it.  Builds the context (``None`` for the analytical
+    figures), whose calibration is the executor's first point.  After
+    the body prints its table, prints the ``[executor]`` (and, for
+    experimental sweeps, ``[kernel]``) summaries and finalizes the
+    telemetry run; if anything raised, the manifest stays ``running``.
+    Whatever happens, closes the journal and the telemetry logs and
+    reinstalls the process tracer the command found.
     """
     from repro.telemetry.trace import get_tracer, set_tracer
 
@@ -306,37 +306,32 @@ def _sweep_body(args, experimental: bool):
         from repro.harness.executor import ResultCache
 
         cache = ResultCache(args.cache)
-    context = None
-    if experimental:
-        from repro.harness.context import ExperimentContext
-
-        print("building experiment context (calibration microbenchmark)...")
-        context = ExperimentContext(workload_scale=args.scale, cache=cache)
-        if telemetry_run is not None:
-            from repro.harness.executor import config_key
-
-            telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
     executor = _executor_from_args(args, telemetry_run, command, cache)
-    if context is not None:
-        # The calibration's microbenchmark opens the kernel ledger: as a
-        # run when it ran here, as a cached run when it was replayed.
-        calibrated = context.calibration_outcome
-        if calibrated.telemetry is not None:
-            for kernel in calibrated.telemetry.kernels:
-                executor.kernels.add_record(kernel, cached=calibrated.cached)
-            if telemetry_run is not None:
-                telemetry_run.record_spans(calibrated.telemetry.spans)
     try:
+        context = None
+        if experimental:
+            from repro.harness.context import ExperimentContext
+
+            print("building experiment context (calibration microbenchmark)...")
+            context = ExperimentContext(workload_scale=args.scale, executor=executor)
+            if telemetry_run is not None:
+                from repro.harness.executor import config_key
+
+                telemetry_run.set_context_fingerprint(config_key(context.fingerprint()))
         yield context, executor
         _print_executor_summary(executor, args)
         if experimental and args.profile:
             print(executor.kernels.summary())
+        if telemetry_run is not None:
+            telemetry_run.finalize(executor=executor)
+            print(f"[telemetry] run {telemetry_run.run_id}: {telemetry_run.directory}")
     finally:
         if executor.journal is not None:
             executor.journal.close()
         if telemetry_run is not None:
-            telemetry_run.finalize(executor=executor)
-            print(f"[telemetry] run {telemetry_run.run_id}: {telemetry_run.directory}")
+            # A no-op after finalize; otherwise the manifest stays
+            # ``running``, the evidence of a sweep that did not finish.
+            telemetry_run.close()
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:

@@ -8,10 +8,10 @@ HotSpot-style thermal model over the 16-core floorplan, the Wattch
 energy model and the Section 3.3 power calibration.
 
 The calibration is a property of the machine, not of an experiment: it
-is computed once per model source and, given a
-:class:`~repro.harness.executor.ResultCache` (``--cache``), replayed from
-it, so a warm sweep runs no simulation at all.  Contexts are intended to
-be built once and shared across experiments.
+is one sweep point per model source, which ``__init__`` maps through the
+command's :class:`~repro.harness.executor.SweepExecutor`, so a cached
+one (``--cache``) replays it and a warm sweep runs no simulation at all.
+Contexts are intended to be built once and shared across experiments.
 
 A warm sweep loads no engine either.  At module level this imports only
 descriptions (:mod:`repro.sim.config`, the technology node, the static
@@ -25,19 +25,15 @@ them inside ``__init__``, so cold set-up is unchanged.
 
 from __future__ import annotations
 
-import os
-import time
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.harness.executor import PointOutcome, ResultCache, config_key
+from repro.harness.executor import SweepExecutor
 from repro.power.calibration import PowerCalibration, calibrate_power_model
 from repro.power.static import StaticPowerModel
 from repro.sim.config import CMPConfig
 from repro.tech.technology import NODE_65NM, VFTable
-from repro.telemetry.record import CaptureWindow, PointTelemetry, record_kernel
-from repro.telemetry.trace import now_us
 from repro.workloads.base import WorkloadModel
 
 if TYPE_CHECKING:
@@ -67,10 +63,11 @@ class ExperimentContext:
     """The assembled Table 1 machine plus its power/thermal toolchain.
 
     The machine is fixed (the module constants above): only the
-    workloads' run length varies between contexts.  ``cache`` memoizes
-    the Section 3.3 calibration under one key, which
-    :func:`~repro.harness.executor.config_key` ties to the model source,
-    so one entry serves every sweep until the model changes.
+    workloads' run length varies between contexts.  ``executor`` (an
+    inline one by default) evaluates the Section 3.3 calibration as one
+    point keyed by its kind, which :func:`~repro.harness.executor.config_key`
+    ties to the model source.  It is not kept: the context travels to
+    farm children, and the executor holds an open journal.
     """
 
     cmp_config = CMP_CONFIG
@@ -79,12 +76,24 @@ class ExperimentContext:
     vf_table = VF_TABLE
 
     def __init__(
-        self, workload_scale: float = 1.0, cache: Optional[ResultCache] = None
+        self, workload_scale: float = 1.0, executor: Optional[SweepExecutor] = None
     ) -> None:
         if workload_scale <= 0:
             raise ConfigurationError("workload_scale must be positive")
         self.workload_scale = workload_scale
-        self.calibration = self._calibration(cache)
+        if executor is None:
+            executor = SweepExecutor()
+        (outcome,) = executor.map(
+            partial(_calibrate, self), [None], key_configs=[{"kind": "power-calibration"}]
+        )
+        calibration = outcome.unwrap()
+        if not isinstance(calibration, PowerCalibration):
+            # The cache is input from outside the program.
+            raise ConfigurationError(
+                f"cache entry {outcome.key} holds a "
+                f"{type(calibration).__name__}, not a PowerCalibration"
+            )
+        self.calibration = calibration
 
     @cached_property
     def thermal(self) -> HotSpotModel:
@@ -113,37 +122,6 @@ class ExperimentContext:
         return ChipPowerModel(
             self.thermal, self.wattch, self.static_model, self.calibration
         )
-
-    def _calibration(self, cache: Optional[ResultCache]) -> PowerCalibration:
-        """The machine's calibration, replayed from ``cache`` when it can be.
-
-        Also sets :attr:`calibration_outcome`, the calibration as the
-        cache holds it: its telemetry carries the microbenchmark run's
-        ``KernelStats`` (the original run's on a replay) and, when it
-        ran here, its spans, for the sweep's kernel ledger and trace.
-        """
-        key = config_key({"kind": "power-calibration"})
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None and isinstance(hit.value, PowerCalibration):
-            self.calibration_outcome = PointOutcome(
-                0, key, hit.value, cached=True, telemetry=hit.telemetry
-            )
-            return hit.value
-        start_us, start = now_us(), time.perf_counter()
-        with CaptureWindow() as window:
-            calibration = calibrate_power_model(
-                self.cmp_config, self.thermal, self.wattch, self.static_model
-            )
-        telemetry = PointTelemetry(
-            pid=os.getpid(),
-            start_us=start_us,
-            wall_s=time.perf_counter() - start,
-            **window.captured._asdict(),
-        )
-        self.calibration_outcome = PointOutcome(0, key, calibration, telemetry=telemetry)
-        if cache is not None:
-            cache.put(key, self.calibration_outcome)
-        return calibration
 
     def fingerprint(self) -> dict:
         """The context's defining parameters, for result-cache keys.
@@ -202,27 +180,21 @@ class ExperimentContext:
         V/f table's entry for it.  An explicit (frequency, voltage) pair
         is simulated as given, without clamping.
         """
-        from repro.sim import ops
-        from repro.sim.cmp import ChipMultiprocessor
+        from repro.sim.cmp import run_workload
 
         f_hz = frequency_hz or self.f_nominal
         if voltage is None:
             f_hz = self.clamp_frequency(f_hz)
             voltage = self.vf_table.voltage_for_frequency(f_hz)
         config = self.cmp_config.with_operating_point(f_hz, voltage)
-        scaled = self.scaled_model(model)
-        compiled = ops.compile_workload(scaled, n_threads, config.l1_config)
-        result = ChipMultiprocessor(config).run(
-            compiled.program,
-            scaled.core_timing(),
-            warmup_barriers=scaled.warmup_barriers,
-        )
-        if result.kernel is not None:
-            result.kernel.compile_s = compiled.seconds
-            result.kernel.compile_cache_hit = compiled.from_cache
-            result.kernel.compile_cache_evicted = compiled.evicted
-            # The point's capture window carries the stats to the
-            # executor's kernel ledger from any process.
-            record_kernel(result.kernel)
+        result = run_workload(self.scaled_model(model), n_threads, config)
         power = self.chip_power.evaluate(result)
         return result, power
+
+
+def _calibrate(context: ExperimentContext, _point: None) -> PowerCalibration:
+    """The calibration point; looks ``calibrate_power_model`` up when
+    called, so a patched one is what runs."""
+    return calibrate_power_model(
+        context.cmp_config, context.thermal, context.wattch, context.static_model
+    )

@@ -103,7 +103,7 @@ def _analytical_sections(out: io.StringIO, executor=None) -> None:
 def _experimental_sections(
     out: io.StringIO, options: ReportOptions, executor=None
 ) -> None:
-    context = ExperimentContext(workload_scale=options.workload_scale)
+    context = ExperimentContext(options.workload_scale, executor=executor)
     out.write(
         f"*Experimental context: workload scale {options.workload_scale}, "
         f"power budget {context.calibration.max_operational_power_w:.1f} W.*\n\n"
@@ -249,7 +249,8 @@ def generate_report(
 
     All sweeps share ``executor`` (a default inline one when omitted),
     so the closing robustness section accounts for every point the
-    report ran — including, under a fault-tolerant executor, the ones
+    report ran — the experimental context's calibration too, and, under
+    a fault-tolerant executor, the ones
     that were quarantined and are therefore missing from the tables.
     """
     options = options or ReportOptions()

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.telemetry.record import record_kernel
 from repro.units import celsius_to_kelvin
 
 if TYPE_CHECKING:
@@ -85,8 +84,7 @@ def calibrate_power_model(
     hot_block: str = "core0",
 ) -> PowerCalibration:
     """Run the Section 3.3 renormalisation and return its constants."""
-    from repro.sim import ops
-    from repro.sim.cmp import ChipMultiprocessor
+    from repro.sim.cmp import run_workload
     from repro.workloads.microbench import max_power_microbenchmark
 
     if cmp_config.n_cores < 1:
@@ -97,20 +95,8 @@ def calibrate_power_model(
         max_power, design_celsius
     )
 
-    ubench = max_power_microbenchmark()
     # Uncached: the program is run once, and freed with the result.
-    compiled = ops.compile_workload(ubench, 1, cmp_config.l1_config, cache=None)
-    chip = ChipMultiprocessor(cmp_config)
-    result = chip.run(
-        compiled.program,
-        ubench.core_timing(),
-        warmup_barriers=ubench.warmup_barriers,
-    )
-    if result.kernel is not None:
-        result.kernel.compile_s = compiled.seconds
-        # A capture window around the calibration takes the run to the
-        # sweep's kernel ledger.
-        record_kernel(result.kernel)
+    result = run_workload(max_power_microbenchmark(), 1, cmp_config, cache=None)
     raw_dynamic = wattch.total_dynamic_power_w(result)
 
     return PowerCalibration(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim import ops
 from repro.sim.bus import SharedBus
 from repro.sim.cache import EXCLUSIVE, MODIFIED, SHARED, Cache
 from repro.sim.clock import ClockDomain
@@ -40,7 +41,8 @@ from repro.sim.config import (
 )
 from repro.sim.cpu import AT_BARRIER, DONE, RUNNING, Core, CoreStats, LockTable
 from repro.sim.memory import MainMemory
-from repro.sim.ops import CompiledProgram, prepare_streams
+from repro.sim.ops import CompiledProgram, OpStreamCache, prepare_streams
+from repro.telemetry.record import record_kernel
 from repro.telemetry.trace import get_tracer
 from repro.units import PICO
 
@@ -249,6 +251,31 @@ class ChipMultiprocessor:
             barriers=barriers.completed,
             kernel=kernel,
         )
+
+
+def run_workload(
+    model,
+    n_threads: int,
+    config: CMPConfig,
+    cache: Optional[OpStreamCache] = ops.stream_cache,
+) -> SimulationResult:
+    """Compile ``model`` at ``n_threads`` (through ``cache``) and run it.
+
+    The run's ``KernelStats`` carry the compile's provenance and go to
+    the capture window around the call (:func:`record_kernel`).
+    """
+    compiled = ops.compile_workload(model, n_threads, config.l1_config, cache=cache)
+    result = ChipMultiprocessor(config).run(
+        compiled.program,
+        model.core_timing(),
+        warmup_barriers=model.warmup_barriers,
+    )
+    if result.kernel is not None:
+        result.kernel.compile_s = compiled.seconds
+        result.kernel.compile_cache_hit = compiled.from_cache
+        result.kernel.compile_cache_evicted = compiled.evicted
+        record_kernel(result.kernel)
+    return result
 
 
 class _Barriers:

@@ -16,11 +16,13 @@ directory ``DIR/<run_id>/`` containing
 
 Both are read back by :func:`read_jsonl`.
 
-The manifest is written twice: once at creation (``status: "running"``,
-so a crashed sweep leaves evidence) and once by :meth:`TelemetryRun.finalize`
+The manifest is written at creation (``status: "running"``) and, when
+the sweep finished, once more by :meth:`TelemetryRun.finalize`
 (``status: "complete"`` plus the executor's tallies, per-field
 statistics over the point rows, and the findings of the
-:mod:`~repro.telemetry.alerts` rules).
+:mod:`~repro.telemetry.alerts` rules).  A sweep that raised or was
+interrupted only closes its logs (:meth:`TelemetryRun.close`), so its
+manifest still reads ``running``: the evidence that it did not finish.
 :func:`validate_run_dir` checks a run directory against this schema —
 the CI telemetry job and the test suite both use it — and
 :func:`latest_run_dir` resolves the newest run under a
@@ -112,8 +114,9 @@ class TelemetryRun:
     """One sweep's telemetry artifact: manifest + JSONL event/span logs.
 
     Create it before the sweep, hand it to the executor (its
-    ``telemetry_run`` attribute), and :meth:`finalize` it afterwards —
-    the CLI does all three under ``--telemetry-dir``.
+    ``telemetry_run`` attribute), and :meth:`finalize` it when the sweep
+    finished (:meth:`close` it when it did not) — the CLI does all three
+    under ``--telemetry-dir``.
     """
 
     def __init__(
@@ -203,8 +206,8 @@ class TelemetryRun:
         """Close the run: drain the coordinator's leftovers, write the manifest.
 
         The leftovers are what no point's capture window took: the
-        coordinator's calibration, precompile and ``optimizer.*`` spans,
-        drained from mark 0.  The alert rules are then evaluated over
+        coordinator's precompile and ``optimizer.*`` spans, drained from
+        mark 0.  The alert rules are then evaluated over
         the whole run's row statistics.  ``executor`` (a ``SweepExecutor``-shaped
         object) contributes, when given, its point tally (the manifest's
         ``points`` block: ``executor.stats`` plus the cache's count of
@@ -224,10 +227,14 @@ class TelemetryRun:
             )
             extra["kernel"] = dataclasses.asdict(executor.kernels)
         path = self._write_manifest(status="complete", extra=extra)
-        self._events.close()
-        self._spans.close()
+        self.close()
         self.finalized = True
         return path
+
+    def close(self) -> None:
+        """Close the JSONL logs; alone, it leaves the manifest ``running``."""
+        self._events.close()
+        self._spans.close()
 
     def _write_manifest(
         self, status: str, extra: Optional[Dict[str, Any]] = None

@@ -17,9 +17,9 @@ executor keeps one (``SweepExecutor.kernels``) and folds every outcome's
 metrics`` all read that single object; spans carry only time.
 
 A process buffers two kinds of telemetry: the tracer's root spans and
-the ``KernelStats``
-:meth:`ExperimentContext.run <repro.harness.context.ExperimentContext.run>`
-deposits via :func:`record_kernel`.  One rule takes them out: a
+the ``KernelStats`` :func:`repro.sim.cmp.run_workload` deposits via
+:func:`record_kernel` (for every simulation of a point, the context's
+calibration included).  One rule takes them out: a
 :class:`CaptureWindow` marks both buffers when it opens and, when it
 closes, drains exactly what was buffered since (:func:`drain_since`).
 The window also sets the open span stack aside, so the spans a point
@@ -27,8 +27,8 @@ opens are roots of that point, never children of a span the
 coordinator held open around the sweep.  A forked worker inherits the
 coordinator's buffers and open stack, and the marks and the set-aside
 stack keep both out of its points.  The telemetry run's finalize drains
-what is left from mark 0: the coordinator's own calibration,
-precompile and ``optimizer.*`` spans.  Kernel stats are buffered only
+what is left from mark 0: the coordinator's own precompile and
+``optimizer.*`` spans.  Kernel stats are buffered only
 while a window is open, so simulations run outside any window (library
 callers, say) buffer nothing.
 
@@ -184,7 +184,7 @@ _open_windows = 0
 def record_kernel(stats: KernelStats) -> None:
     """Buffer one run's kernel stats for the capture window around it.
 
-    No-op when no window is open, so unharnessed ``context.run`` calls
+    No-op when no window is open, so unharnessed ``run_workload`` calls
     cost one check and a long-lived process accumulates nothing.
     """
     if _open_windows:

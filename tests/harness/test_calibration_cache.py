@@ -7,8 +7,9 @@ import dataclasses
 import pytest
 
 import repro.harness.context as context_module
+from repro.errors import ConfigurationError
 from repro.harness import ExperimentContext
-from repro.harness.executor import PointOutcome, ResultCache, config_key
+from repro.harness.executor import PointOutcome, ResultCache, SweepExecutor, config_key
 from repro.harness.profiling import SimPointTask, simulate_points
 from repro.workloads.splash2 import SPLASH2
 
@@ -27,6 +28,11 @@ def calibrations(monkeypatch):
     return runs
 
 
+def _context(cache, workload_scale=1.0):
+    """A context calibrated through an executor over ``cache``."""
+    return ExperimentContext(workload_scale, executor=SweepExecutor(cache=cache))
+
+
 def _bits(calibration):
     return [value.hex() for value in dataclasses.astuple(calibration)]
 
@@ -42,8 +48,8 @@ def _calibration_files(cache):
 class TestCalibrationMemo:
     def test_replay_equals_a_fresh_calibration_bitwise(self, calibrations, tmp_path):
         cache = ResultCache(tmp_path)
-        stored = ExperimentContext(workload_scale=0.05, cache=cache).calibration
-        replayed = ExperimentContext(workload_scale=0.05, cache=cache).calibration
+        stored = _context(cache, 0.05).calibration
+        replayed = _context(cache, 0.05).calibration
         fresh = ExperimentContext(workload_scale=0.05).calibration
         assert len(calibrations) == 2  # the cold context and the uncached one
         assert replayed == stored == fresh
@@ -52,8 +58,8 @@ class TestCalibrationMemo:
 
     def test_one_entry_serves_every_workload_scale(self, calibrations, tmp_path):
         cache = ResultCache(tmp_path)
-        ExperimentContext(workload_scale=0.05, cache=cache)
-        ExperimentContext(workload_scale=0.1, cache=cache)
+        _context(cache, 0.05)
+        _context(cache, 0.1)
         assert len(calibrations) == 1
         assert len(cache) == 1
 
@@ -71,10 +77,12 @@ class TestCalibrationMemo:
         task = SimPointTask(spec=SPLASH2[0].spec, n=1)
 
         def keys():
-            context = ExperimentContext(workload_scale=0.05, cache=cache)
+            context = _context(cache, 0.05)
             recorder = KeyRecorder()
             simulate_points(context, recorder, [task])
-            return context, context.calibration_outcome.key, recorder.keys[0]
+            calibration = config_key({"kind": "power-calibration"})
+            assert cache.path_for(calibration).exists()
+            return context, calibration, recorder.keys[0]
 
         _, calibration, point = keys()
         monkeypatch.setattr(executor_module, "model_fingerprint", lambda: "edited")
@@ -90,18 +98,18 @@ class TestCalibrationMemo:
         import repro.harness.executor as executor_module
 
         cache = ResultCache(tmp_path)
-        ExperimentContext(cache=cache)
+        _context(cache)
         monkeypatch.setattr(executor_module, "model_fingerprint", lambda: "edited")
-        ExperimentContext(cache=cache)
+        _context(cache)
         assert len(calibrations) == 2
         assert len(_calibration_files(cache)) == 2
 
-    def test_an_entry_of_another_type_counts_as_a_miss(self, calibrations, tmp_path):
+    def test_an_entry_of_another_type_is_a_configuration_error(self, calibrations, tmp_path):
         cache = ResultCache(tmp_path)
-        ExperimentContext(cache=cache)
+        _context(cache)
         (entry,) = _calibration_files(cache)
         key = entry.stem
         cache.put(key, PointOutcome(index=0, key=key, value=(1.0, 2.0)))
-        calibration = ExperimentContext(cache=cache).calibration
-        assert len(calibrations) == 2
-        assert calibration == ExperimentContext().calibration
+        with pytest.raises(ConfigurationError, match=f"cache entry {key} holds a tuple"):
+            _context(cache)
+        assert len(calibrations) == 1

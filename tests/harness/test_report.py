@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.executor import SweepExecutor
 from repro.harness.report import ReportOptions, generate_report
 
 
@@ -10,17 +11,40 @@ def analytical_report():
     return generate_report(ReportOptions(include_experimental=False))
 
 
+class CountingExecutor(SweepExecutor):
+    """An inline executor that records each ``map`` call's points."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def map(self, fn, points, key_configs=None, precompile=None):
+        points = list(points)
+        if key_configs is not None:
+            key_configs = list(key_configs)
+        self.calls.append((len(points), key_configs))
+        return super().map(fn, points, key_configs, precompile)
+
+
 @pytest.fixture(scope="module")
-def full_report():
-    return generate_report(
+def full_run():
+    executor = CountingExecutor()
+    report = generate_report(
         ReportOptions(
             include_experimental=True,
             workload_scale=0.05,
             scenario1_apps=("FMM",),
             scenario2_apps=("Radix",),
             scenario2_core_counts=(1, 2),
-        )
+        ),
+        executor=executor,
     )
+    return report, executor
+
+
+@pytest.fixture(scope="module")
+def full_report(full_run):
+    return full_run[0]
 
 
 class TestAnalyticalReport:
@@ -69,6 +93,13 @@ class TestRobustnessSection:
         assert "## Robustness" in analytical_report
         assert "feasible sweep points completed" in analytical_report
         assert "Degraded run" not in analytical_report
+
+    def test_the_point_total_counts_the_calibration(self, full_run):
+        report, executor = full_run
+        calibration = [{"kind": "power-calibration"}]
+        assert [n for n, keys in executor.calls if keys == calibration] == [1]
+        feasible = sum(n for n, _ in executor.calls) - len(executor.failed)
+        assert f"All {feasible} feasible sweep points completed" in report
 
     def test_degraded_report_lists_quarantined_points(self):
         from repro.harness.executor import RetryPolicy, SweepExecutor

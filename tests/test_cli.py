@@ -229,7 +229,8 @@ class TestTraceTimelineCommand:
         # No timeline artifact; export carries the counter tracks.
         assert not list(tmp_path.glob("*/timeline.jsonl"))
         assert main(["trace", "validate", "--telemetry-dir", str(tmp_path)]) == 0
-        assert "9 point events" in capsys.readouterr().out
+        # The nine sweep points and the calibration.
+        assert "10 point events" in capsys.readouterr().out
         output = tmp_path / "trace.json"
         assert (
             main(
@@ -551,10 +552,85 @@ class TestCalibrationMemo:
         warm = capsys.readouterr().out
         points = load_manifest(_only(telemetry, "*"))["points"]
         assert points["cache_quarantined"] == 1
-        assert (points["evaluated"], points["cache_hits"]) == (0, 9)
+        assert (points["evaluated"], points["cache_hits"]) == (1, 9)
         assert len(kernel_runs) == 1  # the calibration alone
         assert entry.exists() and entry.with_name(entry.name + ".quarantined").exists()
         assert _table(warm) == _table(cold)
+
+
+def _journal(cache, err):
+    """The events of the journal whose ``[journal]`` notice is in ``err``."""
+    import json
+
+    (run_id,) = re.findall(r"\[journal\] run (\S+)", err)
+    lines = (cache / "journal" / f"{run_id}.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines[1:]]
+
+
+class TestCalibrationPoint:
+    """The calibration is the executor's first point of an experimental
+    sweep: journaled, logged and counted like the others."""
+
+    def test_cold_and_warm_runs_journal_it_once(self, capsys, tmp_path):
+        from repro.harness.executor import config_key
+
+        key = config_key({"kind": "power-calibration"})
+        argv = [*SMALL_SWEEPS["fig3"], "--cache", str(tmp_path)]
+        for cached, tally in ((False, "10 evaluated, 0"), (True, "0 evaluated, 10")):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert f"[executor] {tally} cache hits" in captured.out
+            events = [e for e in _journal(tmp_path, captured.err) if e["key"] == key]
+            assert [(e["index"], e["cached"]) for e in events] == [(0, cached)]
+            assert set(events[0]["row"]) == {
+                "max_operational_power_w",
+                "design_dynamic_w",
+                "wattch_microbenchmark_w",
+                "wattch_to_hotspot_ratio",
+            }
+
+
+class TestUnfinishedSweep:
+    """A sweep that raises leaves its manifest ``running``, and
+    ``trace validate`` accepts it."""
+
+    def _assert_running(self, capsys, telemetry):
+        from repro.telemetry.manifest import latest_run_dir, load_manifest
+
+        capsys.readouterr()
+        assert load_manifest(latest_run_dir(telemetry))["status"] == "running"
+        assert main(["trace", "validate", "--telemetry-dir", str(telemetry)]) == 0
+        assert "status 'running'" in capsys.readouterr().out
+
+    def test_an_interrupted_sweep(self, capsys, monkeypatch, tmp_path):
+        import repro.core.sweeps as sweeps
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweeps, "figure2_sweep", interrupted)
+        telemetry = tmp_path / "telemetry"
+        argv = ["fig2", "--telemetry-dir", str(telemetry)]
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--cache", str(tmp_path / "cache")])
+        assert "[telemetry]" not in capsys.readouterr().out
+        self._assert_running(capsys, telemetry)
+
+    def test_a_failed_calibration(self, capsys, monkeypatch, tmp_path):
+        import repro.harness.context as context_module
+        from repro.errors import ConvergenceError
+        from repro.telemetry.manifest import latest_run_dir, load_events
+
+        def diverging(*args, **kwargs):
+            raise ConvergenceError("no design point")
+
+        monkeypatch.setattr(context_module, "calibrate_power_model", diverging)
+        telemetry = tmp_path / "telemetry"
+        with pytest.raises(ConvergenceError, match="no design point"):
+            main([*SMALL_SWEEPS["fig3"], "--telemetry-dir", str(telemetry)])
+        (event,) = load_events(latest_run_dir(telemetry))
+        assert (event["status"], event["error_type"]) == ("error", "ConvergenceError")
+        self._assert_running(capsys, telemetry)
 
 
 class TestClosedStdout:
